@@ -49,7 +49,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("serve-sim", help="replay an event log through the serving protocol")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--events", help="event log to replay")
-    p.add_argument("--slots", type=int, default=4, help="unused for REQ lines, which carry slots")
     p.add_argument("--lag-seconds", dest="lag_seconds", type=int, default=0)
     p.add_argument("--out", help="results TSV (replay mode)")
     p.add_argument("--listen", type=int, help="serve the RANK line protocol on this port")

@@ -1,21 +1,29 @@
-"""The shared embedding table and the gather/sum that turns encoded ads into
-dense per-group vectors, together with its exact adjoint (gradient scatter).
+"""The shared embedding table, the columnar encoding of ads and examples, and
+the gather/sum that turns encoded ads into dense per-group vectors together
+with its exact adjoint (gradient scatter).
 
 One table is shared by all ad groups: a feature index means the same thing
 wherever it appears. A group's vector is the concatenation, in schema order,
 of one K-dim segment per field; multivalent segments are the sum over the
-field's index bag (an empty bag contributes a zero segment).
+field's index bag in bag order (an empty bag contributes a zero segment).
+
+Encoded data path: a list of ``LabeledExample`` is encoded once into an
+``EncodedBatch`` of int32 columns (per group, a CSR over (ad, field); per
+auxiliary group, the offsets of each example's ads). A mini-batch is then a
+fancy index over example ids (``EncodedBatch.take``), and gather and scatter
+work on whole columns with no Python loop per example or per ad.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from itertools import chain
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .numerics import Array, ContractViolation
-from .schema import EncodedInstance, FieldKind, GroupSchema
+from .schema import AUX_GROUPS, EncodedInstance, GroupSchema
 
 INIT_SCALE = 0.01  # keeps initial logits near 0 so sigmoid starts around 0.5
 
@@ -37,40 +45,107 @@ class EmbeddingTable:
         return cls(rng.uniform(-INIT_SCALE, INIT_SCALE, size=(vocab_size, k)))
 
 
-@dataclass(frozen=True)
-class InstanceEmbedding:
-    """Dense vector for one ad; dim = K * number of fields in its group."""
-
-    group: str
-    vector: Array
-
-
 def group_dim(schema: GroupSchema, k: int) -> int:
     return k * len(schema.fields)
 
 
-def embed_instance(inst: EncodedInstance, table: EmbeddingTable,
-                   group_schema: GroupSchema) -> InstanceEmbedding:
-    """Gather-and-sum one instance into its group vector."""
-    mat = embed_matrix([inst], table, group_schema)
-    return InstanceEmbedding(group=inst.group, vector=mat[0])
+def _ragged_take(offsets: Array, rows: Array) -> tuple[Array, Array]:
+    """For a CSR with the given row offsets: the element positions of
+    ``rows``, concatenated in the order given, and their offsets there."""
+    starts = offsets[rows]
+    lens = offsets[rows + 1] - starts
+    out = np.zeros(len(rows) + 1, dtype=np.int32)
+    np.cumsum(lens, out=out[1:])
+    pos = np.repeat(starts - out[:-1], lens) + np.arange(out[-1], dtype=np.int32)
+    return pos, out
 
 
-def embed_gradient_scatter(inst: EncodedInstance, upstream: Array) -> list[tuple[int, Array]]:
-    """Adjoint of embed_instance: route the upstream gradient back to rows.
+@dataclass(frozen=True)
+class AdColumns:
+    """Same-group ads as a CSR over (ad, field): the feature indices of field
+    f of ad a are ``indices[offsets[a * n_fields + f] : offsets[a * n_fields + f + 1]]``."""
 
-    Returns (row, K-grad) pairs; rows referenced several times appear once per
-    occurrence, and untouched rows do not appear at all.
-    """
-    k = upstream.shape[0] // len(inst.indices)
-    if upstream.shape != (k * len(inst.indices),):
-        raise ContractViolation("upstream gradient dim does not match the instance")
-    out: list[tuple[int, Array]] = []
-    for fi, idx_list in enumerate(inst.indices):
-        seg = upstream[fi * k : (fi + 1) * k]
-        for idx in idx_list:
-            out.append((idx, seg))
-    return out
+    n_fields: int
+    offsets: Array  # (n_ads * n_fields + 1,) int32
+    indices: Array  # int32
+
+    def __len__(self) -> int:
+        return (len(self.offsets) - 1) // self.n_fields
+
+    @classmethod
+    def from_instances(cls, instances: Sequence[EncodedInstance], n_fields: int) -> "AdColumns":
+        """Encode a list of ads; each distinct instance object is flattened once.
+
+        Only the first ``n_fields`` fields of an instance are read: serving
+        passes its round-2 winner, a target-group ad, as the contextual ad.
+        """
+        first = {id(inst): inst for inst in instances}
+        fields = [inst.indices[:n_fields] for inst in first.values()]
+        lens = [len(idx) for per_ad in fields for idx in per_ad]
+        if len(lens) != n_fields * len(first):
+            raise ContractViolation("an instance has fewer fields than its group schema")
+        offsets = np.zeros(len(lens) + 1, dtype=np.int32)
+        np.cumsum(lens, out=offsets[1:])
+        flat = chain.from_iterable(chain.from_iterable(fields))
+        cols = cls(n_fields, offsets, np.fromiter(flat, dtype=np.int32, count=int(offsets[-1])))
+        if len(first) == len(instances):
+            return cols
+        slot = dict(zip(first, range(len(first))))
+        return cols.take(np.fromiter(map(slot.__getitem__, map(id, instances)),
+                                     dtype=np.intp, count=len(instances)))
+
+    def take(self, ads: Array) -> "AdColumns":
+        """The given ads, in the order given."""
+        segs = (ads[:, None] * self.n_fields + np.arange(self.n_fields)).ravel()
+        pos, offsets = _ragged_take(self.offsets, segs)
+        return AdColumns(self.n_fields, offsets, self.indices[pos])
+
+
+@dataclass(frozen=True)
+class EncodedBatch:
+    """Examples as columns: labels, the target ads (one per example) and, per
+    auxiliary group, each example's ads (``aux[g] = (offsets, ads)``: the ads
+    of example i are ``offsets[i]:offsets[i + 1]`` of ``ads``). Encoded from
+    ``source`` when built by ``encode_examples``."""
+
+    labels: Array  # (B,) float64
+    target: AdColumns
+    aux: dict[str, tuple[Array, AdColumns]]
+    source: Sequence | None = field(default=None, compare=False)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def take(self, ids: Array) -> "EncodedBatch":
+        """The examples with the given ids, in the order given."""
+        aux = {}
+        for group, (offsets, ads) in self.aux.items():
+            pos, sub = _ragged_take(offsets, ids)
+            aux[group] = (sub, ads.take(pos))
+        return EncodedBatch(self.labels[ids], self.target.take(ids), aux)
+
+
+def encode_examples(examples: Sequence, schemas: Mapping[str, GroupSchema],
+                    groups: Sequence[str] = AUX_GROUPS) -> EncodedBatch:
+    """Encode ``LabeledExample``s with their target ads and the ads of the
+    given auxiliary groups."""
+    n = len(examples)
+    labels = np.fromiter((ex.label for ex in examples), dtype=np.float64, count=n)
+    target = AdColumns.from_instances([ex.target for ex in examples],
+                                      len(schemas["target"].fields))
+    aux = {}
+    for group in groups:
+        lists = [getattr(ex, group) for ex in examples]
+        offsets = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.fromiter(map(len, lists), dtype=np.int32, count=n), out=offsets[1:])
+        aux[group] = (offsets, AdColumns.from_instances(list(chain.from_iterable(lists)),
+                                                        len(schemas[group].fields)))
+    return EncodedBatch(labels, target, aux, source=examples)
+
+
+def _columns(ads, group_schema: GroupSchema) -> AdColumns:
+    return ads if isinstance(ads, AdColumns) else AdColumns.from_instances(
+        ads, len(group_schema.fields))
 
 
 def _check_bounds(indices: Array, n: int) -> None:
@@ -78,65 +153,50 @@ def _check_bounds(indices: Array, n: int) -> None:
         raise ContractViolation("feature index out of range for the embedding table")
 
 
-def embed_matrix(instances: Sequence[EncodedInstance], table: EmbeddingTable,
+def embed_matrix(ads: AdColumns | Sequence[EncodedInstance], table: EmbeddingTable,
                  group_schema: GroupSchema) -> Array:
-    """Embed a batch of same-group instances into an (M, D_group) matrix."""
-    m, k = len(instances), table.k
-    out = np.zeros((m, group_dim(group_schema, k)))
-    if m == 0:
-        return out
-    for fi, fs in enumerate(group_schema.fields):
-        lo = fi * k
-        if fs.kind == FieldKind.MULTIVALENT:
-            flat = np.array([i for inst in instances for i in inst.indices[fi]], dtype=np.int64)
-            if flat.size == 0:
-                continue
-            _check_bounds(flat, table.n)
-            counts = np.array([len(inst.indices[fi]) for inst in instances], dtype=np.int64)
-            owner = np.repeat(np.arange(m), counts)
-            np.add.at(out[:, lo : lo + k], owner, table.e[flat])
-        else:
-            idx = np.array([inst.indices[fi][0] for inst in instances], dtype=np.int64)
-            _check_bounds(idx, table.n)
-            out[:, lo : lo + k] = table.e[idx]
-    return out
+    """Embed same-group ads (columns or instances) into an (M, D_group) matrix."""
+    cols = _columns(ads, group_schema)
+    k, segs = table.k, len(cols.offsets) - 1
+    _check_bounds(cols.indices, table.n)
+    # Cell (segment, component) of every gathered value; bincount adds each
+    # cell's values in bag order, starting from 0.0.
+    owner = np.repeat(np.arange(0, segs * k, k), np.diff(cols.offsets))
+    cells = (owner[:, None] + np.arange(k)).ravel()
+    out = np.bincount(cells, weights=table.e[cols.indices].ravel(), minlength=segs * k)
+    return out.reshape(len(cols), cols.n_fields * k)
 
 
 class RowGradAccumulator:
-    """Collects embedding-row gradients from scatter calls across a batch."""
+    """Collects embedding-row gradient terms from scatter calls across a batch
+    and sums them per touched row, each row's terms in the order collected."""
 
     def __init__(self, n: int, k: int):
-        self._dense = np.zeros((n, k))
-        self._touched = np.zeros(n, dtype=bool)
+        self.n = n
         self.k = k
+        self._rows: list[Array] = []
+        self._grads: list[Array] = []
 
-    def scatter_matrix(self, instances: Sequence[EncodedInstance], upstream: Array,
+    def scatter_matrix(self, ads: AdColumns | Sequence[EncodedInstance], upstream: Array,
                        group_schema: GroupSchema) -> None:
-        """Adjoint of embed_matrix for a batch of same-group instances."""
-        m, k = len(instances), self.k
-        if m == 0:
+        """Adjoint of embed_matrix: every index of a (ad, field) bag gets that
+        segment of the ad's upstream gradient."""
+        cols = _columns(ads, group_schema)
+        if cols.indices.size == 0:
             return
-        for fi, fs in enumerate(group_schema.fields):
-            lo = fi * k
-            seg = upstream[:, lo : lo + k]
-            if fs.kind == FieldKind.MULTIVALENT:
-                flat = np.array([i for inst in instances for i in inst.indices[fi]], dtype=np.int64)
-                if flat.size == 0:
-                    continue
-                counts = np.array([len(inst.indices[fi]) for inst in instances], dtype=np.int64)
-                owner = np.repeat(np.arange(m), counts)
-                np.add.at(self._dense, flat, seg[owner])
-                self._touched[flat] = True
-            else:
-                idx = np.array([inst.indices[fi][0] for inst in instances], dtype=np.int64)
-                np.add.at(self._dense, idx, seg)
-                self._touched[idx] = True
-
-    def add_rows(self, rows: Array, grads: Array) -> None:
-        np.add.at(self._dense, rows, grads)
-        self._touched[rows] = True
+        segs = upstream.reshape(-1, self.k)
+        if segs.shape[0] != len(cols.offsets) - 1:
+            raise ContractViolation("upstream gradient does not match the ads")
+        self._rows.append(cols.indices)
+        self._grads.append(np.repeat(segs, np.diff(cols.offsets), axis=0))
 
     def finalize(self) -> tuple[Array, Array]:
         """(sorted unique touched rows, their summed gradients)."""
-        rows = np.flatnonzero(self._touched)
-        return rows, self._dense[rows]
+        if not self._rows:
+            return np.zeros(0, dtype=np.intp), np.zeros((0, self.k))
+        rows, slot = np.unique(np.concatenate(self._rows), return_inverse=True)
+        flat = (slot[:, None] * self.k + np.arange(self.k)).ravel()
+        # bincount adds the terms of each cell in order, starting from 0.0
+        sums = np.bincount(flat, weights=np.concatenate(self._grads).ravel(),
+                           minlength=len(rows) * self.k)
+        return rows.astype(np.intp), sums.reshape(len(rows), self.k)

@@ -22,14 +22,15 @@ checks in the test suite.
 from __future__ import annotations
 
 import copy
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .embedding import (EmbeddingTable, InstanceEmbedding, RowGradAccumulator,
-                        embed_matrix, group_dim)
+from .embedding import (AdColumns, EmbeddingTable, EncodedBatch, RowGradAccumulator,
+                        embed_matrix, encode_examples, group_dim)
 from .ingest import LabeledExample
 from .numerics import Array, ContractViolation, dropout_mask, relu, sigmoid
 from .schema import AUX_GROUPS, GroupSchema
@@ -173,65 +174,14 @@ def init_model(variant: Variant, schemas: Mapping[str, GroupSchema], vocab_size:
 
 
 # ---------------------------------------------------------------------------
-# per-ad-list aggregation (single-example reference forms)
-# ---------------------------------------------------------------------------
-
-def aggregate_pooling(ads: Sequence[InstanceEmbedding], dim: int | None = None) -> Array:
-    """Entrywise sum of same-group ad embeddings; empty list gives zeros."""
-    if not ads:
-        if dim is None:
-            raise ContractViolation("empty ad list needs an explicit output dim")
-        return np.zeros(dim)
-    if len({a.group for a in ads}) > 1:
-        raise ContractViolation("aggregation mixes ad groups")
-    return np.sum([a.vector for a in ads], axis=0)
-
-
-def aggregate_self_attention(ads: Sequence[InstanceEmbedding],
-                             params: SelfAttentionParams) -> tuple[Array, Array]:
-    """Softmax-weighted sum: score each ad on its own, normalize over the group.
-
-    Returns (aggregate, weights); weights lie on the simplex.
-    """
-    if not ads:
-        raise ContractViolation("self-attention needs a nonempty ad list")
-    x = np.stack([a.vector for a in ads])
-    beta = relu(x @ params.w1.T + params.b1) @ params.w2 + params.b2[0]
-    e = np.exp(beta - beta.max())
-    alpha = e / e.sum()
-    return alpha @ x, alpha
-
-
-def aggregate_interactive_attention(target: InstanceEmbedding, ads: Sequence[InstanceEmbedding],
-                                    params: InteractiveAttentionParams,
-                                    dim: int | None = None) -> tuple[Array, Array]:
-    """Weighted sum with per-ad positive weights that depend on the target too.
-
-    Weights are exp of a one-hidden-layer MLP on [target, ad] and are not
-    normalized against the other ads, so each weight is independent of the
-    rest of the list. The pre-exp scalar is clamped at SCORE_CLAMP.
-    """
-    if not ads:
-        if dim is None:
-            raise ContractViolation("empty ad list needs an explicit output dim")
-        return np.zeros(dim), np.zeros(0)
-    x = np.stack([a.vector for a in ads])
-    pair = np.concatenate([np.broadcast_to(target.vector, (len(ads), target.vector.shape[0])), x],
-                          axis=1)
-    score = relu(pair @ params.w_tc.T + params.b_tc1) @ params.h + params.b_tc2[0]
-    alpha = np.exp(np.minimum(score, SCORE_CLAMP))
-    return alpha @ x, alpha
-
-
-# ---------------------------------------------------------------------------
 # batched forward
 # ---------------------------------------------------------------------------
 
 @dataclass
 class AuxTrace:
-    instances: list                 # flattened valid ads, batch order
-    row_idx: Array                  # (T,) example of each valid ad
-    col_idx: Array                  # (T,) slot of each valid ad
+    cols: AdColumns                 # the group's ads in the batch, batch order
+    row_idx: Array                  # (T,) example of each ad
+    col_idx: Array                  # (T,) slot of each ad
     ads: Array                      # (B, S, D_g) padded embeddings
     mask: Array                     # (B, S) 1.0 on valid slots
     alpha: Array                    # (B, S) aggregation weights (pooling: mask)
@@ -247,12 +197,13 @@ class AuxTrace:
 class BatchTrace:
     """Everything forward computed that backward needs; one per batch."""
 
-    examples: list
+    batch: EncodedBatch
     mode: str
     x_t: Array
     aux: dict[str, AuxTrace]
     m: Array | None
     pres: list[Array]
+    acts: list[Array]               # post-dropout activations of the FC layers
     drop_masks: list[Array | None]
     logit: Array
     pctr: Array
@@ -266,21 +217,24 @@ class BatchTrace:
         return out
 
 
-def _pad_aux(model: ModelParams, examples: Sequence[LabeledExample], group: str) -> AuxTrace:
-    lists = [getattr(ex, group) for ex in examples]
-    counts = np.array([len(l) for l in lists], dtype=np.int64)
-    b, s = len(examples), int(counts.max()) if len(counts) else 0
+def encode_batch(model: ModelParams, examples: Sequence[LabeledExample]) -> EncodedBatch:
+    """Encode examples with the groups this model's variant reads."""
+    return encode_examples(examples, model.schemas,
+                           AUX_GROUPS if model.variant.uses_aux else ())
+
+
+def _pad_aux(model: ModelParams, batch: EncodedBatch, group: str) -> AuxTrace:
+    offsets, cols = batch.aux[group]
+    counts = np.diff(offsets)
+    b, s = len(batch), int(counts.max()) if len(batch) else 0
     d = model.dim(group)
-    flat = [ad for lst in lists for ad in lst]
     ads = np.zeros((b, s, d))
     mask = np.zeros((b, s))
     row_idx = np.repeat(np.arange(b), counts)
-    col_idx = np.concatenate([np.arange(c) for c in counts]) if flat else np.zeros(0, dtype=np.int64)
-    if flat:
-        emb = embed_matrix(flat, model.embedding, model.schemas[group])
-        ads[row_idx, col_idx] = emb
-        mask[row_idx, col_idx] = 1.0
-    return AuxTrace(instances=flat, row_idx=row_idx, col_idx=col_idx,
+    col_idx = np.arange(len(cols)) - np.repeat(offsets[:-1], counts)
+    ads[row_idx, col_idx] = embed_matrix(cols, model.embedding, model.schemas[group])
+    mask[row_idx, col_idx] = 1.0
+    return AuxTrace(cols=cols, row_idx=row_idx, col_idx=col_idx,
                     ads=ads, mask=mask, alpha=mask.copy(), agg=np.zeros((b, d)))
 
 
@@ -317,25 +271,29 @@ def _aggregate(model: ModelParams, t: AuxTrace, group: str, x_t: Array) -> None:
     t.agg = (t.alpha[..., None] * t.ads).sum(axis=1)
 
 
-def forward_batch(model: ModelParams, examples: Sequence[LabeledExample], mode: str = "eval",
-                  rng: np.random.Generator | None = None) -> tuple[Array, BatchTrace]:
-    """Eval- or train-mode forward over a batch; returns pCTRs and the trace."""
+def forward_batch(model: ModelParams, batch: EncodedBatch | Sequence[LabeledExample],
+                  mode: str = "eval", rng: np.random.Generator | None = None
+                  ) -> tuple[Array, BatchTrace]:
+    """Eval- or train-mode forward over a batch (encoded, or a list of
+    examples encoded on entry); returns pCTRs and the trace."""
     if mode not in ("train", "eval"):
         raise ContractViolation(f"unknown mode {mode!r}")
     if mode == "train" and model.dropout_p > 0 and rng is None:
         raise ContractViolation("train-mode forward with dropout needs an rng")
-    x_t = embed_matrix([ex.target for ex in examples], model.embedding, model.schemas["target"])
+    if not isinstance(batch, EncodedBatch):
+        batch = encode_batch(model, batch)
+    x_t = embed_matrix(batch.target, model.embedding, model.schemas["target"])
 
     if model.variant == Variant.LR:
         logit = x_t.sum(axis=1) + model.out_b[0]
         pctr = np.clip(sigmoid(logit), PCTR_EPS, 1.0 - PCTR_EPS)
-        return pctr, BatchTrace(examples=list(examples), mode=mode, x_t=x_t, aux={},
-                                m=None, pres=[], drop_masks=[], logit=logit, pctr=pctr)
+        return pctr, BatchTrace(batch=batch, mode=mode, x_t=x_t, aux={}, m=None, pres=[],
+                                acts=[], drop_masks=[], logit=logit, pctr=pctr)
 
     aux: dict[str, AuxTrace] = {}
     if model.variant.uses_aux:
         for group in AUX_GROUPS:
-            t = _pad_aux(model, examples, group)
+            t = _pad_aux(model, batch, group)
             _aggregate(model, t, group, x_t)
             aux[group] = t
         m = np.concatenate([x_t] + [aux[g].agg for g in AUX_GROUPS], axis=1)
@@ -344,6 +302,7 @@ def forward_batch(model: ModelParams, examples: Sequence[LabeledExample], mode: 
 
     cur = m
     pres: list[Array] = []
+    acts: list[Array] = []
     masks: list[Array | None] = []
     for w, b in [(model.fusion_w, model.fusion_b)] + model.fc:
         pre = cur @ w.T + b
@@ -354,11 +313,12 @@ def forward_batch(model: ModelParams, examples: Sequence[LabeledExample], mode: 
             cur = cur * msk
         else:
             msk = None
+        acts.append(cur)
         masks.append(msk)
     logit = cur @ model.out_w + model.out_b[0]
     pctr = np.clip(sigmoid(logit), PCTR_EPS, 1.0 - PCTR_EPS)
-    return pctr, BatchTrace(examples=list(examples), mode=mode, x_t=x_t, aux=aux, m=m,
-                            pres=pres, drop_masks=masks, logit=logit, pctr=pctr)
+    return pctr, BatchTrace(batch=batch, mode=mode, x_t=x_t, aux=aux, m=m, pres=pres,
+                            acts=acts, drop_masks=masks, logit=logit, pctr=pctr)
 
 
 def forward(model: ModelParams, example: LabeledExample, mode: str = "eval",
@@ -408,16 +368,24 @@ class Gradients:
         return {int(r): g for r, g in zip(self.emb_rows, self.emb_grads)}
 
 
-def backward(model: ModelParams, examples: Sequence[LabeledExample],
+def _same_batch(batch, trace: BatchTrace) -> bool:
+    """Whether ``batch`` is the encoded batch the trace ran on or the list of
+    examples it was encoded from (element by element)."""
+    if batch is trace.batch:
+        return True
+    source = trace.batch.source
+    return (source is not None and not isinstance(batch, EncodedBatch)
+            and len(batch) == len(source) and all(map(operator.is_, batch, source)))
+
+
+def backward(model: ModelParams, batch: EncodedBatch | Sequence[LabeledExample],
              trace: BatchTrace) -> Gradients:
     """Exact gradients for every parameter, reusing the forward trace
     (including its dropout masks)."""
-    if len(examples) != len(trace.examples) or any(
-            a is not b for a, b in zip(examples, trace.examples)):
+    if not _same_batch(batch, trace):
         raise ContractViolation("trace does not belong to this batch")
-    b_sz = len(examples)
-    y = np.array([ex.label for ex in examples], dtype=np.float64)
-    dlogit = (trace.pctr - y) / b_sz
+    enc = trace.batch
+    dlogit = (trace.pctr - enc.labels) / len(enc)
 
     acc = RowGradAccumulator(model.embedding.n, model.embedding.k)
     dense: dict[str, Array] = {}
@@ -425,14 +393,12 @@ def backward(model: ModelParams, examples: Sequence[LabeledExample],
     if model.variant == Variant.LR:
         dense["out.b"] = np.array([dlogit.sum()])
         up = np.repeat(dlogit[:, None], trace.x_t.shape[1], axis=1)
-        acc.scatter_matrix([ex.target for ex in examples], up, model.schemas["target"])
+        acc.scatter_matrix(enc.target, up, model.schemas["target"])
         rows, grads = acc.finalize()
         return Gradients(dense=dense, emb_rows=rows, emb_grads=grads)
 
     # output head
-    acts = [relu(pre) for pre in trace.pres]
-    dropped = [a if m is None else a * m for a, m in zip(acts, trace.drop_masks)]
-    dense["out.w"] = dropped[-1].T @ dlogit
+    dense["out.w"] = trace.acts[-1].T @ dlogit
     dense["out.b"] = np.array([dlogit.sum()])
     g_cur = dlogit[:, None] * model.out_w[None, :]
 
@@ -444,7 +410,7 @@ def backward(model: ModelParams, examples: Sequence[LabeledExample],
         msk = trace.drop_masks[i]
         g_act = g_cur if msk is None else g_cur * msk
         g_pre = g_act * (trace.pres[i] > 0)
-        inp = trace.m if i == 0 else dropped[i - 1]
+        inp = trace.m if i == 0 else trace.acts[i - 1]
         dense[f"{names[i]}.W"] = g_pre.T @ inp
         dense[f"{names[i]}.b"] = g_pre.sum(axis=0)
         g_cur = g_pre @ w
@@ -459,11 +425,9 @@ def backward(model: ModelParams, examples: Sequence[LabeledExample],
         g_agg = g_cur[:, offset : offset + d_g]
         offset += d_g
         g_ads = _aggregate_backward(model, group, t, g_agg, g_xt, dense)
-        if t.instances:
-            acc.scatter_matrix(t.instances, g_ads[t.row_idx, t.col_idx],
-                               model.schemas[group])
+        acc.scatter_matrix(t.cols, g_ads[t.row_idx, t.col_idx], model.schemas[group])
 
-    acc.scatter_matrix([ex.target for ex in examples], g_xt, model.schemas["target"])
+    acc.scatter_matrix(enc.target, g_xt, model.schemas["target"])
     rows, grads = acc.finalize()
     return Gradients(dense=dense, emb_rows=rows, emb_grads=grads)
 
@@ -492,7 +456,9 @@ def load_model(path, schemas: Mapping[str, GroupSchema]) -> tuple[ModelParams, d
     if header.get("format") != "adctr-ckpt-1":
         raise ValueError(f"{path}: unknown checkpoint format")
     by_header = {v.header_name: v for v in Variant}
-    variant = by_header[header["variant"]]
+    variant = by_header.get(header.get("variant"))
+    if variant is None:
+        raise ValueError(f"{path}: unknown variant {header.get('variant')!r}")
     model = ModelParams(variant=variant, schemas=dict(schemas), k=int(header["k"]),
                         dropout_p=float(header["dropout_p"]),
                         embedding=EmbeddingTable(tensors.pop("emb.E")),

