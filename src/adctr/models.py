@@ -190,7 +190,6 @@ class AuxTrace:
     hid: Array | None = None        # (B, S, H)
     score: Array | None = None      # (B, S) pre-softmax / pre-exp scalar
     raw_score: Array | None = None  # (B, S) pre-clamp scalar (interactive)
-    pair: Array | None = None       # (B, S, D_t + D_g) (interactive)
 
 
 @dataclass
@@ -259,11 +258,11 @@ def _aggregate(model: ModelParams, t: AuxTrace, group: str, x_t: Array) -> None:
         e = np.where(t.mask > 0, np.exp(t.score - rowmax[:, None]), 0.0)
         denom = e.sum(axis=1)
         t.alpha = e / np.where(denom > 0, denom, 1.0)[:, None]
-    else:  # interactive
+    else:  # interactive: W_tc = [W_t | W_a], so [x_t, ad] W_tc^T = x_t W_t^T + ad W_a^T
         p = model.attention[group]
-        t.pair = np.concatenate(
-            [np.broadcast_to(x_t[:, None, :], (b, s, x_t.shape[1])), t.ads], axis=2)
-        t.pre = (t.pair.reshape(b * s, -1) @ p.w_tc.T + p.b_tc1).reshape(b, s, -1)
+        d_t = x_t.shape[1]
+        t.pre = ((x_t @ p.w_tc[:, :d_t].T + p.b_tc1)[:, None, :]
+                 + (t.ads.reshape(b * s, -1) @ p.w_tc[:, d_t:].T).reshape(b, s, -1))
         t.hid = relu(t.pre)
         t.raw_score = (t.hid.reshape(b * s, -1) @ p.h).reshape(b, s) + p.b_tc2[0]
         t.score = np.minimum(t.raw_score, SCORE_CLAMP)
@@ -424,7 +423,7 @@ def backward(model: ModelParams, batch: EncodedBatch | Sequence[LabeledExample],
         d_g = model.dim(group)
         g_agg = g_cur[:, offset : offset + d_g]
         offset += d_g
-        g_ads = _aggregate_backward(model, group, t, g_agg, g_xt, dense)
+        g_ads = _aggregate_backward(model, group, t, trace.x_t, g_agg, g_xt, dense)
         acc.scatter_matrix(t.cols, g_ads[t.row_idx, t.col_idx], model.schemas[group])
 
     acc.scatter_matrix(enc.target, g_xt, model.schemas["target"])
@@ -486,7 +485,7 @@ def load_model(path, schemas: Mapping[str, GroupSchema]) -> tuple[ModelParams, d
     return model, header
 
 
-def _aggregate_backward(model: ModelParams, group: str, t: AuxTrace, g_agg: Array,
+def _aggregate_backward(model: ModelParams, group: str, t: AuxTrace, x_t: Array, g_agg: Array,
                         g_xt: Array, dense: dict[str, Array]) -> Array:
     """Backward through one group's aggregation; returns the per-ad gradient
     (B, S, D_g) and accumulates attention-parameter and target gradients."""
@@ -529,13 +528,15 @@ def _aggregate_backward(model: ModelParams, group: str, t: AuxTrace, g_agg: Arra
     tdot = (t.ads * g_agg[:, None, :]).sum(axis=2)
     g_score = t.alpha * tdot * (t.raw_score < SCORE_CLAMP)  # alpha carries the mask
     g_hid = g_score[..., None] * p.h
-    g_pre = (g_hid * (t.pre > 0)).reshape(b * s, -1)
-    dense[f"attn.{group}.Wtc"] = g_pre.T @ t.pair.reshape(b * s, -1)
-    dense[f"attn.{group}.btc1"] = g_pre.sum(axis=0)
+    g_pre = g_hid * (t.pre > 0)
+    g_pre_t = g_pre.sum(axis=1)  # the target half of the pair is shared by every slot
+    g_pre = g_pre.reshape(b * s, -1)
+    d_t = x_t.shape[1]
+    dense[f"attn.{group}.Wtc"] = np.concatenate(
+        [g_pre_t.T @ x_t, g_pre.T @ t.ads.reshape(b * s, d_g)], axis=1)
+    dense[f"attn.{group}.btc1"] = g_pre_t.sum(axis=0)
     dense[f"attn.{group}.h"] = t.hid.reshape(b * s, -1).T @ g_score.reshape(b * s)
     dense[f"attn.{group}.btc2"] = np.array([g_score.sum()])
-    g_pair = (g_pre @ p.w_tc).reshape(b, s, -1)
-    d_t = model.dim("target")
-    g_xt += g_pair[..., :d_t].sum(axis=1)
-    g_ads += g_pair[..., d_t:]
+    g_xt += g_pre_t @ p.w_tc[:, :d_t]
+    g_ads += (g_pre @ p.w_tc[:, d_t:]).reshape(b, s, d_g)
     return g_ads

@@ -1,7 +1,8 @@
-"""Single-example reference forms that the tests hold the batched library
-paths against: per-instance embedding and its gradient scatter, per-ad-list
-aggregation, a single-vector linear map and inverted dropout. Written as
-plain loops, in the summation order the batched paths promise to keep."""
+"""Reference forms that the tests hold the library paths against:
+per-instance embedding and its gradient scatter (plain loops, in the
+summation order the batched paths promise to keep), per-ad-list aggregation,
+interactive attention through the concatenated [target, ad] pair tensor, a
+single-vector linear map and inverted dropout."""
 
 from __future__ import annotations
 
@@ -115,6 +116,29 @@ def aggregate_interactive_attention(target: InstanceEmbedding, ads: Sequence[Ins
     score = relu(pair @ params.w_tc.T + params.b_tc1) @ params.h + params.b_tc2[0]
     alpha = np.exp(np.minimum(score, SCORE_CLAMP))
     return alpha @ x, alpha
+
+
+def interactive_attention_pair_form(x_t: Array, ads: Array, mask: Array,
+                                    params: InteractiveAttentionParams, g_agg: Array):
+    """Batched interactive attention through the (B, S, D_t + D_g) pair
+    tensor, forward and backward. Returns (agg, parameter gradients by
+    tensor suffix, target gradient, per-ad gradient)."""
+    b, s, _ = ads.shape
+    d_t = x_t.shape[1]
+    pair = np.concatenate([np.broadcast_to(x_t[:, None, :], (b, s, d_t)), ads], axis=2)
+    pre = (pair.reshape(b * s, -1) @ params.w_tc.T + params.b_tc1).reshape(b, s, -1)
+    hid = relu(pre)
+    raw = (hid.reshape(b * s, -1) @ params.h).reshape(b, s) + params.b_tc2[0]
+    alpha = np.exp(np.minimum(raw, SCORE_CLAMP)) * mask
+    agg = (alpha[..., None] * ads).sum(axis=1)
+    g_score = alpha * (ads * g_agg[:, None, :]).sum(axis=2) * (raw < SCORE_CLAMP)
+    g_pre = (g_score[..., None] * params.h * (pre > 0)).reshape(b * s, -1)
+    grads = {"Wtc": g_pre.T @ pair.reshape(b * s, -1), "btc1": g_pre.sum(axis=0),
+             "h": hid.reshape(b * s, -1).T @ g_score.reshape(b * s),
+             "btc2": np.array([g_score.sum()])}
+    g_pair = (g_pre @ params.w_tc).reshape(b, s, -1)
+    g_ads = alpha[..., None] * g_agg[:, None, :] + g_pair[..., d_t:]
+    return agg, grads, g_pair[..., :d_t].sum(axis=1), g_ads
 
 
 def linear(w: Array, b: Array, x: Array) -> Array:

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from adctr.embedding import embed_matrix
-from adctr.models import (InteractiveAttentionParams, SelfAttentionParams, Variant, backward,
-                          forward, forward_batch, init_model, load_model, loss,
-                          loss_from_logits, save_model)
+from adctr.models import (AuxTrace, InteractiveAttentionParams, SelfAttentionParams, Variant,
+                          _aggregate, _aggregate_backward, backward, forward, forward_batch,
+                          init_model, load_model, loss, loss_from_logits, save_model)
 from adctr.numerics import ContractViolation, make_rng, relu, sigmoid
 from adctr.schema import AUX_GROUPS
 from oracles import (InstanceEmbedding, aggregate_interactive_attention, aggregate_pooling,
-                     aggregate_self_attention)
+                     aggregate_self_attention, interactive_attention_pair_form)
 
 
 def emb(vec, group="clicked"):
@@ -161,6 +161,55 @@ class TestInteractiveAttention:
         target = emb([1.0, 1.0], "target")
         _, alpha = aggregate_interactive_attention(target, [emb([1.0, 1.0])], params)
         assert alpha[0] == pytest.approx(math.exp(30.0))
+
+
+class TestSplitInteractiveAttention:
+    """pre = (x_t W_t^T + b)[:, None] + ads W_a^T against the pair tensor."""
+
+    def test_matches_pair_form_forward_and_every_gradient(self, toy_problem):
+        model = build("dstn-i", toy_problem, seed=22)
+        rng = make_rng(23)
+        b, s = 6, 4
+        x_t = rng.normal(size=(b, model.dim("target")))
+        for group in AUX_GROUPS:
+            params = model.attention[group]
+            mask = (rng.random((b, s)) < 0.7).astype(float)
+            mask[0] = 0.0  # an example with no ads in this group
+            ads = rng.normal(size=(b, s, model.dim(group))) * mask[..., None]
+            g_agg = rng.normal(size=(b, model.dim(group)))
+            t = AuxTrace(cols=None, row_idx=None, col_idx=None, ads=ads, mask=mask,
+                         alpha=mask.copy(), agg=np.zeros((b, model.dim(group))))
+            _aggregate(model, t, group, x_t)
+            g_xt, dense = np.zeros_like(x_t), {}
+            g_ads = _aggregate_backward(model, group, t, x_t, g_agg, g_xt, dense)
+
+            agg, grads, ref_g_xt, ref_g_ads = interactive_attention_pair_form(
+                x_t, ads, mask, params, g_agg)
+            np.testing.assert_allclose(t.agg, agg, rtol=0, atol=1e-12)
+            for suffix, ref in grads.items():
+                np.testing.assert_allclose(dense[f"attn.{group}.{suffix}"], ref,
+                                           rtol=0, atol=1e-12)
+            np.testing.assert_allclose(g_xt, ref_g_xt, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(g_ads, ref_g_ads, rtol=0, atol=1e-12)
+
+    def test_batched_forward_matches_per_example_pair_form(self, toy_problem):
+        schemas, _, examples = toy_problem
+        model = build("dstn-i", toy_problem, seed=24)
+        pctr, _ = forward_batch(model, examples)
+        for ex, got in zip(examples, pctr):
+            x_t = embed_matrix([ex.target], model.embedding, schemas["target"])[0]
+            parts = [x_t]
+            for group in AUX_GROUPS:
+                vecs = embed_matrix(list(getattr(ex, group)), model.embedding, schemas[group])
+                agg, _ = aggregate_interactive_attention(
+                    emb(x_t, "target"), [emb(v, group) for v in vecs],
+                    model.attention[group], dim=model.dim(group))
+                parts.append(agg)
+            cur = np.concatenate(parts)
+            for w, b in [(model.fusion_w, model.fusion_b)] + model.fc:
+                cur = relu(w @ cur + b)
+            assert got == pytest.approx(sigmoid(float(model.out_w @ cur + model.out_b[0])),
+                                        abs=1e-12)
 
 
 class TestForward:
