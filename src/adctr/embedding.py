@@ -7,17 +7,15 @@ wherever it appears. A group's vector is the concatenation, in schema order,
 of one K-dim segment per field; multivalent segments are the sum over the
 field's index bag in bag order (an empty bag contributes a zero segment).
 
-Encoded data path: a list of ``LabeledExample`` is encoded once into an
-``EncodedBatch`` of int32 columns (per group, a CSR over (ad, field); per
-auxiliary group, the offsets of each example's ads). A mini-batch is then a
-fancy index over example ids (``EncodedBatch.take``), and gather and scatter
-work on whole columns with no Python loop per example or per ad.
+Examples are encoded once into int32 columns (``EncodedBatch``); a
+mini-batch is a fancy index over example ids, and gather and scatter work on
+whole columns with no Python loop per example or per ad.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -55,7 +53,7 @@ def _ragged_take(offsets: Array, rows: Array) -> tuple[Array, Array]:
     starts = offsets[rows]
     lens = offsets[rows + 1] - starts
     out = np.zeros(len(rows) + 1, dtype=np.int32)
-    np.cumsum(lens, out=out[1:])
+    lens.cumsum(out=out[1:])
     pos = np.repeat(starts - out[:-1], lens) + np.arange(out[-1], dtype=np.int32)
     return pos, out
 
@@ -74,25 +72,18 @@ class AdColumns:
 
     @classmethod
     def from_instances(cls, instances: Sequence[EncodedInstance], n_fields: int) -> "AdColumns":
-        """Encode a list of ads; each distinct instance object is flattened once.
+        """Encode a list of ads.
 
         Only the first ``n_fields`` fields of an instance are read: serving
         passes its round-2 winner, a target-group ad, as the contextual ad.
         """
-        first = {id(inst): inst for inst in instances}
-        fields = [inst.indices[:n_fields] for inst in first.values()]
+        fields = [inst.indices[:n_fields] for inst in instances]
         lens = [len(idx) for per_ad in fields for idx in per_ad]
-        if len(lens) != n_fields * len(first):
+        if len(lens) != n_fields * len(instances):
             raise ContractViolation("an instance has fewer fields than its group schema")
-        offsets = np.zeros(len(lens) + 1, dtype=np.int32)
-        np.cumsum(lens, out=offsets[1:])
+        offsets = np.fromiter(accumulate(lens, initial=0), dtype=np.int32, count=len(lens) + 1)
         flat = chain.from_iterable(chain.from_iterable(fields))
-        cols = cls(n_fields, offsets, np.fromiter(flat, dtype=np.int32, count=int(offsets[-1])))
-        if len(first) == len(instances):
-            return cols
-        slot = dict(zip(first, range(len(first))))
-        return cols.take(np.fromiter(map(slot.__getitem__, map(id, instances)),
-                                     dtype=np.intp, count=len(instances)))
+        return cls(n_fields, offsets, np.fromiter(flat, dtype=np.int32, count=int(offsets[-1])))
 
     def take(self, ads: Array) -> "AdColumns":
         """The given ads, in the order given."""
@@ -111,7 +102,7 @@ class EncodedBatch:
     labels: Array  # (B,) float64
     target: AdColumns
     aux: dict[str, tuple[Array, AdColumns]]
-    source: Sequence | None = field(default=None, compare=False)
+    source: Sequence | None = None
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -136,16 +127,11 @@ def encode_examples(examples: Sequence, schemas: Mapping[str, GroupSchema],
     aux = {}
     for group in groups:
         lists = [getattr(ex, group) for ex in examples]
-        offsets = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.fromiter(map(len, lists), dtype=np.int32, count=n), out=offsets[1:])
+        offsets = np.fromiter(accumulate(map(len, lists), initial=0), dtype=np.int32,
+                              count=n + 1)
         aux[group] = (offsets, AdColumns.from_instances(list(chain.from_iterable(lists)),
                                                         len(schemas[group].fields)))
     return EncodedBatch(labels, target, aux, source=examples)
-
-
-def _columns(ads, group_schema: GroupSchema) -> AdColumns:
-    return ads if isinstance(ads, AdColumns) else AdColumns.from_instances(
-        ads, len(group_schema.fields))
 
 
 def _check_bounds(indices: Array, n: int) -> None:
@@ -153,15 +139,13 @@ def _check_bounds(indices: Array, n: int) -> None:
         raise ContractViolation("feature index out of range for the embedding table")
 
 
-def embed_matrix(ads: AdColumns | Sequence[EncodedInstance], table: EmbeddingTable,
-                 group_schema: GroupSchema) -> Array:
-    """Embed same-group ads (columns or instances) into an (M, D_group) matrix."""
-    cols = _columns(ads, group_schema)
+def embed_matrix(cols: AdColumns, table: EmbeddingTable) -> Array:
+    """Embed same-group ads into an (M, D_group) matrix."""
     k, segs = table.k, len(cols.offsets) - 1
     _check_bounds(cols.indices, table.n)
     # Cell (segment, component) of every gathered value; bincount adds each
     # cell's values in bag order, starting from 0.0.
-    owner = np.repeat(np.arange(0, segs * k, k), np.diff(cols.offsets))
+    owner = np.arange(0, segs * k, k).repeat(cols.offsets[1:] - cols.offsets[:-1])
     cells = (owner[:, None] + np.arange(k)).ravel()
     out = np.bincount(cells, weights=table.e[cols.indices].ravel(), minlength=segs * k)
     return out.reshape(len(cols), cols.n_fields * k)
@@ -177,18 +161,16 @@ class RowGradAccumulator:
         self._rows: list[Array] = []
         self._grads: list[Array] = []
 
-    def scatter_matrix(self, ads: AdColumns | Sequence[EncodedInstance], upstream: Array,
-                       group_schema: GroupSchema) -> None:
+    def scatter_matrix(self, cols: AdColumns, upstream: Array) -> None:
         """Adjoint of embed_matrix: every index of a (ad, field) bag gets that
         segment of the ad's upstream gradient."""
-        cols = _columns(ads, group_schema)
         if cols.indices.size == 0:
             return
         segs = upstream.reshape(-1, self.k)
         if segs.shape[0] != len(cols.offsets) - 1:
             raise ContractViolation("upstream gradient does not match the ads")
         self._rows.append(cols.indices)
-        self._grads.append(np.repeat(segs, np.diff(cols.offsets), axis=0))
+        self._grads.append(segs.repeat(cols.offsets[1:] - cols.offsets[:-1], axis=0))
 
     def finalize(self) -> tuple[Array, Array]:
         """(sorted unique touched rows, their summed gradients)."""

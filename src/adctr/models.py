@@ -188,7 +188,6 @@ class AuxTrace:
     agg: Array                      # (B, D_g)
     pre: Array | None = None        # (B, S, H) attention-MLP pre-activation
     hid: Array | None = None        # (B, S, H)
-    score: Array | None = None      # (B, S) pre-softmax / pre-exp scalar
     raw_score: Array | None = None  # (B, S) pre-clamp scalar (interactive)
 
 
@@ -197,7 +196,6 @@ class BatchTrace:
     """Everything forward computed that backward needs; one per batch."""
 
     batch: EncodedBatch
-    mode: str
     x_t: Array
     aux: dict[str, AuxTrace]
     m: Array | None
@@ -216,22 +214,26 @@ class BatchTrace:
         return out
 
 
-def encode_batch(model: ModelParams, examples: Sequence[LabeledExample]) -> EncodedBatch:
-    """Encode examples with the groups this model's variant reads."""
+def encode_batch(model: ModelParams,
+                 examples: EncodedBatch | Sequence[LabeledExample]) -> EncodedBatch:
+    """Encode examples with the groups this model's variant reads (an
+    encoded batch is returned as it is)."""
+    if isinstance(examples, EncodedBatch):
+        return examples
     return encode_examples(examples, model.schemas,
                            AUX_GROUPS if model.variant.uses_aux else ())
 
 
 def _pad_aux(model: ModelParams, batch: EncodedBatch, group: str) -> AuxTrace:
     offsets, cols = batch.aux[group]
-    counts = np.diff(offsets)
+    counts = offsets[1:] - offsets[:-1]
     b, s = len(batch), int(counts.max()) if len(batch) else 0
     d = model.dim(group)
     ads = np.zeros((b, s, d))
     mask = np.zeros((b, s))
     row_idx = np.repeat(np.arange(b), counts)
     col_idx = np.arange(len(cols)) - np.repeat(offsets[:-1], counts)
-    ads[row_idx, col_idx] = embed_matrix(cols, model.embedding, model.schemas[group])
+    ads[row_idx, col_idx] = embed_matrix(cols, model.embedding)
     mask[row_idx, col_idx] = 1.0
     return AuxTrace(cols=cols, row_idx=row_idx, col_idx=col_idx,
                     ads=ads, mask=mask, alpha=mask.copy(), agg=np.zeros((b, d)))
@@ -250,12 +252,11 @@ def _aggregate(model: ModelParams, t: AuxTrace, group: str, x_t: Array) -> None:
         flat = t.ads.reshape(b * s, -1)
         t.pre = (flat @ p.w1.T + p.b1).reshape(b, s, -1)
         t.hid = relu(t.pre)
-        t.score = t.hid.reshape(b * s, -1) @ p.w2
-        t.score = t.score.reshape(b, s) + p.b2[0]
+        score = (t.hid.reshape(b * s, -1) @ p.w2).reshape(b, s) + p.b2[0]
         counts = t.mask.sum(axis=1)
         rowmax = np.where(counts > 0,
-                          np.max(np.where(t.mask > 0, t.score, -np.inf), axis=1), 0.0)
-        e = np.where(t.mask > 0, np.exp(t.score - rowmax[:, None]), 0.0)
+                          np.max(np.where(t.mask > 0, score, -np.inf), axis=1), 0.0)
+        e = np.where(t.mask > 0, np.exp(score - rowmax[:, None]), 0.0)
         denom = e.sum(axis=1)
         t.alpha = e / np.where(denom > 0, denom, 1.0)[:, None]
     else:  # interactive: W_tc = [W_t | W_a], so [x_t, ad] W_tc^T = x_t W_t^T + ad W_a^T
@@ -265,8 +266,7 @@ def _aggregate(model: ModelParams, t: AuxTrace, group: str, x_t: Array) -> None:
                  + (t.ads.reshape(b * s, -1) @ p.w_tc[:, d_t:].T).reshape(b, s, -1))
         t.hid = relu(t.pre)
         t.raw_score = (t.hid.reshape(b * s, -1) @ p.h).reshape(b, s) + p.b_tc2[0]
-        t.score = np.minimum(t.raw_score, SCORE_CLAMP)
-        t.alpha = np.exp(t.score) * t.mask
+        t.alpha = np.exp(np.minimum(t.raw_score, SCORE_CLAMP)) * t.mask
     t.agg = (t.alpha[..., None] * t.ads).sum(axis=1)
 
 
@@ -279,14 +279,13 @@ def forward_batch(model: ModelParams, batch: EncodedBatch | Sequence[LabeledExam
         raise ContractViolation(f"unknown mode {mode!r}")
     if mode == "train" and model.dropout_p > 0 and rng is None:
         raise ContractViolation("train-mode forward with dropout needs an rng")
-    if not isinstance(batch, EncodedBatch):
-        batch = encode_batch(model, batch)
-    x_t = embed_matrix(batch.target, model.embedding, model.schemas["target"])
+    batch = encode_batch(model, batch)
+    x_t = embed_matrix(batch.target, model.embedding)
 
     if model.variant == Variant.LR:
         logit = x_t.sum(axis=1) + model.out_b[0]
         pctr = np.clip(sigmoid(logit), PCTR_EPS, 1.0 - PCTR_EPS)
-        return pctr, BatchTrace(batch=batch, mode=mode, x_t=x_t, aux={}, m=None, pres=[],
+        return pctr, BatchTrace(batch=batch, x_t=x_t, aux={}, m=None, pres=[],
                                 acts=[], drop_masks=[], logit=logit, pctr=pctr)
 
     aux: dict[str, AuxTrace] = {}
@@ -316,7 +315,7 @@ def forward_batch(model: ModelParams, batch: EncodedBatch | Sequence[LabeledExam
         masks.append(msk)
     logit = cur @ model.out_w + model.out_b[0]
     pctr = np.clip(sigmoid(logit), PCTR_EPS, 1.0 - PCTR_EPS)
-    return pctr, BatchTrace(batch=batch, mode=mode, x_t=x_t, aux=aux, m=m, pres=pres,
+    return pctr, BatchTrace(batch=batch, x_t=x_t, aux=aux, m=m, pres=pres,
                             acts=acts, drop_masks=masks, logit=logit, pctr=pctr)
 
 
@@ -363,9 +362,6 @@ class Gradients:
     emb_rows: Array
     emb_grads: Array
 
-    def embedding_as_dict(self) -> dict[int, Array]:
-        return {int(r): g for r, g in zip(self.emb_rows, self.emb_grads)}
-
 
 def _same_batch(batch, trace: BatchTrace) -> bool:
     """Whether ``batch`` is the encoded batch the trace ran on or the list of
@@ -392,7 +388,7 @@ def backward(model: ModelParams, batch: EncodedBatch | Sequence[LabeledExample],
     if model.variant == Variant.LR:
         dense["out.b"] = np.array([dlogit.sum()])
         up = np.repeat(dlogit[:, None], trace.x_t.shape[1], axis=1)
-        acc.scatter_matrix(enc.target, up, model.schemas["target"])
+        acc.scatter_matrix(enc.target, up)
         rows, grads = acc.finalize()
         return Gradients(dense=dense, emb_rows=rows, emb_grads=grads)
 
@@ -424,9 +420,9 @@ def backward(model: ModelParams, batch: EncodedBatch | Sequence[LabeledExample],
         g_agg = g_cur[:, offset : offset + d_g]
         offset += d_g
         g_ads = _aggregate_backward(model, group, t, trace.x_t, g_agg, g_xt, dense)
-        acc.scatter_matrix(t.cols, g_ads[t.row_idx, t.col_idx], model.schemas[group])
+        acc.scatter_matrix(t.cols, g_ads[t.row_idx, t.col_idx])
 
-    acc.scatter_matrix(enc.target, g_xt, model.schemas["target"])
+    acc.scatter_matrix(enc.target, g_xt)
     rows, grads = acc.finalize()
     return Gradients(dense=dense, emb_rows=rows, emb_grads=grads)
 
@@ -493,17 +489,15 @@ def _aggregate_backward(model: ModelParams, group: str, t: AuxTrace, x_t: Array,
         return g_agg[:, None, :] * t.mask[..., None]
 
     g_ads = t.alpha[..., None] * g_agg[:, None, :]
+    if t.mask.shape[1] == 0:  # no ads anywhere in the batch
+        prefix = f"attn.{group}."
+        dense.update({name: np.zeros_like(arr) for name, arr in model.tensors().items()
+                      if name.startswith(prefix)})
+        return g_ads
+    p = model.attention[group]
+    b, s, d_g = t.ads.shape
+    tdot = (t.ads * g_agg[:, None, :]).sum(axis=2)
     if model.variant == Variant.DSTN_S:
-        p = model.attention[group]
-        if t.mask.shape[1] == 0:
-            zeros = {f"attn.{group}.W1": np.zeros_like(p.w1),
-                     f"attn.{group}.b1": np.zeros_like(p.b1),
-                     f"attn.{group}.w2": np.zeros_like(p.w2),
-                     f"attn.{group}.b2": np.zeros_like(p.b2)}
-            dense.update(zeros)
-            return g_ads
-        b, s, d_g = t.ads.shape
-        tdot = (t.ads * g_agg[:, None, :]).sum(axis=2)
         inner = (t.alpha * tdot).sum(axis=1, keepdims=True)
         g_score = t.alpha * (tdot - inner)  # softmax Jacobian, zero on padding
         g_hid = g_score[..., None] * p.w2
@@ -516,16 +510,6 @@ def _aggregate_backward(model: ModelParams, group: str, t: AuxTrace, x_t: Array,
         return g_ads
 
     # interactive attention
-    p = model.attention[group]
-    if t.mask.shape[1] == 0:
-        zeros = {f"attn.{group}.Wtc": np.zeros_like(p.w_tc),
-                 f"attn.{group}.btc1": np.zeros_like(p.b_tc1),
-                 f"attn.{group}.h": np.zeros_like(p.h),
-                 f"attn.{group}.btc2": np.zeros_like(p.b_tc2)}
-        dense.update(zeros)
-        return g_ads
-    b, s, d_g = t.ads.shape
-    tdot = (t.ads * g_agg[:, None, :]).sum(axis=2)
     g_score = t.alpha * tdot * (t.raw_score < SCORE_CLAMP)  # alpha carries the mask
     g_hid = g_score[..., None] * p.h
     g_pre = g_hid * (t.pre > 0)

@@ -16,7 +16,7 @@ Checkpoint format (binary, version ``TNSR1``):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,9 +78,7 @@ def adagrad_step(param: Array, grad: Array, state: AdagradState) -> Array:
     accum = state._ensure(param.shape)
     accum += grad * grad
     step = state.lr * grad
-    denom = np.sqrt(accum)
-    denom += state.eps
-    step /= denom
+    step /= np.sqrt(accum) + state.eps
     param -= step
     return param
 

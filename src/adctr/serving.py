@@ -9,7 +9,8 @@ candidate wins (ties go to the lowest ordinal). Round 2 re-scores the
 remaining candidates with the winner as the single contextual ad and keeps
 the top slots-1 of them. The re-scoring round runs exactly once.
 
-Event log (TSV), replayed in file order, timestamps non-decreasing per user:
+Event log (TSV), timestamps non-decreasing per user; requests are served in
+file order and behavior events reach the store in (timestamp, file order):
 
     IMP \\t ts \\t user_id \\t ad_fields          # impression -> unclicked
     CLICK \\t ts \\t user_id \\t ad_fields        # click -> clicked
@@ -27,6 +28,7 @@ Wire protocol (one line per message):
 
 from __future__ import annotations
 
+import heapq
 import socket
 import socketserver
 import threading
@@ -200,21 +202,30 @@ def parse_events(path, schemas: Mapping[str, GroupSchema], vocab: Vocabulary) ->
                     raise ParseError(f"{tag} line needs 4 columns", lineno)
                 group = "clicked" if tag == "CLICK" else "unclicked"
                 ad = parse_ad(cols[3], schemas[group], vocab, lineno, cache)
-                events.append(SimEvent(kind=tag.lower(), ts=int(cols[1]), user_id=cols[2], ad=ad))
+                events.append(SimEvent(kind=tag.lower(), ts=_parse_int(cols[1], "timestamp", lineno),
+                                       user_id=cols[2], ad=ad))
             elif tag == "REQ":
                 if len(cols) != 6:
                     raise ParseError("REQ line needs 6 columns", lineno)
-                ts, user_id = int(cols[1]), cols[2]
+                ts, user_id = _parse_int(cols[1], "timestamp", lineno), cols[2]
+                slots = _parse_int(cols[4], "slots", lineno)
                 candidates = tuple(
                     _encode_candidate(text, user_id, schemas["target"], vocab, lineno)
                     for text in cols[5].split("|"))
                 events.append(SimEvent(kind="req", ts=ts, user_id=user_id,
                                        request=RankRequest(request_id=cols[3], user_id=user_id,
                                                            now=ts, candidates=candidates,
-                                                           slots=int(cols[4]))))
+                                                           slots=slots)))
             else:
                 raise ParseError(f"unknown event tag {tag!r}", lineno)
     return events
+
+
+def _parse_int(text: str, what: str, lineno: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"bad {what} {text!r}", lineno) from None
 
 
 def _encode_candidate(text: str, user_id: str, target_schema: GroupSchema,
@@ -229,7 +240,8 @@ def _encode_candidate(text: str, user_id: str, target_schema: GroupSchema,
 def replay_session(scorer, store: SessionStore, events: Sequence[SimEvent],
                    lag_seconds: int = 0, bids: Mapping | None = None) -> list[RankResult]:
     """Interleave behavior events and rank requests; events reach the store
-    only once the replay clock is at least lag_seconds past them."""
+    only once the replay clock is at least lag_seconds past them, in
+    (timestamp, file order), whichever user logged the events between."""
     last_ts: dict[str, int] = {}
     for ev in events:
         if ev.ts < last_ts.get(ev.user_id, ev.ts):
@@ -237,22 +249,21 @@ def replay_session(scorer, store: SessionStore, events: Sequence[SimEvent],
         last_ts[ev.user_id] = ev.ts
 
     server = AdServer(scorer, store, bids=bids)
-    pending: list[SimEvent] = []
+    pending: list[tuple[int, int, SimEvent]] = []  # heap on (ts, file position)
     results: list[RankResult] = []
 
-    def flush(now: int) -> None:
-        while pending and pending[0].ts + lag_seconds <= now:
-            ev = pending.pop(0)
+    def flush(now: float) -> None:
+        while pending and pending[0][0] + lag_seconds <= now:
+            ev = heapq.heappop(pending)[2]
             server.record(ev.user_id, ev.ad, ev.kind == "click", ev.ts)
 
-    for ev in events:
+    for seq, ev in enumerate(events):
         if ev.kind == "req":
             flush(ev.ts)
             results.append(server.rank(ev.request))
         else:
-            pending.append(ev)
-    for ev in pending:
-        server.record(ev.user_id, ev.ad, ev.kind == "click", ev.ts)
+            heapq.heappush(pending, (ev.ts, seq, ev))
+    flush(float("inf"))
     return results
 
 
@@ -287,6 +298,10 @@ class RankProtocolServer:
         outer = self
 
         class Handler(socketserver.StreamRequestHandler):
+            # Replies are small writes; without TCP_NODELAY a pipelined reply
+            # waits behind the client's delayed ACK.
+            disable_nagle_algorithm = True
+
             def handle(self):
                 for raw in self.rfile:
                     reply = outer.handle_line(raw.decode("utf-8").rstrip("\r\n"))

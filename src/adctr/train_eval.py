@@ -177,14 +177,13 @@ def predict(model: ModelParams, examples: EncodedBatch | Sequence[LabeledExample
     """Eval-mode scores for a stream (encoded, or examples encoded once on
     entry); optionally the per-ad attention weights as (example ordinal,
     group, ad ordinal, weight) rows."""
-    if not isinstance(examples, EncodedBatch):
-        examples = encode_batch(model, examples)
+    examples = encode_batch(model, examples)
     n = len(examples)
     scores = np.empty(n)
     attn: list[tuple[int, str, int, float]] = []
     for lo in range(0, n, batch_size):
-        hi = min(lo + batch_size, n)
-        batch = examples if hi - lo == n else examples.take(np.arange(lo, hi))
+        batch = examples if n <= batch_size else examples.take(
+            np.arange(lo, min(lo + batch_size, n)))
         pctr, trace = forward_batch(model, batch, mode="eval")
         scores[lo : lo + len(batch)] = pctr
         if collect_attention and model.variant in (Variant.DSTN_S, Variant.DSTN_I):
@@ -196,8 +195,7 @@ def predict(model: ModelParams, examples: EncodedBatch | Sequence[LabeledExample
 
 def evaluate(model: ModelParams, examples: EncodedBatch | Sequence[LabeledExample],
              batch_size: int = 1024) -> EvalReport:
-    if not isinstance(examples, EncodedBatch):
-        examples = encode_batch(model, examples)
+    examples = encode_batch(model, examples)
     scores, _ = predict(model, examples, batch_size=batch_size)
     labels = examples.labels
     return EvalReport(auc=auc(scores, labels), logloss=logloss_eval(scores, labels),

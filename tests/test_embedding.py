@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from adctr.embedding import EmbeddingTable, RowGradAccumulator, embed_matrix, group_dim
+from adctr.embedding import (AdColumns, EmbeddingTable, RowGradAccumulator, embed_matrix,
+                             encode_examples, group_dim)
+from adctr.ingest import LabeledExample
 from adctr.numerics import ContractViolation, make_rng
-from adctr.schema import (EncodedInstance, FieldKind, FieldSchema, GroupSchema,
+from adctr.schema import (AUX_GROUPS, EncodedInstance, FieldKind, FieldSchema, GroupSchema,
                           build_vocabulary, encode_instance)
-from oracles import embed_gradient_scatter, embed_instance
+from adctr.toy import toy_schemas
+from oracles import embed_gradient_scatter, embed_instance, scatter_oracle
 
 SCHEMA = GroupSchema("clicked", (FieldSchema("ad_id", FieldKind.UNIVALENT),
                                  FieldSchema("title", FieldKind.MULTIVALENT),
@@ -118,7 +121,7 @@ class TestBatchedPaths:
             bag = tuple(int(i) for i in rng.integers(0, 12, size=rng.integers(0, 4)))
             instances.append(make_instance(((int(rng.integers(0, 12)),), bag,
                                             (int(rng.integers(0, 12)),))))
-        batched = embed_matrix(instances, table, SCHEMA)
+        batched = embed_matrix(AdColumns.from_instances(instances, 3), table)
         for i, inst in enumerate(instances):
             np.testing.assert_allclose(batched[i], embed_instance(inst, table, SCHEMA).vector)
 
@@ -128,7 +131,7 @@ class TestBatchedPaths:
                      make_instance(((1,), (), (7,)))]
         upstream = rng.normal(size=(2, 30))
         acc = RowGradAccumulator(table.n, table.k)
-        acc.scatter_matrix(instances, upstream, SCHEMA)
+        acc.scatter_matrix(AdColumns.from_instances(instances, 3), upstream)
         rows, grads = acc.finalize()
 
         expected = np.zeros_like(table.e)
@@ -139,3 +142,88 @@ class TestBatchedPaths:
         dense[rows] = grads
         np.testing.assert_allclose(dense, expected)
         assert set(rows.tolist()) == {1, 2, 5, 7, 9}
+
+
+@pytest.fixture()
+def edge_batch():
+    """Examples with an empty multivalent bag, OOV rows, a row repeated in
+    one bag, one instance repeated within a group and across groups, rows
+    shared by the target and auxiliary groups, and no contextual ads at all."""
+    schemas = toy_schemas()
+    seen = {"aid": ("a1",), "ttl": ("abcab",)}  # bigrams ab, bc, ca, ab
+    bare = {"aid": ("a2",), "ttl": ()}
+    unseen = {"aid": ("zz",), "ttl": ("qq",)}
+    vocab = build_vocabulary([("target", {"uid": ("u1",), "aff": ("1.0",), **seen}),
+                              ("clicked", bare)], schemas)
+
+    def enc(record, group):
+        return encode_instance(record, schemas[group], vocab)
+
+    t_seen = enc({"uid": ("u1",), "aff": ("0.2",), **seen}, "target")
+    t_oov = enc({"uid": ("u9",), "aff": ("3.0",), **bare}, "target")
+    c_seen, c_bare, c_new = enc(seen, "clicked"), enc(bare, "clicked"), enc(unseen, "clicked")
+    u_seen, u_new = enc(seen, "unclicked"), enc(unseen, "unclicked")
+    examples = [
+        LabeledExample(1, 0, "u1", t_seen, contextual=(), clicked=(c_seen, c_seen, c_bare),
+                       unclicked=(u_new,)),
+        LabeledExample(0, 1, "u9", t_oov, contextual=(), clicked=(), unclicked=(u_seen, u_new)),
+        LabeledExample(0, 2, "u1", t_seen, contextual=(), clicked=(c_new, c_seen), unclicked=()),
+    ]
+    assert vocab.oov("uid") in t_oov.indices[0] and vocab.oov("aid") in c_new.indices[0]
+    return schemas, vocab, examples
+
+
+def _ads(examples, group):
+    if group == "target":
+        return [ex.target for ex in examples]
+    return [ad for ex in examples for ad in getattr(ex, group)]
+
+
+class TestEncodedPath:
+    def test_gather_equals_per_instance_oracle_exactly(self, edge_batch):
+        schemas, vocab, examples = edge_batch
+        table = EmbeddingTable.init(vocab.size, 3, make_rng(12))
+        batch = encode_examples(examples, schemas)
+        assert len(batch.aux["contextual"][1]) == 0
+        for group in ("target",) + AUX_GROUPS:
+            cols = batch.target if group == "target" else batch.aux[group][1]
+            got = embed_matrix(cols, table)
+            ads = _ads(examples, group)
+            want = np.array([embed_instance(a, table, schemas[group]).vector for a in ads])
+            assert got.shape == (len(ads), group_dim(schemas[group], 3))
+            assert got.tobytes() == want.reshape(got.shape).tobytes(), group
+
+    def test_scatter_equals_per_instance_oracle_exactly(self, edge_batch):
+        schemas, vocab, examples = edge_batch
+        batch = encode_examples(examples, schemas)
+        rng = make_rng(13)
+        acc = RowGradAccumulator(vocab.size, 3)
+        terms = []
+        for group in AUX_GROUPS + ("target",):  # the order backward scatters in
+            cols = batch.target if group == "target" else batch.aux[group][1]
+            upstream = rng.normal(size=(len(cols), group_dim(schemas[group], 3)))
+            acc.scatter_matrix(cols, upstream)
+            terms.append((_ads(examples, group), upstream))
+        rows, grads = acc.finalize()
+        want_rows, want_grads = scatter_oracle(terms, vocab.size, 3)
+        np.testing.assert_array_equal(rows, want_rows)
+        assert grads.tobytes() == want_grads.tobytes()
+        assert vocab.oov("uid") in rows and vocab.oov("ttl") in rows
+
+    @pytest.mark.parametrize("ids", [[2, 0, 0, 1], [1], []])
+    def test_take_equals_encoding_the_subset(self, edge_batch, ids):
+        schemas, _, examples = edge_batch
+        taken = encode_examples(examples, schemas).take(np.array(ids, dtype=np.int64))
+        direct = encode_examples([examples[i] for i in ids], schemas)
+        np.testing.assert_array_equal(taken.labels, direct.labels)
+        pairs = [(taken.target, direct.target)]
+        for group in AUX_GROUPS:
+            np.testing.assert_array_equal(taken.aux[group][0], direct.aux[group][0])
+            pairs.append((taken.aux[group][1], direct.aux[group][1]))
+        for a, b in pairs:
+            np.testing.assert_array_equal(a.offsets, b.offsets)
+            np.testing.assert_array_equal(a.indices, b.indices)
+
+    def test_gather_rejects_out_of_range_index(self, table):
+        with pytest.raises(ContractViolation):
+            embed_matrix(AdColumns.from_instances([make_instance(((3,), (1, 12), (5,)))], 3), table)

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from adctr.embedding import embed_matrix
 from adctr.models import (AuxTrace, InteractiveAttentionParams, SelfAttentionParams, Variant,
                           _aggregate, _aggregate_backward, backward, forward, forward_batch,
                           init_model, load_model, loss, loss_from_logits, save_model)
-from adctr.numerics import ContractViolation, make_rng, relu, sigmoid
+from adctr.numerics import ContractViolation, make_rng, relu, save_tensors, sigmoid
 from adctr.schema import AUX_GROUPS
 from oracles import (InstanceEmbedding, aggregate_interactive_attention, aggregate_pooling,
-                     aggregate_self_attention, interactive_attention_pair_form)
+                     aggregate_self_attention, embed_instance, interactive_attention_pair_form)
 
 
 def emb(vec, group="clicked"):
@@ -197,10 +196,11 @@ class TestSplitInteractiveAttention:
         model = build("dstn-i", toy_problem, seed=24)
         pctr, _ = forward_batch(model, examples)
         for ex, got in zip(examples, pctr):
-            x_t = embed_matrix([ex.target], model.embedding, schemas["target"])[0]
+            x_t = embed_instance(ex.target, model.embedding, schemas["target"]).vector
             parts = [x_t]
             for group in AUX_GROUPS:
-                vecs = embed_matrix(list(getattr(ex, group)), model.embedding, schemas[group])
+                vecs = [embed_instance(a, model.embedding, schemas[group]).vector
+                        for a in getattr(ex, group)]
                 agg, _ = aggregate_interactive_attention(
                     emb(x_t, "target"), [emb(v, group) for v in vecs],
                     model.attention[group], dim=model.dim(group))
@@ -254,11 +254,12 @@ class TestForward:
         s_out, _ = forward_batch(model, examples)
 
         for ex, got in zip(examples, s_out):
-            x_t = embed_matrix([ex.target], model.embedding, schemas["target"])[0]
+            x_t = embed_instance(ex.target, model.embedding, schemas["target"]).vector
             parts = [x_t]
             for group in AUX_GROUPS:
                 ads = getattr(ex, group)
-                vecs = embed_matrix(list(ads), model.embedding, schemas[group])
+                vecs = np.array([embed_instance(a, model.embedding, schemas[group]).vector
+                                 for a in ads])
                 agg = vecs.mean(axis=0) if len(ads) else np.zeros(model.dim(group))
                 parts.append(agg)
             cur = np.concatenate(parts)
@@ -388,6 +389,17 @@ class TestCheckpoint:
             a, _ = forward_batch(model, examples)
             b, _ = forward_batch(loaded, examples)
             np.testing.assert_array_equal(a, b)
+
+    def test_unknown_variant_header_names_path_and_value(self, toy_problem, tmp_path):
+        schemas, _, _ = toy_problem
+        model = build("dnn", toy_problem, seed=25)
+        path = tmp_path / "odd.ckpt"
+        save_tensors(path, {"format": "adctr-ckpt-1", "variant": "XYZ", "k": "4",
+                            "dropout_p": "0.0", "schema_hash": "s", "vocab_hash": "v"},
+                     model.tensors())
+        with pytest.raises(ValueError, match="XYZ") as info:
+            load_model(path, schemas)
+        assert str(path) in str(info.value)
 
     def test_save_is_byte_deterministic(self, toy_problem, tmp_path):
         model = build("dstn-s", toy_problem, seed=20)

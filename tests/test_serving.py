@@ -1,6 +1,9 @@
+import socket
+
 import numpy as np
 import pytest
 
+from adctr.ingest import ParseError
 from adctr.models import Variant, init_model
 from adctr.numerics import make_rng
 from adctr.serving import (AdServer, ModelScorer, RankProtocolServer, RankRequest, StubScorer,
@@ -212,6 +215,43 @@ class TestReplay:
         replay_session(Spy(), SessionStore(), events, lag_seconds=5)
         assert seen == [(0, 1)]  # visible once the lag has elapsed
 
+    def test_lag_orders_events_by_time_across_users(self, tmp_path, env):
+        # B's impression at 50 is due at 60 under lag 10, although A's later
+        # impression (due at 110) comes first in the file.
+        ds, vocab, train = env
+        ad = _ad_fields(train[0])
+        lines = [f"IMP\t100\tuA\t{ad}",
+                 f"IMP\t50\tuB\t{ad}",
+                 f"REQ\t60\tuB\tr1\t2\t{_cand_fields(train[1])}"]
+        events = parse_events(self._events_file(tmp_path, ds, train, lines), ds.schemas, vocab)
+        seen = []
+
+        class Spy:
+            forward_count = 0
+
+            def score(self, candidates, contextual, clicked, unclicked, now=0, user_id=""):
+                seen.append((len(clicked), len(unclicked)))
+                return [0.5] * len(candidates)
+
+        store = SessionStore()
+        replay_session(Spy(), store, events, lag_seconds=10)
+        assert seen == [(0, 1)]
+        assert len(store.get_history("uA", now=200)[1]) == 1  # recorded after the last request
+
+    @pytest.mark.parametrize("line, what", [
+        ("IMP\tsoon\tu1\t{ad}", "timestamp"),
+        ("REQ\t1.5\tu1\tr1\t2\t{cand}", "timestamp"),
+        ("REQ\t100\tu1\tr1\tfour\t{cand}", "slots"),
+    ])
+    def test_bad_numbers_are_parse_errors_with_line_numbers(self, tmp_path, env, line, what):
+        ds, vocab, train = env
+        lines = [f"IMP\t90\tu1\t{_ad_fields(train[0])}",
+                 line.format(ad=_ad_fields(train[0]), cand=_cand_fields(train[1]))]
+        path = self._events_file(tmp_path, ds, train, lines)
+        with pytest.raises(ParseError, match=f"line 2: bad {what}") as info:
+            parse_events(path, ds.schemas, vocab)
+        assert info.value.line_number == 2
+
     def test_non_monotone_user_timestamps_rejected(self, tmp_path, env):
         ds, vocab, train = env
         ad = _ad_fields(train[0])
@@ -262,6 +302,40 @@ class TestWireProtocol:
         ad_id, pctr, rnd = entries[0].split(":")
         assert ad_id in catalog and rnd == "1"
         assert float(pctr) == pytest.approx(0.5)
+
+    def test_pipelined_lines_get_replies_and_socket_has_nodelay(self, env, monkeypatch):
+        ds, vocab, train = env
+        catalog = {ad_display_id(ex.target): {n: v for n, v in ex.target.raw if n != "user_id"}
+                   for ex in train[:4]}
+        scorer = ModelScorer(zeroed_model(ds.schemas, vocab))
+        server = RankProtocolServer(AdServer(scorer, SessionStore()), catalog,
+                                    ds.schemas["target"], vocab)
+        handler = server._server.RequestHandlerClass
+        original_setup = handler.setup
+        nodelay = []
+
+        def setup(self):
+            original_setup(self)
+            nodelay.append(self.request.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+        monkeypatch.setattr(handler, "setup", setup)
+        ad_ids = sorted(catalog)
+        server.start()
+        try:
+            with socket.create_connection(server.address, timeout=10) as conn:
+                conn.sendall(f"RANK u1 500 2 {ad_ids[0]},{ad_ids[1]}\n"
+                             f"RANK u2 501 1 {ad_ids[2]}\n".encode("utf-8"))
+                buf = b""
+                while buf.count(b"\n") < 2:
+                    chunk = conn.recv(4096)
+                    assert chunk, "server closed the connection early"
+                    buf += chunk
+        finally:
+            server.stop()
+        first, second = buf.decode("utf-8").splitlines()
+        assert first.startswith("OK ") and len(first[3:].split(" ")) == 2
+        assert second == f"OK {ad_ids[2]}:0.500000:1"
+        assert nodelay and all(nodelay)
 
     def test_malformed_and_unknown(self, env):
         ds, vocab, train = env
