@@ -72,11 +72,8 @@ class AdColumns:
 
     @classmethod
     def from_instances(cls, instances: Sequence[EncodedInstance], n_fields: int) -> "AdColumns":
-        """Encode a list of ads.
-
-        Only the first ``n_fields`` fields of an instance are read: serving
-        passes its round-2 winner, a target-group ad, as the contextual ad.
-        """
+        """Encode a list of ads, reading the first ``n_fields`` fields of each
+        (serving passes its round-2 winner, a target-group ad, as contextual)."""
         fields = [inst.indices[:n_fields] for inst in instances]
         lens = [len(idx) for per_ad in fields for idx in per_ad]
         if len(lens) != n_fields * len(instances):

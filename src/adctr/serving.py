@@ -209,6 +209,8 @@ def parse_events(path, schemas: Mapping[str, GroupSchema], vocab: Vocabulary) ->
                     raise ParseError("REQ line needs 6 columns", lineno)
                 ts, user_id = _parse_int(cols[1], "timestamp", lineno), cols[2]
                 slots = _parse_int(cols[4], "slots", lineno)
+                if slots < 1:
+                    raise ParseError(f"bad slots {cols[4]!r}", lineno)
                 candidates = tuple(
                     _encode_candidate(text, user_id, schemas["target"], vocab, lineno)
                     for text in cols[5].split("|"))

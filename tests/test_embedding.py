@@ -150,7 +150,9 @@ def edge_batch():
     one bag, one instance repeated within a group and across groups, rows
     shared by the target and auxiliary groups, and no contextual ads at all."""
     schemas = toy_schemas()
-    seen = {"aid": ("a1",), "ttl": ("abcab",)}  # bigrams ab, bc, ca, ab
+    # bigrams ab, bc, ca, ab, b<space>, ...: "ab" twice in one bag, and a bag
+    # long enough that a different summation order would change the last bits
+    seen = {"aid": ("a1",), "ttl": ("abcab pack my box with five dozen liquor jugs",)}
     bare = {"aid": ("a2",), "ttl": ()}
     unseen = {"aid": ("zz",), "ttl": ("qq",)}
     vocab = build_vocabulary([("target", {"uid": ("u1",), "aff": ("1.0",), **seen}),

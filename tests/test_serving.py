@@ -242,6 +242,7 @@ class TestReplay:
         ("IMP\tsoon\tu1\t{ad}", "timestamp"),
         ("REQ\t1.5\tu1\tr1\t2\t{cand}", "timestamp"),
         ("REQ\t100\tu1\tr1\tfour\t{cand}", "slots"),
+        ("REQ\t100\tu1\tr1\t0\t{cand}", "slots"),
     ])
     def test_bad_numbers_are_parse_errors_with_line_numbers(self, tmp_path, env, line, what):
         ds, vocab, train = env
