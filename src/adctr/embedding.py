@@ -93,13 +93,11 @@ class AdColumns:
 class EncodedBatch:
     """Examples as columns: labels, the target ads (one per example) and, per
     auxiliary group, each example's ads (``aux[g] = (offsets, ads)``: the ads
-    of example i are ``offsets[i]:offsets[i + 1]`` of ``ads``). Encoded from
-    ``source`` when built by ``encode_examples``."""
+    of example i are ``offsets[i]:offsets[i + 1]`` of ``ads``)."""
 
     labels: Array  # (B,) float64
     target: AdColumns
     aux: dict[str, tuple[Array, AdColumns]]
-    source: Sequence | None = None
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -128,7 +126,7 @@ def encode_examples(examples: Sequence, schemas: Mapping[str, GroupSchema],
                               count=n + 1)
         aux[group] = (offsets, AdColumns.from_instances(list(chain.from_iterable(lists)),
                                                         len(schemas[group].fields)))
-    return EncodedBatch(labels, target, aux, source=examples)
+    return EncodedBatch(labels, target, aux)
 
 
 def _check_bounds(indices: Array, n: int) -> None:

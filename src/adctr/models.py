@@ -22,7 +22,6 @@ checks in the test suite.
 from __future__ import annotations
 
 import copy
-import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Sequence
@@ -363,22 +362,9 @@ class Gradients:
     emb_grads: Array
 
 
-def _same_batch(batch, trace: BatchTrace) -> bool:
-    """Whether ``batch`` is the encoded batch the trace ran on or the list of
-    examples it was encoded from (element by element)."""
-    if batch is trace.batch:
-        return True
-    source = trace.batch.source
-    return (source is not None and not isinstance(batch, EncodedBatch)
-            and len(batch) == len(source) and all(map(operator.is_, batch, source)))
-
-
-def backward(model: ModelParams, batch: EncodedBatch | Sequence[LabeledExample],
-             trace: BatchTrace) -> Gradients:
-    """Exact gradients for every parameter, reusing the forward trace
-    (including its dropout masks)."""
-    if not _same_batch(batch, trace):
-        raise ContractViolation("trace does not belong to this batch")
+def backward(model: ModelParams, trace: BatchTrace) -> Gradients:
+    """Exact gradients for every parameter of the batch the forward trace ran
+    on, reusing the trace (including its dropout masks)."""
     enc = trace.batch
     dlogit = (trace.pctr - enc.labels) / len(enc)
 
@@ -454,6 +440,13 @@ def load_model(path, schemas: Mapping[str, GroupSchema]) -> tuple[ModelParams, d
     variant = by_header.get(header.get("variant"))
     if variant is None:
         raise ValueError(f"{path}: unknown variant {header.get('variant')!r}")
+    # A file cut at a record boundary reads as a shorter TNSR1 file. Records
+    # are sorted by name, so any such cut loses one of these.
+    required = {"emb.E", "out.b"} if variant == Variant.LR else {
+        "emb.E", "fusion.W", "fusion.b", "out.b", "out.w"}
+    missing = required - tensors.keys()
+    if missing:
+        raise ValueError(f"{path}: missing tensors {sorted(missing)}")
     model = ModelParams(variant=variant, schemas=dict(schemas), k=int(header["k"]),
                         dropout_p=float(header["dropout_p"]),
                         embedding=EmbeddingTable(tensors.pop("emb.E")),

@@ -16,6 +16,8 @@ Checkpoint format (binary, version ``TNSR1``):
 
 from __future__ import annotations
 
+import contextlib
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,20 +96,29 @@ _CKPT_MAGIC = b"TNSR1\n"
 
 
 def save_tensors(path, header: dict[str, str], tensors: dict[str, Array]) -> None:
-    """Write tensors plus a string header in the TNSR1 binary format."""
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        for key in sorted(header):
-            value = header[key]
-            if "\n" in key or "\n" in str(value) or "=" in key:
-                raise ValueError(f"illegal header entry {key!r}")
-            fh.write(f"{key}={value}\n".encode("utf-8"))
-        fh.write(b"\n")
-        for name in sorted(tensors):
-            arr = np.ascontiguousarray(tensors[name], dtype="<f8")
-            dims = " ".join(str(d) for d in arr.shape)
-            fh.write(f"{name} {arr.ndim} {dims}".rstrip().encode("utf-8") + b"\n")
-            fh.write(arr.tobytes())
+    """Write tensors plus a string header in the TNSR1 binary format. The bytes
+    go to a temporary file beside ``path`` that replaces it only once complete,
+    so a failed save leaves any earlier file at ``path`` untouched."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_CKPT_MAGIC)
+            for key in sorted(header):
+                value = header[key]
+                if "\n" in key or "\n" in str(value) or "=" in key:
+                    raise ValueError(f"illegal header entry {key!r}")
+                fh.write(f"{key}={value}\n".encode("utf-8"))
+            fh.write(b"\n")
+            for name in sorted(tensors):
+                arr = np.ascontiguousarray(tensors[name], dtype="<f8")
+                dims = " ".join(str(d) for d in arr.shape)
+                fh.write(f"{name} {arr.ndim} {dims}".rstrip().encode("utf-8") + b"\n")
+                fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_tensors(path) -> tuple[dict[str, str], dict[str, Array]]:
@@ -139,13 +150,9 @@ def load_tensors(path) -> tuple[dict[str, str], dict[str, Array]]:
 
 
 def _read_line(fh, eof_ok: bool = False) -> str | None:
-    buf = bytearray()
-    while True:
-        ch = fh.read(1)
-        if not ch:
-            if eof_ok and not buf:
-                return None
-            raise ValueError("unexpected end of checkpoint file")
-        if ch == b"\n":
-            return buf.decode("utf-8")
-        buf += ch
+    line = fh.readline()
+    if not line.endswith(b"\n"):
+        if eof_ok and not line:
+            return None
+        raise ValueError("unexpected end of checkpoint file")
+    return line[:-1].decode("utf-8")

@@ -180,8 +180,13 @@ class Vocabulary:
     def load(cls, path) -> "Vocabulary":
         vocab = cls()
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                field_name, value, idx, count = line.rstrip("\n").split("\t")
+            for lineno, line in enumerate(fh, start=1):
+                text = line.rstrip("\n")
+                cols = text.split("\t")
+                if len(cols) != 4 or not (cols[2].isdecimal() and cols[3].isdecimal()):
+                    raise SchemaError(f"{path}: line {lineno}: expected field, value, index "
+                                      f"and count columns, got {text!r}")
+                field_name, value, idx, count = cols
                 idx = int(idx)
                 if value == "<oov>":
                     vocab._oov[field_name] = idx

@@ -29,11 +29,10 @@ Wire protocol (one line per message):
 from __future__ import annotations
 
 import heapq
-import socket
 import socketserver
 import threading
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -83,95 +82,52 @@ class RankResult:
         return self.ranked[0]
 
 
-def score_batch(model: ModelParams, history: tuple[Sequence, Sequence],
-                contextual: Sequence[EncodedInstance],
-                candidates: Sequence[EncodedInstance], now: int = 0,
-                user_id: str = "") -> list[float]:
-    """Eval-mode pCTR for each candidate, all sharing the same auxiliary sets;
-    output order follows the candidate order."""
-    clicked, unclicked = history
-    examples = [LabeledExample(label=0, timestamp=now, user_id=user_id, target=c,
-                               contextual=tuple(contextual), clicked=tuple(clicked),
-                               unclicked=tuple(unclicked))
-                for c in candidates]
-    pctr, _ = forward_batch(model, examples, mode="eval")
-    return [float(p) for p in pctr]
-
-
 class ModelScorer:
-    """Model-server half: scores candidate batches and counts forwards."""
+    """Model-server half: eval-mode pCTR for candidates that share one set of
+    auxiliary ads, in candidate order; counts forwards."""
 
     def __init__(self, model: ModelParams):
         self.model = model
         self.forward_count = 0
 
-    def score(self, candidates, contextual, clicked, unclicked, now=0, user_id="") -> list[float]:
+    def score(self, candidates, contextual, clicked, unclicked) -> list[float]:
         self.forward_count += len(candidates)
-        return score_batch(self.model, (clicked, unclicked), contextual, candidates,
-                           now=now, user_id=user_id)
+        contextual, clicked, unclicked = tuple(contextual), tuple(clicked), tuple(unclicked)
+        examples = [LabeledExample(label=0, timestamp=0, user_id="", target=c,
+                                   contextual=contextual, clicked=clicked, unclicked=unclicked)
+                    for c in candidates]
+        pctr, _ = forward_batch(self.model, examples, mode="eval")
+        return [float(p) for p in pctr]
 
 
-class StubScorer:
-    """Context-insensitive scorer with a fixed per-ad score; used to check
-    protocol shape independently of any trained model."""
-
-    def __init__(self, score_of: Callable[[EncodedInstance], float]):
-        self.score_of = score_of
-        self.forward_count = 0
-
-    def score(self, candidates, contextual, clicked, unclicked, now=0, user_id="") -> list[float]:
-        self.forward_count += len(candidates)
-        return [float(self.score_of(c)) for c in candidates]
-
-
-def rank_request(scorer, store: SessionStore, req: RankRequest,
-                 bids: Mapping | None = None) -> RankResult:
-    """Two-round contextual-promotion ranking. With bids given, ads are
-    ordered by pctr * bid instead of raw pctr (bids keyed by ad identity)."""
+def rank_request(scorer, store: SessionStore, req: RankRequest) -> RankResult:
+    """Two-round contextual-promotion ranking by pCTR."""
     clicked, unclicked = store.get_history(req.user_id, req.now)
-
-    def key(ad: EncodedInstance, pctr: float) -> float:
-        return pctr * float(bids[ad.identity()]) if bids is not None else pctr
-
-    scores1 = scorer.score(req.candidates, (), clicked, unclicked,
-                           now=req.now, user_id=req.user_id)
-    keys1 = [key(ad, p) for ad, p in zip(req.candidates, scores1)]
-    win = int(np.argmax(keys1))  # first occurrence wins ties
+    scores1 = scorer.score(req.candidates, (), clicked, unclicked)
+    win = int(np.argmax(scores1))  # first occurrence wins ties
     ranked = [RankedAd(req.candidates[win], scores1[win], 1)]
 
     rest = [c for i, c in enumerate(req.candidates) if i != win]
     if rest:
-        scores2 = scorer.score(rest, (req.candidates[win],), clicked, unclicked,
-                               now=req.now, user_id=req.user_id)
-        order = sorted(range(len(rest)), key=lambda i: (-key(rest[i], scores2[i]), i))
+        scores2 = scorer.score(rest, (req.candidates[win],), clicked, unclicked)
+        order = sorted(range(len(rest)), key=lambda i: (-scores2[i], i))
         ranked.extend(RankedAd(rest[i], scores2[i], 2) for i in order[: req.slots - 1])
     return RankResult(request_id=req.request_id, ranked=tuple(ranked))
 
 
 class AdServer:
-    """Ad-server half: owns the session store, serializes per-user requests."""
+    """Ad-server half: ranks requests and records behavior events against the
+    session store, which serializes per-user work itself."""
 
-    def __init__(self, scorer, store: SessionStore, bids: Mapping | None = None):
+    def __init__(self, scorer, store: SessionStore):
         self.scorer = scorer
         self.store = store
-        self.bids = bids
-        self._locks: dict[str, threading.Lock] = {}
-        self._guard = threading.Lock()
-
-    def _user_lock(self, user_id: str) -> threading.Lock:
-        with self._guard:
-            lock = self._locks.get(user_id)
-            if lock is None:
-                lock = self._locks[user_id] = threading.Lock()
-            return lock
 
     def rank(self, req: RankRequest) -> RankResult:
-        with self._user_lock(req.user_id):
-            return rank_request(self.scorer, self.store, req, bids=self.bids)
+        return rank_request(self.scorer, self.store, req)
 
     def record(self, user_id: str, ad, clicked: bool, ts: int) -> None:
-        with self._user_lock(user_id):
-            self.store.record_event(user_id, ad, clicked, ts)
+        self.store.record_event(user_id, ad, clicked, ts)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +196,7 @@ def _encode_candidate(text: str, user_id: str, target_schema: GroupSchema,
 
 
 def replay_session(scorer, store: SessionStore, events: Sequence[SimEvent],
-                   lag_seconds: int = 0, bids: Mapping | None = None) -> list[RankResult]:
+                   lag_seconds: int = 0) -> list[RankResult]:
     """Interleave behavior events and rank requests; events reach the store
     only once the replay clock is at least lag_seconds past them, in
     (timestamp, file order), whichever user logged the events between."""
@@ -250,7 +206,7 @@ def replay_session(scorer, store: SessionStore, events: Sequence[SimEvent],
             raise ValueError(f"timestamps go backwards for user {ev.user_id!r}")
         last_ts[ev.user_id] = ev.ts
 
-    server = AdServer(scorer, store, bids=bids)
+    server = AdServer(scorer, store)
     pending: list[tuple[int, int, SimEvent]] = []  # heap on (ts, file position)
     results: list[RankResult] = []
 
@@ -354,20 +310,6 @@ class RankProtocolServer:
         self._server.server_close()
         if self._thread:
             self._thread.join(timeout=5)
-
-
-def rank_over_socket(host: str, port: int, user_id: str, now: int, slots: int,
-                     ad_ids: Sequence[str]) -> str:
-    """One-shot client helper for the RANK protocol."""
-    with socket.create_connection((host, port)) as conn:
-        conn.sendall(f"RANK {user_id} {now} {slots} {','.join(ad_ids)}\n".encode("utf-8"))
-        buf = b""
-        while not buf.endswith(b"\n"):
-            chunk = conn.recv(4096)
-            if not chunk:
-                break
-            buf += chunk
-    return buf.decode("utf-8").rstrip("\n")
 
 
 def load_catalog(path, target_schema: GroupSchema) -> dict[str, dict[str, tuple[str, ...]]]:

@@ -15,6 +15,7 @@ from typing import Any
 
 WINDOW_SECONDS = 3 * 24 * 3600
 CAPACITY = 5
+_CLICKED_BY_TAG = {"clk": True, "unclk": False}
 
 
 def _identity(ad) -> Any:
@@ -33,72 +34,68 @@ class _Entry:
 class _UserHistory:
     clicked: list[_Entry] = field(default_factory=list)
     unclicked: list[_Entry] = field(default_factory=list)
-    lock: threading.Lock = field(default_factory=threading.Lock)
+
+
+def _insert(entries: list[_Entry], entry: _Entry) -> None:
+    pos = len(entries)
+    while pos > 0 and (entries[pos - 1].ts, entries[pos - 1].seq) > (entry.ts, entry.seq):
+        pos -= 1
+    entries.insert(pos, entry)
+    if len(entries) > CAPACITY:
+        del entries[0]
+
+
+def _retire_unclicked(hist: _UserHistory, ad, click_ts: int) -> None:
+    ident = _identity(ad)
+    for i in range(len(hist.unclicked) - 1, -1, -1):
+        e = hist.unclicked[i]
+        if e.ts <= click_ts and _identity(e.ad) == ident:
+            del hist.unclicked[i]
+            return
 
 
 class SessionStore:
-    """Hashmap of user histories; per-user operations serialize, users don't."""
+    """Hashmap of user histories. One lock guards the map, the arrival counter
+    and every history; a user whose entries have all expired is dropped when
+    a read purges them."""
 
-    def __init__(self, capacity: int = CAPACITY, window_seconds: int = WINDOW_SECONDS):
-        self.capacity = capacity
-        self.window_seconds = window_seconds
+    def __init__(self):
         self._users: dict[str, _UserHistory] = {}
         self._lock = threading.Lock()
         self._seq = 0
-
-    def _user(self, user_id: str) -> _UserHistory:
-        with self._lock:
-            hist = self._users.get(user_id)
-            if hist is None:
-                hist = self._users[user_id] = _UserHistory()
-            return hist
 
     def record_event(self, user_id: str, ad, clicked: bool, ts: int) -> None:
         """Insert one behavior event, keeping ts order and the capacity cap."""
         if ts < 0:
             raise ValueError(f"negative timestamp {ts}")
-        hist = self._user(user_id)
         with self._lock:
-            seq = self._seq = self._seq + 1
-        with hist.lock:
-            target = hist.clicked if clicked else hist.unclicked
+            hist = self._users.get(user_id)
+            if hist is None:
+                hist = self._users[user_id] = _UserHistory()
+            self._seq += 1
             if clicked:
-                self._retire_unclicked(hist, ad, ts)
-            self._insert(target, _Entry(ad, ts, seq))
-
-    def _insert(self, entries: list[_Entry], entry: _Entry) -> None:
-        pos = len(entries)
-        while pos > 0 and (entries[pos - 1].ts, entries[pos - 1].seq) > (entry.ts, entry.seq):
-            pos -= 1
-        entries.insert(pos, entry)
-        if len(entries) > self.capacity:
-            del entries[0]
-
-    def _retire_unclicked(self, hist: _UserHistory, ad, click_ts: int) -> None:
-        ident = _identity(ad)
-        for i in range(len(hist.unclicked) - 1, -1, -1):
-            e = hist.unclicked[i]
-            if e.ts <= click_ts and _identity(e.ad) == ident:
-                del hist.unclicked[i]
-                return
+                _retire_unclicked(hist, ad, ts)
+            _insert(hist.clicked if clicked else hist.unclicked, _Entry(ad, ts, self._seq))
 
     def get_history(self, user_id: str, now: int) -> tuple[tuple, tuple]:
         """(clicked, unclicked) ads within the window, most recent first.
 
-        Unknown users get two empty tuples; expired entries are purged lazily.
+        Unknown users get two empty tuples; expired entries are purged lazily,
+        and a user left with none is removed.
         """
+        cutoff = now - WINDOW_SECONDS
         with self._lock:
             hist = self._users.get(user_id)
-        if hist is None:
-            return (), ()
-        cutoff = now - self.window_seconds
-        with hist.lock:
+            if hist is None:
+                return (), ()
             for entries in (hist.clicked, hist.unclicked):
                 while entries and entries[0].ts <= cutoff:
                     del entries[0]
-            clicked = tuple(e.ad for e in reversed(hist.clicked))
-            unclicked = tuple(e.ad for e in reversed(hist.unclicked))
-        return clicked, unclicked
+            if not (hist.clicked or hist.unclicked):
+                del self._users[user_id]
+                return (), ()
+            return (tuple(e.ad for e in reversed(hist.clicked)),
+                    tuple(e.ad for e in reversed(hist.unclicked)))
 
     def user_ids(self) -> list[str]:
         with self._lock:
@@ -109,24 +106,31 @@ class SessionStore:
     def snapshot(self, path) -> None:
         from .ingest import serialize_ad
 
+        with self._lock:
+            rows = [(user_id, tag, e.ts, e.ad) for user_id, hist in sorted(self._users.items())
+                    for tag, entries in (("clk", hist.clicked), ("unclk", hist.unclicked))
+                    for e in entries]
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for user_id in self.user_ids():
-                hist = self._users[user_id]
-                with hist.lock:
-                    for tag, entries in (("clk", hist.clicked), ("unclk", hist.unclicked)):
-                        for e in entries:
-                            fh.write(f"{user_id}\t{tag}\t{e.ts}\t{serialize_ad(e.ad)}\n")
+            for user_id, tag, ts, ad in rows:
+                fh.write(f"{user_id}\t{tag}\t{ts}\t{serialize_ad(ad)}\n")
 
     @classmethod
-    def restore(cls, path, schemas, vocab, capacity: int = CAPACITY,
-                window_seconds: int = WINDOW_SECONDS) -> "SessionStore":
-        from .ingest import parse_ad
+    def restore(cls, path, schemas, vocab) -> "SessionStore":
+        from .ingest import ParseError, parse_ad
 
-        store = cls(capacity=capacity, window_seconds=window_seconds)
+        store = cls()
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                user_id, tag, ts, ad_text = line.rstrip("\n").split("\t")
-                group = "clicked" if tag == "clk" else "unclicked"
-                ad = parse_ad(ad_text, schemas[group], vocab)
-                store.record_event(user_id, ad, clicked=(tag == "clk"), ts=int(ts))
+            for lineno, line in enumerate(fh, start=1):
+                cols = line.rstrip("\n").split("\t")
+                if len(cols) != 4:
+                    raise ParseError(f"snapshot line needs 4 columns, got {len(cols)}", lineno)
+                user_id, tag, ts_text, ad_text = cols
+                clicked = _CLICKED_BY_TAG.get(tag)
+                if clicked is None:
+                    raise ParseError(f"bad tag {tag!r}, expected clk or unclk", lineno)
+                if not ts_text.isdecimal():  # digits only: no sign, so never negative
+                    raise ParseError(f"bad timestamp {ts_text!r}", lineno)
+                ad = parse_ad(ad_text, schemas["clicked" if clicked else "unclicked"], vocab,
+                              lineno)
+                store.record_event(user_id, ad, clicked, int(ts_text))
         return store

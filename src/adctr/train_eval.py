@@ -150,7 +150,7 @@ def train(config: TrainConfig, train_examples: Sequence[LabeledExample],
         for lo in range(0, n, config.batch_size):
             batch = train_set.take(perm[lo : lo + config.batch_size])
             _, trace = forward_batch(model, batch, mode="train", rng=rng)
-            grads = backward(model, batch, trace)
+            grads = backward(model, trace)
             grads.emb_grads += embedding_penalty(model, grads.emb_rows, row_scales)[1]
             total_loss += loss_from_logits(trace.logit, batch.labels) * len(batch)
             for name, arr in model.tensors().items():
@@ -320,7 +320,7 @@ def grad_check(variant, tolerance: float = 1e-4, seed: int = 0, n_examples: int 
         if _kink_distance(trace) > 100 * fd_step:
             break
     labels = batch.labels
-    grads = backward(model, batch, trace)
+    grads = backward(model, trace)
     row_scales = embedding_row_scales(vocab, TrainConfig.embedding_l2)
 
     def batch_loss() -> float:

@@ -2,12 +2,13 @@
 per-instance embedding and its gradient scatter (plain loops, in the
 summation order the batched paths promise to keep), per-ad-list aggregation,
 interactive attention through the concatenated [target, ad] pair tensor, a
-single-vector linear map and inverted dropout."""
+single-vector linear map and inverted dropout; plus a fixed-score stand-in
+for the serving model scorer."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -161,3 +162,16 @@ def dropout(x: Array, p: float, mode: str, rng: np.random.Generator | None = Non
     if mode == "eval" or p == 0.0:
         return x
     return x * dropout_mask(x.shape, p, rng)
+
+
+class StubScorer:
+    """Context-insensitive scorer with a fixed per-ad score; checks the
+    serving protocol's shape independently of any trained model."""
+
+    def __init__(self, score_of: Callable[[EncodedInstance], float]):
+        self.score_of = score_of
+        self.forward_count = 0
+
+    def score(self, candidates, contextual, clicked, unclicked) -> list[float]:
+        self.forward_count += len(candidates)
+        return [float(self.score_of(c)) for c in candidates]

@@ -19,12 +19,13 @@ from adctr.ingest import SyntheticConfig, generate_synthetic, parse_log_line
 from adctr.models import Variant, forward_batch, init_model
 from adctr.numerics import make_rng
 from adctr.schema import AUX_GROUPS
-from adctr.serving import RankRequest, StubScorer, ad_display_id, rank_request
+from adctr.serving import RankRequest, ad_display_id, rank_request
 from adctr.session import SessionStore
 from adctr.toy import make_toy_problem
 from adctr.train_eval import (TrainConfig, ablate_examples, auc, average_aux_count,
                               evaluate, grad_check, improvement_metrics, logloss_eval,
                               train)
+from oracles import StubScorer
 
 SEED = 7  # pinned: data generation and every training run below
 

@@ -150,6 +150,35 @@ class TestCheckpointIO:
         save_tensors(p2, {"k": "1"}, tensors)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_failed_save_leaves_previous_file_intact(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_tensors(path, {"k": "1"}, {"w": np.arange(2.0)})
+        good = path.read_bytes()
+        with pytest.raises(ValueError, match="illegal header"):
+            save_tensors(path, {"a=b": "1"}, {"w": np.arange(3.0)})
+        assert path.read_bytes() == good
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+    def test_every_truncation_is_an_error_or_a_shorter_checkpoint(self, tmp_path):
+        # Only a cut at a record boundary parses, and then as exactly the
+        # checkpoint of the records before it; every other cut is a ValueError.
+        path = tmp_path / "model.ckpt"
+        save_tensors(path, {"k": "1", "variant": "DNN"},
+                     {"a": np.arange(3.0), "b": np.ones((2, 2)), "c": np.array([7.0])})
+        data = path.read_bytes()
+        cut_path, resaved = tmp_path / "cut.ckpt", tmp_path / "resaved.ckpt"
+        parsed = []
+        for cut in range(len(data)):
+            cut_path.write_bytes(data[:cut])
+            try:
+                header, tensors = load_tensors(cut_path)
+            except ValueError:
+                continue
+            save_tensors(resaved, header, tensors)
+            assert resaved.read_bytes() == data[:cut]
+            parsed.append(sorted(tensors))
+        assert parsed == [[], ["a"], ["a", "b"]]
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus"
         path.write_bytes(b"not a checkpoint")

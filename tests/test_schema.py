@@ -98,6 +98,13 @@ class TestVocabulary:
         assert loaded.target_counts == vocab.target_counts
         assert loaded.content_hash() == vocab.content_hash()
 
+    @pytest.mark.parametrize("bad", ["title\tab\t3", "title\tab\tx\t0", "title\tab\t3\t-1"])
+    def test_load_names_the_bad_line(self, tmp_path, bad):
+        path = tmp_path / "vocab.tsv"
+        path.write_text(f"title\t<oov>\t0\t0\n{bad}\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match="line 2: expected field, value, index and count"):
+            Vocabulary.load(path)
+
     def test_counts_occurrences_on_target_ads_only(self):
         records = [("target", {"user_id": ("u1",), "age": ("24",), "ad_id": ("a1",),
                                "title": ("abab",)}),

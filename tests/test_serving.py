@@ -6,10 +6,11 @@ import pytest
 from adctr.ingest import ParseError
 from adctr.models import Variant, init_model
 from adctr.numerics import make_rng
-from adctr.serving import (AdServer, ModelScorer, RankProtocolServer, RankRequest, StubScorer,
-                           ad_display_id, parse_events, rank_request, rank_over_socket,
-                           replay_session, score_batch, write_results)
+from adctr.serving import (AdServer, ModelScorer, RankProtocolServer, RankRequest,
+                           ad_display_id, parse_events, rank_request, replay_session,
+                           write_results)
 from adctr.session import SessionStore
+from oracles import StubScorer
 
 
 def zeroed_model(schemas, vocab, variant="dstn-i"):
@@ -30,23 +31,38 @@ def env(tiny_dataset):
     return ds, vocab, train
 
 
+def rank_over_socket(host: str, port: int, user_id: str, now: int, slots: int,
+                     ad_ids) -> str:
+    """One-shot client for the RANK protocol."""
+    with socket.create_connection((host, port)) as conn:
+        conn.sendall(f"RANK {user_id} {now} {slots} {','.join(ad_ids)}\n".encode("utf-8"))
+        buf = b""
+        while not buf.endswith(b"\n"):
+            chunk = conn.recv(4096)
+            if not chunk:
+                break
+            buf += chunk
+    return buf.decode("utf-8").rstrip("\n")
+
+
 class TestScoreBatch:
     def test_zero_params_score_half(self, env):
         ds, vocab, train = env
-        model = zeroed_model(ds.schemas, vocab)
+        score = ModelScorer(zeroed_model(ds.schemas, vocab)).score
         ex = train[0]
-        scores = score_batch(model, (ex.clicked, ex.unclicked), ex.contextual,
-                             [train[i].target for i in range(4)])
+        scores = score([train[i].target for i in range(4)], ex.contextual, ex.clicked,
+                       ex.unclicked)
         assert scores == [0.5] * 4
 
     def test_order_independence(self, env):
         ds, vocab, train = env
         model = init_model(Variant.DSTN_I, ds.schemas, vocab.size, make_rng(3), k=4,
                            fc_dims=(8, 4), attention_dim=4, dropout_p=0.0)
+        score = ModelScorer(model).score
         ex = train[0]
         candidates = [train[i].target for i in range(5)]
-        forward_order = score_batch(model, (ex.clicked, ex.unclicked), (), candidates)
-        reversed_order = score_batch(model, (ex.clicked, ex.unclicked), (), candidates[::-1])
+        forward_order = score(candidates, (), ex.clicked, ex.unclicked)
+        reversed_order = score(candidates[::-1], (), ex.clicked, ex.unclicked)
         np.testing.assert_allclose(forward_order, reversed_order[::-1], rtol=1e-12)
 
 
@@ -89,18 +105,6 @@ class TestRankRequest:
                            RankRequest("r", "u", 1, candidates, slots=3))
         assert [ad_display_id(r.ad) for r in res.ranked] == [ad_display_id(c) for c in candidates]
 
-    def test_bid_weighting_changes_order(self, env):
-        ds, vocab, train = env
-        candidates = tuple(train[i].target for i in range(2))
-        a, b = (ad_display_id(c) for c in candidates)
-        scorer = stub_by_ad_id({a: 0.6, b: 0.5})
-        bids = {c.identity(): bid for c, bid in zip(candidates, (1.0, 10.0))}
-        plain = rank_request(scorer, SessionStore(), RankRequest("r", "u", 1, candidates, slots=2))
-        paid = rank_request(scorer, SessionStore(), RankRequest("r", "u", 1, candidates, slots=2),
-                            bids=bids)
-        assert ad_display_id(plain.ranked[0].ad) == a
-        assert ad_display_id(paid.ranked[0].ad) == b
-
     def test_round_two_sees_winner_as_context(self, env):
         # The winner's identity must raise every round-2 score it contexts.
         ds, vocab, train = env
@@ -109,7 +113,7 @@ class TestRankRequest:
             def __init__(self):
                 self.forward_count = 0
 
-            def score(self, candidates, contextual, clicked, unclicked, now=0, user_id=""):
+            def score(self, candidates, contextual, clicked, unclicked):
                 self.forward_count += len(candidates)
                 bump = 0.2 if contextual else 0.0
                 return [0.5 + bump - 0.01 * i for i in range(len(candidates))]
@@ -132,6 +136,62 @@ class TestRankRequest:
         ds, vocab, train = env
         req = RankRequest("r", "u", 1, (train[0].target, train[0].target, train[1].target))
         assert len(req.candidates) == 2
+
+
+class TestAdServer:
+    def test_concurrent_records_and_ranks_for_one_user(self, env):
+        import sys
+        import threading
+
+        ds, vocab, train = env
+
+        class Ad:
+            def __init__(self, ts):
+                self.ts = ts
+
+            def identity(self):
+                return self.ts
+
+        class SortedHistory:
+            """Checks every history a request reads: newest first, capped."""
+
+            def score(self, candidates, contextual, clicked, unclicked):
+                stamps = [ad.ts for ad in unclicked]
+                assert clicked == () and len(stamps) <= 5
+                assert stamps == sorted(stamps, reverse=True)
+                return [0.5] * len(candidates)
+
+        server = AdServer(SortedHistory(), SessionStore())
+        candidates = tuple(train[i].target for i in range(3))
+        n_threads, per_thread = 4, 100
+        errors = []
+
+        def worker(t):
+            try:
+                for i in range(per_thread):
+                    ts = 1000 + n_threads * i + t  # distinct across threads
+                    server.record("u", Ad(ts), False, ts)
+                    res = server.rank(RankRequest("r", "u", ts, candidates, slots=3))
+                    assert len(res.ranked) == 3
+            except Exception as exc:  # surface failures from worker threads
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to interleave the store's steps
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+        last = 1000 + n_threads * per_thread - 1
+        clicked, unclicked = server.store.get_history("u", now=last)
+        assert clicked == ()
+        assert [a.ts for a in unclicked] == list(range(last, last - 5, -1))
 
 
 class TestProtocolShape:
@@ -204,7 +264,7 @@ class TestReplay:
         class Spy:
             forward_count = 0
 
-            def score(self, candidates, contextual, clicked, unclicked, now=0, user_id=""):
+            def score(self, candidates, contextual, clicked, unclicked):
                 seen.append((len(clicked), len(unclicked)))
                 return [0.5] * len(candidates)
 
@@ -229,7 +289,7 @@ class TestReplay:
         class Spy:
             forward_count = 0
 
-            def score(self, candidates, contextual, clicked, unclicked, now=0, user_id=""):
+            def score(self, candidates, contextual, clicked, unclicked):
                 seen.append((len(clicked), len(unclicked)))
                 return [0.5] * len(candidates)
 

@@ -1,6 +1,8 @@
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from adctr.ingest import ParseError, serialize_ad
 from adctr.numerics import make_rng
 from adctr.session import CAPACITY, WINDOW_SECONDS, SessionStore
 
@@ -147,6 +149,44 @@ class TestOracleEquivalence:
             assert len(got[0]) <= CAPACITY and len(got[1]) <= CAPACITY
 
 
+# Times on a quarter-window grid, so that timestamp ties and entries exactly
+# at the window edge come up often.
+_UNIT = WINDOW_SECONDS // 4
+_USERS = st.sampled_from(["a", "b", "c"])
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("record"), _USERS, st.booleans(), st.integers(0, 12).map(_UNIT.__mul__)),
+    st.tuples(st.just("read"), _USERS, st.integers(0, 4).map(_UNIT.__mul__)),
+), max_size=60)
+
+
+class TestPropertyBased:
+    @settings(max_examples=200, deadline=None)
+    @given(_OPS)
+    def test_reads_match_brute_force_and_purged_users_go(self, ops):
+        # The read clock only moves forward: a purge is not undone by an
+        # earlier `now`, so the brute force holds only for monotone reads.
+        store = SessionStore()
+        events, purged = [], set()
+        now = 0
+        for op in ops:
+            if op[0] == "record":
+                _, user, clicked, ts = op
+                ad = Ad(f"ad{len(events)}")  # unique ads: reconciliation never triggers
+                events.append((user, ad, clicked, ts))
+                store.record_event(user, ad, clicked, ts)
+                purged.discard(user)
+            else:
+                _, user, step = op
+                now += step
+                got = store.get_history(user, now)
+                want = brute_force_history(events, user, now)
+                assert [[a.ad_id for a in g] for g in got] == \
+                       [[a.ad_id for a in w] for w in want]
+                if got == ((), ()):
+                    purged.add(user)
+            assert purged.isdisjoint(store.user_ids())
+
+
 class TestConcurrency:
     def test_parallel_writers_per_user(self):
         import threading
@@ -174,6 +214,35 @@ class TestConcurrency:
             assert len(clicked) == CAPACITY and len(unclicked) == CAPACITY
 
 
+    def test_concurrent_first_events_for_one_user_are_all_kept(self, monkeypatch):
+        import threading
+        import time
+
+        from adctr import session
+
+        class SlowHistory(session._UserHistory):
+            def __init__(self):
+                time.sleep(0.01)  # widen the gap between finding no history and adding one
+                super().__init__()
+
+        monkeypatch.setattr(session, "_UserHistory", SlowHistory)
+        store = SessionStore()
+        barrier = threading.Barrier(4)
+
+        def first_event(t):
+            barrier.wait(timeout=10)
+            store.record_event("new", Ad(f"a{t}"), clicked=False, ts=100 + t)
+
+        threads = [threading.Thread(target=first_event, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        _, unclicked = store.get_history("new", now=200)
+        assert [a.ad_id for a in unclicked] == ["a3", "a2", "a1", "a0"]
+
+
 class TestSnapshot:
     def test_round_trip(self, tmp_path, tiny_dataset):
         ds, vocab, train, *_ = tiny_dataset
@@ -194,3 +263,48 @@ class TestSnapshot:
             b = restored.get_history(user, now=ts)
             assert [x.raw for x in a[0]] == [x.raw for x in b[0]]
             assert [x.raw for x in a[1]] == [x.raw for x in b[1]]
+
+    def _store(self, tiny_dataset):
+        ds, vocab, train, *_ = tiny_dataset
+        store = SessionStore()
+        clicked = [ad for ex in train for ad in ex.clicked]
+        unclicked = [ad for ex in train for ad in ex.unclicked]
+        store.record_event("gone", clicked[0], clicked=True, ts=10)
+        store.record_event("gone", unclicked[0], clicked=False, ts=20)
+        store.record_event("kept", clicked[1], clicked=True, ts=30)
+        store.record_event("kept", unclicked[1], clicked=False, ts=WINDOW_SECONDS + 100)
+        return ds, vocab, store
+
+    def test_snapshot_after_eviction_equals_one_before(self, tmp_path, tiny_dataset):
+        ds, vocab, store = self._store(tiny_dataset)
+        now = WINDOW_SECONDS + 50  # "gone" has expired entirely; "kept" keeps one entry
+        assert store.get_history("kept", now)[0] == ()
+        store.snapshot(tmp_path / "before.tsv")
+        assert store.get_history("gone", now) == ((), ())
+        assert store.user_ids() == ["kept"]
+        store.snapshot(tmp_path / "after.tsv")
+        before = (tmp_path / "before.tsv").read_text().splitlines()
+        after = (tmp_path / "after.tsv").read_text().splitlines()
+        assert after == [line for line in before if not line.startswith("gone\t")]
+        restored = [SessionStore.restore(tmp_path / f"{name}.tsv", ds.schemas, vocab)
+                    for name in ("before", "after")]
+        for user in ("gone", "kept"):
+            a, b = (r.get_history(user, now) for r in restored)
+            assert [[x.raw for x in g] for g in a] == [[x.raw for x in g] for g in b]
+
+    @pytest.mark.parametrize("fields, message", [
+        (("u", "clk", "5"), "needs 4 columns"),
+        (("u", "click", "5", "{ad}"), "bad tag 'click'"),
+        (("u", "clk", "soon", "{ad}"), "bad timestamp 'soon'"),
+        (("u", "unclk", "-5", "{ad}"), "bad timestamp '-5'"),
+        (("u", "clk", "5", "nosuch=1"), "unknown field"),
+    ])
+    def test_restore_names_the_bad_line(self, tmp_path, tiny_dataset, fields, message):
+        ds, vocab, train, *_ = tiny_dataset
+        ad = serialize_ad(next(ad for ex in train for ad in ex.clicked))
+        good = f"u\tclk\t1\t{ad}"
+        path = tmp_path / "sessions.tsv"
+        path.write_text(good + "\n" + "\t".join(fields).format(ad=ad) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"line 2: .*{message}") as info:
+            SessionStore.restore(path, ds.schemas, vocab)
+        assert info.value.line_number == 2
