@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
+
+import numpy as np
 
 from . import ingest, serving, train_eval
 from .models import Variant, load_model, save_model
@@ -186,10 +189,56 @@ def _cmd_serve_sim(args) -> int:
     if not args.events or not args.out:
         raise SystemExit("replay mode needs --events and --out")
     events = serving.parse_events(args.events, schemas, vocab)
-    results = serving.replay_session(scorer, store, events, lag_seconds=args.lag_seconds)
+    timer = _RoundTimer(scorer)
+    results = serving.replay_session(timer, store, events, lag_seconds=args.lag_seconds)
     serving.write_results(args.out, results)
     print(f"{len(results)} requests ranked, {scorer.forward_count} model forwards")
+    for line in timer.report_lines():
+        print(line)
     return 0
+
+
+class _RoundTimer:
+    """Scorer wrapper that times each request's scoring: round 1 runs from
+    ``prepare`` to the end of the first ``score``, round 2 is the re-scoring
+    (the call with contextual ads), and a request ends with its last call."""
+
+    def __init__(self, scorer):
+        self.scorer = scorer
+        self.requests: list[float] = []
+        self.rounds: dict[int, list[tuple[float, int]]] = {1: [], 2: []}  # (seconds, rows)
+        self._start = 0.0
+
+    def prepare(self, candidates, clicked, unclicked):
+        self._start = time.perf_counter()
+        self.requests.append(0.0)
+        return self.scorer.prepare(candidates, clicked, unclicked)
+
+    def score(self, rows, contextual):
+        t0 = time.perf_counter()
+        out = self.scorer.score(rows, contextual)
+        end = time.perf_counter()
+        if contextual:
+            self.rounds[2].append((end - t0, len(rows)))
+        else:
+            self.rounds[1].append((end - self._start, len(rows)))
+        self.requests[-1] = end - self._start
+        return out
+
+    def report_lines(self) -> list[str]:
+        def pcts(seconds) -> str:
+            if not seconds:
+                return "n=0"
+            p50, p99 = np.percentile(np.asarray(seconds) * 1e3, [50, 99])
+            return f"n={len(seconds)} p50={p50:.3f} ms p99={p99:.3f} ms"
+
+        lines = [f"request scoring latency {pcts(self.requests)}"]
+        for rnd, calls in self.rounds.items():
+            line = f"round {rnd} {pcts([s for s, _ in calls])}"
+            if calls:
+                line += f" forwards/request={np.mean([n for _, n in calls]):.2f}"
+            lines.append(line)
+        return lines
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ from .embedding import (AdColumns, EmbeddingTable, EncodedBatch, RowGradAccumula
                         embed_matrix, encode_examples, group_dim)
 from .ingest import LabeledExample
 from .numerics import Array, ContractViolation, dropout_mask, relu, sigmoid
-from .schema import AUX_GROUPS, GroupSchema
+from .schema import AUX_GROUPS, EncodedInstance, GroupSchema
 
 SCORE_CLAMP = 30.0  # cap on the pre-exp interactive-attention scalar
 PCTR_EPS = 1e-15
@@ -75,6 +75,11 @@ class InteractiveAttentionParams:
     b_tc2: Array  # (1,)
 
 
+# Checkpoint names of each attention block's tensors, in field order.
+_ATTN_NAMES = {SelfAttentionParams: ("W1", "b1", "w2", "b2"),
+               InteractiveAttentionParams: ("Wtc", "btc1", "h", "btc2")}
+
+
 @dataclass
 class ModelParams:
     variant: Variant
@@ -111,16 +116,8 @@ class ModelParams:
             out["out.w"] = self.out_w
         out["out.b"] = self.out_b
         for group, p in self.attention.items():
-            if isinstance(p, SelfAttentionParams):
-                out[f"attn.{group}.W1"] = p.w1
-                out[f"attn.{group}.b1"] = p.b1
-                out[f"attn.{group}.w2"] = p.w2
-                out[f"attn.{group}.b2"] = p.b2
-            else:
-                out[f"attn.{group}.Wtc"] = p.w_tc
-                out[f"attn.{group}.btc1"] = p.b_tc1
-                out[f"attn.{group}.h"] = p.h
-                out[f"attn.{group}.btc2"] = p.b_tc2
+            for name, arr in zip(_ATTN_NAMES[type(p)], vars(p).values()):
+                out[f"attn.{group}.{name}"] = arr
         return out
 
     def clone(self) -> "ModelParams":
@@ -223,10 +220,12 @@ def encode_batch(model: ModelParams,
                            AUX_GROUPS if model.variant.uses_aux else ())
 
 
-def _pad_aux(model: ModelParams, batch: EncodedBatch, group: str) -> AuxTrace:
-    offsets, cols = batch.aux[group]
+def _pad_aux(model: ModelParams, offsets: Array, cols: AdColumns, group: str) -> AuxTrace:
+    """Pad a group's ads (those of row i are ``offsets[i]:offsets[i + 1]`` of
+    ``cols``) into a (B, S, D_g) block with its slot mask."""
     counts = offsets[1:] - offsets[:-1]
-    b, s = len(batch), int(counts.max()) if len(batch) else 0
+    b = len(counts)
+    s = int(counts.max()) if b else 0
     d = model.dim(group)
     ads = np.zeros((b, s, d))
     mask = np.zeros((b, s))
@@ -239,6 +238,10 @@ def _pad_aux(model: ModelParams, batch: EncodedBatch, group: str) -> AuxTrace:
 
 
 def _aggregate(model: ModelParams, t: AuxTrace, group: str, x_t: Array) -> None:
+    """Aggregate one group's padded ads into ``t.agg``, one row per row of
+    ``x_t``. Ads shared by every row may come as one (1, S, D_g) block: the
+    pooling and self-attention aggregates are then computed once, (1, D_g),
+    and interactive attention broadcasts the block's ``ads W_a^T``."""
     if model.variant == Variant.DSTN_P:
         t.agg = (t.ads * t.mask[..., None]).sum(axis=1)
         return
@@ -260,13 +263,17 @@ def _aggregate(model: ModelParams, t: AuxTrace, group: str, x_t: Array) -> None:
         t.alpha = e / np.where(denom > 0, denom, 1.0)[:, None]
     else:  # interactive: W_tc = [W_t | W_a], so [x_t, ad] W_tc^T = x_t W_t^T + ad W_a^T
         p = model.attention[group]
-        d_t = x_t.shape[1]
+        n, d_t = x_t.shape  # n == b unless the ads are one shared block
         t.pre = ((x_t @ p.w_tc[:, :d_t].T + p.b_tc1)[:, None, :]
                  + (t.ads.reshape(b * s, -1) @ p.w_tc[:, d_t:].T).reshape(b, s, -1))
         t.hid = relu(t.pre)
-        t.raw_score = (t.hid.reshape(b * s, -1) @ p.h).reshape(b, s) + p.b_tc2[0]
+        t.raw_score = (t.hid.reshape(n * s, -1) @ p.h).reshape(n, s) + p.b_tc2[0]
         t.alpha = np.exp(np.minimum(t.raw_score, SCORE_CLAMP)) * t.mask
     t.agg = (t.alpha[..., None] * t.ads).sum(axis=1)
+
+
+def _pctr(logit: Array) -> Array:
+    return np.clip(sigmoid(logit), PCTR_EPS, 1.0 - PCTR_EPS)
 
 
 def forward_batch(model: ModelParams, batch: EncodedBatch | Sequence[LabeledExample],
@@ -283,14 +290,14 @@ def forward_batch(model: ModelParams, batch: EncodedBatch | Sequence[LabeledExam
 
     if model.variant == Variant.LR:
         logit = x_t.sum(axis=1) + model.out_b[0]
-        pctr = np.clip(sigmoid(logit), PCTR_EPS, 1.0 - PCTR_EPS)
+        pctr = _pctr(logit)
         return pctr, BatchTrace(batch=batch, x_t=x_t, aux={}, m=None, pres=[],
                                 acts=[], drop_masks=[], logit=logit, pctr=pctr)
 
     aux: dict[str, AuxTrace] = {}
     if model.variant.uses_aux:
         for group in AUX_GROUPS:
-            t = _pad_aux(model, batch, group)
+            t = _pad_aux(model, *batch.aux[group], group)
             _aggregate(model, t, group, x_t)
             aux[group] = t
         m = np.concatenate([x_t] + [aux[g].agg for g in AUX_GROUPS], axis=1)
@@ -313,7 +320,7 @@ def forward_batch(model: ModelParams, batch: EncodedBatch | Sequence[LabeledExam
         acts.append(cur)
         masks.append(msk)
     logit = cur @ model.out_w + model.out_b[0]
-    pctr = np.clip(sigmoid(logit), PCTR_EPS, 1.0 - PCTR_EPS)
+    pctr = _pctr(logit)
     return pctr, BatchTrace(batch=batch, x_t=x_t, aux=aux, m=m, pres=pres,
                             acts=acts, drop_masks=masks, logit=logit, pctr=pctr)
 
@@ -322,6 +329,85 @@ def forward(model: ModelParams, example: LabeledExample, mode: str = "eval",
             rng: np.random.Generator | None = None) -> tuple[float, BatchTrace]:
     pctr, trace = forward_batch(model, [example], mode=mode, rng=rng)
     return float(pctr[0]), trace
+
+
+# ---------------------------------------------------------------------------
+# request-level eval forward (serving)
+# ---------------------------------------------------------------------------
+#
+# The candidates of one serving request share their clicked and unclicked
+# ads, and the fusion layer is linear in m = [x_t, ctx, clk, unclk]. So the
+# history is embedded and aggregated once per request, its fusion terms are
+# summed once, and a round with contextual ads adds only agg_ctx W_ctx^T
+# before the layers above the fusion layer run.
+
+@dataclass(frozen=True)
+class RequestRows:
+    """One request's candidates after the work every round shares: their
+    embeddings and their fusion pre-activation with the clicked and
+    unclicked terms and no contextual term (for LR, their logits)."""
+
+    x_t: Array  # (n, D_t)
+    pre: Array  # (n, H_1), or (n,) for LR
+
+    def __len__(self) -> int:
+        return len(self.x_t)
+
+    def take(self, rows) -> "RequestRows":
+        """The given candidates, in the order given."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return RequestRows(self.x_t[rows], self.pre[rows])
+
+
+def _shared_agg(model: ModelParams, group: str, ads: Sequence[EncodedInstance],
+                x_t: Array) -> Array:
+    """The group's aggregate of ads shared by every row of x_t: (1, D_g) for
+    pooling and self-attention, (n, D_g) for interactive attention."""
+    cols = AdColumns.from_instances(ads, len(model.schemas[group].fields))
+    t = _pad_aux(model, np.array([0, len(cols)]), cols, group)
+    _aggregate(model, t, group, x_t)
+    return t.agg
+
+
+def _fusion_term(model: ModelParams, group: str, agg: Array) -> Array:
+    """agg W_g^T, where W_g is the fusion weights' block for the group."""
+    lo = model.dim("target") + sum(model.dim(g) for g in AUX_GROUPS[:AUX_GROUPS.index(group)])
+    return agg @ model.fusion_w[:, lo : lo + model.dim(group)].T
+
+
+def prepare_request(model: ModelParams, candidates: Sequence[EncodedInstance],
+                    clicked: Sequence[EncodedInstance],
+                    unclicked: Sequence[EncodedInstance]) -> RequestRows:
+    """Eval-mode work shared by every round of one request: embed the
+    candidates and the history once, aggregate the history (once for
+    DSTN-P/S; per candidate for DSTN-I, whose ad half is computed once) and
+    sum the fusion pre-activation without its contextual term."""
+    target = AdColumns.from_instances(candidates, len(model.schemas["target"].fields))
+    x_t = embed_matrix(target, model.embedding)
+    if model.variant == Variant.LR:
+        return RequestRows(x_t, x_t.sum(axis=1) + model.out_b[0])
+    pre = x_t @ model.fusion_w[:, : x_t.shape[1]].T + model.fusion_b
+    if model.variant.uses_aux:
+        for group, ads in (("clicked", clicked), ("unclicked", unclicked)):
+            pre += _fusion_term(model, group, _shared_agg(model, group, ads, x_t))
+    return RequestRows(x_t, pre)
+
+
+def score_request(model: ModelParams, rows: RequestRows,
+                  contextual: Sequence[EncodedInstance]) -> Array:
+    """Eval-mode pCTRs of prepared candidates with the given contextual ads
+    (the same for every row): add the contextual group's fusion term, which
+    LR and DNN do not have, then run the layers above the fusion layer."""
+    if model.variant == Variant.LR:
+        return _pctr(rows.pre)
+    pre = rows.pre
+    if contextual and model.variant.uses_aux:
+        pre = pre + _fusion_term(model, "contextual",
+                                 _shared_agg(model, "contextual", contextual, rows.x_t))
+    cur = relu(pre)
+    for w, b in model.fc:
+        cur = relu(cur @ w.T + b)
+    return _pctr(cur @ model.out_w + model.out_b[0])
 
 
 # ---------------------------------------------------------------------------
@@ -440,38 +526,69 @@ def load_model(path, schemas: Mapping[str, GroupSchema]) -> tuple[ModelParams, d
     variant = by_header.get(header.get("variant"))
     if variant is None:
         raise ValueError(f"{path}: unknown variant {header.get('variant')!r}")
+    attn = {Variant.DSTN_S: SelfAttentionParams,
+            Variant.DSTN_I: InteractiveAttentionParams}.get(variant)
+    n_fc = 0
+    while f"fc{n_fc + 2}.W" in tensors:
+        n_fc += 1
+    fc_names = [f"fc{i}" for i in range(2, 2 + n_fc)]
     # A file cut at a record boundary reads as a shorter TNSR1 file. Records
     # are sorted by name, so any such cut loses one of these.
-    required = {"emb.E", "out.b"} if variant == Variant.LR else {
-        "emb.E", "fusion.W", "fusion.b", "out.b", "out.w"}
-    missing = required - tensors.keys()
+    required = ["emb.E", "out.b"]
+    if variant != Variant.LR:
+        required += ["fusion.W", "fusion.b", "out.w"] + [f"{n}.{s}" for n in fc_names
+                                                           for s in ("W", "b")]
+    if attn is not None:
+        required += [f"attn.{g}.{n}" for g in AUX_GROUPS for n in _ATTN_NAMES[attn]]
+    missing = set(required) - tensors.keys()
     if missing:
         raise ValueError(f"{path}: missing tensors {sorted(missing)}")
+    unexpected = tensors.keys() - set(required)
+    if unexpected:
+        raise ValueError(f"{path}: unexpected tensors {sorted(unexpected)}")
     model = ModelParams(variant=variant, schemas=dict(schemas), k=int(header["k"]),
                         dropout_p=float(header["dropout_p"]),
-                        embedding=EmbeddingTable(tensors.pop("emb.E")),
-                        out_b=tensors.pop("out.b"))
-    if "fusion.W" in tensors:
-        model.fusion_w = tensors.pop("fusion.W")
-        model.fusion_b = tensors.pop("fusion.b")
-    i = 2
-    while f"fc{i}.W" in tensors:
-        model.fc.append((tensors.pop(f"fc{i}.W"), tensors.pop(f"fc{i}.b")))
-        i += 1
-    if "out.w" in tensors:
-        model.out_w = tensors.pop("out.w")
-    for group in AUX_GROUPS:
-        if f"attn.{group}.W1" in tensors:
-            model.attention[group] = SelfAttentionParams(
-                w1=tensors.pop(f"attn.{group}.W1"), b1=tensors.pop(f"attn.{group}.b1"),
-                w2=tensors.pop(f"attn.{group}.w2"), b2=tensors.pop(f"attn.{group}.b2"))
-        elif f"attn.{group}.Wtc" in tensors:
-            model.attention[group] = InteractiveAttentionParams(
-                w_tc=tensors.pop(f"attn.{group}.Wtc"), b_tc1=tensors.pop(f"attn.{group}.btc1"),
-                h=tensors.pop(f"attn.{group}.h"), b_tc2=tensors.pop(f"attn.{group}.btc2"))
-    if tensors:
-        raise ValueError(f"{path}: unexpected tensors {sorted(tensors)}")
+                        embedding=EmbeddingTable(tensors["emb.E"]), out_b=tensors["out.b"])
+    if variant != Variant.LR:
+        model.fusion_w, model.fusion_b = tensors["fusion.W"], tensors["fusion.b"]
+        model.fc = [(tensors[f"{n}.W"], tensors[f"{n}.b"]) for n in fc_names]
+        model.out_w = tensors["out.w"]
+    if attn is not None:
+        for g in AUX_GROUPS:
+            model.attention[g] = attn(*(tensors[f"attn.{g}.{n}"] for n in _ATTN_NAMES[attn]))
+    _check_shapes(path, model)
     return model, header
+
+
+def _check_shapes(path, model: ModelParams) -> None:
+    """Every tensor's shape against the variant, the schemas and k. The
+    vocabulary size and the layer widths are free: each is read off the
+    tensor that introduces it, and the tensors after it must agree."""
+    tensors = model.tensors()
+
+    def rows(name: str) -> int:
+        shape = tensors[name].shape
+        return shape[0] if shape else 0
+
+    expected = {"emb.E": (rows("emb.E"), model.k), "out.b": (1,)}
+    if model.variant != Variant.LR:
+        width = model.concat_dim
+        for name in ["fusion"] + [f"fc{i}" for i in range(2, 2 + len(model.fc))]:
+            h = rows(f"{name}.W")
+            expected[f"{name}.W"], expected[f"{name}.b"] = (h, width), (h,)
+            width = h
+        expected["out.w"] = (width,)
+    for group, p in model.attention.items():
+        w, b1, w2, b2 = (f"attn.{group}.{n}" for n in _ATTN_NAMES[type(p)])
+        d_in = model.dim(group)
+        if isinstance(p, InteractiveAttentionParams):
+            d_in += model.dim("target")
+        a = rows(w)
+        expected.update({w: (a, d_in), b1: (a,), w2: (a,), b2: (1,)})
+    for name, arr in tensors.items():
+        if arr.shape != expected[name]:
+            raise ValueError(f"{path}: tensor {name} has shape {arr.shape}, "
+                             f"expected {expected[name]}")
 
 
 def _aggregate_backward(model: ModelParams, group: str, t: AuxTrace, x_t: Array, g_agg: Array,

@@ -7,7 +7,9 @@ Two-round protocol per request: round 1 scores every candidate with the
 user's clicked/unclicked history and no contextual ads, and the highest-pCTR
 candidate wins (ties go to the lowest ordinal). Round 2 re-scores the
 remaining candidates with the winner as the single contextual ad and keeps
-the top slots-1 of them. The re-scoring round runs exactly once.
+the top slots-1 of them. The re-scoring round runs exactly once. The work
+both rounds share (the candidates, the history, the fusion pre-activation
+without its contextual term) is done once per request.
 
 Event log (TSV), timestamps non-decreasing per user; requests are served in
 file order and behavior events reach the store in (timestamp, file order):
@@ -24,6 +26,10 @@ Wire protocol (one line per message):
 
     RANK <user_id> <now> <slots> <ad_id,ad_id,...>
     OK <ad_id>:<pctr>:<round> ...   |   ERR <message>
+
+A line longer than MAX_LINE_BYTES gets ``ERR line too long`` and the
+connection is closed; a request naming more than MAX_CANDIDATES candidates
+gets ``ERR too many candidates``.
 """
 
 from __future__ import annotations
@@ -36,10 +42,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ingest import LabeledExample, ParseError, parse_ad, _parse_fields
-from .models import ModelParams, forward_batch
+from .ingest import ParseError, parse_ad, _parse_fields
+# forward_batch is not called here: perfbench's span test reads serving.forward_batch.
+from .models import (ModelParams, RequestRows, forward_batch,  # noqa: F401
+                     prepare_request, score_request)
 from .schema import EncodedInstance, GroupSchema, Vocabulary
 from .session import SessionStore
+
+MAX_LINE_BYTES = 64 * 1024  # a RANK line, newline included
+MAX_CANDIDATES = 1024       # candidates named on one RANK line
 
 
 @dataclass(frozen=True)
@@ -83,35 +94,39 @@ class RankResult:
 
 
 class ModelScorer:
-    """Model-server half: eval-mode pCTR for candidates that share one set of
-    auxiliary ads, in candidate order; counts forwards."""
+    """Model-server half. ``prepare`` does the eval-mode work a request's
+    candidates share in every round, once per request (they share one
+    clicked and one unclicked history); ``score`` gives the pCTRs of prepared
+    rows under the given contextual ads, in row order, and counts forwards
+    (rows scored)."""
 
     def __init__(self, model: ModelParams):
         self.model = model
         self.forward_count = 0
 
-    def score(self, candidates, contextual, clicked, unclicked) -> list[float]:
-        self.forward_count += len(candidates)
-        contextual, clicked, unclicked = tuple(contextual), tuple(clicked), tuple(unclicked)
-        examples = [LabeledExample(label=0, timestamp=0, user_id="", target=c,
-                                   contextual=contextual, clicked=clicked, unclicked=unclicked)
-                    for c in candidates]
-        pctr, _ = forward_batch(self.model, examples, mode="eval")
-        return [float(p) for p in pctr]
+    def prepare(self, candidates, clicked, unclicked) -> RequestRows:
+        return prepare_request(self.model, candidates, clicked, unclicked)
+
+    def score(self, rows: RequestRows, contextual) -> list[float]:
+        self.forward_count += len(rows)
+        return score_request(self.model, rows, contextual).tolist()
 
 
 def rank_request(scorer, store: SessionStore, req: RankRequest) -> RankResult:
-    """Two-round contextual-promotion ranking by pCTR."""
+    """Two-round contextual-promotion ranking by pCTR. Round 2 reuses round
+    1's prepared rows; the winner fills the contextual slots by position."""
     clicked, unclicked = store.get_history(req.user_id, req.now)
-    scores1 = scorer.score(req.candidates, (), clicked, unclicked)
+    rows = scorer.prepare(req.candidates, clicked, unclicked)
+    scores1 = scorer.score(rows, ())
     win = int(np.argmax(scores1))  # first occurrence wins ties
     ranked = [RankedAd(req.candidates[win], scores1[win], 1)]
 
-    rest = [c for i, c in enumerate(req.candidates) if i != win]
+    rest = [i for i in range(len(req.candidates)) if i != win]
     if rest:
-        scores2 = scorer.score(rest, (req.candidates[win],), clicked, unclicked)
+        scores2 = scorer.score(rows.take(rest), (req.candidates[win],))
         order = sorted(range(len(rest)), key=lambda i: (-scores2[i], i))
-        ranked.extend(RankedAd(rest[i], scores2[i], 2) for i in order[: req.slots - 1])
+        ranked.extend(RankedAd(req.candidates[rest[i]], scores2[i], 2)
+                      for i in order[: req.slots - 1])
     return RankResult(request_id=req.request_id, ranked=tuple(ranked))
 
 
@@ -261,9 +276,13 @@ class RankProtocolServer:
             disable_nagle_algorithm = True
 
             def handle(self):
-                for raw in self.rfile:
-                    reply = outer.handle_line(raw.decode("utf-8").rstrip("\r\n"))
-                    self.wfile.write((reply + "\n").encode("utf-8"))
+                while raw := self.rfile.readline(MAX_LINE_BYTES):
+                    if len(raw) == MAX_LINE_BYTES and not raw.endswith(b"\n"):
+                        self.wfile.write(f"ERR line too long: over {MAX_LINE_BYTES} bytes\n"
+                                         .encode("utf-8"))
+                        return  # the rest of the line would read as new requests
+                    line = raw.decode("utf-8", "replace").rstrip("\r\n")
+                    self.wfile.write((outer.handle_line(line) + "\n").encode("utf-8"))
                     self.wfile.flush()
 
         class Server(socketserver.ThreadingTCPServer):
@@ -283,10 +302,13 @@ class RankProtocolServer:
             if len(parts) != 5 or parts[0] != "RANK":
                 return "ERR malformed request"
             _, user_id, now, slots, ad_ids = parts
+            ad_ids = ad_ids.split(",")
+            if len(ad_ids) > MAX_CANDIDATES:
+                return f"ERR too many candidates: {len(ad_ids)} > {MAX_CANDIDATES}"
             candidates = []
             from .schema import encode_instance
 
-            for ad_id in ad_ids.split(","):
+            for ad_id in ad_ids:
                 record = self.catalog.get(ad_id)
                 if record is None:
                     return f"ERR unknown ad {ad_id}"

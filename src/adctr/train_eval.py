@@ -14,8 +14,8 @@ import numpy as np
 
 from .embedding import EncodedBatch
 from .ingest import LabeledExample
-from .models import (BatchTrace, ModelParams, Variant, backward, encode_batch, forward_batch,
-                     init_model, loss, loss_from_logits)
+from .models import (BatchTrace, Gradients, ModelParams, Variant, backward, encode_batch,
+                     forward_batch, init_model, loss, loss_from_logits)
 from .numerics import AdagradState, Array, adagrad_step, adagrad_step_rows, make_rng
 from .schema import AUX_GROUPS, GroupSchema, Vocabulary
 from .toy import make_toy_problem
@@ -152,7 +152,9 @@ def train(config: TrainConfig, train_examples: Sequence[LabeledExample],
             _, trace = forward_batch(model, batch, mode="train", rng=rng)
             grads = backward(model, trace)
             grads.emb_grads += embedding_penalty(model, grads.emb_rows, row_scales)[1]
-            total_loss += loss_from_logits(trace.logit, batch.labels) * len(batch)
+            batch_loss = loss_from_logits(trace.logit, batch.labels)
+            _check_finite(model, epoch, lo // config.batch_size, batch_loss, grads)
+            total_loss += batch_loss * len(batch)
             for name, arr in model.tensors().items():
                 if name == "emb.E":
                     adagrad_step_rows(arr, grads.emb_rows, grads.emb_grads, states[name])
@@ -169,6 +171,22 @@ def train(config: TrainConfig, train_examples: Sequence[LabeledExample],
         if val_set is not None and config.patience and epoch - best_epoch >= config.patience:
             break
     return (best if best is not None else model), history
+
+
+class NonFiniteError(FloatingPointError):
+    """Training met a non-finite batch loss or gradient."""
+
+
+def _check_finite(model: ModelParams, epoch: int, batch: int, batch_loss: float,
+                  grads: Gradients) -> None:
+    """Raise on a non-finite batch loss, else on the first tensor, in
+    ``model.tensors()`` order, whose gradient is not finite."""
+    if not np.isfinite(batch_loss):
+        raise NonFiniteError(f"epoch {epoch}, batch {batch}: non-finite loss")
+    for name in model.tensors():
+        grad = grads.emb_grads if name == "emb.E" else grads.dense[name]
+        if not np.isfinite(grad).all():
+            raise NonFiniteError(f"epoch {epoch}, batch {batch}: non-finite gradient of {name}")
 
 
 def predict(model: ModelParams, examples: EncodedBatch | Sequence[LabeledExample],

@@ -2,8 +2,9 @@
 per-instance embedding and its gradient scatter (plain loops, in the
 summation order the batched paths promise to keep), per-ad-list aggregation,
 interactive attention through the concatenated [target, ad] pair tensor, a
-single-vector linear map and inverted dropout; plus a fixed-score stand-in
-for the serving model scorer."""
+single-vector linear map and inverted dropout; one candidate scored alone
+by the batched forward; plus a fixed-score stand-in for the serving model
+scorer."""
 
 from __future__ import annotations
 
@@ -13,7 +14,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from adctr.embedding import EmbeddingTable
-from adctr.models import SCORE_CLAMP, InteractiveAttentionParams, SelfAttentionParams
+from adctr.ingest import LabeledExample
+from adctr.models import (SCORE_CLAMP, InteractiveAttentionParams, SelfAttentionParams,
+                          forward_batch)
 from adctr.numerics import Array, ContractViolation, dropout_mask, relu
 from adctr.schema import EncodedInstance, GroupSchema
 
@@ -164,6 +167,23 @@ def dropout(x: Array, p: float, mode: str, rng: np.random.Generator | None = Non
     return x * dropout_mask(x.shape, p, rng)
 
 
+def score_alone(model, candidate, contextual, clicked, unclicked) -> float:
+    """pCTR of one candidate scored on its own (a batch of one) by
+    forward_batch."""
+    ex = LabeledExample(label=0, timestamp=0, user_id="", target=candidate,
+                        contextual=tuple(contextual), clicked=tuple(clicked),
+                        unclicked=tuple(unclicked))
+    pctr, _ = forward_batch(model, [ex])
+    return float(pctr[0])
+
+
+class StubRows(tuple):
+    """A stub scorer's prepared rows: the candidates themselves."""
+
+    def take(self, rows) -> "StubRows":
+        return StubRows(self[i] for i in rows)
+
+
 class StubScorer:
     """Context-insensitive scorer with a fixed per-ad score; checks the
     serving protocol's shape independently of any trained model."""
@@ -172,6 +192,9 @@ class StubScorer:
         self.score_of = score_of
         self.forward_count = 0
 
-    def score(self, candidates, contextual, clicked, unclicked) -> list[float]:
-        self.forward_count += len(candidates)
-        return [float(self.score_of(c)) for c in candidates]
+    def prepare(self, candidates, clicked, unclicked) -> StubRows:
+        return StubRows(candidates)
+
+    def score(self, rows, contextual) -> list[float]:
+        self.forward_count += len(rows)
+        return [float(self.score_of(c)) for c in rows]

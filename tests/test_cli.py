@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -77,10 +78,17 @@ def test_serve_sim_replay(data_dir, checkpoint, tmp_path, capsys):
     target_fields = train_line.split("\t")[3]
     ad_only = ";".join(p for p in target_fields.split(";") if not p.startswith("user_id="))
     aux_only = ";".join(p for p in ad_only.split(";") if not p.startswith("age="))
+    others = []
+    for line in (data_dir / "train.tsv").read_text().splitlines()[1:]:
+        fields = ";".join(p for p in line.split("\t")[3].split(";")
+                          if not p.startswith("user_id="))
+        if fields != ad_only and fields not in others:
+            others.append(fields)
     events = tmp_path / "events.tsv"
     events.write_text(
         f"IMP\t100\tu0001\t{aux_only}\n"
-        f"REQ\t200\tu0001\trq1\t2\t{ad_only}|{ad_only}\n",  # duplicate -> deduped
+        f"REQ\t200\tu0001\trq1\t2\t{ad_only}|{ad_only}\n"  # duplicate -> deduped
+        f"REQ\t300\tu0002\trq2\t2\t{ad_only}|{others[0]}|{others[1]}\n",
         encoding="utf-8")
     out = tmp_path / "results.tsv"
     rc = main(["serve-sim", "--ckpt", str(checkpoint), "--events", str(events),
@@ -88,7 +96,13 @@ def test_serve_sim_replay(data_dir, checkpoint, tmp_path, capsys):
     assert rc == 0
     rows = [l.split("\t") for l in out.read_text().splitlines()]
     assert rows[0][0] == "rq1" and rows[0][3] == "1"
-    assert "model forwards" in capsys.readouterr().out
+    assert [r[0] for r in rows] == ["rq1", "rq2", "rq2"]
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == "2 requests ranked, 6 model forwards"  # (1) + (3 + 2)
+    ms = r"p50=\d+\.\d{3} ms p99=\d+\.\d{3} ms"
+    assert re.fullmatch(rf"request scoring latency n=2 {ms}", printed[1])
+    assert re.fullmatch(rf"round 1 n=2 {ms} forwards/request=2\.00", printed[2])
+    assert re.fullmatch(rf"round 2 n=1 {ms} forwards/request=2\.00", printed[3])
 
 
 def test_serve_sim_requires_events_or_listen(checkpoint):

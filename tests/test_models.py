@@ -5,11 +5,13 @@ import pytest
 
 from adctr.models import (AuxTrace, InteractiveAttentionParams, SelfAttentionParams, Variant,
                           _aggregate, _aggregate_backward, backward, forward, forward_batch,
-                          init_model, load_model, loss, loss_from_logits, save_model)
+                          init_model, load_model, loss, loss_from_logits, prepare_request,
+                          save_model, score_request)
 from adctr.numerics import ContractViolation, make_rng, relu, save_tensors, sigmoid
 from adctr.schema import AUX_GROUPS
 from oracles import (InstanceEmbedding, aggregate_interactive_attention, aggregate_pooling,
-                     aggregate_self_attention, embed_instance, interactive_attention_pair_form)
+                     aggregate_self_attention, embed_instance, interactive_attention_pair_form,
+                     score_alone)
 
 
 def emb(vec, group="clicked"):
@@ -308,6 +310,47 @@ class TestForward:
         assert forward(model, ex)[0] == forward(model, stripped)[0]
 
 
+class TestRequestForward:
+    """The serving forward (history once per request, the contextual term
+    added to prepared rows) against forward_batch on one candidate at a time."""
+
+    HISTORIES = ("both", "empty", "clicked-only", "unclicked-only")
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_matches_forward_batch_per_candidate(self, toy_problem, variant):
+        _, _, examples = toy_problem
+        model = build(variant, toy_problem, seed=32)
+        model.embedding.e *= 100.0  # pCTRs spread over about 0.25..0.7
+        rng = make_rng(33)
+        targets = [ex.target for ex in examples]
+        pool = {g: [ad for ex in examples for ad in getattr(ex, g)] for g in AUX_GROUPS}
+
+        def some(group, most):
+            picks = rng.integers(0, len(pool[group]), size=int(rng.integers(1, most + 1)))
+            return tuple(pool[group][int(i)] for i in picks)
+
+        worst, spread = 0.0, []
+        for trial in range(16):
+            n = 1 if trial % 8 == 0 else int(rng.integers(2, 9))
+            cands = [targets[int(i)] for i in rng.choice(len(targets), size=n, replace=False)]
+            case = self.HISTORIES[trial % 4]
+            clicked = some("clicked", 5) if case in ("both", "clicked-only") else ()
+            unclicked = some("unclicked", 5) if case in ("both", "unclicked-only") else ()
+            rows = prepare_request(model, cands, clicked, unclicked)
+            assert len(rows) == n
+            # round 1; round 2 with a candidate as the contextual ad (by
+            # position, as serving does); real contextual ads on a subset
+            keep = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+            for contextual, idx in (((), np.arange(n)), ((cands[0],), keep),
+                                    (some("contextual", 3), keep[::-1])):
+                got = score_request(model, rows.take(idx), contextual)
+                want = [score_alone(model, cands[i], contextual, clicked, unclicked) for i in idx]
+                worst = max(worst, float(np.abs(got - want).max()))
+                spread.extend(want)
+        assert worst <= 1e-12
+        assert max(spread) - min(spread) > 0.05  # the check is not made on constant scores
+
+
 class TestLoss:
     def test_half_prediction_positive_label(self):
         assert loss([0.5], [1]) == pytest.approx(math.log(2.0), abs=1e-12)
@@ -405,6 +448,52 @@ class TestCheckpoint:
             path.write_bytes(data[:cut])
             with pytest.raises(ValueError):
                 load_model(path, schemas)
+
+    def test_schema_with_an_extra_field_is_refused_naming_the_tensor(self, toy_problem,
+                                                                     tmp_path):
+        import dataclasses
+
+        from adctr.schema import FieldKind, FieldSchema
+
+        schemas, _, _ = toy_problem
+        path = tmp_path / "model.ckpt"
+        save_model(path, build("dstn-i", toy_problem, seed=27), "sh", "vh")
+        wider = dict(schemas)
+        wider["clicked"] = dataclasses.replace(
+            schemas["clicked"],
+            fields=schemas["clicked"].fields + (FieldSchema("extra", FieldKind.UNIVALENT),))
+        with pytest.raises(ValueError) as info:
+            load_model(path, wider)
+        # k=4, fc 12: target 16 + contextual 8 + clicked 8 (+4) + unclicked 8
+        assert str(info.value) == (f"{path}: tensor fusion.W has shape (12, 40), "
+                                   f"expected (12, 44)")
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_every_reshaped_tensor_is_refused(self, toy_problem, tmp_path, variant):
+        schemas, _, _ = toy_problem
+        model = build(variant, toy_problem, seed=28)
+        path = tmp_path / "model.ckpt"
+        for name, arr in model.tensors().items():
+            bad = dict(model.tensors())
+            bad[name] = np.zeros(arr.shape[:-1] + (arr.shape[-1] + 1,))
+            save_tensors(path, {"format": "adctr-ckpt-1", "variant": variant.header_name,
+                                "k": str(model.k), "dropout_p": "0.0", "schema_hash": "s",
+                                "vocab_hash": "v"}, bad)
+            with pytest.raises(ValueError, match=r"tensor .* has shape .*, expected"):
+                load_model(path, schemas)
+
+    def test_attention_blocks_must_match_the_variant(self, toy_problem, tmp_path):
+        schemas, _, _ = toy_problem
+        path = tmp_path / "model.ckpt"
+        tensors = build("dstn-i", toy_problem, seed=29).tensors()
+        header = {"format": "adctr-ckpt-1", "variant": "DSTN-S", "k": "4",
+                  "dropout_p": "0.0", "schema_hash": "s", "vocab_hash": "v"}
+        save_tensors(path, header, tensors)
+        with pytest.raises(ValueError, match="missing tensors"):
+            load_model(path, schemas)
+        save_tensors(path, {**header, "variant": "DSTN-P"}, tensors)
+        with pytest.raises(ValueError, match="unexpected tensors"):
+            load_model(path, schemas)
 
     def test_save_is_byte_deterministic(self, toy_problem, tmp_path):
         model = build("dstn-s", toy_problem, seed=20)

@@ -3,6 +3,7 @@ import socket
 import numpy as np
 import pytest
 
+from adctr import models, serving
 from adctr.ingest import ParseError
 from adctr.models import Variant, init_model
 from adctr.numerics import make_rng
@@ -10,7 +11,7 @@ from adctr.serving import (AdServer, ModelScorer, RankProtocolServer, RankReques
                            ad_display_id, parse_events, rank_request, replay_session,
                            write_results)
 from adctr.session import SessionStore
-from oracles import StubScorer
+from oracles import StubRows, StubScorer, score_alone
 
 
 def zeroed_model(schemas, vocab, variant="dstn-i"):
@@ -48,21 +49,22 @@ def rank_over_socket(host: str, port: int, user_id: str, now: int, slots: int,
 class TestScoreBatch:
     def test_zero_params_score_half(self, env):
         ds, vocab, train = env
-        score = ModelScorer(zeroed_model(ds.schemas, vocab)).score
+        scorer = ModelScorer(zeroed_model(ds.schemas, vocab))
         ex = train[0]
-        scores = score([train[i].target for i in range(4)], ex.contextual, ex.clicked,
-                       ex.unclicked)
+        rows = scorer.prepare([train[i].target for i in range(4)], ex.clicked, ex.unclicked)
+        scores = scorer.score(rows, ex.contextual)
         assert scores == [0.5] * 4
 
     def test_order_independence(self, env):
         ds, vocab, train = env
         model = init_model(Variant.DSTN_I, ds.schemas, vocab.size, make_rng(3), k=4,
                            fc_dims=(8, 4), attention_dim=4, dropout_p=0.0)
-        score = ModelScorer(model).score
+        scorer = ModelScorer(model)
         ex = train[0]
         candidates = [train[i].target for i in range(5)]
-        forward_order = score(candidates, (), ex.clicked, ex.unclicked)
-        reversed_order = score(candidates[::-1], (), ex.clicked, ex.unclicked)
+        forward_order = scorer.score(scorer.prepare(candidates, ex.clicked, ex.unclicked), ())
+        reversed_order = scorer.score(
+            scorer.prepare(candidates[::-1], ex.clicked, ex.unclicked), ())
         np.testing.assert_allclose(forward_order, reversed_order[::-1], rtol=1e-12)
 
 
@@ -109,16 +111,13 @@ class TestRankRequest:
         # The winner's identity must raise every round-2 score it contexts.
         ds, vocab, train = env
 
-        class ContextAware:
-            def __init__(self):
-                self.forward_count = 0
-
-            def score(self, candidates, contextual, clicked, unclicked):
-                self.forward_count += len(candidates)
+        class ContextAware(StubScorer):
+            def score(self, rows, contextual):
+                self.forward_count += len(rows)
                 bump = 0.2 if contextual else 0.0
-                return [0.5 + bump - 0.01 * i for i in range(len(candidates))]
+                return [0.5 + bump - 0.01 * i for i in range(len(rows))]
 
-        scorer = ContextAware()
+        scorer = ContextAware(None)
         candidates = tuple(train[i].target for i in range(3))
         res = rank_request(scorer, SessionStore(), RankRequest("r", "u", 1, candidates, slots=3))
         assert res.ranked[0].pctr == pytest.approx(0.5)       # round 1, no context
@@ -138,6 +137,70 @@ class TestRankRequest:
         assert len(req.candidates) == 2
 
 
+def expected_ranking(model, candidates, clicked, unclicked, slots):
+    """(candidate index, pCTR, round) rows, every candidate scored alone."""
+    round1 = [score_alone(model, c, (), clicked, unclicked) for c in candidates]
+    win = max(range(len(candidates)), key=lambda i: (round1[i], -i))
+    rest = [i for i in range(len(candidates)) if i != win]
+    round2 = {i: score_alone(model, candidates[i], (candidates[win],), clicked, unclicked)
+              for i in rest}
+    order = sorted(rest, key=lambda i: -round2[i])  # stable: ties keep candidate order
+    return [(win, round1[win], 1)] + [(i, round2[i], 2) for i in order[: slots - 1]]
+
+
+class TestModelScorer:
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_two_rounds_match_scoring_each_candidate_alone(self, env, variant):
+        ds, vocab, train = env
+        model = init_model(variant, ds.schemas, vocab.size, make_rng(40), k=4,
+                           fc_dims=(8, 4), attention_dim=4, dropout_p=0.0)
+        model.embedding.e *= 100.0
+        rng = make_rng(41)
+        for trial in range(12):
+            n = 1 if trial == 0 else int(rng.integers(2, 9))
+            picks = rng.choice(len(train), size=n + 1, replace=False)
+            candidates = tuple(train[int(i)].target for i in picks[:n])
+            history = train[int(picks[n])]
+            clicked, unclicked = [(history.clicked, history.unclicked), ((), ()),
+                                  (history.clicked, ()), ((), history.unclicked)][trial % 4]
+            store = SessionStore()
+            for ts, ad in enumerate(reversed(clicked)):
+                store.record_event("u", ad, True, 100 + ts)
+            for ts, ad in enumerate(reversed(unclicked)):
+                store.record_event("u", ad, False, 100 + ts)
+            slots = n + int(rng.integers(0, 2)) if trial % 3 == 0 else int(rng.integers(1, 5))
+            req = RankRequest("r", "u", 200, candidates, slots=slots)
+            scorer = ModelScorer(model)
+            got = rank_request(scorer, store, req)
+            stored = store.get_history("u", 200)
+            assert stored == (tuple(clicked), tuple(unclicked))
+            position = {c.raw: j for j, c in enumerate(req.candidates)}
+            actual = [(position[r.ad.raw], r.pctr, r.round) for r in got.ranked]
+            expected = expected_ranking(model, req.candidates, *stored, slots)
+            assert [(i, r) for i, _, r in actual] == [(i, r) for i, _, r in expected]
+            assert np.abs(np.array([p for _, p, _ in actual])
+                          - [p for _, p, _ in expected]).max() <= 1e-12
+            assert scorer.forward_count == 2 * len(req.candidates) - 1
+
+    def test_serving_builds_no_examples_and_calls_no_batch_forward(self, env, monkeypatch):
+        ds, vocab, train = env
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("forward_batch called while serving")
+
+        monkeypatch.setattr(models, "forward_batch", refuse)
+        monkeypatch.setattr(serving, "forward_batch", refuse)
+        assert not hasattr(serving, "LabeledExample")
+        model = init_model(Variant.DSTN_I, ds.schemas, vocab.size, make_rng(42), k=4,
+                           fc_dims=(8, 4), attention_dim=4, dropout_p=0.0)
+        ex = train[0]
+        store = SessionStore()
+        store.record_event("u", ex.clicked[0] if ex.clicked else train[1].target, True, 1)
+        res = rank_request(ModelScorer(model), store,
+                           RankRequest("r", "u", 5, tuple(t.target for t in train[:4])))
+        assert len(res.ranked) == 4
+
+
 class TestAdServer:
     def test_concurrent_records_and_ranks_for_one_user(self, env):
         import sys
@@ -152,16 +215,16 @@ class TestAdServer:
             def identity(self):
                 return self.ts
 
-        class SortedHistory:
+        class SortedHistory(StubScorer):
             """Checks every history a request reads: newest first, capped."""
 
-            def score(self, candidates, contextual, clicked, unclicked):
+            def prepare(self, candidates, clicked, unclicked):
                 stamps = [ad.ts for ad in unclicked]
                 assert clicked == () and len(stamps) <= 5
                 assert stamps == sorted(stamps, reverse=True)
-                return [0.5] * len(candidates)
+                return StubRows(candidates)
 
-        server = AdServer(SortedHistory(), SessionStore())
+        server = AdServer(SortedHistory(lambda ad: 0.5), SessionStore())
         candidates = tuple(train[i].target for i in range(3))
         n_threads, per_thread = 4, 100
         errors = []
@@ -261,18 +324,16 @@ class TestReplay:
 
         seen = []
 
-        class Spy:
-            forward_count = 0
-
-            def score(self, candidates, contextual, clicked, unclicked):
+        class Spy(StubScorer):
+            def prepare(self, candidates, clicked, unclicked):
                 seen.append((len(clicked), len(unclicked)))
-                return [0.5] * len(candidates)
+                return StubRows(candidates)
 
-        replay_session(Spy(), SessionStore(), events, lag_seconds=10)
+        replay_session(Spy(lambda ad: 0.5), SessionStore(), events, lag_seconds=10)
         assert seen == [(0, 0)]  # event at ts=100 invisible at ts=105 under lag 10
 
         seen.clear()
-        replay_session(Spy(), SessionStore(), events, lag_seconds=5)
+        replay_session(Spy(lambda ad: 0.5), SessionStore(), events, lag_seconds=5)
         assert seen == [(0, 1)]  # visible once the lag has elapsed
 
     def test_lag_orders_events_by_time_across_users(self, tmp_path, env):
@@ -286,15 +347,13 @@ class TestReplay:
         events = parse_events(self._events_file(tmp_path, ds, train, lines), ds.schemas, vocab)
         seen = []
 
-        class Spy:
-            forward_count = 0
-
-            def score(self, candidates, contextual, clicked, unclicked):
+        class Spy(StubScorer):
+            def prepare(self, candidates, clicked, unclicked):
                 seen.append((len(clicked), len(unclicked)))
-                return [0.5] * len(candidates)
+                return StubRows(candidates)
 
         store = SessionStore()
-        replay_session(Spy(), store, events, lag_seconds=10)
+        replay_session(Spy(lambda ad: 0.5), store, events, lag_seconds=10)
         assert seen == [(0, 1)]
         assert len(store.get_history("uA", now=200)[1]) == 1  # recorded after the last request
 
@@ -397,6 +456,57 @@ class TestWireProtocol:
         assert first.startswith("OK ") and len(first[3:].split(" ")) == 2
         assert second == f"OK {ad_ids[2]}:0.500000:1"
         assert nodelay and all(nodelay)
+
+    def _limits_server(self, env):
+        ds, vocab, train = env
+        catalog = {ad_display_id(ex.target): {n: v for n, v in ex.target.raw if n != "user_id"}
+                   for ex in train[:4]}
+        scorer = ModelScorer(zeroed_model(ds.schemas, vocab))
+        return RankProtocolServer(AdServer(scorer, SessionStore()), catalog,
+                                  ds.schemas["target"], vocab), sorted(catalog)
+
+    def test_over_long_line_is_refused_and_the_connection_closed(self, env, monkeypatch):
+        monkeypatch.setattr(serving, "MAX_LINE_BYTES", 48)
+        server, ad_ids = self._limits_server(env)
+        ok_line = f"RANK u1 500 1 {ad_ids[0]}\n"
+        assert len(ok_line) <= 48
+        server.start()
+        try:
+            with socket.create_connection(server.address, timeout=10) as conn:
+                conn.sendall(ok_line.encode("utf-8") + b"RANK u1 500 1 " + b"x" * 100
+                             + b"\n" + ok_line.encode("utf-8"))
+                buf = b""
+                while chunk := conn.recv(4096):
+                    buf += chunk
+        finally:
+            server.stop()
+        replies = buf.decode("utf-8").splitlines()
+        assert len(replies) == 2  # nothing is read after the over-long line
+        assert replies[0] == f"OK {ad_ids[0]}:0.500000:1"
+        assert replies[1] == "ERR line too long: over 48 bytes"
+
+    def test_too_many_candidates_is_a_named_error(self, env, monkeypatch):
+        monkeypatch.setattr(serving, "MAX_CANDIDATES", 2)
+        server, ad_ids = self._limits_server(env)
+        assert server.handle_line(f"RANK u 5 2 {','.join(ad_ids[:3])}") == \
+            "ERR too many candidates: 3 > 2"
+        assert server.handle_line(f"RANK u 5 2 {','.join(ad_ids[:2])}").startswith("OK ")
+
+    def test_undecodable_line_gets_an_error_reply(self, env):
+        server, ad_ids = self._limits_server(env)
+        server.start()
+        try:
+            with socket.create_connection(server.address, timeout=10) as conn:
+                conn.sendall(b"RANK u 5 1 \xff\xfe\n" + f"RANK u 5 1 {ad_ids[0]}\n".encode())
+                buf = b""
+                while buf.count(b"\n") < 2:
+                    chunk = conn.recv(4096)
+                    assert chunk, "server closed the connection early"
+                    buf += chunk
+        finally:
+            server.stop()
+        bad, good = buf.decode("utf-8").splitlines()
+        assert bad.startswith("ERR unknown ad") and good.startswith("OK ")
 
     def test_malformed_and_unknown(self, env):
         ds, vocab, train = env

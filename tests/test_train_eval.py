@@ -11,7 +11,8 @@ from adctr.schema import (FieldKind, FieldSchema, GroupSchema, build_vocabulary,
                           encode_instance)
 from adctr.train_eval import (EvalReport, MetricUndefinedError, TrainConfig, ablate_examples,
                               auc, average_aux_count, embedding_penalty, embedding_row_scales,
-                              evaluate, grad_check, improvement_metrics, logloss_eval, train)
+                              NonFiniteError, evaluate, grad_check, improvement_metrics,
+                              logloss_eval, train)
 
 
 def auc_bruteforce(scores, labels):
@@ -178,6 +179,24 @@ class TestTrain:
             bad = first.clone()
             bad.embedding.e = bad.embedding.e[:-1]
             train(config, tr[:300], va[:50], ds.schemas, vocab, initial=bad)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_embedding_row_fails_fast_naming_epoch_and_batch(self, tiny_dataset):
+        ds, vocab, tr, va, _ = tiny_dataset
+        config = TrainConfig(variant="dnn", epochs=1, seed=4, batch_size=32, fc_dims=(8, 4),
+                             embedding_dim=3)
+        examples = tr[:300]
+        model = init_model(Variant.DNN, ds.schemas, vocab.size, make_rng(9), k=3,
+                           fc_dims=(8, 4))
+        row = examples[123].target.indices[2][0]  # the ad_id feature of one example
+        model.embedding.e[row, 1] = np.nan
+        # a warm start draws nothing from the seed's stream before the shuffle
+        perm = make_rng(config.seed).permutation(len(examples))
+        first = min(pos for pos, i in enumerate(perm)
+                    if any(row in idx for idx in examples[i].target.indices))
+        with pytest.raises(NonFiniteError,
+                           match=f"^epoch 0, batch {first // 32}: non-finite loss$"):
+            train(config, examples, va[:50], ds.schemas, vocab, initial=model)
 
     def test_defaults_are_the_reference_operating_point(self):
         config = TrainConfig()
