@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,11 +60,14 @@ def dropout_mask(shape, p: float, rng: np.random.Generator) -> Array:
 
 @dataclass
 class AdagradState:
-    """Per-tensor accumulated squared gradient with the step hyperparameters."""
+    """Per-tensor accumulated squared gradient with the step hyperparameters,
+    and two scratch arrays of the tensor's shape that a dense step reuses."""
 
     lr: float = 0.01
     eps: float = 1e-8
     accum: Array | None = None
+    _step: Array | None = field(default=None, repr=False)
+    _scratch: Array | None = field(default=None, repr=False)
 
     def _ensure(self, shape) -> Array:
         if self.accum is None:
@@ -74,13 +77,18 @@ class AdagradState:
 
 def adagrad_step(param: Array, grad: Array, state: AdagradState) -> Array:
     """One in-place Adagrad update, G += g^2 and param -= lr * g / (sqrt(G) + eps);
-    returns param."""
+    returns param. Every intermediate goes to the state's scratch arrays."""
     if param.shape != grad.shape:
         raise ContractViolation(f"param {param.shape} vs grad {grad.shape}")
     accum = state._ensure(param.shape)
-    accum += grad * grad
-    step = state.lr * grad
-    step /= np.sqrt(accum) + state.eps
+    if state._step is None or state._step.shape != param.shape:
+        state._step, state._scratch = np.empty(param.shape), np.empty(param.shape)
+    step, tmp = state._step, state._scratch
+    accum += np.multiply(grad, grad, out=tmp)
+    np.multiply(state.lr, grad, out=step)
+    np.sqrt(accum, out=tmp)
+    tmp += state.eps
+    step /= tmp
     param -= step
     return param
 

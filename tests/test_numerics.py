@@ -108,6 +108,22 @@ class TestAdagrad:
         assert param.tobytes() == expected.tobytes()
         assert state.accum.tobytes() == accum.tobytes()
 
+    def test_repeated_steps_reuse_scratch_and_keep_the_formula_bitwise(self):
+        rng = make_rng(10)
+        state = AdagradState(lr=0.03, eps=1e-8)
+        param = rng.normal(size=(3, 4))
+        expected, accum = param.copy(), np.zeros((3, 4))
+        scratch: tuple = ()
+        for _ in range(3):
+            grad = rng.normal(size=(3, 4))
+            accum = accum + grad * grad
+            expected = expected - state.lr * grad / (np.sqrt(accum) + state.eps)
+            adagrad_step(param, grad, state)
+            scratch = scratch or (state._step, state._scratch)
+            assert state._step is scratch[0] and state._scratch is scratch[1]
+        assert param.tobytes() == expected.tobytes()
+        assert state.accum.tobytes() == accum.tobytes()
+
     def test_row_update_matches_dense(self):
         rng = make_rng(9)
         param_a = rng.normal(size=(6, 3))
