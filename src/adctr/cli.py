@@ -133,6 +133,9 @@ def _load_checkpoint(ckpt: str):
     model, header = load_model(ckpt, schemas)
     if header["schema_hash"] != schemas_hash(schemas) or header["vocab_hash"] != vocab.content_hash():
         raise SystemExit(f"{ckpt}: sidecar schema/vocabulary does not match the checkpoint")
+    if model.embedding.n != vocab.size:
+        raise SystemExit(f"{ckpt}: tensor emb.E has {model.embedding.n} rows, "
+                         f"the vocabulary {vocab.size}")
     return model, schemas, vocab
 
 

@@ -13,10 +13,12 @@ Five variants share one data path:
 * ``dstn-i``  - per-group interactive attention: unnormalized positive per-ad
                 weights from a one-hidden-layer MLP on [target, ad].
 
-Forward runs are batched with padding masks over the (at most 5) ads per
-auxiliary group. Backward consumes the recorded forward trace and returns the
-gradient of the batch-mean loss; correctness is pinned by finite-difference
-checks in the test suite.
+Forward runs are batched, and each auxiliary group is aggregated over only
+the ads that exist: a (T, D_g) matrix of the batch's T ads in batch order
+plus the example each belongs to, with per-example sums, maxima and softmax
+normalizers taken over those rows (no padding, no masks). Backward consumes
+the recorded forward trace and returns the gradient of the batch-mean loss;
+correctness is pinned by finite-difference checks in the test suite.
 """
 
 from __future__ import annotations
@@ -175,16 +177,17 @@ def init_model(variant: Variant, schemas: Mapping[str, GroupSchema], vocab_size:
 
 @dataclass
 class AuxTrace:
+    """One auxiliary group of a batch, ragged: one row per ad that exists."""
+
     cols: AdColumns                 # the group's ads in the batch, batch order
-    row_idx: Array                  # (T,) example of each ad
-    col_idx: Array                  # (T,) slot of each ad
-    ads: Array                      # (B, S, D_g) padded embeddings
-    mask: Array                     # (B, S) 1.0 on valid slots
-    alpha: Array                    # (B, S) aggregation weights (pooling: mask)
-    agg: Array                      # (B, D_g)
-    pre: Array | None = None        # (B, S, H) attention-MLP pre-activation
-    hid: Array | None = None        # (B, S, H)
-    raw_score: Array | None = None  # (B, S) pre-clamp scalar (interactive)
+    n: int                          # examples in the batch
+    row_idx: Array                  # (T,) example of each ad, non-decreasing
+    ads: Array                      # (T, D_g) embeddings
+    alpha: Array                    # (T,) aggregation weights (pooling: ones)
+    agg: Array | None = None        # (n, D_g)
+    pre: Array | None = None        # (T, H) attention-MLP pre-activation
+    hid: Array | None = None        # (T, H)
+    raw_score: Array | None = None  # (T,) pre-clamp scalar (interactive)
 
 
 @dataclass
@@ -202,11 +205,11 @@ class BatchTrace:
     pctr: Array
 
     def attention_weights(self, i: int) -> dict[str, list[float]]:
-        """Recorded per-ad weights of example i, by group (empty for pooling)."""
+        """Recorded per-ad weights of example i, by group, in ad order."""
         out: dict[str, list[float]] = {}
         for group, t in self.aux.items():
-            n = int(t.mask[i].sum())
-            out[group] = [float(a) for a in t.alpha[i, :n]]
+            lo, hi = np.searchsorted(t.row_idx, (i, i + 1))
+            out[group] = t.alpha[lo:hi].tolist()
         return out
 
 
@@ -220,56 +223,58 @@ def encode_batch(model: ModelParams,
                            AUX_GROUPS if model.variant.uses_aux else ())
 
 
-def _pad_aux(model: ModelParams, offsets: Array, cols: AdColumns, group: str) -> AuxTrace:
-    """Pad a group's ads (those of row i are ``offsets[i]:offsets[i + 1]`` of
-    ``cols``) into a (B, S, D_g) block with its slot mask."""
+def _row_sum(values: Array, rows: Array, n: int) -> Array:
+    """Per-example sums of per-ad values, (T,) or (T, D) -> (n,) or (n, D):
+    bincount adds each example's terms in ad order, starting from 0.0. With
+    no terms at all bincount returns integer zeros, hence the cast."""
+    d = values.shape[1] if values.ndim == 2 else 1
+    cells = (rows[:, None] * d + np.arange(d)).ravel()
+    out = np.bincount(cells, weights=values.ravel(), minlength=n * d)
+    return out.astype(np.float64, copy=False).reshape((n,) + values.shape[1:])
+
+
+def _pad_aux(model: ModelParams, offsets: Array, cols: AdColumns) -> AuxTrace:
+    """A group's ragged trace: its ads (those of example i are
+    ``offsets[i]:offsets[i + 1]`` of ``cols``) embedded one row per ad. The
+    name is that of the padded block this once built; the benchmark's layer
+    map wraps it by that name."""
     counts = offsets[1:] - offsets[:-1]
-    b = len(counts)
-    s = int(counts.max()) if b else 0
-    d = model.dim(group)
-    ads = np.zeros((b, s, d))
-    mask = np.zeros((b, s))
-    row_idx = np.repeat(np.arange(b), counts)
-    col_idx = np.arange(len(cols)) - np.repeat(offsets[:-1], counts)
-    ads[row_idx, col_idx] = embed_matrix(cols, model.embedding)
-    mask[row_idx, col_idx] = 1.0
-    return AuxTrace(cols=cols, row_idx=row_idx, col_idx=col_idx,
-                    ads=ads, mask=mask, alpha=mask.copy(), agg=np.zeros((b, d)))
+    ads = embed_matrix(cols, model.embedding)
+    return AuxTrace(cols=cols, n=len(counts), row_idx=np.repeat(np.arange(len(counts)), counts),
+                    ads=ads, alpha=np.ones(len(ads)))
 
 
 def _aggregate(model: ModelParams, t: AuxTrace, group: str, x_t: Array) -> None:
-    """Aggregate one group's padded ads into ``t.agg``, one row per row of
-    ``x_t``. Ads shared by every row may come as one (1, S, D_g) block: the
-    pooling and self-attention aggregates are then computed once, (1, D_g),
-    and interactive attention broadcasts the block's ``ads W_a^T``."""
+    """Aggregate one group's ads into ``t.agg``, one row per example. The ads
+    of a one-example trace may be shared by every row of ``x_t``: pooling and
+    self-attention then aggregate once, (1, D_g), and interactive attention
+    computes the ads' ``W_a`` half once and broadcasts it to every row."""
     if model.variant == Variant.DSTN_P:
-        t.agg = (t.ads * t.mask[..., None]).sum(axis=1)
+        t.agg = _row_sum(t.ads, t.row_idx, t.n)
         return
-    if t.mask.shape[1] == 0:
-        t.alpha = t.mask
-        return  # no ads anywhere in the batch; agg stays zero
-    b, s, _ = t.ads.shape
+    p = model.attention[group]
     if model.variant == Variant.DSTN_S:
-        p = model.attention[group]
-        flat = t.ads.reshape(b * s, -1)
-        t.pre = (flat @ p.w1.T + p.b1).reshape(b, s, -1)
+        t.pre = t.ads @ p.w1.T + p.b1
         t.hid = relu(t.pre)
-        score = (t.hid.reshape(b * s, -1) @ p.w2).reshape(b, s) + p.b2[0]
-        counts = t.mask.sum(axis=1)
-        rowmax = np.where(counts > 0,
-                          np.max(np.where(t.mask > 0, score, -np.inf), axis=1), 0.0)
-        e = np.where(t.mask > 0, np.exp(score - rowmax[:, None]), 0.0)
-        denom = e.sum(axis=1)
-        t.alpha = e / np.where(denom > 0, denom, 1.0)[:, None]
+        score = t.hid @ p.w2 + p.b2[0]
+        rowmax = np.full(t.n, -np.inf)
+        np.maximum.at(rowmax, t.row_idx, score)
+        e = np.exp(score - rowmax[t.row_idx])
+        t.alpha = e / _row_sum(e, t.row_idx, t.n)[t.row_idx]
     else:  # interactive: W_tc = [W_t | W_a], so [x_t, ad] W_tc^T = x_t W_t^T + ad W_a^T
-        p = model.attention[group]
-        n, d_t = x_t.shape  # n == b unless the ads are one shared block
-        t.pre = ((x_t @ p.w_tc[:, :d_t].T + p.b_tc1)[:, None, :]
-                 + (t.ads.reshape(b * s, -1) @ p.w_tc[:, d_t:].T).reshape(b, s, -1))
+        d_t = x_t.shape[1]
+        proj = t.ads @ p.w_tc[:, d_t:].T
+        if len(x_t) != t.n:  # one example's ads, shared by every row of x_t
+            t.n, per = len(x_t), len(t.ads)
+            t.row_idx = np.arange(t.n).repeat(per)
+            ad = np.arange(t.n * per) % max(per, 1)
+            t.ads, proj = t.ads[ad], proj[ad]
+        t.pre = (x_t @ p.w_tc[:, :d_t].T + p.b_tc1)[t.row_idx]
+        t.pre += proj
         t.hid = relu(t.pre)
-        t.raw_score = (t.hid.reshape(n * s, -1) @ p.h).reshape(n, s) + p.b_tc2[0]
-        t.alpha = np.exp(np.minimum(t.raw_score, SCORE_CLAMP)) * t.mask
-    t.agg = (t.alpha[..., None] * t.ads).sum(axis=1)
+        t.raw_score = t.hid @ p.h + p.b_tc2[0]
+        t.alpha = np.exp(np.minimum(t.raw_score, SCORE_CLAMP))
+    t.agg = _row_sum(t.alpha[:, None] * t.ads, t.row_idx, t.n)
 
 
 def _pctr(logit: Array) -> Array:
@@ -297,7 +302,7 @@ def forward_batch(model: ModelParams, batch: EncodedBatch | Sequence[LabeledExam
     aux: dict[str, AuxTrace] = {}
     if model.variant.uses_aux:
         for group in AUX_GROUPS:
-            t = _pad_aux(model, *batch.aux[group], group)
+            t = _pad_aux(model, *batch.aux[group])
             _aggregate(model, t, group, x_t)
             aux[group] = t
         m = np.concatenate([x_t] + [aux[g].agg for g in AUX_GROUPS], axis=1)
@@ -364,7 +369,7 @@ def _shared_agg(model: ModelParams, group: str, ads: Sequence[EncodedInstance],
     """The group's aggregate of ads shared by every row of x_t: (1, D_g) for
     pooling and self-attention, (n, D_g) for interactive attention."""
     cols = AdColumns.from_instances(ads, len(model.schemas[group].fields))
-    t = _pad_aux(model, np.array([0, len(cols)]), cols, group)
+    t = _pad_aux(model, np.array([0, len(cols)]), cols)
     _aggregate(model, t, group, x_t)
     return t.agg
 
@@ -492,7 +497,7 @@ def backward(model: ModelParams, trace: BatchTrace) -> Gradients:
         g_agg = g_cur[:, offset : offset + d_g]
         offset += d_g
         g_ads = _aggregate_backward(model, group, t, trace.x_t, g_agg, g_xt, dense)
-        acc.scatter_matrix(t.cols, g_ads[t.row_idx, t.col_idx])
+        acc.scatter_matrix(t.cols, g_ads)
 
     acc.scatter_matrix(enc.target, g_xt)
     rows, grads = acc.finalize()
@@ -594,43 +599,37 @@ def _check_shapes(path, model: ModelParams) -> None:
 def _aggregate_backward(model: ModelParams, group: str, t: AuxTrace, x_t: Array, g_agg: Array,
                         g_xt: Array, dense: dict[str, Array]) -> Array:
     """Backward through one group's aggregation; returns the per-ad gradient
-    (B, S, D_g) and accumulates attention-parameter and target gradients."""
+    (T, D_g), one row per ad of ``t.cols``, and accumulates attention-parameter
+    and target gradients."""
+    g_up = g_agg[t.row_idx]  # each ad's example's aggregate gradient
     if model.variant == Variant.DSTN_P:
-        return g_agg[:, None, :] * t.mask[..., None]
+        return g_up
 
-    g_ads = t.alpha[..., None] * g_agg[:, None, :]
-    if t.mask.shape[1] == 0:  # no ads anywhere in the batch
-        prefix = f"attn.{group}."
-        dense.update({name: np.zeros_like(arr) for name, arr in model.tensors().items()
-                      if name.startswith(prefix)})
-        return g_ads
     p = model.attention[group]
-    b, s, d_g = t.ads.shape
-    tdot = (t.ads * g_agg[:, None, :]).sum(axis=2)
+    g_ads = t.alpha[:, None] * g_up
+    tdot = (t.ads * g_up).sum(axis=1)
     if model.variant == Variant.DSTN_S:
-        inner = (t.alpha * tdot).sum(axis=1, keepdims=True)
-        g_score = t.alpha * (tdot - inner)  # softmax Jacobian, zero on padding
-        g_hid = g_score[..., None] * p.w2
-        g_pre = (g_hid * (t.pre > 0)).reshape(b * s, -1)
-        dense[f"attn.{group}.W1"] = g_pre.T @ t.ads.reshape(b * s, d_g)
+        inner = _row_sum(t.alpha * tdot, t.row_idx, t.n)
+        g_score = t.alpha * (tdot - inner[t.row_idx])  # softmax Jacobian
+        g_pre = np.outer(g_score, p.w2)
+        g_pre *= t.pre > 0
+        dense[f"attn.{group}.W1"] = g_pre.T @ t.ads
         dense[f"attn.{group}.b1"] = g_pre.sum(axis=0)
-        dense[f"attn.{group}.w2"] = t.hid.reshape(b * s, -1).T @ g_score.reshape(b * s)
+        dense[f"attn.{group}.w2"] = t.hid.T @ g_score
         dense[f"attn.{group}.b2"] = np.array([g_score.sum()])
-        g_ads += (g_pre @ p.w1).reshape(b, s, d_g)
+        g_ads += g_pre @ p.w1
         return g_ads
 
     # interactive attention
-    g_score = t.alpha * tdot * (t.raw_score < SCORE_CLAMP)  # alpha carries the mask
-    g_hid = g_score[..., None] * p.h
-    g_pre = g_hid * (t.pre > 0)
-    g_pre_t = g_pre.sum(axis=1)  # the target half of the pair is shared by every slot
-    g_pre = g_pre.reshape(b * s, -1)
+    g_score = t.alpha * tdot * (t.raw_score < SCORE_CLAMP)
+    g_pre = np.outer(g_score, p.h)
+    g_pre *= t.pre > 0
+    g_pre_t = _row_sum(g_pre, t.row_idx, t.n)  # the target half is shared by an example's ads
     d_t = x_t.shape[1]
-    dense[f"attn.{group}.Wtc"] = np.concatenate(
-        [g_pre_t.T @ x_t, g_pre.T @ t.ads.reshape(b * s, d_g)], axis=1)
+    dense[f"attn.{group}.Wtc"] = np.concatenate([g_pre_t.T @ x_t, g_pre.T @ t.ads], axis=1)
     dense[f"attn.{group}.btc1"] = g_pre_t.sum(axis=0)
-    dense[f"attn.{group}.h"] = t.hid.reshape(b * s, -1).T @ g_score.reshape(b * s)
+    dense[f"attn.{group}.h"] = t.hid.T @ g_score
     dense[f"attn.{group}.btc2"] = np.array([g_score.sum()])
     g_xt += g_pre_t @ p.w_tc[:, :d_t]
-    g_ads += (g_pre @ p.w_tc[:, d_t:]).reshape(b, s, d_g)
+    g_ads += g_pre @ p.w_tc[:, d_t:]
     return g_ads

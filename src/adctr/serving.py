@@ -29,7 +29,9 @@ Wire protocol (one line per message):
 
 A line longer than MAX_LINE_BYTES gets ``ERR line too long`` and the
 connection is closed; a request naming more than MAX_CANDIDATES candidates
-gets ``ERR too many candidates``.
+gets ``ERR too many candidates``. Each open connection holds a thread; one
+that would exceed MAX_CONNECTIONS gets ``ERR too many connections`` and is
+closed. Idle connections are not timed out.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .session import SessionStore
 
 MAX_LINE_BYTES = 64 * 1024  # a RANK line, newline included
 MAX_CANDIDATES = 1024       # candidates named on one RANK line
+MAX_CONNECTIONS = 64        # open RANK connections, one thread each
 
 
 @dataclass(frozen=True)
@@ -289,6 +292,30 @@ class RankProtocolServer:
             allow_reuse_address = True
             daemon_threads = True
 
+            def process_request(self, request, client_address):
+                with outer._conn_lock:
+                    admit = outer._connections < MAX_CONNECTIONS
+                    outer._connections += admit
+                if not admit:  # refused before a thread is started for it
+                    request.sendall(b"ERR too many connections\n")
+                    self.shutdown_request(request)
+                    return
+                try:
+                    super().process_request(request, client_address)
+                except BaseException:  # no thread runs to release the slot
+                    with outer._conn_lock:
+                        outer._connections -= 1
+                    raise
+
+            def process_request_thread(self, request, client_address):
+                try:
+                    super().process_request_thread(request, client_address)
+                finally:
+                    with outer._conn_lock:
+                        outer._connections -= 1
+
+        self._conn_lock = threading.Lock()
+        self._connections = 0
         self._server = Server((host, port), Handler)
         self._thread: threading.Thread | None = None
 

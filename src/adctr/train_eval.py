@@ -314,9 +314,7 @@ def _kink_distance(trace: BatchTrace) -> float:
         dist = min(dist, float(np.abs(pre).min()))
     for t in trace.aux.values():
         if t.pre is not None and t.pre.size:
-            valid = np.abs(t.pre[t.mask > 0])
-            if valid.size:
-                dist = min(dist, float(valid.min()))
+            dist = min(dist, float(np.abs(t.pre).min()))
     return dist
 
 

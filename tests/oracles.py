@@ -1,6 +1,7 @@
 """Reference forms that the tests hold the library paths against:
 per-instance embedding and its gradient scatter (plain loops, in the
 summation order the batched paths promise to keep), per-ad-list aggregation,
+batched aggregation over a padded (B, S, D_g) block with a slot mask,
 interactive attention through the concatenated [target, ad] pair tensor, a
 single-vector linear map and inverted dropout; one candidate scored alone
 by the batched forward; plus a fixed-score stand-in for the serving model
@@ -16,7 +17,7 @@ import numpy as np
 from adctr.embedding import EmbeddingTable
 from adctr.ingest import LabeledExample
 from adctr.models import (SCORE_CLAMP, InteractiveAttentionParams, SelfAttentionParams,
-                          forward_batch)
+                          Variant, forward_batch)
 from adctr.numerics import Array, ContractViolation, dropout_mask, relu
 from adctr.schema import EncodedInstance, GroupSchema
 
@@ -120,6 +121,94 @@ def aggregate_interactive_attention(target: InstanceEmbedding, ads: Sequence[Ins
     score = relu(pair @ params.w_tc.T + params.b_tc1) @ params.h + params.b_tc2[0]
     alpha = np.exp(np.minimum(score, SCORE_CLAMP))
     return alpha @ x, alpha
+
+
+@dataclass
+class PaddedAggregate:
+    """What ``padded_aggregate`` computed; per-ad arrays have one row per ad."""
+
+    agg: Array              # (B, D_g), or (n, D_g) for interactive on a shared block
+    alpha: Array            # (T,) per-ad weights, or (n, T) on a shared block
+    dense: dict[str, Array]
+    g_xt: Array
+    g_ads: Array            # (T, D_g)
+
+
+def padded_aggregate(model, group: str, offsets: Array, ads: Array, x_t: Array,
+                     g_agg: Array | None = None) -> PaddedAggregate:
+    """One group's aggregation, and its backward if ``g_agg`` is given, over
+    a padded block: the ads of example i (rows ``offsets[i]:offsets[i + 1]``
+    of ``ads``) are padded to S slots with a slot mask, and every sum runs
+    over the slots. A one-example block whose ads every row of ``x_t``
+    shares is broadcast (forward only)."""
+    counts = offsets[1:] - offsets[:-1]
+    b, d = len(counts), ads.shape[1]
+    s = int(counts.max()) if b else 0
+    row_idx = np.repeat(np.arange(b), counts)
+    col_idx = np.arange(len(ads)) - np.repeat(offsets[:-1], counts)
+    block, mask = np.zeros((b, s, d)), np.zeros((b, s))
+    block[row_idx, col_idx] = ads
+    mask[row_idx, col_idx] = 1.0
+    alpha, n = mask, len(x_t)
+    if model.variant == Variant.DSTN_P or s == 0:
+        agg = (block * mask[..., None]).sum(axis=1)
+    elif model.variant == Variant.DSTN_S:
+        p = model.attention[group]
+        pre = (block.reshape(b * s, d) @ p.w1.T + p.b1).reshape(b, s, -1)
+        hid = relu(pre)
+        score = (hid.reshape(b * s, -1) @ p.w2).reshape(b, s) + p.b2[0]
+        rowmax = np.where(counts > 0, np.max(np.where(mask > 0, score, -np.inf), axis=1), 0.0)
+        e = np.where(mask > 0, np.exp(score - rowmax[:, None]), 0.0)
+        denom = e.sum(axis=1)
+        alpha = e / np.where(denom > 0, denom, 1.0)[:, None]
+        agg = (alpha[..., None] * block).sum(axis=1)
+    else:
+        p = model.attention[group]
+        d_t = x_t.shape[1]
+        pre = ((x_t @ p.w_tc[:, :d_t].T + p.b_tc1)[:, None, :]
+               + (block.reshape(b * s, d) @ p.w_tc[:, d_t:].T).reshape(b, s, -1))
+        hid = relu(pre)
+        raw = (hid.reshape(n * s, -1) @ p.h).reshape(n, s) + p.b_tc2[0]
+        alpha = np.exp(np.minimum(raw, SCORE_CLAMP)) * mask
+        agg = (alpha[..., None] * block).sum(axis=1)
+    if n != b:  # a shared block: per candidate weights, forward only
+        return PaddedAggregate(agg, alpha[:, col_idx], {}, np.zeros_like(x_t), np.zeros(0))
+
+    dense: dict[str, Array] = {}
+    g_xt = np.zeros_like(x_t)
+    if g_agg is None or model.variant == Variant.DSTN_P:
+        g_block = np.zeros((b, s, d)) if g_agg is None else g_agg[:, None, :] * mask[..., None]
+        return PaddedAggregate(agg, alpha[row_idx, col_idx], dense, g_xt,
+                               g_block[row_idx, col_idx])
+    prefix = f"attn.{group}."
+    g_block = alpha[..., None] * g_agg[:, None, :]
+    if s == 0:
+        dense.update({name[len(prefix):]: np.zeros_like(arr)
+                      for name, arr in model.tensors().items() if name.startswith(prefix)})
+        return PaddedAggregate(agg, alpha[row_idx, col_idx], dense, g_xt,
+                               g_block[row_idx, col_idx])
+    tdot = (block * g_agg[:, None, :]).sum(axis=2)
+    if model.variant == Variant.DSTN_S:
+        inner = (alpha * tdot).sum(axis=1, keepdims=True)
+        g_score = alpha * (tdot - inner)
+        g_pre = (g_score[..., None] * p.w2 * (pre > 0)).reshape(b * s, -1)
+        dense = {"W1": g_pre.T @ block.reshape(b * s, d), "b1": g_pre.sum(axis=0),
+                 "w2": hid.reshape(b * s, -1).T @ g_score.reshape(b * s),
+                 "b2": np.array([g_score.sum()])}
+        g_block += (g_pre @ p.w1).reshape(b, s, d)
+    else:
+        g_score = alpha * tdot * (raw < SCORE_CLAMP)
+        g_pre = g_score[..., None] * p.h * (pre > 0)
+        g_pre_t = g_pre.sum(axis=1)
+        g_pre = g_pre.reshape(b * s, -1)
+        dense = {"Wtc": np.concatenate([g_pre_t.T @ x_t, g_pre.T @ block.reshape(b * s, d)],
+                                       axis=1),
+                 "btc1": g_pre_t.sum(axis=0),
+                 "h": hid.reshape(b * s, -1).T @ g_score.reshape(b * s),
+                 "btc2": np.array([g_score.sum()])}
+        g_xt = g_pre_t @ p.w_tc[:, :d_t]
+        g_block += (g_pre @ p.w_tc[:, d_t:]).reshape(b, s, d)
+    return PaddedAggregate(agg, alpha[row_idx, col_idx], dense, g_xt, g_block[row_idx, col_idx])
 
 
 def interactive_attention_pair_form(x_t: Array, ads: Array, mask: Array,

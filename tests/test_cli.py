@@ -108,3 +108,24 @@ def test_serve_sim_replay(data_dir, checkpoint, tmp_path, capsys):
 def test_serve_sim_requires_events_or_listen(checkpoint):
     with pytest.raises(SystemExit):
         main(["serve-sim", "--ckpt", str(checkpoint)])
+
+
+def test_embedding_rows_must_match_the_vocabulary(data_dir, checkpoint, tmp_path):
+    import shutil
+
+    import numpy as np
+
+    from adctr.models import load_model, save_model
+    from adctr.schema import Vocabulary, load_schemas, schemas_hash
+
+    ckpt = tmp_path / "model.ckpt"
+    for suffix in ("", ".schema.tsv", ".vocab.tsv"):
+        shutil.copy(f"{checkpoint}{suffix}", f"{ckpt}{suffix}")
+    schemas = load_schemas(f"{ckpt}.schema.tsv")
+    vocab = Vocabulary.load(f"{ckpt}.vocab.tsv")
+    model, _ = load_model(ckpt, schemas)
+    model.embedding.e = np.vstack([model.embedding.e, np.zeros((1, model.k))])
+    save_model(ckpt, model, schemas_hash(schemas), vocab.content_hash())  # hashes still match
+    with pytest.raises(SystemExit, match=rf"tensor emb.E has {vocab.size + 1} rows, "
+                                         rf"the vocabulary {vocab.size}"):
+        main(["eval", "--ckpt", str(ckpt), "--test", str(data_dir / "test.tsv")])

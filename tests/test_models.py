@@ -11,7 +11,7 @@ from adctr.numerics import ContractViolation, make_rng, relu, save_tensors, sigm
 from adctr.schema import AUX_GROUPS
 from oracles import (InstanceEmbedding, aggregate_interactive_attention, aggregate_pooling,
                      aggregate_self_attention, embed_instance, interactive_attention_pair_form,
-                     score_alone)
+                     padded_aggregate, score_alone)
 
 
 def emb(vec, group="clicked"):
@@ -164,6 +164,88 @@ class TestInteractiveAttention:
         assert alpha[0] == pytest.approx(math.exp(30.0))
 
 
+def ragged_trace(counts, ads):
+    """A hand-built trace: example i owns the next counts[i] rows of ads."""
+    return AuxTrace(cols=None, n=len(counts), row_idx=np.repeat(np.arange(len(counts)), counts),
+                    ads=ads, alpha=np.ones(len(ads)))
+
+
+class TestRaggedAggregation:
+    """Aggregation over the ads that exist against the padded reference."""
+
+    CASES = {"mixed": [2, 0, 5, 1, 3, 0, 4],  # an example with no ads, a full row of 5
+             "empty-group": [0, 0, 0, 0],
+             "full-rows": [5, 5, 5],
+             "batch-of-one": [3],
+             "batch-of-one-empty": [0]}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("variant", ["dstn-p", "dstn-s", "dstn-i"])
+    def test_forward_and_every_gradient_match_the_padded_block(self, toy_problem, variant, case):
+        model = build(variant, toy_problem, seed=34)
+        counts = np.array(self.CASES[case])
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        rng = make_rng(35)
+        x_t = rng.normal(size=(len(counts), model.dim("target")))
+        for group in AUX_GROUPS:
+            ads = rng.normal(size=(int(counts.sum()), model.dim(group))) * 2.0
+            g_agg = rng.normal(size=(len(counts), model.dim(group)))
+            t = ragged_trace(counts, ads)
+            _aggregate(model, t, group, x_t)
+            g_xt, dense = np.zeros_like(x_t), {}
+            g_ads = _aggregate_backward(model, group, t, x_t, g_agg, g_xt, dense)
+
+            ref = padded_aggregate(model, group, offsets, ads, x_t, g_agg)
+            np.testing.assert_allclose(t.agg, ref.agg, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(t.alpha, ref.alpha, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(g_xt, ref.g_xt, rtol=0, atol=1e-12)
+            assert g_ads.shape == (len(ads), model.dim(group))
+            np.testing.assert_allclose(g_ads, ref.g_ads, rtol=0, atol=1e-12)
+            prefix = f"attn.{group}."
+            assert {k[len(prefix):] for k in dense} == set(ref.dense)
+            for suffix, want in ref.dense.items():
+                np.testing.assert_allclose(dense[prefix + suffix], want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", ["dstn-p", "dstn-s", "dstn-i"])
+    def test_shared_block_broadcasts_to_every_candidate(self, toy_problem, variant):
+        # Serving's history: one example's ads shared by n candidate rows.
+        model = build(variant, toy_problem, seed=36)
+        rng = make_rng(37)
+        n = 6
+        x_t = rng.normal(size=(n, model.dim("target")))
+        for group in AUX_GROUPS:
+            for n_ads in (0, 1, 4):
+                ads = rng.normal(size=(n_ads, model.dim(group))) * 2.0
+                t = ragged_trace([n_ads], ads)
+                _aggregate(model, t, group, x_t)
+                ref = padded_aggregate(model, group, np.array([0, n_ads]), ads, x_t)
+                rows = n if variant == "dstn-i" else 1
+                assert t.agg.shape == (rows, model.dim(group))
+                np.testing.assert_allclose(t.agg, np.broadcast_to(ref.agg, t.agg.shape),
+                                           rtol=0, atol=1e-12)
+                np.testing.assert_allclose(t.alpha, ref.alpha.ravel(), rtol=0, atol=1e-12)
+                # and each row equals that candidate aggregated alone
+                for i in range(n):
+                    alone = ragged_trace([n_ads], ads)
+                    _aggregate(model, alone, group, x_t[i : i + 1])
+                    np.testing.assert_allclose(t.agg[min(i, rows - 1)], alone.agg[0],
+                                               rtol=0, atol=1e-12)
+
+    def test_a_group_empty_in_the_whole_batch_gives_zero_gradients(self, toy_problem):
+        model = build("dstn-s", toy_problem, seed=38)
+        t = ragged_trace([0, 0], np.zeros((0, model.dim("clicked"))))
+        x_t = np.ones((2, model.dim("target")))
+        _aggregate(model, t, "clicked", x_t)
+        np.testing.assert_array_equal(t.agg, np.zeros((2, model.dim("clicked"))))
+        dense = {}
+        _aggregate_backward(model, "clicked", t, x_t, np.ones_like(t.agg), np.zeros_like(x_t),
+                            dense)
+        for name, arr in model.tensors().items():
+            if name.startswith("attn.clicked."):
+                assert dense[name].shape == arr.shape
+                np.testing.assert_array_equal(dense[name], 0.0)
+
+
 class TestSplitInteractiveAttention:
     """pre = (x_t W_t^T + b)[:, None] + ads W_a^T against the pair tensor."""
 
@@ -178,8 +260,9 @@ class TestSplitInteractiveAttention:
             mask[0] = 0.0  # an example with no ads in this group
             ads = rng.normal(size=(b, s, model.dim(group))) * mask[..., None]
             g_agg = rng.normal(size=(b, model.dim(group)))
-            t = AuxTrace(cols=None, row_idx=None, col_idx=None, ads=ads, mask=mask,
-                         alpha=mask.copy(), agg=np.zeros((b, model.dim(group))))
+            row_idx, col_idx = np.nonzero(mask)  # the ragged trace: one row per ad
+            t = AuxTrace(cols=None, n=b, row_idx=row_idx, ads=ads[row_idx, col_idx],
+                         alpha=np.ones(len(row_idx)))
             _aggregate(model, t, group, x_t)
             g_xt, dense = np.zeros_like(x_t), {}
             g_ads = _aggregate_backward(model, group, t, x_t, g_agg, g_xt, dense)
@@ -191,7 +274,7 @@ class TestSplitInteractiveAttention:
                 np.testing.assert_allclose(dense[f"attn.{group}.{suffix}"], ref,
                                            rtol=0, atol=1e-12)
             np.testing.assert_allclose(g_xt, ref_g_xt, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(g_ads, ref_g_ads, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(g_ads, ref_g_ads[row_idx, col_idx], rtol=0, atol=1e-12)
 
     def test_batched_forward_matches_per_example_pair_form(self, toy_problem):
         schemas, _, examples = toy_problem

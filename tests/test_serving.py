@@ -485,6 +485,25 @@ class TestWireProtocol:
         assert replies[0] == f"OK {ad_ids[0]}:0.500000:1"
         assert replies[1] == "ERR line too long: over 48 bytes"
 
+    def test_connection_over_the_cap_is_refused_and_closed(self, env, monkeypatch):
+        monkeypatch.setattr(serving, "MAX_CONNECTIONS", 1)
+        server, ad_ids = self._limits_server(env)
+        line = f"RANK u1 500 1 {ad_ids[0]}\n".encode("utf-8")
+        server.start()
+        try:
+            with socket.create_connection(server.address, timeout=10) as first:
+                first.sendall(line)
+                assert first.makefile("rb").readline().startswith(b"OK ")  # admitted
+                with socket.create_connection(server.address, timeout=10) as second:
+                    buf = b""
+                    while chunk := second.recv(4096):
+                        buf += chunk
+                assert buf == b"ERR too many connections\n"
+                first.sendall(line)  # the admitted connection is still served
+                assert first.makefile("rb").readline().startswith(b"OK ")
+        finally:
+            server.stop()
+
     def test_too_many_candidates_is_a_named_error(self, env, monkeypatch):
         monkeypatch.setattr(serving, "MAX_CANDIDATES", 2)
         server, ad_ids = self._limits_server(env)

@@ -7,12 +7,14 @@ import pytest
 from adctr.ingest import LabeledExample
 from adctr.models import Variant, forward_batch, init_model
 from adctr.numerics import make_rng
-from adctr.schema import (FieldKind, FieldSchema, GroupSchema, build_vocabulary,
+from adctr.schema import (AUX_GROUPS, FieldKind, FieldSchema, GroupSchema, build_vocabulary,
                           encode_instance)
 from adctr.train_eval import (EvalReport, MetricUndefinedError, TrainConfig, ablate_examples,
                               auc, average_aux_count, embedding_penalty, embedding_row_scales,
                               NonFiniteError, evaluate, grad_check, improvement_metrics,
-                              logloss_eval, train)
+                              logloss_eval, predict, train)
+from oracles import (InstanceEmbedding, aggregate_interactive_attention,
+                     aggregate_self_attention, embed_instance)
 
 
 def auc_bruteforce(scores, labels):
@@ -256,6 +258,38 @@ class TestEmbeddingPenalty:
         penalized, _ = train(config, tr[:300], va[:50], ds.schemas, vocab)
         assert not np.array_equal(plain.embedding.e, penalized.embedding.e)
         assert np.abs(penalized.embedding.e).sum() < np.abs(plain.embedding.e).sum()
+
+
+class TestAttentionDump:
+    """predict's attention rows (what ``eval --dump-attention`` writes)
+    against per-example weights from the per-ad-list aggregation."""
+
+    @pytest.mark.parametrize("variant", ["dstn-s", "dstn-i"])
+    def test_rows_equal_per_example_weights_in_ad_order(self, toy_problem, variant):
+        schemas, vocab, examples = toy_problem
+        model = init_model(Variant(variant), schemas, vocab.size, make_rng(40), k=4,
+                           fc_dims=(6, 3), attention_dim=5)
+        model.embedding.e *= 100.0  # weights well away from uniform
+        _, rows = predict(model, examples, batch_size=5, collect_attention=True)
+
+        want = []
+        for i, ex in enumerate(examples):
+            x_t = embed_instance(ex.target, model.embedding, schemas["target"])
+            for group in AUX_GROUPS:
+                ads = [embed_instance(a, model.embedding, schemas[group])
+                       for a in getattr(ex, group)]
+                if not ads:
+                    continue
+                if variant == "dstn-s":
+                    _, alpha = aggregate_self_attention(ads, model.attention[group])
+                else:
+                    _, alpha = aggregate_interactive_attention(
+                        InstanceEmbedding("target", x_t.vector), ads, model.attention[group])
+                want.extend((i, group, j, w) for j, w in enumerate(alpha))
+        assert [r[:3] for r in rows] == [w[:3] for w in want]
+        np.testing.assert_allclose([r[3] for r in rows], [w[3] for w in want],
+                                   rtol=1e-12, atol=0)
+        assert len({round(r[3], 6) for r in rows}) > len(AUX_GROUPS)  # not all alike
 
 
 class TestGradCheck:
