@@ -143,16 +143,19 @@ def embed_matrix(cols: AdColumns, table: EmbeddingTable) -> Array:
     owner = np.arange(0, segs * k, k).repeat(cols.offsets[1:] - cols.offsets[:-1])
     cells = (owner[:, None] + np.arange(k)).ravel()
     out = np.bincount(cells, weights=table.e[cols.indices].ravel(), minlength=segs * k)
-    return out.reshape(len(cols), cols.n_fields * k)
+    # bincount sums in float64, and returns integers when there is nothing to sum
+    return out.astype(table.e.dtype, copy=False).reshape(len(cols), cols.n_fields * k)
 
 
 class RowGradAccumulator:
     """Collects embedding-row gradient terms from scatter calls across a batch
-    and sums them per touched row, each row's terms in the order collected."""
+    and sums them per touched row, each row's terms in the order collected;
+    the sums come back in the table's dtype."""
 
-    def __init__(self, n: int, k: int):
+    def __init__(self, n: int, k: int, dtype=np.float64):
         self.n = n
         self.k = k
+        self.dtype = np.dtype(dtype)
         self._rows: list[Array] = []
         self._grads: list[Array] = []
 
@@ -170,10 +173,11 @@ class RowGradAccumulator:
     def finalize(self) -> tuple[Array, Array]:
         """(sorted unique touched rows, their summed gradients)."""
         if not self._rows:
-            return np.zeros(0, dtype=np.intp), np.zeros((0, self.k))
+            return np.zeros(0, dtype=np.intp), np.zeros((0, self.k), dtype=self.dtype)
         rows, slot = np.unique(np.concatenate(self._rows), return_inverse=True)
         flat = (slot[:, None] * self.k + np.arange(self.k)).ravel()
         # bincount adds the terms of each cell in order, starting from 0.0
         sums = np.bincount(flat, weights=np.concatenate(self._grads).ravel(),
                            minlength=len(rows) * self.k)
-        return rows.astype(np.intp), sums.reshape(len(rows), self.k)
+        sums = sums.astype(self.dtype, copy=False).reshape(len(rows), self.k)
+        return rows.astype(np.intp), sums

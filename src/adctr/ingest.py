@@ -32,8 +32,8 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .numerics import make_rng
-from .schema import (EncodedInstance, FieldKind, FieldSchema, GroupSchema,
-                     Vocabulary, build_vocabulary, encode_instance, save_schemas)
+from .schema import (EncodedInstance, EncodeError, FieldKind, FieldSchema, GroupSchema,
+                     RawRecord, Vocabulary, build_vocabulary, encode_instance, save_schemas)
 from .session import SessionStore
 
 MAX_AUX = 5
@@ -85,10 +85,20 @@ def parse_ad(text: str, group_schema: GroupSchema, vocab: Vocabulary,
     if unknown:
         raise ParseError(f"unknown field(s) {sorted(unknown)} for group {group_schema.group!r}",
                          line_number)
-    inst = encode_instance(record, group_schema, vocab)
+    inst = encode_record(record, group_schema, vocab, line_number)
     if cache is not None:
         cache[(group_schema.group, text)] = inst
     return inst
+
+
+def encode_record(record: RawRecord, group_schema: GroupSchema, vocab: Vocabulary,
+                  line_number: int = 0) -> EncodedInstance:
+    """``encode_instance``, with its error (a missing required field, a bad
+    numerical value) raised as a ``ParseError`` naming the line."""
+    try:
+        return encode_instance(record, group_schema, vocab)
+    except EncodeError as exc:
+        raise ParseError(str(exc), line_number) from None
 
 
 def serialize_ad(inst: EncodedInstance) -> str:

@@ -19,11 +19,17 @@ plus the example each belongs to, with per-example sums, maxima and softmax
 normalizers taken over those rows (no padding, no masks). Backward consumes
 the recorded forward trace and returns the gradient of the batch-mean loss;
 correctness is pinned by finite-difference checks in the test suite.
+
+A model computes in the dtype of its tensors, float64 or float32:
+activations, dropout masks and gradients follow the parameters. The pCTR is
+always float64, and so are checkpoints, whose header records a float32
+model's dtype.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Sequence
@@ -122,8 +128,26 @@ class ModelParams:
                 out[f"attn.{group}.{name}"] = arr
         return out
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The compute dtype: that of every parameter tensor."""
+        return self.embedding.e.dtype
+
     def clone(self) -> "ModelParams":
         return copy.deepcopy(self)
+
+    def astype(self, dtype) -> "ModelParams":
+        """A copy with every tensor cast to ``dtype``."""
+        def cast(a: Array | None) -> Array | None:
+            return None if a is None else a.astype(dtype)
+
+        return dataclasses.replace(
+            self, schemas=dict(self.schemas), embedding=EmbeddingTable(cast(self.embedding.e)),
+            fusion_w=cast(self.fusion_w), fusion_b=cast(self.fusion_b),
+            fc=[(cast(w), cast(b)) for w, b in self.fc], out_w=cast(self.out_w),
+            out_b=cast(self.out_b),
+            attention={g: type(p)(*map(cast, vars(p).values()))
+                       for g, p in self.attention.items()})
 
 
 def _glorot(rng, fan_out: int, fan_in: int, shape) -> Array:
@@ -133,10 +157,20 @@ def _glorot(rng, fan_out: int, fan_in: int, shape) -> Array:
 
 def init_model(variant: Variant, schemas: Mapping[str, GroupSchema], vocab_size: int,
                rng: np.random.Generator, k: int = 10, fc_dims: Sequence[int] = (512, 256),
-               attention_dim: int = 128, dropout_p: float = 0.5) -> ModelParams:
+               attention_dim: int = 128, dropout_p: float = 0.5,
+               dtype=np.float64) -> ModelParams:
     """Fresh parameters: uniform Glorot for dense weights, zero biases,
-    uniform +-0.01 embeddings (1-dim for the LR variant)."""
-    variant = Variant(variant)
+    uniform +-0.01 embeddings (1-dim for the LR variant). The values are
+    drawn in float64 and rounded to ``dtype``, so a seed gives the same model
+    in both precisions up to that rounding."""
+    model = _init_float64(Variant(variant), schemas, vocab_size, rng, k, fc_dims,
+                          attention_dim, dropout_p)
+    return model if model.dtype == dtype else model.astype(dtype)
+
+
+def _init_float64(variant: Variant, schemas: Mapping[str, GroupSchema], vocab_size: int,
+                  rng: np.random.Generator, k: int, fc_dims: Sequence[int],
+                  attention_dim: int, dropout_p: float) -> ModelParams:
     schemas = dict(schemas)
     if variant == Variant.LR:
         k = 1
@@ -226,11 +260,12 @@ def encode_batch(model: ModelParams,
 def _row_sum(values: Array, rows: Array, n: int) -> Array:
     """Per-example sums of per-ad values, (T,) or (T, D) -> (n,) or (n, D):
     bincount adds each example's terms in ad order, starting from 0.0. With
-    no terms at all bincount returns integer zeros, hence the cast."""
+    no terms at all bincount returns integer zeros, and it always sums in
+    float64, hence the cast back to the values' dtype."""
     d = values.shape[1] if values.ndim == 2 else 1
     cells = (rows[:, None] * d + np.arange(d)).ravel()
     out = np.bincount(cells, weights=values.ravel(), minlength=n * d)
-    return out.astype(np.float64, copy=False).reshape((n,) + values.shape[1:])
+    return out.astype(values.dtype, copy=False).reshape((n,) + values.shape[1:])
 
 
 def _pad_aux(model: ModelParams, offsets: Array, cols: AdColumns) -> AuxTrace:
@@ -241,7 +276,7 @@ def _pad_aux(model: ModelParams, offsets: Array, cols: AdColumns) -> AuxTrace:
     counts = offsets[1:] - offsets[:-1]
     ads = embed_matrix(cols, model.embedding)
     return AuxTrace(cols=cols, n=len(counts), row_idx=np.repeat(np.arange(len(counts)), counts),
-                    ads=ads, alpha=np.ones(len(ads)))
+                    ads=ads, alpha=np.ones(len(ads), dtype=ads.dtype))
 
 
 def _aggregate(model: ModelParams, t: AuxTrace, group: str, x_t: Array) -> None:
@@ -257,7 +292,7 @@ def _aggregate(model: ModelParams, t: AuxTrace, group: str, x_t: Array) -> None:
         t.pre = t.ads @ p.w1.T + p.b1
         t.hid = relu(t.pre)
         score = t.hid @ p.w2 + p.b2[0]
-        rowmax = np.full(t.n, -np.inf)
+        rowmax = np.full(t.n, -np.inf, dtype=score.dtype)
         np.maximum.at(rowmax, t.row_idx, score)
         e = np.exp(score - rowmax[t.row_idx])
         t.alpha = e / _row_sum(e, t.row_idx, t.n)[t.row_idx]
@@ -278,7 +313,9 @@ def _aggregate(model: ModelParams, t: AuxTrace, group: str, x_t: Array) -> None:
 
 
 def _pctr(logit: Array) -> Array:
-    return np.clip(sigmoid(logit), PCTR_EPS, 1.0 - PCTR_EPS)
+    """float64 pCTRs whatever the logit's dtype: in float32 the upper clip
+    ``1 - PCTR_EPS`` would round to 1.0."""
+    return np.clip(sigmoid(logit.astype(np.float64, copy=False)), PCTR_EPS, 1.0 - PCTR_EPS)
 
 
 def forward_batch(model: ModelParams, batch: EncodedBatch | Sequence[LabeledExample],
@@ -318,7 +355,7 @@ def forward_batch(model: ModelParams, batch: EncodedBatch | Sequence[LabeledExam
         pres.append(pre)
         cur = relu(pre)
         if mode == "train" and model.dropout_p > 0:
-            msk = dropout_mask(cur.shape, model.dropout_p, rng)
+            msk = dropout_mask(cur.shape, model.dropout_p, rng, cur.dtype)
             cur = cur * msk
         else:
             msk = None
@@ -457,9 +494,10 @@ def backward(model: ModelParams, trace: BatchTrace) -> Gradients:
     """Exact gradients for every parameter of the batch the forward trace ran
     on, reusing the trace (including its dropout masks)."""
     enc = trace.batch
-    dlogit = (trace.pctr - enc.labels) / len(enc)
+    # pCTRs and labels are float64; the gradient takes the model's dtype
+    dlogit = ((trace.pctr - enc.labels) / len(enc)).astype(model.dtype, copy=False)
 
-    acc = RowGradAccumulator(model.embedding.n, model.embedding.k)
+    acc = RowGradAccumulator(model.embedding.n, model.embedding.k, model.dtype)
     dense: dict[str, Array] = {}
 
     if model.variant == Variant.LR:
@@ -506,7 +544,9 @@ def backward(model: ModelParams, trace: BatchTrace) -> Gradients:
 
 def save_model(path, model: ModelParams, schemas_hash: str, vocab_hash: str) -> None:
     """Checkpoint: TNSR1 tensors plus a header naming the variant and the
-    hashes of the schema/vocabulary the parameters were trained against."""
+    hashes of the schema/vocabulary the parameters were trained against. A
+    float32 model's header adds ``dtype=float32``; its tensors are stored as
+    float64 like every other, an exact upcast."""
     from .numerics import save_tensors
 
     header = {
@@ -517,16 +557,27 @@ def save_model(path, model: ModelParams, schemas_hash: str, vocab_hash: str) -> 
         "k": str(model.k),
         "dropout_p": repr(model.dropout_p),
     }
+    if model.dtype != np.float64:
+        header["dtype"] = model.dtype.name
     save_tensors(path, header, model.tensors())
 
 
+_CKPT_DTYPES = {"float64": np.float64, "float32": np.float32}
+
+
 def load_model(path, schemas: Mapping[str, GroupSchema]) -> tuple[ModelParams, dict[str, str]]:
-    """Rebuild a ModelParams from a checkpoint; returns (model, header)."""
+    """Rebuild a ModelParams from a checkpoint, in the dtype its header names
+    (float64 when it names none); returns (model, header)."""
     from .numerics import load_tensors
 
     header, tensors = load_tensors(path)
     if header.get("format") != "adctr-ckpt-1":
         raise ValueError(f"{path}: unknown checkpoint format")
+    dtype = _CKPT_DTYPES.get(header.get("dtype", "float64"))
+    if dtype is None:
+        raise ValueError(f"{path}: unknown dtype {header['dtype']!r}")
+    if dtype != np.float64:
+        tensors = {name: arr.astype(dtype) for name, arr in tensors.items()}
     by_header = {v.header_name: v for v in Variant}
     variant = by_header.get(header.get("variant"))
     if variant is None:

@@ -1,8 +1,11 @@
 """Minimal dense numeric kernel: activations, inverted-dropout masks, Adagrad,
 a seeded counter-based RNG, and tensor checkpoint I/O.
 
-Everything is float64. The RNG is numpy's Philox (counter-based), so a given
-seed produces the same stream on every platform.
+The kernels keep the dtype of the arrays they are given (a model's
+parameters are float64 or float32, and masks and Adagrad accumulators follow
+them); ``sigmoid`` always computes in float64. The RNG is numpy's Philox
+(counter-based), so a given seed produces the same stream on every platform.
+Checkpoints store every tensor as float64, an exact upcast of float32.
 
 Checkpoint format (binary, version ``TNSR1``):
 
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,53 +52,46 @@ def sigmoid(s):
     return float(out) if out.ndim == 0 else out
 
 
-def dropout_mask(shape, p: float, rng: np.random.Generator) -> Array:
-    """Inverted-dropout mask: entries are 0 with probability p, else 1/(1-p)."""
+def dropout_mask(shape, p: float, rng: np.random.Generator, dtype=np.float64) -> Array:
+    """Inverted-dropout mask of the given dtype: entries are 0 with
+    probability p, else 1/(1-p). The uniform draws are float64 whatever the
+    dtype, so a seed drops the same units in both precisions."""
     if not 0.0 <= p < 1.0:
         raise ContractViolation(f"dropout probability must be in [0, 1), got {p}")
     if p == 0.0:
-        return np.ones(shape)
-    return (rng.random(shape) >= p) / (1.0 - p)
+        return np.ones(shape, dtype=dtype)
+    return (rng.random(shape) >= p).astype(dtype) * (1.0 / (1.0 - p))
 
 
 @dataclass
 class AdagradState:
-    """Per-tensor accumulated squared gradient with the step hyperparameters,
-    and two scratch arrays of the tensor's shape that a dense step reuses."""
+    """Per-tensor accumulated squared gradient, in the parameter's dtype, with
+    the step hyperparameters."""
 
     lr: float = 0.01
     eps: float = 1e-8
     accum: Array | None = None
-    _step: Array | None = field(default=None, repr=False)
-    _scratch: Array | None = field(default=None, repr=False)
 
-    def _ensure(self, shape) -> Array:
+    def _ensure(self, param: Array) -> Array:
         if self.accum is None:
-            self.accum = np.zeros(shape)
+            self.accum = np.zeros(param.shape, dtype=param.dtype)
         return self.accum
 
 
 def adagrad_step(param: Array, grad: Array, state: AdagradState) -> Array:
     """One in-place Adagrad update, G += g^2 and param -= lr * g / (sqrt(G) + eps);
-    returns param. Every intermediate goes to the state's scratch arrays."""
+    returns param."""
     if param.shape != grad.shape:
         raise ContractViolation(f"param {param.shape} vs grad {grad.shape}")
-    accum = state._ensure(param.shape)
-    if state._step is None or state._step.shape != param.shape:
-        state._step, state._scratch = np.empty(param.shape), np.empty(param.shape)
-    step, tmp = state._step, state._scratch
-    accum += np.multiply(grad, grad, out=tmp)
-    np.multiply(state.lr, grad, out=step)
-    np.sqrt(accum, out=tmp)
-    tmp += state.eps
-    step /= tmp
-    param -= step
+    accum = state._ensure(param)
+    accum += grad * grad
+    param -= state.lr * grad / (np.sqrt(accum) + state.eps)
     return param
 
 
 def adagrad_step_rows(param: Array, rows: Array, row_grads: Array, state: AdagradState) -> None:
     """In-place Adagrad update restricted to the given (unique) rows of param."""
-    accum = state._ensure(param.shape)
+    accum = state._ensure(param)
     accum[rows] += row_grads * row_grads
     param[rows] -= state.lr * row_grads / (np.sqrt(accum[rows]) + state.eps)
 

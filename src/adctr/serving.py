@@ -44,7 +44,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ingest import ParseError, parse_ad, _parse_fields
+from .ingest import ParseError, encode_record, parse_ad, _parse_fields
 # forward_batch is not called here: perfbench's span test reads serving.forward_batch.
 from .models import (ModelParams, RequestRows, forward_batch,  # noqa: F401
                      prepare_request, score_request)
@@ -208,9 +208,7 @@ def _encode_candidate(text: str, user_id: str, target_schema: GroupSchema,
                       vocab: Vocabulary, lineno: int) -> EncodedInstance:
     record = _parse_fields(text, lineno)
     record.setdefault("user_id", (user_id,))
-    from .schema import encode_instance
-
-    return encode_instance(record, target_schema, vocab)
+    return encode_record(record, target_schema, vocab, lineno)
 
 
 def replay_session(scorer, store: SessionStore, events: Sequence[SimEvent],

@@ -41,6 +41,11 @@ class TrainConfig:
     on target ads of the log the vocabulary was built from). Rare features
     (user and ad ids) are held near zero unless the data keep pulling them
     away; 0 turns the penalty off. The default was chosen on validation AUC.
+
+    There is no precision setting: ``train`` builds a fresh model in float32
+    (parameters, activations, gradients and Adagrad state), and a warm start
+    keeps the dtype of the model it starts from. The pCTR, the loss and the
+    metrics are float64 either way.
     """
 
     variant: str = "dstn-i"
@@ -102,9 +107,9 @@ def embedding_penalty(model: ModelParams, rows: Array, row_scales: Array) -> tup
     """Frequency-scaled L2 on the embedding rows a batch touches, after DIN's
     mini-batch aware regularizer (Zhou et al. 2018): the value
     ``sum_j row_scales[j] / 2 * ||e_j||^2`` over ``rows`` and its gradient,
-    one row per entry of ``rows``."""
+    one row per entry of ``rows``, in the table's dtype."""
     e = model.embedding.e[rows]
-    scale = row_scales[rows][:, None]
+    scale = row_scales[rows].astype(e.dtype, copy=False)[:, None]
     return 0.5 * float((scale * e * e).sum()), scale * e
 
 
@@ -117,7 +122,8 @@ def train(config: TrainConfig, train_examples: Sequence[LabeledExample],
     and returns the checkpoint with the best validation AUC (the final one if
     no validation stream is given). Passing ``initial`` warm-starts from an
     existing checkpoint (periodic refresh); the vocabulary must be the one the
-    initial model was trained with.
+    initial model was trained with. A fresh model is float32; a warm start
+    trains in the initial model's dtype.
     """
     if not train_examples:
         raise ValueError("empty training stream")
@@ -132,7 +138,8 @@ def train(config: TrainConfig, train_examples: Sequence[LabeledExample],
     else:
         model = init_model(Variant(config.variant), schemas, vocab.size, rng,
                            k=config.embedding_dim, fc_dims=config.fc_dims,
-                           attention_dim=config.attention_dim, dropout_p=config.dropout)
+                           attention_dim=config.attention_dim, dropout_p=config.dropout,
+                           dtype=np.float32)
     states = {name: AdagradState(lr=config.learning_rate, eps=config.adagrad_eps)
               for name in model.tensors()}
     row_scales = embedding_row_scales(vocab, config.embedding_l2)

@@ -229,3 +229,38 @@ class TestEncodedPath:
     def test_gather_rejects_out_of_range_index(self, table):
         with pytest.raises(ContractViolation):
             embed_matrix(AdColumns.from_instances([make_instance(((3,), (1, 12), (5,)))], 3), table)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+class TestNothingToSumKeepsTheTableDtype:
+    """bincount returns integers when it has no terms: with no feature index
+    at all, gather, scatter and the per-example sums still return floats of
+    the table's dtype."""
+
+    def test_gather_of_empty_bags_and_of_no_ads(self, dtype):
+        table = EmbeddingTable(np.ones((5, 3), dtype=dtype))
+        empty_bags = AdColumns(2, np.zeros(5, np.int32), np.zeros(0, np.int32))  # 2 ads
+        no_ads = AdColumns(2, np.zeros(1, np.int32), np.zeros(0, np.int32))
+        for cols, n in ((empty_bags, 2), (no_ads, 0)):
+            out = embed_matrix(cols, table)
+            assert out.dtype == dtype and out.shape == (n, 6) and not out.any()
+        some = AdColumns(2, np.array([0, 1, 1], np.int32), np.array([4], np.int32))
+        assert embed_matrix(some, table).dtype == dtype
+
+    def test_scatter_of_empty_bags(self, dtype):
+        acc = RowGradAccumulator(5, 3, dtype)
+        acc.scatter_matrix(AdColumns(2, np.zeros(3, np.int32), np.zeros(0, np.int32)),
+                           np.ones((1, 6), dtype=dtype))
+        rows, grads = acc.finalize()
+        assert rows.shape == (0,) and grads.shape == (0, 3) and grads.dtype == dtype
+        acc.scatter_matrix(AdColumns(1, np.array([0, 1], np.int32), np.array([2], np.int32)),
+                           np.ones((1, 3), dtype=dtype))
+        assert acc.finalize()[1].dtype == dtype
+
+    def test_row_sums_of_a_group_empty_in_the_whole_batch(self, dtype):
+        from adctr.models import _row_sum
+
+        rows = np.zeros(0, np.intp)
+        for values, shape in ((np.zeros((0, 3), dtype), (4, 3)), (np.zeros(0, dtype), (4,))):
+            out = _row_sum(values, rows, 4)
+            assert out.dtype == dtype and out.shape == shape and not out.any()

@@ -61,6 +61,18 @@ class TestParseLogLine:
         with pytest.raises(ParseError, match="bogus"):
             parse_log_line(line, schemas, vocab)
 
+    @pytest.mark.parametrize("target, message", [
+        (f"user_id=u1;{_ad(1)}", "missing required numerical field 'age'"),
+        (f"user_id=u1;age=old;{_ad(1)}", "numerical field 'age': bad value 'old'"),
+        ("user_id=u1;age=30;src=organic;title=t;x0=v", "missing required univalent field 'ad_id'"),
+    ])
+    def test_encode_errors_name_the_line(self, env, target, message):
+        schemas, vocab = env
+        line = "\t".join(["1", "12", "u1", target, "", _ad(2), ""])
+        with pytest.raises(ParseError, match=f"line 42: {message}") as info:
+            parse_log_line(line, schemas, vocab, line_number=42)
+        assert info.value.line_number == 42
+
 
 class TestGenerator:
     def test_same_seed_is_byte_identical(self):

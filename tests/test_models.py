@@ -584,3 +584,138 @@ class TestCheckpoint:
         save_model(p1, model, "sh", "vh")
         save_model(p2, model, "sh", "vh")
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def _float_arrays(obj):
+    """(name, array) for every floating array attribute of a trace object."""
+    return [(name, arr) for name, arr in vars(obj).items()
+            if isinstance(arr, np.ndarray) and arr.dtype.kind == "f"]
+
+
+class TestFloat32:
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_trace_gradients_and_adagrad_state_stay_float32(self, toy_problem, variant):
+        from adctr.numerics import AdagradState, adagrad_step, adagrad_step_rows
+        from adctr.train_eval import embedding_penalty
+
+        schemas, vocab, examples = toy_problem
+        model = build(variant, toy_problem, seed=30, dropout=0.5).astype(np.float32)
+        # the last example has no ads at all; a second batch has no contextual ads anywhere
+        batches = [examples, [ex.__class__(**{**vars(ex), "contextual": ()}) for ex in examples]]
+        states = {name: AdagradState(lr=0.05) for name in model.tensors()}
+        for batch in batches:
+            pctr, trace = forward_batch(model, batch, mode="train", rng=make_rng(31))
+            assert pctr.dtype == np.float64
+            found = [(f"trace.{n}", a) for n, a in _float_arrays(trace) if n != "pctr"]
+            found += [(f"aux.{g}.{n}", a) for g, t in trace.aux.items()
+                      for n, a in _float_arrays(t)]
+            found += [(f"fc.{i}", a) for i, a in enumerate(
+                trace.pres + trace.acts + [m for m in trace.drop_masks if m is not None])]
+            grads = backward(model, trace)
+            found += [(f"grad.{n}", a) for n, a in grads.dense.items()]
+            found += [("grad.emb", grads.emb_grads),
+                      ("penalty", embedding_penalty(model, grads.emb_rows,
+                                                    np.ones(vocab.size))[1])]
+            for name, arr in model.tensors().items():
+                if name == "emb.E":
+                    adagrad_step_rows(arr, grads.emb_rows, grads.emb_grads, states[name])
+                else:
+                    adagrad_step(arr, grads.dense[name], states[name])
+            found += [(f"param.{n}", a) for n, a in model.tensors().items()]
+            found += [(f"accum.{n}", s.accum) for n, s in states.items()]
+            assert set(grads.dense) | {"emb.E"} == set(model.tensors())
+            upcast = sorted({name for name, arr in found if arr.dtype != np.float32})
+            assert not upcast, upcast
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_float32_gradients_match_float64_of_the_same_model(self, toy_problem, variant):
+        _, _, examples = toy_problem
+        m32 = build(variant, toy_problem, seed=32, dropout=0.5).astype(np.float32)
+        m64 = m32.astype(np.float64)
+        g = {}
+        for model in (m32, m64):
+            _, trace = forward_batch(model, examples, mode="train", rng=make_rng(33))
+            grads = backward(model, trace)
+            g[model.dtype] = {**grads.dense, "emb.E": grads.emb_grads}
+        for name, ref in g[np.dtype(np.float64)].items():
+            got = g[np.dtype(np.float32)][name]
+            # The floor keeps the structurally-zero softmax score bias gradient
+            # from dividing float32 roundoff by float64 roundoff.
+            scale = max(np.abs(ref).max(initial=0.0), 1e-6)
+            assert np.abs(got - ref).max() / scale <= 1e-4, name
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_float32_checkpoint_round_trips_bit_for_bit(self, toy_problem, tmp_path, variant):
+        schemas, _, examples = toy_problem
+        model = build(variant, toy_problem, seed=34, dropout=0.25).astype(np.float32)
+        path = tmp_path / "m.ckpt"
+        save_model(path, model, "sh", "vh")
+        loaded, header = load_model(path, schemas)
+        assert header["dtype"] == "float32" and loaded.dtype == np.float32
+        for name, arr in model.tensors().items():
+            assert loaded.tensors()[name].tobytes() == arr.tobytes(), name
+        assert forward_batch(loaded, examples)[0].tobytes() == \
+            forward_batch(model, examples)[0].tobytes()
+        resaved = tmp_path / "again.ckpt"
+        save_model(resaved, loaded, "sh", "vh")
+        assert resaved.read_bytes() == path.read_bytes()
+
+    def test_float64_checkpoint_has_no_dtype_line(self, toy_problem, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_model(path, build("dstn-i", toy_problem, seed=35), "sh", "vh")
+        assert b"dtype" not in path.read_bytes().split(b"\n\n")[0]
+        assert load_model(path, toy_problem[0])[0].dtype == np.float64
+
+    def test_unknown_dtype_header_names_path_and_value(self, toy_problem, tmp_path):
+        schemas, _, _ = toy_problem
+        model = build("dnn", toy_problem, seed=36)
+        path = tmp_path / "odd.ckpt"
+        save_tensors(path, {"format": "adctr-ckpt-1", "variant": "DNN", "k": "4",
+                            "dropout_p": "0.0", "schema_hash": "s", "vocab_hash": "v",
+                            "dtype": "float16"}, model.tensors())
+        with pytest.raises(ValueError, match="float16") as info:
+            load_model(path, schemas)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("logit", [40.0, -40.0])
+    def test_extreme_logit_gives_a_pctr_strictly_inside_the_unit_interval(self, toy_problem,
+                                                                          logit):
+        _, _, examples = toy_problem
+        model = zero_params(build("dnn", toy_problem, seed=37)).astype(np.float32)
+        model.out_b[...] = logit
+        pctr, _ = forward_batch(model, examples)
+        served = score_request(model, prepare_request(model, [examples[0].target], (), ()), ())
+        for p in (pctr, served):
+            assert p.dtype == np.float64
+            assert np.all((p > 0.0) & (p < 1.0))
+
+
+# sha256 of the checkpoint each variant's float64 warm start writes below,
+# computed before float32 training existed: float64 training and saving must
+# keep these bytes.
+FLOAT64_CKPT_SHA256 = {
+    "lr": "67e76c59887a96718c4dc656ccd145d588b79c66e75ef78ea1ae43fef11e264a",
+    "dnn": "f6ee2e6fa107d879b7a31d9882d78138ea7b937748a20dad82501afef33ccf8a",
+    "dstn-p": "58460b10623847d2effb29cdd6cda95d1ec2adb6e3d57fe6b4f5386d693f2698",
+    "dstn-s": "9d4aa6e42be3a7a44bef77f6a4e51bd22e1e7ff18ca1e48d95e77f0ac9166047",
+    "dstn-i": "1298101ad2b53635d2905a912af2f4838a4d581b1523b6016061cc2fab71e292",
+}
+
+
+@pytest.mark.parametrize("variant", list(FLOAT64_CKPT_SHA256))
+def test_float64_warm_start_checkpoint_bytes_are_pinned(tmp_path, variant):
+    import hashlib
+
+    from adctr.toy import make_toy_problem
+    from adctr.train_eval import TrainConfig, train
+
+    schemas, vocab, examples = make_toy_problem(seed=3, n_examples=200)
+    config = TrainConfig(variant=variant, epochs=2, batch_size=32, embedding_dim=4,
+                         fc_dims=(16, 8), attention_dim=8, seed=5)
+    initial = init_model(variant, schemas, vocab.size, make_rng(4), k=4, fc_dims=(16, 8),
+                         attention_dim=8)
+    model, _ = train(config, examples[:150], examples[150:], schemas, vocab, initial=initial)
+    assert model.dtype == np.float64
+    path = tmp_path / "m.ckpt"
+    save_model(path, model, "s", "v")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FLOAT64_CKPT_SHA256[variant]

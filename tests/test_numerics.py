@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adctr.numerics import (AdagradState, ContractViolation, adagrad_step, adagrad_step_rows,
-                            load_tensors, make_rng, relu, save_tensors, sigmoid)
+                            dropout_mask, load_tensors, make_rng, relu, save_tensors, sigmoid)
 from oracles import dropout, linear
 
 
@@ -53,6 +53,13 @@ class TestDropout:
             dropout(np.ones(3), 1.0, "train", make_rng(0))
         with pytest.raises(ContractViolation):
             dropout(np.ones(3), -0.1, "train", make_rng(0))
+
+    @pytest.mark.parametrize("p", [0.0, 0.5])
+    def test_mask_takes_the_requested_dtype_and_drops_the_same_units(self, p):
+        m64 = dropout_mask((3, 7), p, make_rng(4))
+        m32 = dropout_mask((3, 7), p, make_rng(4), np.float32)
+        assert m64.dtype == np.float64 and m32.dtype == np.float32
+        np.testing.assert_array_equal(m32, m64)
 
     def test_inverted_dropout_preserves_mean(self):
         # Monte Carlo: mean over 1e5 trials of each unit stays within 2% of x.
@@ -108,21 +115,30 @@ class TestAdagrad:
         assert param.tobytes() == expected.tobytes()
         assert state.accum.tobytes() == accum.tobytes()
 
-    def test_repeated_steps_reuse_scratch_and_keep_the_formula_bitwise(self):
+    def test_repeated_steps_keep_the_formula_bitwise(self):
         rng = make_rng(10)
         state = AdagradState(lr=0.03, eps=1e-8)
         param = rng.normal(size=(3, 4))
         expected, accum = param.copy(), np.zeros((3, 4))
-        scratch: tuple = ()
         for _ in range(3):
             grad = rng.normal(size=(3, 4))
             accum = accum + grad * grad
             expected = expected - state.lr * grad / (np.sqrt(accum) + state.eps)
             adagrad_step(param, grad, state)
-            scratch = scratch or (state._step, state._scratch)
-            assert state._step is scratch[0] and state._scratch is scratch[1]
         assert param.tobytes() == expected.tobytes()
         assert state.accum.tobytes() == accum.tobytes()
+
+    def test_float32_steps_stay_float32(self):
+        rng = make_rng(11)
+        dense, rowwise = AdagradState(lr=0.03), AdagradState(lr=0.03)
+        param = rng.normal(size=(4, 3)).astype(np.float32)
+        table = param.copy()
+        for _ in range(2):
+            grad = rng.normal(size=(4, 3)).astype(np.float32)
+            adagrad_step(param, grad, dense)
+            adagrad_step_rows(table, np.array([0, 2]), grad[[0, 2]], rowwise)
+        for arr in (param, dense.accum, table, rowwise.accum):
+            assert arr.dtype == np.float32
 
     def test_row_update_matches_dense(self):
         rng = make_rng(9)

@@ -1,7 +1,10 @@
+import re
 import socket
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adctr import models, serving
 from adctr.ingest import ParseError
@@ -10,6 +13,7 @@ from adctr.numerics import make_rng
 from adctr.serving import (AdServer, ModelScorer, RankProtocolServer, RankRequest,
                            ad_display_id, parse_events, rank_request, replay_session,
                            write_results)
+from adctr.schema import SchemaError
 from adctr.session import SessionStore
 from oracles import StubRows, StubScorer, score_alone
 
@@ -372,6 +376,22 @@ class TestReplay:
             parse_events(path, ds.schemas, vocab)
         assert info.value.line_number == 2
 
+    @pytest.mark.parametrize("line, message", [
+        ("IMP\t100\tu1\tsrc=organic;title=t;x0=v", "missing required univalent field 'ad_id'"),
+        ("CLICK\t100\tu1\tad_id=a;src=organic;title=t", "missing required univalent field 'x0'"),
+        ("REQ\t100\tu1\tr1\t2\t{cand}|age=old;ad_id=a;src=s;title=t;x0=v",
+         "numerical field 'age': bad value 'old'"),
+        ("REQ\t100\tu1\tr1\t2\tad_id=a;src=s;title=t;x0=v", "missing required numerical"),
+    ])
+    def test_encode_errors_are_parse_errors_with_line_numbers(self, tmp_path, env, line,
+                                                              message):
+        ds, vocab, train = env
+        lines = [f"IMP\t90\tu1\t{_ad_fields(train[0])}", line.format(cand=_cand_fields(train[1]))]
+        path = self._events_file(tmp_path, ds, train, lines)
+        with pytest.raises(ParseError, match=f"line 2: {message}") as info:
+            parse_events(path, ds.schemas, vocab)
+        assert info.value.line_number == 2
+
     def test_non_monotone_user_timestamps_rejected(self, tmp_path, env):
         ds, vocab, train = env
         ad = _ad_fields(train[0])
@@ -397,6 +417,36 @@ class TestReplay:
         assert [r[1] for r in rows] == ["0", "1"]
         assert rows[0][3] == "1" and rows[1][3] == "2"
         assert rows[0][4] == "0.250000"
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=5)
+_NUMBER = st.sampled_from(["100", "0", "-5", "2", "1.5", "soon", ""]) | _TEXT
+_FIELD = st.builds("{}={}".format,
+                   st.sampled_from(["ad_id", "src", "title", "x0", "user_id", "age", "bogus"]),
+                   st.sampled_from(["a1", "30", "old", "", "1e400", "nan", "x,y"]) | _TEXT)
+_AD = st.lists(_FIELD | _TEXT, max_size=6).map(";".join)
+_LINE = st.one_of(
+    st.tuples(st.sampled_from(["IMP", "CLICK"]), _NUMBER, _TEXT, _AD),
+    st.tuples(st.just("REQ"), _NUMBER, _TEXT, _TEXT, _NUMBER,
+              st.lists(_AD, min_size=1, max_size=3).map("|".join)),
+    st.lists(st.sampled_from(["IMP", "CLICK", "REQ"]) | _NUMBER | _AD, max_size=7),
+).map("\t".join)
+_EVENT_LOG = st.lists(_LINE, max_size=6).map("\n".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_EVENT_LOG)
+def test_any_event_log_parses_or_names_its_line(tiny_dataset, tmp_path_factory, text):
+    ds, vocab, *_ = tiny_dataset
+    path = tmp_path_factory.getbasetemp() / "fuzz_events.tsv"
+    path.write_text(text, encoding="utf-8")
+    n_lines = len(path.read_text(encoding="utf-8").split("\n"))
+    try:
+        parse_events(path, ds.schemas, vocab)
+    except (ParseError, SchemaError) as exc:
+        named = re.search(r"line (\d+)", str(exc))
+        assert named is not None, exc
+        assert 1 <= int(named.group(1)) <= n_lines, exc
 
 
 class TestWireProtocol:

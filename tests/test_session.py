@@ -298,6 +298,7 @@ class TestSnapshot:
         (("u", "clk", "soon", "{ad}"), "bad timestamp 'soon'"),
         (("u", "unclk", "-5", "{ad}"), "bad timestamp '-5'"),
         (("u", "clk", "5", "nosuch=1"), "unknown field"),
+        (("u", "unclk", "5", "src=s;title=t;x0=v"), "missing required univalent field 'ad_id'"),
     ])
     def test_restore_names_the_bad_line(self, tmp_path, tiny_dataset, fields, message):
         ds, vocab, train, *_ = tiny_dataset
