@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -7,8 +9,11 @@ from adctr.models import (AuxTrace, InteractiveAttentionParams, SelfAttentionPar
                           _aggregate, _aggregate_backward, backward, forward, forward_batch,
                           init_model, load_model, loss, loss_from_logits, prepare_request,
                           save_model, score_request)
-from adctr.numerics import ContractViolation, make_rng, relu, save_tensors, sigmoid
+from adctr.numerics import (AdagradState, ContractViolation, adagrad_step, adagrad_step_rows,
+                            make_rng, relu, save_tensors, sigmoid)
 from adctr.schema import AUX_GROUPS
+from adctr.toy import make_toy_problem
+from adctr.train_eval import TrainConfig, embedding_penalty, train
 from oracles import (InstanceEmbedding, aggregate_interactive_attention, aggregate_pooling,
                      aggregate_self_attention, embed_instance, interactive_attention_pair_form,
                      padded_aggregate, score_alone)
@@ -595,13 +600,12 @@ def _float_arrays(obj):
 class TestFloat32:
     @pytest.mark.parametrize("variant", list(Variant))
     def test_trace_gradients_and_adagrad_state_stay_float32(self, toy_problem, variant):
-        from adctr.numerics import AdagradState, adagrad_step, adagrad_step_rows
-        from adctr.train_eval import embedding_penalty
-
         schemas, vocab, examples = toy_problem
         model = build(variant, toy_problem, seed=30, dropout=0.5).astype(np.float32)
         # the last example has no ads at all; a second batch has no contextual ads anywhere
-        batches = [examples, [ex.__class__(**{**vars(ex), "contextual": ()}) for ex in examples]]
+        no_ads = dataclasses.replace(examples[-1], contextual=(), clicked=(), unclicked=())
+        batches = [examples[:-1] + [no_ads],
+                   [dataclasses.replace(ex, contextual=()) for ex in examples]]
         states = {name: AdagradState(lr=0.05) for name in model.tensors()}
         for batch in batches:
             pctr, trace = forward_batch(model, batch, mode="train", rng=make_rng(31))
@@ -704,11 +708,6 @@ FLOAT64_CKPT_SHA256 = {
 
 @pytest.mark.parametrize("variant", list(FLOAT64_CKPT_SHA256))
 def test_float64_warm_start_checkpoint_bytes_are_pinned(tmp_path, variant):
-    import hashlib
-
-    from adctr.toy import make_toy_problem
-    from adctr.train_eval import TrainConfig, train
-
     schemas, vocab, examples = make_toy_problem(seed=3, n_examples=200)
     config = TrainConfig(variant=variant, epochs=2, batch_size=32, embedding_dim=4,
                          fc_dims=(16, 8), attention_dim=8, seed=5)

@@ -182,6 +182,17 @@ class TestTrain:
             bad.embedding.e = bad.embedding.e[:-1]
             train(config, tr[:300], va[:50], ds.schemas, vocab, initial=bad)
 
+    def test_a_fresh_model_is_float32_and_a_warm_start_keeps_its_dtype(self, tiny_dataset):
+        ds, vocab, tr, va, _ = tiny_dataset
+        config = TrainConfig(variant="dstn-s", epochs=1, seed=4, fc_dims=(8, 4),
+                             embedding_dim=3, attention_dim=4)
+        fresh, _ = train(config, tr[:300], va[:50], ds.schemas, vocab)
+        assert {arr.dtype for arr in fresh.tensors().values()} == {np.dtype(np.float32)}
+        for dtype in (np.float64, np.float32):
+            warm, _ = train(config, tr[:300], va[:50], ds.schemas, vocab,
+                            initial=fresh.astype(dtype))
+            assert {arr.dtype for arr in warm.tensors().values()} == {np.dtype(dtype)}
+
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_nan_embedding_row_fails_fast_naming_epoch_and_batch(self, tiny_dataset):
         ds, vocab, tr, va, _ = tiny_dataset
