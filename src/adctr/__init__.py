@@ -7,7 +7,7 @@ serving (two-round ranking protocol), cli.
 """
 
 from .ingest import LabeledExample, SyntheticConfig, generate_synthetic
-from .models import ModelParams, Variant, forward, loss
+from .models import ModelParams, Variant, loss
 from .schema import EncodedInstance, FieldKind, FieldSchema, GroupSchema, Vocabulary
 from .session import SessionStore
 from .train_eval import EvalReport, TrainConfig, auc, grad_check, train
@@ -17,6 +17,6 @@ __version__ = "0.1.0"
 __all__ = [
     "EncodedInstance", "EvalReport", "FieldKind", "FieldSchema", "GroupSchema",
     "LabeledExample", "ModelParams", "SessionStore", "SyntheticConfig", "TrainConfig",
-    "Variant", "Vocabulary", "auc", "forward", "generate_synthetic", "grad_check",
+    "Variant", "Vocabulary", "auc", "generate_synthetic", "grad_check",
     "loss", "train", "__version__",
 ]

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import ingest, serving, train_eval
 from .models import Variant, load_model, save_model
-from .schema import build_vocabulary, load_schemas, schemas_hash, Vocabulary
+from .schema import build_vocabulary, load_schemas, save_schemas, schemas_hash, Vocabulary
 from .session import SessionStore
 
 ABLATE_CHOICES = {"ctx": "contextual", "clk": "clicked", "unclk": "unclicked"}
@@ -90,17 +90,12 @@ def _cmd_train(args) -> int:
         # Incremental refresh: keep the original feature space so embedding
         # rows stay aligned; new raw values fall back to the OOV indices.
         initial, schemas, vocab = _load_checkpoint(args.init_ckpt)
-        with open(args.train_path, "r", encoding="utf-8") as fh:
-            train_lines = fh.read().splitlines()
     else:
         schema_path = args.schema or str(Path(args.train_path).with_name("schema.tsv"))
         schemas = load_schemas(schema_path)
         with open(args.train_path, "r", encoding="utf-8") as fh:
-            train_lines = fh.read().splitlines()
-        vocab = build_vocabulary(ingest.iter_group_records(train_lines), schemas)
-    cache: dict = {}
-    train_examples = [ingest.parse_log_line(l, schemas, vocab, i + 1, cache)
-                      for i, l in enumerate(train_lines)]
+            vocab = build_vocabulary(ingest.iter_group_records(fh), schemas)
+    train_examples = ingest.read_examples(args.train_path, schemas, vocab)
     val_examples = ingest.read_examples(args.val_path, schemas, vocab)
 
     config = (train_eval.TrainConfig.from_json(args.config, variant=args.variant)
@@ -118,8 +113,6 @@ def _cmd_train(args) -> int:
 
     save_model(args.out, model, schemas_hash(schemas), vocab.content_hash())
     schema_side, vocab_side = _sidecars(args.out)
-    from .schema import save_schemas
-
     save_schemas(schemas, schema_side)
     vocab.save(vocab_side)
     print(f"saved {args.out}")

@@ -58,6 +58,16 @@ def _ragged_take(offsets: Array, rows: Array) -> tuple[Array, Array]:
     return pos, out
 
 
+def _fields_by_name(inst: EncodedInstance, schema: GroupSchema) -> list[tuple[int, ...]]:
+    """The index bags of ``inst`` for the fields of ``schema``, by name."""
+    bags = {name: idx for (name, _), idx in zip(inst.raw, inst.indices)}
+    try:
+        return [bags[f.name] for f in schema.fields]
+    except KeyError as exc:
+        raise ContractViolation(f"a {inst.group} ad has no field {exc.args[0]!r} of group "
+                                f"{schema.group!r}") from None
+
+
 @dataclass(frozen=True)
 class AdColumns:
     """Same-group ads as a CSR over (ad, field): the feature indices of field
@@ -71,13 +81,18 @@ class AdColumns:
         return (len(self.offsets) - 1) // self.n_fields
 
     @classmethod
-    def from_instances(cls, instances: Sequence[EncodedInstance], n_fields: int) -> "AdColumns":
-        """Encode a list of ads, reading the first ``n_fields`` fields of each
-        (serving passes its round-2 winner, a target-group ad, as contextual)."""
-        fields = [inst.indices[:n_fields] for inst in instances]
+    def from_instances(cls, instances: Sequence[EncodedInstance],
+                       schema: GroupSchema) -> "AdColumns":
+        """Encode a list of ads in the fields of the given group. An ad of
+        another group is read by field name (serving passes its round-2
+        winner, a target-group ad, as contextual); a field name means the
+        same vocabulary rows in every group."""
+        n_fields = len(schema.fields)
+        fields = [inst.indices if inst.group == schema.group else _fields_by_name(inst, schema)
+                  for inst in instances]
         lens = [len(idx) for per_ad in fields for idx in per_ad]
         if len(lens) != n_fields * len(instances):
-            raise ContractViolation("an instance has fewer fields than its group schema")
+            raise ContractViolation("an instance does not have the fields of its group schema")
         offsets = np.fromiter(accumulate(lens, initial=0), dtype=np.int32, count=len(lens) + 1)
         flat = chain.from_iterable(chain.from_iterable(fields))
         return cls(n_fields, offsets, np.fromiter(flat, dtype=np.int32, count=int(offsets[-1])))
@@ -117,15 +132,14 @@ def encode_examples(examples: Sequence, schemas: Mapping[str, GroupSchema],
     given auxiliary groups."""
     n = len(examples)
     labels = np.fromiter((ex.label for ex in examples), dtype=np.float64, count=n)
-    target = AdColumns.from_instances([ex.target for ex in examples],
-                                      len(schemas["target"].fields))
+    target = AdColumns.from_instances([ex.target for ex in examples], schemas["target"])
     aux = {}
     for group in groups:
         lists = [getattr(ex, group) for ex in examples]
         offsets = np.fromiter(accumulate(map(len, lists), initial=0), dtype=np.int32,
                               count=n + 1)
         aux[group] = (offsets, AdColumns.from_instances(list(chain.from_iterable(lists)),
-                                                        len(schemas[group].fields)))
+                                                        schemas[group]))
     return EncodedBatch(labels, target, aux)
 
 

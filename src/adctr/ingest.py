@@ -32,8 +32,9 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .numerics import make_rng
-from .schema import (EncodedInstance, EncodeError, FieldKind, FieldSchema, GroupSchema,
-                     RawRecord, Vocabulary, build_vocabulary, encode_instance, save_schemas)
+from .schema import (GROUPS, EncodedInstance, EncodeError, FieldKind, FieldSchema,
+                     GroupSchema, RawRecord, Vocabulary, build_vocabulary, encode_instance,
+                     save_schemas)
 from .session import SessionStore
 
 MAX_AUX = 5
@@ -73,6 +74,18 @@ def _parse_fields(text: str, line_number: int = 0) -> dict[str, tuple[str, ...]]
     return record
 
 
+def read_record(text: str, group_schema: GroupSchema,
+                line_number: int = 0) -> dict[str, tuple[str, ...]]:
+    """One ``field=value;...`` ad as a raw record; a field its group does not
+    have is a ``ParseError`` naming the line."""
+    record = _parse_fields(text, line_number)
+    unknown = record.keys() - group_schema.field_names
+    if unknown:
+        raise ParseError(f"unknown field(s) {sorted(unknown)} for group {group_schema.group!r}",
+                         line_number)
+    return record
+
+
 def parse_ad(text: str, group_schema: GroupSchema, vocab: Vocabulary,
              line_number: int = 0, cache: dict | None = None) -> EncodedInstance:
     """Parse one ``field=value;...`` ad and encode it."""
@@ -80,12 +93,8 @@ def parse_ad(text: str, group_schema: GroupSchema, vocab: Vocabulary,
         hit = cache.get((group_schema.group, text))
         if hit is not None:
             return hit
-    record = _parse_fields(text, line_number)
-    unknown = set(record) - set(group_schema.field_names)
-    if unknown:
-        raise ParseError(f"unknown field(s) {sorted(unknown)} for group {group_schema.group!r}",
+    inst = encode_record(read_record(text, group_schema, line_number), group_schema, vocab,
                          line_number)
-    inst = encode_record(record, group_schema, vocab, line_number)
     if cache is not None:
         cache[(group_schema.group, text)] = inst
     return inst
@@ -105,48 +114,31 @@ def serialize_ad(inst: EncodedInstance) -> str:
     return ";".join(f"{name}={','.join(values)}" for name, values in inst.raw)
 
 
-def parse_log_line(line: str, schemas: Mapping[str, GroupSchema], vocab: Vocabulary,
-                   line_number: int = 0, cache: dict | None = None) -> LabeledExample:
-    """Parse one impression line; auxiliary lists are truncated to five ads."""
+def _split_line(line: str, line_number: int) -> tuple[list[str], list[list[str]]]:
+    """An impression line's label, timestamp and user_id texts, and the ad
+    texts of each group in ``GROUPS`` order (auxiliary lists cut to their
+    first ``MAX_AUX``)."""
     cols = line.rstrip("\n").split("\t")
     if len(cols) != 7:
         raise ParseError(f"expected 7 columns, got {len(cols)}", line_number)
-    label_s, ts_s, user_id = cols[0], cols[1], cols[2]
+    return cols[:3], [[cols[3]]] + [t.split("|")[:MAX_AUX] if t else [] for t in cols[4:]]
+
+
+def parse_log_line(line: str, schemas: Mapping[str, GroupSchema], vocab: Vocabulary,
+                   line_number: int = 0, cache: dict | None = None) -> LabeledExample:
+    """Parse one impression line; auxiliary lists are truncated to five ads."""
+    (label_s, ts_s, user_id), texts = _split_line(line, line_number)
     if label_s not in ("0", "1"):
         raise ParseError(f"label must be 0 or 1, got {label_s!r}", line_number)
     try:
         ts = int(ts_s)
     except ValueError:
         raise ParseError(f"bad timestamp {ts_s!r}", line_number) from None
-
-    def block(text: str, group: str) -> tuple[EncodedInstance, ...]:
-        if text == "":
-            return ()
-        ads = text.split("|")[:MAX_AUX]
-        return tuple(parse_ad(a, schemas[group], vocab, line_number, cache) for a in ads)
-
-    return LabeledExample(
-        label=int(label_s),
-        timestamp=ts,
-        user_id=user_id,
-        target=parse_ad(cols[3], schemas["target"], vocab, line_number, cache),
-        contextual=block(cols[4], "contextual"),
-        clicked=block(cols[5], "clicked"),
-        unclicked=block(cols[6], "unclicked"),
-    )
-
-
-def serialize_example(ex: LabeledExample) -> str:
-    """Canonical line for an example; inverse of parse_log_line on canonical input."""
-    return "\t".join([
-        str(ex.label),
-        str(ex.timestamp),
-        ex.user_id,
-        serialize_ad(ex.target),
-        "|".join(serialize_ad(a) for a in ex.contextual),
-        "|".join(serialize_ad(a) for a in ex.clicked),
-        "|".join(serialize_ad(a) for a in ex.unclicked),
-    ])
+    (target,), contextual, clicked, unclicked = [
+        tuple([parse_ad(t, schemas[g], vocab, line_number, cache) for t in ads])
+        for g, ads in zip(GROUPS, texts)]
+    return LabeledExample(label=int(label_s), timestamp=ts, user_id=user_id, target=target,
+                          contextual=contextual, clicked=clicked, unclicked=unclicked)
 
 
 def read_examples(path, schemas: Mapping[str, GroupSchema], vocab: Vocabulary) -> list[LabeledExample]:
@@ -160,18 +152,10 @@ def read_examples(path, schemas: Mapping[str, GroupSchema], vocab: Vocabulary) -
 
 def iter_group_records(lines: Iterable[str]) -> Iterable[tuple[str, dict[str, tuple[str, ...]]]]:
     """Yield (group, raw record) pairs from raw log lines, for vocabulary building."""
-    groups = ("target", "contextual", "clicked", "unclicked")
     for lineno, line in enumerate(lines, start=1):
-        cols = line.rstrip("\n").split("\t")
-        if len(cols) != 7:
-            raise ParseError(f"expected 7 columns, got {len(cols)}", lineno)
-        for gi, group in enumerate(groups):
-            text = cols[3 + gi]
-            if text == "":
-                continue
-            ads = text.split("|") if gi else [text]
-            for ad in ads[: (MAX_AUX if gi else 1)]:
-                yield group, _parse_fields(ad, lineno)
+        for group, texts in zip(GROUPS, _split_line(line, lineno)[1]):
+            for text in texts:
+                yield group, _parse_fields(text, lineno)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ model's dtype.
 from __future__ import annotations
 
 import copy
-import dataclasses
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Sequence
@@ -83,9 +83,10 @@ class InteractiveAttentionParams:
     b_tc2: Array  # (1,)
 
 
-# Checkpoint names of each attention block's tensors, in field order.
-_ATTN_NAMES = {SelfAttentionParams: ("W1", "b1", "w2", "b2"),
-               InteractiveAttentionParams: ("Wtc", "btc1", "h", "btc2")}
+# Each attention variant's parameter block and the checkpoint names of its
+# tensors, in field order.
+_ATTENTION = {Variant.DSTN_S: (SelfAttentionParams, ("W1", "b1", "w2", "b2")),
+              Variant.DSTN_I: (InteractiveAttentionParams, ("Wtc", "btc1", "h", "btc2"))}
 
 
 @dataclass
@@ -102,31 +103,37 @@ class ModelParams:
     out_b: Array = None  # (1,)
     attention: dict[str, SelfAttentionParams | InteractiveAttentionParams] = field(default_factory=dict)
 
+    @classmethod
+    def from_tensors(cls, variant: Variant, schemas: Mapping[str, GroupSchema], k: int,
+                     dropout_p: float, tensors: Mapping[str, Array]) -> "ModelParams":
+        """A model over the given tensors, keyed by the names of ``tensors()``."""
+        model = cls(variant=variant, schemas=dict(schemas), k=k, dropout_p=dropout_p,
+                    embedding=EmbeddingTable(tensors["emb.E"]), out_b=tensors["out.b"])
+        if variant != Variant.LR:
+            model.fusion_w, model.fusion_b = tensors["fusion.W"], tensors["fusion.b"]
+            model.fc = [(tensors[f"{n}.W"], tensors[f"{n}.b"])
+                        for n in _fc_layers(tensors)[1:]]
+            model.out_w = tensors["out.w"]
+        if variant in _ATTENTION:
+            params, names = _ATTENTION[variant]
+            model.attention = {g: params(*(tensors[f"attn.{g}.{n}"] for n in names))
+                               for g in AUX_GROUPS}
+        return model
+
     def dim(self, group: str) -> int:
         return group_dim(self.schemas[group], self.k)
 
-    @property
-    def concat_dim(self) -> int:
-        if self.variant == Variant.DNN:
-            return self.dim("target")
-        return self.dim("target") + sum(self.dim(g) for g in AUX_GROUPS)
-
     def tensors(self) -> dict[str, Array]:
-        """Live references to every parameter tensor, keyed by stable names."""
-        out: dict[str, Array] = {"emb.E": self.embedding.e}
-        if self.fusion_w is not None:
-            out["fusion.W"] = self.fusion_w
-            out["fusion.b"] = self.fusion_b
+        """Live references to every parameter tensor, keyed by stable names,
+        in ``_layout`` order."""
+        out = {"emb.E": self.embedding.e, "fusion.W": self.fusion_w, "fusion.b": self.fusion_b}
         for i, (w, b) in enumerate(self.fc, start=2):
-            out[f"fc{i}.W"] = w
-            out[f"fc{i}.b"] = b
-        if self.out_w is not None:
-            out["out.w"] = self.out_w
-        out["out.b"] = self.out_b
+            out[f"fc{i}.W"], out[f"fc{i}.b"] = w, b
+        out["out.w"], out["out.b"] = self.out_w, self.out_b
         for group, p in self.attention.items():
-            for name, arr in zip(_ATTN_NAMES[type(p)], vars(p).values()):
-                out[f"attn.{group}.{name}"] = arr
-        return out
+            names = (f"attn.{group}.{n}" for n in _ATTENTION[self.variant][1])
+            out.update(zip(names, vars(p).values()))
+        return {name: arr for name, arr in out.items() if arr is not None}
 
     @property
     def dtype(self) -> np.dtype:
@@ -138,21 +145,44 @@ class ModelParams:
 
     def astype(self, dtype) -> "ModelParams":
         """A copy with every tensor cast to ``dtype``."""
-        def cast(a: Array | None) -> Array | None:
-            return None if a is None else a.astype(dtype)
-
-        return dataclasses.replace(
-            self, schemas=dict(self.schemas), embedding=EmbeddingTable(cast(self.embedding.e)),
-            fusion_w=cast(self.fusion_w), fusion_b=cast(self.fusion_b),
-            fc=[(cast(w), cast(b)) for w, b in self.fc], out_w=cast(self.out_w),
-            out_b=cast(self.out_b),
-            attention={g: type(p)(*map(cast, vars(p).values()))
-                       for g, p in self.attention.items()})
+        return ModelParams.from_tensors(self.variant, self.schemas, self.k, self.dropout_p,
+                                        {n: a.astype(dtype) for n, a in self.tensors().items()})
 
 
-def _glorot(rng, fan_out: int, fan_in: int, shape) -> Array:
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
+def _fc_layers(tensors: Mapping[str, object]) -> list[str]:
+    """The FC layers a model's tensors hold: fusion, then fc2, fc3, ... for
+    as long as their weights are there."""
+    layers = ["fusion"]
+    while f"fc{len(layers) + 1}.W" in tensors:
+        layers.append(f"fc{len(layers) + 1}")
+    return layers
+
+
+def _layout(variant: Variant, schemas: Mapping[str, GroupSchema], k: int,
+            rows: Mapping[str, int], fc_layers: Sequence[str]) -> dict[str, tuple[int, ...]]:
+    """Every tensor of a model, name -> shape, in the order ``init_model``
+    draws them. The vocabulary size and the layer widths are free: ``rows``
+    gives each as the leading dimension of the tensor that introduces it
+    (``emb.E``, each FC layer's ``.W`` and each attention block's first
+    tensor); the shapes of the tensors after it follow."""
+    def dim(group: str) -> int:
+        return group_dim(schemas[group], k)
+
+    shapes = {"emb.E": (rows["emb.E"], k)}
+    if variant != Variant.LR:
+        width = dim("target") + (sum(map(dim, AUX_GROUPS)) if variant.uses_aux else 0)
+        for layer in fc_layers:
+            h = rows[f"{layer}.W"]
+            shapes[f"{layer}.W"], shapes[f"{layer}.b"] = (h, width), (h,)
+            width = h
+        shapes["out.w"] = (width,)
+    shapes["out.b"] = (1,)
+    for group in AUX_GROUPS if variant in _ATTENTION else ():
+        w, b1, w2, b2 = (f"attn.{group}.{n}" for n in _ATTENTION[variant][1])
+        d_in = dim(group) + (dim("target") if variant == Variant.DSTN_I else 0)
+        h = rows[w]
+        shapes.update({w: (h, d_in), b1: (h,), w2: (h,), b2: (1,)})
+    return shapes
 
 
 def init_model(variant: Variant, schemas: Mapping[str, GroupSchema], vocab_size: int,
@@ -161,48 +191,24 @@ def init_model(variant: Variant, schemas: Mapping[str, GroupSchema], vocab_size:
                dtype=np.float64) -> ModelParams:
     """Fresh parameters: uniform Glorot for dense weights, zero biases,
     uniform +-0.01 embeddings (1-dim for the LR variant). The values are
-    drawn in float64 and rounded to ``dtype``, so a seed gives the same model
-    in both precisions up to that rounding."""
-    model = _init_float64(Variant(variant), schemas, vocab_size, rng, k, fc_dims,
-                          attention_dim, dropout_p)
-    return model if model.dtype == dtype else model.astype(dtype)
-
-
-def _init_float64(variant: Variant, schemas: Mapping[str, GroupSchema], vocab_size: int,
-                  rng: np.random.Generator, k: int, fc_dims: Sequence[int],
-                  attention_dim: int, dropout_p: float) -> ModelParams:
-    schemas = dict(schemas)
-    if variant == Variant.LR:
-        k = 1
-    model = ModelParams(variant=variant, schemas=schemas, k=k, dropout_p=dropout_p,
-                        embedding=EmbeddingTable.init(vocab_size, k, rng),
-                        out_b=np.zeros(1))
-    if variant == Variant.LR:
-        return model
-    d_in = model.concat_dim
-    dims = list(fc_dims)
-    model.fusion_w = _glorot(rng, dims[0], d_in, (dims[0], d_in))
-    model.fusion_b = np.zeros(dims[0])
-    for prev, cur in zip(dims, dims[1:]):
-        model.fc.append((_glorot(rng, cur, prev, (cur, prev)), np.zeros(cur)))
-    model.out_w = _glorot(rng, 1, dims[-1], (dims[-1],))
-    if variant in (Variant.DSTN_S, Variant.DSTN_I):
-        d_t = model.dim("target")
-        for group in AUX_GROUPS:
-            d_g = model.dim(group)
-            if variant == Variant.DSTN_S:
-                model.attention[group] = SelfAttentionParams(
-                    w1=_glorot(rng, attention_dim, d_g, (attention_dim, d_g)),
-                    b1=np.zeros(attention_dim),
-                    w2=_glorot(rng, 1, attention_dim, (attention_dim,)),
-                    b2=np.zeros(1))
-            else:
-                model.attention[group] = InteractiveAttentionParams(
-                    w_tc=_glorot(rng, attention_dim, d_t + d_g, (attention_dim, d_t + d_g)),
-                    b_tc1=np.zeros(attention_dim),
-                    h=_glorot(rng, 1, attention_dim, (attention_dim,)),
-                    b_tc2=np.zeros(1))
-    return model
+    drawn in float64, in ``_layout`` order, and rounded to ``dtype``, so a
+    seed gives the same model in both precisions up to that rounding."""
+    variant = Variant(variant)
+    k = 1 if variant == Variant.LR else k
+    fc_layers = ["fusion"] + [f"fc{i}" for i in range(2, len(fc_dims) + 1)]
+    rows = defaultdict(lambda: attention_dim, {"emb.E": vocab_size})  # the rest: attention
+    rows.update((f"{n}.W", d) for n, d in zip(fc_layers, fc_dims))
+    tensors = {}
+    for name, shape in _layout(variant, schemas, k, rows, fc_layers).items():
+        if name == "emb.E":
+            arr = EmbeddingTable.init(*shape, rng).e
+        elif name.rsplit(".", 1)[1].startswith("b"):  # a bias
+            arr = np.zeros(shape)
+        else:  # Glorot over (fan-out, fan-in); a weight vector has fan-out 1
+            bound = np.sqrt(6.0 / (shape[0] + (shape[1] if len(shape) == 2 else 1)))
+            arr = rng.uniform(-bound, bound, size=shape)
+        tensors[name] = arr.astype(dtype, copy=False)
+    return ModelParams.from_tensors(variant, schemas, k, dropout_p, tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +373,6 @@ def forward_batch(model: ModelParams, batch: EncodedBatch | Sequence[LabeledExam
                             acts=acts, drop_masks=masks, logit=logit, pctr=pctr)
 
 
-def forward(model: ModelParams, example: LabeledExample, mode: str = "eval",
-            rng: np.random.Generator | None = None) -> tuple[float, BatchTrace]:
-    pctr, trace = forward_batch(model, [example], mode=mode, rng=rng)
-    return float(pctr[0]), trace
-
-
 # ---------------------------------------------------------------------------
 # request-level eval forward (serving)
 # ---------------------------------------------------------------------------
@@ -405,7 +405,7 @@ def _shared_agg(model: ModelParams, group: str, ads: Sequence[EncodedInstance],
                 x_t: Array) -> Array:
     """The group's aggregate of ads shared by every row of x_t: (1, D_g) for
     pooling and self-attention, (n, D_g) for interactive attention."""
-    cols = AdColumns.from_instances(ads, len(model.schemas[group].fields))
+    cols = AdColumns.from_instances(ads, model.schemas[group])
     t = _pad_aux(model, np.array([0, len(cols)]), cols)
     _aggregate(model, t, group, x_t)
     return t.agg
@@ -424,7 +424,7 @@ def prepare_request(model: ModelParams, candidates: Sequence[EncodedInstance],
     candidates and the history once, aggregate the history (once for
     DSTN-P/S; per candidate for DSTN-I, whose ad half is computed once) and
     sum the fusion pre-activation without its contextual term."""
-    target = AdColumns.from_instances(candidates, len(model.schemas["target"].fields))
+    target = AdColumns.from_instances(candidates, model.schemas["target"])
     x_t = embed_matrix(target, model.embedding)
     if model.variant == Variant.LR:
         return RequestRows(x_t, x_t.sum(axis=1) + model.out_b[0])
@@ -582,69 +582,23 @@ def load_model(path, schemas: Mapping[str, GroupSchema]) -> tuple[ModelParams, d
     variant = by_header.get(header.get("variant"))
     if variant is None:
         raise ValueError(f"{path}: unknown variant {header.get('variant')!r}")
-    attn = {Variant.DSTN_S: SelfAttentionParams,
-            Variant.DSTN_I: InteractiveAttentionParams}.get(variant)
-    n_fc = 0
-    while f"fc{n_fc + 2}.W" in tensors:
-        n_fc += 1
-    fc_names = [f"fc{i}" for i in range(2, 2 + n_fc)]
     # A file cut at a record boundary reads as a shorter TNSR1 file. Records
-    # are sorted by name, so any such cut loses one of these.
-    required = ["emb.E", "out.b"]
-    if variant != Variant.LR:
-        required += ["fusion.W", "fusion.b", "out.w"] + [f"{n}.{s}" for n in fc_names
-                                                           for s in ("W", "b")]
-    if attn is not None:
-        required += [f"attn.{g}.{n}" for g in AUX_GROUPS for n in _ATTN_NAMES[attn]]
-    missing = set(required) - tensors.keys()
+    # are sorted by name, so any such cut loses one of the layout's tensors.
+    k, fc_layers = int(header["k"]), _fc_layers(tensors)
+    rows = defaultdict(int, {name: arr.shape[0] for name, arr in tensors.items() if arr.ndim})
+    shapes = _layout(variant, schemas, k, rows, fc_layers)
+    missing = shapes.keys() - tensors.keys()
     if missing:
         raise ValueError(f"{path}: missing tensors {sorted(missing)}")
-    unexpected = tensors.keys() - set(required)
+    unexpected = tensors.keys() - shapes.keys()
     if unexpected:
         raise ValueError(f"{path}: unexpected tensors {sorted(unexpected)}")
-    model = ModelParams(variant=variant, schemas=dict(schemas), k=int(header["k"]),
-                        dropout_p=float(header["dropout_p"]),
-                        embedding=EmbeddingTable(tensors["emb.E"]), out_b=tensors["out.b"])
-    if variant != Variant.LR:
-        model.fusion_w, model.fusion_b = tensors["fusion.W"], tensors["fusion.b"]
-        model.fc = [(tensors[f"{n}.W"], tensors[f"{n}.b"]) for n in fc_names]
-        model.out_w = tensors["out.w"]
-    if attn is not None:
-        for g in AUX_GROUPS:
-            model.attention[g] = attn(*(tensors[f"attn.{g}.{n}"] for n in _ATTN_NAMES[attn]))
-    _check_shapes(path, model)
+    for name, shape in shapes.items():
+        if tensors[name].shape != shape:
+            raise ValueError(f"{path}: tensor {name} has shape {tensors[name].shape}, "
+                             f"expected {shape}")
+    model = ModelParams.from_tensors(variant, schemas, k, float(header["dropout_p"]), tensors)
     return model, header
-
-
-def _check_shapes(path, model: ModelParams) -> None:
-    """Every tensor's shape against the variant, the schemas and k. The
-    vocabulary size and the layer widths are free: each is read off the
-    tensor that introduces it, and the tensors after it must agree."""
-    tensors = model.tensors()
-
-    def rows(name: str) -> int:
-        shape = tensors[name].shape
-        return shape[0] if shape else 0
-
-    expected = {"emb.E": (rows("emb.E"), model.k), "out.b": (1,)}
-    if model.variant != Variant.LR:
-        width = model.concat_dim
-        for name in ["fusion"] + [f"fc{i}" for i in range(2, 2 + len(model.fc))]:
-            h = rows(f"{name}.W")
-            expected[f"{name}.W"], expected[f"{name}.b"] = (h, width), (h,)
-            width = h
-        expected["out.w"] = (width,)
-    for group, p in model.attention.items():
-        w, b1, w2, b2 = (f"attn.{group}.{n}" for n in _ATTN_NAMES[type(p)])
-        d_in = model.dim(group)
-        if isinstance(p, InteractiveAttentionParams):
-            d_in += model.dim("target")
-        a = rows(w)
-        expected.update({w: (a, d_in), b1: (a,), w2: (a,), b2: (1,)})
-    for name, arr in tensors.items():
-        if arr.shape != expected[name]:
-            raise ValueError(f"{path}: tensor {name} has shape {arr.shape}, "
-                             f"expected {expected[name]}")
 
 
 def _aggregate_backward(model: ModelParams, group: str, t: AuxTrace, x_t: Array, g_agg: Array,

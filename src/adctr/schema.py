@@ -219,14 +219,15 @@ class EncodedInstance:
 
 
 def _field_tokens(fs: FieldSchema, values: Sequence[str]) -> list[str]:
-    """Vocabulary keys contributed by one field of a raw record."""
+    """Vocabulary keys contributed by one field of a raw record; a univalent
+    or numerical field needs exactly one value."""
+    if fs.kind != FieldKind.MULTIVALENT and (len(values) != 1 or values[0] == ""):
+        if not values:
+            raise EncodeError(f"missing required {fs.kind.value} field {fs.name!r}")
+        raise EncodeError(f"{fs.kind.value} field {fs.name!r} needs exactly one value")
     if fs.kind == FieldKind.UNIVALENT:
-        if len(values) != 1 or values[0] == "":
-            raise EncodeError(f"univalent field {fs.name!r} needs exactly one value")
         return [values[0]]
     if fs.kind == FieldKind.NUMERICAL:
-        if len(values) != 1 or values[0] == "":
-            raise EncodeError(f"numerical field {fs.name!r} needs exactly one value")
         try:
             x = float(values[0])
         except ValueError:
@@ -243,7 +244,9 @@ def build_vocabulary(records: Iterable[tuple[str, RawRecord]],
     """Build and freeze a vocabulary from a stream of (group, record) pairs.
 
     Every field of every group gets an OOV index even if no record mentions it.
-    Only target records add to the per-index counts.
+    Only target records add to the per-index counts. A field value that
+    ``encode_instance`` would refuse (missing, several values for a univalent
+    field, a bad number) adds nothing: the parse pass names its line.
     """
     vocab = Vocabulary()
     for group in GROUPS:
@@ -254,10 +257,11 @@ def build_vocabulary(records: Iterable[tuple[str, RawRecord]],
         schema = schemas[group]
         occurrences = int(group == "target")
         for fs in schema.fields:
-            values = tuple(record.get(fs.name, ()))
-            if fs.kind != FieldKind.MULTIVALENT and not values:
-                continue  # tolerated while building; encode_instance rejects it
-            for token in _field_tokens(fs, values):
+            try:
+                tokens = _field_tokens(fs, tuple(record.get(fs.name, ())))
+            except EncodeError:
+                continue
+            for token in tokens:
                 vocab.add(fs.name, token, occurrences)
     return vocab.freeze()
 
@@ -265,8 +269,8 @@ def build_vocabulary(records: Iterable[tuple[str, RawRecord]],
 def encode_instance(record: RawRecord, group_schema: GroupSchema, vocab: Vocabulary) -> EncodedInstance:
     """Encode a raw record against a frozen vocabulary.
 
-    Unseen values map to the field's OOV index; a missing univalent or
-    numerical field is an error naming the field.
+    Unseen values map to the field's OOV index; a univalent or numerical
+    field without exactly one value is an error naming the field.
     """
     if not vocab.frozen:
         raise EncodeError("vocabulary must be frozen before encoding")
@@ -274,10 +278,7 @@ def encode_instance(record: RawRecord, group_schema: GroupSchema, vocab: Vocabul
     raw: list[tuple[str, tuple[str, ...]]] = []
     for fs in group_schema.fields:
         values = tuple(record.get(fs.name, ()))
-        if fs.kind != FieldKind.MULTIVALENT and len(values) != 1:
-            raise EncodeError(f"missing required {fs.kind.value} field {fs.name!r}")
-        tokens = _field_tokens(fs, values)
-        per_field.append(tuple(vocab.lookup(fs.name, t) for t in tokens))
+        per_field.append(tuple(vocab.lookup(fs.name, t) for t in _field_tokens(fs, values)))
         raw.append((fs.name, values))
     return EncodedInstance(group=group_schema.group, indices=tuple(per_field), raw=tuple(raw))
 

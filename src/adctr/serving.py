@@ -6,10 +6,11 @@ protocol between the two halves.
 Two-round protocol per request: round 1 scores every candidate with the
 user's clicked/unclicked history and no contextual ads, and the highest-pCTR
 candidate wins (ties go to the lowest ordinal). Round 2 re-scores the
-remaining candidates with the winner as the single contextual ad and keeps
-the top slots-1 of them. The re-scoring round runs exactly once. The work
-both rounds share (the candidates, the history, the fusion pre-activation
-without its contextual term) is done once per request.
+remaining candidates with the winner as the single contextual ad, its
+contextual-schema fields read by name, and keeps the top slots-1 of them.
+The re-scoring round runs exactly once. The work both rounds share (the
+candidates, the history, the fusion pre-activation without its contextual
+term) is done once per request.
 
 Event log (TSV), timestamps non-decreasing per user; requests are served in
 file order and behavior events reach the store in (timestamp, file order):
@@ -19,8 +20,9 @@ file order and behavior events reach the store in (timestamp, file order):
     REQ \\t ts \\t user_id \\t request_id \\t slots \\t ad_fields|ad_fields|...
 
 REQ candidates carry the target-schema ad fields; the user_id field is filled
-in from the request. Behavior events become visible to requests only after
-the configured propagation lag.
+in from the request. A field the ad's group does not have is a ``ParseError``
+naming the line, here and in the catalog. Behavior events become visible to
+requests only after the configured propagation lag.
 
 Wire protocol (one line per message):
 
@@ -44,11 +46,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ingest import ParseError, encode_record, parse_ad, _parse_fields
+from .ingest import ParseError, encode_record, parse_ad, read_record
 # forward_batch is not called here: perfbench's span test reads serving.forward_batch.
 from .models import (ModelParams, RequestRows, forward_batch,  # noqa: F401
                      prepare_request, score_request)
-from .schema import EncodedInstance, GroupSchema, Vocabulary
+from .schema import EncodedInstance, GroupSchema, RawRecord, Vocabulary
 from .session import SessionStore
 
 MAX_LINE_BYTES = 64 * 1024  # a RANK line, newline included
@@ -117,7 +119,8 @@ class ModelScorer:
 
 def rank_request(scorer, store: SessionStore, req: RankRequest) -> RankResult:
     """Two-round contextual-promotion ranking by pCTR. Round 2 reuses round
-    1's prepared rows; the winner fills the contextual slots by position."""
+    1's prepared rows, with the winner as the contextual ad: the scorer reads
+    the winner's contextual-schema fields by name."""
     clicked, unclicked = store.get_history(req.user_id, req.now)
     rows = scorer.prepare(req.candidates, clicked, unclicked)
     scores1 = scorer.score(rows, ())
@@ -186,7 +189,8 @@ def parse_events(path, schemas: Mapping[str, GroupSchema], vocab: Vocabulary) ->
                 if slots < 1:
                     raise ParseError(f"bad slots {cols[4]!r}", lineno)
                 candidates = tuple(
-                    _encode_candidate(text, user_id, schemas["target"], vocab, lineno)
+                    _encode_candidate(read_record(text, schemas["target"], lineno), user_id,
+                                      schemas["target"], vocab, lineno)
                     for text in cols[5].split("|"))
                 events.append(SimEvent(kind="req", ts=ts, user_id=user_id,
                                        request=RankRequest(request_id=cols[3], user_id=user_id,
@@ -204,11 +208,11 @@ def _parse_int(text: str, what: str, lineno: int) -> int:
         raise ParseError(f"bad {what} {text!r}", lineno) from None
 
 
-def _encode_candidate(text: str, user_id: str, target_schema: GroupSchema,
-                      vocab: Vocabulary, lineno: int) -> EncodedInstance:
-    record = _parse_fields(text, lineno)
-    record.setdefault("user_id", (user_id,))
-    return encode_record(record, target_schema, vocab, lineno)
+def _encode_candidate(record: RawRecord, user_id: str, target_schema: GroupSchema,
+                      vocab: Vocabulary, lineno: int = 0) -> EncodedInstance:
+    """A request's candidate: a target-schema record, with the request's
+    user_id filled in where the record names none."""
+    return encode_record({"user_id": (user_id,), **record}, target_schema, vocab, lineno)
 
 
 def replay_session(scorer, store: SessionStore, events: Sequence[SimEvent],
@@ -331,15 +335,12 @@ class RankProtocolServer:
             if len(ad_ids) > MAX_CANDIDATES:
                 return f"ERR too many candidates: {len(ad_ids)} > {MAX_CANDIDATES}"
             candidates = []
-            from .schema import encode_instance
-
             for ad_id in ad_ids:
                 record = self.catalog.get(ad_id)
                 if record is None:
                     return f"ERR unknown ad {ad_id}"
-                rec = dict(record)
-                rec.setdefault("user_id", (user_id,))
-                candidates.append(encode_instance(rec, self.target_schema, self.vocab))
+                candidates.append(_encode_candidate(record, user_id, self.target_schema,
+                                                    self.vocab))
             req = RankRequest(request_id="-", user_id=user_id, now=int(now),
                               candidates=tuple(candidates), slots=int(slots))
             res = self.ad_server.rank(req)
@@ -360,7 +361,9 @@ class RankProtocolServer:
 
 
 def load_catalog(path, target_schema: GroupSchema) -> dict[str, dict[str, tuple[str, ...]]]:
-    """Catalog file: ad_id \\t field=value;... (target-schema ad fields)."""
+    """Catalog file: ad_id \\t field=value;... (target-schema ad fields); a
+    field the target schema does not have is a ``ParseError`` naming the
+    line."""
     catalog: dict[str, dict[str, tuple[str, ...]]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -368,5 +371,5 @@ def load_catalog(path, target_schema: GroupSchema) -> dict[str, dict[str, tuple[
             if not line:
                 continue
             ad_id, _, fields = line.partition("\t")
-            catalog[ad_id] = _parse_fields(fields, lineno)
+            catalog[ad_id] = read_record(fields, target_schema, lineno)
     return catalog

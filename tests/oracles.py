@@ -4,8 +4,8 @@ summation order the batched paths promise to keep), per-ad-list aggregation,
 batched aggregation over a padded (B, S, D_g) block with a slot mask,
 interactive attention through the concatenated [target, ad] pair tensor, a
 single-vector linear map and inverted dropout; one candidate scored alone
-by the batched forward; plus a fixed-score stand-in for the serving model
-scorer."""
+by the batched forward, and one example's forward; the canonical line of an
+example; plus a fixed-score stand-in for the serving model scorer."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from adctr.embedding import EmbeddingTable
-from adctr.ingest import LabeledExample
+from adctr.ingest import LabeledExample, serialize_ad
 from adctr.models import (SCORE_CLAMP, InteractiveAttentionParams, SelfAttentionParams,
                           Variant, forward_batch)
 from adctr.numerics import Array, ContractViolation, dropout_mask, relu
@@ -264,6 +264,26 @@ def score_alone(model, candidate, contextual, clicked, unclicked) -> float:
                         unclicked=tuple(unclicked))
     pctr, _ = forward_batch(model, [ex])
     return float(pctr[0])
+
+
+def forward(model, example: LabeledExample, mode: str = "eval",
+            rng: np.random.Generator | None = None):
+    """forward_batch on one example: (its pCTR, the trace)."""
+    pctr, trace = forward_batch(model, [example], mode=mode, rng=rng)
+    return float(pctr[0]), trace
+
+
+def serialize_example(ex: LabeledExample) -> str:
+    """Canonical line for an example; inverse of parse_log_line on canonical input."""
+    return "\t".join([
+        str(ex.label),
+        str(ex.timestamp),
+        ex.user_id,
+        serialize_ad(ex.target),
+        "|".join(serialize_ad(a) for a in ex.contextual),
+        "|".join(serialize_ad(a) for a in ex.clicked),
+        "|".join(serialize_ad(a) for a in ex.unclicked),
+    ])
 
 
 class StubRows(tuple):

@@ -129,3 +129,26 @@ def test_embedding_rows_must_match_the_vocabulary(data_dir, checkpoint, tmp_path
     with pytest.raises(SystemExit, match=rf"tensor emb.E has {vocab.size + 1} rows, "
                                          rf"the vocabulary {vocab.size}"):
         main(["eval", "--ckpt", str(ckpt), "--test", str(data_dir / "test.tsv")])
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("age=x45", "numerical field 'age': bad value 'x45'"),
+    ("age=30,31", "numerical field 'age' needs exactly one value"),
+    ("x0=p,q", "univalent field 'x0' needs exactly one value"),
+])
+def test_a_malformed_training_line_is_a_parse_error_naming_it(data_dir, tmp_path, bad, message):
+    from adctr.ingest import ParseError
+
+    lines = (data_dir / "train.tsv").read_text(encoding="utf-8").splitlines()[:20]
+    cols = lines[6].split("\t")
+    fields = dict(pair.split("=", 1) for pair in cols[3].split(";"))
+    name, value = bad.split("=", 1)
+    fields[name] = value
+    cols[3] = ";".join(f"{n}={v}" for n, v in fields.items())
+    lines[6] = "\t".join(cols)
+    train = tmp_path / "train.tsv"
+    train.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"line 7: {message}"):
+        main(["train", "--variant", "lr", "--train", str(train),
+              "--val", str(data_dir / "val.tsv"), "--schema", str(data_dir / "schema.tsv"),
+              "--out", str(tmp_path / "model.ckpt")])

@@ -121,7 +121,7 @@ class TestBatchedPaths:
             bag = tuple(int(i) for i in rng.integers(0, 12, size=rng.integers(0, 4)))
             instances.append(make_instance(((int(rng.integers(0, 12)),), bag,
                                             (int(rng.integers(0, 12)),))))
-        batched = embed_matrix(AdColumns.from_instances(instances, 3), table)
+        batched = embed_matrix(AdColumns.from_instances(instances, SCHEMA), table)
         for i, inst in enumerate(instances):
             np.testing.assert_allclose(batched[i], embed_instance(inst, table, SCHEMA).vector)
 
@@ -131,7 +131,7 @@ class TestBatchedPaths:
                      make_instance(((1,), (), (7,)))]
         upstream = rng.normal(size=(2, 30))
         acc = RowGradAccumulator(table.n, table.k)
-        acc.scatter_matrix(AdColumns.from_instances(instances, 3), upstream)
+        acc.scatter_matrix(AdColumns.from_instances(instances, SCHEMA), upstream)
         rows, grads = acc.finalize()
 
         expected = np.zeros_like(table.e)
@@ -226,9 +226,24 @@ class TestEncodedPath:
             np.testing.assert_array_equal(a.offsets, b.offsets)
             np.testing.assert_array_equal(a.indices, b.indices)
 
+    def test_an_ad_of_another_group_is_read_by_field_name(self):
+        schemas = toy_schemas()  # target: uid, aff, aid, ttl; contextual: aid, ttl
+        record = {"uid": ("u1",), "aff": ("1.0",), "aid": ("a3",), "ttl": ("abc",)}
+        vocab = build_vocabulary([("target", record)], schemas)
+        target = encode_instance(record, schemas["target"], vocab)
+        as_context = encode_instance({"aid": ("a3",), "ttl": ("abc",)}, schemas["contextual"],
+                                     vocab)
+        cols = AdColumns.from_instances([target], schemas["contextual"])
+        expected = AdColumns.from_instances([as_context], schemas["contextual"])
+        np.testing.assert_array_equal(cols.offsets, expected.offsets)
+        np.testing.assert_array_equal(cols.indices, expected.indices)
+        with pytest.raises(ContractViolation, match="no field 'uid'"):
+            AdColumns.from_instances([as_context], schemas["target"])
+
     def test_gather_rejects_out_of_range_index(self, table):
         with pytest.raises(ContractViolation):
-            embed_matrix(AdColumns.from_instances([make_instance(((3,), (1, 12), (5,)))], 3), table)
+            embed_matrix(AdColumns.from_instances([make_instance(((3,), (1, 12), (5,)))], SCHEMA),
+                         table)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from adctr.ingest import (ParseError, SyntheticConfig, click_probability, generate_synthetic,
-                          parse_log_line, serialize_example)
+                          iter_group_records, parse_log_line)
 from adctr.schema import build_vocabulary
-from adctr.ingest import iter_group_records
+from oracles import serialize_example
 
 
 def _ad(i):
@@ -151,3 +151,18 @@ def test_config_validation():
         SyntheticConfig(base_ctr=0.0)
     with pytest.raises(ValueError):
         SyntheticConfig(affinity_boost=-0.1)
+
+
+def test_the_vocabulary_pass_adds_no_value_encoding_refuses(tiny_dataset):
+    # The bad values add nothing, as a missing field adds nothing; the parse
+    # pass then names the line.
+    ds, *_ = tiny_dataset
+    target, clicked = "user_id=u1;age={};" + _ad(1), "ad_id={};src=organic;title=t;x0=v"
+    bad = "\t".join(["1", "12", "u1", target.format("x45"), "", clicked.format("a,b"), ""])
+    dropped = "\t".join(["1", "12", "u1", target.replace("age={};", ""), "",
+                         clicked.replace("ad_id={};", ""), ""])
+    vocab = build_vocabulary(iter_group_records(ds.train + [bad]), ds.schemas)
+    assert vocab.dumps() == \
+        build_vocabulary(iter_group_records(ds.train + [dropped]), ds.schemas).dumps()
+    with pytest.raises(ParseError, match="line 9: numerical field 'age': bad value 'x45'"):
+        parse_log_line(bad, ds.schemas, vocab, line_number=9)

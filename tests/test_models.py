@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from adctr.models import (AuxTrace, InteractiveAttentionParams, SelfAttentionParams, Variant,
-                          _aggregate, _aggregate_backward, backward, forward, forward_batch,
+                          _aggregate, _aggregate_backward, backward, forward_batch,
                           init_model, load_model, loss, loss_from_logits, prepare_request,
                           save_model, score_request)
 from adctr.numerics import (AdagradState, ContractViolation, adagrad_step, adagrad_step_rows,
@@ -15,8 +15,8 @@ from adctr.schema import AUX_GROUPS
 from adctr.toy import make_toy_problem
 from adctr.train_eval import TrainConfig, embedding_penalty, train
 from oracles import (InstanceEmbedding, aggregate_interactive_attention, aggregate_pooling,
-                     aggregate_self_attention, embed_instance, interactive_attention_pair_form,
-                     padded_aggregate, score_alone)
+                     aggregate_self_attention, embed_instance, forward,
+                     interactive_attention_pair_form, padded_aggregate, score_alone)
 
 
 def emb(vec, group="clicked"):

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adctr import models, serving
-from adctr.ingest import ParseError
-from adctr.models import Variant, init_model
+from adctr.ingest import LabeledExample, ParseError, parse_ad
+from adctr.models import Variant, forward_batch, init_model
 from adctr.numerics import make_rng
 from adctr.serving import (AdServer, ModelScorer, RankProtocolServer, RankRequest,
                            ad_display_id, parse_events, rank_request, replay_session,
@@ -185,6 +185,33 @@ class TestModelScorer:
             assert np.abs(np.array([p for _, p, _ in actual])
                           - [p for _, p, _ in expected]).max() <= 1e-12
             assert scorer.forward_count == 2 * len(req.candidates) - 1
+
+    @pytest.mark.parametrize("variant", [Variant.DSTN_P, Variant.DSTN_S, Variant.DSTN_I])
+    def test_round_two_reads_the_winner_by_field_name(self, env, variant):
+        # Round 2's contextual ad is the winner's text parsed under the
+        # contextual schema, as a logged contextual ad would be.
+        ds, vocab, train = env
+        model = init_model(variant, ds.schemas, vocab.size, make_rng(44), k=4,
+                           fc_dims=(8, 4), attention_dim=4, dropout_p=0.0)
+        model.embedding.e *= 100.0
+        history = next(ex for ex in train if ex.clicked and ex.unclicked)
+        store = SessionStore()
+        for clicked, ads in ((True, history.clicked), (False, history.unclicked)):
+            for ts, ad in enumerate(reversed(ads)):
+                store.record_event("u", ad, clicked, 100 + ts)
+        candidates = tuple(ex.target for ex in train[:5])
+        got = rank_request(ModelScorer(model), store,
+                           RankRequest("r", "u", 200, candidates, slots=5))
+        text = ";".join(f"{n}={','.join(v)}" for n, v in got.winner.ad.raw
+                        if n not in ("user_id", "age"))
+        winner = parse_ad(text, ds.schemas["contextual"], vocab)
+        clicked, unclicked = store.get_history("u", 200)
+        examples = [LabeledExample(label=0, timestamp=200, user_id="u", target=r.ad,
+                                   contextual=(winner,), clicked=clicked, unclicked=unclicked)
+                    for r in got.ranked[1:]]
+        expected, _ = forward_batch(model, examples)
+        assert len(expected) == 4
+        assert np.abs(np.array([r.pctr for r in got.ranked[1:]]) - expected).max() <= 1e-12
 
     def test_serving_builds_no_examples_and_calls_no_batch_forward(self, env, monkeypatch):
         ds, vocab, train = env
@@ -392,6 +419,15 @@ class TestReplay:
             parse_events(path, ds.schemas, vocab)
         assert info.value.line_number == 2
 
+    def test_unknown_candidate_field_is_a_parse_error_naming_the_line(self, tmp_path, env):
+        ds, vocab, train = env
+        lines = [f"IMP\t90\tu1\t{_ad_fields(train[0])}",
+                 f"REQ\t100\tu1\tr1\t2\t{_cand_fields(train[1])}|{_cand_fields(train[2])};tilte=zz"]
+        path = self._events_file(tmp_path, ds, train, lines)
+        with pytest.raises(ParseError, match=r"line 2: unknown field\(s\) \['tilte'\]") as info:
+            parse_events(path, ds.schemas, vocab)
+        assert info.value.line_number == 2
+
     def test_non_monotone_user_timestamps_rejected(self, tmp_path, env):
         ds, vocab, train = env
         ad = _ad_fields(train[0])
@@ -447,6 +483,53 @@ def test_any_event_log_parses_or_names_its_line(tiny_dataset, tmp_path_factory, 
         named = re.search(r"line (\d+)", str(exc))
         assert named is not None, exc
         assert 1 <= int(named.group(1)) <= n_lines, exc
+
+
+@pytest.fixture(scope="module")
+def rank_protocol(tiny_dataset):
+    """A RANK server (not listening) over every target ad of the tiny dataset."""
+    ds, vocab, train, *_ = tiny_dataset
+    catalog = {ad_display_id(ex.target): {n: v for n, v in ex.target.raw if n != "user_id"}
+               for ex in train}
+    scorer = ModelScorer(zeroed_model(ds.schemas, vocab))
+    return (RankProtocolServer(AdServer(scorer, SessionStore()), catalog, ds.schemas["target"],
+                               vocab), sorted(catalog))
+
+
+_LINE_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"),
+                     max_size=8)
+_AD_ID = st.integers(0, 70).map("a{:04d}".format) | _LINE_TEXT
+_RANK_LINE = st.one_of(
+    _LINE_TEXT,
+    st.builds("RANK {} {} {} {}".format, _LINE_TEXT, _NUMBER.filter(lambda t: "\n" not in t),
+              _NUMBER.filter(lambda t: "\n" not in t),
+              st.lists(_AD_ID, min_size=1, max_size=4).map(",".join)),
+    st.lists(st.sampled_from(["RANK", "u1", "5", "2", "a0001,a0002", ""]) | _LINE_TEXT,
+             max_size=6).map(" ".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(line=_RANK_LINE)
+def test_any_rank_line_gets_one_reply_and_the_server_keeps_serving(rank_protocol, line):
+    server, ad_ids = rank_protocol
+    reply = server.handle_line(line)
+    assert "\n" not in reply and reply.startswith(("OK ", "ERR ")), reply
+    assert server.handle_line(f"RANK u 5 2 {ad_ids[0]},{ad_ids[1]}").startswith("OK ")
+
+
+def test_catalog_line_with_an_unknown_field_is_refused_naming_the_line(tmp_path, env):
+    ds, vocab, train = env
+    path = tmp_path / "catalog.tsv"
+    lines = [f"{ad_display_id(ex.target)}\t{_cand_fields(ex)}" for ex in train[:2]]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert serving.load_catalog(path, ds.schemas["target"]) == {
+        ad_display_id(ex.target): {n: v for n, v in ex.target.raw if n != "user_id"}
+        for ex in train[:2]}
+    path.write_text(f"{lines[0]}\n{lines[1]};tilte=zz\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"line 2: unknown field\(s\) \['tilte'\]") as info:
+        serving.load_catalog(path, ds.schemas["target"])
+    assert info.value.line_number == 2
 
 
 class TestWireProtocol:
