@@ -70,14 +70,17 @@ def _parse_fields(text: str, line_number: int = 0) -> dict[str, tuple[str, ...]]
         name, sep, value = pair.partition("=")
         if not sep:
             raise ParseError(f"field pair {pair!r} has no '='", line_number)
-        record[name] = tuple(v for v in value.split(",") if v != "") if value else ()
+        if name in record:
+            raise ParseError(f"field {name!r} appears twice", line_number)
+        values = value.split(",")
+        record[name] = tuple(values) if "" not in values else tuple(v for v in values if v)
     return record
 
 
 def read_record(text: str, group_schema: GroupSchema,
                 line_number: int = 0) -> dict[str, tuple[str, ...]]:
     """One ``field=value;...`` ad as a raw record; a field its group does not
-    have is a ``ParseError`` naming the line."""
+    have, or one named twice, is a ``ParseError`` naming the line."""
     record = _parse_fields(text, line_number)
     unknown = record.keys() - group_schema.field_names
     if unknown:
@@ -88,24 +91,26 @@ def read_record(text: str, group_schema: GroupSchema,
 
 def parse_ad(text: str, group_schema: GroupSchema, vocab: Vocabulary,
              line_number: int = 0, cache: dict | None = None) -> EncodedInstance:
-    """Parse one ``field=value;...`` ad and encode it."""
+    """Parse one ``field=value;...`` ad and encode it. ``cache`` is the
+    caller's per-file dict: it keeps each ad by its group and text, and
+    serves ``encode_instance`` as its memo of field values."""
     if cache is not None:
         hit = cache.get((group_schema.group, text))
         if hit is not None:
             return hit
     inst = encode_record(read_record(text, group_schema, line_number), group_schema, vocab,
-                         line_number)
+                         line_number, cache)
     if cache is not None:
         cache[(group_schema.group, text)] = inst
     return inst
 
 
 def encode_record(record: RawRecord, group_schema: GroupSchema, vocab: Vocabulary,
-                  line_number: int = 0) -> EncodedInstance:
+                  line_number: int = 0, memo: dict | None = None) -> EncodedInstance:
     """``encode_instance``, with its error (a missing required field, a bad
     numerical value) raised as a ``ParseError`` naming the line."""
     try:
-        return encode_instance(record, group_schema, vocab)
+        return encode_instance(record, group_schema, vocab, memo)
     except EncodeError as exc:
         raise ParseError(str(exc), line_number) from None
 
@@ -151,11 +156,17 @@ def read_examples(path, schemas: Mapping[str, GroupSchema], vocab: Vocabulary) -
 
 
 def iter_group_records(lines: Iterable[str]) -> Iterable[tuple[str, dict[str, tuple[str, ...]]]]:
-    """Yield (group, raw record) pairs from raw log lines, for vocabulary building."""
+    """Yield (group, raw record) pairs from raw log lines, for vocabulary
+    building. Each distinct ad text is parsed once: a repeat yields the same
+    record object, which callers must not change."""
+    records: dict[str, dict[str, tuple[str, ...]]] = {}
     for lineno, line in enumerate(lines, start=1):
         for group, texts in zip(GROUPS, _split_line(line, lineno)[1]):
             for text in texts:
-                yield group, _parse_fields(text, lineno)
+                record = records.get(text)
+                if record is None:
+                    record = records[text] = _parse_fields(text, lineno)
+                yield group, record
 
 
 # ---------------------------------------------------------------------------

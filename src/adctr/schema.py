@@ -138,7 +138,9 @@ class Vocabulary:
             self._counts.append(0)
             self._next += 1
 
-    def add(self, field_name: str, value: str, occurrences: int = 1) -> int:
+    def add(self, field_name: str, value: str) -> int:
+        """Index of (field, value), given the next free index if new; its
+        target count is the caller's to raise."""
         if self._frozen:
             raise SchemaError("vocabulary is frozen")
         self.register_field(field_name)
@@ -149,7 +151,6 @@ class Vocabulary:
             self._index[key] = idx
             self._counts.append(0)
             self._next += 1
-        self._counts[idx] += occurrences
         return idx
 
     def lookup(self, field_name: str, value: str) -> int:
@@ -178,6 +179,9 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
+        """Read a file ``dumps`` wrote: line n holds index n - 1, and no
+        (field, value) has two lines. Any other file is a ``SchemaError``
+        naming the line."""
         vocab = cls()
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -188,13 +192,18 @@ class Vocabulary:
                                       f"and count columns, got {text!r}")
                 field_name, value, idx, count = cols
                 idx = int(idx)
-                if value == "<oov>":
-                    vocab._oov[field_name] = idx
-                else:
-                    vocab._index[(field_name, value)] = idx
-                vocab._next = max(vocab._next, idx + 1)
-                vocab._counts.extend([0] * (vocab._next - len(vocab._counts)))
-                vocab._counts[idx] = int(count)
+                if idx != vocab._next:
+                    problem = ("repeats an earlier line's index" if idx < vocab._next
+                               else f"skips index {vocab._next}")
+                    raise SchemaError(f"{path}: line {lineno}: index {idx} {problem}")
+                table, key = ((vocab._oov, field_name) if value == "<oov>"
+                              else (vocab._index, (field_name, value)))
+                if key in table:
+                    raise SchemaError(f"{path}: line {lineno}: repeated value {value!r} "
+                                      f"of field {field_name!r}")
+                table[key] = idx
+                vocab._counts.append(int(count))
+                vocab._next += 1
         return vocab.freeze()
 
     def content_hash(self) -> str:
@@ -247,30 +256,46 @@ def build_vocabulary(records: Iterable[tuple[str, RawRecord]],
     Only target records add to the per-index counts. A field value that
     ``encode_instance`` would refuse (missing, several values for a univalent
     field, a bad number) adds nothing: the parse pass names its line.
+
+    Each distinct (field, values) pair is tokenized once per call; a repeat
+    only adds its target count. Indices are handed out in stream order.
     """
     vocab = Vocabulary()
     for group in GROUPS:
         if group in schemas:
             for fs in schemas[group].fields:
                 vocab.register_field(fs.name)
+    counts = vocab._counts
+    memo: dict[tuple[FieldSchema, tuple[str, ...]], tuple[int, ...]] = {}
     for group, record in records:
         schema = schemas[group]
-        occurrences = int(group == "target")
+        target = group == "target"
         for fs in schema.fields:
-            try:
-                tokens = _field_tokens(fs, tuple(record.get(fs.name, ())))
-            except EncodeError:
-                continue
-            for token in tokens:
-                vocab.add(fs.name, token, occurrences)
+            key = (fs, tuple(record.get(fs.name, ())))
+            indices = memo.get(key)
+            if indices is None:
+                try:
+                    tokens = _field_tokens(fs, key[1])
+                except EncodeError:
+                    continue
+                indices = memo[key] = tuple(vocab.add(fs.name, t) for t in tokens)
+            if target:
+                for i in indices:
+                    counts[i] += 1
     return vocab.freeze()
 
 
-def encode_instance(record: RawRecord, group_schema: GroupSchema, vocab: Vocabulary) -> EncodedInstance:
+def encode_instance(record: RawRecord, group_schema: GroupSchema, vocab: Vocabulary,
+                    memo: dict | None = None) -> EncodedInstance:
     """Encode a raw record against a frozen vocabulary.
 
     Unseen values map to the field's OOV index; a univalent or numerical
     field without exactly one value is an error naming the field.
+
+    ``memo`` is a caller's per-pass dict from (field schema, values) to the
+    field's indices, filled here; only values that encode are kept, so a
+    refused value raises on every occurrence. It must be used with one
+    vocabulary only.
     """
     if not vocab.frozen:
         raise EncodeError("vocabulary must be frozen before encoding")
@@ -278,7 +303,13 @@ def encode_instance(record: RawRecord, group_schema: GroupSchema, vocab: Vocabul
     raw: list[tuple[str, tuple[str, ...]]] = []
     for fs in group_schema.fields:
         values = tuple(record.get(fs.name, ()))
-        per_field.append(tuple(vocab.lookup(fs.name, t) for t in _field_tokens(fs, values)))
+        # Without a memo (a RANK request) no key is built.
+        indices = memo.get((fs, values)) if memo is not None else None
+        if indices is None:
+            indices = tuple(vocab.lookup(fs.name, t) for t in _field_tokens(fs, values))
+            if memo is not None:
+                memo[(fs, values)] = indices
+        per_field.append(indices)
         raw.append((fs.name, values))
     return EncodedInstance(group=group_schema.group, indices=tuple(per_field), raw=tuple(raw))
 
@@ -308,6 +339,9 @@ def save_schemas(schemas: Mapping[str, GroupSchema], path) -> None:
 
 def parse_schemas(text: str) -> dict[str, GroupSchema]:
     fields: dict[str, list[FieldSchema]] = {}
+    # A field several groups declare alike is one object, so the encoding
+    # memos' keys of those groups match by identity.
+    shared: dict[FieldSchema, FieldSchema] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -316,7 +350,8 @@ def parse_schemas(text: str) -> dict[str, GroupSchema]:
             raise SchemaError(f"schema line {lineno}: expected 3 or 4 columns")
         group, name, kind = cols[0], cols[1], FieldKind(cols[2])
         boundaries = tuple(float(b) for b in cols[3].split(",")) if len(cols) == 4 else ()
-        fields.setdefault(group, []).append(FieldSchema(name, kind, boundaries))
+        fs = FieldSchema(name, kind, boundaries)
+        fields.setdefault(group, []).append(shared.setdefault(fs, fs))
     return {g: GroupSchema(g, tuple(fs)) for g, fs in fields.items()}
 
 

@@ -190,7 +190,7 @@ def parse_events(path, schemas: Mapping[str, GroupSchema], vocab: Vocabulary) ->
                     raise ParseError(f"bad slots {cols[4]!r}", lineno)
                 candidates = tuple(
                     _encode_candidate(read_record(text, schemas["target"], lineno), user_id,
-                                      schemas["target"], vocab, lineno)
+                                      schemas["target"], vocab, lineno, cache)
                     for text in cols[5].split("|"))
                 events.append(SimEvent(kind="req", ts=ts, user_id=user_id,
                                        request=RankRequest(request_id=cols[3], user_id=user_id,
@@ -209,10 +209,12 @@ def _parse_int(text: str, what: str, lineno: int) -> int:
 
 
 def _encode_candidate(record: RawRecord, user_id: str, target_schema: GroupSchema,
-                      vocab: Vocabulary, lineno: int = 0) -> EncodedInstance:
+                      vocab: Vocabulary, lineno: int = 0,
+                      memo: dict | None = None) -> EncodedInstance:
     """A request's candidate: a target-schema record, with the request's
     user_id filled in where the record names none."""
-    return encode_record({"user_id": (user_id,), **record}, target_schema, vocab, lineno)
+    return encode_record({"user_id": (user_id,), **record}, target_schema, vocab, lineno,
+                         memo)
 
 
 def replay_session(scorer, store: SessionStore, events: Sequence[SimEvent],
@@ -361,9 +363,9 @@ class RankProtocolServer:
 
 
 def load_catalog(path, target_schema: GroupSchema) -> dict[str, dict[str, tuple[str, ...]]]:
-    """Catalog file: ad_id \\t field=value;... (target-schema ad fields); a
-    field the target schema does not have is a ``ParseError`` naming the
-    line."""
+    """Catalog file: ad_id \\t field=value;... (target-schema ad fields). A
+    field the target schema does not have, a key other than the ad's own
+    ``ad_id`` value, or a repeated key is a ``ParseError`` naming the line."""
     catalog: dict[str, dict[str, tuple[str, ...]]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -371,5 +373,11 @@ def load_catalog(path, target_schema: GroupSchema) -> dict[str, dict[str, tuple[
             if not line:
                 continue
             ad_id, _, fields = line.partition("\t")
-            catalog[ad_id] = read_record(fields, target_schema, lineno)
+            if ad_id in catalog:
+                raise ParseError(f"repeated catalog key {ad_id!r}", lineno)
+            record = read_record(fields, target_schema, lineno)
+            if record.get("ad_id") != (ad_id,):
+                raise ParseError(f"catalog key {ad_id!r} is not the ad's ad_id "
+                                 f"{','.join(record.get('ad_id', ()))!r}", lineno)
+            catalog[ad_id] = record
     return catalog

@@ -119,6 +119,7 @@ class SessionStore:
         from .ingest import ParseError, parse_ad
 
         store = cls()
+        cache: dict = {}
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 cols = line.rstrip("\n").split("\t")
@@ -131,6 +132,6 @@ class SessionStore:
                 if not ts_text.isdecimal():  # digits only: no sign, so never negative
                     raise ParseError(f"bad timestamp {ts_text!r}", lineno)
                 ad = parse_ad(ad_text, schemas["clicked" if clicked else "unclicked"], vocab,
-                              lineno)
+                              lineno, cache)
                 store.record_event(user_id, ad, clicked, int(ts_text))
         return store

@@ -5,21 +5,24 @@ batched aggregation over a padded (B, S, D_g) block with a slot mask,
 interactive attention through the concatenated [target, ad] pair tensor, a
 single-vector linear map and inverted dropout; one candidate scored alone
 by the batched forward, and one example's forward; the canonical line of an
-example; plus a fixed-score stand-in for the serving model scorer."""
+example; the vocabulary build and the log parse token by token, with no
+memo; plus a fixed-score stand-in for the serving model scorer."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from adctr.embedding import EmbeddingTable
-from adctr.ingest import LabeledExample, serialize_ad
+from adctr.ingest import (LabeledExample, ParseError, _parse_fields, _split_line, read_record,
+                          serialize_ad)
 from adctr.models import (SCORE_CLAMP, InteractiveAttentionParams, SelfAttentionParams,
                           Variant, forward_batch)
 from adctr.numerics import Array, ContractViolation, dropout_mask, relu
-from adctr.schema import EncodedInstance, GroupSchema
+from adctr.schema import (GROUPS, EncodedInstance, EncodeError, GroupSchema, Vocabulary,
+                          _field_tokens)
 
 
 @dataclass(frozen=True)
@@ -284,6 +287,59 @@ def serialize_example(ex: LabeledExample) -> str:
         "|".join(serialize_ad(a) for a in ex.clicked),
         "|".join(serialize_ad(a) for a in ex.unclicked),
     ])
+
+
+def reference_vocabulary(lines: Sequence[str], schemas: Mapping[str, GroupSchema]) -> Vocabulary:
+    """Every ad of every line read afresh and every token added on its own,
+    counted once per target occurrence; a value encoding refuses adds
+    nothing."""
+    vocab = Vocabulary()
+    for group in GROUPS:
+        for fs in schemas[group].fields:
+            vocab.register_field(fs.name)
+    for lineno, line in enumerate(lines, start=1):
+        for group, texts in zip(GROUPS, _split_line(line, lineno)[1]):
+            for text in texts:
+                record = _parse_fields(text, lineno)
+                for fs in schemas[group].fields:
+                    try:
+                        tokens = _field_tokens(fs, record.get(fs.name, ()))
+                    except EncodeError:
+                        continue
+                    for token in tokens:
+                        vocab.target_counts[vocab.add(fs.name, token)] += group == "target"
+    return vocab.freeze()
+
+
+def reference_examples(lines: Sequence[str], schemas: Mapping[str, GroupSchema],
+                       vocab: Vocabulary) -> list[LabeledExample]:
+    """Each line parsed and each of its ads encoded token by token, with no
+    cache; an encoding error is a ``ParseError`` naming the line."""
+    out = []
+    for lineno, line in enumerate(lines, start=1):
+        (label, ts, user_id), texts = _split_line(line, lineno)
+        if label not in ("0", "1"):
+            raise ParseError(f"label must be 0 or 1, got {label!r}", lineno)
+        groups = []
+        for group, ads in zip(GROUPS, texts):
+            encoded = []
+            for text in ads:
+                record = read_record(text, schemas[group], lineno)
+                indices, raw = [], []
+                for fs in schemas[group].fields:
+                    values = record.get(fs.name, ())
+                    try:
+                        tokens = _field_tokens(fs, values)
+                    except EncodeError as exc:
+                        raise ParseError(str(exc), lineno) from None
+                    indices.append(tuple(vocab.lookup(fs.name, t) for t in tokens))
+                    raw.append((fs.name, values))
+                encoded.append(EncodedInstance(group, tuple(indices), tuple(raw)))
+            groups.append(tuple(encoded))
+        (target,), contextual, clicked, unclicked = groups
+        out.append(LabeledExample(int(label), int(ts), user_id, target, contextual, clicked,
+                                  unclicked))
+    return out
 
 
 class StubRows(tuple):

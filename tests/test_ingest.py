@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from adctr import schema
 from adctr.ingest import (ParseError, SyntheticConfig, click_probability, generate_synthetic,
-                          iter_group_records, parse_log_line)
-from adctr.schema import build_vocabulary
-from oracles import serialize_example
+                          iter_group_records, parse_log_line, read_examples)
+from adctr.schema import GROUPS, FieldKind, FieldSchema, GroupSchema, build_vocabulary
+from oracles import reference_examples, reference_vocabulary, serialize_example
 
 
 def _ad(i):
@@ -166,3 +169,99 @@ def test_the_vocabulary_pass_adds_no_value_encoding_refuses(tiny_dataset):
         build_vocabulary(iter_group_records(ds.train + [dropped]), ds.schemas).dumps()
     with pytest.raises(ParseError, match="line 9: numerical field 'age': bad value 'x45'"):
         parse_log_line(bad, ds.schemas, vocab, line_number=9)
+
+
+def test_a_field_named_twice_is_refused_naming_the_line(tiny_dataset):
+    ds, vocab, *_ = tiny_dataset
+    line = "\t".join(["1", "12", "u1", f"user_id=u1;age=30;{_ad(1)}", "",
+                      f"ad_id=a0001;{_ad(2)}", ""])
+    with pytest.raises(ParseError, match="line 8: field 'ad_id' appears twice") as info:
+        parse_log_line(line, ds.schemas, vocab, line_number=8)
+    assert info.value.line_number == 8
+    with pytest.raises(ParseError, match="line 2: field 'ad_id' appears twice"):
+        build_vocabulary(iter_group_records([ds.train[0], line]), ds.schemas)
+
+
+# Random logs over a small schema and small value pools, so that values and
+# whole ad texts repeat, across lines and across groups. Some values are ones
+# encoding refuses: a missing univalent or numerical field, two values for
+# one, an empty one, a bad number.
+_FIELDS = (FieldSchema("ad_id", FieldKind.UNIVALENT),
+           FieldSchema("age", FieldKind.NUMERICAL, (25.0, 35.0)),
+           FieldSchema("title", FieldKind.MULTIVALENT))
+_SCHEMAS = {g: GroupSchema(g, ((FieldSchema("user_id", FieldKind.UNIVALENT),) if g == "target"
+                               else ()) + _FIELDS) for g in GROUPS}
+_GOOD = {"user_id": ["u1", "u2"], "ad_id": ["a1", "a2", "a3"], "age": ["20", "30", "30.0", "99"],
+         "title": ["ab cd", "AB  cd", "x", "", "ab,ba", "a1"]}
+_REFUSED = {"user_id": ["", "u1,u2"], "ad_id": ["", "a1,a2"], "age": ["", "old"], "title": []}
+
+
+@st.composite
+def _ad_text(draw, fields):
+    pairs = []
+    for name in draw(st.permutations(fields)):
+        # About one field in 30 is left out and one in 30 refused (mid-range
+        # rolls: hypothesis draws the ends of a range more often).
+        roll = draw(st.integers(0, 29))
+        if roll == 10:
+            continue
+        pool = _REFUSED[name] if roll == 20 and _REFUSED[name] else _GOOD[name]
+        pairs.append(f"{name}={draw(st.sampled_from(pool))}")
+    return ";".join(pairs) or "title="
+
+
+@st.composite
+def _log(draw):
+    ads = draw(st.lists(_ad_text(["ad_id", "age", "title"]), min_size=1, max_size=4))
+    lines = []
+    for ts in range(draw(st.integers(1, 8))):
+        blocks = ["|".join(draw(st.lists(st.sampled_from(ads), max_size=3))) for _ in range(3)]
+        target = draw(_ad_text(["user_id", "ad_id", "age", "title"])
+                      | st.sampled_from(ads).map("user_id=u1;{}".format))
+        lines.append("\t".join([draw(st.sampled_from("01")), str(ts), "u", target] + blocks))
+    return lines
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=_log())
+def test_memoized_passes_equal_the_token_by_token_reference(tmp_path_factory, lines):
+    vocab = build_vocabulary(iter_group_records(lines), _SCHEMAS)
+    assert vocab.dumps() == reference_vocabulary(lines, _SCHEMAS).dumps()
+    path = tmp_path_factory.getbasetemp() / "memo_log.tsv"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    try:
+        expected = reference_examples(lines, _SCHEMAS, vocab)
+    except ParseError as exc:  # the first refused value, named by its own line
+        with pytest.raises(ParseError) as info:
+            read_examples(path, _SCHEMAS, vocab)
+        assert str(info.value) == str(exc)
+        assert info.value.line_number == exc.line_number
+    else:
+        assert read_examples(path, _SCHEMAS, vocab) == expected
+
+
+def test_a_refused_value_raises_naming_its_line_after_good_values_were_memoized(tmp_path):
+    good = "ad_id=a1;age=30;title=ab"
+    lines = [f"1\t1\tu\tuser_id=u1;{good}\t{good}\t\t",
+             f"0\t2\tu\tuser_id=u2;{good}\t\t{good}\t",
+             f"0\t3\tu\tuser_id=u2;ad_id=a1;age=old;title=ab\t\t\t",
+             f"0\t4\tu\tuser_id=u2;{good}\t\t\tad_id=a1,a2;age=30"]
+    vocab = build_vocabulary(iter_group_records(lines), _SCHEMAS)
+    path = tmp_path / "log.tsv"
+    for bad, message in ((2, "numerical field 'age': bad value 'old'"),
+                         (3, "univalent field 'ad_id' needs exactly one value")):
+        path.write_text("".join(line + "\n" for line in lines[:2] + lines[bad:bad + 1]),
+                        encoding="utf-8")
+        with pytest.raises(ParseError, match=f"line 3: {message}"):
+            read_examples(path, _SCHEMAS, vocab)
+
+
+def test_the_vocabulary_pass_tokenizes_each_distinct_field_value_once(tiny_dataset, monkeypatch):
+    ds, vocab, *_ = tiny_dataset
+    records = list(iter_group_records(ds.train))
+    distinct = {(fs, rec.get(fs.name, ())) for g, rec in records for fs in ds.schemas[g].fields}
+    calls = []
+    original = schema._field_tokens
+    monkeypatch.setattr(schema, "_field_tokens", lambda fs, v: calls.append(1) or original(fs, v))
+    assert build_vocabulary(records, ds.schemas).dumps() == vocab.dumps()
+    assert len(calls) == len(distinct) < sum(len(ds.schemas[g].fields) for g, _ in records)

@@ -105,6 +105,22 @@ class TestVocabulary:
         with pytest.raises(SchemaError, match="line 2: expected field, value, index and count"):
             Vocabulary.load(path)
 
+    @pytest.mark.parametrize("rows, message", [
+        (["title\t<oov>\t0\t0", "title\tab\t1\t2", "title\tbc\t1\t0"],
+         "line 3: index 1 repeats an earlier line's index"),
+        (["title\t<oov>\t0\t0", "title\tab\t1\t2", "title\tab\t2\t0"],
+         "line 3: repeated value 'ab' of field 'title'"),
+        (["title\t<oov>\t0\t0", "title\t<oov>\t1\t0"],
+         "line 2: repeated value '<oov>' of field 'title'"),
+        (["title\t<oov>\t0\t0", "title\tab\t5\t2"], "line 2: index 5 skips index 1"),
+        (["title\tab\t1\t2", "title\t<oov>\t0\t0"], "line 1: index 1 skips index 0"),
+    ])
+    def test_load_refuses_a_file_dumps_cannot_write(self, tmp_path, rows, message):
+        path = tmp_path / "vocab.tsv"
+        path.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+        with pytest.raises(SchemaError, match=message):
+            Vocabulary.load(path)
+
     def test_counts_occurrences_on_target_ads_only(self):
         records = [("target", {"user_id": ("u1",), "age": ("24",), "ad_id": ("a1",),
                                "title": ("abab",)}),

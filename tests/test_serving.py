@@ -532,6 +532,23 @@ def test_catalog_line_with_an_unknown_field_is_refused_naming_the_line(tmp_path,
     assert info.value.line_number == 2
 
 
+@pytest.mark.parametrize("second, message", [
+    ("a0001\t{1}", "line 2: catalog key 'a0001' is not the ad's ad_id '{id1}'"),
+    ("{id0}\t{1}", "line 2: repeated catalog key '{id0}'"),
+    ("{id1}\tage=30;src=s;title=t;x0=v", "line 2: catalog key '{id1}' is not the ad's ad_id ''"),
+])
+def test_catalog_keys_are_the_ads_own_unique_ids(tmp_path, env, second, message):
+    ds, vocab, train = env
+    ids = [ad_display_id(ex.target) for ex in train[:2]]
+    assert ids[0] != ids[1] and "a0001" not in ids
+    fields = [_cand_fields(ex) for ex in train[:2]]
+    path = tmp_path / "catalog.tsv"
+    path.write_text(f"{ids[0]}\t{fields[0]}\n{second.format(*fields, id0=ids[0], id1=ids[1])}\n",
+                    encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape(message.format(id0=ids[0], id1=ids[1]))):
+        serving.load_catalog(path, ds.schemas["target"])
+
+
 class TestWireProtocol:
     def test_rank_round_trip(self, env):
         ds, vocab, train = env
