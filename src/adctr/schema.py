@@ -95,8 +95,9 @@ def bucketize(value: float, boundaries: Sequence[float]) -> int:
 class Vocabulary:
     """Dense (field, value) -> index map with one reserved OOV index per field.
 
-    Built single-writer from a record stream, then frozen; a frozen vocabulary
-    is immutable and safe to share across threads.
+    A vocabulary is a value: ``build_vocabulary`` builds one from a record
+    stream and ``Vocabulary.load`` reads one from a file, and it never changes
+    after that, so it is safe to share across threads.
 
     It also counts, per index, the occurrences on target ads in the stream it
     was built from: one target ad per impression. Auxiliary ads are earlier
@@ -105,53 +106,21 @@ class Vocabulary:
     penalty by these counts.
     """
 
-    def __init__(self):
-        self._index: dict[tuple[str, str], int] = {}
-        self._oov: dict[str, int] = {}
-        self._counts: list[int] = []  # target-ad occurrences per index
-        self._next = 0
-        self._frozen = False
+    def __init__(self, oov: dict[str, int], index: dict[tuple[str, str], int],
+                 counts: list[int]):
+        self._oov = oov
+        self._index = index
+        self._counts = tuple(counts)  # target-ad occurrences per index
 
     @property
     def size(self) -> int:
         """Total number of distinct feature indices (the embedding row count)."""
-        return self._next
+        return len(self._counts)
 
     @property
-    def frozen(self) -> bool:
-        return self._frozen
-
-    @property
-    def target_counts(self) -> list[int]:
+    def target_counts(self) -> tuple[int, ...]:
         """Occurrences of each index on target ads of the build stream, by index."""
         return self._counts
-
-    def freeze(self) -> "Vocabulary":
-        self._frozen = True
-        return self
-
-    def register_field(self, field_name: str) -> None:
-        if field_name not in self._oov:
-            if self._frozen:
-                raise SchemaError("vocabulary is frozen")
-            self._oov[field_name] = self._next
-            self._counts.append(0)
-            self._next += 1
-
-    def add(self, field_name: str, value: str) -> int:
-        """Index of (field, value), given the next free index if new; its
-        target count is the caller's to raise."""
-        if self._frozen:
-            raise SchemaError("vocabulary is frozen")
-        self.register_field(field_name)
-        key = (field_name, value)
-        idx = self._index.get(key)
-        if idx is None:
-            idx = self._next
-            self._index[key] = idx
-            self._counts.append(0)
-            self._next += 1
-        return idx
 
     def lookup(self, field_name: str, value: str) -> int:
         """Index of (field, value); the field's OOV index if unseen."""
@@ -171,9 +140,12 @@ class Vocabulary:
             fh.write(self.dumps())
 
     def dumps(self) -> str:
-        """One ``field, value, index, target count`` line per index, in index order."""
+        """One ``field, value, index, target count`` line per index, in index
+        order. An OOV index reads ``<oov>``; a value that reads ``<oov>`` or
+        starts with a backslash is written with one more leading backslash."""
         rows = [(i, f, "<oov>") for f, i in self._oov.items()]
-        rows += [(i, f, v) for (f, v), i in self._index.items()]
+        rows += [(i, f, "\\" + v if v == "<oov>" or v[:1] == "\\" else v)
+                 for (f, v), i in self._index.items()]
         rows.sort()
         return "".join(f"{f}\t{v}\t{i}\t{self._counts[i]}\n" for i, f, v in rows)
 
@@ -182,7 +154,9 @@ class Vocabulary:
         """Read a file ``dumps`` wrote: line n holds index n - 1, and no
         (field, value) has two lines. Any other file is a ``SchemaError``
         naming the line."""
-        vocab = cls()
+        oov: dict[str, int] = {}
+        index: dict[tuple[str, str], int] = {}
+        counts: list[int] = []
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 text = line.rstrip("\n")
@@ -192,19 +166,19 @@ class Vocabulary:
                                       f"and count columns, got {text!r}")
                 field_name, value, idx, count = cols
                 idx = int(idx)
-                if idx != vocab._next:
-                    problem = ("repeats an earlier line's index" if idx < vocab._next
-                               else f"skips index {vocab._next}")
+                if idx != len(counts):
+                    problem = ("repeats an earlier line's index" if idx < len(counts)
+                               else f"skips index {len(counts)}")
                     raise SchemaError(f"{path}: line {lineno}: index {idx} {problem}")
-                table, key = ((vocab._oov, field_name) if value == "<oov>"
-                              else (vocab._index, (field_name, value)))
+                table, key = ((oov, field_name) if value == "<oov>"
+                              else (index, (field_name, value[1:] if value[:1] == "\\"
+                                            else value)))
                 if key in table:
                     raise SchemaError(f"{path}: line {lineno}: repeated value {value!r} "
                                       f"of field {field_name!r}")
                 table[key] = idx
-                vocab._counts.append(int(count))
-                vocab._next += 1
-        return vocab.freeze()
+                counts.append(int(count))
+        return cls(oov, index, counts)
 
     def content_hash(self) -> str:
         return hashlib.sha256(self.dumps().encode("utf-8")).hexdigest()[:16]
@@ -250,22 +224,25 @@ def _field_tokens(fs: FieldSchema, values: Sequence[str]) -> list[str]:
 
 def build_vocabulary(records: Iterable[tuple[str, RawRecord]],
                      schemas: Mapping[str, GroupSchema]) -> Vocabulary:
-    """Build and freeze a vocabulary from a stream of (group, record) pairs.
+    """Build a vocabulary from a stream of (group, record) pairs.
 
-    Every field of every group gets an OOV index even if no record mentions it.
+    Indices are handed out in order of first appearance: first one OOV index
+    per field of every group, in group and field order, even if no record
+    mentions the field; then each new (field, token) pair in stream order.
     Only target records add to the per-index counts. A field value that
     ``encode_instance`` would refuse (missing, several values for a univalent
     field, a bad number) adds nothing: the parse pass names its line.
 
     Each distinct (field, values) pair is tokenized once per call; a repeat
-    only adds its target count. Indices are handed out in stream order.
+    only adds its target count.
     """
-    vocab = Vocabulary()
+    oov: dict[str, int] = {}
     for group in GROUPS:
         if group in schemas:
             for fs in schemas[group].fields:
-                vocab.register_field(fs.name)
-    counts = vocab._counts
+                oov.setdefault(fs.name, len(oov))
+    index: dict[tuple[str, str], int] = {}
+    counts = [0] * len(oov)
     memo: dict[tuple[FieldSchema, tuple[str, ...]], tuple[int, ...]] = {}
     for group, record in records:
         schema = schemas[group]
@@ -278,16 +255,20 @@ def build_vocabulary(records: Iterable[tuple[str, RawRecord]],
                     tokens = _field_tokens(fs, key[1])
                 except EncodeError:
                     continue
-                indices = memo[key] = tuple(vocab.add(fs.name, t) for t in tokens)
+                for t in tokens:
+                    if (fs.name, t) not in index:
+                        index[fs.name, t] = len(counts)
+                        counts.append(0)
+                indices = memo[key] = tuple(index[fs.name, t] for t in tokens)
             if target:
                 for i in indices:
                     counts[i] += 1
-    return vocab.freeze()
+    return Vocabulary(oov, index, counts)
 
 
 def encode_instance(record: RawRecord, group_schema: GroupSchema, vocab: Vocabulary,
                     memo: dict | None = None) -> EncodedInstance:
-    """Encode a raw record against a frozen vocabulary.
+    """Encode a raw record against a vocabulary.
 
     Unseen values map to the field's OOV index; a univalent or numerical
     field without exactly one value is an error naming the field.
@@ -297,8 +278,6 @@ def encode_instance(record: RawRecord, group_schema: GroupSchema, vocab: Vocabul
     refused value raises on every occurrence. It must be used with one
     vocabulary only.
     """
-    if not vocab.frozen:
-        raise EncodeError("vocabulary must be frozen before encoding")
     per_field: list[tuple[int, ...]] = []
     raw: list[tuple[str, tuple[str, ...]]] = []
     for fs in group_schema.fields:

@@ -18,11 +18,6 @@ CAPACITY = 5
 _CLICKED_BY_TAG = {"clk": True, "unclk": False}
 
 
-def _identity(ad) -> Any:
-    ident = getattr(ad, "identity", None)
-    return ident() if callable(ident) else ad
-
-
 @dataclass
 class _Entry:
     ad: Any
@@ -46,10 +41,10 @@ def _insert(entries: list[_Entry], entry: _Entry) -> None:
 
 
 def _retire_unclicked(hist: _UserHistory, ad, click_ts: int) -> None:
-    ident = _identity(ad)
+    ident = ad.identity()
     for i in range(len(hist.unclicked) - 1, -1, -1):
         e = hist.unclicked[i]
-        if e.ts <= click_ts and _identity(e.ad) == ident:
+        if e.ts <= click_ts and e.ad.identity() == ident:
             del hist.unclicked[i]
             return
 

@@ -10,6 +10,8 @@ from .schema import (FieldKind, FieldSchema, GroupSchema, Vocabulary,
                      build_vocabulary, encode_instance)
 
 _LETTERS = "abcdefghij"
+_N_USERS = 6
+_N_ADS = 8
 
 
 def toy_schemas() -> dict[str, GroupSchema]:
@@ -30,23 +32,23 @@ def _random_title(rng) -> str:
     return "".join(_LETTERS[int(i)] for i in rng.integers(0, len(_LETTERS), size=length))
 
 
-def make_toy_problem(seed: int = 0, n_examples: int = 10, n_users: int = 6,
-                     n_ads: int = 8) -> tuple[dict[str, GroupSchema], Vocabulary, list[LabeledExample]]:
+def make_toy_problem(seed: int = 0, n_examples: int = 10
+                     ) -> tuple[dict[str, GroupSchema], Vocabulary, list[LabeledExample]]:
     """Random schemas/vocabulary/examples small enough for entrywise finite
     differences. Every auxiliary group is nonempty somewhere in the batch."""
     rng = make_rng(seed)
     schemas = toy_schemas()
-    ads = [{"aid": (f"a{i}",), "ttl": (_random_title(rng),)} for i in range(n_ads)]
+    ads = [{"aid": (f"a{i}",), "ttl": (_random_title(rng),)} for i in range(_N_ADS)]
 
     raw_examples = []
     for i in range(n_examples):
-        target = {"uid": (f"u{int(rng.integers(0, n_users))}",),
+        target = {"uid": (f"u{int(rng.integers(0, _N_USERS))}",),
                   "aff": (repr(round(float(rng.uniform(0, 2)), 3)),),
-                  **ads[int(rng.integers(0, n_ads))]}
+                  **ads[int(rng.integers(0, _N_ADS))]}
         counts = {g: int(rng.integers(0, 4)) for g in ("contextual", "clicked", "unclicked")}
         if i == 0:
             counts = {g: max(1, c) for g, c in counts.items()}  # exercise every group
-        groups = {g: [ads[int(rng.integers(0, n_ads))] for _ in range(c)]
+        groups = {g: [ads[int(rng.integers(0, _N_ADS))] for _ in range(c)]
                   for g, c in counts.items()}
         raw_examples.append((int(rng.integers(0, 2)), target, groups))
 

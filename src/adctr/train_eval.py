@@ -52,14 +52,12 @@ class TrainConfig:
     batch_size: int = 128
     epochs: int = 3
     learning_rate: float = 0.01
-    adagrad_eps: float = 1e-8
     dropout: float = 0.5
     embedding_dim: int = 10
     fc_dims: tuple[int, ...] = (512, 256)
     attention_dim: int = 128
     embedding_l2: float = 2.0
     seed: int = 0
-    patience: int = 0  # 0 disables early stopping
     ablate: str | None = None  # keep only this auxiliary group
 
     @classmethod
@@ -140,15 +138,13 @@ def train(config: TrainConfig, train_examples: Sequence[LabeledExample],
                            k=config.embedding_dim, fc_dims=config.fc_dims,
                            attention_dim=config.attention_dim, dropout_p=config.dropout,
                            dtype=np.float32)
-    states = {name: AdagradState(lr=config.learning_rate, eps=config.adagrad_eps)
-              for name in model.tensors()}
+    states = {name: AdagradState(lr=config.learning_rate) for name in model.tensors()}
     row_scales = embedding_row_scales(vocab, config.embedding_l2)
     train_set = encode_batch(model, train_examples)
     val_set = encode_batch(model, val_examples) if val_examples else None
 
     best: ModelParams | None = None
     best_auc = -np.inf
-    best_epoch = -1
     history: list[dict] = []
     n = len(train_set)
     for epoch in range(config.epochs):
@@ -173,10 +169,8 @@ def train(config: TrainConfig, train_examples: Sequence[LabeledExample],
             entry["val_auc"] = report.auc
             entry["val_logloss"] = report.logloss
             if report.auc > best_auc:
-                best_auc, best, best_epoch = report.auc, model.clone(), epoch
+                best_auc, best = report.auc, model.clone()
         history.append(entry)
-        if val_set is not None and config.patience and epoch - best_epoch >= config.patience:
-            break
     return (best if best is not None else model), history
 
 
@@ -218,10 +212,10 @@ def predict(model: ModelParams, examples: EncodedBatch | Sequence[LabeledExample
     return scores, attn
 
 
-def evaluate(model: ModelParams, examples: EncodedBatch | Sequence[LabeledExample],
-             batch_size: int = 1024) -> EvalReport:
+def evaluate(model: ModelParams, examples: EncodedBatch | Sequence[LabeledExample]
+             ) -> EvalReport:
     examples = encode_batch(model, examples)
-    scores, _ = predict(model, examples, batch_size=batch_size)
+    scores, _ = predict(model, examples)
     labels = examples.labels
     return EvalReport(auc=auc(scores, labels), logloss=logloss_eval(scores, labels),
                       n=len(examples), variant=model.variant.value)
@@ -310,6 +304,9 @@ class GradCheckReport:
         return lines
 
 
+_FD_STEP = 1e-5  # central-difference step of grad_check
+
+
 def _kink_distance(trace: BatchTrace) -> float:
     """Distance from the nearest ReLU kink anywhere in the forward pass.
 
@@ -326,8 +323,8 @@ def _kink_distance(trace: BatchTrace) -> float:
 
 
 def grad_check(variant, tolerance: float = 1e-4, seed: int = 0, n_examples: int = 10,
-               k: int = 3, fc_dims: tuple[int, ...] = (8, 4), attention_dim: int = 4,
-               fd_step: float = 1e-5) -> GradCheckReport:
+               k: int = 3, fc_dims: tuple[int, ...] = (8, 4), attention_dim: int = 4
+               ) -> GradCheckReport:
     """Compare the analytic gradient of the training objective (batch-mean
     loss plus the embedding penalty at the default strength) against
     entrywise central finite differences on a shrunk random model; dropout is
@@ -340,7 +337,7 @@ def grad_check(variant, tolerance: float = 1e-4, seed: int = 0, n_examples: int 
                            fc_dims=fc_dims, attention_dim=attention_dim, dropout_p=0.0)
         batch = encode_batch(model, examples)
         pctr, trace = forward_batch(model, batch, mode="train")
-        if _kink_distance(trace) > 100 * fd_step:
+        if _kink_distance(trace) > 100 * _FD_STEP:
             break
     labels = batch.labels
     grads = backward(model, trace)
@@ -363,12 +360,12 @@ def grad_check(variant, tolerance: float = 1e-4, seed: int = 0, n_examples: int 
         while not it.finished:
             ix = it.multi_index
             orig = arr[ix]
-            arr[ix] = orig + fd_step
+            arr[ix] = orig + _FD_STEP
             up = batch_loss()
-            arr[ix] = orig - fd_step
+            arr[ix] = orig - _FD_STEP
             down = batch_loss()
             arr[ix] = orig
-            fd[ix] = (up - down) / (2.0 * fd_step)
+            fd[ix] = (up - down) / (2.0 * _FD_STEP)
             it.iternext()
         a = analytic[name]
         # The floor keeps structurally-zero gradients (e.g. the softmax score

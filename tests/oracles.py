@@ -293,10 +293,14 @@ def reference_vocabulary(lines: Sequence[str], schemas: Mapping[str, GroupSchema
     """Every ad of every line read afresh and every token added on its own,
     counted once per target occurrence; a value encoding refuses adds
     nothing."""
-    vocab = Vocabulary()
+    oov: dict[str, int] = {}
+    index: dict[tuple[str, str], int] = {}
+    counts: list[int] = []
     for group in GROUPS:
         for fs in schemas[group].fields:
-            vocab.register_field(fs.name)
+            if fs.name not in oov:
+                oov[fs.name] = len(counts)
+                counts.append(0)
     for lineno, line in enumerate(lines, start=1):
         for group, texts in zip(GROUPS, _split_line(line, lineno)[1]):
             for text in texts:
@@ -307,8 +311,11 @@ def reference_vocabulary(lines: Sequence[str], schemas: Mapping[str, GroupSchema
                     except EncodeError:
                         continue
                     for token in tokens:
-                        vocab.target_counts[vocab.add(fs.name, token)] += group == "target"
-    return vocab.freeze()
+                        if (fs.name, token) not in index:
+                            index[(fs.name, token)] = len(counts)
+                            counts.append(0)
+                        counts[index[(fs.name, token)]] += group == "target"
+    return Vocabulary(oov, index, counts)
 
 
 def reference_examples(lines: Sequence[str], schemas: Mapping[str, GroupSchema],

@@ -131,6 +131,29 @@ def test_embedding_rows_must_match_the_vocabulary(data_dir, checkpoint, tmp_path
         main(["eval", "--ckpt", str(ckpt), "--test", str(data_dir / "test.tsv")])
 
 
+def test_train_then_eval_on_values_that_read_like_the_oov_marker(data_dir, tmp_path, capsys):
+    from adctr.schema import Vocabulary
+
+    lines = (data_dir / "train.tsv").read_text(encoding="utf-8").splitlines()[:60]
+    for i, user in ((3, "<oov>"), (7, "\\<oov>"), (11, "<oov>")):
+        cols = lines[i].split("\t")
+        cols[3] = cols[3].replace(f"user_id={cols[2]};", f"user_id={user};")
+        lines[i] = "\t".join(cols)
+    train = tmp_path / "train.tsv"
+    train.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--variant", "lr", "--train", str(train),
+                 "--val", str(data_dir / "val.tsv"), "--schema", str(data_dir / "schema.tsv"),
+                 "--out", str(ckpt)]) == 0
+    vocab = Vocabulary.load(f"{ckpt}.vocab.tsv")
+    assert vocab.target_counts[vocab.lookup("user_id", "<oov>")] == 2
+    assert vocab.target_counts[vocab.lookup("user_id", "\\<oov>")] == 1
+    assert vocab.target_counts[vocab.oov("user_id")] == 0
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", str(ckpt), "--test", str(data_dir / "test.tsv")]) == 0
+    assert capsys.readouterr().out.startswith("auc=")
+
+
 @pytest.mark.parametrize("bad, message", [
     ("age=x45", "numerical field 'age': bad value 'x45'"),
     ("age=30,31", "numerical field 'age' needs exactly one value"),

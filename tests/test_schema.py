@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adctr.numerics import make_rng
 from adctr.schema import (EncodeError, FieldKind, FieldSchema, GroupSchema, SchemaError,
@@ -79,10 +81,10 @@ class TestVocabulary:
         assert len(ids) == 3
         assert all(i != vocab.oov("title") for i in ids)
 
-    def test_frozen_rejects_writes(self):
-        vocab = build_vocabulary([], SCHEMAS)
-        with pytest.raises(SchemaError):
-            vocab.add("user_id", "new")
+    def test_counts_of_a_built_vocabulary_cannot_be_written(self):
+        vocab = build_vocabulary([("clicked", {"ad_id": ("a1",), "title": ("ab",)})], SCHEMAS)
+        with pytest.raises(TypeError):
+            vocab.target_counts[vocab.oov("title")] += 1
 
     def test_save_load_round_trip(self, tmp_path):
         records = [("clicked", {"ad_id": ("a1",), "title": ("ABCD",)}),
@@ -120,6 +122,28 @@ class TestVocabulary:
         path.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
         with pytest.raises(SchemaError, match=message):
             Vocabulary.load(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.one_of(
+        st.sampled_from(["<oov>", "\\<oov>", "\\", "\\\\x", "\\x", "<oov", "é<oov>"]),
+        st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
+                min_size=1, max_size=6)), max_size=8))
+    def test_any_value_survives_save_and_load(self, tmp_path_factory, values):
+        records = [("target", {"user_id": (v,), "age": ("24",), "ad_id": (v[::-1],),
+                               "title": (v,)}) for v in values]
+        vocab = build_vocabulary(records, SCHEMAS)
+        path = tmp_path_factory.mktemp("vocab") / "vocab.tsv"
+        vocab.save(path)
+        loaded = Vocabulary.load(path)
+        assert loaded.dumps() == vocab.dumps()
+        assert loaded.content_hash() == vocab.content_hash()
+        assert loaded.target_counts == vocab.target_counts
+        for v in values:
+            for name, value in (("user_id", v), ("ad_id", v[::-1])):
+                assert loaded.lookup(name, value) == vocab.lookup(name, value)
+                assert vocab.lookup(name, value) != vocab.oov(name)
+            for token in bigrams(v):
+                assert loaded.lookup("title", token) == vocab.lookup("title", token)
 
     def test_counts_occurrences_on_target_ads_only(self):
         records = [("target", {"user_id": ("u1",), "age": ("24",), "ad_id": ("a1",),
