@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ingest, serving, train_eval
-from .models import Variant, load_model, save_model
+from .models import Variant, encode_batch, load_model, save_model
 from .schema import build_vocabulary, load_schemas, save_schemas, schemas_hash, Vocabulary
 from .session import SessionStore
 
@@ -134,15 +134,13 @@ def _load_checkpoint(ckpt: str):
 
 def _cmd_eval(args) -> int:
     model, schemas, vocab = _load_checkpoint(args.ckpt)
-    examples = ingest.read_examples(args.test_path, schemas, vocab)
+    batch = encode_batch(model, ingest.read_examples(args.test_path, schemas, vocab))
     if args.ablate:
-        examples = train_eval.ablate_examples(examples, ABLATE_CHOICES[args.ablate])
-    scores, attn = train_eval.predict(model, examples,
-                                      collect_attention=bool(args.dump_attention))
-    labels = [ex.label for ex in examples]
-    report = train_eval.EvalReport(auc=train_eval.auc(scores, labels),
-                                   logloss=train_eval.logloss_eval(scores, labels),
-                                   n=len(examples), variant=model.variant.value)
+        batch = batch.ablate(ABLATE_CHOICES[args.ablate])
+    scores, attn = train_eval.predict(model, batch, collect_attention=bool(args.dump_attention))
+    report = train_eval.EvalReport(auc=train_eval.auc(scores, batch.labels),
+                                   logloss=train_eval.logloss_eval(scores, batch.labels),
+                                   n=len(batch), variant=model.variant.value)
     print(report.format_line())
     report_path = args.report or f"{args.ckpt}.eval.kv"
     with open(report_path, "w", encoding="utf-8", newline="\n") as fh:

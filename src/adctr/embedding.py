@@ -125,6 +125,18 @@ class EncodedBatch:
             aux[group] = (sub, ads.take(pos))
         return EncodedBatch(self.labels[ids], self.target.take(ids), aux)
 
+    def ablate(self, keep_group: str) -> "EncodedBatch":
+        """A copy in which every auxiliary group except ``keep_group`` holds
+        no ads: the columns ``encode_examples`` builds from emptied lists."""
+        if keep_group not in AUX_GROUPS:
+            raise ValueError(f"unknown auxiliary group {keep_group!r}")
+        empty = np.zeros(len(self) + 1, dtype=np.int32)
+        aux = {group: (offsets, ads) if group == keep_group else
+               (empty, AdColumns(ads.n_fields, np.zeros(1, dtype=np.int32),
+                                 np.zeros(0, dtype=np.int32)))
+               for group, (offsets, ads) in self.aux.items()}
+        return EncodedBatch(self.labels, self.target, aux)
+
 
 def encode_examples(examples: Sequence, schemas: Mapping[str, GroupSchema],
                     groups: Sequence[str] = AUX_GROUPS) -> EncodedBatch:

@@ -27,14 +27,13 @@ probability of every emitted example is recorded for oracle use.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .numerics import make_rng
 from .schema import (GROUPS, EncodedInstance, EncodeError, FieldKind, FieldSchema,
-                     GroupSchema, RawRecord, Vocabulary, build_vocabulary, encode_instance,
-                     save_schemas)
+                     GroupSchema, RawRecord, Vocabulary, encode_instance, save_schemas)
 from .session import SessionStore
 
 MAX_AUX = 5
@@ -119,6 +118,14 @@ def serialize_ad(inst: EncodedInstance) -> str:
     return ";".join(f"{name}={','.join(values)}" for name, values in inst.raw)
 
 
+def parse_uint(text: str, what: str, line_number: int) -> int:
+    """A non-negative integer written in ASCII digits only (no sign, space
+    or underscore); anything else is a ``ParseError`` naming the line."""
+    if not (text.isascii() and text.isdigit()):
+        raise ParseError(f"bad {what} {text!r}", line_number)
+    return int(text)
+
+
 def _split_line(line: str, line_number: int) -> tuple[list[str], list[list[str]]]:
     """An impression line's label, timestamp and user_id texts, and the ad
     texts of each group in ``GROUPS`` order (auxiliary lists cut to their
@@ -135,10 +142,7 @@ def parse_log_line(line: str, schemas: Mapping[str, GroupSchema], vocab: Vocabul
     (label_s, ts_s, user_id), texts = _split_line(line, line_number)
     if label_s not in ("0", "1"):
         raise ParseError(f"label must be 0 or 1, got {label_s!r}", line_number)
-    try:
-        ts = int(ts_s)
-    except ValueError:
-        raise ParseError(f"bad timestamp {ts_s!r}", line_number) from None
+    ts = parse_uint(ts_s, "timestamp", line_number)
     (target,), contextual, clicked, unclicked = [
         tuple([parse_ad(t, schemas[g], vocab, line_number, cache) for t in ads])
         for g, ads in zip(GROUPS, texts)]
@@ -201,8 +205,22 @@ class SyntheticConfig:
 
     @classmethod
     def from_json(cls, path) -> "SyntheticConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls(**json.load(fh))
+        return cls(**read_config(cls, path))
+
+
+def read_config(cls, path, **overrides) -> dict:
+    """The keyword arguments of a config dataclass: a JSON object file's
+    keys, then ``overrides``. A key the class does not have is a
+    ``ValueError`` naming the file and the keys."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    data.update(overrides)
+    unknown = data.keys() - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"{path}: unknown {cls.__name__} key(s) {sorted(unknown)}")
+    return data
 
 
 def click_probability(cfg: SyntheticConfig, n_clicked_match: int, n_contextual_match: int,
@@ -278,9 +296,6 @@ class SyntheticDataset:
         with open(outdir / "config.json", "w", encoding="utf-8", newline="\n") as fh:
             json.dump(self.config.__dict__, fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-    def build_vocabulary(self) -> Vocabulary:
-        return build_vocabulary(iter_group_records(self.train), self.schemas)
 
 
 def _make_catalog(cfg: SyntheticConfig, rng) -> list[AdRecord]:

@@ -317,6 +317,8 @@ def save_schemas(schemas: Mapping[str, GroupSchema], path) -> None:
 
 
 def parse_schemas(text: str) -> dict[str, GroupSchema]:
+    """Read the schema file format; every refusal is a ``SchemaError``
+    naming the line."""
     fields: dict[str, list[FieldSchema]] = {}
     # A field several groups declare alike is one object, so the encoding
     # memos' keys of those groups match by identity.
@@ -325,11 +327,19 @@ def parse_schemas(text: str) -> dict[str, GroupSchema]:
         if not line.strip():
             continue
         cols = line.split("\t")
-        if len(cols) not in (3, 4):
-            raise SchemaError(f"schema line {lineno}: expected 3 or 4 columns")
-        group, name, kind = cols[0], cols[1], FieldKind(cols[2])
-        boundaries = tuple(float(b) for b in cols[3].split(",")) if len(cols) == 4 else ()
-        fs = FieldSchema(name, kind, boundaries)
+        try:
+            if len(cols) not in (3, 4):
+                raise SchemaError("expected 3 or 4 columns")
+            group, name, kind = cols[:3]
+            if group not in GROUPS:
+                raise SchemaError(f"unknown ad group {group!r}")
+            if name in (f.name for f in fields.get(group, ())):
+                raise SchemaError(f"field {name!r} repeats in group {group!r}")
+            # FieldKind and float refuse a bad kind or boundary with a ValueError
+            boundaries = tuple(float(b) for b in cols[3].split(",")) if len(cols) == 4 else ()
+            fs = FieldSchema(name, FieldKind(kind), boundaries)
+        except ValueError as exc:
+            raise SchemaError(f"schema line {lineno}: {exc}") from None
         fields.setdefault(group, []).append(shared.setdefault(fs, fs))
     return {g: GroupSchema(g, tuple(fs)) for g, fs in fields.items()}
 

@@ -46,7 +46,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ingest import ParseError, encode_record, parse_ad, read_record
+from .ingest import ParseError, encode_record, parse_ad, parse_uint, read_record
 # forward_batch is not called here: perfbench's span test reads serving.forward_batch.
 from .models import (ModelParams, RequestRows, forward_batch,  # noqa: F401
                      prepare_request, score_request)
@@ -92,10 +92,6 @@ class RankedAd:
 class RankResult:
     request_id: str
     ranked: tuple[RankedAd, ...]
-
-    @property
-    def winner(self) -> RankedAd:
-        return self.ranked[0]
 
 
 class ModelScorer:
@@ -179,13 +175,13 @@ def parse_events(path, schemas: Mapping[str, GroupSchema], vocab: Vocabulary) ->
                     raise ParseError(f"{tag} line needs 4 columns", lineno)
                 group = "clicked" if tag == "CLICK" else "unclicked"
                 ad = parse_ad(cols[3], schemas[group], vocab, lineno, cache)
-                events.append(SimEvent(kind=tag.lower(), ts=_parse_int(cols[1], "timestamp", lineno),
+                events.append(SimEvent(kind=tag.lower(), ts=parse_uint(cols[1], "timestamp", lineno),
                                        user_id=cols[2], ad=ad))
             elif tag == "REQ":
                 if len(cols) != 6:
                     raise ParseError("REQ line needs 6 columns", lineno)
-                ts, user_id = _parse_int(cols[1], "timestamp", lineno), cols[2]
-                slots = _parse_int(cols[4], "slots", lineno)
+                ts, user_id = parse_uint(cols[1], "timestamp", lineno), cols[2]
+                slots = parse_uint(cols[4], "slots", lineno)
                 if slots < 1:
                     raise ParseError(f"bad slots {cols[4]!r}", lineno)
                 candidates = tuple(
@@ -199,13 +195,6 @@ def parse_events(path, schemas: Mapping[str, GroupSchema], vocab: Vocabulary) ->
             else:
                 raise ParseError(f"unknown event tag {tag!r}", lineno)
     return events
-
-
-def _parse_int(text: str, what: str, lineno: int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"bad {what} {text!r}", lineno) from None
 
 
 def _encode_candidate(record: RawRecord, user_id: str, target_schema: GroupSchema,

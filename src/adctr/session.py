@@ -111,7 +111,7 @@ class SessionStore:
 
     @classmethod
     def restore(cls, path, schemas, vocab) -> "SessionStore":
-        from .ingest import ParseError, parse_ad
+        from .ingest import ParseError, parse_ad, parse_uint
 
         store = cls()
         cache: dict = {}
@@ -124,9 +124,8 @@ class SessionStore:
                 clicked = _CLICKED_BY_TAG.get(tag)
                 if clicked is None:
                     raise ParseError(f"bad tag {tag!r}, expected clk or unclk", lineno)
-                if not ts_text.isdecimal():  # digits only: no sign, so never negative
-                    raise ParseError(f"bad timestamp {ts_text!r}", lineno)
+                ts = parse_uint(ts_text, "timestamp", lineno)
                 ad = parse_ad(ad_text, schemas["clicked" if clicked else "unclicked"], vocab,
                               lineno, cache)
-                store.record_event(user_id, ad, clicked, int(ts_text))
+                store.record_event(user_id, ad, clicked, ts)
         return store

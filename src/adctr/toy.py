@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .ingest import LabeledExample
 from .numerics import make_rng
 from .schema import (FieldKind, FieldSchema, GroupSchema, Vocabulary,

@@ -1,19 +1,17 @@
 """Training loop (mini-batch Adagrad on the logistic loss), ranking metrics
-(AUC with midrank tie handling, logloss), auxiliary-data improvement metrics,
-the single-group ablation harness, and the finite-difference gradient checker.
+(AUC with midrank tie handling, logloss), and the finite-difference gradient
+checker.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .embedding import EncodedBatch
-from .ingest import LabeledExample
+from .ingest import LabeledExample, read_config
 from .models import (BatchTrace, Gradients, ModelParams, Variant, backward, encode_batch,
                      forward_batch, init_model, loss, loss_from_logits)
 from .numerics import AdagradState, Array, adagrad_step, adagrad_step_rows, make_rng
@@ -23,10 +21,6 @@ from .toy import make_toy_problem
 
 class MetricUndefinedError(ValueError):
     """A metric has no defined value for this input (e.g. single-class AUC)."""
-
-    def __init__(self, message: str, abs_imp: float | None = None):
-        super().__init__(message)
-        self.abs_imp = abs_imp
 
 
 @dataclass(frozen=True)
@@ -62,9 +56,7 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, path, **overrides) -> "TrainConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        data.update(overrides)
+        data = read_config(cls, path, **overrides)
         if "fc_dims" in data:
             data["fc_dims"] = tuple(data["fc_dims"])
         return cls(**data)
@@ -75,24 +67,14 @@ class EvalReport:
     auc: float
     logloss: float
     n: int
-    variant: str = ""
+    variant: str
 
     def format_line(self) -> str:
         return f"auc={self.auc:.6f} logloss={self.logloss:.6f} n={self.n}"
 
     def kv_text(self) -> str:
-        lines = [f"auc={self.auc!r}", f"logloss={self.logloss!r}", f"n={self.n}"]
-        if self.variant:
-            lines.append(f"variant={self.variant}")
-        return "\n".join(lines) + "\n"
-
-
-def ablate_examples(examples: Sequence[LabeledExample], keep_group: str) -> list[LabeledExample]:
-    """Copies with every auxiliary group except keep_group emptied."""
-    if keep_group not in AUX_GROUPS:
-        raise ValueError(f"unknown auxiliary group {keep_group!r}")
-    swaps = {g: () for g in AUX_GROUPS if g != keep_group}
-    return [dataclasses.replace(ex, **swaps) for ex in examples]
+        return (f"auc={self.auc!r}\nlogloss={self.logloss!r}\nn={self.n}\n"
+                f"variant={self.variant}\n")
 
 
 def embedding_row_scales(vocab: Vocabulary, strength: float) -> Array:
@@ -111,23 +93,25 @@ def embedding_penalty(model: ModelParams, rows: Array, row_scales: Array) -> tup
     return 0.5 * float((scale * e * e).sum()), scale * e
 
 
-def train(config: TrainConfig, train_examples: Sequence[LabeledExample],
-          val_examples: Sequence[LabeledExample], schemas: dict[str, GroupSchema],
-          vocab: Vocabulary, initial: ModelParams | None = None) -> tuple[ModelParams, list[dict]]:
+def train(config: TrainConfig, train_examples: EncodedBatch | Sequence[LabeledExample],
+          val_examples: EncodedBatch | Sequence[LabeledExample],
+          schemas: dict[str, GroupSchema], vocab: Vocabulary,
+          initial: ModelParams | None = None) -> tuple[ModelParams, list[dict]]:
     """Mini-batch Adagrad training; deterministic given the config seed.
 
     Shuffles per epoch, evaluates on the validation stream after each epoch,
     and returns the checkpoint with the best validation AUC (the final one if
-    no validation stream is given). Passing ``initial`` warm-starts from an
+    no validation stream is given). The streams are encoded batches, or
+    examples encoded once on entry; ``config.ablate`` empties every other
+    auxiliary group of both. Passing ``initial`` warm-starts from an
     existing checkpoint (periodic refresh); the vocabulary must be the one the
     initial model was trained with. A fresh model is float32; a warm start
     trains in the initial model's dtype.
     """
     if not train_examples:
         raise ValueError("empty training stream")
-    if config.ablate:
-        train_examples = ablate_examples(train_examples, config.ablate)
-        val_examples = ablate_examples(val_examples, config.ablate)
+    if config.ablate and config.ablate not in AUX_GROUPS:
+        raise ValueError(f"unknown auxiliary group {config.ablate!r}")
     rng = make_rng(config.seed)
     if initial is not None:
         if initial.embedding.n != vocab.size:
@@ -141,7 +125,9 @@ def train(config: TrainConfig, train_examples: Sequence[LabeledExample],
     states = {name: AdagradState(lr=config.learning_rate) for name in model.tensors()}
     row_scales = embedding_row_scales(vocab, config.embedding_l2)
     train_set = encode_batch(model, train_examples)
-    val_set = encode_batch(model, val_examples) if val_examples else None
+    val_set = encode_batch(model, val_examples)
+    if config.ablate:
+        train_set, val_set = train_set.ablate(config.ablate), val_set.ablate(config.ablate)
 
     best: ModelParams | None = None
     best_auc = -np.inf
@@ -164,7 +150,7 @@ def train(config: TrainConfig, train_examples: Sequence[LabeledExample],
                 else:
                     adagrad_step(arr, grads.dense[name], states[name])
         entry = {"epoch": epoch, "train_loss": total_loss / n}
-        if val_set is not None:
+        if len(val_set):
             report = evaluate(model, val_set)
             entry["val_auc"] = report.auc
             entry["val_logloss"] = report.logloss
@@ -262,25 +248,6 @@ def logloss_eval(scores, labels) -> float:
     return loss(p, labels)
 
 
-def improvement_metrics(auc_variant: float, auc_dnn: float,
-                        avg_aux_count: float) -> tuple[float, float]:
-    """(AbsImp, NlzImp): absolute AUC gain over the plain-DNN baseline, and
-    that gain normalized per auxiliary ad."""
-    abs_imp = auc_variant - auc_dnn
-    if avg_aux_count <= 0:
-        raise MetricUndefinedError("NlzImp needs a positive average ad count",
-                                   abs_imp=abs_imp)
-    return abs_imp, abs_imp / avg_aux_count
-
-
-def average_aux_count(examples: Sequence[LabeledExample], group: str) -> float:
-    if group not in AUX_GROUPS:
-        raise ValueError(f"unknown auxiliary group {group!r}")
-    if not examples:
-        return 0.0
-    return float(np.mean([len(getattr(ex, group)) for ex in examples]))
-
-
 # ---------------------------------------------------------------------------
 # gradient checking
 # ---------------------------------------------------------------------------
@@ -305,6 +272,8 @@ class GradCheckReport:
 
 
 _FD_STEP = 1e-5  # central-difference step of grad_check
+# grad_check's shrunk problem: examples, embedding width K, FC widths, attention width
+_GC_EXAMPLES, _GC_K, _GC_FC_DIMS, _GC_ATTENTION_DIM = 10, 3, (8, 4), 4
 
 
 def _kink_distance(trace: BatchTrace) -> float:
@@ -322,9 +291,7 @@ def _kink_distance(trace: BatchTrace) -> float:
     return dist
 
 
-def grad_check(variant, tolerance: float = 1e-4, seed: int = 0, n_examples: int = 10,
-               k: int = 3, fc_dims: tuple[int, ...] = (8, 4), attention_dim: int = 4
-               ) -> GradCheckReport:
+def grad_check(variant, tolerance: float = 1e-4, seed: int = 0) -> GradCheckReport:
     """Compare the analytic gradient of the training objective (batch-mean
     loss plus the embedding penalty at the default strength) against
     entrywise central finite differences on a shrunk random model; dropout is
@@ -332,9 +299,10 @@ def grad_check(variant, tolerance: float = 1e-4, seed: int = 0, n_examples: int 
     variant = Variant(variant)
     for attempt in range(64):
         trial_seed = seed + 1000 * attempt
-        schemas, vocab, examples = make_toy_problem(seed=trial_seed, n_examples=n_examples)
-        model = init_model(variant, schemas, vocab.size, make_rng(trial_seed + 1), k=k,
-                           fc_dims=fc_dims, attention_dim=attention_dim, dropout_p=0.0)
+        schemas, vocab, examples = make_toy_problem(seed=trial_seed, n_examples=_GC_EXAMPLES)
+        model = init_model(variant, schemas, vocab.size, make_rng(trial_seed + 1), k=_GC_K,
+                           fc_dims=_GC_FC_DIMS, attention_dim=_GC_ATTENTION_DIM,
+                           dropout_p=0.0)
         batch = encode_batch(model, examples)
         pctr, trace = forward_batch(model, batch, mode="train")
         if _kink_distance(trace) > 100 * _FD_STEP:

@@ -1,6 +1,7 @@
 import pytest
 
-from adctr.ingest import SyntheticConfig, generate_synthetic, parse_log_line
+from adctr.ingest import SyntheticConfig, generate_synthetic, iter_group_records, parse_log_line
+from adctr.schema import build_vocabulary
 from adctr.toy import make_toy_problem
 
 
@@ -15,7 +16,7 @@ def tiny_dataset():
     """A small synthetic dataset with its vocabulary and encoded splits."""
     cfg = SyntheticConfig(n_users=40, n_ads=60, n_train=1500, n_val=300, n_test=300, seed=5)
     ds = generate_synthetic(cfg)
-    vocab = ds.build_vocabulary()
+    vocab = build_vocabulary(iter_group_records(ds.train), ds.schemas)
     cache = {}
 
     def enc(lines):

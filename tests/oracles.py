@@ -6,23 +6,27 @@ interactive attention through the concatenated [target, ad] pair tensor, a
 single-vector linear map and inverted dropout; one candidate scored alone
 by the batched forward, and one example's forward; the canonical line of an
 example; the vocabulary build and the log parse token by token, with no
-memo; plus a fixed-score stand-in for the serving model scorer."""
+memo; single-group ablation on example lists; the auxiliary-data
+improvement metrics (AbsImp, NlzImp); plus a fixed-score stand-in for the
+serving model scorer."""
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from adctr.embedding import EmbeddingTable
+from adctr.embedding import EmbeddingTable, EncodedBatch
 from adctr.ingest import (LabeledExample, ParseError, _parse_fields, _split_line, read_record,
                           serialize_ad)
 from adctr.models import (SCORE_CLAMP, InteractiveAttentionParams, SelfAttentionParams,
                           Variant, forward_batch)
 from adctr.numerics import Array, ContractViolation, dropout_mask, relu
-from adctr.schema import (GROUPS, EncodedInstance, EncodeError, GroupSchema, Vocabulary,
-                          _field_tokens)
+from adctr.schema import (AUX_GROUPS, GROUPS, EncodedInstance, EncodeError, GroupSchema,
+                          Vocabulary, _field_tokens)
+from adctr.train_eval import MetricUndefinedError
 
 
 @dataclass(frozen=True)
@@ -347,6 +351,42 @@ def reference_examples(lines: Sequence[str], schemas: Mapping[str, GroupSchema],
         out.append(LabeledExample(int(label), int(ts), user_id, target, contextual, clicked,
                                   unclicked))
     return out
+
+
+def reference_ablate(examples: Sequence[LabeledExample], keep_group: str) -> list[LabeledExample]:
+    """Copies with every auxiliary group except keep_group emptied."""
+    if keep_group not in AUX_GROUPS:
+        raise ValueError(f"unknown auxiliary group {keep_group!r}")
+    swaps = {g: () for g in AUX_GROUPS if g != keep_group}
+    return [dataclasses.replace(ex, **swaps) for ex in examples]
+
+
+def average_aux_count(batch: EncodedBatch, group: str) -> float:
+    """Mean number of ads of an auxiliary group per example, read off the
+    group's offsets."""
+    if group not in AUX_GROUPS:
+        raise ValueError(f"unknown auxiliary group {group!r}")
+    if not len(batch):
+        return 0.0
+    return float(np.mean(np.diff(batch.aux[group][0])))
+
+
+class NlzImpUndefinedError(MetricUndefinedError):
+    """NlzImp has no value; AbsImp, which still has one, rides along."""
+
+    def __init__(self, message: str, abs_imp: float):
+        super().__init__(message)
+        self.abs_imp = abs_imp
+
+
+def improvement_metrics(auc_variant: float, auc_dnn: float,
+                        avg_aux_count: float) -> tuple[float, float]:
+    """(AbsImp, NlzImp): absolute AUC gain over the plain-DNN baseline, and
+    that gain normalized per auxiliary ad."""
+    abs_imp = auc_variant - auc_dnn
+    if avg_aux_count <= 0:
+        raise NlzImpUndefinedError("NlzImp needs a positive average ad count", abs_imp)
+    return abs_imp, abs_imp / avg_aux_count
 
 
 class StubRows(tuple):

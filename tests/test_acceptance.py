@@ -6,8 +6,6 @@ The criteria that need a trained model share one full-scale synthetic run
 on small randomized inputs against independent oracles.
 """
 
-import dataclasses
-import math
 import time
 
 import numpy as np
@@ -15,17 +13,16 @@ import pytest
 
 import adctr.session as session_mod
 from adctr.cli import main
-from adctr.ingest import SyntheticConfig, generate_synthetic, parse_log_line
+from adctr.embedding import encode_examples
+from adctr.ingest import SyntheticConfig, generate_synthetic, iter_group_records, parse_log_line
 from adctr.models import Variant, forward_batch, init_model
 from adctr.numerics import make_rng
-from adctr.schema import AUX_GROUPS
+from adctr.schema import AUX_GROUPS, build_vocabulary
 from adctr.serving import RankRequest, ad_display_id, rank_request
 from adctr.session import SessionStore
 from adctr.toy import make_toy_problem
-from adctr.train_eval import (TrainConfig, ablate_examples, auc, average_aux_count,
-                              evaluate, grad_check, improvement_metrics, logloss_eval,
-                              train)
-from oracles import StubScorer
+from adctr.train_eval import TrainConfig, auc, evaluate, grad_check, logloss_eval, train
+from oracles import StubScorer, average_aux_count, improvement_metrics
 
 SEED = 7  # pinned: data generation and every training run below
 
@@ -36,23 +33,27 @@ def report(criterion, detail):
 
 @pytest.fixture(scope="module")
 def big_run():
-    """Criterion-4 workload: default dataset, default training, four variants."""
+    """Criterion-4 workload: default dataset, default training, four variants.
+    Each split is encoded once: with every auxiliary group for the DSTN
+    variants, and target-only for the DNN, as ``models.encode_batch`` would."""
     t0 = time.time()
     dataset = generate_synthetic(SyntheticConfig(seed=SEED))
-    vocab = dataset.build_vocabulary()
+    vocab = build_vocabulary(iter_group_records(dataset.train), dataset.schemas)
     cache = {}
-
-    def enc(lines):
-        return [parse_log_line(l, dataset.schemas, vocab, i + 1, cache)
-                for i, l in enumerate(lines)]
-
-    tr, va, te = enc(dataset.train), enc(dataset.validation), enc(dataset.test)
+    splits = {"all": [], "target": []}
+    for lines in (dataset.train, dataset.validation, dataset.test):
+        examples = [parse_log_line(l, dataset.schemas, vocab, i + 1, cache)
+                    for i, l in enumerate(lines)]
+        splits["all"].append(encode_examples(examples, dataset.schemas))
+        splits["target"].append(encode_examples(examples, dataset.schemas, groups=()))
     aucs = {}
     for variant in ("dnn", "dstn-p", "dstn-s", "dstn-i"):
+        tr, va, te = splits["target" if variant == "dnn" else "all"]
         model, _ = train(TrainConfig(variant=variant, seed=SEED), tr, va,
                          dataset.schemas, vocab)
         aucs[variant] = evaluate(model, te).auc
     elapsed = time.time() - t0
+    tr, va, te = splits["all"]
     return {"dataset": dataset, "vocab": vocab, "train": tr, "val": va, "test": te,
             "aucs": aucs, "elapsed": elapsed}
 
@@ -72,8 +73,7 @@ def test_02_gradient_correctness_all_variants():
     t0 = time.time()
     worst = {}
     for variant in Variant:
-        result = grad_check(variant.value, tolerance=1e-4, seed=SEED,
-                            n_examples=10, k=3, fc_dims=(8, 4), attention_dim=4)
+        result = grad_check(variant.value, tolerance=1e-4, seed=SEED)
         assert result.passed, f"{variant.value}: {result.format_lines()}"
         worst[variant.value] = max(result.max_rel_err.values())
     elapsed = time.time() - t0
@@ -118,7 +118,7 @@ def test_05_single_group_ablations(big_run):
     for group in AUX_GROUPS:
         model, _ = train(TrainConfig(variant="dstn-i", seed=SEED, ablate=group),
                          tr, va, dataset.schemas, vocab)
-        rep = evaluate(model, ablate_examples(te, group))
+        rep = evaluate(model, te.ablate(group))
         results[group] = (rep.auc,) + improvement_metrics(rep.auc, auc_dnn,
                                                           average_aux_count(te, group))
     details = f"dnn AUC={auc_dnn:.4f}; " + "; ".join(

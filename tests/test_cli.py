@@ -59,11 +59,14 @@ def test_eval_prints_report_line(data_dir, checkpoint, capsys, tmp_path):
     assert all(float(r[3]) > 0 for r in rows)  # interactive weights are positive
 
 
-def test_eval_with_ablation(data_dir, checkpoint, capsys):
+def test_eval_with_ablation(data_dir, checkpoint, capsys, tmp_path):
+    attn = tmp_path / "attn.tsv"
     rc = main(["eval", "--ckpt", str(checkpoint), "--test", str(data_dir / "test.tsv"),
-               "--ablate", "clk"])
+               "--ablate", "clk", "--dump-attention", str(attn)])
     assert rc == 0
     assert capsys.readouterr().out.startswith("auc=")
+    groups = [line.split("\t")[1] for line in attn.read_text().splitlines()]
+    assert groups and set(groups) == {"clicked"}
 
 
 def test_gradcheck_cli(capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,11 +54,13 @@ class TestParseLogLine:
         with pytest.raises(ParseError, match="line 4"):
             parse_log_line("1\t2\t3", schemas, vocab, line_number=4)
 
-    def test_bad_timestamp(self, env):
+    @pytest.mark.parametrize("ts", ["noon", "-5", "+5", " 5", "5 ", "1_000", "1.5", "٥", ""])
+    def test_bad_timestamp(self, env, ts):
+        # ASCII digits only: int() would take most of these
         schemas, vocab = env
-        line = "\t".join(["1", "noon", "u1", f"user_id=u1;age=30;{_ad(1)}", "", "", ""])
-        with pytest.raises(ParseError, match="timestamp"):
-            parse_log_line(line, schemas, vocab)
+        line = "\t".join(["1", ts, "u1", f"user_id=u1;age=30;{_ad(1)}", "", "", ""])
+        with pytest.raises(ParseError, match=re.escape(f"line 9: bad timestamp {ts!r}")):
+            parse_log_line(line, schemas, vocab, line_number=9)
 
     def test_unknown_field_rejected(self, env):
         schemas, vocab = env
@@ -154,6 +158,17 @@ def test_config_validation():
         SyntheticConfig(base_ctr=0.0)
     with pytest.raises(ValueError):
         SyntheticConfig(affinity_boost=-0.1)
+
+
+def test_config_file_with_an_unknown_key_is_refused_naming_file_and_key(tmp_path):
+    path = tmp_path / "gen.json"
+    path.write_text('{"n_users": 5, "n_user": 6, "patience": 2}', encoding="utf-8")
+    with pytest.raises(ValueError, match=r"gen\.json: unknown SyntheticConfig key\(s\) "
+                                         r"\['n_user', 'patience'\]"):
+        SyntheticConfig.from_json(path)
+    path.write_text('[1, 2]', encoding="utf-8")
+    with pytest.raises(ValueError, match=r"gen\.json: expected a JSON object"):
+        SyntheticConfig.from_json(path)
 
 
 def test_the_vocabulary_pass_adds_no_value_encoding_refuses(tiny_dataset):

@@ -241,9 +241,22 @@ def test_schema_file_round_trip(tmp_path):
     assert schemas_hash(loaded) == schemas_hash(SCHEMAS)
 
 
-def test_parse_schemas_rejects_bad_lines():
-    with pytest.raises(SchemaError):
-        parse_schemas("target\tuser_id\n")
+@pytest.mark.parametrize("text, message", [
+    ("target\tuser_id\tunivalent\ntarget\tage\tbogus", "line 2: 'bogus' is not a valid"),
+    ("target\tage\tnumerical\t1,x", "line 1: could not convert string to float: 'x'"),
+    ("target\tuser_id\tunivalent\n\ntarget\tage\tnumerical\t3,2",
+     "line 3: boundaries of 'age' must be strictly increasing"),
+    ("target\tage\tnumerical", "line 1: numerical field 'age' needs bucket boundaries"),
+    ("target\tuser_id\tunivalent\t1", "line 1: non-numerical field 'user_id' must not"),
+    ("target\tuser_id\tunivalent\nbanner\tad_id\tunivalent", "line 2: unknown ad group"),
+    ("clicked\tad_id\tunivalent\ntarget\tad_id\tunivalent\nclicked\tad_id\tmultivalent",
+     "line 3: field 'ad_id' repeats in group 'clicked'"),
+    ("target\tuser_id\n", "line 1: expected 3 or 4 columns"),
+], ids=["kind", "boundary-number", "boundary-order", "no-boundaries", "stray-boundaries",
+        "group", "repeated-field", "columns"])
+def test_parse_schemas_rejects_bad_lines(text, message):
+    with pytest.raises(SchemaError, match=f"^schema {message}"):
+        parse_schemas(text)
 
 
 def test_dump_schemas_orders_groups_canonically():

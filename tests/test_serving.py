@@ -202,7 +202,7 @@ class TestModelScorer:
         candidates = tuple(ex.target for ex in train[:5])
         got = rank_request(ModelScorer(model), store,
                            RankRequest("r", "u", 200, candidates, slots=5))
-        text = ";".join(f"{n}={','.join(v)}" for n, v in got.winner.ad.raw
+        text = ";".join(f"{n}={','.join(v)}" for n, v in got.ranked[0].ad.raw
                         if n not in ("user_id", "age"))
         winner = parse_ad(text, ds.schemas["contextual"], vocab)
         clicked, unclicked = store.get_history("u", 200)
@@ -390,7 +390,11 @@ class TestReplay:
 
     @pytest.mark.parametrize("line, what", [
         ("IMP\tsoon\tu1\t{ad}", "timestamp"),
+        ("IMP\t-5\tu1\t{ad}", "timestamp"),
+        ("CLICK\t+95\tu1\t{ad}", "timestamp"),
         ("REQ\t1.5\tu1\tr1\t2\t{cand}", "timestamp"),
+        ("REQ\t-5\tu1\tr1\t2\t{cand}", "timestamp"),
+        ("REQ\t100\tu1\tr1\t-2\t{cand}", "slots"),
         ("REQ\t100\tu1\tr1\tfour\t{cand}", "slots"),
         ("REQ\t100\tu1\tr1\t0\t{cand}", "slots"),
     ])

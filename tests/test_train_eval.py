@@ -4,17 +4,19 @@ import math
 import numpy as np
 import pytest
 
+from adctr import train_eval
+from adctr.embedding import encode_examples
 from adctr.ingest import LabeledExample
-from adctr.models import Variant, forward_batch, init_model
+from adctr.models import Variant, init_model, save_model
 from adctr.numerics import make_rng
 from adctr.schema import (AUX_GROUPS, FieldKind, FieldSchema, GroupSchema, build_vocabulary,
-                          encode_instance)
-from adctr.train_eval import (EvalReport, MetricUndefinedError, TrainConfig, ablate_examples,
-                              auc, average_aux_count, embedding_penalty, embedding_row_scales,
-                              NonFiniteError, evaluate, grad_check, improvement_metrics,
-                              logloss_eval, predict, train)
+                          encode_instance, schemas_hash)
+from adctr.train_eval import (EvalReport, MetricUndefinedError, TrainConfig, auc,
+                              embedding_penalty, embedding_row_scales, NonFiniteError,
+                              evaluate, grad_check, logloss_eval, predict, train)
 from oracles import (InstanceEmbedding, aggregate_interactive_attention,
-                     aggregate_self_attention, embed_instance)
+                     aggregate_self_attention, average_aux_count, embed_instance,
+                     improvement_metrics, reference_ablate)
 
 
 def auc_bruteforce(scores, labels):
@@ -211,6 +213,18 @@ class TestTrain:
                            match=f"^epoch 0, batch {first // 32}: non-finite loss$"):
             train(config, examples, va[:50], ds.schemas, vocab, initial=model)
 
+    def test_config_file_with_an_unknown_key_is_refused_naming_file_and_key(self, tmp_path):
+        path = tmp_path / "train.json"
+        path.write_text('{"epochs": 2, "fc_dims": [8, 4]}', encoding="utf-8")
+        config = TrainConfig.from_json(path, variant="dnn")
+        assert (config.epochs, config.fc_dims, config.variant) == (2, (8, 4), "dnn")
+        with pytest.raises(ValueError, match=r"unknown TrainConfig key\(s\) \['epoch'\]"):
+            TrainConfig.from_json(path, epoch=3)
+        path.write_text('{"epochs": 2, "patience": 2}', encoding="utf-8")
+        with pytest.raises(ValueError,
+                           match=r"train\.json: unknown TrainConfig key\(s\) \['patience'\]"):
+            TrainConfig.from_json(path)
+
     def test_defaults_are_the_reference_operating_point(self):
         config = TrainConfig()
         assert config.batch_size == 128
@@ -221,23 +235,73 @@ class TestTrain:
         assert config.embedding_l2 == 2.0
 
 
+def _assert_batches_equal(got, want):
+    """Array for array, dtypes included."""
+    pairs = [(got.labels, want.labels), (got.target.offsets, want.target.offsets),
+             (got.target.indices, want.target.indices)]
+    assert got.aux.keys() == want.aux.keys()
+    for group, (offsets, ads) in got.aux.items():
+        assert ads.n_fields == want.aux[group][1].n_fields
+        pairs += [(offsets, want.aux[group][0]), (ads.offsets, want.aux[group][1].offsets),
+                  (ads.indices, want.aux[group][1].indices)]
+    for a, b in pairs:
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
 class TestAblation:
     def test_keeps_only_requested_group(self, tiny_dataset):
-        _, _, tr, *_ = tiny_dataset
-        kept = ablate_examples(tr, "clicked")
-        for before, after in zip(tr, kept):
-            assert after.contextual == () and after.unclicked == ()
-            assert after.clicked == before.clicked
+        ds, _, tr, *_ = tiny_dataset
+        batch = encode_examples(tr, ds.schemas)
+        kept = batch.ablate("clicked")
+        (offsets, ads), (want_offsets, want_ads) = kept.aux["clicked"], batch.aux["clicked"]
+        np.testing.assert_array_equal(offsets, want_offsets)
+        np.testing.assert_array_equal(ads.offsets, want_ads.offsets)
+        np.testing.assert_array_equal(ads.indices, want_ads.indices)
+        for group in ("contextual", "unclicked"):
+            offsets, ads = kept.aux[group]
+            assert not offsets.any() and len(offsets) == len(tr) + 1 and len(ads) == 0
 
-    def test_unknown_group_rejected(self, tiny_dataset):
-        _, _, tr, *_ = tiny_dataset
-        with pytest.raises(ValueError):
-            ablate_examples(tr, "target")
+    @pytest.mark.parametrize("groups", [AUX_GROUPS, ()], ids=["all-groups", "target-only"])
+    @pytest.mark.parametrize("keep", AUX_GROUPS)
+    def test_equals_encoding_the_reference_ablated_lists(self, tiny_dataset, keep, groups):
+        ds, _, tr, *_ = tiny_dataset
+        _assert_batches_equal(encode_examples(tr, ds.schemas, groups).ablate(keep),
+                              encode_examples(reference_ablate(tr, keep), ds.schemas, groups))
+
+    def test_unknown_group_rejected(self, tiny_dataset, monkeypatch):
+        ds, vocab, tr, va, _ = tiny_dataset
+        with pytest.raises(ValueError, match="unknown auxiliary group 'target'"):
+            encode_examples(tr[:10], ds.schemas).ablate("target")
+
+        def no_encoding(*args):
+            raise AssertionError("encoded before refusing the group")
+
+        monkeypatch.setattr(train_eval, "encode_batch", no_encoding)
+        with pytest.raises(ValueError, match="unknown auxiliary group 'target'"):
+            train(TrainConfig(variant="dstn-i", ablate="target"), tr[:10], va[:10],
+                  ds.schemas, vocab)
+
+    @pytest.mark.parametrize("keep", AUX_GROUPS)
+    def test_training_with_ablate_equals_training_on_reference_ablated_lists(
+            self, tiny_dataset, tmp_path, keep):
+        ds, vocab, tr, va, _ = tiny_dataset
+        config = TrainConfig(variant="dstn-i", epochs=1, seed=4, fc_dims=(8, 4),
+                             embedding_dim=3, attention_dim=4)
+        runs = {"ablate": (dataclasses.replace(config, ablate=keep), tr[:300], va[:50]),
+                "reference": (config, reference_ablate(tr[:300], keep),
+                              reference_ablate(va[:50], keep))}
+        histories = {}
+        for name, (cfg, train_set, val_set) in runs.items():
+            model, histories[name] = train(cfg, train_set, val_set, ds.schemas, vocab)
+            save_model(tmp_path / name, model, schemas_hash(ds.schemas), vocab.content_hash())
+        assert histories["ablate"] == histories["reference"]  # validation AUCs included
+        assert (tmp_path / "ablate").read_bytes() == (tmp_path / "reference").read_bytes()
 
     def test_average_aux_count(self, tiny_dataset):
-        _, _, tr, *_ = tiny_dataset
+        ds, _, tr, *_ = tiny_dataset
         manual = sum(len(ex.clicked) for ex in tr) / len(tr)
-        assert average_aux_count(tr, "clicked") == pytest.approx(manual)
+        assert average_aux_count(encode_examples(tr, ds.schemas), "clicked") == manual
 
 
 class TestEmbeddingPenalty:
