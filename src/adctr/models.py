@@ -219,7 +219,7 @@ def init_model(variant: Variant, schemas: Mapping[str, GroupSchema], vocab_size:
 class AuxTrace:
     """One auxiliary group of a batch, ragged: one row per ad that exists."""
 
-    cols: AdColumns                 # the group's ads in the batch, batch order
+    cols: AdColumns | None          # the group's ads in batch order (None: served embedded)
     n: int                          # examples in the batch
     row_idx: Array                  # (T,) example of each ad, non-decreasing
     ads: Array                      # (T, D_g) embeddings
@@ -381,7 +381,9 @@ def forward_batch(model: ModelParams, batch: EncodedBatch | Sequence[LabeledExam
 # ads, and the fusion layer is linear in m = [x_t, ctx, clk, unclk]. So the
 # history is embedded and aggregated once per request, its fusion terms are
 # summed once, and a round with contextual ads adds only agg_ctx W_ctx^T
-# before the layers above the fusion layer run.
+# before the layers above the fusion layer run. The contextual ads are
+# candidates of the same request (round 2's winner), so their embeddings are
+# read out of the prepared rows instead of being encoded and embedded again.
 
 @dataclass(frozen=True)
 class RequestRows:
@@ -401,12 +403,12 @@ class RequestRows:
         return RequestRows(self.x_t[rows], self.pre[rows])
 
 
-def _shared_agg(model: ModelParams, group: str, ads: Sequence[EncodedInstance],
-                x_t: Array) -> Array:
-    """The group's aggregate of ads shared by every row of x_t: (1, D_g) for
-    pooling and self-attention, (n, D_g) for interactive attention."""
-    cols = AdColumns.from_instances(ads, model.schemas[group])
-    t = _pad_aux(model, np.array([0, len(cols)]), cols)
+def _shared_agg(model: ModelParams, group: str, ads: Array, x_t: Array) -> Array:
+    """The group's aggregate of embedded ads (one row each) shared by every
+    row of x_t: (1, D_g) for pooling and self-attention, (n, D_g) for
+    interactive attention."""
+    t = AuxTrace(cols=None, n=1, row_idx=np.zeros(len(ads), dtype=np.intp), ads=ads,
+                 alpha=np.ones(len(ads), dtype=ads.dtype))
     _aggregate(model, t, group, x_t)
     return t.agg
 
@@ -417,35 +419,56 @@ def _fusion_term(model: ModelParams, group: str, agg: Array) -> Array:
     return agg @ model.fusion_w[:, lo : lo + model.dim(group)].T
 
 
-def prepare_request(model: ModelParams, candidates: Sequence[EncodedInstance],
+def _as_contextual(model: ModelParams, x_t: Array) -> Array:
+    """Target-ad embeddings read as contextual ads: per contextual field, the
+    target segment of the same name. ``embed_matrix`` sums the same bags in
+    the same order either way, so this is bit for bit the embedding of those
+    ads encoded under the contextual schema."""
+    k = model.embedding.k
+    segment = {name: i for i, name in enumerate(model.schemas["target"].field_names)}
+    try:
+        fields = [segment[f.name] for f in model.schemas["contextual"].fields]
+    except KeyError as exc:
+        raise ContractViolation(f"a target ad has no field {exc.args[0]!r} of group "
+                                f"'contextual'") from None
+    return x_t[:, (np.array(fields)[:, None] * k + np.arange(k)).ravel()]
+
+
+def prepare_request(model: ModelParams, candidates: AdColumns | Sequence[EncodedInstance],
                     clicked: Sequence[EncodedInstance],
                     unclicked: Sequence[EncodedInstance]) -> RequestRows:
     """Eval-mode work shared by every round of one request: embed the
-    candidates and the history once, aggregate the history (once for
-    DSTN-P/S; per candidate for DSTN-I, whose ad half is computed once) and
-    sum the fusion pre-activation without its contextual term."""
-    target = AdColumns.from_instances(candidates, model.schemas["target"])
-    x_t = embed_matrix(target, model.embedding)
+    candidates (target columns, or target ads) and the history once,
+    aggregate the history (once for DSTN-P/S; per candidate for DSTN-I, whose
+    ad half is computed once) and sum the fusion pre-activation without its
+    contextual term."""
+    if not isinstance(candidates, AdColumns):
+        candidates = AdColumns.from_instances(candidates, model.schemas["target"])
+    x_t = embed_matrix(candidates, model.embedding)
     if model.variant == Variant.LR:
         return RequestRows(x_t, x_t.sum(axis=1) + model.out_b[0])
     pre = x_t @ model.fusion_w[:, : x_t.shape[1]].T + model.fusion_b
     if model.variant.uses_aux:
         for group, ads in (("clicked", clicked), ("unclicked", unclicked)):
-            pre += _fusion_term(model, group, _shared_agg(model, group, ads, x_t))
+            cols = AdColumns.from_instances(ads, model.schemas[group])
+            agg = _shared_agg(model, group, embed_matrix(cols, model.embedding), x_t)
+            pre += _fusion_term(model, group, agg)
     return RequestRows(x_t, pre)
 
 
 def score_request(model: ModelParams, rows: RequestRows,
-                  contextual: Sequence[EncodedInstance]) -> Array:
+                  contextual: RequestRows | Sequence) -> Array:
     """Eval-mode pCTRs of prepared candidates with the given contextual ads
-    (the same for every row): add the contextual group's fusion term, which
-    LR and DNN do not have, then run the layers above the fusion layer."""
+    (the same for every row): prepared rows of the same request, read by
+    field name, or none. Add the contextual group's fusion term, which LR
+    and DNN do not have, then run the layers above the fusion layer."""
     if model.variant == Variant.LR:
         return _pctr(rows.pre)
     pre = rows.pre
-    if contextual and model.variant.uses_aux:
+    if len(contextual) and model.variant.uses_aux:
+        ads = _as_contextual(model, contextual.x_t)
         pre = pre + _fusion_term(model, "contextual",
-                                 _shared_agg(model, "contextual", contextual, rows.x_t))
+                                 _shared_agg(model, "contextual", ads, rows.x_t))
     cur = relu(pre)
     for w, b in model.fc:
         cur = relu(cur @ w.T + b)

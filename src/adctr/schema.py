@@ -266,6 +266,11 @@ def build_vocabulary(records: Iterable[tuple[str, RawRecord]],
     return Vocabulary(oov, index, counts)
 
 
+def encode_field(fs: FieldSchema, values: Sequence[str], vocab: Vocabulary) -> tuple[int, ...]:
+    """One field's index bag, refused as ``encode_instance`` refuses it."""
+    return tuple(vocab.lookup(fs.name, t) for t in _field_tokens(fs, values))
+
+
 def encode_instance(record: RawRecord, group_schema: GroupSchema, vocab: Vocabulary,
                     memo: dict | None = None) -> EncodedInstance:
     """Encode a raw record against a vocabulary.
@@ -282,10 +287,10 @@ def encode_instance(record: RawRecord, group_schema: GroupSchema, vocab: Vocabul
     raw: list[tuple[str, tuple[str, ...]]] = []
     for fs in group_schema.fields:
         values = tuple(record.get(fs.name, ()))
-        # Without a memo (a RANK request) no key is built.
+        # Without a memo (a catalog ad) no key is built.
         indices = memo.get((fs, values)) if memo is not None else None
         if indices is None:
-            indices = tuple(vocab.lookup(fs.name, t) for t in _field_tokens(fs, values))
+            indices = encode_field(fs, values, vocab)
             if memo is not None:
                 memo[(fs, values)] = indices
         per_field.append(indices)

@@ -7,8 +7,10 @@ single-vector linear map and inverted dropout; one candidate scored alone
 by the batched forward, and one example's forward; the canonical line of an
 example; the vocabulary build and the log parse token by token, with no
 memo; single-group ablation on example lists; the auxiliary-data
-improvement metrics (AbsImp, NlzImp); plus a fixed-score stand-in for the
-serving model scorer."""
+improvement metrics (AbsImp, NlzImp); round-2 scoring with the contextual
+ads encoded and embedded afresh; a RANK line served with every candidate
+encoded on its own; plus a fixed-score stand-in for the serving model
+scorer."""
 
 from __future__ import annotations
 
@@ -18,12 +20,13 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from adctr.embedding import EmbeddingTable, EncodedBatch
-from adctr.ingest import (LabeledExample, ParseError, _parse_fields, _split_line, read_record,
-                          serialize_ad)
+from adctr.embedding import AdColumns, EmbeddingTable, EncodedBatch
+from adctr.ingest import (LabeledExample, ParseError, _parse_fields, _split_line, parse_uint,
+                          read_record, serialize_ad)
 from adctr.models import (SCORE_CLAMP, InteractiveAttentionParams, SelfAttentionParams,
-                          Variant, forward_batch)
+                          Variant, _aggregate, _fusion_term, _pad_aux, _pctr, forward_batch)
 from adctr.numerics import Array, ContractViolation, dropout_mask, relu
+from adctr.serving import MAX_CANDIDATES, RankRequest, _encode_candidate, ad_display_id
 from adctr.schema import (AUX_GROUPS, GROUPS, EncodedInstance, EncodeError, GroupSchema,
                           Vocabulary, _field_tokens)
 from adctr.train_eval import MetricUndefinedError
@@ -387,6 +390,52 @@ def improvement_metrics(auc_variant: float, auc_dnn: float,
     if avg_aux_count <= 0:
         raise NlzImpUndefinedError("NlzImp needs a positive average ad count", abs_imp)
     return abs_imp, abs_imp / avg_aux_count
+
+
+def score_with_contextual_ads(model, rows, contextual: Sequence[EncodedInstance]) -> Array:
+    """``score_request`` with the contextual ads encoded by field name under
+    the contextual schema and embedded afresh, as round 2 scored its winner
+    before it read the winner's prepared row."""
+    if model.variant == Variant.LR:
+        return _pctr(rows.pre)
+    pre = rows.pre
+    if contextual and model.variant.uses_aux:
+        cols = AdColumns.from_instances(contextual, model.schemas["contextual"])
+        t = _pad_aux(model, np.array([0, len(cols)]), cols)
+        _aggregate(model, t, "contextual", rows.x_t)
+        pre = pre + _fusion_term(model, "contextual", t.agg)
+    cur = relu(pre)
+    for w, b in model.fc:
+        cur = relu(cur @ w.T + b)
+    return _pctr(cur @ model.out_w + model.out_b[0])
+
+
+def reference_handle_line(server, line: str) -> str:
+    """A RANK line served with each named candidate encoded on its own (the
+    request's user_id filled in) and ranked by ``rank_request``; ``now`` and
+    ``slots`` read as ASCII digits."""
+    catalog, target_schema, vocab = server.rows.catalog, server.rows.schema, server.rows.vocab
+    try:
+        parts = line.split(" ")
+        if len(parts) != 5 or parts[0] != "RANK":
+            return "ERR malformed request"
+        _, user_id, now, slots, ad_ids = parts
+        ad_ids = ad_ids.split(",")
+        if len(ad_ids) > MAX_CANDIDATES:
+            return f"ERR too many candidates: {len(ad_ids)} > {MAX_CANDIDATES}"
+        candidates = []
+        for ad_id in ad_ids:
+            record = catalog.get(ad_id)
+            if record is None:
+                return f"ERR unknown ad {ad_id}"
+            candidates.append(_encode_candidate(record, user_id, target_schema, vocab))
+        req = RankRequest(request_id="-", user_id=user_id, now=parse_uint(now, "now", 0),
+                          candidates=tuple(candidates), slots=parse_uint(slots, "slots", 0))
+        res = server.ad_server.rank(req)
+        body = " ".join(f"{ad_display_id(r.ad)}:{r.pctr:.6f}:{r.round}" for r in res.ranked)
+        return f"OK {body}"
+    except Exception as exc:
+        return f"ERR {exc}"
 
 
 class StubRows(tuple):

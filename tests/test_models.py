@@ -11,12 +11,13 @@ from adctr.models import (AuxTrace, InteractiveAttentionParams, SelfAttentionPar
                           save_model, score_request)
 from adctr.numerics import (AdagradState, ContractViolation, adagrad_step, adagrad_step_rows,
                             make_rng, relu, save_tensors, sigmoid)
-from adctr.schema import AUX_GROUPS
+from adctr.schema import AUX_GROUPS, FieldKind, FieldSchema, GroupSchema
 from adctr.toy import make_toy_problem
 from adctr.train_eval import TrainConfig, embedding_penalty, train
 from oracles import (InstanceEmbedding, aggregate_interactive_attention, aggregate_pooling,
                      aggregate_self_attention, embed_instance, forward,
-                     interactive_attention_pair_form, padded_aggregate, score_alone)
+                     interactive_attention_pair_form, padded_aggregate, score_alone,
+                     score_with_contextual_ads)
 
 
 def emb(vec, group="clicked"):
@@ -426,17 +427,54 @@ class TestRequestForward:
             unclicked = some("unclicked", 5) if case in ("both", "unclicked-only") else ()
             rows = prepare_request(model, cands, clicked, unclicked)
             assert len(rows) == n
-            # round 1; round 2 with a candidate as the contextual ad (by
-            # position, as serving does); real contextual ads on a subset
+            # round 1; round 2 with a candidate as the contextual ad (its
+            # prepared row, as serving passes it); several candidates as
+            # contextual ads on a subset
             keep = rng.permutation(n)[: int(rng.integers(1, n + 1))]
-            for contextual, idx in (((), np.arange(n)), ((cands[0],), keep),
-                                    (some("contextual", 3), keep[::-1])):
-                got = score_request(model, rows.take(idx), contextual)
+            for ctx, idx in (([], np.arange(n)), ([0], keep), (keep[:3], keep[::-1])):
+                got = score_request(model, rows.take(idx), rows.take(ctx) if len(ctx) else ())
+                contextual = [cands[i] for i in ctx]
                 want = [score_alone(model, cands[i], contextual, clicked, unclicked) for i in idx]
                 worst = max(worst, float(np.abs(got - want).max()))
                 spread.extend(want)
         assert worst <= 1e-12
         assert max(spread) - min(spread) > 0.05  # the check is not made on constant scores
+
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_round_two_from_the_winners_row_equals_encoding_it_afresh(self, toy_problem,
+                                                                      variant, dtype):
+        # The contextual schema lists its fields in the opposite order to the
+        # target's, so reading the winner's row by position would be wrong.
+        schemas, vocab, examples = toy_problem
+        fields = schemas["contextual"].fields
+        reordered = {**schemas, "contextual": GroupSchema("contextual", fields[::-1])}
+        model = init_model(variant, reordered, vocab.size, make_rng(35), k=4, fc_dims=(12, 6),
+                           attention_dim=5, dropout_p=0.0)
+        model.embedding.e *= 100.0
+        model = model.astype(dtype)
+        cands = [ex.target for ex in examples[:6]]
+        rows = prepare_request(model, cands, examples[0].clicked, examples[0].unclicked)
+        scores = []
+        for win in range(len(cands)):
+            rest = [i for i in range(len(cands)) if i != win]
+            got = score_request(model, rows.take(rest), rows.take([win]))
+            assert np.array_equal(got, score_with_contextual_ads(model, rows.take(rest),
+                                                                 [cands[win]]))
+            scores.extend(got)
+        assert max(scores) - min(scores) > 0.01  # the check is not made on constant scores
+
+    def test_a_contextual_field_the_target_lacks_is_a_contract_violation(self, toy_problem):
+        schemas, vocab, examples = toy_problem
+        extra = FieldSchema("zz", FieldKind.UNIVALENT)
+        wider = {**schemas, "contextual": GroupSchema("contextual",
+                                                      schemas["contextual"].fields + (extra,))}
+        model = init_model(Variant.DSTN_P, wider, vocab.size, make_rng(36), k=4, fc_dims=(6,),
+                           attention_dim=5, dropout_p=0.0)
+        rows = prepare_request(model, [ex.target for ex in examples[:3]], (), ())
+        with pytest.raises(ContractViolation, match="no field 'zz' of group 'contextual'"):
+            score_request(model, rows.take([1, 2]), rows.take([0]))
 
 
 class TestLoss:

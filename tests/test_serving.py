@@ -1,5 +1,7 @@
+import collections
 import re
 import socket
+import time
 
 import numpy as np
 import pytest
@@ -13,9 +15,9 @@ from adctr.numerics import make_rng
 from adctr.serving import (AdServer, ModelScorer, RankProtocolServer, RankRequest,
                            ad_display_id, parse_events, rank_request, replay_session,
                            write_results)
-from adctr.schema import SchemaError
+from adctr.schema import GroupSchema, SchemaError
 from adctr.session import SessionStore
-from oracles import StubRows, StubScorer, score_alone
+from oracles import StubRows, StubScorer, reference_handle_line, score_alone
 
 
 def zeroed_model(schemas, vocab, variant="dstn-i"):
@@ -56,7 +58,7 @@ class TestScoreBatch:
         scorer = ModelScorer(zeroed_model(ds.schemas, vocab))
         ex = train[0]
         rows = scorer.prepare([train[i].target for i in range(4)], ex.clicked, ex.unclicked)
-        scores = scorer.score(rows, ex.contextual)
+        scores = scorer.score(rows, rows.take([0]))
         assert scores == [0.5] * 4
 
     def test_order_independence(self, env):
@@ -489,15 +491,45 @@ def test_any_event_log_parses_or_names_its_line(tiny_dataset, tmp_path_factory, 
         assert 1 <= int(named.group(1)) <= n_lines, exc
 
 
-@pytest.fixture(scope="module")
-def rank_protocol(tiny_dataset):
-    """A RANK server (not listening) over every target ad of the tiny dataset."""
-    ds, vocab, train, *_ = tiny_dataset
+BROKEN_ADS = ("a0061", "a0062")  # catalog ads that do not encode: a bad age, no src
+
+
+def rank_catalog(train) -> dict:
+    """Every target ad of the examples, without its user_id, plus BROKEN_ADS."""
     catalog = {ad_display_id(ex.target): {n: v for n, v in ex.target.raw if n != "user_id"}
                for ex in train}
-    scorer = ModelScorer(zeroed_model(ds.schemas, vocab))
-    return (RankProtocolServer(AdServer(scorer, SessionStore()), catalog, ds.schemas["target"],
-                               vocab), sorted(catalog))
+    assert not set(BROKEN_ADS) & catalog.keys()
+    good = catalog[min(catalog)]
+    catalog["a0061"] = {**good, "ad_id": ("a0061",), "age": ("old",)}
+    catalog["a0062"] = {n: v for n, v in {**good, "ad_id": ("a0062",)}.items() if n != "src"}
+    return catalog
+
+
+def history_store(train) -> SessionStore:
+    """u1 with clicked and unclicked history, u2 with unclicked only."""
+    ex = next(ex for ex in train if ex.clicked and ex.unclicked)
+    store = SessionStore()
+    for ts, ad in enumerate(ex.clicked, start=1):
+        store.record_event("u1", ad, True, ts)
+    for ts, ad in enumerate(ex.unclicked, start=1):
+        store.record_event("u1", ad, False, ts)
+        store.record_event("u2", ad, False, ts)
+    return store
+
+
+@pytest.fixture(scope="module")
+def rank_protocol(tiny_dataset):
+    """A RANK server (not listening) over ``rank_catalog`` with a DSTN-I
+    model whose scores differ from ad to ad, and the ids of the ads that
+    encode."""
+    ds, vocab, train, *_ = tiny_dataset
+    model = init_model(Variant.DSTN_I, ds.schemas, vocab.size, make_rng(45), k=4,
+                       fc_dims=(8, 4), attention_dim=4, dropout_p=0.0)
+    model.embedding.e *= 100.0
+    catalog = rank_catalog(train)
+    server = RankProtocolServer(AdServer(ModelScorer(model), history_store(train)), catalog,
+                                ds.schemas["target"], vocab)
+    return server, sorted(ad for ad in catalog if ad not in BROKEN_ADS)
 
 
 _LINE_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"),
@@ -513,6 +545,14 @@ _RANK_LINE = st.one_of(
 )
 
 
+# Mostly well-formed: known, unknown, broken and repeated ids, users with
+# and without history and an empty one, slots from 1 to past the candidates.
+_VALID_RANK_LINE = st.builds(
+    "RANK {} {} {} {}".format, st.sampled_from(["u1", "u2", "u3", ""]),
+    st.sampled_from(["5", "40", "86400"]), st.integers(1, 10).map(str),
+    st.lists(st.integers(0, 63).map("a{:04d}".format), min_size=1, max_size=10).map(",".join))
+
+
 @settings(max_examples=300, deadline=None)
 @given(line=_RANK_LINE)
 def test_any_rank_line_gets_one_reply_and_the_server_keeps_serving(rank_protocol, line):
@@ -520,6 +560,136 @@ def test_any_rank_line_gets_one_reply_and_the_server_keeps_serving(rank_protocol
     reply = server.handle_line(line)
     assert "\n" not in reply and reply.startswith(("OK ", "ERR ")), reply
     assert server.handle_line(f"RANK u 5 2 {ad_ids[0]},{ad_ids[1]}").startswith("OK ")
+
+
+@settings(max_examples=400, deadline=None)
+@given(line=_RANK_LINE | _VALID_RANK_LINE)
+def test_rank_reply_equals_encoding_each_candidate_on_its_own(rank_protocol, line):
+    server, _ = rank_protocol
+    assert server.handle_line(line) == reference_handle_line(server, line)
+
+
+def test_rank_replies_from_cached_rows_equal_the_reference_and_vary(rank_protocol):
+    server, ad_ids = rank_protocol
+    rng = make_rng(47)
+    replies = set()
+    for i in range(60):
+        picks = [ad_ids[int(j)] for j in rng.choice(len(ad_ids), size=8, replace=False)]
+        line = f"RANK u{i % 3 + 1} 40 {i % 9 + 1} {','.join(picks)}"
+        reply = server.handle_line(line)
+        assert reply.startswith("OK ") and reply == reference_handle_line(server, line)
+        replies.add(reply[3:].split(" ")[0].split(":")[1])
+    assert len(replies) > 30  # the winners' pCTRs differ: the check is not made on ties
+
+
+@pytest.mark.parametrize("now, slots, reply", [
+    ("-5", "2", "ERR bad now '-5'"),
+    ("1_000", "2", "ERR bad now '1_000'"),
+    ("\u0665", "2", "ERR bad now '\u0665'"),
+    ("+5", "2", "ERR bad now '+5'"),
+    ("5", "-2", "ERR bad slots '-2'"),
+    ("5", "1_0", "ERR bad slots '1_0'"),
+    ("5", "\u0662", "ERR bad slots '\u0662'"),
+    ("5", "0", "ERR slots must be >= 1"),
+])
+def test_now_and_slots_are_ascii_digits(rank_protocol, now, slots, reply):
+    server, ad_ids = rank_protocol
+    assert server.handle_line(f"RANK u1 {now} {slots} {ad_ids[0]}") == reply
+    # the candidates are still checked first
+    assert server.handle_line(f"RANK u1 {now} {slots} nosuch") == "ERR unknown ad nosuch"
+
+
+def test_each_catalog_ad_is_encoded_once(env, monkeypatch):
+    ds, vocab, train = env
+    encoded = collections.Counter()
+    original = serving.encode_instance
+
+    def counting(record, *args, **kwargs):
+        encoded[record["ad_id"][0]] += 1
+        return original(record, *args, **kwargs)
+
+    monkeypatch.setattr(serving, "encode_instance", counting)
+    catalog = rank_catalog(train)
+    server = RankProtocolServer(AdServer(ModelScorer(zeroed_model(ds.schemas, vocab)),
+                                         SessionStore()), catalog, ds.schemas["target"], vocab)
+    good = sorted(ad for ad in catalog if ad not in BROKEN_ADS)
+    rng = make_rng(48)
+    for i in range(200):
+        picks = [good[int(j)] for j in rng.choice(len(good), size=8, replace=False)]
+        assert server.handle_line(f"RANK u{i % 7} 40 4 {','.join(picks)}").startswith("OK ")
+        assert len(server.rows._row) <= len(catalog)
+    assert max(encoded.values()) == 1
+    assert len(encoded) == len(server.rows._row) > len(good) // 2
+
+    cached = len(server.rows._row)
+    for ad_id, error in (("a0061", "numerical field 'age': bad value 'old'"),
+                         ("a0062", "missing required univalent field 'src'")):
+        for _ in range(3):
+            assert server.handle_line(f"RANK u1 40 4 {good[0]},{ad_id}") == f"ERR {error}"
+        assert encoded[ad_id] == 3
+    assert len(server.rows._row) == cached
+
+
+def test_concurrent_requests_share_the_catalog_rows(env, monkeypatch):
+    import sys
+    import threading
+
+    ds, vocab, train = env
+    encoded = collections.Counter()
+    original = serving.encode_instance
+    monkeypatch.setattr(serving, "encode_instance",
+                        lambda record, *a: encoded.update(record["ad_id"]) or original(record, *a))
+    model = init_model(Variant.DSTN_P, ds.schemas, vocab.size, make_rng(49), k=4,
+                       fc_dims=(8, 4), attention_dim=4, dropout_p=0.0)
+    model.embedding.e *= 100.0
+    catalog = rank_catalog(train)
+    server = RankProtocolServer(AdServer(ModelScorer(model), history_store(train)), catalog,
+                                ds.schemas["target"], vocab)
+    good = sorted(ad for ad in catalog if ad not in BROKEN_ADS)
+    rng = make_rng(50)
+    lines = [[f"RANK u{t % 3 + 1} 40 3 "
+              + ",".join(good[int(j)] for j in rng.choice(len(good), size=8, replace=False))
+              for _ in range(40)] for t in range(4)]
+    replies: dict[str, str] = {}
+    errors = []
+
+    def worker(mine):
+        try:
+            for line in mine:
+                replies[line] = server.handle_line(line)
+        except Exception as exc:  # surface failures from worker threads
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(mine,)) for mine in lines]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, to interleave the encodes
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert max(encoded.values()) == 1 and len(encoded) == len(server.rows._row)
+    for line, reply in replies.items():
+        assert reply.startswith("OK ") and reply == reference_handle_line(server, line)
+
+
+def test_the_first_field_that_fails_in_schema_order_names_the_error(env):
+    # With age before user_id, a bad age is reported before an empty user.
+    ds, vocab, train = env
+    fields = {f.name: f for f in ds.schemas["target"].fields}
+    names = ("age", "user_id") + tuple(n for n in fields if n not in ("age", "user_id"))
+    target = GroupSchema("target", tuple(fields[n] for n in names))
+    server = RankProtocolServer(AdServer(StubScorer(lambda ad: 0.5), SessionStore()),
+                                rank_catalog(train), target, vocab)
+    good = min(server.rows.catalog)
+    for line in (f"RANK  40 4 {good},a0061", f"RANK  40 4 a0061,{good}", f"RANK  40 4 {good}",
+                 "RANK u1 40 4 a0062", f"RANK u1 40 4 a0061,{good}", "RANK  40 4 a0062"):
+        assert server.handle_line(line) == reference_handle_line(server, line)
+    assert server.handle_line("RANK  40 4 a0061") == "ERR numerical field 'age': bad value 'old'"
 
 
 def test_catalog_line_with_an_unknown_field_is_refused_naming_the_line(tmp_path, env):
@@ -534,6 +704,21 @@ def test_catalog_line_with_an_unknown_field_is_refused_naming_the_line(tmp_path,
     with pytest.raises(ParseError, match=r"line 2: unknown field\(s\) \['tilte'\]") as info:
         serving.load_catalog(path, ds.schemas["target"])
     assert info.value.line_number == 2
+
+
+def test_catalog_ad_with_a_user_id_is_refused(tmp_path, env):
+    ds, vocab, train = env
+    path = tmp_path / "catalog.tsv"
+    ad_id = ad_display_id(train[1].target)
+    path.write_text(f"{ad_display_id(train[0].target)}\t{_cand_fields(train[0])}\n"
+                    f"{ad_id}\t{_cand_fields(train[1])};user_id=u9\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"line 2: catalog ad '{ad_id}' has a user_id") as info:
+        serving.load_catalog(path, ds.schemas["target"])
+    assert info.value.line_number == 2
+    record = {n: v for n, v in train[0].target.raw}
+    with pytest.raises(ValueError, match="has a user_id"):
+        RankProtocolServer(AdServer(StubScorer(lambda ad: 0.5), SessionStore()),
+                           {ad_display_id(train[0].target): record}, ds.schemas["target"], vocab)
 
 
 @pytest.mark.parametrize("second, message", [
@@ -655,6 +840,31 @@ class TestWireProtocol:
                 assert buf == b"ERR too many connections\n"
                 first.sendall(line)  # the admitted connection is still served
                 assert first.makefile("rb").readline().startswith(b"OK ")
+        finally:
+            server.stop()
+
+    def test_idle_connection_is_closed_and_its_slot_freed(self, env, monkeypatch):
+        monkeypatch.setattr(serving, "IDLE_TIMEOUT_SECONDS", 0.2)
+        monkeypatch.setattr(serving, "MAX_CONNECTIONS", 1)
+        server, ad_ids = self._limits_server(env)
+        line = f"RANK u1 500 1 {ad_ids[0]}\n".encode("utf-8")
+        server.start()
+        try:
+            with socket.create_connection(server.address, timeout=10) as idle:
+                idle.sendall(line)
+                assert idle.makefile("rb").readline().startswith(b"OK ")
+                started = time.monotonic()
+                assert idle.recv(4096) == b""  # closed by the server, no reply
+                assert 0.1 < time.monotonic() - started < 5
+            # The slot is freed just after the close; a new connection gets it.
+            for attempt in range(50):
+                with socket.create_connection(server.address, timeout=10) as conn:
+                    conn.sendall(line)
+                    reply = conn.makefile("rb").readline()
+                if reply != b"ERR too many connections\n":
+                    break
+                time.sleep(0.05)
+            assert reply.startswith(b"OK ")
         finally:
             server.stop()
 
