@@ -124,10 +124,11 @@ def _load_checkpoint(ckpt: str):
     schemas = load_schemas(schema_side)
     vocab = Vocabulary.load(vocab_side)
     model, header = load_model(ckpt, schemas)
-    if header["schema_hash"] != schemas_hash(schemas) or header["vocab_hash"] != vocab.content_hash():
+    if (header.get("schema_hash") != schemas_hash(schemas)
+            or header.get("vocab_hash") != vocab.content_hash()):
         raise SystemExit(f"{ckpt}: sidecar schema/vocabulary does not match the checkpoint")
-    if model.embedding.n != vocab.size:
-        raise SystemExit(f"{ckpt}: tensor emb.E has {model.embedding.n} rows, "
+    if len(model.tensors["emb.E"]) != vocab.size:
+        raise SystemExit(f"{ckpt}: tensor emb.E has {len(model.tensors['emb.E'])} rows, "
                          f"the vocabulary {vocab.size}")
     return model, schemas, vocab
 
@@ -212,7 +213,7 @@ class _RoundTimer:
         t0 = time.perf_counter()
         out = self.scorer.score(rows, contextual)
         end = time.perf_counter()
-        if contextual:
+        if contextual is not None:
             self.rounds[2].append((end - t0, len(rows)))
         else:
             self.rounds[1].append((end - self._start, len(rows)))

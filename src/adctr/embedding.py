@@ -1,15 +1,17 @@
-"""The shared embedding table, the columnar encoding of ads and examples, and
-the gather/sum that turns encoded ads into dense per-group vectors together
-with its exact adjoint (gradient scatter).
+"""The columnar encoding of ads and examples, and the gather/sum that turns
+encoded ads into dense per-group vectors through the embedding table,
+together with its exact adjoint (gradient scatter).
 
-One table is shared by all ad groups: a feature index means the same thing
-wherever it appears. A group's vector is the concatenation, in schema order,
-of one K-dim segment per field; multivalent segments are the sum over the
-field's index bag in bag order (an empty bag contributes a zero segment).
+The table is a model's ``emb.E`` tensor, an (N, K) array shared by all ad
+groups: a feature index means the same thing wherever it appears. A group's
+vector is the concatenation, in schema order, of one K-dim segment per
+field; multivalent segments are the sum over the field's index bag in bag
+order (an empty bag contributes a zero segment).
 
 Examples are encoded once into int32 columns (``EncodedBatch``); a
 mini-batch is a fancy index over example ids, and gather and scatter work on
-whole columns with no Python loop per example or per ad.
+whole columns with no Python loop per example or per ad. Both sum with
+``numerics.segment_sum``.
 """
 
 from __future__ import annotations
@@ -20,27 +22,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .numerics import Array, ContractViolation
+from .numerics import Array, ContractViolation, segment_sum
 from .schema import AUX_GROUPS, EncodedInstance, GroupSchema
-
-INIT_SCALE = 0.01  # keeps initial logits near 0 so sigmoid starts around 0.5
-
-
-@dataclass
-class EmbeddingTable:
-    e: Array  # (N, K)
-
-    @property
-    def n(self) -> int:
-        return self.e.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.e.shape[1]
-
-    @classmethod
-    def init(cls, vocab_size: int, k: int, rng: np.random.Generator) -> "EmbeddingTable":
-        return cls(rng.uniform(-INIT_SCALE, INIT_SCALE, size=(vocab_size, k)))
 
 
 def group_dim(schema: GroupSchema, k: int) -> int:
@@ -160,17 +143,13 @@ def _check_bounds(indices: Array, n: int) -> None:
         raise ContractViolation("feature index out of range for the embedding table")
 
 
-def embed_matrix(cols: AdColumns, table: EmbeddingTable) -> Array:
-    """Embed same-group ads into an (M, D_group) matrix."""
-    k, segs = table.k, len(cols.offsets) - 1
-    _check_bounds(cols.indices, table.n)
-    # Cell (segment, component) of every gathered value; bincount adds each
-    # cell's values in bag order, starting from 0.0.
-    owner = np.arange(0, segs * k, k).repeat(cols.offsets[1:] - cols.offsets[:-1])
-    cells = (owner[:, None] + np.arange(k)).ravel()
-    out = np.bincount(cells, weights=table.e[cols.indices].ravel(), minlength=segs * k)
-    # bincount sums in float64, and returns integers when there is nothing to sum
-    return out.astype(table.e.dtype, copy=False).reshape(len(cols), cols.n_fields * k)
+def embed_matrix(cols: AdColumns, table: Array) -> Array:
+    """Embed same-group ads into an (M, D_group) matrix: each (ad, field)
+    segment is the sum of its bag's rows of the (N, K) table."""
+    k, segs = table.shape[1], len(cols.offsets) - 1
+    _check_bounds(cols.indices, len(table))
+    segment = np.arange(segs).repeat(cols.offsets[1:] - cols.offsets[:-1])
+    return segment_sum(table[cols.indices], segment, segs).reshape(len(cols), cols.n_fields * k)
 
 
 class RowGradAccumulator:
@@ -201,9 +180,5 @@ class RowGradAccumulator:
         if not self._rows:
             return np.zeros(0, dtype=np.intp), np.zeros((0, self.k), dtype=self.dtype)
         rows, slot = np.unique(np.concatenate(self._rows), return_inverse=True)
-        flat = (slot[:, None] * self.k + np.arange(self.k)).ravel()
-        # bincount adds the terms of each cell in order, starting from 0.0
-        sums = np.bincount(flat, weights=np.concatenate(self._grads).ravel(),
-                           minlength=len(rows) * self.k)
-        sums = sums.astype(self.dtype, copy=False).reshape(len(rows), self.k)
-        return rows.astype(np.intp), sums
+        sums = segment_sum(np.concatenate(self._grads), slot, len(rows))
+        return rows.astype(np.intp), sums.astype(self.dtype, copy=False)

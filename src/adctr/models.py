@@ -20,6 +20,13 @@ normalizers taken over those rows (no padding, no masks). Backward consumes
 the recorded forward trace and returns the gradient of the batch-mean loss;
 correctness is pinned by finite-difference checks in the test suite.
 
+A model holds its parameters once, in ``ModelParams.tensors``: one dict keyed
+by checkpoint name in ``_layout`` order (``emb.E``; the FC layers ``fusion``,
+``fc2``, ... as ``.W`` and ``.b``; ``out.w`` and ``out.b``; then each
+auxiliary group's attention block ``attn.<group>.*``). The forward and
+backward passes, serving, the optimizer, checkpoints and the gradient checker
+all read parameters by those names.
+
 A model computes in the dtype of its tensors, float64 or float32:
 activations, dropout masks and gradients follow the parameters. The pCTR is
 always float64, and so are checkpoints, whose header records a float32
@@ -30,19 +37,20 @@ from __future__ import annotations
 
 import copy
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .embedding import (AdColumns, EmbeddingTable, EncodedBatch, RowGradAccumulator,
-                        embed_matrix, encode_examples, group_dim)
+from .embedding import (AdColumns, EncodedBatch, RowGradAccumulator, embed_matrix,
+                        encode_examples, group_dim)
 from .ingest import LabeledExample
-from .numerics import Array, ContractViolation, dropout_mask, relu, sigmoid
+from .numerics import Array, ContractViolation, dropout_mask, relu, segment_sum, sigmoid
 from .schema import AUX_GROUPS, EncodedInstance, GroupSchema
 
 SCORE_CLAMP = 30.0  # cap on the pre-exp interactive-attention scalar
+INIT_SCALE = 0.01  # initial embeddings: keeps initial logits near 0, so sigmoid starts near 0.5
 PCTR_EPS = 1e-15
 
 
@@ -63,90 +71,48 @@ class Variant(str, Enum):
                 "dstn-s": "DSTN-S", "dstn-i": "DSTN-I"}[self.value]
 
 
-@dataclass
-class SelfAttentionParams:
-    """One-hidden-layer MLP mapping an ad vector to a scalar attention score."""
-
-    w1: Array  # (H, D_g)
-    b1: Array  # (H,)
-    w2: Array  # (H,)
-    b2: Array  # (1,)
-
-
-@dataclass
-class InteractiveAttentionParams:
-    """One-hidden-layer MLP mapping [target, ad] to an unnormalized weight."""
-
-    w_tc: Array   # (H, D_t + D_g)
-    b_tc1: Array  # (H,)
-    h: Array      # (H,)
-    b_tc2: Array  # (1,)
-
-
-# Each attention variant's parameter block and the checkpoint names of its
-# tensors, in field order.
-_ATTENTION = {Variant.DSTN_S: (SelfAttentionParams, ("W1", "b1", "w2", "b2")),
-              Variant.DSTN_I: (InteractiveAttentionParams, ("Wtc", "btc1", "h", "btc2"))}
+# Each attention variant's per-group tensors, by checkpoint name suffix: the
+# hidden layer's weights and bias, then the score head's weights and bias.
+_ATTENTION = {Variant.DSTN_S: ("W1", "b1", "w2", "b2"),
+              Variant.DSTN_I: ("Wtc", "btc1", "h", "btc2")}
 
 
 @dataclass
 class ModelParams:
+    """A variant over its schemas, with every parameter tensor held once in
+    ``tensors``, keyed by checkpoint name in ``_layout`` order."""
+
     variant: Variant
     schemas: dict[str, GroupSchema]
-    k: int
     dropout_p: float
-    embedding: EmbeddingTable
-    fusion_w: Array | None = None  # first FC layer, applied to m
-    fusion_b: Array | None = None
-    fc: list[tuple[Array, Array]] = field(default_factory=list)  # layers 2..L
-    out_w: Array | None = None
-    out_b: Array = None  # (1,)
-    attention: dict[str, SelfAttentionParams | InteractiveAttentionParams] = field(default_factory=dict)
+    tensors: dict[str, Array]
 
-    @classmethod
-    def from_tensors(cls, variant: Variant, schemas: Mapping[str, GroupSchema], k: int,
-                     dropout_p: float, tensors: Mapping[str, Array]) -> "ModelParams":
-        """A model over the given tensors, keyed by the names of ``tensors()``."""
-        model = cls(variant=variant, schemas=dict(schemas), k=k, dropout_p=dropout_p,
-                    embedding=EmbeddingTable(tensors["emb.E"]), out_b=tensors["out.b"])
-        if variant != Variant.LR:
-            model.fusion_w, model.fusion_b = tensors["fusion.W"], tensors["fusion.b"]
-            model.fc = [(tensors[f"{n}.W"], tensors[f"{n}.b"])
-                        for n in _fc_layers(tensors)[1:]]
-            model.out_w = tensors["out.w"]
-        if variant in _ATTENTION:
-            params, names = _ATTENTION[variant]
-            model.attention = {g: params(*(tensors[f"attn.{g}.{n}"] for n in names))
-                               for g in AUX_GROUPS}
-        return model
-
-    def dim(self, group: str) -> int:
-        return group_dim(self.schemas[group], self.k)
-
-    def tensors(self) -> dict[str, Array]:
-        """Live references to every parameter tensor, keyed by stable names,
-        in ``_layout`` order."""
-        out = {"emb.E": self.embedding.e, "fusion.W": self.fusion_w, "fusion.b": self.fusion_b}
-        for i, (w, b) in enumerate(self.fc, start=2):
-            out[f"fc{i}.W"], out[f"fc{i}.b"] = w, b
-        out["out.w"], out["out.b"] = self.out_w, self.out_b
-        for group, p in self.attention.items():
-            names = (f"attn.{group}.{n}" for n in _ATTENTION[self.variant][1])
-            out.update(zip(names, vars(p).values()))
-        return {name: arr for name, arr in out.items() if arr is not None}
+    @property
+    def k(self) -> int:
+        """The embedding width."""
+        return self.tensors["emb.E"].shape[1]
 
     @property
     def dtype(self) -> np.dtype:
         """The compute dtype: that of every parameter tensor."""
-        return self.embedding.e.dtype
+        return self.tensors["emb.E"].dtype
+
+    def dim(self, group: str) -> int:
+        return group_dim(self.schemas[group], self.k)
 
     def clone(self) -> "ModelParams":
         return copy.deepcopy(self)
 
     def astype(self, dtype) -> "ModelParams":
         """A copy with every tensor cast to ``dtype``."""
-        return ModelParams.from_tensors(self.variant, self.schemas, self.k, self.dropout_p,
-                                        {n: a.astype(dtype) for n, a in self.tensors().items()})
+        return ModelParams(self.variant, self.schemas, self.dropout_p,
+                           {n: a.astype(dtype) for n, a in self.tensors.items()})
+
+
+def _attention(model: ModelParams, group: str) -> tuple[Array, Array, Array, Array]:
+    """The group's attention block, in ``_ATTENTION`` name order."""
+    tensors, prefix = model.tensors, f"attn.{group}."
+    return tuple([tensors[prefix + n] for n in _ATTENTION[model.variant]])
 
 
 def _fc_layers(tensors: Mapping[str, object]) -> list[str]:
@@ -159,26 +125,27 @@ def _fc_layers(tensors: Mapping[str, object]) -> list[str]:
 
 
 def _layout(variant: Variant, schemas: Mapping[str, GroupSchema], k: int,
-            rows: Mapping[str, int], fc_layers: Sequence[str]) -> dict[str, tuple[int, ...]]:
+            rows: Mapping[str, int]) -> dict[str, tuple[int, ...]]:
     """Every tensor of a model, name -> shape, in the order ``init_model``
     draws them. The vocabulary size and the layer widths are free: ``rows``
     gives each as the leading dimension of the tensor that introduces it
-    (``emb.E``, each FC layer's ``.W`` and each attention block's first
-    tensor); the shapes of the tensors after it follow."""
+    (``emb.E``, each FC layer's ``.W``, whose names also say how many FC
+    layers there are, and each attention block's first tensor); the shapes
+    of the tensors after it follow."""
     def dim(group: str) -> int:
         return group_dim(schemas[group], k)
 
     shapes = {"emb.E": (rows["emb.E"], k)}
     if variant != Variant.LR:
         width = dim("target") + (sum(map(dim, AUX_GROUPS)) if variant.uses_aux else 0)
-        for layer in fc_layers:
+        for layer in _fc_layers(rows):
             h = rows[f"{layer}.W"]
             shapes[f"{layer}.W"], shapes[f"{layer}.b"] = (h, width), (h,)
             width = h
         shapes["out.w"] = (width,)
     shapes["out.b"] = (1,)
     for group in AUX_GROUPS if variant in _ATTENTION else ():
-        w, b1, w2, b2 = (f"attn.{group}.{n}" for n in _ATTENTION[variant][1])
+        w, b1, w2, b2 = (f"attn.{group}.{n}" for n in _ATTENTION[variant])
         d_in = dim(group) + (dim("target") if variant == Variant.DSTN_I else 0)
         h = rows[w]
         shapes.update({w: (h, d_in), b1: (h,), w2: (h,), b2: (1,)})
@@ -190,25 +157,25 @@ def init_model(variant: Variant, schemas: Mapping[str, GroupSchema], vocab_size:
                attention_dim: int = 128, dropout_p: float = 0.5,
                dtype=np.float64) -> ModelParams:
     """Fresh parameters: uniform Glorot for dense weights, zero biases,
-    uniform +-0.01 embeddings (1-dim for the LR variant). The values are
-    drawn in float64, in ``_layout`` order, and rounded to ``dtype``, so a
-    seed gives the same model in both precisions up to that rounding."""
+    uniform +-INIT_SCALE embeddings (1-dim for the LR variant). The values
+    are drawn in float64, in ``_layout`` order, and rounded to ``dtype``, so
+    a seed gives the same model in both precisions up to that rounding."""
     variant = Variant(variant)
     k = 1 if variant == Variant.LR else k
-    fc_layers = ["fusion"] + [f"fc{i}" for i in range(2, len(fc_dims) + 1)]
+    fc_weights = ["fusion.W"] + [f"fc{i}.W" for i in range(2, len(fc_dims) + 1)]
     rows = defaultdict(lambda: attention_dim, {"emb.E": vocab_size})  # the rest: attention
-    rows.update((f"{n}.W", d) for n, d in zip(fc_layers, fc_dims))
+    rows.update(zip(fc_weights, fc_dims))
     tensors = {}
-    for name, shape in _layout(variant, schemas, k, rows, fc_layers).items():
+    for name, shape in _layout(variant, schemas, k, rows).items():
         if name == "emb.E":
-            arr = EmbeddingTable.init(*shape, rng).e
+            arr = rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
         elif name.rsplit(".", 1)[1].startswith("b"):  # a bias
             arr = np.zeros(shape)
         else:  # Glorot over (fan-out, fan-in); a weight vector has fan-out 1
             bound = np.sqrt(6.0 / (shape[0] + (shape[1] if len(shape) == 2 else 1)))
             arr = rng.uniform(-bound, bound, size=shape)
         tensors[name] = arr.astype(dtype, copy=False)
-    return ModelParams.from_tensors(variant, schemas, k, dropout_p, tensors)
+    return ModelParams(variant, dict(schemas), dropout_p, tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -263,24 +230,13 @@ def encode_batch(model: ModelParams,
                            AUX_GROUPS if model.variant.uses_aux else ())
 
 
-def _row_sum(values: Array, rows: Array, n: int) -> Array:
-    """Per-example sums of per-ad values, (T,) or (T, D) -> (n,) or (n, D):
-    bincount adds each example's terms in ad order, starting from 0.0. With
-    no terms at all bincount returns integer zeros, and it always sums in
-    float64, hence the cast back to the values' dtype."""
-    d = values.shape[1] if values.ndim == 2 else 1
-    cells = (rows[:, None] * d + np.arange(d)).ravel()
-    out = np.bincount(cells, weights=values.ravel(), minlength=n * d)
-    return out.astype(values.dtype, copy=False).reshape((n,) + values.shape[1:])
-
-
 def _pad_aux(model: ModelParams, offsets: Array, cols: AdColumns) -> AuxTrace:
     """A group's ragged trace: its ads (those of example i are
     ``offsets[i]:offsets[i + 1]`` of ``cols``) embedded one row per ad. The
     name is that of the padded block this once built; the benchmark's layer
     map wraps it by that name."""
     counts = offsets[1:] - offsets[:-1]
-    ads = embed_matrix(cols, model.embedding)
+    ads = embed_matrix(cols, model.tensors["emb.E"])
     return AuxTrace(cols=cols, n=len(counts), row_idx=np.repeat(np.arange(len(counts)), counts),
                     ads=ads, alpha=np.ones(len(ads), dtype=ads.dtype))
 
@@ -291,31 +247,31 @@ def _aggregate(model: ModelParams, t: AuxTrace, group: str, x_t: Array) -> None:
     self-attention then aggregate once, (1, D_g), and interactive attention
     computes the ads' ``W_a`` half once and broadcasts it to every row."""
     if model.variant == Variant.DSTN_P:
-        t.agg = _row_sum(t.ads, t.row_idx, t.n)
+        t.agg = segment_sum(t.ads, t.row_idx, t.n)
         return
-    p = model.attention[group]
+    w, b1, w2, b2 = _attention(model, group)
     if model.variant == Variant.DSTN_S:
-        t.pre = t.ads @ p.w1.T + p.b1
+        t.pre = t.ads @ w.T + b1
         t.hid = relu(t.pre)
-        score = t.hid @ p.w2 + p.b2[0]
+        score = t.hid @ w2 + b2[0]
         rowmax = np.full(t.n, -np.inf, dtype=score.dtype)
         np.maximum.at(rowmax, t.row_idx, score)
         e = np.exp(score - rowmax[t.row_idx])
-        t.alpha = e / _row_sum(e, t.row_idx, t.n)[t.row_idx]
+        t.alpha = e / segment_sum(e, t.row_idx, t.n)[t.row_idx]
     else:  # interactive: W_tc = [W_t | W_a], so [x_t, ad] W_tc^T = x_t W_t^T + ad W_a^T
         d_t = x_t.shape[1]
-        proj = t.ads @ p.w_tc[:, d_t:].T
+        proj = t.ads @ w[:, d_t:].T
         if len(x_t) != t.n:  # one example's ads, shared by every row of x_t
             t.n, per = len(x_t), len(t.ads)
             t.row_idx = np.arange(t.n).repeat(per)
             ad = np.arange(t.n * per) % max(per, 1)
             t.ads, proj = t.ads[ad], proj[ad]
-        t.pre = (x_t @ p.w_tc[:, :d_t].T + p.b_tc1)[t.row_idx]
+        t.pre = (x_t @ w[:, :d_t].T + b1)[t.row_idx]
         t.pre += proj
         t.hid = relu(t.pre)
-        t.raw_score = t.hid @ p.h + p.b_tc2[0]
+        t.raw_score = t.hid @ w2 + b2[0]
         t.alpha = np.exp(np.minimum(t.raw_score, SCORE_CLAMP))
-    t.agg = _row_sum(t.alpha[:, None] * t.ads, t.row_idx, t.n)
+    t.agg = segment_sum(t.alpha[:, None] * t.ads, t.row_idx, t.n)
 
 
 def _pctr(logit: Array) -> Array:
@@ -334,10 +290,11 @@ def forward_batch(model: ModelParams, batch: EncodedBatch | Sequence[LabeledExam
     if mode == "train" and model.dropout_p > 0 and rng is None:
         raise ContractViolation("train-mode forward with dropout needs an rng")
     batch = encode_batch(model, batch)
-    x_t = embed_matrix(batch.target, model.embedding)
+    tensors = model.tensors
+    x_t = embed_matrix(batch.target, tensors["emb.E"])
 
     if model.variant == Variant.LR:
-        logit = x_t.sum(axis=1) + model.out_b[0]
+        logit = x_t.sum(axis=1) + tensors["out.b"][0]
         pctr = _pctr(logit)
         return pctr, BatchTrace(batch=batch, x_t=x_t, aux={}, m=None, pres=[],
                                 acts=[], drop_masks=[], logit=logit, pctr=pctr)
@@ -356,8 +313,8 @@ def forward_batch(model: ModelParams, batch: EncodedBatch | Sequence[LabeledExam
     pres: list[Array] = []
     acts: list[Array] = []
     masks: list[Array | None] = []
-    for w, b in [(model.fusion_w, model.fusion_b)] + model.fc:
-        pre = cur @ w.T + b
+    for layer in _fc_layers(tensors):
+        pre = cur @ tensors[f"{layer}.W"].T + tensors[f"{layer}.b"]
         pres.append(pre)
         cur = relu(pre)
         if mode == "train" and model.dropout_p > 0:
@@ -367,7 +324,7 @@ def forward_batch(model: ModelParams, batch: EncodedBatch | Sequence[LabeledExam
             msk = None
         acts.append(cur)
         masks.append(msk)
-    logit = cur @ model.out_w + model.out_b[0]
+    logit = cur @ tensors["out.w"] + tensors["out.b"][0]
     pctr = _pctr(logit)
     return pctr, BatchTrace(batch=batch, x_t=x_t, aux=aux, m=m, pres=pres,
                             acts=acts, drop_masks=masks, logit=logit, pctr=pctr)
@@ -416,7 +373,7 @@ def _shared_agg(model: ModelParams, group: str, ads: Array, x_t: Array) -> Array
 def _fusion_term(model: ModelParams, group: str, agg: Array) -> Array:
     """agg W_g^T, where W_g is the fusion weights' block for the group."""
     lo = model.dim("target") + sum(model.dim(g) for g in AUX_GROUPS[:AUX_GROUPS.index(group)])
-    return agg @ model.fusion_w[:, lo : lo + model.dim(group)].T
+    return agg @ model.tensors["fusion.W"][:, lo : lo + model.dim(group)].T
 
 
 def _as_contextual(model: ModelParams, x_t: Array) -> Array:
@@ -424,7 +381,7 @@ def _as_contextual(model: ModelParams, x_t: Array) -> Array:
     target segment of the same name. ``embed_matrix`` sums the same bags in
     the same order either way, so this is bit for bit the embedding of those
     ads encoded under the contextual schema."""
-    k = model.embedding.k
+    k = model.k
     segment = {name: i for i, name in enumerate(model.schemas["target"].field_names)}
     try:
         fields = [segment[f.name] for f in model.schemas["contextual"].fields]
@@ -444,35 +401,38 @@ def prepare_request(model: ModelParams, candidates: AdColumns | Sequence[Encoded
     contextual term."""
     if not isinstance(candidates, AdColumns):
         candidates = AdColumns.from_instances(candidates, model.schemas["target"])
-    x_t = embed_matrix(candidates, model.embedding)
+    tensors = model.tensors
+    x_t = embed_matrix(candidates, tensors["emb.E"])
     if model.variant == Variant.LR:
-        return RequestRows(x_t, x_t.sum(axis=1) + model.out_b[0])
-    pre = x_t @ model.fusion_w[:, : x_t.shape[1]].T + model.fusion_b
+        return RequestRows(x_t, x_t.sum(axis=1) + tensors["out.b"][0])
+    pre = x_t @ tensors["fusion.W"][:, : x_t.shape[1]].T + tensors["fusion.b"]
     if model.variant.uses_aux:
         for group, ads in (("clicked", clicked), ("unclicked", unclicked)):
             cols = AdColumns.from_instances(ads, model.schemas[group])
-            agg = _shared_agg(model, group, embed_matrix(cols, model.embedding), x_t)
+            agg = _shared_agg(model, group, embed_matrix(cols, tensors["emb.E"]), x_t)
             pre += _fusion_term(model, group, agg)
     return RequestRows(x_t, pre)
 
 
 def score_request(model: ModelParams, rows: RequestRows,
-                  contextual: RequestRows | Sequence) -> Array:
+                  contextual: RequestRows | None) -> Array:
     """Eval-mode pCTRs of prepared candidates with the given contextual ads
     (the same for every row): prepared rows of the same request, read by
-    field name, or none. Add the contextual group's fusion term, which LR
-    and DNN do not have, then run the layers above the fusion layer."""
+    field name, or None for none. Add the contextual group's fusion term,
+    which LR and DNN do not have, then run the layers above the fusion
+    layer."""
     if model.variant == Variant.LR:
         return _pctr(rows.pre)
+    tensors = model.tensors
     pre = rows.pre
-    if len(contextual) and model.variant.uses_aux:
+    if contextual is not None and model.variant.uses_aux:
         ads = _as_contextual(model, contextual.x_t)
         pre = pre + _fusion_term(model, "contextual",
                                  _shared_agg(model, "contextual", ads, rows.x_t))
     cur = relu(pre)
-    for w, b in model.fc:
-        cur = relu(cur @ w.T + b)
-    return _pctr(cur @ model.out_w + model.out_b[0])
+    for layer in _fc_layers(tensors)[1:]:
+        cur = relu(cur @ tensors[f"{layer}.W"].T + tensors[f"{layer}.b"])
+    return _pctr(cur @ tensors["out.w"] + tensors["out.b"][0])
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +480,8 @@ def backward(model: ModelParams, trace: BatchTrace) -> Gradients:
     # pCTRs and labels are float64; the gradient takes the model's dtype
     dlogit = ((trace.pctr - enc.labels) / len(enc)).astype(model.dtype, copy=False)
 
-    acc = RowGradAccumulator(model.embedding.n, model.embedding.k, model.dtype)
+    tensors = model.tensors
+    acc = RowGradAccumulator(*tensors["emb.E"].shape, model.dtype)
     dense: dict[str, Array] = {}
 
     if model.variant == Variant.LR:
@@ -533,20 +494,17 @@ def backward(model: ModelParams, trace: BatchTrace) -> Gradients:
     # output head
     dense["out.w"] = trace.acts[-1].T @ dlogit
     dense["out.b"] = np.array([dlogit.sum()])
-    g_cur = dlogit[:, None] * model.out_w[None, :]
+    g_cur = dlogit[:, None] * tensors["out.w"][None, :]
 
     # FC stack down to the fusion layer
-    layers = [(model.fusion_w, model.fusion_b)] + model.fc
-    names = ["fusion"] + [f"fc{i}" for i in range(2, 2 + len(model.fc))]
-    for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
+    for i, layer in reversed(list(enumerate(_fc_layers(tensors)))):
         msk = trace.drop_masks[i]
         g_act = g_cur if msk is None else g_cur * msk
         g_pre = g_act * (trace.pres[i] > 0)
         inp = trace.m if i == 0 else trace.acts[i - 1]
-        dense[f"{names[i]}.W"] = g_pre.T @ inp
-        dense[f"{names[i]}.b"] = g_pre.sum(axis=0)
-        g_cur = g_pre @ w
+        dense[f"{layer}.W"] = g_pre.T @ inp
+        dense[f"{layer}.b"] = g_pre.sum(axis=0)
+        g_cur = g_pre @ tensors[f"{layer}.W"]
 
     # split the fused-input gradient
     d_t = model.dim("target")
@@ -582,10 +540,24 @@ def save_model(path, model: ModelParams, schemas_hash: str, vocab_hash: str) -> 
     }
     if model.dtype != np.float64:
         header["dtype"] = model.dtype.name
-    save_tensors(path, header, model.tensors())
+    save_tensors(path, header, model.tensors)
 
 
 _CKPT_DTYPES = {"float64": np.float64, "float32": np.float32}
+
+
+def _header_number(path, header: Mapping[str, str], key: str, kind, valid, rule: str):
+    """The header's ``key`` read as ``kind``; a value that is missing, does
+    not read, or breaks ``valid`` is a ValueError naming the file and the key."""
+    if key not in header:
+        raise ValueError(f"{path}: header has no {key}")
+    try:
+        value = kind(header[key])
+    except ValueError:
+        value = None
+    if value is None or not valid(value):
+        raise ValueError(f"{path}: header {key}={header[key]!r} is not {rule}")
+    return value
 
 
 def load_model(path, schemas: Mapping[str, GroupSchema]) -> tuple[ModelParams, dict[str, str]]:
@@ -599,17 +571,17 @@ def load_model(path, schemas: Mapping[str, GroupSchema]) -> tuple[ModelParams, d
     dtype = _CKPT_DTYPES.get(header.get("dtype", "float64"))
     if dtype is None:
         raise ValueError(f"{path}: unknown dtype {header['dtype']!r}")
-    if dtype != np.float64:
-        tensors = {name: arr.astype(dtype) for name, arr in tensors.items()}
     by_header = {v.header_name: v for v in Variant}
     variant = by_header.get(header.get("variant"))
     if variant is None:
         raise ValueError(f"{path}: unknown variant {header.get('variant')!r}")
+    k = _header_number(path, header, "k", int, lambda v: v > 0, "a positive integer")
+    dropout_p = _header_number(path, header, "dropout_p", float, lambda v: 0.0 <= v < 1.0,
+                               "a probability in [0, 1)")
     # A file cut at a record boundary reads as a shorter TNSR1 file. Records
     # are sorted by name, so any such cut loses one of the layout's tensors.
-    k, fc_layers = int(header["k"]), _fc_layers(tensors)
     rows = defaultdict(int, {name: arr.shape[0] for name, arr in tensors.items() if arr.ndim})
-    shapes = _layout(variant, schemas, k, rows, fc_layers)
+    shapes = _layout(variant, schemas, k, rows)
     missing = shapes.keys() - tensors.keys()
     if missing:
         raise ValueError(f"{path}: missing tensors {sorted(missing)}")
@@ -620,8 +592,9 @@ def load_model(path, schemas: Mapping[str, GroupSchema]) -> tuple[ModelParams, d
         if tensors[name].shape != shape:
             raise ValueError(f"{path}: tensor {name} has shape {tensors[name].shape}, "
                              f"expected {shape}")
-    model = ModelParams.from_tensors(variant, schemas, k, float(header["dropout_p"]), tensors)
-    return model, header
+    # The file holds its records sorted by name; the model holds them in layout order.
+    tensors = {name: tensors[name].astype(dtype, copy=False) for name in shapes}
+    return ModelParams(variant, dict(schemas), dropout_p, tensors), header
 
 
 def _aggregate_backward(model: ModelParams, group: str, t: AuxTrace, x_t: Array, g_agg: Array,
@@ -633,31 +606,31 @@ def _aggregate_backward(model: ModelParams, group: str, t: AuxTrace, x_t: Array,
     if model.variant == Variant.DSTN_P:
         return g_up
 
-    p = model.attention[group]
+    w, _, w2, _ = _attention(model, group)
     g_ads = t.alpha[:, None] * g_up
     tdot = (t.ads * g_up).sum(axis=1)
     if model.variant == Variant.DSTN_S:
-        inner = _row_sum(t.alpha * tdot, t.row_idx, t.n)
+        inner = segment_sum(t.alpha * tdot, t.row_idx, t.n)
         g_score = t.alpha * (tdot - inner[t.row_idx])  # softmax Jacobian
-        g_pre = np.outer(g_score, p.w2)
+        g_pre = np.outer(g_score, w2)
         g_pre *= t.pre > 0
         dense[f"attn.{group}.W1"] = g_pre.T @ t.ads
         dense[f"attn.{group}.b1"] = g_pre.sum(axis=0)
         dense[f"attn.{group}.w2"] = t.hid.T @ g_score
         dense[f"attn.{group}.b2"] = np.array([g_score.sum()])
-        g_ads += g_pre @ p.w1
+        g_ads += g_pre @ w
         return g_ads
 
     # interactive attention
     g_score = t.alpha * tdot * (t.raw_score < SCORE_CLAMP)
-    g_pre = np.outer(g_score, p.h)
+    g_pre = np.outer(g_score, w2)
     g_pre *= t.pre > 0
-    g_pre_t = _row_sum(g_pre, t.row_idx, t.n)  # the target half is shared by an example's ads
+    g_pre_t = segment_sum(g_pre, t.row_idx, t.n)  # the target half is shared by an example's ads
     d_t = x_t.shape[1]
     dense[f"attn.{group}.Wtc"] = np.concatenate([g_pre_t.T @ x_t, g_pre.T @ t.ads], axis=1)
     dense[f"attn.{group}.btc1"] = g_pre_t.sum(axis=0)
     dense[f"attn.{group}.h"] = t.hid.T @ g_score
     dense[f"attn.{group}.btc2"] = np.array([g_score.sum()])
-    g_xt += g_pre_t @ p.w_tc[:, :d_t]
-    g_ads += g_pre @ p.w_tc[:, d_t:]
+    g_xt += g_pre_t @ w[:, :d_t]
+    g_ads += g_pre @ w[:, d_t:]
     return g_ads

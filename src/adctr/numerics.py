@@ -1,5 +1,6 @@
-"""Minimal dense numeric kernel: activations, inverted-dropout masks, Adagrad,
-a seeded counter-based RNG, and tensor checkpoint I/O.
+"""Minimal dense numeric kernel: activations, the segment sum behind every
+gather and scatter, inverted-dropout masks, Adagrad, a seeded counter-based
+RNG, and tensor checkpoint I/O.
 
 The kernels keep the dtype of the arrays they are given (a model's
 parameters are float64 or float32, and masks and Adagrad accumulators follow
@@ -50,6 +51,17 @@ def sigmoid(s):
     es = np.exp(s[~pos])
     out[~pos] = es / (1.0 + es)
     return float(out) if out.ndim == 0 else out
+
+
+def segment_sum(values: Array, segment: Array, n: int) -> Array:
+    """Per-segment sums of rows, (T,) or (T, D) -> (n,) or (n, D): row t adds
+    to ``segment[t]``, and each segment's terms are added in row order,
+    starting from 0.0. bincount sums in float64 (and gives integer zeros when
+    there is nothing to sum), hence the cast back to the values' dtype."""
+    d = values.shape[1] if values.ndim == 2 else 1
+    cells = (segment * d)[:, None] + np.arange(d)
+    out = np.bincount(cells.ravel(), weights=values.ravel(), minlength=n * d)
+    return out.astype(values.dtype, copy=False).reshape((n,) + values.shape[1:])
 
 
 def dropout_mask(shape, p: float, rng: np.random.Generator, dtype=np.float64) -> Array:

@@ -114,8 +114,8 @@ class ModelScorer:
     """Model-server half. ``prepare`` does the eval-mode work a request's
     candidates share in every round, once per request (they share one
     clicked and one unclicked history); ``score`` gives the pCTRs of prepared
-    rows under the given contextual ads, in row order, and counts forwards
-    (rows scored)."""
+    rows under the given contextual ads (None for none), in row order, and
+    counts forwards (rows scored)."""
 
     def __init__(self, model: ModelParams):
         self.model = model
@@ -124,7 +124,7 @@ class ModelScorer:
     def prepare(self, candidates, clicked, unclicked) -> RequestRows:
         return prepare_request(self.model, candidates, clicked, unclicked)
 
-    def score(self, rows: RequestRows, contextual: RequestRows | tuple) -> list[float]:
+    def score(self, rows: RequestRows, contextual: RequestRows | None) -> list[float]:
         self.forward_count += len(rows)
         return score_request(self.model, rows, contextual).tolist()
 
@@ -136,7 +136,7 @@ def rank_request(scorer, store: SessionStore, req: RankRequest) -> RankResult:
     clicked, unclicked = store.get_history(req.user_id, req.now)
     target = req.candidates if req.columns is None else req.columns
     rows = scorer.prepare(target, clicked, unclicked)
-    scores1 = scorer.score(rows, ())
+    scores1 = scorer.score(rows, None)
     win = int(np.argmax(scores1))  # first occurrence wins ties
     ranked = [RankedAd(req.candidates[win], scores1[win], 1)]
 

@@ -88,7 +88,7 @@ def embedding_penalty(model: ModelParams, rows: Array, row_scales: Array) -> tup
     mini-batch aware regularizer (Zhou et al. 2018): the value
     ``sum_j row_scales[j] / 2 * ||e_j||^2`` over ``rows`` and its gradient,
     one row per entry of ``rows``, in the table's dtype."""
-    e = model.embedding.e[rows]
+    e = model.tensors["emb.E"][rows]
     scale = row_scales[rows].astype(e.dtype, copy=False)[:, None]
     return 0.5 * float((scale * e * e).sum()), scale * e
 
@@ -114,7 +114,7 @@ def train(config: TrainConfig, train_examples: EncodedBatch | Sequence[LabeledEx
         raise ValueError(f"unknown auxiliary group {config.ablate!r}")
     rng = make_rng(config.seed)
     if initial is not None:
-        if initial.embedding.n != vocab.size:
+        if len(initial.tensors["emb.E"]) != vocab.size:
             raise ValueError("warm-start model does not match the vocabulary")
         model = initial.clone()
     else:
@@ -122,7 +122,7 @@ def train(config: TrainConfig, train_examples: EncodedBatch | Sequence[LabeledEx
                            k=config.embedding_dim, fc_dims=config.fc_dims,
                            attention_dim=config.attention_dim, dropout_p=config.dropout,
                            dtype=np.float32)
-    states = {name: AdagradState(lr=config.learning_rate) for name in model.tensors()}
+    states = {name: AdagradState(lr=config.learning_rate) for name in model.tensors}
     row_scales = embedding_row_scales(vocab, config.embedding_l2)
     train_set = encode_batch(model, train_examples)
     val_set = encode_batch(model, val_examples)
@@ -144,7 +144,7 @@ def train(config: TrainConfig, train_examples: EncodedBatch | Sequence[LabeledEx
             batch_loss = loss_from_logits(trace.logit, batch.labels)
             _check_finite(model, epoch, lo // config.batch_size, batch_loss, grads)
             total_loss += batch_loss * len(batch)
-            for name, arr in model.tensors().items():
+            for name, arr in model.tensors.items():
                 if name == "emb.E":
                     adagrad_step_rows(arr, grads.emb_rows, grads.emb_grads, states[name])
                 else:
@@ -167,10 +167,10 @@ class NonFiniteError(FloatingPointError):
 def _check_finite(model: ModelParams, epoch: int, batch: int, batch_loss: float,
                   grads: Gradients) -> None:
     """Raise on a non-finite batch loss, else on the first tensor, in
-    ``model.tensors()`` order, whose gradient is not finite."""
+    ``model.tensors`` order, whose gradient is not finite."""
     if not np.isfinite(batch_loss):
         raise NonFiniteError(f"epoch {epoch}, batch {batch}: non-finite loss")
-    for name in model.tensors():
+    for name in model.tensors:
         grad = grads.emb_grads if name == "emb.E" else grads.dense[name]
         if not np.isfinite(grad).all():
             raise NonFiniteError(f"epoch {epoch}, batch {batch}: non-finite gradient of {name}")
@@ -316,13 +316,13 @@ def grad_check(variant, tolerance: float = 1e-4, seed: int = 0) -> GradCheckRepo
         return loss(p, labels) + embedding_penalty(model, grads.emb_rows, row_scales)[0]
 
     analytic: dict[str, np.ndarray] = dict(grads.dense)
-    emb_dense = np.zeros_like(model.embedding.e)
+    emb_dense = np.zeros_like(model.tensors["emb.E"])
     emb_dense[grads.emb_rows] = (grads.emb_grads
                                  + embedding_penalty(model, grads.emb_rows, row_scales)[1])
     analytic["emb.E"] = emb_dense
 
     report = GradCheckReport(variant=variant.value, tolerance=tolerance)
-    for name, arr in model.tensors().items():
+    for name, arr in model.tensors.items():
         fd = np.zeros_like(arr)
         it = np.nditer(arr, flags=["multi_index"])
         while not it.finished:

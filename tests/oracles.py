@@ -3,7 +3,8 @@ per-instance embedding and its gradient scatter (plain loops, in the
 summation order the batched paths promise to keep), per-ad-list aggregation,
 batched aggregation over a padded (B, S, D_g) block with a slot mask,
 interactive attention through the concatenated [target, ad] pair tensor, a
-single-vector linear map and inverted dropout; one candidate scored alone
+single-vector linear map, inverted dropout and a model's FC layers as
+(weights, bias) pairs; one candidate scored alone
 by the batched forward, and one example's forward; the canonical line of an
 example; the vocabulary build and the log parse token by token, with no
 memo; single-group ablation on example lists; the auxiliary-data
@@ -20,11 +21,11 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from adctr.embedding import AdColumns, EmbeddingTable, EncodedBatch
+from adctr.embedding import AdColumns, EncodedBatch
 from adctr.ingest import (LabeledExample, ParseError, _parse_fields, _split_line, parse_uint,
                           read_record, serialize_ad)
-from adctr.models import (SCORE_CLAMP, InteractiveAttentionParams, SelfAttentionParams,
-                          Variant, _aggregate, _fusion_term, _pad_aux, _pctr, forward_batch)
+from adctr.models import (SCORE_CLAMP, Variant, _aggregate, _attention, _fc_layers, _fusion_term,
+                          _pad_aux, _pctr, forward_batch)
 from adctr.numerics import Array, ContractViolation, dropout_mask, relu
 from adctr.serving import MAX_CANDIDATES, RankRequest, _encode_candidate, ad_display_id
 from adctr.schema import (AUX_GROUPS, GROUPS, EncodedInstance, EncodeError, GroupSchema,
@@ -40,17 +41,17 @@ class InstanceEmbedding:
     vector: Array
 
 
-def embed_instance(inst: EncodedInstance, table: EmbeddingTable,
+def embed_instance(inst: EncodedInstance, table: Array,
                    group_schema: GroupSchema) -> InstanceEmbedding:
-    """Gather-and-sum one instance into its group vector: per field, 0.0 plus
-    the bag's rows in bag order."""
+    """Gather-and-sum one instance into its group vector through an (N, K)
+    table: per field, 0.0 plus the bag's rows in bag order."""
     segments = []
     for idx_list in inst.indices[:len(group_schema.fields)]:
-        seg = np.zeros(table.k)
+        seg = np.zeros(table.shape[1])
         for i in idx_list:
-            if not 0 <= i < table.n:
+            if not 0 <= i < len(table):
                 raise ContractViolation("feature index out of range for the embedding table")
-            seg = seg + table.e[i]
+            seg = seg + table[i]
         segments.append(seg)
     return InstanceEmbedding(group=inst.group, vector=np.concatenate(segments))
 
@@ -98,24 +99,27 @@ def aggregate_pooling(ads: Sequence[InstanceEmbedding], dim: int | None = None) 
 
 
 def aggregate_self_attention(ads: Sequence[InstanceEmbedding],
-                             params: SelfAttentionParams) -> tuple[Array, Array]:
+                             params: tuple[Array, Array, Array, Array]) -> tuple[Array, Array]:
     """Softmax-weighted sum: score each ad on its own, normalize over the group.
+    ``params`` is the group's attention block (W1, b1, w2, b2).
 
     Returns (aggregate, weights); weights lie on the simplex.
     """
     if not ads:
         raise ContractViolation("self-attention needs a nonempty ad list")
+    w1, b1, w2, b2 = params
     x = np.stack([a.vector for a in ads])
-    beta = relu(x @ params.w1.T + params.b1) @ params.w2 + params.b2[0]
+    beta = relu(x @ w1.T + b1) @ w2 + b2[0]
     e = np.exp(beta - beta.max())
     alpha = e / e.sum()
     return alpha @ x, alpha
 
 
 def aggregate_interactive_attention(target: InstanceEmbedding, ads: Sequence[InstanceEmbedding],
-                                    params: InteractiveAttentionParams,
+                                    params: tuple[Array, Array, Array, Array],
                                     dim: int | None = None) -> tuple[Array, Array]:
-    """Weighted sum with per-ad positive weights that depend on the target too.
+    """Weighted sum with per-ad positive weights that depend on the target too;
+    ``params`` is the group's attention block (Wtc, btc1, h, btc2).
 
     Weights are exp of a one-hidden-layer MLP on [target, ad] and are not
     normalized against the other ads, so each weight is independent of the
@@ -125,10 +129,11 @@ def aggregate_interactive_attention(target: InstanceEmbedding, ads: Sequence[Ins
         if dim is None:
             raise ContractViolation("empty ad list needs an explicit output dim")
         return np.zeros(dim), np.zeros(0)
+    w_tc, b_tc1, h, b_tc2 = params
     x = np.stack([a.vector for a in ads])
     pair = np.concatenate([np.broadcast_to(target.vector, (len(ads), target.vector.shape[0])), x],
                           axis=1)
-    score = relu(pair @ params.w_tc.T + params.b_tc1) @ params.h + params.b_tc2[0]
+    score = relu(pair @ w_tc.T + b_tc1) @ h + b_tc2[0]
     alpha = np.exp(np.minimum(score, SCORE_CLAMP))
     return alpha @ x, alpha
 
@@ -163,22 +168,22 @@ def padded_aggregate(model, group: str, offsets: Array, ads: Array, x_t: Array,
     if model.variant == Variant.DSTN_P or s == 0:
         agg = (block * mask[..., None]).sum(axis=1)
     elif model.variant == Variant.DSTN_S:
-        p = model.attention[group]
-        pre = (block.reshape(b * s, d) @ p.w1.T + p.b1).reshape(b, s, -1)
+        w1, b1, w2, b2 = _attention(model, group)
+        pre = (block.reshape(b * s, d) @ w1.T + b1).reshape(b, s, -1)
         hid = relu(pre)
-        score = (hid.reshape(b * s, -1) @ p.w2).reshape(b, s) + p.b2[0]
+        score = (hid.reshape(b * s, -1) @ w2).reshape(b, s) + b2[0]
         rowmax = np.where(counts > 0, np.max(np.where(mask > 0, score, -np.inf), axis=1), 0.0)
         e = np.where(mask > 0, np.exp(score - rowmax[:, None]), 0.0)
         denom = e.sum(axis=1)
         alpha = e / np.where(denom > 0, denom, 1.0)[:, None]
         agg = (alpha[..., None] * block).sum(axis=1)
     else:
-        p = model.attention[group]
+        w_tc, b_tc1, h, b_tc2 = _attention(model, group)
         d_t = x_t.shape[1]
-        pre = ((x_t @ p.w_tc[:, :d_t].T + p.b_tc1)[:, None, :]
-               + (block.reshape(b * s, d) @ p.w_tc[:, d_t:].T).reshape(b, s, -1))
+        pre = ((x_t @ w_tc[:, :d_t].T + b_tc1)[:, None, :]
+               + (block.reshape(b * s, d) @ w_tc[:, d_t:].T).reshape(b, s, -1))
         hid = relu(pre)
-        raw = (hid.reshape(n * s, -1) @ p.h).reshape(n, s) + p.b_tc2[0]
+        raw = (hid.reshape(n * s, -1) @ h).reshape(n, s) + b_tc2[0]
         alpha = np.exp(np.minimum(raw, SCORE_CLAMP)) * mask
         agg = (alpha[..., None] * block).sum(axis=1)
     if n != b:  # a shared block: per candidate weights, forward only
@@ -194,21 +199,21 @@ def padded_aggregate(model, group: str, offsets: Array, ads: Array, x_t: Array,
     g_block = alpha[..., None] * g_agg[:, None, :]
     if s == 0:
         dense.update({name[len(prefix):]: np.zeros_like(arr)
-                      for name, arr in model.tensors().items() if name.startswith(prefix)})
+                      for name, arr in model.tensors.items() if name.startswith(prefix)})
         return PaddedAggregate(agg, alpha[row_idx, col_idx], dense, g_xt,
                                g_block[row_idx, col_idx])
     tdot = (block * g_agg[:, None, :]).sum(axis=2)
     if model.variant == Variant.DSTN_S:
         inner = (alpha * tdot).sum(axis=1, keepdims=True)
         g_score = alpha * (tdot - inner)
-        g_pre = (g_score[..., None] * p.w2 * (pre > 0)).reshape(b * s, -1)
+        g_pre = (g_score[..., None] * w2 * (pre > 0)).reshape(b * s, -1)
         dense = {"W1": g_pre.T @ block.reshape(b * s, d), "b1": g_pre.sum(axis=0),
                  "w2": hid.reshape(b * s, -1).T @ g_score.reshape(b * s),
                  "b2": np.array([g_score.sum()])}
-        g_block += (g_pre @ p.w1).reshape(b, s, d)
+        g_block += (g_pre @ w1).reshape(b, s, d)
     else:
         g_score = alpha * tdot * (raw < SCORE_CLAMP)
-        g_pre = g_score[..., None] * p.h * (pre > 0)
+        g_pre = g_score[..., None] * h * (pre > 0)
         g_pre_t = g_pre.sum(axis=1)
         g_pre = g_pre.reshape(b * s, -1)
         dense = {"Wtc": np.concatenate([g_pre_t.T @ x_t, g_pre.T @ block.reshape(b * s, d)],
@@ -216,32 +221,40 @@ def padded_aggregate(model, group: str, offsets: Array, ads: Array, x_t: Array,
                  "btc1": g_pre_t.sum(axis=0),
                  "h": hid.reshape(b * s, -1).T @ g_score.reshape(b * s),
                  "btc2": np.array([g_score.sum()])}
-        g_xt = g_pre_t @ p.w_tc[:, :d_t]
-        g_block += (g_pre @ p.w_tc[:, d_t:]).reshape(b, s, d)
+        g_xt = g_pre_t @ w_tc[:, :d_t]
+        g_block += (g_pre @ w_tc[:, d_t:]).reshape(b, s, d)
     return PaddedAggregate(agg, alpha[row_idx, col_idx], dense, g_xt, g_block[row_idx, col_idx])
 
 
 def interactive_attention_pair_form(x_t: Array, ads: Array, mask: Array,
-                                    params: InteractiveAttentionParams, g_agg: Array):
+                                    params: tuple[Array, Array, Array, Array], g_agg: Array):
     """Batched interactive attention through the (B, S, D_t + D_g) pair
-    tensor, forward and backward. Returns (agg, parameter gradients by
-    tensor suffix, target gradient, per-ad gradient)."""
+    tensor, forward and backward, for the attention block (Wtc, btc1, h,
+    btc2). Returns (agg, parameter gradients by tensor suffix, target
+    gradient, per-ad gradient)."""
+    w_tc, b_tc1, h, b_tc2 = params
     b, s, _ = ads.shape
     d_t = x_t.shape[1]
     pair = np.concatenate([np.broadcast_to(x_t[:, None, :], (b, s, d_t)), ads], axis=2)
-    pre = (pair.reshape(b * s, -1) @ params.w_tc.T + params.b_tc1).reshape(b, s, -1)
+    pre = (pair.reshape(b * s, -1) @ w_tc.T + b_tc1).reshape(b, s, -1)
     hid = relu(pre)
-    raw = (hid.reshape(b * s, -1) @ params.h).reshape(b, s) + params.b_tc2[0]
+    raw = (hid.reshape(b * s, -1) @ h).reshape(b, s) + b_tc2[0]
     alpha = np.exp(np.minimum(raw, SCORE_CLAMP)) * mask
     agg = (alpha[..., None] * ads).sum(axis=1)
     g_score = alpha * (ads * g_agg[:, None, :]).sum(axis=2) * (raw < SCORE_CLAMP)
-    g_pre = (g_score[..., None] * params.h * (pre > 0)).reshape(b * s, -1)
+    g_pre = (g_score[..., None] * h * (pre > 0)).reshape(b * s, -1)
     grads = {"Wtc": g_pre.T @ pair.reshape(b * s, -1), "btc1": g_pre.sum(axis=0),
              "h": hid.reshape(b * s, -1).T @ g_score.reshape(b * s),
              "btc2": np.array([g_score.sum()])}
-    g_pair = (g_pre @ params.w_tc).reshape(b, s, -1)
+    g_pair = (g_pre @ w_tc).reshape(b, s, -1)
     g_ads = alpha[..., None] * g_agg[:, None, :] + g_pair[..., d_t:]
     return agg, grads, g_pair[..., :d_t].sum(axis=1), g_ads
+
+
+def fc_stack(model) -> list[tuple[Array, Array]]:
+    """The model's FC layers as (weights, bias) pairs, the fusion layer first."""
+    return [(model.tensors[f"{layer}.W"], model.tensors[f"{layer}.b"])
+            for layer in _fc_layers(model.tensors)]
 
 
 def linear(w: Array, b: Array, x: Array) -> Array:
@@ -405,9 +418,9 @@ def score_with_contextual_ads(model, rows, contextual: Sequence[EncodedInstance]
         _aggregate(model, t, "contextual", rows.x_t)
         pre = pre + _fusion_term(model, "contextual", t.agg)
     cur = relu(pre)
-    for w, b in model.fc:
+    for w, b in fc_stack(model)[1:]:
         cur = relu(cur @ w.T + b)
-    return _pctr(cur @ model.out_w + model.out_b[0])
+    return _pctr(cur @ model.tensors["out.w"] + model.tensors["out.b"][0])
 
 
 def reference_handle_line(server, line: str) -> str:

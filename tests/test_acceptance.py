@@ -90,8 +90,8 @@ def test_03_interactive_with_zero_head_reduces_to_pooling():
     model_i = init_model(Variant.DSTN_I, schemas, vocab.size, make_rng(SEED + 1),
                          k=4, fc_dims=(16, 8), attention_dim=4, dropout_p=0.0)
     for group in AUX_GROUPS:
-        model_i.attention[group].h[...] = 0.0
-        model_i.attention[group].b_tc2[...] = 0.0
+        model_i.tensors[f"attn.{group}.h"][...] = 0.0
+        model_i.tensors[f"attn.{group}.btc2"][...] = 0.0
     p_out, _ = forward_batch(model_p, examples)
     i_out, _ = forward_batch(model_i, examples)
     gap = float(np.abs(p_out - i_out).max())

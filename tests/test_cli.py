@@ -127,10 +127,27 @@ def test_embedding_rows_must_match_the_vocabulary(data_dir, checkpoint, tmp_path
     schemas = load_schemas(f"{ckpt}.schema.tsv")
     vocab = Vocabulary.load(f"{ckpt}.vocab.tsv")
     model, _ = load_model(ckpt, schemas)
-    model.embedding.e = np.vstack([model.embedding.e, np.zeros((1, model.k))])
+    model.tensors["emb.E"] = np.vstack([model.tensors["emb.E"], np.zeros((1, model.k))])
     save_model(ckpt, model, schemas_hash(schemas), vocab.content_hash())  # hashes still match
     with pytest.raises(SystemExit, match=rf"tensor emb.E has {vocab.size + 1} rows, "
                                          rf"the vocabulary {vocab.size}"):
+        main(["eval", "--ckpt", str(ckpt), "--test", str(data_dir / "test.tsv")])
+
+
+@pytest.mark.parametrize("key", ["schema_hash", "vocab_hash"])
+def test_a_checkpoint_without_a_sidecar_hash_reads_as_a_mismatch(data_dir, checkpoint, tmp_path,
+                                                                  key):
+    import shutil
+
+    from adctr.numerics import load_tensors, save_tensors
+
+    ckpt = tmp_path / "model.ckpt"
+    for suffix in (".schema.tsv", ".vocab.tsv"):
+        shutil.copy(f"{checkpoint}{suffix}", f"{ckpt}{suffix}")
+    header, tensors = load_tensors(checkpoint)
+    del header[key]
+    save_tensors(ckpt, header, tensors)
+    with pytest.raises(SystemExit, match="sidecar schema/vocabulary does not match"):
         main(["eval", "--ckpt", str(ckpt), "--test", str(data_dir / "test.tsv")])
 
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from adctr.embedding import (AdColumns, EmbeddingTable, RowGradAccumulator, embed_matrix,
-                             encode_examples, group_dim)
+from adctr.embedding import (AdColumns, RowGradAccumulator, embed_matrix, encode_examples,
+                             group_dim)
 from adctr.ingest import LabeledExample
-from adctr.numerics import ContractViolation, make_rng
+from adctr.models import INIT_SCALE
+from adctr.numerics import ContractViolation, make_rng, segment_sum
 from adctr.schema import (AUX_GROUPS, EncodedInstance, FieldKind, FieldSchema, GroupSchema,
                           build_vocabulary, encode_instance)
 from adctr.toy import toy_schemas
@@ -21,20 +22,20 @@ def make_instance(indices, raw=()):
 
 @pytest.fixture()
 def table():
-    return EmbeddingTable.init(vocab_size=12, k=10, rng=make_rng(0))
+    return make_rng(0).uniform(-INIT_SCALE, INIT_SCALE, size=(12, 10))
 
 
 class TestEmbedInstance:
     def test_univalent_segment_is_row_copy(self, table):
         inst = make_instance(((3,), (), (5,)))
         emb = embed_instance(inst, table, SCHEMA)
-        np.testing.assert_array_equal(emb.vector[:10], table.e[3])
-        np.testing.assert_array_equal(emb.vector[20:], table.e[5])
+        np.testing.assert_array_equal(emb.vector[:10], table[3])
+        np.testing.assert_array_equal(emb.vector[20:], table[5])
 
     def test_multivalent_segment_is_row_sum(self, table):
         inst = make_instance(((3,), (1, 7), (5,)))
         emb = embed_instance(inst, table, SCHEMA)
-        np.testing.assert_allclose(emb.vector[10:20], table.e[1] + table.e[7])
+        np.testing.assert_allclose(emb.vector[10:20], table[1] + table[7])
 
     def test_output_dim_is_k_times_field_count(self, table):
         inst = make_instance(((3,), (1,), (5,)))
@@ -49,12 +50,12 @@ class TestEmbedInstance:
     def test_duplicate_indices_count_multiplicity(self, table):
         inst = make_instance(((3,), (1, 1), (5,)))
         emb = embed_instance(inst, table, SCHEMA)
-        np.testing.assert_allclose(emb.vector[10:20], 2 * table.e[1])
+        np.testing.assert_allclose(emb.vector[10:20], 2 * table[1])
 
     def test_linear_in_table(self, table):
         inst = make_instance(((3,), (1, 7), (5,)))
         base = embed_instance(inst, table, SCHEMA).vector
-        scaled = embed_instance(inst, EmbeddingTable(2.5 * table.e), SCHEMA).vector
+        scaled = embed_instance(inst, 2.5 * table, SCHEMA).vector
         np.testing.assert_allclose(scaled, 2.5 * base)
 
     def test_out_of_range_index(self, table):
@@ -94,20 +95,20 @@ class TestScatter:
         inst = make_instance(((3,), (1, 7, 1), (5,)))
         u = rng.normal(size=30)
 
-        analytic = np.zeros_like(table.e)
+        analytic = np.zeros_like(table)
         for row, grad in embed_gradient_scatter(inst, u):
             analytic[row] += grad
 
         h = 1e-6
-        fd = np.zeros_like(table.e)
-        for i in range(table.n):
-            for j in range(table.k):
-                orig = table.e[i, j]
-                table.e[i, j] = orig + h
+        fd = np.zeros_like(table)
+        for i in range(table.shape[0]):
+            for j in range(table.shape[1]):
+                orig = table[i, j]
+                table[i, j] = orig + h
                 up = float(u @ embed_instance(inst, table, SCHEMA).vector)
-                table.e[i, j] = orig - h
+                table[i, j] = orig - h
                 down = float(u @ embed_instance(inst, table, SCHEMA).vector)
-                table.e[i, j] = orig
+                table[i, j] = orig
                 fd[i, j] = (up - down) / (2 * h)
         err = np.abs(analytic - fd).max() / max(np.abs(fd).max(), 1e-12)
         assert err <= 1e-6
@@ -130,15 +131,15 @@ class TestBatchedPaths:
         instances = [make_instance(((1,), (2, 2, 9), (5,))),
                      make_instance(((1,), (), (7,)))]
         upstream = rng.normal(size=(2, 30))
-        acc = RowGradAccumulator(table.n, table.k)
+        acc = RowGradAccumulator(*table.shape)
         acc.scatter_matrix(AdColumns.from_instances(instances, SCHEMA), upstream)
         rows, grads = acc.finalize()
 
-        expected = np.zeros_like(table.e)
+        expected = np.zeros_like(table)
         for inst, up in zip(instances, upstream):
             for r, g in embed_gradient_scatter(inst, up):
                 expected[r] += g
-        dense = np.zeros_like(table.e)
+        dense = np.zeros_like(table)
         dense[rows] = grads
         np.testing.assert_allclose(dense, expected)
         assert set(rows.tolist()) == {1, 2, 5, 7, 9}
@@ -184,7 +185,7 @@ def _ads(examples, group):
 class TestEncodedPath:
     def test_gather_equals_per_instance_oracle_exactly(self, edge_batch):
         schemas, vocab, examples = edge_batch
-        table = EmbeddingTable.init(vocab.size, 3, make_rng(12))
+        table = make_rng(12).uniform(-INIT_SCALE, INIT_SCALE, size=(vocab.size, 3))
         batch = encode_examples(examples, schemas)
         assert len(batch.aux["contextual"][1]) == 0
         for group in ("target",) + AUX_GROUPS:
@@ -253,7 +254,7 @@ class TestNothingToSumKeepsTheTableDtype:
     the table's dtype."""
 
     def test_gather_of_empty_bags_and_of_no_ads(self, dtype):
-        table = EmbeddingTable(np.ones((5, 3), dtype=dtype))
+        table = np.ones((5, 3), dtype=dtype)
         empty_bags = AdColumns(2, np.zeros(5, np.int32), np.zeros(0, np.int32))  # 2 ads
         no_ads = AdColumns(2, np.zeros(1, np.int32), np.zeros(0, np.int32))
         for cols, n in ((empty_bags, 2), (no_ads, 0)):
@@ -273,9 +274,7 @@ class TestNothingToSumKeepsTheTableDtype:
         assert acc.finalize()[1].dtype == dtype
 
     def test_row_sums_of_a_group_empty_in_the_whole_batch(self, dtype):
-        from adctr.models import _row_sum
-
         rows = np.zeros(0, np.intp)
         for values, shape in ((np.zeros((0, 3), dtype), (4, 3)), (np.zeros(0, dtype), (4,))):
-            out = _row_sum(values, rows, 4)
+            out = segment_sum(values, rows, 4)
             assert out.dtype == dtype and out.shape == shape and not out.any()

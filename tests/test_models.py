@@ -5,17 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from adctr.models import (AuxTrace, InteractiveAttentionParams, SelfAttentionParams, Variant,
-                          _aggregate, _aggregate_backward, backward, forward_batch,
-                          init_model, load_model, loss, loss_from_logits, prepare_request,
-                          save_model, score_request)
+from adctr.models import (AuxTrace, Variant, _aggregate, _aggregate_backward, _attention,
+                          _layout, backward, forward_batch, init_model, load_model, loss,
+                          loss_from_logits, prepare_request, save_model, score_request)
 from adctr.numerics import (AdagradState, ContractViolation, adagrad_step, adagrad_step_rows,
                             make_rng, relu, save_tensors, sigmoid)
 from adctr.schema import AUX_GROUPS, FieldKind, FieldSchema, GroupSchema
 from adctr.toy import make_toy_problem
-from adctr.train_eval import TrainConfig, embedding_penalty, train
+from adctr.train_eval import NonFiniteError, TrainConfig, _check_finite, embedding_penalty, train
 from oracles import (InstanceEmbedding, aggregate_interactive_attention, aggregate_pooling,
-                     aggregate_self_attention, embed_instance, forward,
+                     aggregate_self_attention, embed_instance, fc_stack, forward,
                      interactive_attention_pair_form, padded_aggregate, score_alone,
                      score_with_contextual_ads)
 
@@ -25,7 +24,7 @@ def emb(vec, group="clicked"):
 
 
 def zero_params(model):
-    for arr in model.tensors().values():
+    for arr in model.tensors.values():
         arr[...] = 0.0
     return model
 
@@ -56,8 +55,7 @@ class TestPooling:
 
 class TestSelfAttention:
     def test_constant_scorer_gives_uniform_weights(self):
-        params = SelfAttentionParams(w1=np.zeros((3, 2)), b1=np.zeros(3),
-                                     w2=np.zeros(3), b2=np.array([7.0]))
+        params = (np.zeros((3, 2)), np.zeros(3), np.zeros(3), np.array([7.0]))
         ads = [emb([1.0, 0.0]), emb([0.0, 2.0]), emb([3.0, 3.0])]
         agg, alpha = aggregate_self_attention(ads, params)
         np.testing.assert_allclose(alpha, [1 / 3] * 3)
@@ -65,21 +63,20 @@ class TestSelfAttention:
 
     def test_known_scores_give_known_weights(self):
         # beta_i = relu(x_i[0]); scores (0, ln 3) -> weights (1/4, 3/4)
-        params = SelfAttentionParams(w1=np.array([[1.0, 0.0]]), b1=np.zeros(1),
-                                     w2=np.ones(1), b2=np.zeros(1))
+        params = (np.array([[1.0, 0.0]]), np.zeros(1), np.ones(1), np.zeros(1))
         ads = [emb([0.0, 5.0]), emb([math.log(3.0), -1.0])]
         _, alpha = aggregate_self_attention(ads, params)
         np.testing.assert_allclose(alpha, [0.25, 0.75], atol=1e-12)
 
     def test_matches_straight_line_recomputation(self):
         rng = make_rng(8)
-        params = SelfAttentionParams(w1=rng.normal(size=(4, 3)), b1=rng.normal(size=4),
-                                     w2=rng.normal(size=4), b2=rng.normal(size=1))
+        params = (rng.normal(size=(4, 3)), rng.normal(size=4), rng.normal(size=4),
+                  rng.normal(size=1))
         ads = [emb(rng.normal(size=3)) for _ in range(3)]
         agg, alpha = aggregate_self_attention(ads, params)
 
-        beta = [float(params.w2 @ np.maximum(params.w1 @ a.vector + params.b1, 0.0)
-                      + params.b2[0]) for a in ads]
+        w1, b1, w2, b2 = params
+        beta = [float(w2 @ np.maximum(w1 @ a.vector + b1, 0.0) + b2[0]) for a in ads]
         weights = np.exp(beta) / np.exp(beta).sum()
         expected = sum(w * a.vector for w, a in zip(weights, ads))
         np.testing.assert_allclose(alpha, weights, rtol=1e-12)
@@ -88,32 +85,30 @@ class TestSelfAttention:
     def test_weights_on_simplex(self):
         rng = make_rng(9)
         for n in (1, 2, 5):
-            params = SelfAttentionParams(w1=rng.normal(size=(4, 3)), b1=rng.normal(size=4),
-                                         w2=rng.normal(size=4), b2=rng.normal(size=1))
+            params = (rng.normal(size=(4, 3)), rng.normal(size=4), rng.normal(size=4),
+                      rng.normal(size=1))
             ads = [emb(rng.normal(size=3)) for _ in range(n)]
             _, alpha = aggregate_self_attention(ads, params)
             assert np.all(alpha >= 0)
             assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_list_rejected(self):
-        params = SelfAttentionParams(w1=np.zeros((1, 2)), b1=np.zeros(1),
-                                     w2=np.zeros(1), b2=np.zeros(1))
+        params = (np.zeros((1, 2)), np.zeros(1), np.zeros(1), np.zeros(1))
         with pytest.raises(ContractViolation):
             aggregate_self_attention([], params)
 
 
 class TestInteractiveAttention:
     def _params(self, rng, d_t=2, d_g=2, h=3):
-        return InteractiveAttentionParams(w_tc=rng.normal(size=(h, d_t + d_g)),
-                                          b_tc1=rng.normal(size=h),
-                                          h=rng.normal(size=h),
-                                          b_tc2=rng.normal(size=1))
+        # (Wtc, btc1, h, btc2)
+        return (rng.normal(size=(h, d_t + d_g)), rng.normal(size=h), rng.normal(size=h),
+                rng.normal(size=1))
 
     def test_zero_head_reduces_to_sum_pooling(self):
         rng = make_rng(10)
         params = self._params(rng)
-        params.h[...] = 0.0
-        params.b_tc2[...] = 0.0
+        params[2][...] = 0.0
+        params[3][...] = 0.0
         target = emb([0.3, -0.7], "target")
         ads = [emb(rng.normal(size=2)) for _ in range(3)]
         agg, alpha = aggregate_interactive_attention(target, ads, params)
@@ -137,8 +132,8 @@ class TestInteractiveAttention:
         expected_alpha = []
         for a in ads:
             pair = np.concatenate([target.vector, a.vector])
-            score = float(params.h @ np.maximum(params.w_tc @ pair + params.b_tc1, 0.0)
-                          + params.b_tc2[0])
+            w_tc, b_tc1, h, b_tc2 = params
+            score = float(h @ np.maximum(w_tc @ pair + b_tc1, 0.0) + b_tc2[0])
             expected_alpha.append(math.exp(min(score, 30.0)))
         expected = sum(w * a.vector for w, a in zip(expected_alpha, ads))
         np.testing.assert_allclose(alpha, expected_alpha, rtol=1e-12)
@@ -163,8 +158,7 @@ class TestInteractiveAttention:
         assert alpha_all[0] == pytest.approx(alpha_one[0], rel=1e-12)
 
     def test_score_clamp_bounds_weights(self):
-        params = InteractiveAttentionParams(w_tc=np.full((1, 4), 50.0), b_tc1=np.zeros(1),
-                                            h=np.array([50.0]), b_tc2=np.zeros(1))
+        params = (np.full((1, 4), 50.0), np.zeros(1), np.array([50.0]), np.zeros(1))
         target = emb([1.0, 1.0], "target")
         _, alpha = aggregate_interactive_attention(target, [emb([1.0, 1.0])], params)
         assert alpha[0] == pytest.approx(math.exp(30.0))
@@ -246,7 +240,7 @@ class TestRaggedAggregation:
         dense = {}
         _aggregate_backward(model, "clicked", t, x_t, np.ones_like(t.agg), np.zeros_like(x_t),
                             dense)
-        for name, arr in model.tensors().items():
+        for name, arr in model.tensors.items():
             if name.startswith("attn.clicked."):
                 assert dense[name].shape == arr.shape
                 np.testing.assert_array_equal(dense[name], 0.0)
@@ -261,7 +255,7 @@ class TestSplitInteractiveAttention:
         b, s = 6, 4
         x_t = rng.normal(size=(b, model.dim("target")))
         for group in AUX_GROUPS:
-            params = model.attention[group]
+            params = _attention(model, group)
             mask = (rng.random((b, s)) < 0.7).astype(float)
             mask[0] = 0.0  # an example with no ads in this group
             ads = rng.normal(size=(b, s, model.dim(group))) * mask[..., None]
@@ -287,20 +281,20 @@ class TestSplitInteractiveAttention:
         model = build("dstn-i", toy_problem, seed=24)
         pctr, _ = forward_batch(model, examples)
         for ex, got in zip(examples, pctr):
-            x_t = embed_instance(ex.target, model.embedding, schemas["target"]).vector
+            x_t = embed_instance(ex.target, model.tensors["emb.E"], schemas["target"]).vector
             parts = [x_t]
             for group in AUX_GROUPS:
-                vecs = [embed_instance(a, model.embedding, schemas[group]).vector
+                vecs = [embed_instance(a, model.tensors["emb.E"], schemas[group]).vector
                         for a in getattr(ex, group)]
                 agg, _ = aggregate_interactive_attention(
                     emb(x_t, "target"), [emb(v, group) for v in vecs],
-                    model.attention[group], dim=model.dim(group))
+                    _attention(model, group), dim=model.dim(group))
                 parts.append(agg)
             cur = np.concatenate(parts)
-            for w, b in [(model.fusion_w, model.fusion_b)] + model.fc:
+            for w, b in fc_stack(model):
                 cur = relu(w @ cur + b)
-            assert got == pytest.approx(sigmoid(float(model.out_w @ cur + model.out_b[0])),
-                                        abs=1e-12)
+            out_w, out_b = model.tensors["out.w"], model.tensors["out.b"]
+            assert got == pytest.approx(sigmoid(float(out_w @ cur + out_b[0])), abs=1e-12)
 
 
 class TestForward:
@@ -325,8 +319,8 @@ class TestForward:
         model_p = build("dstn-p", toy_problem, seed=5)
         model_i = build("dstn-i", toy_problem, seed=5)
         for group in AUX_GROUPS:
-            model_i.attention[group].h[...] = 0.0
-            model_i.attention[group].b_tc2[...] = 0.0
+            model_i.tensors[f"attn.{group}.h"][...] = 0.0
+            model_i.tensors[f"attn.{group}.btc2"][...] = 0.0
         p_out, _ = forward_batch(model_p, examples)
         i_out, _ = forward_batch(model_i, examples)
         np.testing.assert_allclose(i_out, p_out, atol=1e-12, rtol=0)
@@ -337,26 +331,26 @@ class TestForward:
         schemas, vocab, examples = toy_problem
         model = build("dstn-s", toy_problem, seed=6)
         for group in AUX_GROUPS:
-            att = model.attention[group]
-            att.w1[...] = 0.0
-            att.b1[...] = 0.0
-            att.w2[...] = 0.0
-            att.b2[...] = 3.3
+            w1, b1, w2, b2 = _attention(model, group)
+            w1[...] = 0.0
+            b1[...] = 0.0
+            w2[...] = 0.0
+            b2[...] = 3.3
         s_out, _ = forward_batch(model, examples)
 
         for ex, got in zip(examples, s_out):
-            x_t = embed_instance(ex.target, model.embedding, schemas["target"]).vector
+            x_t = embed_instance(ex.target, model.tensors["emb.E"], schemas["target"]).vector
             parts = [x_t]
             for group in AUX_GROUPS:
                 ads = getattr(ex, group)
-                vecs = np.array([embed_instance(a, model.embedding, schemas[group]).vector
+                vecs = np.array([embed_instance(a, model.tensors["emb.E"], schemas[group]).vector
                                  for a in ads])
                 agg = vecs.mean(axis=0) if len(ads) else np.zeros(model.dim(group))
                 parts.append(agg)
             cur = np.concatenate(parts)
-            for w, b in [(model.fusion_w, model.fusion_b)] + model.fc:
+            for w, b in fc_stack(model):
                 cur = relu(w @ cur + b)
-            expected = sigmoid(float(model.out_w @ cur + model.out_b[0]))
+            expected = sigmoid(float(model.tensors["out.w"] @ cur + model.tensors["out.b"][0]))
             assert got == pytest.approx(expected, abs=1e-12)
 
     def test_empty_group_equals_zero_embedding_ads(self, toy_problem):
@@ -371,7 +365,7 @@ class TestForward:
         for ad in ex.clicked:
             for idx_list in ad.indices:
                 for i in idx_list:
-                    zeroed.embedding.e[i] = 0.0
+                    zeroed.tensors["emb.E"][i] = 0.0
         without, _ = forward(zeroed, dataclasses.replace(ex, clicked=()))
         with_zero, _ = forward(zeroed, ex)
         assert without == pytest.approx(with_zero, abs=1e-15)
@@ -409,7 +403,7 @@ class TestRequestForward:
     def test_matches_forward_batch_per_candidate(self, toy_problem, variant):
         _, _, examples = toy_problem
         model = build(variant, toy_problem, seed=32)
-        model.embedding.e *= 100.0  # pCTRs spread over about 0.25..0.7
+        model.tensors["emb.E"] *= 100.0  # pCTRs spread over about 0.25..0.7
         rng = make_rng(33)
         targets = [ex.target for ex in examples]
         pool = {g: [ad for ex in examples for ad in getattr(ex, g)] for g in AUX_GROUPS}
@@ -432,7 +426,7 @@ class TestRequestForward:
             # contextual ads on a subset
             keep = rng.permutation(n)[: int(rng.integers(1, n + 1))]
             for ctx, idx in (([], np.arange(n)), ([0], keep), (keep[:3], keep[::-1])):
-                got = score_request(model, rows.take(idx), rows.take(ctx) if len(ctx) else ())
+                got = score_request(model, rows.take(idx), rows.take(ctx) if len(ctx) else None)
                 contextual = [cands[i] for i in ctx]
                 want = [score_alone(model, cands[i], contextual, clicked, unclicked) for i in idx]
                 worst = max(worst, float(np.abs(got - want).max()))
@@ -452,7 +446,7 @@ class TestRequestForward:
         reordered = {**schemas, "contextual": GroupSchema("contextual", fields[::-1])}
         model = init_model(variant, reordered, vocab.size, make_rng(35), k=4, fc_dims=(12, 6),
                            attention_dim=5, dropout_p=0.0)
-        model.embedding.e *= 100.0
+        model.tensors["emb.E"] *= 100.0
         model = model.astype(dtype)
         cands = [ex.target for ex in examples[:6]]
         rows = prepare_request(model, cands, examples[0].clicked, examples[0].unclicked)
@@ -558,7 +552,7 @@ class TestCheckpoint:
         path = tmp_path / "odd.ckpt"
         save_tensors(path, {"format": "adctr-ckpt-1", "variant": "XYZ", "k": "4",
                             "dropout_p": "0.0", "schema_hash": "s", "vocab_hash": "v"},
-                     model.tensors())
+                     model.tensors)
         with pytest.raises(ValueError, match="XYZ") as info:
             load_model(path, schemas)
         assert str(path) in str(info.value)
@@ -599,8 +593,8 @@ class TestCheckpoint:
         schemas, _, _ = toy_problem
         model = build(variant, toy_problem, seed=28)
         path = tmp_path / "model.ckpt"
-        for name, arr in model.tensors().items():
-            bad = dict(model.tensors())
+        for name, arr in model.tensors.items():
+            bad = dict(model.tensors)
             bad[name] = np.zeros(arr.shape[:-1] + (arr.shape[-1] + 1,))
             save_tensors(path, {"format": "adctr-ckpt-1", "variant": variant.header_name,
                                 "k": str(model.k), "dropout_p": "0.0", "schema_hash": "s",
@@ -611,7 +605,7 @@ class TestCheckpoint:
     def test_attention_blocks_must_match_the_variant(self, toy_problem, tmp_path):
         schemas, _, _ = toy_problem
         path = tmp_path / "model.ckpt"
-        tensors = build("dstn-i", toy_problem, seed=29).tensors()
+        tensors = build("dstn-i", toy_problem, seed=29).tensors
         header = {"format": "adctr-ckpt-1", "variant": "DSTN-S", "k": "4",
                   "dropout_p": "0.0", "schema_hash": "s", "vocab_hash": "v"}
         save_tensors(path, header, tensors)
@@ -620,6 +614,67 @@ class TestCheckpoint:
         save_tensors(path, {**header, "variant": "DSTN-P"}, tensors)
         with pytest.raises(ValueError, match="unexpected tensors"):
             load_model(path, schemas)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("k", None, "header has no k"),
+        ("k", "x", "header k='x' is not a positive integer"),
+        ("k", "4.0", "header k='4.0' is not a positive integer"),
+        ("k", "0", "header k='0' is not a positive integer"),
+        ("k", "-4", "header k='-4' is not a positive integer"),
+        ("dropout_p", None, "header has no dropout_p"),
+        ("dropout_p", "x", "header dropout_p='x' is not a probability in [0, 1)"),
+        ("dropout_p", "2.0", "header dropout_p='2.0' is not a probability in [0, 1)"),
+        ("dropout_p", "1.0", "header dropout_p='1.0' is not a probability in [0, 1)"),
+        ("dropout_p", "-0.5", "header dropout_p='-0.5' is not a probability in [0, 1)"),
+        ("dropout_p", "nan", "header dropout_p='nan' is not a probability in [0, 1)"),
+    ])
+    def test_a_bad_k_or_dropout_header_is_refused_naming_the_file_and_key(
+            self, toy_problem, tmp_path, key, value, message):
+        schemas, _, _ = toy_problem
+        path = tmp_path / "model.ckpt"
+        header = {"format": "adctr-ckpt-1", "variant": "DNN", "k": "4", "dropout_p": "0.25",
+                  "schema_hash": "s", "vocab_hash": "v"}
+        tensors = build("dnn", toy_problem, seed=38).tensors
+        save_tensors(path, header, tensors)
+        assert load_model(path, schemas)[0].dropout_p == 0.25  # the header as written loads
+        if value is None:
+            del header[key]
+        else:
+            header[key] = value
+        save_tensors(path, header, tensors)
+        with pytest.raises(ValueError) as info:
+            load_model(path, schemas)
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_a_loaded_model_holds_its_tensors_in_layout_order(self, toy_problem, tmp_path,
+                                                             variant, dtype):
+        schemas, vocab, _ = toy_problem
+        fresh = init_model(variant, schemas, vocab.size, make_rng(39), k=4, fc_dims=(12, 6, 3),
+                           attention_dim=5, dtype=dtype)
+        path = tmp_path / "model.ckpt"
+        save_model(path, fresh, "sh", "vh")
+        loaded = load_model(path, schemas)[0]
+        rows = {name: arr.shape[0] for name, arr in fresh.tensors.items() if arr.ndim}
+        layout = list(_layout(variant, schemas, fresh.k, rows))
+        assert list(loaded.tensors) == layout == list(fresh.tensors)
+        # the file's name order is not the layout's (LR's two tensors sort as laid out)
+        assert variant == Variant.LR or sorted(layout) != layout
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_a_reloaded_model_names_the_first_non_finite_gradient_in_layout_order(
+            self, toy_problem, tmp_path):
+        schemas, _, examples = toy_problem
+        path = tmp_path / "model.ckpt"
+        save_model(path, build("dstn-i", toy_problem, seed=40), "sh", "vh")
+        model = load_model(path, schemas)[0]
+        grads = backward(model, forward_batch(model, examples, mode="train")[1])
+        grads.dense["fc2.W"][0, 0] = np.nan  # fc2.W sorts before fusion.W in the file
+        grads.dense["fusion.W"][0, 0] = np.nan
+        with pytest.raises(NonFiniteError, match="^epoch 1, batch 2: non-finite gradient of "
+                                                 "fusion.W$"):
+            _check_finite(model, 1, 2, 0.5, grads)
 
     def test_save_is_byte_deterministic(self, toy_problem, tmp_path):
         model = build("dstn-s", toy_problem, seed=20)
@@ -644,7 +699,7 @@ class TestFloat32:
         no_ads = dataclasses.replace(examples[-1], contextual=(), clicked=(), unclicked=())
         batches = [examples[:-1] + [no_ads],
                    [dataclasses.replace(ex, contextual=()) for ex in examples]]
-        states = {name: AdagradState(lr=0.05) for name in model.tensors()}
+        states = {name: AdagradState(lr=0.05) for name in model.tensors}
         for batch in batches:
             pctr, trace = forward_batch(model, batch, mode="train", rng=make_rng(31))
             assert pctr.dtype == np.float64
@@ -658,14 +713,14 @@ class TestFloat32:
             found += [("grad.emb", grads.emb_grads),
                       ("penalty", embedding_penalty(model, grads.emb_rows,
                                                     np.ones(vocab.size))[1])]
-            for name, arr in model.tensors().items():
+            for name, arr in model.tensors.items():
                 if name == "emb.E":
                     adagrad_step_rows(arr, grads.emb_rows, grads.emb_grads, states[name])
                 else:
                     adagrad_step(arr, grads.dense[name], states[name])
-            found += [(f"param.{n}", a) for n, a in model.tensors().items()]
+            found += [(f"param.{n}", a) for n, a in model.tensors.items()]
             found += [(f"accum.{n}", s.accum) for n, s in states.items()]
-            assert set(grads.dense) | {"emb.E"} == set(model.tensors())
+            assert set(grads.dense) | {"emb.E"} == set(model.tensors)
             upcast = sorted({name for name, arr in found if arr.dtype != np.float32})
             assert not upcast, upcast
 
@@ -694,8 +749,8 @@ class TestFloat32:
         save_model(path, model, "sh", "vh")
         loaded, header = load_model(path, schemas)
         assert header["dtype"] == "float32" and loaded.dtype == np.float32
-        for name, arr in model.tensors().items():
-            assert loaded.tensors()[name].tobytes() == arr.tobytes(), name
+        for name, arr in model.tensors.items():
+            assert loaded.tensors[name].tobytes() == arr.tobytes(), name
         assert forward_batch(loaded, examples)[0].tobytes() == \
             forward_batch(model, examples)[0].tobytes()
         resaved = tmp_path / "again.ckpt"
@@ -714,7 +769,7 @@ class TestFloat32:
         path = tmp_path / "odd.ckpt"
         save_tensors(path, {"format": "adctr-ckpt-1", "variant": "DNN", "k": "4",
                             "dropout_p": "0.0", "schema_hash": "s", "vocab_hash": "v",
-                            "dtype": "float16"}, model.tensors())
+                            "dtype": "float16"}, model.tensors)
         with pytest.raises(ValueError, match="float16") as info:
             load_model(path, schemas)
         assert str(path) in str(info.value)
@@ -724,9 +779,10 @@ class TestFloat32:
                                                                           logit):
         _, _, examples = toy_problem
         model = zero_params(build("dnn", toy_problem, seed=37)).astype(np.float32)
-        model.out_b[...] = logit
+        model.tensors["out.b"][...] = logit
         pctr, _ = forward_batch(model, examples)
-        served = score_request(model, prepare_request(model, [examples[0].target], (), ()), ())
+        served = score_request(model, prepare_request(model, [examples[0].target], (), ()),
+                               None)
         for p in (pctr, served):
             assert p.dtype == np.float64
             assert np.all((p > 0.0) & (p < 1.0))
@@ -756,3 +812,28 @@ def test_float64_warm_start_checkpoint_bytes_are_pinned(tmp_path, variant):
     path = tmp_path / "m.ckpt"
     save_model(path, model, "s", "v")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == FLOAT64_CKPT_SHA256[variant]
+
+
+# sha256 of the checkpoint each variant's fresh float32 training (no warm
+# start) writes below, computed before the parameters moved into one dict of
+# named tensors. A change that alters float32 sums on purpose (ROADMAP item 4)
+# re-pins these and says so.
+FLOAT32_CKPT_SHA256 = {
+    "lr": "f050ca17f3b570144fdbda99bfb1313e32ffd07339f7ea9df8835c08005a6e5a",
+    "dnn": "60533e4688973cab9e6ca1969b103ec8b0d82a47bceb0451eea744aa75adc8ed",
+    "dstn-p": "60f38d8a7a7cc31aa64cbf19626382289941614c1a1c57990c6048ac90347ba6",
+    "dstn-s": "92bac3e73d636a22bf2c8853242d1347e7b00ddcd26973acac719be21a28e342",
+    "dstn-i": "16f25abb1d0d34dba1ef88dd7a879dd7ccd194d378b87530e0e26787d2d1a5f1",
+}
+
+
+@pytest.mark.parametrize("variant", list(FLOAT32_CKPT_SHA256))
+def test_float32_fresh_training_checkpoint_bytes_are_pinned(tmp_path, variant):
+    schemas, vocab, examples = make_toy_problem(seed=3, n_examples=200)
+    config = TrainConfig(variant=variant, epochs=2, batch_size=32, embedding_dim=4,
+                         fc_dims=(16, 8), attention_dim=8, seed=5)
+    model, _ = train(config, examples[:150], examples[150:], schemas, vocab)
+    assert model.dtype == np.float32
+    path = tmp_path / "m.ckpt"
+    save_model(path, model, "s", "v")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FLOAT32_CKPT_SHA256[variant]

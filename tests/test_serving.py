@@ -23,7 +23,7 @@ from oracles import StubRows, StubScorer, reference_handle_line, score_alone
 def zeroed_model(schemas, vocab, variant="dstn-i"):
     model = init_model(Variant(variant), schemas, vocab.size, make_rng(0), k=4,
                        fc_dims=(8, 4), attention_dim=4, dropout_p=0.0)
-    for arr in model.tensors().values():
+    for arr in model.tensors.values():
         arr[...] = 0.0
     return model
 
@@ -68,9 +68,9 @@ class TestScoreBatch:
         scorer = ModelScorer(model)
         ex = train[0]
         candidates = [train[i].target for i in range(5)]
-        forward_order = scorer.score(scorer.prepare(candidates, ex.clicked, ex.unclicked), ())
+        forward_order = scorer.score(scorer.prepare(candidates, ex.clicked, ex.unclicked), None)
         reversed_order = scorer.score(
-            scorer.prepare(candidates[::-1], ex.clicked, ex.unclicked), ())
+            scorer.prepare(candidates[::-1], ex.clicked, ex.unclicked), None)
         np.testing.assert_allclose(forward_order, reversed_order[::-1], rtol=1e-12)
 
 
@@ -160,7 +160,7 @@ class TestModelScorer:
         ds, vocab, train = env
         model = init_model(variant, ds.schemas, vocab.size, make_rng(40), k=4,
                            fc_dims=(8, 4), attention_dim=4, dropout_p=0.0)
-        model.embedding.e *= 100.0
+        model.tensors["emb.E"] *= 100.0
         rng = make_rng(41)
         for trial in range(12):
             n = 1 if trial == 0 else int(rng.integers(2, 9))
@@ -195,7 +195,7 @@ class TestModelScorer:
         ds, vocab, train = env
         model = init_model(variant, ds.schemas, vocab.size, make_rng(44), k=4,
                            fc_dims=(8, 4), attention_dim=4, dropout_p=0.0)
-        model.embedding.e *= 100.0
+        model.tensors["emb.E"] *= 100.0
         history = next(ex for ex in train if ex.clicked and ex.unclicked)
         store = SessionStore()
         for clicked, ads in ((True, history.clicked), (False, history.unclicked)):
@@ -525,7 +525,7 @@ def rank_protocol(tiny_dataset):
     ds, vocab, train, *_ = tiny_dataset
     model = init_model(Variant.DSTN_I, ds.schemas, vocab.size, make_rng(45), k=4,
                        fc_dims=(8, 4), attention_dim=4, dropout_p=0.0)
-    model.embedding.e *= 100.0
+    model.tensors["emb.E"] *= 100.0
     catalog = rank_catalog(train)
     server = RankProtocolServer(AdServer(ModelScorer(model), history_store(train)), catalog,
                                 ds.schemas["target"], vocab)
@@ -641,7 +641,7 @@ def test_concurrent_requests_share_the_catalog_rows(env, monkeypatch):
                         lambda record, *a: encoded.update(record["ad_id"]) or original(record, *a))
     model = init_model(Variant.DSTN_P, ds.schemas, vocab.size, make_rng(49), k=4,
                        fc_dims=(8, 4), attention_dim=4, dropout_p=0.0)
-    model.embedding.e *= 100.0
+    model.tensors["emb.E"] *= 100.0
     catalog = rank_catalog(train)
     server = RankProtocolServer(AdServer(ModelScorer(model), history_store(train)), catalog,
                                 ds.schemas["target"], vocab)

@@ -7,7 +7,7 @@ import pytest
 from adctr import train_eval
 from adctr.embedding import encode_examples
 from adctr.ingest import LabeledExample
-from adctr.models import Variant, init_model, save_model
+from adctr.models import Variant, _attention, init_model, save_model
 from adctr.numerics import make_rng
 from adctr.schema import (AUX_GROUPS, FieldKind, FieldSchema, GroupSchema, build_vocabulary,
                           encode_instance, schemas_hash)
@@ -144,8 +144,8 @@ class TestTrain:
         m1, h1 = train(config, tr[:600], va[:100], ds.schemas, vocab)
         m2, h2 = train(config, tr[:600], va[:100], ds.schemas, vocab)
         assert h1 == h2
-        for name, arr in m1.tensors().items():
-            np.testing.assert_array_equal(arr, m2.tensors()[name])
+        for name, arr in m1.tensors.items():
+            np.testing.assert_array_equal(arr, m2.tensors[name])
 
     def test_zero_learning_rate_changes_nothing(self, tiny_dataset):
         ds, vocab, tr, va, _ = tiny_dataset
@@ -154,8 +154,8 @@ class TestTrain:
         model, _ = train(config, tr[:300], va[:50], ds.schemas, vocab)
         fresh = train(dataclasses.replace(config, epochs=1), tr[:300], va[:50],
                       ds.schemas, vocab)[0]
-        for name, arr in model.tensors().items():
-            np.testing.assert_array_equal(arr, fresh.tensors()[name])
+        for name, arr in model.tensors.items():
+            np.testing.assert_array_equal(arr, fresh.tensors[name])
 
     def test_empty_stream_rejected(self, tiny_dataset):
         ds, vocab, *_ = tiny_dataset
@@ -177,11 +177,11 @@ class TestTrain:
         first, _ = train(config, tr[:300], va[:50], ds.schemas, vocab)
         warm, _ = train(dataclasses.replace(config, learning_rate=0.0),
                         tr[:300], va[:50], ds.schemas, vocab, initial=first)
-        for name, arr in warm.tensors().items():
-            np.testing.assert_array_equal(arr, first.tensors()[name])
+        for name, arr in warm.tensors.items():
+            np.testing.assert_array_equal(arr, first.tensors[name])
         with pytest.raises(ValueError):
             bad = first.clone()
-            bad.embedding.e = bad.embedding.e[:-1]
+            bad.tensors["emb.E"] = bad.tensors["emb.E"][:-1]
             train(config, tr[:300], va[:50], ds.schemas, vocab, initial=bad)
 
     def test_a_fresh_model_is_float32_and_a_warm_start_keeps_its_dtype(self, tiny_dataset):
@@ -189,11 +189,11 @@ class TestTrain:
         config = TrainConfig(variant="dstn-s", epochs=1, seed=4, fc_dims=(8, 4),
                              embedding_dim=3, attention_dim=4)
         fresh, _ = train(config, tr[:300], va[:50], ds.schemas, vocab)
-        assert {arr.dtype for arr in fresh.tensors().values()} == {np.dtype(np.float32)}
+        assert {arr.dtype for arr in fresh.tensors.values()} == {np.dtype(np.float32)}
         for dtype in (np.float64, np.float32):
             warm, _ = train(config, tr[:300], va[:50], ds.schemas, vocab,
                             initial=fresh.astype(dtype))
-            assert {arr.dtype for arr in warm.tensors().values()} == {np.dtype(dtype)}
+            assert {arr.dtype for arr in warm.tensors.values()} == {np.dtype(dtype)}
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_nan_embedding_row_fails_fast_naming_epoch_and_batch(self, tiny_dataset):
@@ -204,7 +204,7 @@ class TestTrain:
         model = init_model(Variant.DNN, ds.schemas, vocab.size, make_rng(9), k=3,
                            fc_dims=(8, 4))
         row = examples[123].target.indices[2][0]  # the ad_id feature of one example
-        model.embedding.e[row, 1] = np.nan
+        model.tensors["emb.E"][row, 1] = np.nan
         # a warm start draws nothing from the seed's stream before the shuffle
         perm = make_rng(config.seed).permutation(len(examples))
         first = min(pos for pos, i in enumerate(perm)
@@ -315,8 +315,8 @@ class TestEmbeddingPenalty:
         schemas, vocab, _ = toy_problem
         model = init_model(Variant.DNN, schemas, vocab.size, make_rng(0), k=2,
                            fc_dims=(4,), attention_dim=2, dropout_p=0.0)
-        model.embedding.e[3] = [1.0, -2.0]
-        model.embedding.e[5] = [0.5, 0.0]
+        model.tensors["emb.E"][3] = [1.0, -2.0]
+        model.tensors["emb.E"][5] = [0.5, 0.0]
         scales = np.zeros(vocab.size)
         scales[3], scales[5] = 0.5, 4.0
         value, grad = embedding_penalty(model, np.array([3, 5]), scales)
@@ -331,8 +331,8 @@ class TestEmbeddingPenalty:
         plain, _ = train(dataclasses.replace(config, embedding_l2=0.0), tr[:300], va[:50],
                          ds.schemas, vocab)
         penalized, _ = train(config, tr[:300], va[:50], ds.schemas, vocab)
-        assert not np.array_equal(plain.embedding.e, penalized.embedding.e)
-        assert np.abs(penalized.embedding.e).sum() < np.abs(plain.embedding.e).sum()
+        assert not np.array_equal(plain.tensors["emb.E"], penalized.tensors["emb.E"])
+        assert np.abs(penalized.tensors["emb.E"]).sum() < np.abs(plain.tensors["emb.E"]).sum()
 
 
 class TestAttentionDump:
@@ -344,22 +344,22 @@ class TestAttentionDump:
         schemas, vocab, examples = toy_problem
         model = init_model(Variant(variant), schemas, vocab.size, make_rng(40), k=4,
                            fc_dims=(6, 3), attention_dim=5)
-        model.embedding.e *= 100.0  # weights well away from uniform
+        model.tensors["emb.E"] *= 100.0  # weights well away from uniform
         _, rows = predict(model, examples, batch_size=5, collect_attention=True)
 
         want = []
         for i, ex in enumerate(examples):
-            x_t = embed_instance(ex.target, model.embedding, schemas["target"])
+            x_t = embed_instance(ex.target, model.tensors["emb.E"], schemas["target"])
             for group in AUX_GROUPS:
-                ads = [embed_instance(a, model.embedding, schemas[group])
+                ads = [embed_instance(a, model.tensors["emb.E"], schemas[group])
                        for a in getattr(ex, group)]
                 if not ads:
                     continue
                 if variant == "dstn-s":
-                    _, alpha = aggregate_self_attention(ads, model.attention[group])
+                    _, alpha = aggregate_self_attention(ads, _attention(model, group))
                 else:
                     _, alpha = aggregate_interactive_attention(
-                        InstanceEmbedding("target", x_t.vector), ads, model.attention[group])
+                        InstanceEmbedding("target", x_t.vector), ads, _attention(model, group))
                 want.extend((i, group, j, w) for j, w in enumerate(alpha))
         assert [r[:3] for r in rows] == [w[:3] for w in want]
         np.testing.assert_allclose([r[3] for r in rows], [w[3] for w in want],
