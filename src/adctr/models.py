@@ -67,8 +67,7 @@ class Variant(str, Enum):
 
     @property
     def header_name(self) -> str:
-        return {"lr": "LR", "dnn": "DNN", "dstn-p": "DSTN-P",
-                "dstn-s": "DSTN-S", "dstn-i": "DSTN-I"}[self.value]
+        return self.value.upper()
 
 
 # Each attention variant's per-group tensors, by checkpoint name suffix: the

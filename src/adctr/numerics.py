@@ -21,6 +21,7 @@ Checkpoint format (binary, version ``TNSR1``):
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 from dataclasses import dataclass
 
@@ -138,37 +139,44 @@ def save_tensors(path, header: dict[str, str], tensors: dict[str, Array]) -> Non
 
 
 def load_tensors(path) -> tuple[dict[str, str], dict[str, Array]]:
-    """Read back a TNSR1 file; inverse of save_tensors."""
+    """Read back a TNSR1 file; inverse of save_tensors. A malformed line (a
+    header line without ``=``, a record line whose dimensions are not exactly
+    ``ndim`` non-negative integers, a line that is not UTF-8), a repeated
+    header key or tensor name, or a cut file is a ``ValueError`` naming the
+    path."""
     with open(path, "rb") as fh:
         if fh.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
             raise ValueError(f"{path}: not a TNSR1 checkpoint")
         header: dict[str, str] = {}
-        while True:
-            line = _read_line(fh)
-            if line == "":
-                break
-            key, _, value = line.partition("=")
+        while line := _read_line(fh, path):
+            key, sep, value = line.partition("=")
+            if not sep or key in header:
+                raise ValueError(f"{path}: bad header line {line!r}")
             header[key] = value
+        size = os.fstat(fh.fileno()).st_size
         tensors: dict[str, Array] = {}
-        while True:
-            meta = _read_line(fh, eof_ok=True)
-            if meta is None:
-                break
-            parts = meta.split(" ")
-            name, ndim = parts[0], int(parts[1])
-            shape = tuple(int(d) for d in parts[2 : 2 + ndim])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
+        while (meta := _read_line(fh, path, eof_ok=True)) is not None:
+            name, *dims = meta.split(" ")
+            if not (dims and all(d.isascii() and d.isdigit() for d in dims)
+                    and int(dims[0]) == len(dims) - 1):
+                raise ValueError(f"{path}: bad tensor record {meta!r}")
+            if name in tensors:
+                raise ValueError(f"{path}: repeated tensor {name!r}")
+            shape = tuple(int(d) for d in dims[1:])
+            nbytes = math.prod(shape) * 8
+            if nbytes > size - fh.tell():  # refused before a read of that size
                 raise ValueError(f"{path}: truncated tensor {name!r}")
-            tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            tensors[name] = np.frombuffer(fh.read(nbytes), dtype="<f8").reshape(shape).copy()
     return header, tensors
 
 
-def _read_line(fh, eof_ok: bool = False) -> str | None:
+def _read_line(fh, path, eof_ok: bool = False) -> str | None:
     line = fh.readline()
     if not line.endswith(b"\n"):
         if eof_ok and not line:
             return None
-        raise ValueError("unexpected end of checkpoint file")
-    return line[:-1].decode("utf-8")
+        raise ValueError(f"{path}: unexpected end of checkpoint file")
+    try:
+        return line[:-1].decode("utf-8")
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: line {line[:-1]!r} is not UTF-8") from None

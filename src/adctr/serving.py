@@ -30,13 +30,14 @@ Wire protocol (one line per message):
     OK <ad_id>:<pctr>:<round> ...   |   ERR <message>
 
 Candidates are catalog ads. Each is encoded once, on its first request, into
-a target-schema row with its user_id bag left open; a request takes its
-candidates' rows and fills that bag with its own user. ``now`` and ``slots``
-are ASCII digits only. A line longer than MAX_LINE_BYTES gets ``ERR line too
-long`` and the connection is closed; a request naming more than
+a target-schema row kept by ad_id with its user_id bag left open; a request
+takes its candidates' rows and fills that bag with its own user. ``now`` and
+``slots`` are ASCII digits only. A line longer than MAX_LINE_BYTES gets ``ERR
+line too long`` and the connection is closed; a request naming more than
 MAX_CANDIDATES candidates gets ``ERR too many candidates``. Each open
-connection holds a thread; one that would exceed MAX_CONNECTIONS gets ``ERR
-too many connections`` and is closed, and one that sends nothing for
+connection holds a thread and one of MAX_CONNECTIONS slots, which it returns
+when it closes or its thread fails to start; one that finds no slot free gets
+``ERR too many connections`` and is closed, and one that sends nothing for
 IDLE_TIMEOUT_SECONDS is closed.
 """
 
@@ -87,14 +88,10 @@ class RankRequest:
             if len(self.columns) != len(self.candidates):
                 raise ValueError("columns must hold one ad per candidate")
             return
-        seen: set = set()
-        deduped = []
+        first: dict = {}
         for c in self.candidates:
-            key = c.identity()
-            if key not in seen:
-                seen.add(key)
-                deduped.append(c)
-        object.__setattr__(self, "candidates", tuple(deduped))
+            first.setdefault(c.identity(), c)
+        object.__setattr__(self, "candidates", tuple(first.values()))
 
 
 @dataclass(frozen=True)
@@ -272,11 +269,11 @@ def write_results(path, results: Sequence[RankResult]) -> None:
 
 class CatalogRows:
     """The catalog's ads as target-schema rows with the user_id bag left
-    empty: per row, its bag lengths in field order, and its indices in one
-    int32 buffer that holds every row, row after row. An ad is encoded on its
-    first request and kept, so the rows grow to the catalog's size at most;
-    an ad that does not encode keeps no row and is refused again each time
-    it is named."""
+    empty, by ad_id: per row, its bag lengths in field order (the user_id bag
+    0), where in its indices the user's bag goes, and its int32 indices. An
+    ad is encoded on its first request and kept, so the rows grow to the
+    catalog's size at most; an ad that does not encode keeps no row and is
+    refused again each time it is named."""
 
     def __init__(self, catalog: Mapping[str, RawRecord], target_schema: GroupSchema,
                  vocab: Vocabulary):
@@ -290,38 +287,22 @@ class CatalogRows:
         self._ad_schema = GroupSchema(target_schema.group, tuple(
             f for f in target_schema.fields if f.name != "user_id"))
         self._lock = threading.Lock()  # serializes encodes
-        self._row: dict[str, int] = {}
-        self._lens = np.zeros((len(self.catalog), len(names)), dtype=np.int32)
-        # per row: where its indices start, where its user_id bag goes, where they end
-        self._spans = np.zeros((len(self.catalog), 3), dtype=np.int64)
-        self._indices = np.zeros(4096, dtype=np.int32)
-        self._end = 0
+        self._row: dict[str, tuple[tuple[int, ...], int, np.ndarray]] = {}
 
-    def _row_of(self, ad_id: str) -> int:
-        """The ad's row, encoded now if it has none. A row is written past the
-        end of the rows before it (into a grown copy of the buffer if need be)
-        and complete before its ad_id is published, so a reader that finds an
-        ad_id finds its row in the buffer it reads next."""
+    def _row_of(self, ad_id: str) -> tuple[tuple[int, ...], int, np.ndarray]:
+        """The ad's row, encoded now if it has none; a row is complete before
+        it is published."""
         with self._lock:
             row = self._row.get(ad_id)
-            if row is not None:
-                return row
-            bags = list(encode_instance(self.catalog[ad_id], self._ad_schema, self.vocab).indices)
-            start = self._end
-            cut = start + sum(map(len, bags[: self._user]))
-            if self._user is not None:
-                bags.insert(self._user, ())
-            flat = [i for bag in bags for i in bag]
-            self._end = start + len(flat)
-            if self._end > len(self._indices):
-                grown = np.zeros(max(2 * len(self._indices), self._end), dtype=np.int32)
-                grown[:start] = self._indices[:start]
-                self._indices = grown
-            self._indices[start : self._end] = flat
-            row = len(self._row)
-            self._lens[row] = [len(bag) for bag in bags]
-            self._spans[row] = start, cut, self._end
-            self._row[ad_id] = row
+            if row is None:
+                bags = list(encode_instance(self.catalog[ad_id], self._ad_schema,
+                                            self.vocab).indices)
+                cut = sum(map(len, bags[: self._user]))
+                if self._user is not None:
+                    bags.insert(self._user, ())
+                row = (tuple(map(len, bags)), cut,
+                       np.array([i for bag in bags for i in bag], dtype=np.int32))
+                self._row[ad_id] = row
             return row
 
     def columns(self, user_id: str, ad_ids: Sequence[str]) -> AdColumns:
@@ -343,16 +324,15 @@ class CatalogRows:
                     # The first field in schema order that fails names the error.
                     encode_instance({**record, "user_id": (user_id,)}, self.schema, self.vocab)
                     raise
-            row = self._row.get(ad_id)
-            rows.append(self._row_of(ad_id) if row is None else row)
-        lens = self._lens[rows]
+            rows.append(self._row.get(ad_id) or self._row_of(ad_id))
+        lens = np.array([row[0] for row in rows], dtype=np.int32)
         if self._user is not None:
             lens[:, self._user] = len(bag)
         offsets = np.zeros(lens.size + 1, dtype=np.int32)
         lens.cumsum(out=offsets[1:])
-        indices, pieces = self._indices, []
-        for start, cut, end in self._spans[rows].tolist():
-            pieces += (indices[start:cut], bag, indices[cut:end])
+        pieces = []
+        for _, cut, flat in rows:
+            pieces += (flat[:cut], bag, flat[cut:])
         return AdColumns(lens.shape[1], offsets, np.concatenate(pieces))
 
 
@@ -395,29 +375,23 @@ class RankProtocolServer:
             daemon_threads = True
 
             def process_request(self, request, client_address):
-                with outer._conn_lock:
-                    admit = outer._connections < MAX_CONNECTIONS
-                    outer._connections += admit
-                if not admit:  # refused before a thread is started for it
+                if not outer._slots.acquire(blocking=False):  # refused before a thread starts
                     request.sendall(b"ERR too many connections\n")
                     self.shutdown_request(request)
                     return
                 try:
                     super().process_request(request, client_address)
                 except BaseException:  # no thread runs to release the slot
-                    with outer._conn_lock:
-                        outer._connections -= 1
+                    outer._slots.release()
                     raise
 
             def process_request_thread(self, request, client_address):
                 try:
                     super().process_request_thread(request, client_address)
                 finally:
-                    with outer._conn_lock:
-                        outer._connections -= 1
+                    outer._slots.release()
 
-        self._conn_lock = threading.Lock()
-        self._connections = 0
+        self._slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
         self._server = Server((host, port), Handler)
         self._thread: threading.Thread | None = None
 
@@ -450,10 +424,10 @@ class RankProtocolServer:
         self._thread.start()
 
     def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread:
+        if self._thread:  # shutdown() waits for the serve_forever loop that start() runs
+            self._server.shutdown()
             self._thread.join(timeout=5)
+        self._server.server_close()
 
 
 def load_catalog(path, target_schema: GroupSchema) -> dict[str, dict[str, tuple[str, ...]]]:

@@ -216,3 +216,25 @@ class TestCheckpointIO:
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(ValueError):
             load_tensors(path)
+
+    @pytest.mark.parametrize("body, named", [
+        (b"k\n\n", "bad header line 'k'"),
+        (b"k=1\nk=2\n\n", "bad header line 'k=2'"),
+        (b"k=1", "unexpected end of checkpoint file"),
+        (b"\nemb.E x 3\n" + bytes(24), "bad tensor record 'emb.E x 3'"),
+        (b"\nemb.E\n", "bad tensor record 'emb.E'"),
+        (b"\nemb.E 2 3\n" + bytes(24), "bad tensor record 'emb.E 2 3'"),
+        (b"\nemb.E 1 3 4\n" + bytes(24), "bad tensor record 'emb.E 1 3 4'"),
+        (b"\nemb.E 1 -3\n", "bad tensor record 'emb.E 1 -3'"),
+        (b"\nemb.E 1 9999999999999\n" + bytes(24), "truncated tensor 'emb.E'"),
+        (b"\nemb.\xff 1 3\n" + bytes(24), "line b'emb.\\xff 1 3' is not UTF-8"),
+        (b"\nemb.E 1 3\n" + bytes(24) + b"emb.E 1 2\n" + bytes(16), "repeated tensor 'emb.E'"),
+    ], ids=["header-without-equals", "repeated-header-key", "cut-header", "dimension-not-a-number",
+            "no-ndim", "fewer-dimensions-than-ndim", "more-dimensions-than-ndim",
+            "negative-dimension", "size-past-the-end", "name-not-utf8", "repeated-tensor"])
+    def test_malformed_line_is_a_value_error_naming_the_file(self, tmp_path, body, named):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(b"TNSR1\n" + body)
+        with pytest.raises(ValueError) as info:
+            load_tensors(path)
+        assert type(info.value) is ValueError and str(info.value) == f"{path}: {named}"

@@ -1,6 +1,8 @@
 import collections
 import re
 import socket
+import socketserver
+import threading
 import time
 
 import numpy as np
@@ -692,6 +694,32 @@ def test_the_first_field_that_fails_in_schema_order_names_the_error(env):
     assert server.handle_line("RANK  40 4 a0061") == "ERR numerical field 'age': bad value 'old'"
 
 
+def test_target_schema_without_user_id_serves_the_ads_own_rows(env):
+    # No user_id field: no bag to fill in, and an empty user is no error.
+    ds, vocab, train = env
+    target = GroupSchema("target", tuple(f for f in ds.schemas["target"].fields
+                                         if f.name != "user_id"))
+    model = init_model(Variant.DSTN_I, {**ds.schemas, "target": target}, vocab.size,
+                       make_rng(51), k=4, fc_dims=(8, 4), attention_dim=4, dropout_p=0.0)
+    model.tensors["emb.E"] *= 100.0
+    server = RankProtocolServer(AdServer(ModelScorer(model), history_store(train)),
+                                rank_catalog(train), target, vocab)
+    good = sorted(ad for ad in server.rows.catalog if ad not in BROKEN_ADS)
+    rng = make_rng(52)
+    winners = set()
+    for i in range(40):
+        picks = [good[int(j)] for j in rng.choice(len(good), size=8, replace=False)]
+        line = f"RANK {('u1', 'u2', '')[i % 3]} 40 {i % 9 + 1} {','.join(picks)}"
+        reply = server.handle_line(line)
+        assert reply.startswith("OK ") and reply == reference_handle_line(server, line)
+        winners.add(reply[3:].split(" ")[0])
+    assert len(winners) > 20
+    for line in (f"RANK u1 40 4 {good[0]},a0061", f"RANK  40 4 a0062,{good[0]}"):
+        assert server.handle_line(line).startswith("ERR ")
+        assert server.handle_line(line) == reference_handle_line(server, line)
+    server.stop()
+
+
 def test_catalog_line_with_an_unknown_field_is_refused_naming_the_line(tmp_path, env):
     ds, vocab, train = env
     path = tmp_path / "catalog.tsv"
@@ -867,6 +895,39 @@ class TestWireProtocol:
             assert reply.startswith(b"OK ")
         finally:
             server.stop()
+
+    def test_failed_handler_thread_start_frees_its_slot(self, env, monkeypatch):
+        monkeypatch.setattr(serving, "MAX_CONNECTIONS", 1)
+        server, ad_ids = self._limits_server(env)
+        original = socketserver.ThreadingMixIn.process_request
+        starts = []
+
+        def fails_once(self, request, client_address):
+            starts.append(client_address)
+            if len(starts) == 1:
+                raise RuntimeError("can't start new thread")
+            return original(self, request, client_address)
+
+        monkeypatch.setattr(socketserver.ThreadingMixIn, "process_request", fails_once)
+        monkeypatch.setattr(server._server, "handle_error", lambda *args: None)
+        server.start()
+        try:
+            with socket.create_connection(server.address, timeout=10) as failed:
+                assert failed.recv(4096) == b""  # closed without a reply
+            with socket.create_connection(server.address, timeout=10) as conn:
+                conn.sendall(f"RANK u1 500 1 {ad_ids[0]}\n".encode("utf-8"))
+                reply = conn.makefile("rb").readline()
+        finally:
+            server.stop()
+        assert len(starts) == 2 and reply == f"OK {ad_ids[0]}:0.500000:1\n".encode("utf-8")
+
+    def test_stop_without_start_returns_and_closes_the_socket(self, env):
+        server, _ = self._limits_server(env)
+        stopper = threading.Thread(target=server.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5)
+        assert not stopper.is_alive()
+        assert server._server.socket.fileno() == -1
 
     def test_too_many_candidates_is_a_named_error(self, env, monkeypatch):
         monkeypatch.setattr(serving, "MAX_CANDIDATES", 2)
