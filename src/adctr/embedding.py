@@ -155,10 +155,11 @@ def embed_matrix(cols: AdColumns, table: Array) -> Array:
 class RowGradAccumulator:
     """Collects embedding-row gradient terms from scatter calls across a batch
     and sums them per touched row, each row's terms in the order collected;
-    the sums come back in the table's dtype."""
+    the sums come back in the table's dtype. ``n``, the table's row count,
+    is not kept: it stays in the signature because the benchmark's layer map
+    counts the buffer by it."""
 
     def __init__(self, n: int, k: int, dtype=np.float64):
-        self.n = n
         self.k = k
         self.dtype = np.dtype(dtype)
         self._rows: list[Array] = []

@@ -114,8 +114,13 @@ def encode_record(record: RawRecord, group_schema: GroupSchema, vocab: Vocabular
         raise ParseError(str(exc), line_number) from None
 
 
+def ad_text(pairs: Iterable[tuple[str, Sequence[str]]]) -> str:
+    """An ad's ``field=value;...`` text from its (field, values) pairs."""
+    return ";".join(f"{name}={','.join(values)}" for name, values in pairs)
+
+
 def serialize_ad(inst: EncodedInstance) -> str:
-    return ";".join(f"{name}={','.join(values)}" for name, values in inst.raw)
+    return ad_text(inst.raw)
 
 
 def parse_uint(text: str, what: str, line_number: int) -> int:
@@ -332,8 +337,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> SyntheticDataset:
     ages = rng.integers(18, 71, size=cfg.n_users)
     store = SessionStore()
 
-    text_of = {ad.ad_id: ";".join(f"{name}={','.join(values)}" for name, values in ad.fields)
-               for ad in ads}
+    text_of = {ad.ad_id: ad_text(ad.fields) for ad in ads}
     lines: list[str] = []
     probs: list[float] = []
     ts = 0

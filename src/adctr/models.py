@@ -5,7 +5,8 @@ logistic loss, and exact manually-derived gradients for every parameter.
 Five variants share one data path:
 
 * ``lr``      - per-feature weights (a 1-dim embedding table) summed over the
-                target ad's features, plus a bias, through a sigmoid.
+                target ad's features, plus a bias, through a sigmoid: no FC
+                layer and no head weights.
 * ``dnn``     - target-ad embedding through the FC stack.
 * ``dstn-p``  - auxiliary groups aggregated by sum pooling.
 * ``dstn-s``  - per-group self-attention: softmax over per-ad scalar scores
@@ -116,10 +117,11 @@ def _attention(model: ModelParams, group: str) -> tuple[Array, Array, Array, Arr
 
 def _fc_layers(tensors: Mapping[str, object]) -> list[str]:
     """The FC layers a model's tensors hold: fusion, then fc2, fc3, ... for
-    as long as their weights are there."""
-    layers = ["fusion"]
-    while f"fc{len(layers) + 1}.W" in tensors:
-        layers.append(f"fc{len(layers) + 1}")
+    as long as their weights are there (none for LR)."""
+    layers, name = [], "fusion"
+    while f"{name}.W" in tensors:
+        layers.append(name)
+        name = f"fc{len(layers) + 1}"
     return layers
 
 
@@ -137,7 +139,7 @@ def _layout(variant: Variant, schemas: Mapping[str, GroupSchema], k: int,
     shapes = {"emb.E": (rows["emb.E"], k)}
     if variant != Variant.LR:
         width = dim("target") + (sum(map(dim, AUX_GROUPS)) if variant.uses_aux else 0)
-        for layer in _fc_layers(rows):
+        for layer in _fc_layers(rows) or ["fusion"]:  # every variant but LR has fusion
             h = rows[f"{layer}.W"]
             shapes[f"{layer}.W"], shapes[f"{layer}.b"] = (h, width), (h,)
             width = h
@@ -160,6 +162,8 @@ def init_model(variant: Variant, schemas: Mapping[str, GroupSchema], vocab_size:
     are drawn in float64, in ``_layout`` order, and rounded to ``dtype``, so
     a seed gives the same model in both precisions up to that rounding."""
     variant = Variant(variant)
+    if min(fc_dims, default=0) < 1:
+        raise ValueError(f"fc_dims must be one or more widths >= 1, got {tuple(fc_dims)}")
     k = 1 if variant == Variant.LR else k
     fc_weights = ["fusion.W"] + [f"fc{i}.W" for i in range(2, len(fc_dims) + 1)]
     rows = defaultdict(lambda: attention_dim, {"emb.E": vocab_size})  # the rest: attention
@@ -203,7 +207,7 @@ class BatchTrace:
     batch: EncodedBatch
     x_t: Array
     aux: dict[str, AuxTrace]
-    m: Array | None
+    m: Array                        # the FC stack's input (LR: x_t)
     pres: list[Array]
     acts: list[Array]               # post-dropout activations of the FC layers
     drop_masks: list[Array | None]
@@ -291,13 +295,6 @@ def forward_batch(model: ModelParams, batch: EncodedBatch | Sequence[LabeledExam
     batch = encode_batch(model, batch)
     tensors = model.tensors
     x_t = embed_matrix(batch.target, tensors["emb.E"])
-
-    if model.variant == Variant.LR:
-        logit = x_t.sum(axis=1) + tensors["out.b"][0]
-        pctr = _pctr(logit)
-        return pctr, BatchTrace(batch=batch, x_t=x_t, aux={}, m=None, pres=[],
-                                acts=[], drop_masks=[], logit=logit, pctr=pctr)
-
     aux: dict[str, AuxTrace] = {}
     if model.variant.uses_aux:
         for group in AUX_GROUPS:
@@ -323,7 +320,8 @@ def forward_batch(model: ModelParams, batch: EncodedBatch | Sequence[LabeledExam
             msk = None
         acts.append(cur)
         masks.append(msk)
-    logit = cur @ tensors["out.w"] + tensors["out.b"][0]
+    head = tensors.get("out.w")  # LR has none: its logit is the sum of its features
+    logit = (cur.sum(axis=1) if head is None else cur @ head) + tensors["out.b"][0]
     pctr = _pctr(logit)
     return pctr, BatchTrace(batch=batch, x_t=x_t, aux=aux, m=m, pres=pres,
                             acts=acts, drop_masks=masks, logit=logit, pctr=pctr)
@@ -483,17 +481,14 @@ def backward(model: ModelParams, trace: BatchTrace) -> Gradients:
     acc = RowGradAccumulator(*tensors["emb.E"].shape, model.dtype)
     dense: dict[str, Array] = {}
 
-    if model.variant == Variant.LR:
-        dense["out.b"] = np.array([dlogit.sum()])
-        up = np.repeat(dlogit[:, None], trace.x_t.shape[1], axis=1)
-        acc.scatter_matrix(enc.target, up)
-        rows, grads = acc.finalize()
-        return Gradients(dense=dense, emb_rows=rows, emb_grads=grads)
-
-    # output head
-    dense["out.w"] = trace.acts[-1].T @ dlogit
+    # output head (LR: a plain sum of the FC stack's input, which is x_t)
+    head = tensors.get("out.w")
+    if head is None:
+        g_cur = np.repeat(dlogit[:, None], trace.m.shape[1], axis=1)
+    else:
+        dense["out.w"] = trace.acts[-1].T @ dlogit
+        g_cur = dlogit[:, None] * head[None, :]
     dense["out.b"] = np.array([dlogit.sum()])
-    g_cur = dlogit[:, None] * tensors["out.w"][None, :]
 
     # FC stack down to the fusion layer
     for i, layer in reversed(list(enumerate(_fc_layers(tensors)))):

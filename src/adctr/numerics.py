@@ -4,9 +4,11 @@ RNG, and tensor checkpoint I/O.
 
 The kernels keep the dtype of the arrays they are given (a model's
 parameters are float64 or float32, and masks and Adagrad accumulators follow
-them); ``sigmoid`` always computes in float64. The RNG is numpy's Philox
-(counter-based), so a given seed produces the same stream on every platform.
-Checkpoints store every tensor as float64, an exact upcast of float32.
+them); ``sigmoid`` always computes in float64. Adagrad's state is the caller's
+accumulator array per tensor; its epsilon is the constant ``ADAGRAD_EPS``.
+The RNG is numpy's Philox (counter-based), so a given seed produces the same
+stream on every platform. Checkpoints store every tensor as float64, an exact
+upcast of float32.
 
 Checkpoint format (binary, version ``TNSR1``):
 
@@ -23,7 +25,6 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,37 +77,24 @@ def dropout_mask(shape, p: float, rng: np.random.Generator, dtype=np.float64) ->
     return (rng.random(shape) >= p).astype(dtype) * (1.0 / (1.0 - p))
 
 
-@dataclass
-class AdagradState:
-    """Per-tensor accumulated squared gradient, in the parameter's dtype, with
-    the step hyperparameters."""
-
-    lr: float = 0.01
-    eps: float = 1e-8
-    accum: Array | None = None
-
-    def _ensure(self, param: Array) -> Array:
-        if self.accum is None:
-            self.accum = np.zeros(param.shape, dtype=param.dtype)
-        return self.accum
+ADAGRAD_EPS = 1e-8  # added to sqrt(G) in every Adagrad denominator
 
 
-def adagrad_step(param: Array, grad: Array, state: AdagradState) -> Array:
-    """One in-place Adagrad update, G += g^2 and param -= lr * g / (sqrt(G) + eps);
-    returns param."""
+def adagrad_step(param: Array, grad: Array, accum: Array, lr: float) -> Array:
+    """One in-place Adagrad update of param and its accumulator G (``accum``):
+    G += g^2 and param -= lr * g / (sqrt(G) + ADAGRAD_EPS); returns param."""
     if param.shape != grad.shape:
         raise ContractViolation(f"param {param.shape} vs grad {grad.shape}")
-    accum = state._ensure(param)
     accum += grad * grad
-    param -= state.lr * grad / (np.sqrt(accum) + state.eps)
+    param -= lr * grad / (np.sqrt(accum) + ADAGRAD_EPS)
     return param
 
 
-def adagrad_step_rows(param: Array, rows: Array, row_grads: Array, state: AdagradState) -> None:
-    """In-place Adagrad update restricted to the given (unique) rows of param."""
-    accum = state._ensure(param)
+def adagrad_step_rows(param: Array, rows: Array, row_grads: Array, accum: Array,
+                      lr: float) -> None:
+    """In-place Adagrad update restricted to the given (unique) rows of param and accum."""
     accum[rows] += row_grads * row_grads
-    param[rows] -= state.lr * row_grads / (np.sqrt(accum[rows]) + state.eps)
+    param[rows] -= lr * row_grads / (np.sqrt(accum[rows]) + ADAGRAD_EPS)
 
 
 _CKPT_MAGIC = b"TNSR1\n"
@@ -115,16 +103,20 @@ _CKPT_MAGIC = b"TNSR1\n"
 def save_tensors(path, header: dict[str, str], tensors: dict[str, Array]) -> None:
     """Write tensors plus a string header in the TNSR1 binary format. The bytes
     go to a temporary file beside ``path`` that replaces it only once complete,
-    so a failed save leaves any earlier file at ``path`` untouched."""
+    so a failed save leaves any earlier file at ``path`` untouched. A header
+    entry or a tensor name that would not read back is refused before
+    anything is written."""
+    for key, value in sorted(header.items()):
+        if "\n" in key or "\n" in str(value) or "=" in key:
+            raise ValueError(f"illegal header entry {key!r}")
+    for name in tensors:
+        if not name or " " in name or "\n" in name:
+            raise ValueError(f"illegal tensor name {name!r}")
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(_CKPT_MAGIC)
-            for key in sorted(header):
-                value = header[key]
-                if "\n" in key or "\n" in str(value) or "=" in key:
-                    raise ValueError(f"illegal header entry {key!r}")
-                fh.write(f"{key}={value}\n".encode("utf-8"))
+            fh.write("".join(f"{key}={header[key]}\n" for key in sorted(header)).encode("utf-8"))
             fh.write(b"\n")
             for name in sorted(tensors):
                 arr = np.ascontiguousarray(tensors[name], dtype="<f8")

@@ -1,11 +1,11 @@
-"""Small random problem builders shared by the gradient checker and tests."""
+"""Small random problem builders shared by the gradient checker and tests; a
+toy problem is written as impression-log lines and read by the log parser."""
 
 from __future__ import annotations
 
-from .ingest import LabeledExample
+from .ingest import LabeledExample, ad_text, iter_group_records, parse_log_line
 from .numerics import make_rng
-from .schema import (FieldKind, FieldSchema, GroupSchema, Vocabulary,
-                     build_vocabulary, encode_instance)
+from .schema import FieldKind, FieldSchema, GroupSchema, Vocabulary, build_vocabulary
 
 _LETTERS = "abcdefghij"
 _N_USERS = 6
@@ -38,7 +38,7 @@ def make_toy_problem(seed: int = 0, n_examples: int = 10
     schemas = toy_schemas()
     ads = [{"aid": (f"a{i}",), "ttl": (_random_title(rng),)} for i in range(_N_ADS)]
 
-    raw_examples = []
+    lines = []
     for i in range(n_examples):
         target = {"uid": (f"u{int(rng.integers(0, _N_USERS))}",),
                   "aff": (repr(round(float(rng.uniform(0, 2)), 3)),),
@@ -46,28 +46,13 @@ def make_toy_problem(seed: int = 0, n_examples: int = 10
         counts = {g: int(rng.integers(0, 4)) for g in ("contextual", "clicked", "unclicked")}
         if i == 0:
             counts = {g: max(1, c) for g, c in counts.items()}  # exercise every group
-        groups = {g: [ads[int(rng.integers(0, _N_ADS))] for _ in range(c)]
-                  for g, c in counts.items()}
-        raw_examples.append((int(rng.integers(0, 2)), target, groups))
+        groups = [[ads[int(rng.integers(0, _N_ADS))] for _ in range(c)] for c in counts.values()]
+        label = int(rng.integers(0, 2))
+        lines.append("\t".join([str(label), str(i), target["uid"][0], ad_text(target.items())]
+                               + ["|".join(ad_text(ad.items()) for ad in g) for g in groups]))
 
-    stream = []
-    for _, target, groups in raw_examples:
-        stream.append(("target", target))
-        stream.extend((g, ad) for g, lst in groups.items() for ad in lst)
-    vocab = build_vocabulary(stream, schemas)
-
-    examples = []
-    for i, (label, target, groups) in enumerate(raw_examples):
-        examples.append(LabeledExample(
-            label=label,
-            timestamp=i,
-            user_id=target["uid"][0],
-            target=encode_instance(target, schemas["target"], vocab),
-            contextual=tuple(encode_instance(a, schemas["contextual"], vocab)
-                             for a in groups["contextual"]),
-            clicked=tuple(encode_instance(a, schemas["clicked"], vocab)
-                          for a in groups["clicked"]),
-            unclicked=tuple(encode_instance(a, schemas["unclicked"], vocab)
-                            for a in groups["unclicked"]),
-        ))
+    vocab = build_vocabulary(iter_group_records(lines), schemas)
+    cache: dict = {}
+    examples = [parse_log_line(line, schemas, vocab, line_number=i, cache=cache)
+                for i, line in enumerate(lines, start=1)]
     return schemas, vocab, examples

@@ -14,7 +14,7 @@ from .embedding import EncodedBatch
 from .ingest import LabeledExample, read_config
 from .models import (BatchTrace, Gradients, ModelParams, Variant, backward, encode_batch,
                      forward_batch, init_model, loss, loss_from_logits)
-from .numerics import AdagradState, Array, adagrad_step, adagrad_step_rows, make_rng
+from .numerics import Array, adagrad_step, adagrad_step_rows, make_rng
 from .schema import AUX_GROUPS, GroupSchema, Vocabulary
 from .toy import make_toy_problem
 
@@ -53,6 +53,13 @@ class TrainConfig:
     embedding_l2: float = 2.0
     seed: int = 0
     ablate: str | None = None  # keep only this auxiliary group
+
+    def __post_init__(self):
+        for name in ("batch_size", "embedding_dim", "attention_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if min(self.fc_dims, default=0) < 1:
+            raise ValueError(f"fc_dims must be one or more widths >= 1, got {self.fc_dims!r}")
 
     @classmethod
     def from_json(cls, path, **overrides) -> "TrainConfig":
@@ -122,7 +129,7 @@ def train(config: TrainConfig, train_examples: EncodedBatch | Sequence[LabeledEx
                            k=config.embedding_dim, fc_dims=config.fc_dims,
                            attention_dim=config.attention_dim, dropout_p=config.dropout,
                            dtype=np.float32)
-    states = {name: AdagradState(lr=config.learning_rate) for name in model.tensors}
+    accum = {name: np.zeros_like(arr) for name, arr in model.tensors.items()}
     row_scales = embedding_row_scales(vocab, config.embedding_l2)
     train_set = encode_batch(model, train_examples)
     val_set = encode_batch(model, val_examples)
@@ -146,9 +153,10 @@ def train(config: TrainConfig, train_examples: EncodedBatch | Sequence[LabeledEx
             total_loss += batch_loss * len(batch)
             for name, arr in model.tensors.items():
                 if name == "emb.E":
-                    adagrad_step_rows(arr, grads.emb_rows, grads.emb_grads, states[name])
+                    adagrad_step_rows(arr, grads.emb_rows, grads.emb_grads, accum[name],
+                                      config.learning_rate)
                 else:
-                    adagrad_step(arr, grads.dense[name], states[name])
+                    adagrad_step(arr, grads.dense[name], accum[name], config.learning_rate)
         entry = {"epoch": epoch, "train_loss": total_loss / n}
         if len(val_set):
             report = evaluate(model, val_set)
@@ -282,13 +290,8 @@ def _kink_distance(trace: BatchTrace) -> float:
     Central differences are invalid if a pre-activation sits within the step
     of zero, so the checker re-seeds until the batch is clear of kinks.
     """
-    dist = np.inf
-    for pre in trace.pres:
-        dist = min(dist, float(np.abs(pre).min()))
-    for t in trace.aux.values():
-        if t.pre is not None and t.pre.size:
-            dist = min(dist, float(np.abs(t.pre).min()))
-    return dist
+    pres = trace.pres + [t.pre for t in trace.aux.values() if t.pre is not None]
+    return min((float(np.abs(pre).min()) for pre in pres if pre.size), default=np.inf)
 
 
 def grad_check(variant, tolerance: float = 1e-4, seed: int = 0) -> GradCheckReport:
@@ -324,9 +327,7 @@ def grad_check(variant, tolerance: float = 1e-4, seed: int = 0) -> GradCheckRepo
     report = GradCheckReport(variant=variant.value, tolerance=tolerance)
     for name, arr in model.tensors.items():
         fd = np.zeros_like(arr)
-        it = np.nditer(arr, flags=["multi_index"])
-        while not it.finished:
-            ix = it.multi_index
+        for ix in np.ndindex(arr.shape):
             orig = arr[ix]
             arr[ix] = orig + _FD_STEP
             up = batch_loss()
@@ -334,7 +335,6 @@ def grad_check(variant, tolerance: float = 1e-4, seed: int = 0) -> GradCheckRepo
             down = batch_loss()
             arr[ix] = orig
             fd[ix] = (up - down) / (2.0 * _FD_STEP)
-            it.iternext()
         a = analytic[name]
         # The floor keeps structurally-zero gradients (e.g. the softmax score
         # bias, which is shift-invariant) from dividing roundoff by roundoff.

@@ -8,7 +8,7 @@ import pytest
 from adctr.models import (AuxTrace, Variant, _aggregate, _aggregate_backward, _attention,
                           _layout, backward, forward_batch, init_model, load_model, loss,
                           loss_from_logits, prepare_request, save_model, score_request)
-from adctr.numerics import (AdagradState, ContractViolation, adagrad_step, adagrad_step_rows,
+from adctr.numerics import (ContractViolation, adagrad_step, adagrad_step_rows,
                             make_rng, relu, save_tensors, sigmoid)
 from adctr.schema import AUX_GROUPS, FieldKind, FieldSchema, GroupSchema
 from adctr.toy import make_toy_problem
@@ -699,7 +699,7 @@ class TestFloat32:
         no_ads = dataclasses.replace(examples[-1], contextual=(), clicked=(), unclicked=())
         batches = [examples[:-1] + [no_ads],
                    [dataclasses.replace(ex, contextual=()) for ex in examples]]
-        states = {name: AdagradState(lr=0.05) for name in model.tensors}
+        accum = {name: np.zeros_like(arr) for name, arr in model.tensors.items()}
         for batch in batches:
             pctr, trace = forward_batch(model, batch, mode="train", rng=make_rng(31))
             assert pctr.dtype == np.float64
@@ -715,11 +715,11 @@ class TestFloat32:
                                                     np.ones(vocab.size))[1])]
             for name, arr in model.tensors.items():
                 if name == "emb.E":
-                    adagrad_step_rows(arr, grads.emb_rows, grads.emb_grads, states[name])
+                    adagrad_step_rows(arr, grads.emb_rows, grads.emb_grads, accum[name], 0.05)
                 else:
-                    adagrad_step(arr, grads.dense[name], states[name])
+                    adagrad_step(arr, grads.dense[name], accum[name], 0.05)
             found += [(f"param.{n}", a) for n, a in model.tensors.items()]
-            found += [(f"accum.{n}", s.accum) for n, s in states.items()]
+            found += [(f"accum.{n}", a) for n, a in accum.items()]
             assert set(grads.dense) | {"emb.E"} == set(model.tensors)
             upcast = sorted({name for name, arr in found if arr.dtype != np.float32})
             assert not upcast, upcast

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from adctr.numerics import (AdagradState, ContractViolation, adagrad_step, adagrad_step_rows,
+from adctr.numerics import (ADAGRAD_EPS, ContractViolation, adagrad_step, adagrad_step_rows,
                             dropout_mask, load_tensors, make_rng, relu, save_tensors, sigmoid)
 from oracles import dropout, linear
 
@@ -75,69 +75,69 @@ class TestDropout:
 
 class TestAdagrad:
     def test_first_step(self):
-        state = AdagradState(lr=0.1, eps=0.0)
-        out = adagrad_step(np.array([1.0]), np.array([3.0]), state)
-        np.testing.assert_allclose(state.accum, [9.0])
+        accum = np.zeros(1)
+        out = adagrad_step(np.array([1.0]), np.array([3.0]), accum, 0.1)
+        np.testing.assert_allclose(accum, [9.0])
         np.testing.assert_allclose(out, [1.0 - 0.1])
 
     def test_zero_grad_is_noop(self):
-        state = AdagradState(lr=0.1, eps=1e-8)
+        accum = np.zeros(2)
         param = np.array([2.0, -1.0])
-        out = adagrad_step(param, np.zeros(2), state)
+        out = adagrad_step(param, np.zeros(2), accum, 0.1)
         np.testing.assert_array_equal(out, [2.0, -1.0])
-        np.testing.assert_array_equal(state.accum, np.zeros(2))
+        np.testing.assert_array_equal(accum, np.zeros(2))
 
     def test_accumulation_shrinks_steps(self):
-        state = AdagradState(lr=1.0, eps=0.0)
-        p = adagrad_step(np.array([0.0]), np.array([1.0]), state)
+        accum = np.zeros(1)
+        p = adagrad_step(np.array([0.0]), np.array([1.0]), accum, 1.0)
         np.testing.assert_allclose(p, [-1.0])
-        p = adagrad_step(p, np.array([1.0]), state)
+        p = adagrad_step(p, np.array([1.0]), accum, 1.0)
         np.testing.assert_allclose(p, [-1.0 - 1.0 / math.sqrt(2)])
 
     def test_step_bounded_by_learning_rate(self):
         rng = make_rng(7)
-        state = AdagradState(lr=0.05, eps=1e-8)
+        lr, accum = 0.05, np.zeros(20)
         param = rng.normal(size=20)
         for _ in range(10):
             grad = rng.normal(size=20) * 10
             before = param.copy()
-            adagrad_step(param, grad, state)
-            assert np.all(np.abs(param - before) <= state.lr + 1e-12)
+            adagrad_step(param, grad, accum, lr)
+            assert np.all(np.abs(param - before) <= lr + 1e-12)
 
     def test_step_is_in_place_and_equals_the_formula_bitwise(self):
         rng = make_rng(8)
-        state = AdagradState(lr=0.03, eps=1e-8, accum=rng.random((4, 5)))
+        lr, state = 0.03, rng.random((4, 5))
         param, grad = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
-        accum = state.accum + grad * grad
-        expected = param - state.lr * grad / (np.sqrt(accum) + state.eps)
-        out = adagrad_step(param, grad, state)
+        accum = state + grad * grad
+        expected = param - lr * grad / (np.sqrt(accum) + ADAGRAD_EPS)
+        out = adagrad_step(param, grad, state, lr)
         assert out is param
         assert param.tobytes() == expected.tobytes()
-        assert state.accum.tobytes() == accum.tobytes()
+        assert state.tobytes() == accum.tobytes()
 
     def test_repeated_steps_keep_the_formula_bitwise(self):
         rng = make_rng(10)
-        state = AdagradState(lr=0.03, eps=1e-8)
+        lr, state = 0.03, np.zeros((3, 4))
         param = rng.normal(size=(3, 4))
         expected, accum = param.copy(), np.zeros((3, 4))
         for _ in range(3):
             grad = rng.normal(size=(3, 4))
             accum = accum + grad * grad
-            expected = expected - state.lr * grad / (np.sqrt(accum) + state.eps)
-            adagrad_step(param, grad, state)
+            expected = expected - lr * grad / (np.sqrt(accum) + ADAGRAD_EPS)
+            adagrad_step(param, grad, state, lr)
         assert param.tobytes() == expected.tobytes()
-        assert state.accum.tobytes() == accum.tobytes()
+        assert state.tobytes() == accum.tobytes()
 
     def test_float32_steps_stay_float32(self):
         rng = make_rng(11)
-        dense, rowwise = AdagradState(lr=0.03), AdagradState(lr=0.03)
         param = rng.normal(size=(4, 3)).astype(np.float32)
         table = param.copy()
+        dense, rowwise = np.zeros_like(param), np.zeros_like(table)
         for _ in range(2):
             grad = rng.normal(size=(4, 3)).astype(np.float32)
-            adagrad_step(param, grad, dense)
-            adagrad_step_rows(table, np.array([0, 2]), grad[[0, 2]], rowwise)
-        for arr in (param, dense.accum, table, rowwise.accum):
+            adagrad_step(param, grad, dense, 0.03)
+            adagrad_step_rows(table, np.array([0, 2]), grad[[0, 2]], rowwise, 0.03)
+        for arr in (param, dense, table, rowwise):
             assert arr.dtype == np.float32
 
     def test_row_update_matches_dense(self):
@@ -148,10 +148,31 @@ class TestAdagrad:
         rows = np.array([1, 4])
         row_grads = rng.normal(size=(2, 3))
         grad[rows] = row_grads
-        sa, sb = AdagradState(lr=0.2), AdagradState(lr=0.2)
-        dense = adagrad_step(param_a, grad, sa)
-        adagrad_step_rows(param_b, rows, row_grads, sb)
+        sa, sb = np.zeros_like(param_a), np.zeros_like(param_b)
+        dense = adagrad_step(param_a, grad, sa, 0.2)
+        adagrad_step_rows(param_b, rows, row_grads, sb, 0.2)
         np.testing.assert_allclose(param_b, dense)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_row_steps_equal_the_formula_bitwise(self, dtype):
+        rng = make_rng(12)
+        lr = 0.07
+        start = rng.normal(size=(6, 3)).astype(dtype)
+        start_accum = rng.random((6, 3)).astype(dtype)
+        param, accum = start.copy(), start_accum.copy()
+        expected, expected_accum = start.copy(), start_accum.copy()
+        for rows in (np.array([1, 4]), np.array([0, 4, 5])):
+            row_grads = rng.normal(size=(len(rows), 3)).astype(dtype)
+            g = expected_accum[rows] + row_grads * row_grads
+            expected_accum[rows] = g
+            expected[rows] = expected[rows] - lr * row_grads / (np.sqrt(g) + ADAGRAD_EPS)
+            adagrad_step_rows(param, rows, row_grads, accum, lr)
+        assert param.dtype == accum.dtype == dtype
+        assert param.tobytes() == expected.tobytes()
+        assert accum.tobytes() == expected_accum.tobytes()
+        untouched = [2, 3]  # neither step names these rows
+        assert param[untouched].tobytes() == start[untouched].tobytes()
+        assert accum[untouched].tobytes() == start_accum[untouched].tobytes()
 
 
 def test_rng_is_deterministic_counter_based():
@@ -188,6 +209,16 @@ class TestCheckpointIO:
         good = path.read_bytes()
         with pytest.raises(ValueError, match="illegal header"):
             save_tensors(path, {"a=b": "1"}, {"w": np.arange(3.0)})
+        assert path.read_bytes() == good
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+    @pytest.mark.parametrize("name", ["", "a b", "a\nb", " ", "w\n"])
+    def test_a_tensor_name_no_record_line_can_hold_is_refused(self, tmp_path, name):
+        path = tmp_path / "model.ckpt"
+        save_tensors(path, {"k": "1"}, {"w": np.arange(2.0)})
+        good = path.read_bytes()
+        with pytest.raises(ValueError, match="illegal tensor name"):
+            save_tensors(path, {"k": "1"}, {"w": np.arange(3.0), name: np.zeros(2)})
         assert path.read_bytes() == good
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 

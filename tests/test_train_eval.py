@@ -11,6 +11,7 @@ from adctr.models import Variant, _attention, init_model, save_model
 from adctr.numerics import make_rng
 from adctr.schema import (AUX_GROUPS, FieldKind, FieldSchema, GroupSchema, build_vocabulary,
                           encode_instance, schemas_hash)
+from adctr.toy import toy_schemas
 from adctr.train_eval import (EvalReport, MetricUndefinedError, TrainConfig, auc,
                               embedding_penalty, embedding_row_scales, NonFiniteError,
                               evaluate, grad_check, logloss_eval, predict, train)
@@ -224,6 +225,24 @@ class TestTrain:
         with pytest.raises(ValueError,
                            match=r"train\.json: unknown TrainConfig key\(s\) \['patience'\]"):
             TrainConfig.from_json(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("batch_size", 0), ("embedding_dim", 0), ("attention_dim", -1),
+        ("fc_dims", ()), ("fc_dims", (8, 0)),
+    ])
+    def test_a_size_below_one_is_refused_naming_the_key(self, tmp_path, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            TrainConfig(**{key: value})
+        path = tmp_path / "train.json"
+        path.write_text(f'{{"{key}": {list(value) if key == "fc_dims" else value}}}',
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            TrainConfig.from_json(path)
+        if key == "fc_dims":  # the model builder refuses the same widths
+            schemas = toy_schemas()
+            for variant in Variant:
+                with pytest.raises(ValueError, match="^fc_dims must be"):
+                    init_model(variant, schemas, 10, make_rng(0), fc_dims=value)
 
     def test_defaults_are_the_reference_operating_point(self):
         config = TrainConfig()
