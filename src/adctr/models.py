@@ -189,7 +189,7 @@ def init_model(variant: Variant, schemas: Mapping[str, GroupSchema], vocab_size:
 class AuxTrace:
     """One auxiliary group of a batch, ragged: one row per ad that exists."""
 
-    cols: AdColumns | None          # the group's ads in batch order (None: served embedded)
+    cols: AdColumns | None          # the group's ads in batch order
     n: int                          # examples in the batch
     row_idx: Array                  # (T,) example of each ad, non-decreasing
     ads: Array                      # (T, D_g) embeddings
@@ -245,10 +245,7 @@ def _pad_aux(model: ModelParams, offsets: Array, cols: AdColumns) -> AuxTrace:
 
 
 def _aggregate(model: ModelParams, t: AuxTrace, group: str, x_t: Array) -> None:
-    """Aggregate one group's ads into ``t.agg``, one row per example. The ads
-    of a one-example trace may be shared by every row of ``x_t``: pooling and
-    self-attention then aggregate once, (1, D_g), and interactive attention
-    computes the ads' ``W_a`` half once and broadcasts it to every row."""
+    """Aggregate one group's ads into ``t.agg``, one row per example."""
     if model.variant == Variant.DSTN_P:
         t.agg = segment_sum(t.ads, t.row_idx, t.n)
         return
@@ -263,14 +260,8 @@ def _aggregate(model: ModelParams, t: AuxTrace, group: str, x_t: Array) -> None:
         t.alpha = e / segment_sum(e, t.row_idx, t.n)[t.row_idx]
     else:  # interactive: W_tc = [W_t | W_a], so [x_t, ad] W_tc^T = x_t W_t^T + ad W_a^T
         d_t = x_t.shape[1]
-        proj = t.ads @ w[:, d_t:].T
-        if len(x_t) != t.n:  # one example's ads, shared by every row of x_t
-            t.n, per = len(x_t), len(t.ads)
-            t.row_idx = np.arange(t.n).repeat(per)
-            ad = np.arange(t.n * per) % max(per, 1)
-            t.ads, proj = t.ads[ad], proj[ad]
         t.pre = (x_t @ w[:, :d_t].T + b1)[t.row_idx]
-        t.pre += proj
+        t.pre += t.ads @ w[:, d_t:].T
         t.hid = relu(t.pre)
         t.raw_score = t.hid @ w2 + b2[0]
         t.alpha = np.exp(np.minimum(t.raw_score, SCORE_CLAMP))
@@ -333,11 +324,95 @@ def forward_batch(model: ModelParams, batch: EncodedBatch | Sequence[LabeledExam
 #
 # The candidates of one serving request share their clicked and unclicked
 # ads, and the fusion layer is linear in m = [x_t, ctx, clk, unclk]. So the
-# history is embedded and aggregated once per request, its fusion terms are
-# summed once, and a round with contextual ads adds only agg_ctx W_ctx^T
-# before the layers above the fusion layer run. The contextual ads are
+# fusion pre-activation is summed group by group: x_t W_t^T + b, then each
+# history group's aggregate times its block of the fusion weights, once per
+# request; a round with contextual ads adds only that group's term before the
+# layers above the fusion layer run. A group with no ads adds nothing.
+# Pooling and self-attention aggregate the shared ads once, (1, D_g).
+# Interactive attention splits its hidden layer as x_t W_t^T + b1, once per
+# candidate, plus ads W_a^T, once per ad, adds the two as one (n, m, H)
+# broadcast and weights the ads per candidate. The contextual ads are
 # candidates of the same request (round 2's winner), so their embeddings are
 # read out of the prepared rows instead of being encoded and embedded again.
+# The weight blocks, halves and copies a request reads are laid out once per
+# model, in a ``RequestPlan``.
+
+class RequestPlan:
+    """What the request forward reads of a model beyond its tensors, laid out
+    once per model: each group's block of the fusion weights and, for
+    interactive attention, each attention block's target and ad halves
+    (views into ``model.tensors``), the contextual column index, and one
+    copy, the FC layers above fusion as contiguous ``(W^T, b)`` pairs
+    (``x @ W.T`` on the strided view runs about twice as slowly at serving's
+    few rows). So a plan serves the model as it was when the plan was built:
+    a change to the model's tensors reaches the views but not the copy, and
+    needs a new plan."""
+
+    def __init__(self, model: ModelParams):
+        tensors, d_t = model.tensors, model.dim("target")
+        self.model = model
+        self.fusion: dict[str, Array] = {}  # group -> (H_1, D_g) block of fusion.W
+        self.halves: dict[str, tuple[Array, Array]] = {}  # group -> (W_t, W_a), DSTN-I
+        self.contextual: Array | None = None  # the target columns of the contextual fields
+        self.fc: list[tuple[Array, Array]] = []  # the layers above fusion, (W^T, b)
+        layers = _fc_layers(tensors)
+        if not layers:  # LR
+            return
+        lo = 0
+        for group in ("target",) + (AUX_GROUPS if model.variant.uses_aux else ()):
+            self.fusion[group] = tensors["fusion.W"][:, lo : lo + model.dim(group)]
+            lo += model.dim(group)
+        for layer in layers[1:]:
+            wt = np.ascontiguousarray(tensors[f"{layer}.W"].T)
+            wt.flags.writeable = False  # a write here would not reach the model
+            self.fc.append((wt, tensors[f"{layer}.b"]))
+        for group in AUX_GROUPS if model.variant == Variant.DSTN_I else ():
+            w = _attention(model, group)[0]
+            self.halves[group] = (w[:, :d_t], w[:, d_t:])
+        if model.variant.uses_aux:
+            segment = {name: i for i, name in enumerate(model.schemas["target"].field_names)}
+            try:
+                fields = [segment[f.name] for f in model.schemas["contextual"].fields]
+            except KeyError as exc:
+                raise ContractViolation(f"a target ad has no field {exc.args[0]!r} of group "
+                                        f"'contextual'") from None
+            k = model.k
+            self.contextual = (np.array(fields)[:, None] * k + np.arange(k)).ravel()
+
+    def aggregate(self, group: str, ads: Array, x_t: Array) -> Array:
+        """The group's aggregate of embedded ads (one row each, at least one)
+        shared by every row of x_t: (1, D_g) for pooling and self-attention,
+        (n, D_g) for interactive attention."""
+        variant = self.model.variant
+        if variant == Variant.DSTN_P:
+            return ads.sum(axis=0, keepdims=True)
+        w, b1, w2, b2 = _attention(self.model, group)
+        if variant == Variant.DSTN_S:  # a softmax over the ads' scores
+            score = relu(ads @ w.T + b1) @ w2 + b2[0]
+            e = np.exp(score - score.max())
+            alpha = (e / e.sum())[None]
+        else:  # interactive: per candidate, unnormalized weights on every ad
+            w_t, w_a = self.halves[group]
+            hid = relu((x_t @ w_t.T + b1)[:, None, :] + ads @ w_a.T)
+            alpha = np.exp(np.minimum(hid @ w2 + b2[0], SCORE_CLAMP))
+        return np.einsum("nm,md->nd", alpha, ads)
+
+    def add_group(self, pre: Array, group: str, ads: Array, x_t: Array) -> Array:
+        """``pre`` plus the group's fusion term, ``aggregate @ W_g^T``; a group
+        with no ads adds nothing."""
+        if not len(ads):
+            return pre
+        return pre + self.aggregate(group, ads, x_t) @ self.fusion[group].T
+
+    def top(self, pre: Array) -> Array:
+        """pCTRs from fusion pre-activations: the layers above the fusion
+        layer, then the head."""
+        cur = relu(pre)
+        for wt, b in self.fc:
+            cur = relu(cur @ wt + b)
+        tensors = self.model.tensors
+        return _pctr(cur @ tensors["out.w"] + tensors["out.b"][0])
+
 
 @dataclass(frozen=True)
 class RequestRows:
@@ -357,79 +432,39 @@ class RequestRows:
         return RequestRows(self.x_t[rows], self.pre[rows])
 
 
-def _shared_agg(model: ModelParams, group: str, ads: Array, x_t: Array) -> Array:
-    """The group's aggregate of embedded ads (one row each) shared by every
-    row of x_t: (1, D_g) for pooling and self-attention, (n, D_g) for
-    interactive attention."""
-    t = AuxTrace(cols=None, n=1, row_idx=np.zeros(len(ads), dtype=np.intp), ads=ads,
-                 alpha=np.ones(len(ads), dtype=ads.dtype))
-    _aggregate(model, t, group, x_t)
-    return t.agg
-
-
-def _fusion_term(model: ModelParams, group: str, agg: Array) -> Array:
-    """agg W_g^T, where W_g is the fusion weights' block for the group."""
-    lo = model.dim("target") + sum(model.dim(g) for g in AUX_GROUPS[:AUX_GROUPS.index(group)])
-    return agg @ model.tensors["fusion.W"][:, lo : lo + model.dim(group)].T
-
-
-def _as_contextual(model: ModelParams, x_t: Array) -> Array:
-    """Target-ad embeddings read as contextual ads: per contextual field, the
-    target segment of the same name. ``embed_matrix`` sums the same bags in
-    the same order either way, so this is bit for bit the embedding of those
-    ads encoded under the contextual schema."""
-    k = model.k
-    segment = {name: i for i, name in enumerate(model.schemas["target"].field_names)}
-    try:
-        fields = [segment[f.name] for f in model.schemas["contextual"].fields]
-    except KeyError as exc:
-        raise ContractViolation(f"a target ad has no field {exc.args[0]!r} of group "
-                                f"'contextual'") from None
-    return x_t[:, (np.array(fields)[:, None] * k + np.arange(k)).ravel()]
-
-
-def prepare_request(model: ModelParams, candidates: AdColumns | Sequence[EncodedInstance],
+def prepare_request(plan: RequestPlan, candidates: AdColumns | Sequence[EncodedInstance],
                     clicked: Sequence[EncodedInstance],
                     unclicked: Sequence[EncodedInstance]) -> RequestRows:
     """Eval-mode work shared by every round of one request: embed the
-    candidates (target columns, or target ads) and the history once,
-    aggregate the history (once for DSTN-P/S; per candidate for DSTN-I, whose
-    ad half is computed once) and sum the fusion pre-activation without its
-    contextual term."""
+    candidates (target columns, or target ads) and the history once, and sum
+    the fusion pre-activation without its contextual term."""
+    model = plan.model
     if not isinstance(candidates, AdColumns):
         candidates = AdColumns.from_instances(candidates, model.schemas["target"])
-    tensors = model.tensors
-    x_t = embed_matrix(candidates, tensors["emb.E"])
+    x_t = embed_matrix(candidates, model.tensors["emb.E"])
     if model.variant == Variant.LR:
-        return RequestRows(x_t, x_t.sum(axis=1) + tensors["out.b"][0])
-    pre = x_t @ tensors["fusion.W"][:, : x_t.shape[1]].T + tensors["fusion.b"]
-    if model.variant.uses_aux:
-        for group, ads in (("clicked", clicked), ("unclicked", unclicked)):
+        return RequestRows(x_t, x_t.sum(axis=1) + model.tensors["out.b"][0])
+    pre = x_t @ plan.fusion["target"].T + model.tensors["fusion.b"]
+    for group, ads in (("clicked", clicked), ("unclicked", unclicked)):
+        if ads and group in plan.fusion:
             cols = AdColumns.from_instances(ads, model.schemas[group])
-            agg = _shared_agg(model, group, embed_matrix(cols, tensors["emb.E"]), x_t)
-            pre += _fusion_term(model, group, agg)
+            pre = plan.add_group(pre, group, embed_matrix(cols, model.tensors["emb.E"]), x_t)
     return RequestRows(x_t, pre)
 
 
-def score_request(model: ModelParams, rows: RequestRows,
+def score_request(plan: RequestPlan, rows: RequestRows,
                   contextual: RequestRows | None) -> Array:
     """Eval-mode pCTRs of prepared candidates with the given contextual ads
     (the same for every row): prepared rows of the same request, read by
     field name, or None for none. Add the contextual group's fusion term,
     which LR and DNN do not have, then run the layers above the fusion
     layer."""
-    if model.variant == Variant.LR:
+    if plan.model.variant == Variant.LR:
         return _pctr(rows.pre)
-    tensors = model.tensors
     pre = rows.pre
-    if contextual is not None and model.variant.uses_aux:
-        ads = _as_contextual(model, contextual.x_t)
-        pre = pre + _fusion_term(model, "contextual",
-                                 _shared_agg(model, "contextual", ads, rows.x_t))
-    cur = relu(pre)
-    for layer in _fc_layers(tensors)[1:]:
-        cur = relu(cur @ tensors[f"{layer}.W"].T + tensors[f"{layer}.b"])
-    return _pctr(cur @ tensors["out.w"] + tensors["out.b"][0])
+    if contextual is not None and plan.contextual is not None:
+        pre = plan.add_group(pre, "contextual", contextual.x_t[:, plan.contextual], rows.x_t)
+    return plan.top(pre)
 
 
 # ---------------------------------------------------------------------------

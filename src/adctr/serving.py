@@ -10,7 +10,8 @@ remaining candidates with the winner as the single contextual ad, its
 contextual-schema fields read by name out of the winner's round-1 embedding,
 and keeps the top slots-1 of them. The re-scoring round runs exactly once.
 The work both rounds share (the candidates, the history, the fusion
-pre-activation without its contextual term) is done once per request.
+pre-activation without its contextual term) is done once per request, and
+what every request reads of the model is laid out once per scorer.
 
 Event log (TSV), timestamps non-decreasing per user; requests are served in
 file order and behavior events reach the store in (timestamp, file order):
@@ -54,7 +55,7 @@ import numpy as np
 from .embedding import AdColumns
 from .ingest import ParseError, encode_record, parse_ad, parse_uint, read_record
 # forward_batch is not called here: perfbench's span test reads serving.forward_batch.
-from .models import (ModelParams, RequestRows, forward_batch,  # noqa: F401
+from .models import (ModelParams, RequestPlan, RequestRows, forward_batch,  # noqa: F401
                      prepare_request, score_request)
 from .schema import (EncodedInstance, EncodeError, GroupSchema, RawRecord, Vocabulary,
                      encode_field, encode_instance)
@@ -108,22 +109,23 @@ class RankResult:
 
 
 class ModelScorer:
-    """Model-server half. ``prepare`` does the eval-mode work a request's
-    candidates share in every round, once per request (they share one
-    clicked and one unclicked history); ``score`` gives the pCTRs of prepared
-    rows under the given contextual ads (None for none), in row order, and
-    counts forwards (rows scored)."""
+    """Model-server half, serving the model as it was when the scorer was
+    built (its ``RequestPlan``). ``prepare`` does the eval-mode work a
+    request's candidates share in every round, once per request (they share
+    one clicked and one unclicked history); ``score`` gives the pCTRs of
+    prepared rows under the given contextual ads (None for none), in row
+    order, and counts forwards (rows scored)."""
 
     def __init__(self, model: ModelParams):
-        self.model = model
+        self.plan = RequestPlan(model)
         self.forward_count = 0
 
     def prepare(self, candidates, clicked, unclicked) -> RequestRows:
-        return prepare_request(self.model, candidates, clicked, unclicked)
+        return prepare_request(self.plan, candidates, clicked, unclicked)
 
     def score(self, rows: RequestRows, contextual: RequestRows | None) -> list[float]:
         self.forward_count += len(rows)
-        return score_request(self.model, rows, contextual).tolist()
+        return score_request(self.plan, rows, contextual).tolist()
 
 
 def rank_request(scorer, store: SessionStore, req: RankRequest) -> RankResult:

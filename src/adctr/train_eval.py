@@ -55,11 +55,17 @@ class TrainConfig:
     ablate: str | None = None  # keep only this auxiliary group
 
     def __post_init__(self):
-        for name in ("batch_size", "embedding_dim", "attention_dim"):
+        for name in ("batch_size", "epochs", "embedding_dim", "attention_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if min(self.fc_dims, default=0) < 1:
             raise ValueError(f"fc_dims must be one or more widths >= 1, got {self.fc_dims!r}")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout!r}")
+        if not self.embedding_l2 >= 0.0:
+            raise ValueError(f"embedding_l2 must be >= 0, got {self.embedding_l2!r}")
 
     @classmethod
     def from_json(cls, path, **overrides) -> "TrainConfig":

@@ -21,11 +21,11 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from adctr.embedding import AdColumns, EncodedBatch
+from adctr.embedding import AdColumns, EncodedBatch, embed_matrix
 from adctr.ingest import (LabeledExample, ParseError, _parse_fields, _split_line, parse_uint,
                           read_record, serialize_ad)
-from adctr.models import (SCORE_CLAMP, Variant, _aggregate, _attention, _fc_layers, _fusion_term,
-                          _pad_aux, _pctr, forward_batch)
+from adctr.models import (SCORE_CLAMP, RequestPlan, Variant, _attention, _fc_layers, _pctr,
+                          forward_batch)
 from adctr.numerics import Array, ContractViolation, dropout_mask, relu
 from adctr.serving import MAX_CANDIDATES, RankRequest, _encode_candidate, ad_display_id
 from adctr.schema import (AUX_GROUPS, GROUPS, EncodedInstance, EncodeError, GroupSchema,
@@ -405,22 +405,21 @@ def improvement_metrics(auc_variant: float, auc_dnn: float,
     return abs_imp, abs_imp / avg_aux_count
 
 
-def score_with_contextual_ads(model, rows, contextual: Sequence[EncodedInstance]) -> Array:
+def score_with_contextual_ads(plan: RequestPlan, rows,
+                              contextual: Sequence[EncodedInstance]) -> Array:
     """``score_request`` with the contextual ads encoded by field name under
     the contextual schema and embedded afresh, as round 2 scored its winner
-    before it read the winner's prepared row."""
+    before it read the winner's prepared row; the contextual term and the
+    layers above fusion run through the plan."""
+    model = plan.model
     if model.variant == Variant.LR:
         return _pctr(rows.pre)
     pre = rows.pre
-    if contextual and model.variant.uses_aux:
+    if contextual and plan.contextual is not None:
         cols = AdColumns.from_instances(contextual, model.schemas["contextual"])
-        t = _pad_aux(model, np.array([0, len(cols)]), cols)
-        _aggregate(model, t, "contextual", rows.x_t)
-        pre = pre + _fusion_term(model, "contextual", t.agg)
-    cur = relu(pre)
-    for w, b in fc_stack(model)[1:]:
-        cur = relu(cur @ w.T + b)
-    return _pctr(cur @ model.tensors["out.w"] + model.tensors["out.b"][0])
+        ads = embed_matrix(cols, model.tensors["emb.E"])
+        pre = plan.add_group(pre, "contextual", ads, rows.x_t)
+    return plan.top(pre)
 
 
 def reference_handle_line(server, line: str) -> str:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -18,6 +19,12 @@ from adctr.train_eval import (EvalReport, MetricUndefinedError, TrainConfig, auc
 from oracles import (InstanceEmbedding, aggregate_interactive_attention,
                      aggregate_self_attention, average_aux_count, embed_instance,
                      improvement_metrics, reference_ablate)
+
+
+def no_steps(monkeypatch):
+    """Switch off training's Adagrad updates."""
+    monkeypatch.setattr(train_eval, "adagrad_step", lambda param, *args: param)
+    monkeypatch.setattr(train_eval, "adagrad_step_rows", lambda *args: None)
 
 
 def auc_bruteforce(scores, labels):
@@ -148,10 +155,11 @@ class TestTrain:
         for name, arr in m1.tensors.items():
             np.testing.assert_array_equal(arr, m2.tensors[name])
 
-    def test_zero_learning_rate_changes_nothing(self, tiny_dataset):
+    def test_nothing_but_the_optimizer_step_changes_the_model(self, tiny_dataset, monkeypatch):
+        # With the Adagrad steps switched off, two epochs leave the model as one does.
         ds, vocab, tr, va, _ = tiny_dataset
-        config = TrainConfig(variant="dnn", epochs=2, seed=4, learning_rate=0.0,
-                             fc_dims=(8, 4), embedding_dim=3)
+        no_steps(monkeypatch)
+        config = TrainConfig(variant="dnn", epochs=2, seed=4, fc_dims=(8, 4), embedding_dim=3)
         model, _ = train(config, tr[:300], va[:50], ds.schemas, vocab)
         fresh = train(dataclasses.replace(config, epochs=1), tr[:300], va[:50],
                       ds.schemas, vocab)[0]
@@ -171,13 +179,14 @@ class TestTrain:
         best = max(h["val_auc"] for h in history)
         assert evaluate(model, va).auc == pytest.approx(best, abs=1e-12)
 
-    def test_warm_start_continues_from_checkpoint(self, tiny_dataset):
+    def test_warm_start_continues_from_checkpoint(self, tiny_dataset, monkeypatch):
         ds, vocab, tr, va, _ = tiny_dataset
         config = TrainConfig(variant="dnn", epochs=1, seed=4, fc_dims=(8, 4),
                              embedding_dim=3)
         first, _ = train(config, tr[:300], va[:50], ds.schemas, vocab)
-        warm, _ = train(dataclasses.replace(config, learning_rate=0.0),
-                        tr[:300], va[:50], ds.schemas, vocab, initial=first)
+        with monkeypatch.context() as patch:  # with the steps switched off, nothing moves
+            no_steps(patch)
+            warm, _ = train(config, tr[:300], va[:50], ds.schemas, vocab, initial=first)
         for name, arr in warm.tensors.items():
             np.testing.assert_array_equal(arr, first.tensors[name])
         with pytest.raises(ValueError):
@@ -243,6 +252,24 @@ class TestTrain:
             for variant in Variant:
                 with pytest.raises(ValueError, match="^fc_dims must be"):
                     init_model(variant, schemas, 10, make_rng(0), fc_dims=value)
+
+    @pytest.mark.parametrize("key, value", [
+        ("epochs", 0), ("epochs", -2), ("learning_rate", 0.0), ("learning_rate", -0.01),
+        ("learning_rate", math.nan), ("learning_rate", math.inf), ("dropout", 1.0),
+        ("dropout", -0.1), ("dropout", math.nan), ("embedding_l2", -1.0),
+        ("embedding_l2", math.nan),
+    ])
+    def test_a_value_training_cannot_use_is_refused_naming_the_key(self, tmp_path, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            TrainConfig(**{key: value})
+        path = tmp_path / "train.json"
+        path.write_text(json.dumps({key: value}), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            TrainConfig.from_json(path)
+
+    def test_the_edges_of_each_range_are_accepted(self):
+        config = TrainConfig(epochs=1, learning_rate=1e-300, dropout=0.0, embedding_l2=0.0)
+        assert (config.epochs, config.dropout, config.embedding_l2) == (1, 0.0, 0.0)
 
     def test_defaults_are_the_reference_operating_point(self):
         config = TrainConfig()
