@@ -11,14 +11,16 @@ order (an empty bag contributes a zero segment).
 Examples are encoded once into int32 columns (``EncodedBatch``); a
 mini-batch is a fancy index over example ids, and gather and scatter work on
 whole columns with no Python loop per example or per ad. Both sum with
-``numerics.segment_sum``.
+``numerics.segment_sum``. Serving embeds an ad once and keeps its row by the
+ad's value (``EmbeddedAds``).
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -71,13 +73,18 @@ class AdColumns:
         winner, a target-group ad, as contextual); a field name means the
         same vocabulary rows in every group."""
         n_fields = len(schema.fields)
-        fields = [inst.indices if inst.group == schema.group else _fields_by_name(inst, schema)
-                  for inst in instances]
-        lens = [len(idx) for per_ad in fields for idx in per_ad]
-        if len(lens) != n_fields * len(instances):
+        bags = [idx for inst in instances for idx in (
+            inst.indices if inst.group == schema.group else _fields_by_name(inst, schema))]
+        if len(bags) != n_fields * len(instances):
             raise ContractViolation("an instance does not have the fields of its group schema")
-        offsets = np.fromiter(accumulate(lens, initial=0), dtype=np.int32, count=len(lens) + 1)
-        flat = chain.from_iterable(chain.from_iterable(fields))
+        return cls.from_bags(n_fields, bags)
+
+    @classmethod
+    def from_bags(cls, n_fields: int, bags: Sequence[Sequence[int]]) -> "AdColumns":
+        """Ads given as their index bags, ``n_fields`` per ad in field order."""
+        offsets = np.fromiter(accumulate(map(len, bags), initial=0), dtype=np.int32,
+                              count=len(bags) + 1)
+        flat = chain.from_iterable(bags)
         return cls(n_fields, offsets, np.fromiter(flat, dtype=np.int32, count=int(offsets[-1])))
 
     def take(self, ads: Array) -> "AdColumns":
@@ -150,6 +157,44 @@ def embed_matrix(cols: AdColumns, table: Array) -> Array:
     _check_bounds(cols.indices, len(table))
     segment = np.arange(segs).repeat(cols.offsets[1:] - cols.offsets[:-1])
     return segment_sum(table[cols.indices], segment, segs).reshape(len(cols), cols.n_fields * k)
+
+
+class EmbeddedAds:
+    """Ads of one group embedded through ``table`` once and kept by value.
+    ``take`` reads back the rows of ads named before; the others are encoded
+    by the caller's ``encode(ads) -> AdColumns`` and embedded in one
+    ``embed_matrix`` call, whose block is kept with each ad's row in it
+    (``index[ad] = (block, row)``, no array per row). So the rows grow to the
+    distinct ads named, and an ad whose encoding fails keeps none. Only a
+    request that names an ad with no row takes the lock, which makes each ad
+    embedded once; the others read the index without it, and an entry is
+    published only once its block is complete."""
+
+    def __init__(self, table: Array):
+        self.table = table
+        self.index: dict = {}
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def take(self, ads: Sequence, encode: Callable[[list], AdColumns]) -> Array:
+        """A new (len(ads), D_g) array of the rows of ``ads`` (at least one),
+        in the order given."""
+        index = self.index
+        try:
+            kept = [index[ad] for ad in ads]
+        except KeyError:
+            with self._lock:
+                misses = [ad for ad in dict.fromkeys(ads) if ad not in index]
+                if misses:  # another thread may have embedded them meanwhile
+                    block = embed_matrix(encode(misses), self.table)
+                    index.update(zip(misses, ((block, i) for i in range(len(misses)))))
+            kept = [index[ad] for ad in ads]
+        out = np.empty((len(kept), kept[0][0].shape[1]), dtype=self.table.dtype)
+        for j, (block, i) in enumerate(kept):
+            out[j] = block[i]
+        return out
 
 
 class RowGradAccumulator:

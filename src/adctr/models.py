@@ -44,8 +44,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .embedding import (AdColumns, EncodedBatch, RowGradAccumulator, embed_matrix,
-                        encode_examples, group_dim)
+from .embedding import (AdColumns, EmbeddedAds, EncodedBatch, RowGradAccumulator,
+                        embed_matrix, encode_examples, group_dim)
 from .ingest import LabeledExample
 from .numerics import Array, ContractViolation, dropout_mask, relu, segment_sum, sigmoid
 from .schema import AUX_GROUPS, EncodedInstance, GroupSchema
@@ -271,7 +271,8 @@ def _aggregate(model: ModelParams, t: AuxTrace, group: str, x_t: Array) -> None:
 def _pctr(logit: Array) -> Array:
     """float64 pCTRs whatever the logit's dtype: in float32 the upper clip
     ``1 - PCTR_EPS`` would round to 1.0."""
-    return np.clip(sigmoid(logit.astype(np.float64, copy=False)), PCTR_EPS, 1.0 - PCTR_EPS)
+    return np.minimum(np.maximum(sigmoid(logit.astype(np.float64, copy=False)), PCTR_EPS),
+                      1.0 - PCTR_EPS)
 
 
 def forward_batch(model: ModelParams, batch: EncodedBatch | Sequence[LabeledExample],
@@ -335,41 +336,50 @@ def forward_batch(model: ModelParams, batch: EncodedBatch | Sequence[LabeledExam
 # candidates of the same request (round 2's winner), so their embeddings are
 # read out of the prepared rows instead of being encoded and embedded again.
 # The weight blocks, halves and copies a request reads are laid out once per
-# model, in a ``RequestPlan``.
+# model, in a ``RequestPlan``, which also keeps each history ad's embedded
+# row once it has been named.
 
 class RequestPlan:
     """What the request forward reads of a model beyond its tensors, laid out
-    once per model: each group's block of the fusion weights and, for
-    interactive attention, each attention block's target and ad halves
-    (views into ``model.tensors``), the contextual column index, and one
-    copy, the FC layers above fusion as contiguous ``(W^T, b)`` pairs
-    (``x @ W.T`` on the strided view runs about twice as slowly at serving's
-    few rows). So a plan serves the model as it was when the plan was built:
-    a change to the model's tensors reaches the views but not the copy, and
-    needs a new plan."""
+    once per model: two copies, the FC layers' weights as contiguous,
+    read-only ``W^T`` (``x @ W.T`` on the strided view runs about 1.7 times
+    as slowly at serving's few rows), with each group's block of the fusion
+    weights a row slice of fusion's copy and each layer above fusion a
+    ``(W^T, b)`` pair; for interactive attention, each attention block's
+    target and ad halves (views into ``model.tensors``); the contextual
+    column index; and the clicked and unclicked ads' embedded rows
+    (``EmbeddedAds``, empty until a request names an ad). So a plan serves
+    the model as it was when the plan was built: a change to the model's
+    tensors reaches the views but not the copies or the rows, and needs a
+    new plan."""
 
     def __init__(self, model: ModelParams):
         tensors, d_t = model.tensors, model.dim("target")
         self.model = model
-        self.fusion: dict[str, Array] = {}  # group -> (H_1, D_g) block of fusion.W
+        self.fusion: dict[str, Array] = {}  # group -> (D_g, H_1) rows of fusion's W^T
         self.halves: dict[str, tuple[Array, Array]] = {}  # group -> (W_t, W_a), DSTN-I
         self.contextual: Array | None = None  # the target columns of the contextual fields
         self.fc: list[tuple[Array, Array]] = []  # the layers above fusion, (W^T, b)
+        self.history: dict[str, EmbeddedAds] = {}  # clicked, unclicked -> their ads' rows
         layers = _fc_layers(tensors)
         if not layers:  # LR
             return
-        lo = 0
-        for group in ("target",) + (AUX_GROUPS if model.variant.uses_aux else ()):
-            self.fusion[group] = tensors["fusion.W"][:, lo : lo + model.dim(group)]
-            lo += model.dim(group)
-        for layer in layers[1:]:
+        wts = []
+        for layer in layers:
             wt = np.ascontiguousarray(tensors[f"{layer}.W"].T)
             wt.flags.writeable = False  # a write here would not reach the model
-            self.fc.append((wt, tensors[f"{layer}.b"]))
+            wts.append(wt)
+        self.fc = [(wt, tensors[f"{layer}.b"]) for wt, layer in zip(wts[1:], layers[1:])]
+        lo = 0
+        for group in ("target",) + (AUX_GROUPS if model.variant.uses_aux else ()):
+            self.fusion[group] = wts[0][lo : lo + model.dim(group)]
+            lo += model.dim(group)
         for group in AUX_GROUPS if model.variant == Variant.DSTN_I else ():
             w = _attention(model, group)[0]
             self.halves[group] = (w[:, :d_t], w[:, d_t:])
         if model.variant.uses_aux:
+            self.history = {group: EmbeddedAds(tensors["emb.E"])
+                            for group in ("clicked", "unclicked")}
             segment = {name: i for i, name in enumerate(model.schemas["target"].field_names)}
             try:
                 fields = [segment[f.name] for f in model.schemas["contextual"].fields]
@@ -402,7 +412,7 @@ class RequestPlan:
         with no ads adds nothing."""
         if not len(ads):
             return pre
-        return pre + self.aggregate(group, ads, x_t) @ self.fusion[group].T
+        return pre + self.aggregate(group, ads, x_t) @ self.fusion[group]
 
     def top(self, pre: Array) -> Array:
         """pCTRs from fusion pre-activations: the layers above the fusion
@@ -432,23 +442,26 @@ class RequestRows:
         return RequestRows(self.x_t[rows], self.pre[rows])
 
 
-def prepare_request(plan: RequestPlan, candidates: AdColumns | Sequence[EncodedInstance],
+def prepare_request(plan: RequestPlan, candidates: Array | Sequence[EncodedInstance],
                     clicked: Sequence[EncodedInstance],
                     unclicked: Sequence[EncodedInstance]) -> RequestRows:
-    """Eval-mode work shared by every round of one request: embed the
-    candidates (target columns, or target ads) and the history once, and sum
-    the fusion pre-activation without its contextual term."""
+    """Eval-mode work shared by every round of one request: take the
+    candidates' embedded target rows (given, or embedded here from target
+    ads) and the history ads' rows kept by the plan, and sum the fusion
+    pre-activation without its contextual term."""
     model = plan.model
-    if not isinstance(candidates, AdColumns):
-        candidates = AdColumns.from_instances(candidates, model.schemas["target"])
-    x_t = embed_matrix(candidates, model.tensors["emb.E"])
+    x_t = candidates
+    if not isinstance(candidates, np.ndarray):
+        cols = AdColumns.from_instances(candidates, model.schemas["target"])
+        x_t = embed_matrix(cols, model.tensors["emb.E"])
     if model.variant == Variant.LR:
         return RequestRows(x_t, x_t.sum(axis=1) + model.tensors["out.b"][0])
-    pre = x_t @ plan.fusion["target"].T + model.tensors["fusion.b"]
+    pre = x_t @ plan.fusion["target"] + model.tensors["fusion.b"]
     for group, ads in (("clicked", clicked), ("unclicked", unclicked)):
-        if ads and group in plan.fusion:
-            cols = AdColumns.from_instances(ads, model.schemas[group])
-            pre = plan.add_group(pre, group, embed_matrix(cols, model.tensors["emb.E"]), x_t)
+        if ads and group in plan.history:
+            schema = model.schemas[group]
+            rows = plan.history[group].take(ads, lambda new: AdColumns.from_instances(new, schema))
+            pre = plan.add_group(pre, group, rows, x_t)
     return RequestRows(x_t, pre)
 
 

@@ -47,11 +47,9 @@ def relu(x: Array) -> Array:
 def sigmoid(s):
     """Numerically stable logistic function; scalar in, scalar out."""
     s = np.asarray(s, dtype=np.float64)
-    out = np.empty_like(s)
-    pos = s >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
-    es = np.exp(s[~pos])
-    out[~pos] = es / (1.0 + es)
+    e = np.exp(-np.abs(s))  # exp(-s) where s >= 0, else exp(s): it never overflows
+    d = 1.0 + e
+    out = np.where(s >= 0, 1.0 / d, e / d)
     return float(out) if out.ndim == 0 else out
 
 

@@ -10,8 +10,9 @@ remaining candidates with the winner as the single contextual ad, its
 contextual-schema fields read by name out of the winner's round-1 embedding,
 and keeps the top slots-1 of them. The re-scoring round runs exactly once.
 The work both rounds share (the candidates, the history, the fusion
-pre-activation without its contextual term) is done once per request, and
-what every request reads of the model is laid out once per scorer.
+pre-activation without its contextual term) is done once per request, what
+every request reads of the model is laid out once per scorer, and each
+history ad is embedded once per scorer.
 
 Event log (TSV), timestamps non-decreasing per user; requests are served in
 file order and behavior events reach the store in (timestamp, file order):
@@ -30,15 +31,16 @@ Wire protocol (one line per message):
     RANK <user_id> <now> <slots> <ad_id,ad_id,...>
     OK <ad_id>:<pctr>:<round> ...   |   ERR <message>
 
-Candidates are catalog ads. Each is encoded once, on its first request, into
-a target-schema row kept by ad_id with its user_id bag left open; a request
-takes its candidates' rows and fills that bag with its own user. ``now`` and
-``slots`` are ASCII digits only. A line longer than MAX_LINE_BYTES gets ``ERR
-line too long`` and the connection is closed; a request naming more than
-MAX_CANDIDATES candidates gets ``ERR too many candidates``. Each open
-connection holds a thread and one of MAX_CONNECTIONS slots, which it returns
-when it closes or its thread fails to start; one that finds no slot free gets
-``ERR too many connections`` and is closed, and one that sends nothing for
+Candidates are catalog ads. Each is encoded and embedded once, on its first
+request, into a target row of the scorer's model kept by ad_id with its
+user_id segment left zero; a request stacks its candidates' rows and writes
+its own user's segment into them. ``now`` and ``slots`` are ASCII digits
+only. A line longer than MAX_LINE_BYTES gets ``ERR line too long`` and the
+connection is closed; a request naming more than MAX_CANDIDATES candidates
+gets ``ERR too many candidates``. Each open connection holds a thread and
+one of MAX_CONNECTIONS slots, which it returns when it closes or its thread
+fails to start; one that finds no slot free gets ``ERR too many
+connections`` and is closed, and one that sends nothing for
 IDLE_TIMEOUT_SECONDS is closed.
 """
 
@@ -52,11 +54,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .embedding import AdColumns
+from .embedding import AdColumns, EmbeddedAds, embed_matrix
 from .ingest import ParseError, encode_record, parse_ad, parse_uint, read_record
 # forward_batch is not called here: perfbench's span test reads serving.forward_batch.
 from .models import (ModelParams, RequestPlan, RequestRows, forward_batch,  # noqa: F401
                      prepare_request, score_request)
+from .numerics import Array
 from .schema import (EncodedInstance, EncodeError, GroupSchema, RawRecord, Vocabulary,
                      encode_field, encode_instance)
 from .session import SessionStore
@@ -70,7 +73,7 @@ IDLE_TIMEOUT_SECONDS = 300  # a RANK connection that sends nothing this long is 
 @dataclass(frozen=True)
 class RankRequest:
     """Candidates are target-group ads, of which a repeat is dropped; or,
-    with ``columns`` (their target columns, one ad per candidate), distinct
+    with ``rows`` (their embedded target rows, one per candidate), distinct
     catalog ad_ids."""
 
     request_id: str
@@ -78,16 +81,16 @@ class RankRequest:
     now: int
     candidates: tuple[EncodedInstance, ...] | tuple[str, ...]
     slots: int = 4
-    columns: AdColumns | None = None
+    rows: Array | None = None
 
     def __post_init__(self):
         if not self.candidates:
             raise ValueError("rank request needs at least one candidate")
         if self.slots < 1:
             raise ValueError("slots must be >= 1")
-        if self.columns is not None:
-            if len(self.columns) != len(self.candidates):
-                raise ValueError("columns must hold one ad per candidate")
+        if self.rows is not None:
+            if len(self.rows) != len(self.candidates):
+                raise ValueError("rows must hold one row per candidate")
             return
         first: dict = {}
         for c in self.candidates:
@@ -110,11 +113,12 @@ class RankResult:
 
 class ModelScorer:
     """Model-server half, serving the model as it was when the scorer was
-    built (its ``RequestPlan``). ``prepare`` does the eval-mode work a
-    request's candidates share in every round, once per request (they share
-    one clicked and one unclicked history); ``score`` gives the pCTRs of
-    prepared rows under the given contextual ads (None for none), in row
-    order, and counts forwards (rows scored)."""
+    built (its ``RequestPlan``, which also keeps the history ads' embedded
+    rows). ``prepare`` does the eval-mode work a request's candidates share
+    in every round, once per request (they share one clicked and one
+    unclicked history); ``score`` gives the pCTRs of prepared rows under the
+    given contextual ads (None for none), in row order, and counts forwards
+    (rows scored)."""
 
     def __init__(self, model: ModelParams):
         self.plan = RequestPlan(model)
@@ -133,7 +137,7 @@ def rank_request(scorer, store: SessionStore, req: RankRequest) -> RankResult:
     1's prepared rows, with the winner's row as the contextual ad: the
     scorer reads the winner's contextual-schema fields by name out of it."""
     clicked, unclicked = store.get_history(req.user_id, req.now)
-    target = req.candidates if req.columns is None else req.columns
+    target = req.candidates if req.rows is None else req.rows
     rows = scorer.prepare(target, clicked, unclicked)
     scores1 = scorer.score(rows, None)
     win = int(np.argmax(scores1))  # first occurrence wins ties
@@ -270,15 +274,16 @@ def write_results(path, results: Sequence[RankResult]) -> None:
 # ---------------------------------------------------------------------------
 
 class CatalogRows:
-    """The catalog's ads as target-schema rows with the user_id bag left
-    empty, by ad_id: per row, its bag lengths in field order (the user_id bag
-    0), where in its indices the user's bag goes, and its int32 indices. An
-    ad is encoded on its first request and kept, so the rows grow to the
-    catalog's size at most; an ad that does not encode keeps no row and is
-    refused again each time it is named."""
+    """The catalog's ads as embedded target rows of one model, by ad_id
+    (``EmbeddedAds`` over the model's table), each with its user_id segment
+    left zero. An ad is encoded and embedded on the first request that names
+    it, and its row kept, so the rows grow to the catalog's size at most; an
+    ad that does not encode keeps no row and is refused again each time it
+    is named. A request takes its candidates' rows and writes its user's
+    segment into them."""
 
     def __init__(self, catalog: Mapping[str, RawRecord], target_schema: GroupSchema,
-                 vocab: Vocabulary):
+                 vocab: Vocabulary, table: Array):
         if any("user_id" in record for record in catalog.values()):
             raise ValueError("a catalog ad has a user_id: the request fills it in")
         self.catalog = dict(catalog)
@@ -288,66 +293,57 @@ class CatalogRows:
         self._user = names.index("user_id") if "user_id" in names else None
         self._ad_schema = GroupSchema(target_schema.group, tuple(
             f for f in target_schema.fields if f.name != "user_id"))
-        self._lock = threading.Lock()  # serializes encodes
-        self._row: dict[str, tuple[tuple[int, ...], int, np.ndarray]] = {}
+        self.kept = EmbeddedAds(table)
 
-    def _row_of(self, ad_id: str) -> tuple[tuple[int, ...], int, np.ndarray]:
-        """The ad's row, encoded now if it has none; a row is complete before
-        it is published."""
-        with self._lock:
-            row = self._row.get(ad_id)
-            if row is None:
-                bags = list(encode_instance(self.catalog[ad_id], self._ad_schema,
-                                            self.vocab).indices)
-                cut = sum(map(len, bags[: self._user]))
-                if self._user is not None:
-                    bags.insert(self._user, ())
-                row = (tuple(map(len, bags)), cut,
-                       np.array([i for bag in bags for i in bag], dtype=np.int32))
-                self._row[ad_id] = row
-            return row
-
-    def columns(self, user_id: str, ad_ids: Sequence[str]) -> AdColumns:
-        """Target columns of the named catalog ads for the given user: their
-        rows with the user's bag filled in. The first ad that is unknown or
-        does not encode is refused with the error encoding it in full would
-        raise."""
-        rows = []
-        bag = np.zeros(0, dtype=np.int32)
+    def _encode(self, ad_ids: Sequence[str]) -> AdColumns:
+        """Target columns of the named ads with their user_id bags empty; the
+        first that is unknown or does not encode is refused."""
+        bags: list[tuple[int, ...]] = []
         for ad_id in ad_ids:
             record = self.catalog.get(ad_id)
             if record is None:
                 raise ValueError(f"unknown ad {ad_id}")
-            if not rows and self._user is not None:
-                try:
-                    bag = np.array(encode_field(self.schema.fields[self._user], (user_id,),
-                                                self.vocab), dtype=np.int32)
-                except EncodeError:
-                    # The first field in schema order that fails names the error.
-                    encode_instance({**record, "user_id": (user_id,)}, self.schema, self.vocab)
-                    raise
-            rows.append(self._row.get(ad_id) or self._row_of(ad_id))
-        lens = np.array([row[0] for row in rows], dtype=np.int32)
+            ad = list(encode_instance(record, self._ad_schema, self.vocab).indices)
+            if self._user is not None:
+                ad.insert(self._user, ())
+            bags += ad
+        return AdColumns.from_bags(len(self.schema.fields), bags)
+
+    def embedded(self, user_id: str, ad_ids: Sequence[str]) -> Array:
+        """Embedded target rows of the named catalog ads for the given user:
+        their kept rows with the user's segment written in. The first ad that
+        is unknown or does not encode is refused with the error encoding it
+        in full would raise."""
         if self._user is not None:
-            lens[:, self._user] = len(bag)
-        offsets = np.zeros(lens.size + 1, dtype=np.int32)
-        lens.cumsum(out=offsets[1:])
-        pieces = []
-        for _, cut, flat in rows:
-            pieces += (flat[:cut], bag, flat[cut:])
-        return AdColumns(lens.shape[1], offsets, np.concatenate(pieces))
+            record = self.catalog.get(ad_ids[0])
+            if record is None:
+                raise ValueError(f"unknown ad {ad_ids[0]}")
+            try:
+                bag = encode_field(self.schema.fields[self._user], (user_id,), self.vocab)
+            except EncodeError:
+                # The first field in schema order that fails names the error.
+                encode_instance({**record, "user_id": (user_id,)}, self.schema, self.vocab)
+                raise
+        x_t = self.kept.take(ad_ids, self._encode)
+        if self._user is not None:
+            k = self.kept.table.shape[1]
+            x_t[:, self._user * k : (self._user + 1) * k] = embed_matrix(
+                AdColumns.from_bags(1, [bag]), self.kept.table)
+        return x_t
 
 
 class RankProtocolServer:
     """Threaded TCP server speaking the RANK line protocol. Candidates are
     referenced by ad_id against a preloaded catalog of target-schema ads,
-    each encoded once (``CatalogRows``)."""
+    each encoded and embedded once with the scorer's model
+    (``CatalogRows``)."""
 
     def __init__(self, ad_server: AdServer, catalog: Mapping[str, Mapping[str, Sequence[str]]],
                  target_schema: GroupSchema, vocab: Vocabulary,
                  host: str = "127.0.0.1", port: int = 0):
         self.ad_server = ad_server
-        self.rows = CatalogRows(catalog, target_schema, vocab)
+        self.rows = CatalogRows(catalog, target_schema, vocab,
+                                ad_server.scorer.plan.model.tensors["emb.E"])
         outer = self
 
         class Handler(socketserver.StreamRequestHandler):
@@ -411,10 +407,10 @@ class RankProtocolServer:
             if len(ad_ids) > MAX_CANDIDATES:
                 return f"ERR too many candidates: {len(ad_ids)} > {MAX_CANDIDATES}"
             ad_ids = tuple(dict.fromkeys(ad_ids))  # a repeated id is the same candidate
-            columns = self.rows.columns(user_id, ad_ids)
+            rows = self.rows.embedded(user_id, ad_ids)
             req = RankRequest(request_id="-", user_id=user_id, now=parse_uint(now, "now", 0),
                               candidates=ad_ids, slots=parse_uint(slots, "slots", 0),
-                              columns=columns)
+                              rows=rows)
             res = self.ad_server.rank(req)
             body = " ".join(f"{r.ad}:{r.pctr:.6f}:{r.round}" for r in res.ranked)
             return f"OK {body}"

@@ -9,9 +9,10 @@ by the batched forward, and one example's forward; the canonical line of an
 example; the vocabulary build and the log parse token by token, with no
 memo; single-group ablation on example lists; the auxiliary-data
 improvement metrics (AbsImp, NlzImp); round-2 scoring with the contextual
-ads encoded and embedded afresh; a RANK line served with every candidate
-encoded on its own; plus a fixed-score stand-in for the serving model
-scorer."""
+ads encoded and embedded afresh; a request prepared with its candidates and
+history embedded afresh; a RANK line served with every candidate encoded on
+its own; the logistic function with one masked branch per sign; plus a
+fixed-score stand-in for the serving model scorer."""
 
 from __future__ import annotations
 
@@ -24,8 +25,8 @@ import numpy as np
 from adctr.embedding import AdColumns, EncodedBatch, embed_matrix
 from adctr.ingest import (LabeledExample, ParseError, _parse_fields, _split_line, parse_uint,
                           read_record, serialize_ad)
-from adctr.models import (SCORE_CLAMP, RequestPlan, Variant, _attention, _fc_layers, _pctr,
-                          forward_batch)
+from adctr.models import (SCORE_CLAMP, RequestPlan, RequestRows, Variant, _attention,
+                          _fc_layers, _pctr, forward_batch)
 from adctr.numerics import Array, ContractViolation, dropout_mask, relu
 from adctr.serving import MAX_CANDIDATES, RankRequest, _encode_candidate, ad_display_id
 from adctr.schema import (AUX_GROUPS, GROUPS, EncodedInstance, EncodeError, GroupSchema,
@@ -420,6 +421,37 @@ def score_with_contextual_ads(plan: RequestPlan, rows,
         ads = embed_matrix(cols, model.tensors["emb.E"])
         pre = plan.add_group(pre, "contextual", ads, rows.x_t)
     return plan.top(pre)
+
+
+def prepare_afresh(plan: RequestPlan, candidates: Sequence[EncodedInstance],
+                   clicked: Sequence[EncodedInstance],
+                   unclicked: Sequence[EncodedInstance]) -> RequestRows:
+    """``prepare_request`` with the candidates and each history group encoded
+    and embedded for this request alone, none of the plan's kept rows read."""
+    model = plan.model
+    table = model.tensors["emb.E"]
+    x_t = embed_matrix(AdColumns.from_instances(candidates, model.schemas["target"]), table)
+    if model.variant == Variant.LR:
+        return RequestRows(x_t, x_t.sum(axis=1) + model.tensors["out.b"][0])
+    pre = x_t @ plan.fusion["target"] + model.tensors["fusion.b"]
+    for group, ads in (("clicked", clicked), ("unclicked", unclicked)):
+        if ads and model.variant.uses_aux:
+            cols = AdColumns.from_instances(ads, model.schemas[group])
+            pre = plan.add_group(pre, group, embed_matrix(cols, table), x_t)
+    return RequestRows(x_t, pre)
+
+
+def masked_sigmoid(s):
+    """The logistic function as ``numerics.sigmoid`` once computed it: a
+    boolean mask per sign, ``1 / (1 + exp(-s))`` where s >= 0 and
+    ``exp(s) / (1 + exp(s))`` elsewhere; scalar in, scalar out."""
+    s = np.asarray(s, dtype=np.float64)
+    out = np.empty_like(s)
+    pos = s >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
+    es = np.exp(s[~pos])
+    out[~pos] = es / (1.0 + es)
+    return float(out) if out.ndim == 0 else out
 
 
 def reference_handle_line(server, line: str) -> str:

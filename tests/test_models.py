@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import math
@@ -15,8 +16,8 @@ from adctr.toy import make_toy_problem
 from adctr.train_eval import NonFiniteError, TrainConfig, _check_finite, embedding_penalty, train
 from oracles import (InstanceEmbedding, aggregate_interactive_attention, aggregate_pooling,
                      aggregate_self_attention, embed_instance, fc_stack, forward,
-                     interactive_attention_pair_form, padded_aggregate, score_alone,
-                     score_with_contextual_ads)
+                     interactive_attention_pair_form, padded_aggregate, prepare_afresh,
+                     score_alone, score_with_contextual_ads)
 
 
 def emb(vec, group="clicked"):
@@ -478,8 +479,8 @@ class TestRequestForward:
 
 
 class TestRequestPlan:
-    """The plan holds views of the model's tensors and one copy, the FC
-    layers above fusion."""
+    """The plan holds views of the model's tensors and two copies, the FC
+    layers' transposed weights, fusion's sliced into one block per group."""
 
     @staticmethod
     def arrays(value):
@@ -491,29 +492,110 @@ class TestRequestPlan:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("variant", list(Variant))
-    def test_only_the_fc_weights_above_fusion_are_copied(self, toy_problem, variant, dtype):
+    def test_the_fc_weights_are_copied_once_and_the_attention_halves_stay_views(
+            self, toy_problem, variant, dtype):
         model = build(variant, toy_problem, seed=39, fc_dims=(12, 6, 5)).astype(dtype)
         plan = RequestPlan(model)
         layers = [] if variant == "lr" else ["fc2", "fc3"]
         assert len(plan.fc) == len(layers)
-        for (wt, _), layer in zip(plan.fc, layers):
-            weights = model.tensors[f"{layer}.W"]
+        copies = [(wt, model.tensors[f"{layer}.W"]) for (wt, _), layer in zip(plan.fc, layers)]
+        if variant != "lr":
+            # each group's fusion block is a row slice of one copy of fusion's W^T
+            fusion_t = plan.fusion["target"].base
+            assert all(block.base is fusion_t for block in plan.fusion.values())
+            assert sum(map(len, plan.fusion.values())) == len(fusion_t)
+            copies.append((fusion_t, model.tensors["fusion.W"]))
+        for wt, weights in copies:
             assert not np.shares_memory(wt, weights)
             assert not wt.flags.writeable and wt.flags.c_contiguous
             assert wt.dtype == weights.dtype and wt.tobytes() == weights.T.tobytes()
-        copies = {id(wt) for wt, _ in plan.fc}
-        views = [a for a in self.arrays(vars(plan)) if id(a) not in copies
-                 and a.dtype.kind == "f"]  # the contextual column index is no parameter
+        views = [a for a in self.arrays(vars(plan)) if a.dtype.kind == "f"  # not the index
+                 and not any(np.shares_memory(a, wt) for wt, _ in copies)]
         read = set()
         for arr in views:
             sources = [name for name, t in model.tensors.items() if np.shares_memory(arr, t)]
             assert len(sources) == 1
             read.update(sources)
-        # the fusion blocks, the FC biases and DSTN-I's attention halves
-        want = set() if variant == "lr" else {"fusion.W"} | {f"{layer}.b" for layer in layers}
+        # the FC biases and DSTN-I's attention halves
+        want = {f"{layer}.b" for layer in layers}
         if variant == "dstn-i":
             want |= {f"attn.{group}.Wtc" for group in AUX_GROUPS}
         assert read == want
+
+    def test_a_new_plan_keeps_no_rows(self, toy_problem):
+        plan = RequestPlan(build("dstn-p", toy_problem))
+        assert sorted(plan.history) == ["clicked", "unclicked"]
+        assert all(len(rows) == 0 for rows in plan.history.values())
+        assert RequestPlan(build("dnn", toy_problem)).history == {}
+
+
+class TestKeptHistoryRows:
+    """The plan embeds each history ad once, on the first request that names
+    it, and later requests read its kept row."""
+
+    @staticmethod
+    def requests(examples, rng, n=24):
+        """Requests over a small pool of history ads, so later ones repeat
+        earlier ones' ads, and an ad can repeat within a request; half the
+        time as an equal copy, since rows are kept by value."""
+        pool = {g: [ad for ex in examples for ad in getattr(ex, g)][:9] for g in AUX_GROUPS}
+        targets = [ex.target for ex in examples]
+
+        def some(group, fewest):
+            picks = rng.integers(0, len(pool[group]), size=int(rng.integers(fewest, 6)))
+            return tuple(copy.copy(pool[group][int(i)]) if rng.random() < 0.5
+                         else pool[group][int(i)] for i in picks)
+
+        for r in range(n):
+            picks = rng.choice(len(targets), size=int(rng.integers(1, 7)), replace=False)
+            cands, fewest = [targets[int(i)] for i in picks], 0 if r % 5 == 0 else 1
+            yield cands, some("clicked", fewest), some("unclicked", fewest)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_scores_equal_embedding_every_ad_afresh(self, toy_problem, variant, dtype):
+        _, _, examples = toy_problem
+        model = build(variant, toy_problem, seed=40)
+        model.tensors["emb.E"] *= 100.0  # pCTRs spread over about 0.25..0.7
+        plan = RequestPlan(model.astype(dtype))
+        rng = make_rng(41)
+        named = {"clicked": set(), "unclicked": set()}
+        scores = []
+        for cands, clicked, unclicked in self.requests(examples, rng):
+            rows = prepare_request(plan, cands, clicked, unclicked)
+            fresh = prepare_afresh(plan, cands, clicked, unclicked)
+            assert np.array_equal(rows.x_t, fresh.x_t) and np.array_equal(rows.pre, fresh.pre)
+            got = score_request(plan, rows, None)
+            assert np.array_equal(got, score_request(plan, fresh, None))
+            if len(cands) > 1:
+                ctx = rows.take([0])
+                assert np.array_equal(score_request(plan, rows.take([1]), ctx),
+                                      score_request(plan, fresh.take([1]), fresh.take([0])))
+            scores.extend(got)
+            if variant in ("dstn-p", "dstn-s", "dstn-i"):
+                named["clicked"].update(clicked)
+                named["unclicked"].update(unclicked)
+            # bounded: one row per distinct ad named in the group, never more
+            for group, ads in named.items():
+                assert len(plan.history.get(group, ())) == len(ads)
+        assert all(named.values()) or variant in ("lr", "dnn")
+        assert max(scores) - min(scores) > 0.05  # the check is not made on constant scores
+
+    def test_a_new_plan_serves_the_changed_model(self, toy_problem):
+        _, _, examples = toy_problem
+        model = build("dstn-i", toy_problem, seed=42)
+        model.tensors["emb.E"] *= 100.0
+        old = RequestPlan(model)
+        cands = [ex.target for ex in examples[:5]]
+        history = (examples[0].clicked, examples[0].unclicked)
+        before = score_request(old, prepare_request(old, cands, *history), None)
+        model.tensors["emb.E"] *= -0.5  # every kept row is stale now
+        new = RequestPlan(model)
+        got = score_request(new, prepare_request(new, cands, *history), None)
+        assert np.array_equal(got, score_request(new, prepare_afresh(new, cands, *history), None))
+        want = [score_alone(model, c, (), *history) for c in cands]
+        assert np.abs(got - want).max() <= 1e-12
+        assert np.abs(got - before).max() > 0.01
 
 
 class TestLoss:

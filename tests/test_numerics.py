@@ -5,7 +5,7 @@ import pytest
 
 from adctr.numerics import (ADAGRAD_EPS, ContractViolation, adagrad_step, adagrad_step_rows,
                             dropout_mask, load_tensors, make_rng, relu, save_tensors, sigmoid)
-from oracles import dropout, linear
+from oracles import dropout, linear, masked_sigmoid
 
 
 class TestLinear:
@@ -36,6 +36,27 @@ def test_relu_and_sigmoid():
     # stable in both tails
     assert 0.0 <= sigmoid(-800.0) < 1e-300 or sigmoid(-800.0) == 0.0
     assert sigmoid(800.0) == 1.0
+
+
+def test_sigmoid_equals_the_masked_form_bit_for_bit():
+    rng = make_rng(8)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 745.2, -745.2,
+                         746.0, -746.0, 1e308, -1e308, 5e-324, -5e-324, 36.7, -36.7])
+    with np.errstate(over="ignore"):  # +-1e308 become +-inf in float32
+        specials32 = specials.astype(np.float32)
+    grid = [specials, rng.normal(0.0, 10.0, 100_000), rng.normal(0.0, 800.0, 10_000),
+            rng.normal(0.0, 10.0, 10_000).astype(np.float32), specials32,
+            specials.reshape(1, -1, 1)]
+    for s in grid:
+        got, want = sigmoid(s), masked_sigmoid(s)
+        assert got.dtype == want.dtype == np.float64 and got.shape == want.shape == s.shape
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)  # NaN stays NaN, whatever its sign bit
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+    for x in (0.0, -0.0, 2.5, -2.5, 745.5, -745.5, np.float32(-3.25), np.float64(40.0)):
+        got = sigmoid(x)  # a 0-d input gives a float
+        assert type(got) is float and got == masked_sigmoid(x)
+        assert np.float64(got).tobytes() == np.float64(masked_sigmoid(x)).tobytes()
 
 
 class TestDropout:

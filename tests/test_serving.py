@@ -11,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adctr import models, serving
+from adctr.embedding import AdColumns, embed_matrix
 from adctr.ingest import LabeledExample, ParseError, parse_ad
 from adctr.models import Variant, forward_batch, init_model
 from adctr.numerics import make_rng
 from adctr.serving import (AdServer, ModelScorer, RankProtocolServer, RankRequest,
-                           ad_display_id, parse_events, rank_request, replay_session,
-                           write_results)
+                           _encode_candidate, ad_display_id, parse_events, rank_request,
+                           replay_session, write_results)
 from adctr.schema import GroupSchema, SchemaError
 from adctr.session import SessionStore
 from oracles import StubRows, StubScorer, reference_handle_line, score_alone
@@ -619,17 +620,17 @@ def test_each_catalog_ad_is_encoded_once(env, monkeypatch):
     for i in range(200):
         picks = [good[int(j)] for j in rng.choice(len(good), size=8, replace=False)]
         assert server.handle_line(f"RANK u{i % 7} 40 4 {','.join(picks)}").startswith("OK ")
-        assert len(server.rows._row) <= len(catalog)
+        assert len(server.rows.kept) <= len(catalog)
     assert max(encoded.values()) == 1
-    assert len(encoded) == len(server.rows._row) > len(good) // 2
+    assert len(encoded) == len(server.rows.kept) > len(good) // 2
 
-    cached = len(server.rows._row)
+    cached = len(server.rows.kept)
     for ad_id, error in (("a0061", "numerical field 'age': bad value 'old'"),
                          ("a0062", "missing required univalent field 'src'")):
         for _ in range(3):
             assert server.handle_line(f"RANK u1 40 4 {good[0]},{ad_id}") == f"ERR {error}"
         assert encoded[ad_id] == 3
-    assert len(server.rows._row) == cached
+    assert len(server.rows.kept) == cached
 
 
 def test_concurrent_requests_share_the_catalog_rows(env, monkeypatch):
@@ -674,7 +675,7 @@ def test_concurrent_requests_share_the_catalog_rows(env, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert errors == []
-    assert max(encoded.values()) == 1 and len(encoded) == len(server.rows._row)
+    assert max(encoded.values()) == 1 and len(encoded) == len(server.rows.kept)
     for line, reply in replies.items():
         assert reply.startswith("OK ") and reply == reference_handle_line(server, line)
 
@@ -685,8 +686,8 @@ def test_the_first_field_that_fails_in_schema_order_names_the_error(env):
     fields = {f.name: f for f in ds.schemas["target"].fields}
     names = ("age", "user_id") + tuple(n for n in fields if n not in ("age", "user_id"))
     target = GroupSchema("target", tuple(fields[n] for n in names))
-    server = RankProtocolServer(AdServer(StubScorer(lambda ad: 0.5), SessionStore()),
-                                rank_catalog(train), target, vocab)
+    server = RankProtocolServer(AdServer(ModelScorer(zeroed_model(ds.schemas, vocab)),
+                                         SessionStore()), rank_catalog(train), target, vocab)
     good = min(server.rows.catalog)
     for line in (f"RANK  40 4 {good},a0061", f"RANK  40 4 a0061,{good}", f"RANK  40 4 {good}",
                  "RANK u1 40 4 a0062", f"RANK u1 40 4 a0061,{good}", "RANK  40 4 a0062"):
@@ -720,6 +721,134 @@ def test_target_schema_without_user_id_serves_the_ads_own_rows(env):
     server.stop()
 
 
+@pytest.fixture
+def catalog_server(env):
+    """Builds RANK servers (not listening) over ``rank_catalog`` and
+    ``history_store`` with a model whose scores differ from ad to ad, each
+    with the ids of the ads that encode; closes their sockets after the test."""
+    ds, vocab, train = env
+    servers = []
+
+    def build(variant="dstn-i", dtype=np.float64, seed=53):
+        model = init_model(Variant(variant), ds.schemas, vocab.size, make_rng(seed), k=4,
+                           fc_dims=(8, 4), attention_dim=4, dropout_p=0.0)
+        model.tensors["emb.E"] *= 100.0
+        servers.append(RankProtocolServer(
+            AdServer(ModelScorer(model.astype(dtype)), history_store(train)),
+            rank_catalog(train), ds.schemas["target"], vocab))
+        return servers[-1], sorted(ad for ad in servers[-1].rows.catalog
+                                   if ad not in BROKEN_ADS)
+
+    yield build
+    for server in servers:
+        server.stop()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_kept_rows_score_as_embedding_every_ad_afresh(env, catalog_server, variant, dtype):
+    ds, vocab, train = env
+    server, good = catalog_server(variant, dtype)
+    rows, plan = server.rows, server.ad_server.scorer.plan
+    target = ds.schemas["target"]
+    oov = vocab.oov("user_id")
+    assert vocab.lookup("user_id", "u1") == oov != vocab.lookup("user_id", "u0037")
+    rng = make_rng(54)
+    named, pctrs = set(), []
+    for i in range(30):
+        # u1 and u2 have history and read the out-of-vocabulary user row; u0037 neither
+        user = ("u1", "u2", "u0037")[i % 3]
+        picks = rng.choice(len(good), size=i % 8 + 1, replace=False)
+        picks = tuple(good[int(j)] for j in picks)
+        got = rows.embedded(user, picks)
+        cands = tuple(_encode_candidate(rows.catalog[ad], user, target, vocab) for ad in picks)
+        fresh = embed_matrix(AdColumns.from_instances(cands, target), plan.model.tensors["emb.E"])
+        assert got.dtype == dtype and np.array_equal(got, fresh)  # bit for bit
+        served = server.ad_server.rank(RankRequest("-", user, 40, picks, slots=4, rows=got))
+        afresh = server.ad_server.rank(RankRequest("-", user, 40, cands, slots=4))
+        assert [(r.pctr, r.round) for r in served.ranked] == \
+            [(r.pctr, r.round) for r in afresh.ranked]
+        assert [r.ad for r in served.ranked] == [picks[cands.index(r.ad)] for r in afresh.ranked]
+        pctrs += [r.pctr for r in served.ranked]
+        named.update(picks)
+        # bounded: one row per distinct ad named, in the catalog and in each history group
+        assert len(rows.kept) == len(named)
+    clicked, unclicked = (set(h) for h in server.ad_server.store.get_history("u1", 40))
+    _, unclicked_u2 = server.ad_server.store.get_history("u2", 40)
+    history = {"clicked": clicked, "unclicked": unclicked | set(unclicked_u2)}
+    for group, kept in plan.history.items():
+        assert len(kept) == len(history[group]) and set(kept.index) == history[group]
+    assert plan.history or variant in ("lr", "dnn")
+    assert max(pctrs) - min(pctrs) > 0.01  # the check is not made on constant scores
+
+
+def test_a_request_naming_an_ad_that_does_not_encode_keeps_none_of_its_new_rows(catalog_server):
+    server, good = catalog_server()
+    assert server.handle_line(f"RANK u1 40 4 {good[0]},{good[1]}").startswith("OK ")
+    for ad_id, error in (("a0061", "numerical field 'age': bad value 'old'"),
+                         ("a0062", "missing required univalent field 'src'")):
+        for i in range(3):  # refused on every request, named between new ads
+            line = f"RANK u1 40 4 {good[0]},{good[2 + i]},{ad_id},{good[5 + i]}"
+            assert server.handle_line(line) == f"ERR {error}"
+            assert reference_handle_line(server, line) == f"ERR {error}"
+    assert set(server.rows.kept.index) == {good[0], good[1]}
+
+
+def test_a_new_scorer_serves_the_changed_model(env):
+    ds, vocab, train = env
+    model = init_model(Variant.DSTN_S, ds.schemas, vocab.size, make_rng(55), k=4,
+                       fc_dims=(8, 4), attention_dim=4, dropout_p=0.0)
+    model.tensors["emb.E"] *= 100.0
+    catalog = rank_catalog(train)
+    good = sorted(ad for ad in catalog if ad not in BROKEN_ADS)
+    lines = [f"RANK u{i % 2 + 1} 40 3 {','.join(good[i : i + 6])}" for i in range(10)]
+    old = RankProtocolServer(AdServer(ModelScorer(model), history_store(train)), catalog,
+                             ds.schemas["target"], vocab)
+    before = [old.handle_line(line) for line in lines]
+    old.stop()
+    model.tensors["emb.E"] *= -0.5  # every row the old scorer and server keep is stale now
+    new = RankProtocolServer(AdServer(ModelScorer(model), history_store(train)), catalog,
+                             ds.schemas["target"], vocab)
+    try:
+        assert len(new.rows.kept) == 0
+        assert all(len(kept) == 0 for kept in new.ad_server.scorer.plan.history.values())
+        after = [new.handle_line(line) for line in lines]
+        assert after == [reference_handle_line(new, line) for line in lines]
+    finally:
+        new.stop()
+    assert sum(a != b for a, b in zip(after, before)) > len(lines) // 2
+
+
+def test_two_threads_naming_new_ads_at_once_get_the_same_reply(catalog_server):
+    import sys
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, to interleave the first uses
+    try:
+        for trial in range(8):
+            server, good = catalog_server(seed=56 + trial)
+            line = f"RANK u1 40 4 {','.join(good[trial * 6 : trial * 6 + 8])}"
+            barrier = threading.Barrier(2)
+            replies = []
+
+            def worker():
+                barrier.wait()
+                replies.append(server.handle_line(line))
+
+            threads = [threading.Thread(target=worker) for _ in range(2)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+            assert len(replies) == 2 and replies[0] == replies[1]
+            assert replies[0].startswith("OK ")
+            assert replies[0] == reference_handle_line(server, line)
+            assert len(server.rows.kept) == 8
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_catalog_line_with_an_unknown_field_is_refused_naming_the_line(tmp_path, env):
     ds, vocab, train = env
     path = tmp_path / "catalog.tsv"
@@ -745,7 +874,8 @@ def test_catalog_ad_with_a_user_id_is_refused(tmp_path, env):
     assert info.value.line_number == 2
     record = {n: v for n, v in train[0].target.raw}
     with pytest.raises(ValueError, match="has a user_id"):
-        RankProtocolServer(AdServer(StubScorer(lambda ad: 0.5), SessionStore()),
+        RankProtocolServer(AdServer(ModelScorer(zeroed_model(ds.schemas, vocab)),
+                                    SessionStore()),
                            {ad_display_id(train[0].target): record}, ds.schemas["target"], vocab)
 
 
