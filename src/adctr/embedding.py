@@ -129,7 +129,7 @@ class EncodedBatch:
 
 
 def encode_examples(examples: Sequence, schemas: Mapping[str, GroupSchema],
-                    groups: Sequence[str] = AUX_GROUPS) -> EncodedBatch:
+                    groups: Sequence[str]) -> EncodedBatch:
     """Encode ``LabeledExample``s with their target ads and the ads of the
     given auxiliary groups."""
     n = len(examples)
@@ -175,9 +175,6 @@ class EmbeddedAds:
         self.index: dict = {}
         self._lock = threading.Lock()
 
-    def __len__(self) -> int:
-        return len(self.index)
-
     def take(self, ads: Sequence, encode: Callable[[list], AdColumns]) -> Array:
         """A new (len(ads), D_g) array of the rows of ``ads`` (at least one),
         in the order given."""
@@ -204,7 +201,7 @@ class RowGradAccumulator:
     is not kept: it stays in the signature because the benchmark's layer map
     counts the buffer by it."""
 
-    def __init__(self, n: int, k: int, dtype=np.float64):
+    def __init__(self, n: int, k: int, dtype):
         self.k = k
         self.dtype = np.dtype(dtype)
         self._rows: list[Array] = []

@@ -61,7 +61,7 @@ class LabeledExample:
 # parsing / serialization
 # ---------------------------------------------------------------------------
 
-def _parse_fields(text: str, line_number: int = 0) -> dict[str, tuple[str, ...]]:
+def _parse_fields(text: str, line_number: int) -> dict[str, tuple[str, ...]]:
     record: dict[str, tuple[str, ...]] = {}
     for pair in text.split(";"):
         if not pair:
@@ -105,7 +105,7 @@ def parse_ad(text: str, group_schema: GroupSchema, vocab: Vocabulary,
 
 
 def encode_record(record: RawRecord, group_schema: GroupSchema, vocab: Vocabulary,
-                  line_number: int = 0, memo: dict | None = None) -> EncodedInstance:
+                  line_number: int, memo: dict | None) -> EncodedInstance:
     """``encode_instance``, with its error (a missing required field, a bad
     numerical value) raised as a ``ParseError`` naming the line."""
     try:

@@ -103,11 +103,6 @@ class ModelParams:
     def clone(self) -> "ModelParams":
         return copy.deepcopy(self)
 
-    def astype(self, dtype) -> "ModelParams":
-        """A copy with every tensor cast to ``dtype``."""
-        return ModelParams(self.variant, self.schemas, self.dropout_p,
-                           {n: a.astype(dtype) for n, a in self.tensors.items()})
-
 
 def _attention(model: ModelParams, group: str) -> tuple[Array, Array, Array, Array]:
     """The group's attention block, in ``_ATTENTION`` name order."""
@@ -336,31 +331,58 @@ def forward_batch(model: ModelParams, batch: EncodedBatch | Sequence[LabeledExam
 # candidates of the same request (round 2's winner), so their embeddings are
 # read out of the prepared rows instead of being encoded and embedded again.
 # The weight blocks, halves and copies a request reads are laid out once per
-# model, in a ``RequestPlan``, which also keeps each history ad's embedded
-# row once it has been named.
+# model, in a ``ModelScorer``, which also keeps each ad's embedded row once it
+# has been named.
 
-class RequestPlan:
-    """What the request forward reads of a model beyond its tensors, laid out
-    once per model: two copies, the FC layers' weights as contiguous,
-    read-only ``W^T`` (``x @ W.T`` on the strided view runs about 1.7 times
-    as slowly at serving's few rows), with each group's block of the fusion
-    weights a row slice of fusion's copy and each layer above fusion a
-    ``(W^T, b)`` pair; for interactive attention, each attention block's
-    target and ad halves (views into ``model.tensors``); the contextual
-    column index; and the clicked and unclicked ads' embedded rows
-    (``EmbeddedAds``, empty until a request names an ad). So a plan serves
-    the model as it was when the plan was built: a change to the model's
-    tensors reaches the views but not the copies or the rows, and needs a
-    new plan."""
+@dataclass(frozen=True)
+class RequestRows:
+    """One request's candidates after the work every round shares: their
+    embeddings and their fusion pre-activation with the clicked and
+    unclicked terms and no contextual term (for LR, their logits)."""
+
+    x_t: Array  # (n, D_t)
+    pre: Array  # (n, H_1), or (n,) for LR
+
+    def __len__(self) -> int:
+        return len(self.x_t)
+
+    def take(self, rows) -> "RequestRows":
+        """The given candidates, in the order given."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return RequestRows(self.x_t[rows], self.pre[rows])
+
+
+class ModelScorer:
+    """Model-server half of serving: one model's eval-mode request forward.
+    ``prepare`` does the work a request's candidates share in every round,
+    once per request (they share one clicked and one unclicked history);
+    ``score`` gives the pCTRs of prepared rows under the given contextual
+    ads (None for none), in row order, and counts forwards (rows scored).
+
+    What a request reads of the model beyond its tensors is laid out once:
+    two copies, the FC layers' weights as contiguous, read-only ``W^T``
+    (``x @ W.T`` on the strided view runs about 1.7 times as slowly at
+    serving's few rows), with each group's block of the fusion weights a row
+    slice of fusion's copy and each layer above fusion a ``(W^T, b)`` pair;
+    for interactive attention, each attention block's target and ad halves
+    (views into ``model.tensors``); and the contextual column index. Every
+    ad it embeds is kept (``EmbeddedAds``, empty until a request names an
+    ad): the clicked and unclicked history ads' rows, keyed by the ad, and
+    the RANK catalog's target rows, keyed by the caller's key with their
+    user_id segment zero. So a scorer serves the model as it was when the
+    scorer was built: a change to the model's tensors reaches the views but
+    not the copies or the rows, and needs a new scorer."""
 
     def __init__(self, model: ModelParams):
         tensors, d_t = model.tensors, model.dim("target")
         self.model = model
+        self.forward_count = 0
         self.fusion: dict[str, Array] = {}  # group -> (D_g, H_1) rows of fusion's W^T
         self.halves: dict[str, tuple[Array, Array]] = {}  # group -> (W_t, W_a), DSTN-I
         self.contextual: Array | None = None  # the target columns of the contextual fields
         self.fc: list[tuple[Array, Array]] = []  # the layers above fusion, (W^T, b)
         self.history: dict[str, EmbeddedAds] = {}  # clicked, unclicked -> their ads' rows
+        self.targets = EmbeddedAds(tensors["emb.E"])  # catalog key -> target row, user_id zero
         layers = _fc_layers(tensors)
         if not layers:  # LR
             return
@@ -423,61 +445,40 @@ class RequestPlan:
         tensors = self.model.tensors
         return _pctr(cur @ tensors["out.w"] + tensors["out.b"][0])
 
+    def prepare(self, candidates: Array | Sequence[EncodedInstance],
+                clicked: Sequence[EncodedInstance],
+                unclicked: Sequence[EncodedInstance]) -> RequestRows:
+        """Take the candidates' embedded target rows (given, or embedded here
+        from target ads) and the history ads' kept rows, and sum the fusion
+        pre-activation without its contextual term."""
+        model = self.model
+        x_t = candidates
+        if not isinstance(candidates, np.ndarray):
+            cols = AdColumns.from_instances(candidates, model.schemas["target"])
+            x_t = embed_matrix(cols, model.tensors["emb.E"])
+        if model.variant == Variant.LR:
+            return RequestRows(x_t, x_t.sum(axis=1) + model.tensors["out.b"][0])
+        pre = x_t @ self.fusion["target"] + model.tensors["fusion.b"]
+        for group, ads in (("clicked", clicked), ("unclicked", unclicked)):
+            if ads and group in self.history:
+                schema = model.schemas[group]
+                rows = self.history[group].take(
+                    ads, lambda new: AdColumns.from_instances(new, schema))
+                pre = self.add_group(pre, group, rows, x_t)
+        return RequestRows(x_t, pre)
 
-@dataclass(frozen=True)
-class RequestRows:
-    """One request's candidates after the work every round shares: their
-    embeddings and their fusion pre-activation with the clicked and
-    unclicked terms and no contextual term (for LR, their logits)."""
-
-    x_t: Array  # (n, D_t)
-    pre: Array  # (n, H_1), or (n,) for LR
-
-    def __len__(self) -> int:
-        return len(self.x_t)
-
-    def take(self, rows) -> "RequestRows":
-        """The given candidates, in the order given."""
-        rows = np.asarray(rows, dtype=np.intp)
-        return RequestRows(self.x_t[rows], self.pre[rows])
-
-
-def prepare_request(plan: RequestPlan, candidates: Array | Sequence[EncodedInstance],
-                    clicked: Sequence[EncodedInstance],
-                    unclicked: Sequence[EncodedInstance]) -> RequestRows:
-    """Eval-mode work shared by every round of one request: take the
-    candidates' embedded target rows (given, or embedded here from target
-    ads) and the history ads' rows kept by the plan, and sum the fusion
-    pre-activation without its contextual term."""
-    model = plan.model
-    x_t = candidates
-    if not isinstance(candidates, np.ndarray):
-        cols = AdColumns.from_instances(candidates, model.schemas["target"])
-        x_t = embed_matrix(cols, model.tensors["emb.E"])
-    if model.variant == Variant.LR:
-        return RequestRows(x_t, x_t.sum(axis=1) + model.tensors["out.b"][0])
-    pre = x_t @ plan.fusion["target"] + model.tensors["fusion.b"]
-    for group, ads in (("clicked", clicked), ("unclicked", unclicked)):
-        if ads and group in plan.history:
-            schema = model.schemas[group]
-            rows = plan.history[group].take(ads, lambda new: AdColumns.from_instances(new, schema))
-            pre = plan.add_group(pre, group, rows, x_t)
-    return RequestRows(x_t, pre)
-
-
-def score_request(plan: RequestPlan, rows: RequestRows,
-                  contextual: RequestRows | None) -> Array:
-    """Eval-mode pCTRs of prepared candidates with the given contextual ads
-    (the same for every row): prepared rows of the same request, read by
-    field name, or None for none. Add the contextual group's fusion term,
-    which LR and DNN do not have, then run the layers above the fusion
-    layer."""
-    if plan.model.variant == Variant.LR:
-        return _pctr(rows.pre)
-    pre = rows.pre
-    if contextual is not None and plan.contextual is not None:
-        pre = plan.add_group(pre, "contextual", contextual.x_t[:, plan.contextual], rows.x_t)
-    return plan.top(pre)
+    def score(self, rows: RequestRows, contextual: RequestRows | None) -> list[float]:
+        """Add the contextual group's fusion term, which LR and DNN do not
+        have, with the contextual ads (the same for every row) read by field
+        name out of prepared rows of the same request; then run the layers
+        above the fusion layer."""
+        self.forward_count += len(rows)
+        if self.model.variant == Variant.LR:
+            return _pctr(rows.pre).tolist()
+        pre = rows.pre
+        if contextual is not None and self.contextual is not None:
+            pre = self.add_group(pre, "contextual", contextual.x_t[:, self.contextual], rows.x_t)
+        return self.top(pre).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ def segment_sum(values: Array, segment: Array, n: int) -> Array:
     return out.astype(values.dtype, copy=False).reshape((n,) + values.shape[1:])
 
 
-def dropout_mask(shape, p: float, rng: np.random.Generator, dtype=np.float64) -> Array:
+def dropout_mask(shape, p: float, rng: np.random.Generator, dtype) -> Array:
     """Inverted-dropout mask of the given dtype: entries are 0 with
     probability p, else 1/(1-p). The uniform draws are float64 whatever the
     dtype, so a seed drops the same units in both precisions."""

@@ -132,9 +132,6 @@ class Vocabulary:
         except KeyError:
             raise EncodeError(f"field {field_name!r} is not in the vocabulary") from None
 
-    def oov(self, field_name: str) -> int:
-        return self._oov[field_name]
-
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(self.dumps())

@@ -12,7 +12,7 @@ and keeps the top slots-1 of them. The re-scoring round runs exactly once.
 The work both rounds share (the candidates, the history, the fusion
 pre-activation without its contextual term) is done once per request, what
 every request reads of the model is laid out once per scorer, and each
-history ad is embedded once per scorer.
+history and catalog ad is embedded once per scorer.
 
 Event log (TSV), timestamps non-decreasing per user; requests are served in
 file order and behavior events reach the store in (timestamp, file order):
@@ -54,11 +54,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .embedding import AdColumns, EmbeddedAds, embed_matrix
+from .embedding import AdColumns, embed_matrix
 from .ingest import ParseError, encode_record, parse_ad, parse_uint, read_record
 # forward_batch is not called here: perfbench's span test reads serving.forward_batch.
-from .models import (ModelParams, RequestPlan, RequestRows, forward_batch,  # noqa: F401
-                     prepare_request, score_request)
+from .models import ModelScorer, forward_batch  # noqa: F401
 from .numerics import Array
 from .schema import (EncodedInstance, EncodeError, GroupSchema, RawRecord, Vocabulary,
                      encode_field, encode_instance)
@@ -109,27 +108,6 @@ class RankedAd:
 class RankResult:
     request_id: str
     ranked: tuple[RankedAd, ...]
-
-
-class ModelScorer:
-    """Model-server half, serving the model as it was when the scorer was
-    built (its ``RequestPlan``, which also keeps the history ads' embedded
-    rows). ``prepare`` does the eval-mode work a request's candidates share
-    in every round, once per request (they share one clicked and one
-    unclicked history); ``score`` gives the pCTRs of prepared rows under the
-    given contextual ads (None for none), in row order, and counts forwards
-    (rows scored)."""
-
-    def __init__(self, model: ModelParams):
-        self.plan = RequestPlan(model)
-        self.forward_count = 0
-
-    def prepare(self, candidates, clicked, unclicked) -> RequestRows:
-        return prepare_request(self.plan, candidates, clicked, unclicked)
-
-    def score(self, rows: RequestRows, contextual: RequestRows | None) -> list[float]:
-        self.forward_count += len(rows)
-        return score_request(self.plan, rows, contextual).tolist()
 
 
 def rank_request(scorer, store: SessionStore, req: RankRequest) -> RankResult:
@@ -204,9 +182,10 @@ def parse_events(path, schemas: Mapping[str, GroupSchema], vocab: Vocabulary) ->
                 slots = parse_uint(cols[4], "slots", lineno)
                 if slots < 1:
                     raise ParseError(f"bad slots {cols[4]!r}", lineno)
+                target = schemas["target"]
                 candidates = tuple(
-                    _encode_candidate(read_record(text, schemas["target"], lineno), user_id,
-                                      schemas["target"], vocab, lineno, cache)
+                    encode_record({"user_id": (user_id,), **read_record(text, target, lineno)},
+                                  target, vocab, lineno, cache)
                     for text in cols[5].split("|"))
                 events.append(SimEvent(kind="req", ts=ts, user_id=user_id,
                                        request=RankRequest(request_id=cols[3], user_id=user_id,
@@ -215,15 +194,6 @@ def parse_events(path, schemas: Mapping[str, GroupSchema], vocab: Vocabulary) ->
             else:
                 raise ParseError(f"unknown event tag {tag!r}", lineno)
     return events
-
-
-def _encode_candidate(record: RawRecord, user_id: str, target_schema: GroupSchema,
-                      vocab: Vocabulary, lineno: int = 0,
-                      memo: dict | None = None) -> EncodedInstance:
-    """A request's candidate: a target-schema record, with the request's
-    user_id filled in where the record names none."""
-    return encode_record({"user_id": (user_id,), **record}, target_schema, vocab, lineno,
-                         memo)
 
 
 def replay_session(scorer, store: SessionStore, events: Sequence[SimEvent],
@@ -274,16 +244,17 @@ def write_results(path, results: Sequence[RankResult]) -> None:
 # ---------------------------------------------------------------------------
 
 class CatalogRows:
-    """The catalog's ads as embedded target rows of one model, by ad_id
-    (``EmbeddedAds`` over the model's table), each with its user_id segment
-    left zero. An ad is encoded and embedded on the first request that names
-    it, and its row kept, so the rows grow to the catalog's size at most; an
-    ad that does not encode keeps no row and is refused again each time it
-    is named. A request takes its candidates' rows and writes its user's
-    segment into them."""
+    """The catalog's ads as embedded target rows, by ad_id, each with its
+    user_id segment left zero. The rows are kept by the scorer a request is
+    served by (``ModelScorer.targets``), so they belong to its model: an ad
+    is encoded and embedded on the first request that names it for that
+    scorer, and its row kept, so the rows grow to the catalog's size at most
+    per scorer; an ad that does not encode keeps no row and is refused again
+    each time it is named. A request takes its candidates' rows and writes
+    its user's segment into them."""
 
     def __init__(self, catalog: Mapping[str, RawRecord], target_schema: GroupSchema,
-                 vocab: Vocabulary, table: Array):
+                 vocab: Vocabulary):
         if any("user_id" in record for record in catalog.values()):
             raise ValueError("a catalog ad has a user_id: the request fills it in")
         self.catalog = dict(catalog)
@@ -293,7 +264,6 @@ class CatalogRows:
         self._user = names.index("user_id") if "user_id" in names else None
         self._ad_schema = GroupSchema(target_schema.group, tuple(
             f for f in target_schema.fields if f.name != "user_id"))
-        self.kept = EmbeddedAds(table)
 
     def _encode(self, ad_ids: Sequence[str]) -> AdColumns:
         """Target columns of the named ads with their user_id bags empty; the
@@ -309,11 +279,11 @@ class CatalogRows:
             bags += ad
         return AdColumns.from_bags(len(self.schema.fields), bags)
 
-    def embedded(self, user_id: str, ad_ids: Sequence[str]) -> Array:
-        """Embedded target rows of the named catalog ads for the given user:
-        their kept rows with the user's segment written in. The first ad that
-        is unknown or does not encode is refused with the error encoding it
-        in full would raise."""
+    def embedded(self, scorer: ModelScorer, user_id: str, ad_ids: Sequence[str]) -> Array:
+        """Embedded target rows of the named catalog ads for the given user,
+        in the scorer's model: their kept rows with the user's segment
+        written in. The first ad that is unknown or does not encode is
+        refused with the error encoding it in full would raise."""
         if self._user is not None:
             record = self.catalog.get(ad_ids[0])
             if record is None:
@@ -324,26 +294,29 @@ class CatalogRows:
                 # The first field in schema order that fails names the error.
                 encode_instance({**record, "user_id": (user_id,)}, self.schema, self.vocab)
                 raise
-        x_t = self.kept.take(ad_ids, self._encode)
+        kept = scorer.targets
+        x_t = kept.take(ad_ids, self._encode)
         if self._user is not None:
-            k = self.kept.table.shape[1]
+            k = kept.table.shape[1]
             x_t[:, self._user * k : (self._user + 1) * k] = embed_matrix(
-                AdColumns.from_bags(1, [bag]), self.kept.table)
+                AdColumns.from_bags(1, [bag]), kept.table)
         return x_t
 
 
 class RankProtocolServer:
     """Threaded TCP server speaking the RANK line protocol. Candidates are
     referenced by ad_id against a preloaded catalog of target-schema ads,
-    each encoded and embedded once with the scorer's model
-    (``CatalogRows``)."""
+    each encoded and embedded once per scorer (``CatalogRows``). A scorer
+    put in ``ad_server.scorer`` for another model serves every request that
+    starts after the swap with that model's rows; a request in flight at
+    the swap reads the scorer twice (to embed its candidates, then to rank
+    them) and may get one model for each."""
 
     def __init__(self, ad_server: AdServer, catalog: Mapping[str, Mapping[str, Sequence[str]]],
                  target_schema: GroupSchema, vocab: Vocabulary,
                  host: str = "127.0.0.1", port: int = 0):
         self.ad_server = ad_server
-        self.rows = CatalogRows(catalog, target_schema, vocab,
-                                ad_server.scorer.plan.model.tensors["emb.E"])
+        self.rows = CatalogRows(catalog, target_schema, vocab)
         outer = self
 
         class Handler(socketserver.StreamRequestHandler):
@@ -407,7 +380,7 @@ class RankProtocolServer:
             if len(ad_ids) > MAX_CANDIDATES:
                 return f"ERR too many candidates: {len(ad_ids)} > {MAX_CANDIDATES}"
             ad_ids = tuple(dict.fromkeys(ad_ids))  # a repeated id is the same candidate
-            rows = self.rows.embedded(user_id, ad_ids)
+            rows = self.rows.embedded(self.ad_server.scorer, user_id, ad_ids)
             req = RankRequest(request_id="-", user_id=user_id, now=parse_uint(now, "now", 0),
                               candidates=ad_ids, slots=parse_uint(slots, "slots", 0),
                               rows=rows)

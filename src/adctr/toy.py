@@ -30,7 +30,7 @@ def _random_title(rng) -> str:
     return "".join(_LETTERS[int(i)] for i in rng.integers(0, len(_LETTERS), size=length))
 
 
-def make_toy_problem(seed: int = 0, n_examples: int = 10
+def make_toy_problem(seed: int, n_examples: int
                      ) -> tuple[dict[str, GroupSchema], Vocabulary, list[LabeledExample]]:
     """Random schemas/vocabulary/examples small enough for entrywise finite
     differences. Every auxiliary group is nonempty somewhere in the batch."""

@@ -10,9 +10,11 @@ example; the vocabulary build and the log parse token by token, with no
 memo; single-group ablation on example lists; the auxiliary-data
 improvement metrics (AbsImp, NlzImp); round-2 scoring with the contextual
 ads encoded and embedded afresh; a request prepared with its candidates and
-history embedded afresh; a RANK line served with every candidate encoded on
-its own; the logistic function with one masked branch per sign; plus a
-fixed-score stand-in for the serving model scorer."""
+history embedded afresh; a request's candidate encoded with its user; a RANK
+line served with every candidate encoded on its own; the logistic function
+with one masked branch per sign; a model cast to another dtype; a field's
+out-of-vocabulary index; plus a fixed-score stand-in for the serving model
+scorer."""
 
 from __future__ import annotations
 
@@ -23,12 +25,12 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from adctr.embedding import AdColumns, EncodedBatch, embed_matrix
-from adctr.ingest import (LabeledExample, ParseError, _parse_fields, _split_line, parse_uint,
-                          read_record, serialize_ad)
-from adctr.models import (SCORE_CLAMP, RequestPlan, RequestRows, Variant, _attention,
-                          _fc_layers, _pctr, forward_batch)
+from adctr.ingest import (LabeledExample, ParseError, _parse_fields, _split_line, encode_record,
+                          parse_uint, read_record, serialize_ad)
+from adctr.models import (SCORE_CLAMP, ModelParams, ModelScorer, RequestRows, Variant,
+                          _attention, _fc_layers, _pctr, forward_batch)
 from adctr.numerics import Array, ContractViolation, dropout_mask, relu
-from adctr.serving import MAX_CANDIDATES, RankRequest, _encode_candidate, ad_display_id
+from adctr.serving import MAX_CANDIDATES, RankRequest, ad_display_id
 from adctr.schema import (AUX_GROUPS, GROUPS, EncodedInstance, EncodeError, GroupSchema,
                           Vocabulary, _field_tokens)
 from adctr.train_eval import MetricUndefinedError
@@ -277,7 +279,7 @@ def dropout(x: Array, p: float, mode: str, rng: np.random.Generator | None = Non
         raise ContractViolation(f"dropout probability must be in [0, 1), got {p}")
     if mode == "eval" or p == 0.0:
         return x
-    return x * dropout_mask(x.shape, p, rng)
+    return x * dropout_mask(x.shape, p, rng, x.dtype)
 
 
 def score_alone(model, candidate, contextual, clicked, unclicked) -> float:
@@ -406,39 +408,60 @@ def improvement_metrics(auc_variant: float, auc_dnn: float,
     return abs_imp, abs_imp / avg_aux_count
 
 
-def score_with_contextual_ads(plan: RequestPlan, rows,
+def score_with_contextual_ads(scorer: ModelScorer, rows,
                               contextual: Sequence[EncodedInstance]) -> Array:
-    """``score_request`` with the contextual ads encoded by field name under
-    the contextual schema and embedded afresh, as round 2 scored its winner
-    before it read the winner's prepared row; the contextual term and the
-    layers above fusion run through the plan."""
-    model = plan.model
+    """``ModelScorer.score`` with the contextual ads encoded by field name
+    under the contextual schema and embedded afresh, as round 2 scored its
+    winner before it read the winner's prepared row; the contextual term and
+    the layers above fusion run through the scorer."""
+    model = scorer.model
     if model.variant == Variant.LR:
         return _pctr(rows.pre)
     pre = rows.pre
-    if contextual and plan.contextual is not None:
+    if contextual and scorer.contextual is not None:
         cols = AdColumns.from_instances(contextual, model.schemas["contextual"])
         ads = embed_matrix(cols, model.tensors["emb.E"])
-        pre = plan.add_group(pre, "contextual", ads, rows.x_t)
-    return plan.top(pre)
+        pre = scorer.add_group(pre, "contextual", ads, rows.x_t)
+    return scorer.top(pre)
 
 
-def prepare_afresh(plan: RequestPlan, candidates: Sequence[EncodedInstance],
+def prepare_afresh(scorer: ModelScorer, candidates: Sequence[EncodedInstance],
                    clicked: Sequence[EncodedInstance],
                    unclicked: Sequence[EncodedInstance]) -> RequestRows:
-    """``prepare_request`` with the candidates and each history group encoded
-    and embedded for this request alone, none of the plan's kept rows read."""
-    model = plan.model
+    """``ModelScorer.prepare`` with the candidates and each history group
+    encoded and embedded for this request alone, none of the scorer's kept
+    rows read."""
+    model = scorer.model
     table = model.tensors["emb.E"]
     x_t = embed_matrix(AdColumns.from_instances(candidates, model.schemas["target"]), table)
     if model.variant == Variant.LR:
         return RequestRows(x_t, x_t.sum(axis=1) + model.tensors["out.b"][0])
-    pre = x_t @ plan.fusion["target"] + model.tensors["fusion.b"]
+    pre = x_t @ scorer.fusion["target"] + model.tensors["fusion.b"]
     for group, ads in (("clicked", clicked), ("unclicked", unclicked)):
         if ads and model.variant.uses_aux:
             cols = AdColumns.from_instances(ads, model.schemas[group])
-            pre = plan.add_group(pre, group, embed_matrix(cols, table), x_t)
+            pre = scorer.add_group(pre, group, embed_matrix(cols, table), x_t)
     return RequestRows(x_t, pre)
+
+
+def request_candidate(record, user_id: str, target_schema: GroupSchema,
+                      vocab: Vocabulary) -> EncodedInstance:
+    """A request's candidate as the event-log parser encodes it: a
+    target-schema record with the request's user_id filled in where the
+    record names none."""
+    return encode_record({"user_id": (user_id,), **record}, target_schema, vocab, 0, None)
+
+
+def astype(model: ModelParams, dtype) -> ModelParams:
+    """A copy of the model with every tensor cast to ``dtype``."""
+    return ModelParams(model.variant, model.schemas, model.dropout_p,
+                       {n: a.astype(dtype) for n, a in model.tensors.items()})
+
+
+def oov(vocab: Vocabulary, field_name: str) -> int:
+    """The field's out-of-vocabulary index: the row of a value the
+    vocabulary has not seen."""
+    return vocab.lookup(field_name, "\0 a value no build has seen")
 
 
 def masked_sigmoid(s):
@@ -472,7 +495,7 @@ def reference_handle_line(server, line: str) -> str:
             record = catalog.get(ad_id)
             if record is None:
                 return f"ERR unknown ad {ad_id}"
-            candidates.append(_encode_candidate(record, user_id, target_schema, vocab))
+            candidates.append(request_candidate(record, user_id, target_schema, vocab))
         req = RankRequest(request_id="-", user_id=user_id, now=parse_uint(now, "now", 0),
                           candidates=tuple(candidates), slots=parse_uint(slots, "slots", 0))
         res = server.ad_server.rank(req)

@@ -44,7 +44,7 @@ def big_run():
     for lines in (dataset.train, dataset.validation, dataset.test):
         examples = [parse_log_line(l, dataset.schemas, vocab, i + 1, cache)
                     for i, l in enumerate(lines)]
-        splits["all"].append(encode_examples(examples, dataset.schemas))
+        splits["all"].append(encode_examples(examples, dataset.schemas, AUX_GROUPS))
         splits["target"].append(encode_examples(examples, dataset.schemas, groups=()))
     aucs = {}
     for variant in ("dnn", "dstn-p", "dstn-s", "dstn-i"):

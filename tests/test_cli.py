@@ -4,6 +4,7 @@ import re
 import pytest
 
 from adctr.cli import main
+from oracles import oov
 
 
 @pytest.fixture(scope="module")
@@ -168,7 +169,7 @@ def test_train_then_eval_on_values_that_read_like_the_oov_marker(data_dir, tmp_p
     vocab = Vocabulary.load(f"{ckpt}.vocab.tsv")
     assert vocab.target_counts[vocab.lookup("user_id", "<oov>")] == 2
     assert vocab.target_counts[vocab.lookup("user_id", "\\<oov>")] == 1
-    assert vocab.target_counts[vocab.oov("user_id")] == 0
+    assert vocab.target_counts[oov(vocab, "user_id")] == 0
     capsys.readouterr()
     assert main(["eval", "--ckpt", str(ckpt), "--test", str(data_dir / "test.tsv")]) == 0
     assert capsys.readouterr().out.startswith("auc=")

@@ -9,7 +9,7 @@ from adctr.numerics import ContractViolation, make_rng, segment_sum
 from adctr.schema import (AUX_GROUPS, EncodedInstance, FieldKind, FieldSchema, GroupSchema,
                           build_vocabulary, encode_instance)
 from adctr.toy import toy_schemas
-from oracles import embed_gradient_scatter, embed_instance, scatter_oracle
+from oracles import embed_gradient_scatter, embed_instance, oov, scatter_oracle
 
 SCHEMA = GroupSchema("clicked", (FieldSchema("ad_id", FieldKind.UNIVALENT),
                                  FieldSchema("title", FieldKind.MULTIVALENT),
@@ -131,7 +131,7 @@ class TestBatchedPaths:
         instances = [make_instance(((1,), (2, 2, 9), (5,))),
                      make_instance(((1,), (), (7,)))]
         upstream = rng.normal(size=(2, 30))
-        acc = RowGradAccumulator(*table.shape)
+        acc = RowGradAccumulator(*table.shape, table.dtype)
         acc.scatter_matrix(AdColumns.from_instances(instances, SCHEMA), upstream)
         rows, grads = acc.finalize()
 
@@ -172,7 +172,7 @@ def edge_batch():
         LabeledExample(0, 1, "u9", t_oov, contextual=(), clicked=(), unclicked=(u_seen, u_new)),
         LabeledExample(0, 2, "u1", t_seen, contextual=(), clicked=(c_new, c_seen), unclicked=()),
     ]
-    assert vocab.oov("uid") in t_oov.indices[0] and vocab.oov("aid") in c_new.indices[0]
+    assert oov(vocab, "uid") in t_oov.indices[0] and oov(vocab, "aid") in c_new.indices[0]
     return schemas, vocab, examples
 
 
@@ -186,7 +186,7 @@ class TestEncodedPath:
     def test_gather_equals_per_instance_oracle_exactly(self, edge_batch):
         schemas, vocab, examples = edge_batch
         table = make_rng(12).uniform(-INIT_SCALE, INIT_SCALE, size=(vocab.size, 3))
-        batch = encode_examples(examples, schemas)
+        batch = encode_examples(examples, schemas, AUX_GROUPS)
         assert len(batch.aux["contextual"][1]) == 0
         for group in ("target",) + AUX_GROUPS:
             cols = batch.target if group == "target" else batch.aux[group][1]
@@ -198,9 +198,9 @@ class TestEncodedPath:
 
     def test_scatter_equals_per_instance_oracle_exactly(self, edge_batch):
         schemas, vocab, examples = edge_batch
-        batch = encode_examples(examples, schemas)
+        batch = encode_examples(examples, schemas, AUX_GROUPS)
         rng = make_rng(13)
-        acc = RowGradAccumulator(vocab.size, 3)
+        acc = RowGradAccumulator(vocab.size, 3, np.float64)
         terms = []
         for group in AUX_GROUPS + ("target",):  # the order backward scatters in
             cols = batch.target if group == "target" else batch.aux[group][1]
@@ -211,13 +211,14 @@ class TestEncodedPath:
         want_rows, want_grads = scatter_oracle(terms, vocab.size, 3)
         np.testing.assert_array_equal(rows, want_rows)
         assert grads.tobytes() == want_grads.tobytes()
-        assert vocab.oov("uid") in rows and vocab.oov("ttl") in rows
+        assert oov(vocab, "uid") in rows and oov(vocab, "ttl") in rows
 
     @pytest.mark.parametrize("ids", [[2, 0, 0, 1], [1], []])
     def test_take_equals_encoding_the_subset(self, edge_batch, ids):
         schemas, _, examples = edge_batch
-        taken = encode_examples(examples, schemas).take(np.array(ids, dtype=np.int64))
-        direct = encode_examples([examples[i] for i in ids], schemas)
+        batch = encode_examples(examples, schemas, AUX_GROUPS)
+        taken = batch.take(np.array(ids, dtype=np.int64))
+        direct = encode_examples([examples[i] for i in ids], schemas, AUX_GROUPS)
         np.testing.assert_array_equal(taken.labels, direct.labels)
         pairs = [(taken.target, direct.target)]
         for group in AUX_GROUPS:

@@ -6,16 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from adctr.models import (AuxTrace, RequestPlan, Variant, _aggregate, _aggregate_backward,
+from adctr.models import (AuxTrace, ModelScorer, Variant, _aggregate, _aggregate_backward,
                           _attention, _layout, backward, forward_batch, init_model, load_model,
-                          loss, loss_from_logits, prepare_request, save_model, score_request)
+                          loss, loss_from_logits, save_model)
 from adctr.numerics import (ContractViolation, adagrad_step, adagrad_step_rows,
                             make_rng, relu, save_tensors, sigmoid)
 from adctr.schema import AUX_GROUPS, FieldKind, FieldSchema, GroupSchema
 from adctr.toy import make_toy_problem
 from adctr.train_eval import NonFiniteError, TrainConfig, _check_finite, embedding_penalty, train
 from oracles import (InstanceEmbedding, aggregate_interactive_attention, aggregate_pooling,
-                     aggregate_self_attention, embed_instance, fc_stack, forward,
+                     aggregate_self_attention, astype, embed_instance, fc_stack, forward,
                      interactive_attention_pair_form, padded_aggregate, prepare_afresh,
                      score_alone, score_with_contextual_ads)
 
@@ -210,18 +210,18 @@ class TestRaggedAggregation:
     @pytest.mark.parametrize("variant", ["dstn-p", "dstn-s", "dstn-i"])
     def test_shared_block_broadcasts_to_every_candidate(self, toy_problem, variant):
         # Serving's history: one example's ads shared by n candidate rows,
-        # aggregated by the request plan.
+        # aggregated by the model scorer.
         model = build(variant, toy_problem, seed=36)
-        plan = RequestPlan(model)
+        scorer = ModelScorer(model)
         rng = make_rng(37)
         n = 6
         x_t = rng.normal(size=(n, model.dim("target")))
         for group in AUX_GROUPS:
             pre = rng.normal(size=(n, 12))
-            assert plan.add_group(pre, group, np.zeros((0, model.dim(group))), x_t) is pre
+            assert scorer.add_group(pre, group, np.zeros((0, model.dim(group))), x_t) is pre
             for n_ads in (1, 4):
                 ads = rng.normal(size=(n_ads, model.dim(group))) * 2.0
-                agg = plan.aggregate(group, ads, x_t)
+                agg = scorer.aggregate(group, ads, x_t)
                 rows = n if variant == "dstn-i" else 1
                 assert agg.shape == (rows, model.dim(group))
                 # each row equals that candidate aggregated alone
@@ -408,8 +408,8 @@ class TestRequestForward:
         _, _, examples = toy_problem
         model = build(variant, toy_problem, seed=32)
         model.tensors["emb.E"] *= 100.0  # pCTRs spread over about 0.25..0.7
-        model = model.astype(dtype)
-        plan = RequestPlan(model)
+        model = astype(model, dtype)
+        scorer = ModelScorer(model)
         rng = make_rng(33)
         targets = [ex.target for ex in examples]
         pool = {g: [ad for ex in examples for ad in getattr(ex, g)] for g in AUX_GROUPS}
@@ -425,14 +425,15 @@ class TestRequestForward:
             case = self.HISTORIES[trial % 4]
             clicked = some("clicked", 5) if case in ("both", "clicked-only") else ()
             unclicked = some("unclicked", 5) if case in ("both", "unclicked-only") else ()
-            rows = prepare_request(plan, cands, clicked, unclicked)
+            rows = scorer.prepare(cands, clicked, unclicked)
             assert len(rows) == n
             # round 1; round 2 with a candidate as the contextual ad (its
             # prepared row, as serving passes it); several candidates as
             # contextual ads on a subset
             keep = rng.permutation(n)[: int(rng.integers(1, n + 1))]
             for ctx, idx in (([], np.arange(n)), ([0], keep), (keep[:3], keep[::-1])):
-                got = score_request(plan, rows.take(idx), rows.take(ctx) if len(ctx) else None)
+                ctx_rows = rows.take(ctx) if len(ctx) else None
+                got = np.asarray(scorer.score(rows.take(idx), ctx_rows))
                 contextual = [cands[i] for i in ctx]
                 want = [score_alone(model, cands[i], contextual, clicked, unclicked) for i in idx]
                 worst = max(worst, float(np.abs(got - want).max()))
@@ -455,14 +456,14 @@ class TestRequestForward:
         model = init_model(variant, reordered, vocab.size, make_rng(35), k=4, fc_dims=(12, 6),
                            attention_dim=5, dropout_p=0.0)
         model.tensors["emb.E"] *= 100.0
-        plan = RequestPlan(model.astype(dtype))
+        scorer = ModelScorer(astype(model, dtype))
         cands = [ex.target for ex in examples[:6]]
-        rows = prepare_request(plan, cands, examples[0].clicked, examples[0].unclicked)
+        rows = scorer.prepare(cands, examples[0].clicked, examples[0].unclicked)
         scores = []
         for win in range(len(cands)):
             rest = [i for i in range(len(cands)) if i != win]
-            got = score_request(plan, rows.take(rest), rows.take([win]))
-            assert np.array_equal(got, score_with_contextual_ads(plan, rows.take(rest),
+            got = np.asarray(scorer.score(rows.take(rest), rows.take([win])))
+            assert np.array_equal(got, score_with_contextual_ads(scorer, rows.take(rest),
                                                                  [cands[win]]))
             scores.extend(got)
         assert max(scores) - min(scores) > 0.01  # the check is not made on constant scores
@@ -475,11 +476,11 @@ class TestRequestForward:
         model = init_model(Variant.DSTN_P, wider, vocab.size, make_rng(36), k=4, fc_dims=(6,),
                            attention_dim=5, dropout_p=0.0)
         with pytest.raises(ContractViolation, match="no field 'zz' of group 'contextual'"):
-            RequestPlan(model)
+            ModelScorer(model)
 
 
-class TestRequestPlan:
-    """The plan holds views of the model's tensors and two copies, the FC
+class TestScorerLayout:
+    """The scorer holds views of the model's tensors and two copies, the FC
     layers' transposed weights, fusion's sliced into one block per group."""
 
     @staticmethod
@@ -488,28 +489,28 @@ class TestRequestPlan:
             yield value
         elif isinstance(value, (tuple, list, dict)):
             for item in value.values() if isinstance(value, dict) else value:
-                yield from TestRequestPlan.arrays(item)
+                yield from TestScorerLayout.arrays(item)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("variant", list(Variant))
     def test_the_fc_weights_are_copied_once_and_the_attention_halves_stay_views(
             self, toy_problem, variant, dtype):
-        model = build(variant, toy_problem, seed=39, fc_dims=(12, 6, 5)).astype(dtype)
-        plan = RequestPlan(model)
+        model = astype(build(variant, toy_problem, seed=39, fc_dims=(12, 6, 5)), dtype)
+        scorer = ModelScorer(model)
         layers = [] if variant == "lr" else ["fc2", "fc3"]
-        assert len(plan.fc) == len(layers)
-        copies = [(wt, model.tensors[f"{layer}.W"]) for (wt, _), layer in zip(plan.fc, layers)]
+        assert len(scorer.fc) == len(layers)
+        copies = [(wt, model.tensors[f"{layer}.W"]) for (wt, _), layer in zip(scorer.fc, layers)]
         if variant != "lr":
             # each group's fusion block is a row slice of one copy of fusion's W^T
-            fusion_t = plan.fusion["target"].base
-            assert all(block.base is fusion_t for block in plan.fusion.values())
-            assert sum(map(len, plan.fusion.values())) == len(fusion_t)
+            fusion_t = scorer.fusion["target"].base
+            assert all(block.base is fusion_t for block in scorer.fusion.values())
+            assert sum(map(len, scorer.fusion.values())) == len(fusion_t)
             copies.append((fusion_t, model.tensors["fusion.W"]))
         for wt, weights in copies:
             assert not np.shares_memory(wt, weights)
             assert not wt.flags.writeable and wt.flags.c_contiguous
             assert wt.dtype == weights.dtype and wt.tobytes() == weights.T.tobytes()
-        views = [a for a in self.arrays(vars(plan)) if a.dtype.kind == "f"  # not the index
+        views = [a for a in self.arrays(vars(scorer)) if a.dtype.kind == "f"  # not the index
                  and not any(np.shares_memory(a, wt) for wt, _ in copies)]
         read = set()
         for arr in views:
@@ -522,15 +523,18 @@ class TestRequestPlan:
             want |= {f"attn.{group}.Wtc" for group in AUX_GROUPS}
         assert read == want
 
-    def test_a_new_plan_keeps_no_rows(self, toy_problem):
-        plan = RequestPlan(build("dstn-p", toy_problem))
-        assert sorted(plan.history) == ["clicked", "unclicked"]
-        assert all(len(rows) == 0 for rows in plan.history.values())
-        assert RequestPlan(build("dnn", toy_problem)).history == {}
+    def test_a_new_scorer_keeps_no_rows(self, toy_problem):
+        scorer = ModelScorer(build("dstn-p", toy_problem))
+        assert sorted(scorer.history) == ["clicked", "unclicked"]
+        kept = [scorer.targets, *scorer.history.values()]
+        assert all(rows.index == {} and rows.table is scorer.model.tensors["emb.E"]
+                   for rows in kept)
+        dnn = ModelScorer(build("dnn", toy_problem))
+        assert dnn.history == {} and dnn.targets.index == {}
 
 
 class TestKeptHistoryRows:
-    """The plan embeds each history ad once, on the first request that names
+    """The scorer embeds each history ad once, on the first request that names
     it, and later requests read its kept row."""
 
     @staticmethod
@@ -557,42 +561,43 @@ class TestKeptHistoryRows:
         _, _, examples = toy_problem
         model = build(variant, toy_problem, seed=40)
         model.tensors["emb.E"] *= 100.0  # pCTRs spread over about 0.25..0.7
-        plan = RequestPlan(model.astype(dtype))
+        scorer = ModelScorer(astype(model, dtype))
         rng = make_rng(41)
         named = {"clicked": set(), "unclicked": set()}
         scores = []
         for cands, clicked, unclicked in self.requests(examples, rng):
-            rows = prepare_request(plan, cands, clicked, unclicked)
-            fresh = prepare_afresh(plan, cands, clicked, unclicked)
+            rows = scorer.prepare(cands, clicked, unclicked)
+            fresh = prepare_afresh(scorer, cands, clicked, unclicked)
             assert np.array_equal(rows.x_t, fresh.x_t) and np.array_equal(rows.pre, fresh.pre)
-            got = score_request(plan, rows, None)
-            assert np.array_equal(got, score_request(plan, fresh, None))
+            got = np.asarray(scorer.score(rows, None))
+            assert np.array_equal(got, np.asarray(scorer.score(fresh, None)))
             if len(cands) > 1:
                 ctx = rows.take([0])
-                assert np.array_equal(score_request(plan, rows.take([1]), ctx),
-                                      score_request(plan, fresh.take([1]), fresh.take([0])))
+                assert scorer.score(rows.take([1]), ctx) == \
+                    scorer.score(fresh.take([1]), fresh.take([0]))
             scores.extend(got)
             if variant in ("dstn-p", "dstn-s", "dstn-i"):
                 named["clicked"].update(clicked)
                 named["unclicked"].update(unclicked)
             # bounded: one row per distinct ad named in the group, never more
             for group, ads in named.items():
-                assert len(plan.history.get(group, ())) == len(ads)
+                assert len(scorer.history[group].index if scorer.history else ()) == len(ads)
         assert all(named.values()) or variant in ("lr", "dnn")
         assert max(scores) - min(scores) > 0.05  # the check is not made on constant scores
 
-    def test_a_new_plan_serves_the_changed_model(self, toy_problem):
+    def test_a_new_scorer_serves_the_changed_model(self, toy_problem):
         _, _, examples = toy_problem
         model = build("dstn-i", toy_problem, seed=42)
         model.tensors["emb.E"] *= 100.0
-        old = RequestPlan(model)
+        old = ModelScorer(model)
         cands = [ex.target for ex in examples[:5]]
         history = (examples[0].clicked, examples[0].unclicked)
-        before = score_request(old, prepare_request(old, cands, *history), None)
+        before = np.asarray(old.score(old.prepare(cands, *history), None))
         model.tensors["emb.E"] *= -0.5  # every kept row is stale now
-        new = RequestPlan(model)
-        got = score_request(new, prepare_request(new, cands, *history), None)
-        assert np.array_equal(got, score_request(new, prepare_afresh(new, cands, *history), None))
+        new = ModelScorer(model)
+        got = np.asarray(new.score(new.prepare(cands, *history), None))
+        fresh = prepare_afresh(new, cands, *history)
+        assert np.array_equal(got, np.asarray(new.score(fresh, None)))
         want = [score_alone(model, c, (), *history) for c in cands]
         assert np.abs(got - want).max() <= 1e-12
         assert np.abs(got - before).max() > 0.01
@@ -821,7 +826,7 @@ class TestFloat32:
     @pytest.mark.parametrize("variant", list(Variant))
     def test_trace_gradients_and_adagrad_state_stay_float32(self, toy_problem, variant):
         schemas, vocab, examples = toy_problem
-        model = build(variant, toy_problem, seed=30, dropout=0.5).astype(np.float32)
+        model = astype(build(variant, toy_problem, seed=30, dropout=0.5), np.float32)
         # the last example has no ads at all; a second batch has no contextual ads anywhere
         no_ads = dataclasses.replace(examples[-1], contextual=(), clicked=(), unclicked=())
         batches = [examples[:-1] + [no_ads],
@@ -854,8 +859,8 @@ class TestFloat32:
     @pytest.mark.parametrize("variant", list(Variant))
     def test_float32_gradients_match_float64_of_the_same_model(self, toy_problem, variant):
         _, _, examples = toy_problem
-        m32 = build(variant, toy_problem, seed=32, dropout=0.5).astype(np.float32)
-        m64 = m32.astype(np.float64)
+        m32 = astype(build(variant, toy_problem, seed=32, dropout=0.5), np.float32)
+        m64 = astype(m32, np.float64)
         g = {}
         for model in (m32, m64):
             _, trace = forward_batch(model, examples, mode="train", rng=make_rng(33))
@@ -871,7 +876,7 @@ class TestFloat32:
     @pytest.mark.parametrize("variant", list(Variant))
     def test_float32_checkpoint_round_trips_bit_for_bit(self, toy_problem, tmp_path, variant):
         schemas, _, examples = toy_problem
-        model = build(variant, toy_problem, seed=34, dropout=0.25).astype(np.float32)
+        model = astype(build(variant, toy_problem, seed=34, dropout=0.25), np.float32)
         path = tmp_path / "m.ckpt"
         save_model(path, model, "sh", "vh")
         loaded, header = load_model(path, schemas)
@@ -905,11 +910,11 @@ class TestFloat32:
     def test_extreme_logit_gives_a_pctr_strictly_inside_the_unit_interval(self, toy_problem,
                                                                           logit):
         _, _, examples = toy_problem
-        model = zero_params(build("dnn", toy_problem, seed=37)).astype(np.float32)
+        model = astype(zero_params(build("dnn", toy_problem, seed=37)), np.float32)
         model.tensors["out.b"][...] = logit
         pctr, _ = forward_batch(model, examples)
-        plan = RequestPlan(model)
-        served = score_request(plan, prepare_request(plan, [examples[0].target], (), ()), None)
+        scorer = ModelScorer(model)
+        served = np.asarray(scorer.score(scorer.prepare([examples[0].target], (), ()), None))
         for p in (pctr, served):
             assert p.dtype == np.float64
             assert np.all((p > 0.0) & (p < 1.0))

@@ -77,7 +77,7 @@ class TestDropout:
 
     @pytest.mark.parametrize("p", [0.0, 0.5])
     def test_mask_takes_the_requested_dtype_and_drops_the_same_units(self, p):
-        m64 = dropout_mask((3, 7), p, make_rng(4))
+        m64 = dropout_mask((3, 7), p, make_rng(4), np.float64)
         m32 = dropout_mask((3, 7), p, make_rng(4), np.float32)
         assert m64.dtype == np.float64 and m32.dtype == np.float32
         np.testing.assert_array_equal(m32, m64)

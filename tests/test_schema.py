@@ -8,6 +8,7 @@ from adctr.schema import (EncodeError, FieldKind, FieldSchema, GroupSchema, Sche
                           Vocabulary, bigrams, bucketize, build_vocabulary, dump_schemas,
                           encode_instance, load_schemas, parse_schemas, save_schemas,
                           schemas_hash)
+from oracles import oov
 
 AD_FIELDS = (FieldSchema("ad_id", FieldKind.UNIVALENT),
              FieldSchema("title", FieldKind.MULTIVALENT))
@@ -79,12 +80,12 @@ class TestVocabulary:
         vocab = build_vocabulary(records, SCHEMAS)
         ids = {vocab.lookup("title", t) for t in ("ab", "bc", "cd")}
         assert len(ids) == 3
-        assert all(i != vocab.oov("title") for i in ids)
+        assert all(i != oov(vocab, "title") for i in ids)
 
     def test_counts_of_a_built_vocabulary_cannot_be_written(self):
         vocab = build_vocabulary([("clicked", {"ad_id": ("a1",), "title": ("ab",)})], SCHEMAS)
         with pytest.raises(TypeError):
-            vocab.target_counts[vocab.oov("title")] += 1
+            vocab.target_counts[oov(vocab, "title")] += 1
 
     def test_save_load_round_trip(self, tmp_path):
         records = [("clicked", {"ad_id": ("a1",), "title": ("ABCD",)}),
@@ -96,7 +97,7 @@ class TestVocabulary:
         loaded = Vocabulary.load(path)
         assert loaded.size == vocab.size
         assert loaded.lookup("title", "ab") == vocab.lookup("title", "ab")
-        assert loaded.oov("age") == vocab.oov("age")
+        assert oov(loaded, "age") == oov(vocab, "age")
         assert loaded.target_counts == vocab.target_counts
         assert loaded.content_hash() == vocab.content_hash()
 
@@ -141,7 +142,7 @@ class TestVocabulary:
         for v in values:
             for name, value in (("user_id", v), ("ad_id", v[::-1])):
                 assert loaded.lookup(name, value) == vocab.lookup(name, value)
-                assert vocab.lookup(name, value) != vocab.oov(name)
+                assert vocab.lookup(name, value) != oov(vocab, name)
             for token in bigrams(v):
                 assert loaded.lookup("title", token) == vocab.lookup("title", token)
 
@@ -160,7 +161,7 @@ class TestVocabulary:
         assert counts[vocab.lookup("title", "ab")] == 2  # twice in one bag
         assert counts[vocab.lookup("title", "xy")] == 1
         assert counts[vocab.lookup("ad_id", "a9")] == 0  # auxiliary only
-        assert counts[vocab.oov("ad_id")] == 0
+        assert counts[oov(vocab, "ad_id")] == 0
 
 
 class TestEncodeInstance:
@@ -188,7 +189,7 @@ class TestEncodeInstance:
         inst = encode_instance({"user_id": ("never-seen",), "age": ("24",),
                                 "ad_id": ("a1",), "title": ("ABCD",)},
                                SCHEMAS["target"], vocab)
-        assert inst.indices[0] == (vocab.oov("user_id"),)
+        assert inst.indices[0] == (oov(vocab, "user_id"),)
 
     def test_missing_univalent_field_names_it(self, vocab):
         with pytest.raises(EncodeError, match="user_id"):

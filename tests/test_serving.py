@@ -16,11 +16,12 @@ from adctr.ingest import LabeledExample, ParseError, parse_ad
 from adctr.models import Variant, forward_batch, init_model
 from adctr.numerics import make_rng
 from adctr.serving import (AdServer, ModelScorer, RankProtocolServer, RankRequest,
-                           _encode_candidate, ad_display_id, parse_events, rank_request,
-                           replay_session, write_results)
+                           ad_display_id, parse_events, rank_request, replay_session,
+                           write_results)
 from adctr.schema import GroupSchema, SchemaError
 from adctr.session import SessionStore
-from oracles import StubRows, StubScorer, reference_handle_line, score_alone
+from oracles import (StubRows, StubScorer, astype, oov, reference_handle_line,
+                     request_candidate, score_alone)
 
 
 def zeroed_model(schemas, vocab, variant="dstn-i"):
@@ -508,6 +509,11 @@ def rank_catalog(train) -> dict:
     return catalog
 
 
+def kept_targets(server) -> dict:
+    """The catalog rows the server's scorer keeps, by ad_id."""
+    return server.ad_server.scorer.targets.index
+
+
 def history_store(train) -> SessionStore:
     """u1 with clicked and unclicked history, u2 with unclicked only."""
     ex = next(ex for ex in train if ex.clicked and ex.unclicked)
@@ -617,20 +623,31 @@ def test_each_catalog_ad_is_encoded_once(env, monkeypatch):
                                          SessionStore()), catalog, ds.schemas["target"], vocab)
     good = sorted(ad for ad in catalog if ad not in BROKEN_ADS)
     rng = make_rng(48)
-    for i in range(200):
-        picks = [good[int(j)] for j in rng.choice(len(good), size=8, replace=False)]
-        assert server.handle_line(f"RANK u{i % 7} 40 4 {','.join(picks)}").startswith("OK ")
-        assert len(server.rows.kept) <= len(catalog)
+    lines = [f"RANK u{i % 7} 40 4 "
+             + ",".join(good[int(j)] for j in rng.choice(len(good), size=8, replace=False))
+             for i in range(200)]
+    for line in lines:
+        assert server.handle_line(line).startswith("OK ")
+        assert len(kept_targets(server)) <= len(catalog)
     assert max(encoded.values()) == 1
-    assert len(encoded) == len(server.rows.kept) > len(good) // 2
+    assert len(encoded) == len(kept_targets(server)) > len(good) // 2
 
-    cached = len(server.rows.kept)
+    cached = len(kept_targets(server))
     for ad_id, error in (("a0061", "numerical field 'age': bad value 'old'"),
                          ("a0062", "missing required univalent field 'src'")):
         for _ in range(3):
             assert server.handle_line(f"RANK u1 40 4 {good[0]},{ad_id}") == f"ERR {error}"
         assert encoded[ad_id] == 3
-    assert len(server.rows.kept) == cached
+    assert len(kept_targets(server)) == cached
+
+    # A scorer for another model keeps rows of its own: each ad it is asked
+    # for is encoded once more, and only once.
+    before = collections.Counter(encoded)
+    server.ad_server.scorer = ModelScorer(zeroed_model(ds.schemas, vocab, "dstn-p"))
+    for line in lines:
+        assert server.handle_line(line).startswith("OK ")
+    assert len(kept_targets(server)) == cached
+    assert encoded - before == collections.Counter(kept_targets(server).keys())
 
 
 def test_concurrent_requests_share_the_catalog_rows(env, monkeypatch):
@@ -675,7 +692,7 @@ def test_concurrent_requests_share_the_catalog_rows(env, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert errors == []
-    assert max(encoded.values()) == 1 and len(encoded) == len(server.rows.kept)
+    assert max(encoded.values()) == 1 and len(encoded) == len(kept_targets(server))
     for line, reply in replies.items():
         assert reply.startswith("OK ") and reply == reference_handle_line(server, line)
 
@@ -734,7 +751,7 @@ def catalog_server(env):
                            fc_dims=(8, 4), attention_dim=4, dropout_p=0.0)
         model.tensors["emb.E"] *= 100.0
         servers.append(RankProtocolServer(
-            AdServer(ModelScorer(model.astype(dtype)), history_store(train)),
+            AdServer(ModelScorer(astype(model, dtype)), history_store(train)),
             rank_catalog(train), ds.schemas["target"], vocab))
         return servers[-1], sorted(ad for ad in servers[-1].rows.catalog
                                    if ad not in BROKEN_ADS)
@@ -749,10 +766,10 @@ def catalog_server(env):
 def test_kept_rows_score_as_embedding_every_ad_afresh(env, catalog_server, variant, dtype):
     ds, vocab, train = env
     server, good = catalog_server(variant, dtype)
-    rows, plan = server.rows, server.ad_server.scorer.plan
+    rows, scorer = server.rows, server.ad_server.scorer
     target = ds.schemas["target"]
-    oov = vocab.oov("user_id")
-    assert vocab.lookup("user_id", "u1") == oov != vocab.lookup("user_id", "u0037")
+    unseen = oov(vocab, "user_id")
+    assert vocab.lookup("user_id", "u1") == unseen != vocab.lookup("user_id", "u0037")
     rng = make_rng(54)
     named, pctrs = set(), []
     for i in range(30):
@@ -760,9 +777,10 @@ def test_kept_rows_score_as_embedding_every_ad_afresh(env, catalog_server, varia
         user = ("u1", "u2", "u0037")[i % 3]
         picks = rng.choice(len(good), size=i % 8 + 1, replace=False)
         picks = tuple(good[int(j)] for j in picks)
-        got = rows.embedded(user, picks)
-        cands = tuple(_encode_candidate(rows.catalog[ad], user, target, vocab) for ad in picks)
-        fresh = embed_matrix(AdColumns.from_instances(cands, target), plan.model.tensors["emb.E"])
+        got = rows.embedded(scorer, user, picks)
+        cands = tuple(request_candidate(rows.catalog[ad], user, target, vocab) for ad in picks)
+        table = scorer.model.tensors["emb.E"]
+        fresh = embed_matrix(AdColumns.from_instances(cands, target), table)
         assert got.dtype == dtype and np.array_equal(got, fresh)  # bit for bit
         served = server.ad_server.rank(RankRequest("-", user, 40, picks, slots=4, rows=got))
         afresh = server.ad_server.rank(RankRequest("-", user, 40, cands, slots=4))
@@ -772,13 +790,13 @@ def test_kept_rows_score_as_embedding_every_ad_afresh(env, catalog_server, varia
         pctrs += [r.pctr for r in served.ranked]
         named.update(picks)
         # bounded: one row per distinct ad named, in the catalog and in each history group
-        assert len(rows.kept) == len(named)
+        assert len(scorer.targets.index) == len(named)
     clicked, unclicked = (set(h) for h in server.ad_server.store.get_history("u1", 40))
     _, unclicked_u2 = server.ad_server.store.get_history("u2", 40)
     history = {"clicked": clicked, "unclicked": unclicked | set(unclicked_u2)}
-    for group, kept in plan.history.items():
-        assert len(kept) == len(history[group]) and set(kept.index) == history[group]
-    assert plan.history or variant in ("lr", "dnn")
+    for group, kept in scorer.history.items():
+        assert len(kept.index) == len(history[group]) and set(kept.index) == history[group]
+    assert scorer.history or variant in ("lr", "dnn")
     assert max(pctrs) - min(pctrs) > 0.01  # the check is not made on constant scores
 
 
@@ -791,7 +809,7 @@ def test_a_request_naming_an_ad_that_does_not_encode_keeps_none_of_its_new_rows(
             line = f"RANK u1 40 4 {good[0]},{good[2 + i]},{ad_id},{good[5 + i]}"
             assert server.handle_line(line) == f"ERR {error}"
             assert reference_handle_line(server, line) == f"ERR {error}"
-    assert set(server.rows.kept.index) == {good[0], good[1]}
+    assert set(kept_targets(server)) == {good[0], good[1]}
 
 
 def test_a_new_scorer_serves_the_changed_model(env):
@@ -810,12 +828,24 @@ def test_a_new_scorer_serves_the_changed_model(env):
     new = RankProtocolServer(AdServer(ModelScorer(model), history_store(train)), catalog,
                              ds.schemas["target"], vocab)
     try:
-        assert len(new.rows.kept) == 0
-        assert all(len(kept) == 0 for kept in new.ad_server.scorer.plan.history.values())
+        assert kept_targets(new) == {}
+        assert all(kept.index == {} for kept in new.ad_server.scorer.history.values())
         after = [new.handle_line(line) for line in lines]
         assert after == [reference_handle_line(new, line) for line in lines]
     finally:
         new.stop()
+    assert sum(a != b for a, b in zip(after, before)) > len(lines) // 2
+
+
+def test_a_scorer_swapped_into_a_live_server_serves_with_its_own_models_rows(catalog_server):
+    server, good = catalog_server(seed=57)
+    lines = [f"RANK u{i % 2 + 1} 40 3 {','.join(good[i : i + 6])}" for i in range(10)]
+    before = [server.handle_line(line) for line in lines]  # the first model's rows are kept
+    fresh, _ = catalog_server(seed=58)
+    server.ad_server.scorer = ModelScorer(fresh.ad_server.scorer.model)
+    after = [server.handle_line(line) for line in lines]
+    assert after == [fresh.handle_line(line) for line in lines]
+    assert after == [reference_handle_line(server, line) for line in lines]
     assert sum(a != b for a, b in zip(after, before)) > len(lines) // 2
 
 
@@ -844,7 +874,7 @@ def test_two_threads_naming_new_ads_at_once_get_the_same_reply(catalog_server):
             assert len(replies) == 2 and replies[0] == replies[1]
             assert replies[0].startswith("OK ")
             assert replies[0] == reference_handle_line(server, line)
-            assert len(server.rows.kept) == 8
+            assert len(kept_targets(server)) == 8
     finally:
         sys.setswitchinterval(interval)
 

@@ -17,8 +17,8 @@ from adctr.train_eval import (EvalReport, MetricUndefinedError, TrainConfig, auc
                               embedding_penalty, embedding_row_scales, NonFiniteError,
                               evaluate, grad_check, logloss_eval, predict, train)
 from oracles import (InstanceEmbedding, aggregate_interactive_attention,
-                     aggregate_self_attention, average_aux_count, embed_instance,
-                     improvement_metrics, reference_ablate)
+                     aggregate_self_attention, astype, average_aux_count, embed_instance,
+                     improvement_metrics, oov, reference_ablate)
 
 
 def no_steps(monkeypatch):
@@ -202,7 +202,7 @@ class TestTrain:
         assert {arr.dtype for arr in fresh.tensors.values()} == {np.dtype(np.float32)}
         for dtype in (np.float64, np.float32):
             warm, _ = train(config, tr[:300], va[:50], ds.schemas, vocab,
-                            initial=fresh.astype(dtype))
+                            initial=astype(fresh, dtype))
             assert {arr.dtype for arr in warm.tensors.values()} == {np.dtype(dtype)}
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -298,7 +298,7 @@ def _assert_batches_equal(got, want):
 class TestAblation:
     def test_keeps_only_requested_group(self, tiny_dataset):
         ds, _, tr, *_ = tiny_dataset
-        batch = encode_examples(tr, ds.schemas)
+        batch = encode_examples(tr, ds.schemas, AUX_GROUPS)
         kept = batch.ablate("clicked")
         (offsets, ads), (want_offsets, want_ads) = kept.aux["clicked"], batch.aux["clicked"]
         np.testing.assert_array_equal(offsets, want_offsets)
@@ -318,7 +318,7 @@ class TestAblation:
     def test_unknown_group_rejected(self, tiny_dataset, monkeypatch):
         ds, vocab, tr, va, _ = tiny_dataset
         with pytest.raises(ValueError, match="unknown auxiliary group 'target'"):
-            encode_examples(tr[:10], ds.schemas).ablate("target")
+            encode_examples(tr[:10], ds.schemas, AUX_GROUPS).ablate("target")
 
         def no_encoding(*args):
             raise AssertionError("encoded before refusing the group")
@@ -347,7 +347,8 @@ class TestAblation:
     def test_average_aux_count(self, tiny_dataset):
         ds, _, tr, *_ = tiny_dataset
         manual = sum(len(ex.clicked) for ex in tr) / len(tr)
-        assert average_aux_count(encode_examples(tr, ds.schemas), "clicked") == manual
+        batch = encode_examples(tr, ds.schemas, AUX_GROUPS)
+        assert average_aux_count(batch, "clicked") == manual
 
 
 class TestEmbeddingPenalty:
@@ -355,7 +356,7 @@ class TestEmbeddingPenalty:
         schemas, vocab, _ = _separable_problem()
         scales = embedding_row_scales(vocab, 3.0)
         assert scales[vocab.lookup("f", "pos")] == pytest.approx(3.0 / 40)
-        assert scales[vocab.oov("f")] == pytest.approx(3.0)  # count 0 floored at 1
+        assert scales[oov(vocab, "f")] == pytest.approx(3.0)  # count 0 floored at 1
 
     def test_hand_arithmetic(self, toy_problem):
         schemas, vocab, _ = toy_problem
