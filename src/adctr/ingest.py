@@ -46,7 +46,7 @@ class ParseError(ValueError):
         self.line_number = line_number
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledExample:
     label: int
     timestamp: int

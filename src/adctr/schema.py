@@ -184,11 +184,29 @@ class Vocabulary:
 @dataclass(frozen=True, eq=True)
 class EncodedInstance:
     """One ad's features as per-field index lists, plus the raw values they
-    came from (kept so instances can be re-serialized and deduplicated)."""
+    came from (kept so instances can be re-serialized and deduplicated).
+
+    Slotted, with no per-object ``__dict__``; the hash is computed on first
+    use and kept, since serving hashes each history ad per request."""
+
+    __slots__ = ("group", "indices", "raw", "_hash")
 
     group: str
     indices: tuple[tuple[int, ...], ...]
     raw: tuple[tuple[str, tuple[str, ...]], ...]
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.group, self.indices, self.raw))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __reduce__(self):
+        # A frozen instance cannot take its slots back through setattr, so
+        # copies and pickles are built through __init__.
+        return EncodedInstance, (self.group, self.indices, self.raw)
 
     def identity(self) -> tuple:
         """Group-independent ad identity, used for click/impression matching."""
@@ -276,8 +294,10 @@ def encode_instance(record: RawRecord, group_schema: GroupSchema, vocab: Vocabul
     field without exactly one value is an error naming the field.
 
     ``memo`` is a caller's per-pass dict from (field schema, values) to the
-    field's indices, filled here; only values that encode are kept, so a
-    refused value raises on every occurrence. It must be used with one
+    first-seen ``(name, values)`` pair and the field's indices, filled here;
+    every instance encoded through it holds that pair in ``raw``, so a value
+    repeated across records is kept once. Only values that encode are kept,
+    so a refused value raises on every occurrence. It must be used with one
     vocabulary only.
     """
     per_field: list[tuple[int, ...]] = []
@@ -285,13 +305,13 @@ def encode_instance(record: RawRecord, group_schema: GroupSchema, vocab: Vocabul
     for fs in group_schema.fields:
         values = tuple(record.get(fs.name, ()))
         # Without a memo (a catalog ad) no key is built.
-        indices = memo.get((fs, values)) if memo is not None else None
-        if indices is None:
-            indices = encode_field(fs, values, vocab)
+        hit = memo.get((fs, values)) if memo is not None else None
+        if hit is None:
+            hit = (fs.name, values), encode_field(fs, values, vocab)
             if memo is not None:
-                memo[(fs, values)] = indices
-        per_field.append(indices)
-        raw.append((fs.name, values))
+                memo[(fs, values)] = hit
+        raw.append(hit[0])
+        per_field.append(hit[1])
     return EncodedInstance(group=group_schema.group, indices=tuple(per_field), raw=tuple(raw))
 
 

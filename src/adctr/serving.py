@@ -306,11 +306,11 @@ class CatalogRows:
 class RankProtocolServer:
     """Threaded TCP server speaking the RANK line protocol. Candidates are
     referenced by ad_id against a preloaded catalog of target-schema ads,
-    each encoded and embedded once per scorer (``CatalogRows``). A scorer
-    put in ``ad_server.scorer`` for another model serves every request that
-    starts after the swap with that model's rows; a request in flight at
-    the swap reads the scorer twice (to embed its candidates, then to rank
-    them) and may get one model for each."""
+    each encoded and embedded once per scorer (``CatalogRows``). A request
+    reads ``ad_server.scorer`` once and both embeds and ranks its candidates
+    with that scorer, so a scorer put there for another model serves every
+    request that starts after the swap with that model's rows, and a request
+    in flight at the swap with the old model alone."""
 
     def __init__(self, ad_server: AdServer, catalog: Mapping[str, Mapping[str, Sequence[str]]],
                  target_schema: GroupSchema, vocab: Vocabulary,
@@ -380,11 +380,12 @@ class RankProtocolServer:
             if len(ad_ids) > MAX_CANDIDATES:
                 return f"ERR too many candidates: {len(ad_ids)} > {MAX_CANDIDATES}"
             ad_ids = tuple(dict.fromkeys(ad_ids))  # a repeated id is the same candidate
-            rows = self.rows.embedded(self.ad_server.scorer, user_id, ad_ids)
+            scorer = self.ad_server.scorer
+            rows = self.rows.embedded(scorer, user_id, ad_ids)
             req = RankRequest(request_id="-", user_id=user_id, now=parse_uint(now, "now", 0),
                               candidates=ad_ids, slots=parse_uint(slots, "slots", 0),
                               rows=rows)
-            res = self.ad_server.rank(req)
+            res = rank_request(scorer, self.ad_server.store, req)
             body = " ".join(f"{r.ad}:{r.pctr:.6f}:{r.round}" for r in res.ranked)
             return f"OK {body}"
         except Exception as exc:  # protocol boundary: report, don't crash the server

@@ -10,11 +10,13 @@ unclicked one, so a single exposure is never counted twice.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any
 
 WINDOW_SECONDS = 3 * 24 * 3600
 CAPACITY = 5
+SWEEP_PER_RECORD = 2  # users a record checks for expiry: more than the one it may add
 _CLICKED_BY_TAG = {"clk": True, "unclk": False}
 
 
@@ -52,12 +54,21 @@ def _retire_unclicked(hist: _UserHistory, ad, click_ts: int) -> None:
 class SessionStore:
     """Hashmap of user histories. One lock guards the map, the arrival counter
     and every history; a user whose entries have all expired is dropped when
-    a read purges them."""
+    a read purges them, or by the sweep that each record runs.
+
+    The map keeps the users recorded or checked least recently at its
+    front, and each record checks up to ``SWEEP_PER_RECORD`` of them: one
+    whose every entry is at least the window older than both the event's
+    time and the latest read's ``now`` is dropped, any other moves to the
+    back. So a user who only gets events and is never read still goes, and a
+    read whose ``now`` is no earlier than every earlier read's gets the same
+    answer as if nobody had been swept."""
 
     def __init__(self):
-        self._users: dict[str, _UserHistory] = {}
+        self._users: OrderedDict[str, _UserHistory] = OrderedDict()
         self._lock = threading.Lock()
         self._seq = 0
+        self._read_now = 0  # the latest `now` a read has asked for
 
     def record_event(self, user_id: str, ad, clicked: bool, ts: int) -> None:
         """Insert one behavior event, keeping ts order and the capacity cap."""
@@ -67,10 +78,24 @@ class SessionStore:
             hist = self._users.get(user_id)
             if hist is None:
                 hist = self._users[user_id] = _UserHistory()
+            else:
+                self._users.move_to_end(user_id)
             self._seq += 1
             if clicked:
                 _retire_unclicked(hist, ad, ts)
             _insert(hist.clicked if clicked else hist.unclicked, _Entry(ad, ts, self._seq))
+            self._sweep(min(ts, self._read_now) - WINDOW_SECONDS)
+
+    def _sweep(self, cutoff: int) -> None:
+        """Check the users at the front: drop those with no entry after
+        ``cutoff``, move the others to the back."""
+        for _ in range(SWEEP_PER_RECORD):
+            user_id, hist = next(iter(self._users.items()))
+            if any(entries and entries[-1].ts > cutoff
+                   for entries in (hist.clicked, hist.unclicked)):
+                self._users.move_to_end(user_id)
+            else:
+                del self._users[user_id]
 
     def get_history(self, user_id: str, now: int) -> tuple[tuple, tuple]:
         """(clicked, unclicked) ads within the window, most recent first.
@@ -80,6 +105,7 @@ class SessionStore:
         """
         cutoff = now - WINDOW_SECONDS
         with self._lock:
+            self._read_now = max(self._read_now, now)
             hist = self._users.get(user_id)
             if hist is None:
                 return (), ()

@@ -191,11 +191,12 @@ def _check_finite(model: ModelParams, epoch: int, batch: int, batch_loss: float,
 
 
 def predict(model: ModelParams, examples: EncodedBatch | Sequence[LabeledExample],
-            batch_size: int = 1024, collect_attention: bool = False
+            batch_size: int = 256, collect_attention: bool = False
             ) -> tuple[np.ndarray, list[tuple[int, str, int, float]]]:
     """Eval-mode scores for a stream (encoded, or examples encoded once on
     entry); optionally the per-ad attention weights as (example ordinal,
-    group, ad ordinal, weight) rows."""
+    group, ad ordinal, weight) rows. The stream is scored ``batch_size``
+    rows at a time, so at most that many rows of activations are held."""
     examples = encode_batch(model, examples)
     n = len(examples)
     scores = np.empty(n)

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import re
 
 import numpy as np
@@ -79,6 +81,35 @@ class TestParseLogLine:
         with pytest.raises(ParseError, match=f"line 42: {message}") as info:
             parse_log_line(line, schemas, vocab, line_number=42)
         assert info.value.line_number == 42
+
+
+class TestParsedForm:
+    def test_a_value_on_two_lines_of_a_file_is_one_object(self, tmp_path, tiny_dataset):
+        ds, vocab, *_ = tiny_dataset
+        lines = ["\t".join(["0", "10", "u1", f"user_id=u1;age=30;{_ad(1)}", _ad(2), "", ""]),
+                 "\t".join(["1", "20", "u2", f"user_id=u2;age=60;{_ad(1)}", "", "", _ad(3)])]
+        path = tmp_path / "log.tsv"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        a, b = read_examples(path, ds.schemas, vocab)
+        names = ds.schemas["target"].field_names
+        assert a.target is not b.target
+        for i, name in enumerate(names):
+            assert (a.target.raw[i] is b.target.raw[i]) == (name not in ("user_id", "age"))
+        # src=organic and x0=v: one object in every ad of the file that has them
+        src, x0 = (a.target.raw[names.index(n)] for n in ("src", "x0"))
+        for ad in (a.contextual[0], b.unclicked[0]):
+            assert ad.raw[1] is src and ad.raw[3] is x0
+        assert [serialize_example(ex) for ex in (a, b)] == lines
+
+    def test_an_example_is_slotted_and_still_copied_and_replaced(self, tiny_dataset):
+        ex = tiny_dataset[2][0]
+        assert not hasattr(ex, "__dict__") and not hasattr(ex.target, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ex.label = 1 - ex.label
+        for dup in (copy.copy(ex), copy.deepcopy(ex), dataclasses.replace(ex)):
+            assert dup == ex
+        bare = dataclasses.replace(ex, label=1 - ex.label, clicked=())
+        assert (bare.label, bare.clicked, bare.target) == (1 - ex.label, (), ex.target)
 
 
 class TestGenerator:

@@ -1,11 +1,14 @@
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adctr.numerics import make_rng
-from adctr.schema import (EncodeError, FieldKind, FieldSchema, GroupSchema, SchemaError,
-                          Vocabulary, bigrams, bucketize, build_vocabulary, dump_schemas,
+from adctr.schema import (EncodedInstance, EncodeError, FieldKind, FieldSchema, GroupSchema,
+                          SchemaError, Vocabulary, bigrams, bucketize, build_vocabulary, dump_schemas,
                           encode_instance, load_schemas, parse_schemas, save_schemas,
                           schemas_hash)
 from oracles import oov
@@ -216,6 +219,22 @@ class TestEncodeInstance:
             inst = encode_instance(record, SCHEMAS["target"], vocab)
             assert all(i < vocab.size for idx in inst.indices for i in idx)
 
+    def test_a_memo_shares_each_value_across_records(self, vocab):
+        memo: dict = {}
+        first = {"user_id": ("u1",), "age": ("24",), "ad_id": ("a1",), "title": ("ABCD",)}
+        a = encode_instance(first, SCHEMAS["target"], vocab, memo)
+        # Equal values in new tuples, as each parsed line splits its own.
+        b = encode_instance({"user_id": ("u2",), "age": ("24",), "ad_id": ("a1",),
+                             "title": ("ABCD",)}, SCHEMAS["target"], vocab, memo)
+        clicked = encode_instance({"ad_id": ("a1",), "title": ("ABCD",)}, SCHEMAS["clicked"],
+                                  vocab, memo)
+        assert a.raw[0] is not b.raw[0]
+        for i in (1, 2, 3):
+            assert a.raw[i] is b.raw[i] and a.raw[i][1] is first[a.raw[i][0]]
+        # A field two groups declare alike is one memo key.
+        assert clicked.raw == a.raw[2:] and all(x is y for x, y in zip(clicked.raw, a.raw[2:]))
+        assert b == encode_instance(dict(b.raw), SCHEMAS["target"], vocab)  # no memo
+
     def test_same_bucket_same_encoding(self):
         # All buckets must be in-vocabulary, otherwise distinct unseen buckets
         # would collapse onto the shared OOV index.
@@ -232,6 +251,47 @@ class TestEncodeInstance:
             ey = encode_instance({**base, "age": (repr(y),)}, SCHEMAS["target"], vocab)
             same_bucket = bucketize(x, boundaries) == bucketize(y, boundaries)
             assert (ex.indices[1] == ey.indices[1]) == same_bucket
+
+
+class TestEncodedInstanceObject:
+    def _pair(self):
+        record = {"ad_id": ("a1",), "title": ("ABCD",)}
+        vocab = build_vocabulary([("clicked", record)], SCHEMAS)
+        # Two equal instances that share no tuple.
+        return (encode_instance(record, SCHEMAS["clicked"], vocab),
+                encode_instance({k: tuple(list(v)) for k, v in record.items()},
+                                SCHEMAS["clicked"], vocab))
+
+    def test_equal_instances_hash_equal(self):
+        a, b = self._pair()
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert hash(a) == hash((a.group, a.indices, a.raw))
+        assert hash(dataclasses.replace(a, group="unclicked")) != hash(a)
+
+    def test_the_hash_is_computed_once(self):
+        calls = []
+
+        class Counted(str):
+            def __hash__(self):
+                calls.append(self)
+                return str.__hash__(self)
+
+        inst = EncodedInstance("clicked", ((1,),), (("ad_id", (Counted("a1"),)),))
+        first = hash(inst)
+        assert len(calls) == 1
+        assert hash(inst) == first and {inst: 1}[inst] == 1
+        assert len(calls) == 1
+
+    def test_slotted_and_still_copied_and_replaced(self):
+        a, _ = self._pair()
+        assert not hasattr(a, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.group = "target"
+        hash(a)
+        for dup in (copy.copy(a), copy.deepcopy(a), dataclasses.replace(a)):
+            assert dup == a and hash(dup) == hash(a)
+        moved = dataclasses.replace(a, group="unclicked")
+        assert (moved.group, moved.indices, moved.raw) == ("unclicked", a.indices, a.raw)
 
 
 def test_schema_file_round_trip(tmp_path):

@@ -849,6 +849,30 @@ def test_a_scorer_swapped_into_a_live_server_serves_with_its_own_models_rows(cat
     assert sum(a != b for a, b in zip(after, before)) > len(lines) // 2
 
 
+def test_a_request_in_flight_at_a_scorer_swap_is_served_by_one_model(catalog_server,
+                                                                     monkeypatch):
+    server, good = catalog_server(seed=57)
+    fresh, _ = catalog_server(seed=58)
+    lines = [f"RANK u{i % 2 + 1} 40 3 {','.join(good[i : i + 6])}" for i in range(10)]
+    old_replies = [server.handle_line(line) for line in lines]
+    new_replies = [fresh.handle_line(line) for line in lines]
+    old_scorer, new_scorer = server.ad_server.scorer, ModelScorer(fresh.ad_server.scorer.model)
+    embedded = server.rows.embedded
+
+    def embed_then_swap(scorer, user_id, ad_ids):
+        rows = embedded(scorer, user_id, ad_ids)
+        server.ad_server.scorer = new_scorer
+        return rows
+
+    for line, old, new in zip(lines, old_replies, new_replies):
+        server.ad_server.scorer = old_scorer
+        monkeypatch.setattr(server.rows, "embedded", embed_then_swap)
+        assert server.handle_line(line) == old  # swapped after the embed: still the old model
+        monkeypatch.undo()
+        assert server.handle_line(line) == new  # the next request reads the new scorer
+    assert sum(a != b for a, b in zip(old_replies, new_replies)) > len(lines) // 2
+
+
 def test_two_threads_naming_new_ads_at_once_get_the_same_reply(catalog_server):
     import sys
 

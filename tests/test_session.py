@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from adctr.ingest import ParseError, serialize_ad
 from adctr.numerics import make_rng
-from adctr.session import CAPACITY, WINDOW_SECONDS, SessionStore
+from adctr.session import CAPACITY, SWEEP_PER_RECORD, WINDOW_SECONDS, SessionStore
 
 
 class Ad:
@@ -185,6 +185,56 @@ class TestPropertyBased:
                 if got == ((), ()):
                     purged.add(user)
             assert purged.isdisjoint(store.user_ids())
+
+
+class TestSweep:
+    def test_users_silent_past_the_window_go_and_reads_stay_the_same(self):
+        rng = make_rng(91)
+        store = SessionStore()
+        events = []
+
+        def record(user, ts):
+            ad = Ad(f"ad{len(events)}")  # unique ads: reconciliation never triggers
+            clicked = bool(rng.random() < 0.3)
+            events.append((user, ad, clicked, ts))
+            before = len(store.user_ids())
+            store.record_event(user, ad, clicked, ts)
+            # a record adds at most its own user and drops at most SWEEP_PER_RECORD
+            assert before - SWEEP_PER_RECORD <= len(store.user_ids()) <= before + 1
+
+        silent = [f"s{i:02d}" for i in range(40)]  # only events, never a read
+        active = [f"a{i}" for i in range(5)]
+        for i, user in enumerate(silent):
+            record(user, 10 * i)
+            record(user, 10 * i + 5)
+        assert store.user_ids() == sorted(silent)
+        now, step = 400, WINDOW_SECONDS // 40
+        for _ in range(300):  # seven and a half windows
+            now += step
+            record(active[int(rng.integers(0, len(active)))], now)
+            user = active[int(rng.integers(0, len(active)))]
+            got = store.get_history(user, now)
+            want = brute_force_history(events, user, now)
+            assert [[a.ad_id for a in g] for g in got] == [[a.ad_id for a in w] for w in want]
+        assert set(store.user_ids()) <= set(active)
+        for user in silent + active:
+            got = store.get_history(user, now)
+            want = brute_force_history(events, user, now)
+            assert [[a.ad_id for a in g] for g in got] == [[a.ad_id for a in w] for w in want]
+            assert user in active or got == ((), ())
+
+    def test_a_user_is_kept_while_any_read_could_still_see_it(self):
+        store = SessionStore()
+        store.record_event("old", Ad("x"), clicked=False, ts=10)
+        store.get_history("other", now=100)
+        # Events far past the window, but no read has asked for a later time.
+        for i in range(10):
+            store.record_event("new", Ad(f"y{i}"), clicked=False, ts=10 * WINDOW_SECONDS + i)
+        assert store.user_ids() == ["new", "old"]
+        assert [a.ad_id for a in store.get_history("old", now=100)[1]] == ["x"]
+        store.get_history("new", now=10 * WINDOW_SECONDS)
+        store.record_event("new", Ad("z"), clicked=False, ts=10 * WINDOW_SECONDS + 20)
+        assert store.user_ids() == ["new"]
 
 
 class TestConcurrency:

@@ -8,7 +8,7 @@ import pytest
 from adctr import train_eval
 from adctr.embedding import encode_examples
 from adctr.ingest import LabeledExample
-from adctr.models import Variant, _attention, init_model, save_model
+from adctr.models import Variant, _attention, encode_batch, init_model, save_model
 from adctr.numerics import make_rng
 from adctr.schema import (AUX_GROUPS, FieldKind, FieldSchema, GroupSchema, build_vocabulary,
                           encode_instance, schemas_hash)
@@ -380,6 +380,26 @@ class TestEmbeddingPenalty:
         penalized, _ = train(config, tr[:300], va[:50], ds.schemas, vocab)
         assert not np.array_equal(plain.tensors["emb.E"], penalized.tensors["emb.E"])
         assert np.abs(penalized.tensors["emb.E"]).sum() < np.abs(plain.tensors["emb.E"]).sum()
+
+
+def test_predict_scores_at_most_256_rows_per_forward_by_default(tiny_dataset, monkeypatch):
+    ds, vocab, train_ex, *_ = tiny_dataset
+    model = init_model(Variant.DSTN_I, ds.schemas, vocab.size, make_rng(6), k=4,
+                       fc_dims=(8, 4), attention_dim=4)
+    batch = encode_batch(model, train_ex[:700])
+    rows = []
+    forward = train_eval.forward_batch
+
+    def counted(model, batch, **kwargs):
+        rows.append(len(batch))
+        return forward(model, batch, **kwargs)
+
+    monkeypatch.setattr(train_eval, "forward_batch", counted)
+    scores, _ = predict(model, batch)
+    assert rows == [256, 256, 188]
+    report = evaluate(model, batch)
+    assert rows[3:] == [256, 256, 188]
+    assert report.n == 700 and report.auc == auc(scores, batch.labels)
 
 
 class TestAttentionDump:
