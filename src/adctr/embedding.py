@@ -159,16 +159,22 @@ def embed_matrix(cols: AdColumns, table: Array) -> Array:
     return segment_sum(table[cols.indices], segment, segs).reshape(len(cols), cols.n_fields * k)
 
 
+MAX_KEPT_ROWS = 16384  # rows an EmbeddedAds keeps, over ten times the benchmark's distinct ads
+
+
 class EmbeddedAds:
     """Ads of one group embedded through ``table`` once and kept by value.
     ``take`` reads back the rows of ads named before; the others are encoded
     by the caller's ``encode(ads) -> AdColumns`` and embedded in one
     ``embed_matrix`` call, whose block is kept with each ad's row in it
-    (``index[ad] = (block, row)``, no array per row). So the rows grow to the
-    distinct ads named, and an ad whose encoding fails keeps none. Only a
-    request that names an ad with no row takes the lock, which makes each ad
-    embedded once; the others read the index without it, and an entry is
-    published only once its block is complete."""
+    (``index[ad] = (block, row)``, no array per row). An ad whose encoding
+    fails keeps none. A miss that would take the index past
+    ``MAX_KEPT_ROWS`` starts a new index with only the call's ads in it; a
+    row does not depend on the block it was embedded in, so the rows read
+    back are the same. Only a request that names an ad with no row takes
+    the lock, which makes each ad embedded once per index; the others read
+    the index without it, and an index or an entry is published only once
+    its block is complete."""
 
     def __init__(self, table: Array):
         self.table = table
@@ -178,20 +184,20 @@ class EmbeddedAds:
     def take(self, ads: Sequence, encode: Callable[[list], AdColumns]) -> Array:
         """A new (len(ads), D_g) array of the rows of ``ads`` (at least one),
         in the order given."""
-        index = self.index
         try:
-            kept = [index[ad] for ad in ads]
+            kept = [self.index[ad] for ad in ads]
         except KeyError:
             with self._lock:
+                index = self.index  # another thread may have started a new one
                 misses = [ad for ad in dict.fromkeys(ads) if ad not in index]
                 if misses:  # another thread may have embedded them meanwhile
+                    if len(index) + len(misses) > MAX_KEPT_ROWS:
+                        index, misses = {}, list(dict.fromkeys(ads))
                     block = embed_matrix(encode(misses), self.table)
                     index.update(zip(misses, ((block, i) for i in range(len(misses)))))
+                    self.index = index
             kept = [index[ad] for ad in ads]
-        out = np.empty((len(kept), kept[0][0].shape[1]), dtype=self.table.dtype)
-        for j, (block, i) in enumerate(kept):
-            out[j] = block[i]
-        return out
+        return np.array([block[i] for block, i in kept])
 
 
 class RowGradAccumulator:

@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .numerics import make_rng
-from .schema import (GROUPS, EncodedInstance, EncodeError, FieldKind, FieldSchema,
+from .schema import (AUX_GROUPS, GROUPS, EncodedInstance, EncodeError, FieldKind, FieldSchema,
                      GroupSchema, RawRecord, Vocabulary, encode_instance, save_schemas)
 from .session import SessionStore
 
@@ -77,7 +77,7 @@ def _parse_fields(text: str, line_number: int) -> dict[str, tuple[str, ...]]:
 
 
 def read_record(text: str, group_schema: GroupSchema,
-                line_number: int = 0) -> dict[str, tuple[str, ...]]:
+                line_number: int) -> dict[str, tuple[str, ...]]:
     """One ``field=value;...`` ad as a raw record; a field its group does not
     have, or one named twice, is a ``ParseError`` naming the line."""
     record = _parse_fields(text, line_number)
@@ -91,16 +91,18 @@ def read_record(text: str, group_schema: GroupSchema,
 def parse_ad(text: str, group_schema: GroupSchema, vocab: Vocabulary,
              line_number: int = 0, cache: dict | None = None) -> EncodedInstance:
     """Parse one ``field=value;...`` ad and encode it. ``cache`` is the
-    caller's per-file dict: it keeps each ad by its group and text, and
+    caller's per-file dict: it keeps each auxiliary ad by its group and text
+    (a target's text names its user and age, so it seldom repeats), and
     serves ``encode_instance`` as its memo of field values."""
-    if cache is not None:
+    keep = cache is not None and group_schema.group in AUX_GROUPS
+    if keep:
         hit = cache.get((group_schema.group, text))
         if hit is not None:
             return hit
     inst = encode_record(read_record(text, group_schema, line_number), group_schema, vocab,
                          line_number, cache)
-    if cache is not None:
-        cache[(group_schema.group, text)] = inst
+    if keep:
+        cache[group_schema.group, text] = inst
     return inst
 
 
@@ -142,7 +144,7 @@ def _split_line(line: str, line_number: int) -> tuple[list[str], list[list[str]]
 
 
 def parse_log_line(line: str, schemas: Mapping[str, GroupSchema], vocab: Vocabulary,
-                   line_number: int = 0, cache: dict | None = None) -> LabeledExample:
+                   line_number: int, cache: dict | None) -> LabeledExample:
     """Parse one impression line; auxiliary lists are truncated to five ads."""
     (label_s, ts_s, user_id), texts = _split_line(line, line_number)
     if label_s not in ("0", "1"):
@@ -166,11 +168,14 @@ def read_examples(path, schemas: Mapping[str, GroupSchema], vocab: Vocabulary) -
 
 def iter_group_records(lines: Iterable[str]) -> Iterable[tuple[str, dict[str, tuple[str, ...]]]]:
     """Yield (group, raw record) pairs from raw log lines, for vocabulary
-    building. Each distinct ad text is parsed once: a repeat yields the same
-    record object, which callers must not change."""
+    building. Each distinct auxiliary ad text is parsed once: a repeat
+    yields the same record object, which callers must not change. Target
+    texts, which name the user and age, are parsed every time and not kept."""
     records: dict[str, dict[str, tuple[str, ...]]] = {}
     for lineno, line in enumerate(lines, start=1):
-        for group, texts in zip(GROUPS, _split_line(line, lineno)[1]):
+        (target,), *aux = _split_line(line, lineno)[1]
+        yield "target", _parse_fields(target, lineno)
+        for group, texts in zip(AUX_GROUPS, aux):
             for text in texts:
                 record = records.get(text)
                 if record is None:

@@ -44,13 +44,12 @@ def relu(x: Array) -> Array:
     return np.maximum(x, 0.0)
 
 
-def sigmoid(s):
-    """Numerically stable logistic function; scalar in, scalar out."""
+def sigmoid(s) -> Array:
+    """Numerically stable logistic function, elementwise, in float64."""
     s = np.asarray(s, dtype=np.float64)
     e = np.exp(-np.abs(s))  # exp(-s) where s >= 0, else exp(s): it never overflows
     d = 1.0 + e
-    out = np.where(s >= 0, 1.0 / d, e / d)
-    return float(out) if out.ndim == 0 else out
+    return np.where(s >= 0, 1.0 / d, e / d)
 
 
 def segment_sum(values: Array, segment: Array, n: int) -> Array:

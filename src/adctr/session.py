@@ -10,51 +10,32 @@ unclicked one, so a single exposure is never counted twice.
 from __future__ import annotations
 
 import threading
+from bisect import insort
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Any
+from operator import itemgetter
 
 WINDOW_SECONDS = 3 * 24 * 3600
 CAPACITY = 5
 SWEEP_PER_RECORD = 2  # users a record checks for expiry: more than the one it may add
 _CLICKED_BY_TAG = {"clk": True, "unclk": False}
+_TS = itemgetter(0)
 
 
-@dataclass
-class _Entry:
-    ad: Any
-    ts: int
-    seq: int  # arrival order, breaks timestamp ties deterministically
-
-
-@dataclass
-class _UserHistory:
-    clicked: list[_Entry] = field(default_factory=list)
-    unclicked: list[_Entry] = field(default_factory=list)
-
-
-def _insert(entries: list[_Entry], entry: _Entry) -> None:
-    pos = len(entries)
-    while pos > 0 and (entries[pos - 1].ts, entries[pos - 1].seq) > (entry.ts, entry.seq):
-        pos -= 1
-    entries.insert(pos, entry)
-    if len(entries) > CAPACITY:
-        del entries[0]
-
-
-def _retire_unclicked(hist: _UserHistory, ad, click_ts: int) -> None:
+def _retire_unclicked(unclicked: list, ad, click_ts: int) -> None:
     ident = ad.identity()
-    for i in range(len(hist.unclicked) - 1, -1, -1):
-        e = hist.unclicked[i]
-        if e.ts <= click_ts and e.ad.identity() == ident:
-            del hist.unclicked[i]
+    for i in range(len(unclicked) - 1, -1, -1):
+        ts, old = unclicked[i]
+        if ts <= click_ts and old.identity() == ident:
+            del unclicked[i]
             return
 
 
 class SessionStore:
-    """Hashmap of user histories. One lock guards the map, the arrival counter
-    and every history; a user whose entries have all expired is dropped when
-    a read purges them, or by the sweep that each record runs.
+    """Hashmap of user histories, each a (clicked, unclicked) pair of
+    ``(ts, ad)`` lists in ts order, equal timestamps in arrival order. One
+    lock guards the map and every history; a user whose entries have all
+    expired is dropped when a read purges them, or by the sweep that each
+    record runs.
 
     The map keeps the users recorded or checked least recently at its
     front, and each record checks up to ``SWEEP_PER_RECORD`` of them: one
@@ -65,9 +46,8 @@ class SessionStore:
     answer as if nobody had been swept."""
 
     def __init__(self):
-        self._users: OrderedDict[str, _UserHistory] = OrderedDict()
+        self._users: OrderedDict[str, tuple[list, list]] = OrderedDict()
         self._lock = threading.Lock()
-        self._seq = 0
         self._read_now = 0  # the latest `now` a read has asked for
 
     def record_event(self, user_id: str, ad, clicked: bool, ts: int) -> None:
@@ -77,13 +57,15 @@ class SessionStore:
         with self._lock:
             hist = self._users.get(user_id)
             if hist is None:
-                hist = self._users[user_id] = _UserHistory()
+                hist = self._users[user_id] = ([], [])
             else:
                 self._users.move_to_end(user_id)
-            self._seq += 1
+            entries = hist[0] if clicked else hist[1]
             if clicked:
-                _retire_unclicked(hist, ad, ts)
-            _insert(hist.clicked if clicked else hist.unclicked, _Entry(ad, ts, self._seq))
+                _retire_unclicked(hist[1], ad, ts)
+            insort(entries, (ts, ad), key=_TS)  # after the entries with the same ts
+            if len(entries) > CAPACITY:
+                del entries[0]
             self._sweep(min(ts, self._read_now) - WINDOW_SECONDS)
 
     def _sweep(self, cutoff: int) -> None:
@@ -91,8 +73,7 @@ class SessionStore:
         ``cutoff``, move the others to the back."""
         for _ in range(SWEEP_PER_RECORD):
             user_id, hist = next(iter(self._users.items()))
-            if any(entries and entries[-1].ts > cutoff
-                   for entries in (hist.clicked, hist.unclicked)):
+            if any(entries and entries[-1][0] > cutoff for entries in hist):
                 self._users.move_to_end(user_id)
             else:
                 del self._users[user_id]
@@ -109,14 +90,13 @@ class SessionStore:
             hist = self._users.get(user_id)
             if hist is None:
                 return (), ()
-            for entries in (hist.clicked, hist.unclicked):
-                while entries and entries[0].ts <= cutoff:
+            for entries in hist:
+                while entries and entries[0][0] <= cutoff:
                     del entries[0]
-            if not (hist.clicked or hist.unclicked):
+            if not any(hist):
                 del self._users[user_id]
                 return (), ()
-            return (tuple(e.ad for e in reversed(hist.clicked)),
-                    tuple(e.ad for e in reversed(hist.unclicked)))
+            return tuple(tuple(ad for _, ad in reversed(entries)) for entries in hist)
 
     def user_ids(self) -> list[str]:
         with self._lock:
@@ -128,9 +108,8 @@ class SessionStore:
         from .ingest import serialize_ad
 
         with self._lock:
-            rows = [(user_id, tag, e.ts, e.ad) for user_id, hist in sorted(self._users.items())
-                    for tag, entries in (("clk", hist.clicked), ("unclk", hist.unclicked))
-                    for e in entries]
+            rows = [(user_id, tag, ts, ad) for user_id, hist in sorted(self._users.items())
+                    for tag, entries in zip(("clk", "unclk"), hist) for ts, ad in entries]
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for user_id, tag, ts, ad in rows:
                 fh.write(f"{user_id}\t{tag}\t{ts}\t{serialize_ad(ad)}\n")

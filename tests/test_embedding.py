@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from adctr.embedding import (AdColumns, RowGradAccumulator, embed_matrix, encode_examples,
-                             group_dim)
+from adctr import embedding
+from adctr.embedding import (AdColumns, EmbeddedAds, RowGradAccumulator, embed_matrix,
+                             encode_examples, group_dim)
 from adctr.ingest import LabeledExample
 from adctr.models import INIT_SCALE
 from adctr.numerics import ContractViolation, make_rng, segment_sum
@@ -246,6 +247,44 @@ class TestEncodedPath:
         with pytest.raises(ContractViolation):
             embed_matrix(AdColumns.from_instances([make_instance(((3,), (1, 12), (5,)))], SCHEMA),
                          table)
+
+
+def test_kept_rows_under_a_small_cap_read_back_as_embedded_afresh(table, monkeypatch):
+    # More threads than cores, a short switch interval and a cap that most
+    # misses pass: every take still reads each ad's own row, bit for bit.
+    import sys
+    import threading
+
+    monkeypatch.setattr(embedding, "MAX_KEPT_ROWS", 6)
+
+    def encode(ads):
+        bags = [bag for ad in ads for bag in ((ad % 12,), (ad * 5 % 12, 7))]
+        return AdColumns.from_bags(2, bags)
+
+    kept, errors = EmbeddedAds(table), []
+
+    def reader(seed):
+        rng = make_rng(seed)
+        try:
+            for _ in range(150):
+                ads = [int(a) for a in rng.integers(0, 20, size=int(rng.integers(1, 5)))]
+                got = kept.take(ads, encode)
+                assert got.tobytes() == embed_matrix(encode(ads), table).tobytes()
+        except Exception as exc:  # surface failures from worker threads
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    assert 0 < len(kept.index) <= 6
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

@@ -32,7 +32,7 @@ class TestParseLogLine:
     def test_empty_contextual_block(self, env):
         schemas, vocab = env
         line = "\t".join(["0", "123", "u1", f"user_id=u1;age=30;{_ad(1)}", "", _ad(2), ""])
-        ex = parse_log_line(line, schemas, vocab)
+        ex = parse_log_line(line, schemas, vocab, line_number=0, cache=None)
         assert ex.contextual == ()
         assert len(ex.clicked) == 1
 
@@ -40,7 +40,7 @@ class TestParseLogLine:
         schemas, vocab = env
         clk = "|".join(_ad(i) for i in range(7))  # most recent first
         line = "\t".join(["1", "123", "u1", f"user_id=u1;age=30;{_ad(1)}", "", clk, ""])
-        ex = parse_log_line(line, schemas, vocab)
+        ex = parse_log_line(line, schemas, vocab, line_number=0, cache=None)
         assert len(ex.clicked) == 5
         kept = [ad.raw_dict()["ad_id"][0] for ad in ex.clicked]
         assert kept == [f"a{i:04d}" for i in range(5)]
@@ -49,12 +49,12 @@ class TestParseLogLine:
         schemas, vocab = env
         line = "\t".join(["2", "123", "u1", f"user_id=u1;age=30;{_ad(1)}", "", "", ""])
         with pytest.raises(ParseError, match="label"):
-            parse_log_line(line, schemas, vocab, line_number=17)
+            parse_log_line(line, schemas, vocab, line_number=17, cache=None)
 
     def test_bad_column_count(self, env):
         schemas, vocab = env
         with pytest.raises(ParseError, match="line 4"):
-            parse_log_line("1\t2\t3", schemas, vocab, line_number=4)
+            parse_log_line("1\t2\t3", schemas, vocab, line_number=4, cache=None)
 
     @pytest.mark.parametrize("ts", ["noon", "-5", "+5", " 5", "5 ", "1_000", "1.5", "٥", ""])
     def test_bad_timestamp(self, env, ts):
@@ -62,13 +62,13 @@ class TestParseLogLine:
         schemas, vocab = env
         line = "\t".join(["1", ts, "u1", f"user_id=u1;age=30;{_ad(1)}", "", "", ""])
         with pytest.raises(ParseError, match=re.escape(f"line 9: bad timestamp {ts!r}")):
-            parse_log_line(line, schemas, vocab, line_number=9)
+            parse_log_line(line, schemas, vocab, line_number=9, cache=None)
 
     def test_unknown_field_rejected(self, env):
         schemas, vocab = env
         line = "\t".join(["1", "12", "u1", f"user_id=u1;age=30;{_ad(1)};bogus=x", "", "", ""])
         with pytest.raises(ParseError, match="bogus"):
-            parse_log_line(line, schemas, vocab)
+            parse_log_line(line, schemas, vocab, line_number=0, cache=None)
 
     @pytest.mark.parametrize("target, message", [
         (f"user_id=u1;{_ad(1)}", "missing required numerical field 'age'"),
@@ -79,7 +79,7 @@ class TestParseLogLine:
         schemas, vocab = env
         line = "\t".join(["1", "12", "u1", target, "", _ad(2), ""])
         with pytest.raises(ParseError, match=f"line 42: {message}") as info:
-            parse_log_line(line, schemas, vocab, line_number=42)
+            parse_log_line(line, schemas, vocab, line_number=42, cache=None)
         assert info.value.line_number == 42
 
 
@@ -100,6 +100,25 @@ class TestParsedForm:
         for ad in (a.contextual[0], b.unclicked[0]):
             assert ad.raw[1] is src and ad.raw[3] is x0
         assert [serialize_example(ex) for ex in (a, b)] == lines
+
+    def test_the_cache_keeps_no_target_ad(self, tiny_dataset):
+        # A target's text names its user and age, so it is not kept by text.
+        ds, vocab, *_ = tiny_dataset
+        cache: dict = {}
+        line = next(l for l in ds.train if l.split("\t")[5])  # one with a clicked ad
+        a, b = (parse_log_line(line, ds.schemas, vocab, line_number=i, cache=cache)
+                for i in (1, 2))
+        assert a == b and a.target is not b.target and a.clicked[0] is b.clicked[0]
+        assert ("clicked", line.split("\t")[5].split("|")[0]) in cache
+        assert not any(key[0] == "target" for key in cache)
+
+    def test_the_vocabulary_pass_reuses_auxiliary_records_only(self, tiny_dataset):
+        line = next(l for l in tiny_dataset[0].train if l.split("\t")[5])
+        pairs = list(iter_group_records([line, line]))
+        half = len(pairs) // 2
+        assert [g for g, _ in pairs[:half]] == [g for g, _ in pairs[half:]]
+        for (group, a), (_, b) in zip(pairs[:half], pairs[half:]):
+            assert a == b and (a is b) == (group != "target")
 
     def test_an_example_is_slotted_and_still_copied_and_replaced(self, tiny_dataset):
         ex = tiny_dataset[2][0]
@@ -214,7 +233,7 @@ def test_the_vocabulary_pass_adds_no_value_encoding_refuses(tiny_dataset):
     assert vocab.dumps() == \
         build_vocabulary(iter_group_records(ds.train + [dropped]), ds.schemas).dumps()
     with pytest.raises(ParseError, match="line 9: numerical field 'age': bad value 'x45'"):
-        parse_log_line(bad, ds.schemas, vocab, line_number=9)
+        parse_log_line(bad, ds.schemas, vocab, line_number=9, cache=None)
 
 
 def test_a_field_named_twice_is_refused_naming_the_line(tiny_dataset):
@@ -222,7 +241,7 @@ def test_a_field_named_twice_is_refused_naming_the_line(tiny_dataset):
     line = "\t".join(["1", "12", "u1", f"user_id=u1;age=30;{_ad(1)}", "",
                       f"ad_id=a0001;{_ad(2)}", ""])
     with pytest.raises(ParseError, match="line 8: field 'ad_id' appears twice") as info:
-        parse_log_line(line, ds.schemas, vocab, line_number=8)
+        parse_log_line(line, ds.schemas, vocab, line_number=8, cache=None)
     assert info.value.line_number == 8
     with pytest.raises(ParseError, match="line 2: field 'ad_id' appears twice"):
         build_vocabulary(iter_group_records([ds.train[0], line]), ds.schemas)

@@ -585,6 +585,30 @@ class TestKeptHistoryRows:
         assert all(named.values()) or variant in ("lr", "dnn")
         assert max(scores) - min(scores) > 0.05  # the check is not made on constant scores
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_kept_rows_stay_within_the_cap(self, toy_problem, monkeypatch, dtype):
+        from adctr import embedding
+
+        monkeypatch.setattr(embedding, "MAX_KEPT_ROWS", 4)  # a request here names 3 per group
+        _, _, examples = toy_problem
+        model = build("dstn-i", toy_problem, seed=43)
+        model.tensors["emb.E"] *= 100.0
+        model = astype(model, dtype)
+        scorer = ModelScorer(model)
+        cands = [ex.target for ex in examples[:4]]
+        named = {"clicked": set(), "unclicked": set()}
+        for ex in examples + examples[::-1]:  # ads come back after their rows were dropped
+            rows = scorer.prepare(cands, ex.clicked, ex.unclicked)
+            fresh = ModelScorer(model)
+            want = fresh.prepare(cands, ex.clicked, ex.unclicked)
+            assert np.array_equal(rows.pre, want.pre)
+            assert scorer.score(rows, None) == fresh.score(want, None)
+            named["clicked"].update(ex.clicked)
+            named["unclicked"].update(ex.unclicked)
+            for kept in scorer.history.values():
+                assert len(kept.index) <= 4
+        assert min(len(ads) for ads in named.values()) > 4
+
     def test_a_new_scorer_serves_the_changed_model(self, toy_problem):
         _, _, examples = toy_problem
         model = build("dstn-i", toy_problem, seed=42)

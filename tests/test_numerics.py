@@ -54,9 +54,9 @@ def test_sigmoid_equals_the_masked_form_bit_for_bit():
         assert np.array_equal(np.isnan(got), nan)  # NaN stays NaN, whatever its sign bit
         assert got[~nan].tobytes() == want[~nan].tobytes()
     for x in (0.0, -0.0, 2.5, -2.5, 745.5, -745.5, np.float32(-3.25), np.float64(40.0)):
-        got = sigmoid(x)  # a 0-d input gives a float
-        assert type(got) is float and got == masked_sigmoid(x)
-        assert np.float64(got).tobytes() == np.float64(masked_sigmoid(x)).tobytes()
+        got = sigmoid(x)  # a scalar gives a 0-d float64 array
+        assert got.shape == () and got.dtype == np.float64 and got == masked_sigmoid(x)
+        assert got.tobytes() == np.float64(masked_sigmoid(x)).tobytes()
 
 
 class TestDropout:

@@ -17,11 +17,14 @@ def test_main_prints_lines_bytes_per_line_and_parse_time(tmp_path, capsys):
     assert parse_mem.main(["parse_mem.py", str(tmp_path / "train.tsv"),
                            str(tmp_path / "schema.tsv")]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert [line.split(" ")[0] for line in out] == ["lines", "bytes_per_line", "parse_s"]
+    assert [line.split(" ")[0] for line in out] == ["lines", "bytes_per_line",
+                                                    "peak_bytes_per_line", "parse_s"]
     values = {line.split(" ")[0]: float(line.split(" ")[1]) for line in out}
     assert values["lines"] == 300
     # An example holds at least its own target ad; a line's text is ~300 bytes.
     assert 100 < values["bytes_per_line"] < 5000
+    # The peak holds the examples and the pass's cache at once.
+    assert values["bytes_per_line"] < values["peak_bytes_per_line"] < 20000
     assert 0 < values["parse_s"] < 60
 
 

@@ -264,19 +264,19 @@ class TestConcurrency:
             assert len(clicked) == CAPACITY and len(unclicked) == CAPACITY
 
 
-    def test_concurrent_first_events_for_one_user_are_all_kept(self, monkeypatch):
+    def test_concurrent_first_events_for_one_user_are_all_kept(self):
         import threading
         import time
+        from collections import OrderedDict
 
-        from adctr import session
-
-        class SlowHistory(session._UserHistory):
-            def __init__(self):
+        class SlowUsers(OrderedDict):
+            def get(self, *args):
+                found = super().get(*args)
                 time.sleep(0.01)  # widen the gap between finding no history and adding one
-                super().__init__()
+                return found
 
-        monkeypatch.setattr(session, "_UserHistory", SlowHistory)
         store = SessionStore()
+        store._users = SlowUsers()
         barrier = threading.Barrier(4)
 
         def first_event(t):

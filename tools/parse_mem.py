@@ -1,12 +1,15 @@
 """Print what parsing one impression log costs: the bytes its parsed
-examples hold per line, and the parse time.
+examples hold per line, the most bytes the parse held at once per line, and
+the parse time.
 
 The vocabulary is built from the log itself, as ``adctr train`` builds it
 from its training file. The log is then parsed twice with one cache per
 pass, as ``ingest.read_examples`` parses a file: once timed, once under
 ``tracemalloc``. ``bytes_per_line`` is the traced memory the parsed examples
 still hold after the pass (the pass's cache is freed by then), divided by
-the number of lines; ``parse_s`` is the untraced pass's wall time.
+the number of lines. ``peak_bytes_per_line`` is the traced peak during the
+pass, cache included, over the same count. ``parse_s`` is the untraced
+pass's wall time.
 
 Usage: python3 tools/parse_mem.py <log> <schema>
 """
@@ -42,10 +45,11 @@ def main(argv: list[str]) -> int:
     tracemalloc.start()
     before = tracemalloc.get_traced_memory()[0]
     examples = read_examples(log, schemas, vocab)
-    held = tracemalloc.get_traced_memory()[0] - before
+    held, peak = (b - before for b in tracemalloc.get_traced_memory())
     tracemalloc.stop()
     print(f"lines {n}")
     print(f"bytes_per_line {held / max(n, 1):.0f}")
+    print(f"peak_bytes_per_line {peak / max(n, 1):.0f}")
     print(f"parse_s {parse_s:.3f}")
     return 0
 
