@@ -11,8 +11,11 @@ order (an empty bag contributes a zero segment).
 Examples are encoded once into int32 columns (``EncodedBatch``); a
 mini-batch is a fancy index over example ids, and gather and scatter work on
 whole columns with no Python loop per example or per ad. Both sum with
-``numerics.segment_sum``. Serving embeds an ad once and keeps its row by the
-ad's value (``EmbeddedAds``).
+``numerics.segment_sum``. Their blocks are K columns wide; in training they
+are also thousands of rows long, and such a block is summed one column at a
+time, with no int64 cell array and no float64 copy of the gathered rows or
+gradient terms. Serving embeds an ad once and keeps its row by the ad's
+value (``EmbeddedAds``).
 """
 
 from __future__ import annotations

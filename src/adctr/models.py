@@ -36,9 +36,8 @@ model's dtype.
 
 from __future__ import annotations
 
-import copy
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -101,7 +100,9 @@ class ModelParams:
         return group_dim(self.schemas[group], self.k)
 
     def clone(self) -> "ModelParams":
-        return copy.deepcopy(self)
+        """A copy with tensors of its own; the frozen schemas are shared."""
+        return replace(self, schemas=dict(self.schemas),
+                       tensors={name: arr.copy() for name, arr in self.tensors.items()})
 
 
 def _attention(model: ModelParams, group: str) -> tuple[Array, Array, Array, Array]:

@@ -52,15 +52,34 @@ def sigmoid(s) -> Array:
     return np.where(s >= 0, 1.0 / d, e / d)
 
 
+_PER_COLUMN_MAX_COLS, _PER_COLUMN_MIN_ROWS = 16, 1024  # see segment_sum
+
+
 def segment_sum(values: Array, segment: Array, n: int) -> Array:
     """Per-segment sums of rows, (T,) or (T, D) -> (n,) or (n, D): row t adds
     to ``segment[t]``, and each segment's terms are added in row order,
     starting from 0.0. bincount sums in float64 (and gives integer zeros when
-    there is nothing to sum), hence the cast back to the values' dtype."""
-    d = values.shape[1] if values.ndim == 2 else 1
+    there is nothing to sum), hence the cast back to the values' dtype.
+
+    Two forms give the same bits. A block of at most 16 columns and at least
+    1024 rows (a training batch's K-wide gather and scatter) runs one
+    bincount per column, holding one float64 column at a time, as a 1-D
+    input does; any other block runs one bincount over flattened (row,
+    column) cells, holding a (T * D) int64 cell array and a float64 copy.
+    Per column took, against flattened, on 2 vCPUs in float32: 0.95x at
+    K = 10 and 1024 rows, 0.24-0.33x at 3000-8000 rows, 1.3-2.9x at
+    serving's 8-512 rows and 1.4-2.9x at the aggregates' 40-128 columns."""
+    if values.ndim == 1:
+        return np.bincount(segment, weights=values, minlength=n).astype(values.dtype, copy=False)
+    t, d = values.shape
+    if d <= _PER_COLUMN_MAX_COLS and t >= _PER_COLUMN_MIN_ROWS:
+        out = np.empty((n, d), dtype=values.dtype)
+        for j in range(d):
+            out[:, j] = np.bincount(segment, weights=values[:, j], minlength=n)
+        return out
     cells = (segment * d)[:, None] + np.arange(d)
     out = np.bincount(cells.ravel(), weights=values.ravel(), minlength=n * d)
-    return out.astype(values.dtype, copy=False).reshape((n,) + values.shape[1:])
+    return out.astype(values.dtype, copy=False).reshape(n, d)
 
 
 def dropout_mask(shape, p: float, rng: np.random.Generator, dtype) -> Array:

@@ -151,18 +151,9 @@ def train(config: TrainConfig, train_examples: EncodedBatch | Sequence[LabeledEx
         total_loss = 0.0
         for lo in range(0, n, config.batch_size):
             batch = train_set.take(perm[lo : lo + config.batch_size])
-            _, trace = forward_batch(model, batch, mode="train", rng=rng)
-            grads = backward(model, trace)
-            grads.emb_grads += embedding_penalty(model, grads.emb_rows, row_scales)[1]
-            batch_loss = loss_from_logits(trace.logit, batch.labels)
-            _check_finite(model, epoch, lo // config.batch_size, batch_loss, grads)
+            batch_loss = _train_step(model, batch, rng, accum, row_scales, config.learning_rate,
+                                     epoch, lo // config.batch_size)
             total_loss += batch_loss * len(batch)
-            for name, arr in model.tensors.items():
-                if name == "emb.E":
-                    adagrad_step_rows(arr, grads.emb_rows, grads.emb_grads, accum[name],
-                                      config.learning_rate)
-                else:
-                    adagrad_step(arr, grads.dense[name], accum[name], config.learning_rate)
         entry = {"epoch": epoch, "train_loss": total_loss / n}
         if len(val_set):
             report = evaluate(model, val_set)
@@ -172,6 +163,25 @@ def train(config: TrainConfig, train_examples: EncodedBatch | Sequence[LabeledEx
                 best_auc, best = report.auc, model.clone()
         history.append(entry)
     return (best if best is not None else model), history
+
+
+def _train_step(model: ModelParams, batch: EncodedBatch, rng: np.random.Generator,
+                accum: dict[str, Array], row_scales: Array, lr: float, epoch: int,
+                step: int) -> float:
+    """One Adagrad step on a batch; returns the batch-mean loss. The step's
+    trace and gradients are this frame's locals, so they are freed when it
+    returns, before the next batch's forward."""
+    _, trace = forward_batch(model, batch, mode="train", rng=rng)
+    grads = backward(model, trace)
+    grads.emb_grads += embedding_penalty(model, grads.emb_rows, row_scales)[1]
+    batch_loss = loss_from_logits(trace.logit, batch.labels)
+    _check_finite(model, epoch, step, batch_loss, grads)
+    for name, arr in model.tensors.items():
+        if name == "emb.E":
+            adagrad_step_rows(arr, grads.emb_rows, grads.emb_grads, accum[name], lr)
+        else:
+            adagrad_step(arr, grads.dense[name], accum[name], lr)
+    return batch_loss
 
 
 class NonFiniteError(FloatingPointError):
@@ -196,7 +206,8 @@ def predict(model: ModelParams, examples: EncodedBatch | Sequence[LabeledExample
     """Eval-mode scores for a stream (encoded, or examples encoded once on
     entry); optionally the per-ad attention weights as (example ordinal,
     group, ad ordinal, weight) rows. The stream is scored ``batch_size``
-    rows at a time, so at most that many rows of activations are held."""
+    rows at a time, and each batch's trace is dropped before the next
+    batch's forward, so at most that many rows of activations are held."""
     examples = encode_batch(model, examples)
     n = len(examples)
     scores = np.empty(n)
@@ -210,6 +221,7 @@ def predict(model: ModelParams, examples: EncodedBatch | Sequence[LabeledExample
             for i in range(len(batch)):
                 for group, weights in trace.attention_weights(i).items():
                     attn.extend((lo + i, group, j, w) for j, w in enumerate(weights))
+        del trace
     return scores, attn
 
 

@@ -7,9 +7,10 @@ single-vector linear map, inverted dropout and a model's FC layers as
 (weights, bias) pairs; one candidate scored alone
 by the batched forward, and one example's forward; the canonical line of an
 example; the vocabulary build and the log parse token by token, with no
-memo; single-group ablation on example lists; the auxiliary-data
-improvement metrics (AbsImp, NlzImp); round-2 scoring with the contextual
-ads encoded and embedded afresh; a request prepared with its candidates and
+memo; single-group ablation on example lists; per-segment sums by a plain
+sequential loop; the auxiliary-data improvement metrics (AbsImp, NlzImp);
+round-2 scoring with the contextual ads encoded and embedded afresh; a
+request prepared with its candidates and
 history embedded afresh; a request's candidate encoded with its user; a RANK
 line served with every candidate encoded on its own; the logistic function
 with one masked branch per sign; a model cast to another dtype; a field's
@@ -462,6 +463,16 @@ def oov(vocab: Vocabulary, field_name: str) -> int:
     """The field's out-of-vocabulary index: the row of a value the
     vocabulary has not seen."""
     return vocab.lookup(field_name, "\0 a value no build has seen")
+
+
+def sequential_segment_sum(values: Array, segment: Array, n: int) -> Array:
+    """Per-segment sums by a plain loop over the rows: each segment starts at
+    0.0 and adds its rows in row order, in float64; the sums are then cast
+    to the values' dtype."""
+    out = np.zeros((n,) + values.shape[1:])
+    for row, seg in zip(values, segment):
+        out[seg] = out[seg] + row.astype(np.float64)
+    return out.astype(values.dtype)
 
 
 def masked_sigmoid(s):

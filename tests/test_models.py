@@ -386,6 +386,20 @@ class TestForward:
         with pytest.raises(ContractViolation):
             forward_batch(model, examples, mode="train")
 
+    def test_clone_copies_the_tensors_and_shares_the_frozen_schemas(self, toy_problem):
+        model = build("dstn-i", toy_problem, seed=11, dropout=0.5)
+        copy = model.clone()
+        assert (copy.variant, copy.dropout_p) == (model.variant, model.dropout_p)
+        assert copy.schemas == model.schemas and copy.schemas is not model.schemas
+        assert all(copy.schemas[g] is s for g, s in model.schemas.items())
+        assert list(copy.tensors) == list(model.tensors)
+        for name, arr in model.tensors.items():
+            assert copy.tensors[name].dtype == arr.dtype
+            assert copy.tensors[name].tobytes() == arr.tobytes()
+            copy.tensors[name] += 1.0
+            assert not np.shares_memory(copy.tensors[name], arr)
+            assert not np.array_equal(copy.tensors[name], arr)
+
     def test_lr_uses_target_features_only(self, toy_problem):
         import dataclasses
 

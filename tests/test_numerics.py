@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from adctr import numerics
 from adctr.numerics import (ADAGRAD_EPS, ContractViolation, adagrad_step, adagrad_step_rows,
-                            dropout_mask, load_tensors, make_rng, relu, save_tensors, sigmoid)
-from oracles import dropout, linear, masked_sigmoid
+                            dropout_mask, load_tensors, make_rng, relu, save_tensors,
+                            segment_sum, sigmoid)
+from oracles import dropout, linear, masked_sigmoid, sequential_segment_sum
 
 
 class TestLinear:
@@ -57,6 +59,31 @@ def test_sigmoid_equals_the_masked_form_bit_for_bit():
         got = sigmoid(x)  # a scalar gives a 0-d float64 array
         assert got.shape == () and got.dtype == np.float64 and got == masked_sigmoid(x)
         assert got.tobytes() == np.float64(masked_sigmoid(x)).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_segment_sum_forms_equal_a_sequential_float64_sum_bit_for_bit(dtype, monkeypatch):
+    rng = make_rng(12)
+    widest, shortest = numerics._PER_COLUMN_MAX_COLS, numerics._PER_COLUMN_MIN_ROWS
+    cases = []
+    for rows, n in ((0, 0), (0, 4), (1, 1), (7, 12), (shortest - 1, 40), (shortest, 600),
+                    (2000, 128)):
+        # unsorted segments, as finalize's slots are, and segments with no row
+        segment = rng.integers(0, max(n // 2, 1), rows) * 2 if n else np.zeros(0, np.intp)
+        for shape in ((rows,), (rows, 1), (rows, 10), (rows, widest), (rows, widest + 1),
+                      (rows, 40), (rows, 128)):
+            values = rng.normal(0.0, 1.0, shape) * 10.0 ** rng.integers(-8, 8, shape)
+            cases.append((values.astype(dtype), segment, n))
+    # each block in the form its shape picks, then every block flattened,
+    # then every 2-D block one column at a time
+    for limits in ((widest, shortest), (0, shortest), (10 ** 6, 0)):
+        monkeypatch.setattr(numerics, "_PER_COLUMN_MAX_COLS", limits[0])
+        monkeypatch.setattr(numerics, "_PER_COLUMN_MIN_ROWS", limits[1])
+        for values, segment, n in cases:
+            want = sequential_segment_sum(values, segment, n)
+            got = segment_sum(values, segment, n)
+            assert got.dtype == want.dtype and got.shape == want.shape == (n,) + values.shape[1:]
+            assert got.tobytes() == want.tobytes(), (values.shape, n, limits)
 
 
 class TestDropout:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -400,6 +401,45 @@ def test_predict_scores_at_most_256_rows_per_forward_by_default(tiny_dataset, mo
     report = evaluate(model, batch)
     assert rows[3:] == [256, 256, 188]
     assert report.n == 700 and report.auc == auc(scores, batch.labels)
+
+
+class TestOneBatchOfActivations:
+    """Training and scoring hold one batch's trace at a time: when a forward
+    starts, every earlier trace is already freed (by reference counting
+    alone; nothing calls ``gc.collect``)."""
+
+    @staticmethod
+    def watch_traces(monkeypatch) -> list:
+        traces = []
+        forward = train_eval.forward_batch
+
+        def watched(model, batch, **kwargs):
+            alive = [i for i, ref in enumerate(traces) if ref() is not None]
+            assert not alive, f"forward {len(traces)} started with traces {alive} alive"
+            pctr, trace = forward(model, batch, **kwargs)
+            traces.append(weakref.ref(trace))
+            return pctr, trace
+
+        monkeypatch.setattr(train_eval, "forward_batch", watched)
+        return traces
+
+    def test_training_steps_and_validation(self, tiny_dataset, monkeypatch):
+        ds, vocab, tr, va, _ = tiny_dataset
+        traces = self.watch_traces(monkeypatch)
+        config = TrainConfig(variant="dstn-i", epochs=2, batch_size=64, seed=4,
+                             fc_dims=(8, 4), embedding_dim=3, attention_dim=4)
+        train(config, tr[:300], va, ds.schemas, vocab)
+        # per epoch: 5 steps, then validation's 300 rows in two batches
+        assert len(traces) == 2 * (5 + 2)
+
+    @pytest.mark.parametrize("collect_attention", [False, True])
+    def test_predict(self, tiny_dataset, monkeypatch, collect_attention):
+        ds, vocab, tr, *_ = tiny_dataset
+        model = init_model(Variant.DSTN_I, ds.schemas, vocab.size, make_rng(6), k=3,
+                           fc_dims=(8, 4), attention_dim=4)
+        traces = self.watch_traces(monkeypatch)
+        _, rows = predict(model, tr[:300], batch_size=64, collect_attention=collect_attention)
+        assert len(traces) == 5 and bool(rows) == collect_attention
 
 
 class TestAttentionDump:
