@@ -358,7 +358,8 @@ class ModelScorer:
     ``prepare`` does the work a request's candidates share in every round,
     once per request (they share one clicked and one unclicked history);
     ``score`` gives the pCTRs of prepared rows under the given contextual
-    ads (None for none), in row order, and counts forwards (rows scored).
+    ads (None for none), in row order. Neither writes any state but the
+    kept rows.
 
     What a request reads of the model beyond its tensors is laid out once:
     two copies, the FC layers' weights as contiguous, read-only ``W^T``
@@ -377,7 +378,6 @@ class ModelScorer:
     def __init__(self, model: ModelParams):
         tensors, d_t = model.tensors, model.dim("target")
         self.model = model
-        self.forward_count = 0
         self.fusion: dict[str, Array] = {}  # group -> (D_g, H_1) rows of fusion's W^T
         self.halves: dict[str, tuple[Array, Array]] = {}  # group -> (W_t, W_a), DSTN-I
         self.contextual: Array | None = None  # the target columns of the contextual fields
@@ -473,7 +473,6 @@ class ModelScorer:
         have, with the contextual ads (the same for every row) read by field
         name out of prepared rows of the same request; then run the layers
         above the fusion layer."""
-        self.forward_count += len(rows)
         if self.model.variant == Variant.LR:
             return _pctr(rows.pre).tolist()
         pre = rows.pre
@@ -619,7 +618,8 @@ def load_model(path, schemas: Mapping[str, GroupSchema]) -> tuple[ModelParams, d
     variant = by_header.get(header.get("variant"))
     if variant is None:
         raise ValueError(f"{path}: unknown variant {header.get('variant')!r}")
-    k = _header_number(path, header, "k", int, lambda v: v > 0, "a positive integer")
+    k = _header_number(path, header, "k", lambda t: int(t) if t.isascii() and t.isdigit() else None,
+                       lambda v: v > 0, "a positive integer")
     dropout_p = _header_number(path, header, "dropout_p", float, lambda v: 0.0 <= v < 1.0,
                                "a probability in [0, 1)")
     # A file cut at a record boundary reads as a shorter TNSR1 file. Records

@@ -118,10 +118,11 @@ _CKPT_MAGIC = b"TNSR1\n"
 
 def save_tensors(path, header: dict[str, str], tensors: dict[str, Array]) -> None:
     """Write tensors plus a string header in the TNSR1 binary format. The bytes
-    go to a temporary file beside ``path`` that replaces it only once complete,
-    so a failed save leaves any earlier file at ``path`` untouched. A header
-    entry or a tensor name that would not read back is refused before
-    anything is written."""
+    go to a temporary file beside ``path`` that replaces it only once complete
+    and synced to disk, and the directory is synced after the rename, so a
+    failed save or a power loss leaves the earlier file at ``path`` or the
+    whole new one. A header entry or a tensor name that would not read back
+    is refused before anything is written."""
     for key, value in sorted(header.items()):
         if "\n" in key or "\n" in str(value) or "=" in key:
             raise ValueError(f"illegal header entry {key!r}")
@@ -139,11 +140,18 @@ def save_tensors(path, header: dict[str, str], tensors: dict[str, Array]) -> Non
                 dims = " ".join(str(d) for d in arr.shape)
                 fh.write(f"{name} {arr.ndim} {dims}".rstrip().encode("utf-8") + b"\n")
                 fh.write(arr.tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+    directory = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(directory)  # the rename itself survives a power loss
+    finally:
+        os.close(directory)
 
 
 def load_tensors(path) -> tuple[dict[str, str], dict[str, Array]]:

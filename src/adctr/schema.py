@@ -158,7 +158,7 @@ class Vocabulary:
             for lineno, line in enumerate(fh, start=1):
                 text = line.rstrip("\n")
                 cols = text.split("\t")
-                if len(cols) != 4 or not (cols[2].isdecimal() and cols[3].isdecimal()):
+                if len(cols) != 4 or not all(c.isascii() and c.isdigit() for c in cols[2:]):
                     raise SchemaError(f"{path}: line {lineno}: expected field, value, index "
                                       f"and count columns, got {text!r}")
                 field_name, value, idx, count = cols

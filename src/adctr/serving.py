@@ -49,6 +49,7 @@ from __future__ import annotations
 import heapq
 import socketserver
 import threading
+import time
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -108,26 +109,34 @@ class RankedAd:
 class RankResult:
     request_id: str
     ranked: tuple[RankedAd, ...]
+    rounds: tuple[tuple[float, int], ...]  # (seconds, rows scored) per round run
 
 
 def rank_request(scorer, store: SessionStore, req: RankRequest) -> RankResult:
     """Two-round contextual-promotion ranking by pCTR. Round 2 reuses round
     1's prepared rows, with the winner's row as the contextual ad: the
-    scorer reads the winner's contextual-schema fields by name out of it."""
+    scorer reads the winner's contextual-schema fields by name out of it.
+    Each round run is timed: round 1 from ``prepare`` to the end of its
+    ``score``, round 2 its ``score`` call alone."""
     clicked, unclicked = store.get_history(req.user_id, req.now)
     target = req.candidates if req.rows is None else req.rows
+    start = time.perf_counter()
     rows = scorer.prepare(target, clicked, unclicked)
     scores1 = scorer.score(rows, None)
+    rounds = [(time.perf_counter() - start, len(req.candidates))]
     win = int(np.argmax(scores1))  # first occurrence wins ties
     ranked = [RankedAd(req.candidates[win], scores1[win], 1)]
 
     rest = [i for i in range(len(req.candidates)) if i != win]
     if rest:
-        scores2 = scorer.score(rows.take(rest), rows.take([win]))
+        others, winner = rows.take(rest), rows.take([win])
+        start = time.perf_counter()
+        scores2 = scorer.score(others, winner)
+        rounds.append((time.perf_counter() - start, len(rest)))
         order = sorted(range(len(rest)), key=lambda i: (-scores2[i], i))
         ranked.extend(RankedAd(req.candidates[rest[i]], scores2[i], 2)
                       for i in order[: req.slots - 1])
-    return RankResult(request_id=req.request_id, ranked=tuple(ranked))
+    return RankResult(request_id=req.request_id, ranked=tuple(ranked), rounds=tuple(rounds))
 
 
 class AdServer:

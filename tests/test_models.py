@@ -791,6 +791,10 @@ class TestCheckpoint:
         ("k", "4.0", "header k='4.0' is not a positive integer"),
         ("k", "0", "header k='0' is not a positive integer"),
         ("k", "-4", "header k='-4' is not a positive integer"),
+        ("k", "+4", "header k='+4' is not a positive integer"),
+        ("k", " 4", "header k=' 4' is not a positive integer"),
+        ("k", "1_0", "header k='1_0' is not a positive integer"),
+        ("k", "\u0664", "header k='\u0664' is not a positive integer"),
         ("dropout_p", None, "header has no dropout_p"),
         ("dropout_p", "x", "header dropout_p='x' is not a probability in [0, 1)"),
         ("dropout_p", "2.0", "header dropout_p='2.0' is not a probability in [0, 1)"),

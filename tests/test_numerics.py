@@ -1,4 +1,6 @@
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -259,6 +261,26 @@ class TestCheckpointIO:
             save_tensors(path, {"a=b": "1"}, {"w": np.arange(3.0)})
         assert path.read_bytes() == good
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+    def test_save_syncs_the_file_before_the_rename_and_the_directory_after(
+            self, tmp_path, monkeypatch):
+        calls = []
+        fsync, replace = os.fsync, os.replace
+
+        def syncing(fd):
+            calls.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+            fsync(fd)
+
+        def replacing(src, dst):
+            calls.append("replace")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", syncing)
+        monkeypatch.setattr(os, "replace", replacing)
+        path = tmp_path / "model.ckpt"
+        save_tensors(path, {"k": "1"}, {"w": np.arange(2.0)})
+        assert calls == ["file", "replace", "dir"]
+        assert load_tensors(path)[0] == {"k": "1"}
 
     @pytest.mark.parametrize("name", ["", "a b", "a\nb", " ", "w\n"])
     def test_a_tensor_name_no_record_line_can_hold_is_refused(self, tmp_path, name):

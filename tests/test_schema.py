@@ -120,6 +120,10 @@ class TestVocabulary:
          "line 2: repeated value '<oov>' of field 'title'"),
         (["title\t<oov>\t0\t0", "title\tab\t5\t2"], "line 2: index 5 skips index 1"),
         (["title\tab\t1\t2", "title\t<oov>\t0\t0"], "line 1: index 1 skips index 0"),
+        (["title\t<oov>\t0\t0", "title\tab\t\u0661\t\u0662"],
+         "line 2: expected field, value, index and count"),
+        (["title\t<oov>\t0\t0", "title\tab\t1\t\u0662"],
+         "line 2: expected field, value, index and count"),
     ])
     def test_load_refuses_a_file_dumps_cannot_write(self, tmp_path, rows, message):
         path = tmp_path / "vocab.tsv"

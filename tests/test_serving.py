@@ -42,6 +42,19 @@ def env(tiny_dataset):
     return ds, vocab, train
 
 
+def count_scored_rows(monkeypatch) -> list[int]:
+    """The rows of each ``ModelScorer.score`` call made from now on."""
+    calls: list[int] = []
+    score = ModelScorer.score
+
+    def counting(self, rows, contextual):
+        calls.append(len(rows))
+        return score(self, rows, contextual)
+
+    monkeypatch.setattr(ModelScorer, "score", counting)
+    return calls
+
+
 def rank_over_socket(host: str, port: int, user_id: str, now: int, slots: int,
                      ad_ids) -> str:
     """One-shot client for the RANK protocol."""
@@ -79,14 +92,15 @@ class TestScoreBatch:
 
 
 class TestRankRequest:
-    def test_single_candidate_scored_in_round_one_only(self, env):
+    def test_single_candidate_scored_in_round_one_only(self, env, monkeypatch):
         ds, vocab, train = env
         scorer = ModelScorer(zeroed_model(ds.schemas, vocab))
+        scored = count_scored_rows(monkeypatch)
         req = RankRequest("r1", "u", 100, (train[0].target,), slots=4)
         res = rank_request(scorer, SessionStore(), req)
         assert len(res.ranked) == 1
         assert res.ranked[0].round == 1
-        assert scorer.forward_count == 1
+        assert sum(scored) == 1
 
     def test_five_candidates_four_slots(self, env):
         ds, vocab, train = env
@@ -160,8 +174,9 @@ def expected_ranking(model, candidates, clicked, unclicked, slots):
 
 class TestModelScorer:
     @pytest.mark.parametrize("variant", list(Variant))
-    def test_two_rounds_match_scoring_each_candidate_alone(self, env, variant):
+    def test_two_rounds_match_scoring_each_candidate_alone(self, env, monkeypatch, variant):
         ds, vocab, train = env
+        scored = count_scored_rows(monkeypatch)
         model = init_model(variant, ds.schemas, vocab.size, make_rng(40), k=4,
                            fc_dims=(8, 4), attention_dim=4, dropout_p=0.0)
         model.tensors["emb.E"] *= 100.0
@@ -181,6 +196,7 @@ class TestModelScorer:
             slots = n + int(rng.integers(0, 2)) if trial % 3 == 0 else int(rng.integers(1, 5))
             req = RankRequest("r", "u", 200, candidates, slots=slots)
             scorer = ModelScorer(model)
+            scored.clear()
             got = rank_request(scorer, store, req)
             stored = store.get_history("u", 200)
             assert stored == (tuple(clicked), tuple(unclicked))
@@ -190,7 +206,33 @@ class TestModelScorer:
             assert [(i, r) for i, _, r in actual] == [(i, r) for i, _, r in expected]
             assert np.abs(np.array([p for _, p, _ in actual])
                           - [p for _, p, _ in expected]).max() <= 1e-12
-            assert scorer.forward_count == 2 * len(req.candidates) - 1
+            assert sum(scored) == 2 * len(req.candidates) - 1
+
+    def test_each_result_reports_the_rows_of_each_round(self, env, monkeypatch):
+        ds, vocab, train = env
+        scorer = ModelScorer(init_model(Variant.DSTN_I, ds.schemas, vocab.size, make_rng(43),
+                                        k=4, fc_dims=(8, 4), attention_dim=4, dropout_p=0.0))
+        scored = count_scored_rows(monkeypatch)
+        for n in range(1, 9):
+            scored.clear()
+            req = RankRequest("r", "u", 10, tuple(ex.target for ex in train[:n]), slots=2)
+            res = rank_request(scorer, SessionStore(), req)
+            assert [rows for _, rows in res.rounds] == scored == ([n, n - 1] if n > 1 else [1])
+            assert all(seconds > 0.0 for seconds, _ in res.rounds)
+
+    def test_round_one_is_timed_from_prepare_and_round_two_is_its_score_alone(self, env):
+        ds, vocab, train = env
+
+        class SlowPrepare(StubScorer):
+            def prepare(self, candidates, clicked, unclicked):
+                time.sleep(0.05)
+                return StubRows(candidates)
+
+        candidates = tuple(ex.target for ex in train[:3])
+        res = rank_request(SlowPrepare(lambda ad: 0.5), SessionStore(),
+                           RankRequest("r", "u", 1, candidates, slots=3))
+        (first, _), (second, _) = res.rounds
+        assert first >= 0.05 > second
 
     @pytest.mark.parametrize("variant", [Variant.DSTN_P, Variant.DSTN_S, Variant.DSTN_I])
     def test_round_two_reads_the_winner_by_field_name(self, env, variant):
@@ -695,6 +737,40 @@ def test_concurrent_requests_share_the_catalog_rows(env, monkeypatch):
     assert max(encoded.values()) == 1 and len(encoded) == len(kept_targets(server))
     for line, reply in replies.items():
         assert reply.startswith("OK ") and reply == reference_handle_line(server, line)
+
+
+def test_concurrent_ranks_write_no_scorer_attribute(env):
+    import sys
+
+    ds, vocab, train = env
+    model = init_model(Variant.DSTN_I, ds.schemas, vocab.size, make_rng(51), k=4,
+                       fc_dims=(8, 4), attention_dim=4, dropout_p=0.0)
+    scorer = ModelScorer(model)
+    server = RankProtocolServer(AdServer(scorer, history_store(train)), rank_catalog(train),
+                                ds.schemas["target"], vocab)
+    before = dict(vars(scorer))
+    good = sorted(ad for ad in server.rows.catalog if ad not in BROKEN_ADS)
+    rng = make_rng(52)
+    lines = [[f"RANK u{t % 3 + 1} 40 3 "
+              + ",".join(good[int(j)] for j in rng.choice(len(good), size=8, replace=False))
+              for _ in range(40)] for t in range(4)]
+    replies: list[str] = []
+    threads = [threading.Thread(target=lambda mine: replies.extend(map(server.handle_line, mine)),
+                                args=(mine,)) for mine in lines]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, to interleave the requests
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert len(replies) == 160 and all(reply.startswith("OK ") for reply in replies)
+    assert len(kept_targets(server)) > 0  # the kept rows grew in place
+    assert vars(scorer).keys() == before.keys()
+    assert all(vars(scorer)[name] is value for name, value in before.items())
 
 
 def test_the_first_field_that_fails_in_schema_order_names_the_error(env):
