@@ -8,8 +8,10 @@ vector is the concatenation, in schema order, of one K-dim segment per
 field; multivalent segments are the sum over the field's index bag in bag
 order (an empty bag contributes a zero segment).
 
-Examples are encoded once into int32 columns (``EncodedBatch``); a
-mini-batch is a fancy index over example ids, and gather and scatter work on
+Examples are encoded once into int32 columns (``EncodedBatch``). An encoded
+split holds each auxiliary group's distinct ads once, as a table, and one
+table row per occurrence; a mini-batch is a take over example ids, which
+gathers its ads' columns out of those tables, and gather and scatter work on
 whole columns with no Python loop per example or per ad. Both sum with
 ``numerics.segment_sum``. Their blocks are K columns wide; in training they
 are also thousands of rows long, and such a block is summed one column at a
@@ -101,22 +103,40 @@ class AdColumns:
 class EncodedBatch:
     """Examples as columns: labels, the target ads (one per example) and, per
     auxiliary group, each example's ads (``aux[g] = (offsets, ads)``: the ads
-    of example i are ``offsets[i]:offsets[i + 1]`` of ``ads``)."""
+    of example i are ``offsets[i]:offsets[i + 1]`` of the group's ads in
+    example order).
+
+    The group's ads are held in one of two forms. In an encoded split
+    (``encode_examples``), ``ads`` is a table of the group's distinct ads in
+    first-appearance order and ``ad_rows[g]`` the table row of each ad in
+    example order, so an ad that many examples repeat is encoded once. In a
+    batch made by ``take``, ``ads`` has one row per ad in example order and
+    ``ad_rows`` is empty. ``columns`` gives the second form of either."""
 
     labels: Array  # (B,) float64
     target: AdColumns
     aux: dict[str, tuple[Array, AdColumns]]
+    ad_rows: dict[str, Array]  # group -> (T,) int32 table rows; empty in a taken batch
 
     def __len__(self) -> int:
         return len(self.labels)
 
+    def columns(self, group: str) -> tuple[Array, AdColumns]:
+        """The group's (offsets, ads) with one row of ``ads`` per ad, in
+        example order."""
+        offsets, ads = self.aux[group]
+        rows = self.ad_rows.get(group)
+        return (offsets, ads) if rows is None else (offsets, ads.take(rows))
+
     def take(self, ids: Array) -> "EncodedBatch":
-        """The examples with the given ids, in the order given."""
+        """The examples with the given ids, in the order given; each group's
+        ads one row per ad, gathered through the table where there is one."""
         aux = {}
         for group, (offsets, ads) in self.aux.items():
             pos, sub = _ragged_take(offsets, ids)
-            aux[group] = (sub, ads.take(pos))
-        return EncodedBatch(self.labels[ids], self.target.take(ids), aux)
+            rows = self.ad_rows.get(group)
+            aux[group] = (sub, ads.take(pos if rows is None else rows[pos]))
+        return EncodedBatch(self.labels[ids], self.target.take(ids), aux, {})
 
     def ablate(self, keep_group: str) -> "EncodedBatch":
         """A copy in which every auxiliary group except ``keep_group`` holds
@@ -128,24 +148,31 @@ class EncodedBatch:
                (empty, AdColumns(ads.n_fields, np.zeros(1, dtype=np.int32),
                                  np.zeros(0, dtype=np.int32)))
                for group, (offsets, ads) in self.aux.items()}
-        return EncodedBatch(self.labels, self.target, aux)
+        ad_rows = {group: rows if group == keep_group else np.zeros(0, dtype=np.int32)
+                   for group, rows in self.ad_rows.items()}
+        return EncodedBatch(self.labels, self.target, aux, ad_rows)
 
 
 def encode_examples(examples: Sequence, schemas: Mapping[str, GroupSchema],
                     groups: Sequence[str]) -> EncodedBatch:
     """Encode ``LabeledExample``s with their target ads and the ads of the
-    given auxiliary groups."""
+    given auxiliary groups; each group's distinct ads (equal
+    ``EncodedInstance``s are one ad) are encoded once, into the group's
+    table."""
     n = len(examples)
     labels = np.fromiter((ex.label for ex in examples), dtype=np.float64, count=n)
     target = AdColumns.from_instances([ex.target for ex in examples], schemas["target"])
-    aux = {}
+    aux, ad_rows = {}, {}
     for group in groups:
         lists = [getattr(ex, group) for ex in examples]
         offsets = np.fromiter(accumulate(map(len, lists), initial=0), dtype=np.int32,
                               count=n + 1)
-        aux[group] = (offsets, AdColumns.from_instances(list(chain.from_iterable(lists)),
-                                                        schemas[group]))
-    return EncodedBatch(labels, target, aux)
+        table: dict[EncodedInstance, int] = {}  # distinct ad -> its row
+        ad_rows[group] = np.fromiter((table.setdefault(ad, len(table))
+                                      for ad in chain.from_iterable(lists)),
+                                     dtype=np.int32, count=int(offsets[-1]))
+        aux[group] = (offsets, AdColumns.from_instances(list(table), schemas[group]))
+    return EncodedBatch(labels, target, aux, ad_rows)
 
 
 def _check_bounds(indices: Array, n: int) -> None:

@@ -286,7 +286,7 @@ def forward_batch(model: ModelParams, batch: EncodedBatch | Sequence[LabeledExam
     aux: dict[str, AuxTrace] = {}
     if model.variant.uses_aux:
         for group in AUX_GROUPS:
-            t = _pad_aux(model, *batch.aux[group])
+            t = _pad_aux(model, *batch.columns(group))
             _aggregate(model, t, group, x_t)
             aux[group] = t
         m = np.concatenate([x_t] + [aux[g].agg for g in AUX_GROUPS], axis=1)
@@ -303,7 +303,7 @@ def forward_batch(model: ModelParams, batch: EncodedBatch | Sequence[LabeledExam
         cur = relu(pre)
         if mode == "train" and model.dropout_p > 0:
             msk = dropout_mask(cur.shape, model.dropout_p, rng, cur.dtype)
-            cur = cur * msk
+            cur *= msk
         else:
             msk = None
         acts.append(cur)
@@ -542,8 +542,10 @@ def backward(model: ModelParams, trace: BatchTrace) -> Gradients:
     # FC stack down to the fusion layer
     for i, layer in reversed(list(enumerate(_fc_layers(tensors)))):
         msk = trace.drop_masks[i]
-        g_act = g_cur if msk is None else g_cur * msk
-        g_pre = g_act * (trace.pres[i] > 0)
+        g_pre = g_cur  # a new array per layer, so the masks apply in place
+        if msk is not None:
+            g_pre *= msk
+        g_pre *= trace.pres[i] > 0
         inp = trace.m if i == 0 else trace.acts[i - 1]
         dense[f"{layer}.W"] = g_pre.T @ inp
         dense[f"{layer}.b"] = g_pre.sum(axis=0)

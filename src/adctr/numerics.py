@@ -6,6 +6,10 @@ The kernels keep the dtype of the arrays they are given (a model's
 parameters are float64 or float32, and masks and Adagrad accumulators follow
 them); ``sigmoid`` always computes in float64. Adagrad's state is the caller's
 accumulator array per tensor; its epsilon is the constant ``ADAGRAD_EPS``.
+The training step's two per-step kernels allocate no large temporaries: a
+dropout mask is drawn in chunks of ``_DRAW_CHUNK`` raw words straight into
+the mask, and a dense Adagrad step works through its tensor in blocks of
+``_ADAGRAD_BLOCK_BYTES``, each giving the bits of the whole-array formula.
 The RNG is numpy's Philox (counter-based), so a given seed produces the same
 stream on every platform. Checkpoints store every tensor as float64, an exact
 upcast of float32.
@@ -82,27 +86,58 @@ def segment_sum(values: Array, segment: Array, n: int) -> Array:
     return out.astype(values.dtype, copy=False).reshape(n, d)
 
 
+_DRAW_CHUNK = 8192  # raw 64-bit words dropout_mask draws at a time
+
+
 def dropout_mask(shape, p: float, rng: np.random.Generator, dtype) -> Array:
     """Inverted-dropout mask of the given dtype: entries are 0 with
-    probability p, else 1/(1-p). The uniform draws are float64 whatever the
-    dtype, so a seed drops the same units in both precisions."""
+    probability p, else 1/(1-p). Entry j is kept when the generator's j-th
+    raw word w has ``w >> 11 >= ceil(p * 2**53)``, which is exactly
+    ``u >= p`` for the float64 uniform ``(w >> 11) * 2**-53`` that
+    ``rng.random`` makes of that word under ``make_rng``'s Philox. So the
+    bits, and the generator's state after, are those of
+    ``(rng.random(shape) >= p).astype(dtype) * (1 / (1 - p))`` in both
+    precisions, while the words are drawn ``_DRAW_CHUNK`` at a time and
+    compared straight into the mask."""
     if not 0.0 <= p < 1.0:
         raise ContractViolation(f"dropout probability must be in [0, 1), got {p}")
     if p == 0.0:
         return np.ones(shape, dtype=dtype)
-    return (rng.random(shape) >= p).astype(dtype) * (1.0 / (1.0 - p))
+    threshold = math.ceil(p * 2**53)  # exact: scaling by a power of two rounds nothing
+    mask = np.empty(shape, dtype=dtype)
+    flat = mask.reshape(-1)
+    for lo in range(0, flat.size, _DRAW_CHUNK):
+        words = rng.bit_generator.random_raw(min(_DRAW_CHUNK, flat.size - lo))
+        words >>= 11
+        np.greater_equal(words, threshold, out=flat[lo : lo + len(words)])
+    mask *= 1.0 / (1.0 - p)
+    return mask
 
 
 ADAGRAD_EPS = 1e-8  # added to sqrt(G) in every Adagrad denominator
+_ADAGRAD_BLOCK_BYTES = 1 << 18  # the most each of adagrad_step's two temporaries holds
 
 
 def adagrad_step(param: Array, grad: Array, accum: Array, lr: float) -> Array:
     """One in-place Adagrad update of param and its accumulator G (``accum``):
-    G += g^2 and param -= lr * g / (sqrt(G) + ADAGRAD_EPS); returns param."""
+    G += g^2 and param -= lr * g / (sqrt(G) + ADAGRAD_EPS); returns param.
+    It runs over blocks of leading-axis rows of at most
+    ``_ADAGRAD_BLOCK_BYTES`` (at least one row): one temporary holds a
+    block's g^2, then sqrt(G) + ADAGRAD_EPS, and a second its lr * g, then
+    the quotient. ``grad`` is only read, and every element gets the
+    formula's operations in its order, so the bits are the formula's."""
     if param.shape != grad.shape:
         raise ContractViolation(f"param {param.shape} vs grad {grad.shape}")
-    accum += grad * grad
-    param -= lr * grad / (np.sqrt(accum) + ADAGRAD_EPS)
+    rows = max(1, _ADAGRAD_BLOCK_BYTES // max(1, param[:1].nbytes))
+    for lo in range(0, len(param), rows):
+        g, a = grad[lo : lo + rows], accum[lo : lo + rows]
+        denom = g * g
+        a += denom
+        np.sqrt(a, out=denom)
+        denom += ADAGRAD_EPS
+        step = g * lr
+        step /= denom
+        param[lo : lo + rows] -= step
     return param
 
 

@@ -169,12 +169,14 @@ def _train_step(model: ModelParams, batch: EncodedBatch, rng: np.random.Generato
                 accum: dict[str, Array], row_scales: Array, lr: float, epoch: int,
                 step: int) -> float:
     """One Adagrad step on a batch; returns the batch-mean loss. The step's
-    trace and gradients are this frame's locals, so they are freed when it
-    returns, before the next batch's forward."""
+    trace is dropped once backward and the loss have read it, before the
+    penalty and the optimizer, and its gradients are this frame's locals,
+    freed when it returns, before the next batch's forward."""
     _, trace = forward_batch(model, batch, mode="train", rng=rng)
     grads = backward(model, trace)
-    grads.emb_grads += embedding_penalty(model, grads.emb_rows, row_scales)[1]
     batch_loss = loss_from_logits(trace.logit, batch.labels)
+    del trace
+    grads.emb_grads += embedding_penalty(model, grads.emb_rows, row_scales)[1]
     _check_finite(model, epoch, step, batch_loss, grads)
     for name, arr in model.tensors.items():
         if name == "emb.E":
@@ -207,7 +209,10 @@ def predict(model: ModelParams, examples: EncodedBatch | Sequence[LabeledExample
     entry); optionally the per-ad attention weights as (example ordinal,
     group, ad ordinal, weight) rows. The stream is scored ``batch_size``
     rows at a time, and each batch's trace is dropped before the next
-    batch's forward, so at most that many rows of activations are held."""
+    batch's forward, so at most that many rows of activations are held.
+    ``batch_size`` must be at least 1."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size!r}")
     examples = encode_batch(model, examples)
     n = len(examples)
     scores = np.empty(n)

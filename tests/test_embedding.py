@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adctr import embedding
 from adctr.embedding import (AdColumns, EmbeddedAds, RowGradAccumulator, embed_matrix,
                              encode_examples, group_dim)
 from adctr.ingest import LabeledExample
-from adctr.models import INIT_SCALE
+from adctr.models import INIT_SCALE, Variant, backward, forward_batch, init_model
 from adctr.numerics import ContractViolation, make_rng, segment_sum
 from adctr.schema import (AUX_GROUPS, EncodedInstance, FieldKind, FieldSchema, GroupSchema,
                           build_vocabulary, encode_instance)
 from adctr.toy import toy_schemas
-from oracles import embed_gradient_scatter, embed_instance, oov, scatter_oracle
+from oracles import (embed_gradient_scatter, embed_instance, oov, reference_ablate,
+                     scatter_oracle)
 
 SCHEMA = GroupSchema("clicked", (FieldSchema("ad_id", FieldKind.UNIVALENT),
                                  FieldSchema("title", FieldKind.MULTIVALENT),
@@ -190,7 +193,7 @@ class TestEncodedPath:
         batch = encode_examples(examples, schemas, AUX_GROUPS)
         assert len(batch.aux["contextual"][1]) == 0
         for group in ("target",) + AUX_GROUPS:
-            cols = batch.target if group == "target" else batch.aux[group][1]
+            cols = batch.target if group == "target" else batch.columns(group)[1]
             got = embed_matrix(cols, table)
             ads = _ads(examples, group)
             want = np.array([embed_instance(a, table, schemas[group]).vector for a in ads])
@@ -204,7 +207,7 @@ class TestEncodedPath:
         acc = RowGradAccumulator(vocab.size, 3, np.float64)
         terms = []
         for group in AUX_GROUPS + ("target",):  # the order backward scatters in
-            cols = batch.target if group == "target" else batch.aux[group][1]
+            cols = batch.target if group == "target" else batch.columns(group)[1]
             upstream = rng.normal(size=(len(cols), group_dim(schemas[group], 3)))
             acc.scatter_matrix(cols, upstream)
             terms.append((_ads(examples, group), upstream))
@@ -224,7 +227,7 @@ class TestEncodedPath:
         pairs = [(taken.target, direct.target)]
         for group in AUX_GROUPS:
             np.testing.assert_array_equal(taken.aux[group][0], direct.aux[group][0])
-            pairs.append((taken.aux[group][1], direct.aux[group][1]))
+            pairs.append((taken.aux[group][1], direct.columns(group)[1]))
         for a, b in pairs:
             np.testing.assert_array_equal(a.offsets, b.offsets)
             np.testing.assert_array_equal(a.indices, b.indices)
@@ -247,6 +250,79 @@ class TestEncodedPath:
         with pytest.raises(ContractViolation):
             embed_matrix(AdColumns.from_instances([make_instance(((3,), (1, 12), (5,)))], SCHEMA),
                          table)
+
+
+class TestDistinctAdTables:
+    """An encoded split holds each group's distinct ads once; batches taken
+    from it, and forwards over it, see the columns of every occurrence."""
+
+    def test_a_repeated_ad_is_one_table_row(self, edge_batch):
+        schemas, _, examples = edge_batch
+        batch = encode_examples(examples, schemas, AUX_GROUPS)
+        # clicked: c_seen, c_seen, c_bare | c_new, c_seen; unclicked: u_new | u_seen, u_new
+        want_rows = {"contextual": [], "clicked": [0, 0, 1, 2, 0], "unclicked": [0, 1, 0]}
+        for group, rows in want_rows.items():
+            assert batch.ad_rows[group].dtype == np.int32
+            assert batch.ad_rows[group].tolist() == rows
+            distinct = list(dict.fromkeys(_ads(examples, group)))
+            table = AdColumns.from_instances(distinct, schemas[group])
+            assert batch.aux[group][1].offsets.tobytes() == table.offsets.tobytes()
+            assert batch.aux[group][1].indices.tobytes() == table.indices.tobytes()
+
+    @staticmethod
+    def assert_same_columns(got, want):
+        """Labels, target and every group's per-ad columns, dtypes and bytes."""
+        arrays = [(got.labels, want.labels), (got.target.offsets, want.target.offsets),
+                  (got.target.indices, want.target.indices)]
+        for group in AUX_GROUPS:
+            (offsets, ads), (want_offsets, want_ads) = got.columns(group), want.columns(group)
+            arrays += [(offsets, want_offsets), (ads.offsets, want_ads.offsets),
+                       (ads.indices, want_ads.indices)]
+        for a, b in arrays:
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(ids=st.lists(st.integers(0, 119), max_size=40),
+           keep=st.sampled_from((None,) + AUX_GROUPS))
+    def test_take_equals_encoding_the_chosen_examples(self, tiny_dataset, ids, keep):
+        self.check_take(tiny_dataset, ids, keep)
+
+    @pytest.mark.parametrize("keep", [None, "clicked"])
+    def test_take_of_no_ids_equals_encoding_no_examples(self, tiny_dataset, keep):
+        self.check_take(tiny_dataset, [], keep)
+
+    def check_take(self, tiny_dataset, ids, keep):
+        ds, _, tr, *_ = tiny_dataset
+        split = encode_examples(tr[:120], ds.schemas, AUX_GROUPS)
+        examples = tr[:120]
+        if keep is not None:
+            split, examples = split.ablate(keep), reference_ablate(examples, keep)
+        taken = split.take(np.array(ids, dtype=np.int64))
+        assert taken.ad_rows == {}
+        direct = encode_examples([examples[i] for i in ids], ds.schemas, AUX_GROUPS)
+        self.assert_same_columns(taken, direct)
+        for group in AUX_GROUPS:  # a taken batch's ads are already one row per ad
+            assert taken.columns(group)[1] is taken.aux[group][1]
+
+    @pytest.mark.parametrize("variant", ["dstn-p", "dstn-s", "dstn-i"])
+    def test_a_forward_over_a_split_embeds_the_rows_of_its_taken_batch(self, tiny_dataset,
+                                                                        variant):
+        ds, vocab, tr, *_ = tiny_dataset
+        model = init_model(Variant(variant), ds.schemas, vocab.size, make_rng(8), k=3,
+                           fc_dims=(6, 4), attention_dim=5, dtype=np.float32)
+        split = encode_examples(tr[:90], ds.schemas, AUX_GROUPS)
+        # the tables are shorter than the ads they stand for
+        assert sum(len(split.aux[g][1]) for g in AUX_GROUPS) < sum(map(len, split.ad_rows.values()))
+        runs = [forward_batch(model, batch) for batch in (split, split.take(np.arange(90)))]
+        (p_split, t_split), (p_taken, t_taken) = runs
+        assert p_split.tobytes() == p_taken.tobytes()
+        for group in AUX_GROUPS:
+            assert t_split.aux[group].ads.tobytes() == t_taken.aux[group].ads.tobytes()
+        g_split, g_taken = backward(model, t_split), backward(model, t_taken)
+        assert g_split.emb_rows.tobytes() == g_taken.emb_rows.tobytes()
+        assert g_split.emb_grads.tobytes() == g_taken.emb_grads.tobytes()
+        assert all(g_split.dense[n].tobytes() == g_taken.dense[n].tobytes()
+                   for n in g_taken.dense)
 
 
 def test_kept_rows_under_a_small_cap_read_back_as_embedded_afresh(table, monkeypatch):

@@ -1,6 +1,7 @@
 import math
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +124,53 @@ class TestDropout:
         np.testing.assert_allclose(mean, x, rtol=0.02)
 
 
+def _traced_peak(fn) -> int:
+    """Bytes ``fn()`` held at its peak above what was held when it began."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestDropoutDraw:
+    """The mask is drawn as raw words against an integer threshold, with the
+    bits and the generator state of the float64 uniforms it replaced."""
+
+    CHUNK = numerics._DRAW_CHUNK
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(0,), (0, 5), (), (3, 7), (CHUNK + 1,),
+                                       (3, CHUNK // 2 + 5)],
+                             ids=["empty", "empty-2d", "scalar", "under-a-chunk",
+                                  "a-chunk-and-one", "three-chunks"])
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    def test_equals_the_float64_uniform_rule_and_leaves_the_same_state(self, p, shape, dtype):
+        drawn, reference = make_rng(21), make_rng(21)
+        mask = dropout_mask(shape, p, drawn, dtype)
+        want = (reference.random(shape) >= p).astype(dtype) * (1 / (1 - p))
+        assert mask.dtype == want.dtype and mask.shape == want.shape
+        assert mask.tobytes() == want.tobytes()
+        assert drawn.random(9).tobytes() == reference.random(9).tobytes()
+
+    def test_threshold_sits_on_the_exact_uniform(self):
+        # u = k * 2**-53 is kept exactly when k >= ceil(p * 2**53): p one
+        # step either side of a representable uniform flips that one unit
+        k = int(make_rng(3).bit_generator.random_raw(1)[0]) >> 11
+        u = k * 2.0**-53
+        for p, kept in ((u, True), (np.nextafter(u, 1.0), False),
+                        (np.nextafter(u, 0.0), True)):
+            assert dropout_mask((1,), p, make_rng(3), np.float64)[0] == (kept / (1 - p))
+
+    def test_traced_peak_is_under_twice_the_mask(self):
+        rng = make_rng(5)
+        dropout_mask((2, 3), 0.5, rng, np.float32)  # a first call's one-time allocations
+        peak = _traced_peak(lambda: dropout_mask((128, 512), 0.5, rng, np.float32))
+        assert peak < 2 * 128 * 512 * 4
+
+
 class TestAdagrad:
     def test_first_step(self):
         accum = np.zeros(1)
@@ -175,6 +223,34 @@ class TestAdagrad:
             accum = accum + grad * grad
             expected = expected - lr * grad / (np.sqrt(accum) + ADAGRAD_EPS)
             adagrad_step(param, grad, state, lr)
+        assert param.tobytes() == expected.tobytes()
+        assert state.tobytes() == accum.tobytes()
+
+    @pytest.mark.parametrize("shape", [(256, 512), (7,), (3000, 30)])
+    def test_grad_is_only_read(self, shape):
+        rng = make_rng(13)
+        param, grad = rng.normal(size=shape), rng.normal(size=shape)
+        before = grad.tobytes()
+        adagrad_step(param, grad, np.zeros(shape), 0.1)
+        assert grad.tobytes() == before
+
+    def test_traced_peak_is_at_most_twice_the_tensor(self):
+        rng = make_rng(14)
+        param, grad = (rng.normal(size=(256, 512)).astype(np.float32) for _ in range(2))
+        accum = rng.random((256, 512)).astype(np.float32)
+        adagrad_step(param[:2], grad[:2], accum[:2], 0.03)  # a first call's one-time allocations
+        assert _traced_peak(lambda: adagrad_step(param, grad, accum, 0.03)) <= 2 * param.nbytes
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_steps_over_many_blocks_equal_the_formula_bitwise(self, dtype):
+        rng = make_rng(15)
+        rows = 3 * numerics._ADAGRAD_BLOCK_BYTES // (40 * np.dtype(dtype).itemsize) + 7
+        param = rng.normal(size=(rows, 40)).astype(dtype)
+        grad = rng.normal(size=(rows, 40)).astype(dtype)
+        state = rng.random((rows, 40)).astype(dtype)
+        accum = state + grad * grad
+        expected = param - 0.03 * grad / (np.sqrt(accum) + ADAGRAD_EPS)
+        adagrad_step(param, grad, state, 0.03)
         assert param.tobytes() == expected.tobytes()
         assert state.tobytes() == accum.tobytes()
 

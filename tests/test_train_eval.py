@@ -291,6 +291,8 @@ def _assert_batches_equal(got, want):
         assert ads.n_fields == want.aux[group][1].n_fields
         pairs += [(offsets, want.aux[group][0]), (ads.offsets, want.aux[group][1].offsets),
                   (ads.indices, want.aux[group][1].indices)]
+    assert got.ad_rows.keys() == want.ad_rows.keys()
+    pairs += [(rows, want.ad_rows[group]) for group, rows in got.ad_rows.items()]
     for a, b in pairs:
         assert a.dtype == b.dtype
         np.testing.assert_array_equal(a, b)
@@ -403,6 +405,15 @@ def test_predict_scores_at_most_256_rows_per_forward_by_default(tiny_dataset, mo
     assert report.n == 700 and report.auc == auc(scores, batch.labels)
 
 
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_predict_refuses_a_batch_size_below_one(tiny_dataset, batch_size):
+    # At -1 the batch loop would run no batch and return an unwritten buffer.
+    ds, vocab, train_ex, *_ = tiny_dataset
+    model = init_model(Variant.DNN, ds.schemas, vocab.size, make_rng(6), k=3, fc_dims=(4,))
+    with pytest.raises(ValueError, match=f"batch_size must be >= 1, got {batch_size}$"):
+        predict(model, train_ex[:10], batch_size=batch_size)
+
+
 class TestOneBatchOfActivations:
     """Training and scoring hold one batch's trace at a time: when a forward
     starts, every earlier trace is already freed (by reference counting
@@ -431,6 +442,26 @@ class TestOneBatchOfActivations:
         train(config, tr[:300], va, ds.schemas, vocab)
         # per epoch: 5 steps, then validation's 300 rows in two batches
         assert len(traces) == 2 * (5 + 2)
+
+    def test_a_step_drops_its_trace_before_the_optimizer(self, tiny_dataset, monkeypatch):
+        ds, vocab, tr, va, _ = tiny_dataset
+        traces = self.watch_traces(monkeypatch)
+        alive = []
+
+        def watch(name):
+            step = getattr(train_eval, name)
+
+            def watched(*args):
+                alive.append(traces[-1]() is not None)
+                return step(*args)
+            monkeypatch.setattr(train_eval, name, watched)
+
+        watch("adagrad_step")
+        watch("adagrad_step_rows")
+        config = TrainConfig(variant="dstn-i", epochs=1, batch_size=64, seed=4,
+                             fc_dims=(8, 4), embedding_dim=3, attention_dim=4)
+        model, _ = train(config, tr[:300], va[:50], ds.schemas, vocab)
+        assert alive == [False] * (5 * len(model.tensors))  # every call of 5 steps
 
     @pytest.mark.parametrize("collect_attention", [False, True])
     def test_predict(self, tiny_dataset, monkeypatch, collect_attention):
