@@ -10,7 +10,8 @@ import numpy as np
 
 from . import ingest, serving, train_eval
 from .models import Variant, encode_batch, load_model, save_model
-from .schema import build_vocabulary, load_schemas, save_schemas, schemas_hash, Vocabulary
+from .schema import (SchemaError, Vocabulary, build_vocabulary, load_schemas, save_schemas,
+                     schemas_hash)
 from .session import SessionStore
 
 ABLATE_CHOICES = {"ctx": "contextual", "clk": "clicked", "unclk": "unclicked"}
@@ -58,13 +59,19 @@ def main(argv=None) -> int:
     p.add_argument("--snapshot", help="session-store snapshot to preload")
 
     args = parser.parse_args(argv)
-    return {
+    command = {
         "gen-data": _cmd_gen_data,
         "train": _cmd_train,
         "eval": _cmd_eval,
         "gradcheck": _cmd_gradcheck,
         "serve-sim": _cmd_serve_sim,
-    }[args.command](args)
+    }[args.command]
+    try:
+        return command(args)
+    except (ingest.ParseError, SchemaError, train_eval.NonFiniteError,
+            FileNotFoundError) as exc:  # refused input: one line, not a traceback
+        print(f"adctr: {exc}", file=sys.stderr)
+        return 2
 
 
 def _cmd_gen_data(args) -> int:

@@ -13,11 +13,12 @@ split holds each auxiliary group's distinct ads once, as a table, and one
 table row per occurrence; a mini-batch is a take over example ids, which
 gathers its ads' columns out of those tables, and gather and scatter work on
 whole columns with no Python loop per example or per ad. Both sum with
-``numerics.segment_sum``. Their blocks are K columns wide; in training they
-are also thousands of rows long, and such a block is summed one column at a
-time, with no int64 cell array and no float64 copy of the gathered rows or
-gradient terms. Serving embeds an ad once and keeps its row by the ad's
-value (``EmbeddedAds``).
+``numerics.segment_sum``. The gather's blocks are K columns wide; in
+training they are also thousands of rows long, and such a block is summed
+one column at a time, with no int64 cell array and no float64 copy of the
+gathered rows. The scatter sums one column at a time too, repeating only
+that column of its gradient terms per index. Serving embeds an ad once and
+keeps its row by the ad's value (``EmbeddedAds``).
 """
 
 from __future__ import annotations
@@ -233,15 +234,17 @@ class EmbeddedAds:
 class RowGradAccumulator:
     """Collects embedding-row gradient terms from scatter calls across a batch
     and sums them per touched row, each row's terms in the order collected;
-    the sums come back in the table's dtype. ``n``, the table's row count,
-    is not kept: it stays in the signature because the benchmark's layer map
-    counts the buffer by it."""
+    the sums come back in the table's dtype. A scatter is kept as its
+    (segments, bag lengths): one K-wide gradient row per (ad, field) segment,
+    not yet repeated per index. ``n``, the table's row count, is not kept:
+    it stays in the signature because the benchmark's layer map counts the
+    buffer by it."""
 
     def __init__(self, n: int, k: int, dtype):
         self.k = k
         self.dtype = np.dtype(dtype)
         self._rows: list[Array] = []
-        self._grads: list[Array] = []
+        self._terms: list[tuple[Array, Array]] = []
 
     def scatter_matrix(self, cols: AdColumns, upstream: Array) -> None:
         """Adjoint of embed_matrix: every index of a (ad, field) bag gets that
@@ -252,12 +255,18 @@ class RowGradAccumulator:
         if segs.shape[0] != len(cols.offsets) - 1:
             raise ContractViolation("upstream gradient does not match the ads")
         self._rows.append(cols.indices)
-        self._grads.append(segs.repeat(cols.offsets[1:] - cols.offsets[:-1], axis=0))
+        self._terms.append((segs, cols.offsets[1:] - cols.offsets[:-1]))
 
     def finalize(self) -> tuple[Array, Array]:
-        """(sorted unique touched rows, their summed gradients)."""
+        """(sorted unique touched rows, their summed gradients). The sums are
+        taken one column at a time, with only that column of every scatter
+        repeated per index: the bits of ``segment_sum`` over the repeated
+        rows, with one column of them held at once."""
         if not self._rows:
             return np.zeros(0, dtype=np.intp), np.zeros((0, self.k), dtype=self.dtype)
         rows, slot = np.unique(np.concatenate(self._rows), return_inverse=True)
-        sums = segment_sum(np.concatenate(self._grads), slot, len(rows))
-        return rows.astype(np.intp), sums.astype(self.dtype, copy=False)
+        sums = np.empty((len(rows), self.k), dtype=self.dtype)
+        for j in range(self.k):
+            col = np.concatenate([segs[:, j].repeat(lens) for segs, lens in self._terms])
+            sums[:, j] = segment_sum(col, slot, len(rows))
+        return rows.astype(np.intp), sums

@@ -21,6 +21,13 @@ normalizers taken over those rows (no padding, no masks). Backward consumes
 the recorded forward trace and returns the gradient of the batch-mean loss;
 correctness is pinned by finite-difference checks in the test suite.
 
+The trace holds only what backward reads: the embedded target and
+auxiliary ads, each attention block's hidden layer (after its ReLU) and
+weights, the FC stack's input, each FC layer's output (after its ReLU and
+dropout) and the dropout scale. It holds no pre-activation and no dropout
+mask: a ReLU passed a unit exactly when its output is above zero, and a
+dropped unit's output is zero, so backward masks by the outputs.
+
 A model holds its parameters once, in ``ModelParams.tensors``: one dict keyed
 by checkpoint name in ``_layout`` order (``emb.E``; the FC layers ``fusion``,
 ``fc2``, ... as ``.W`` and ``.b``; ``out.w`` and ``out.b``; then each
@@ -156,7 +163,8 @@ def init_model(variant: Variant, schemas: Mapping[str, GroupSchema], vocab_size:
     """Fresh parameters: uniform Glorot for dense weights, zero biases,
     uniform +-INIT_SCALE embeddings (1-dim for the LR variant). The values
     are drawn in float64, in ``_layout`` order, and rounded to ``dtype``, so
-    a seed gives the same model in both precisions up to that rounding."""
+    a seed gives the same model in both precisions up to that rounding; a
+    tensor is drawn in chunks straight into ``dtype`` (``_uniform``)."""
     variant = Variant(variant)
     if min(fc_dims, default=0) < 1:
         raise ValueError(f"fc_dims must be one or more widths >= 1, got {tuple(fc_dims)}")
@@ -167,14 +175,29 @@ def init_model(variant: Variant, schemas: Mapping[str, GroupSchema], vocab_size:
     tensors = {}
     for name, shape in _layout(variant, schemas, k, rows).items():
         if name == "emb.E":
-            arr = rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
+            arr = _uniform(shape, INIT_SCALE, rng, dtype)
         elif name.rsplit(".", 1)[1].startswith("b"):  # a bias
-            arr = np.zeros(shape)
+            arr = np.zeros(shape, dtype=dtype)
         else:  # Glorot over (fan-out, fan-in); a weight vector has fan-out 1
             bound = np.sqrt(6.0 / (shape[0] + (shape[1] if len(shape) == 2 else 1)))
-            arr = rng.uniform(-bound, bound, size=shape)
-        tensors[name] = arr.astype(dtype, copy=False)
+            arr = _uniform(shape, bound, rng, dtype)
+        tensors[name] = arr
     return ModelParams(variant, dict(schemas), dropout_p, tensors)
+
+
+_INIT_CHUNK = 8192  # float64 values init_model draws at a time
+
+
+def _uniform(shape, bound, rng: np.random.Generator, dtype) -> Array:
+    """``rng.uniform(-bound, bound, size=shape).astype(dtype)``: the same
+    draws from the same stream, each rounded to ``dtype`` once, but drawn
+    ``_INIT_CHUNK`` at a time straight into the result."""
+    arr = np.empty(shape, dtype=dtype)
+    flat = arr.reshape(-1)
+    for lo in range(0, flat.size, _INIT_CHUNK):
+        flat[lo : lo + _INIT_CHUNK] = rng.uniform(-bound, bound,
+                                                  size=min(_INIT_CHUNK, flat.size - lo))
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -191,22 +214,23 @@ class AuxTrace:
     ads: Array                      # (T, D_g) embeddings
     alpha: Array                    # (T,) aggregation weights (pooling: ones)
     agg: Array | None = None        # (n, D_g)
-    pre: Array | None = None        # (T, H) attention-MLP pre-activation
-    hid: Array | None = None        # (T, H)
+    hid: Array | None = None        # (T, H) attention-MLP hidden layer, after its ReLU
     raw_score: Array | None = None  # (T,) pre-clamp scalar (interactive)
 
 
 @dataclass
 class BatchTrace:
-    """Everything forward computed that backward needs; one per batch."""
+    """Everything forward computed that backward needs; one per batch. An FC
+    layer keeps only its output: a unit passed its ReLU and its dropout
+    exactly when its output is above zero, and every kept unit was scaled
+    by ``drop_scale``."""
 
     batch: EncodedBatch
     x_t: Array
     aux: dict[str, AuxTrace]
     m: Array                        # the FC stack's input (LR: x_t)
-    pres: list[Array]
     acts: list[Array]               # post-dropout activations of the FC layers
-    drop_masks: list[Array | None]
+    drop_scale: float | None        # 1 / (1 - p) of train-mode dropout, else None
     logit: Array
     pctr: Array
 
@@ -240,25 +264,42 @@ def _pad_aux(model: ModelParams, offsets: Array, cols: AdColumns) -> AuxTrace:
                     ads=ads, alpha=np.ones(len(ads), dtype=ads.dtype))
 
 
+def _attention_pre(model: ModelParams, group: str, t: AuxTrace, x_t: Array) -> Array:
+    """A new (T, H) array of the group's attention-MLP pre-activation."""
+    w, b1, _, _ = _attention(model, group)
+    if model.variant == Variant.DSTN_S:
+        pre = t.ads @ w.T
+        pre += b1
+        return pre
+    # interactive: W_tc = [W_t | W_a], so [x_t, ad] W_tc^T = x_t W_t^T + ad W_a^T
+    d_t = x_t.shape[1]
+    pre = (x_t @ w[:, :d_t].T + b1)[t.row_idx]
+    pre += t.ads @ w[:, d_t:].T
+    return pre
+
+
+def _fc_pre(tensors: Mapping[str, Array], layer: str, inp: Array) -> Array:
+    """A new array of an FC layer's pre-activation on its input."""
+    pre = inp @ tensors[f"{layer}.W"].T
+    pre += tensors[f"{layer}.b"]
+    return pre
+
+
 def _aggregate(model: ModelParams, t: AuxTrace, group: str, x_t: Array) -> None:
     """Aggregate one group's ads into ``t.agg``, one row per example."""
     if model.variant == Variant.DSTN_P:
         t.agg = segment_sum(t.ads, t.row_idx, t.n)
         return
-    w, b1, w2, b2 = _attention(model, group)
+    _, _, w2, b2 = _attention(model, group)
+    t.hid = _attention_pre(model, group, t, x_t)
+    np.maximum(t.hid, 0.0, out=t.hid)  # relu, in place
     if model.variant == Variant.DSTN_S:
-        t.pre = t.ads @ w.T + b1
-        t.hid = relu(t.pre)
         score = t.hid @ w2 + b2[0]
         rowmax = np.full(t.n, -np.inf, dtype=score.dtype)
         np.maximum.at(rowmax, t.row_idx, score)
         e = np.exp(score - rowmax[t.row_idx])
         t.alpha = e / segment_sum(e, t.row_idx, t.n)[t.row_idx]
-    else:  # interactive: W_tc = [W_t | W_a], so [x_t, ad] W_tc^T = x_t W_t^T + ad W_a^T
-        d_t = x_t.shape[1]
-        t.pre = (x_t @ w[:, :d_t].T + b1)[t.row_idx]
-        t.pre += t.ads @ w[:, d_t:].T
-        t.hid = relu(t.pre)
+    else:
         t.raw_score = t.hid @ w2 + b2[0]
         t.alpha = np.exp(np.minimum(t.raw_score, SCORE_CLAMP))
     t.agg = segment_sum(t.alpha[:, None] * t.ads, t.row_idx, t.n)
@@ -294,25 +335,33 @@ def forward_batch(model: ModelParams, batch: EncodedBatch | Sequence[LabeledExam
         m = x_t
 
     cur = m
-    pres: list[Array] = []
     acts: list[Array] = []
-    masks: list[Array | None] = []
+    dropout = mode == "train" and model.dropout_p > 0
     for layer in _fc_layers(tensors):
-        pre = cur @ tensors[f"{layer}.W"].T + tensors[f"{layer}.b"]
-        pres.append(pre)
-        cur = relu(pre)
-        if mode == "train" and model.dropout_p > 0:
-            msk = dropout_mask(cur.shape, model.dropout_p, rng, cur.dtype)
-            cur *= msk
-        else:
-            msk = None
+        cur = _fc_pre(tensors, layer, cur)
+        np.maximum(cur, 0.0, out=cur)  # relu, in place
+        if dropout:  # the mask is dropped once applied
+            cur *= dropout_mask(cur.shape, model.dropout_p, rng, cur.dtype)
         acts.append(cur)
-        masks.append(msk)
     head = tensors.get("out.w")  # LR has none: its logit is the sum of its features
     logit = (cur.sum(axis=1) if head is None else cur @ head) + tensors["out.b"][0]
     pctr = _pctr(logit)
-    return pctr, BatchTrace(batch=batch, x_t=x_t, aux=aux, m=m, pres=pres,
-                            acts=acts, drop_masks=masks, logit=logit, pctr=pctr)
+    return pctr, BatchTrace(batch=batch, x_t=x_t, aux=aux, m=m, acts=acts,
+                            drop_scale=1.0 / (1.0 - model.dropout_p) if dropout else None,
+                            logit=logit, pctr=pctr)
+
+
+def pre_activations(model: ModelParams, trace: BatchTrace) -> list[Array]:
+    """Every ReLU's pre-activation in a forward: each FC layer's, then each
+    attention block's. The trace keeps none of them; they are computed again
+    from the inputs it keeps, with the forward's own expressions, so they
+    have the bits the forward had."""
+    layers = _fc_layers(model.tensors)
+    pres = [_fc_pre(model.tensors, layer, inp)
+            for layer, inp in zip(layers, [trace.m] + trace.acts[:-1])]
+    if model.variant in _ATTENTION:
+        pres += [_attention_pre(model, group, t, trace.x_t) for group, t in trace.aux.items()]
+    return pres
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +570,10 @@ class Gradients:
 
 def backward(model: ModelParams, trace: BatchTrace) -> Gradients:
     """Exact gradients for every parameter of the batch the forward trace ran
-    on, reusing the trace (including its dropout masks)."""
+    on, reusing the trace. An FC layer's gradient is masked where its output
+    is zero, which is where its ReLU or its dropout zeroed it, then scaled
+    by the dropout scale: each factor (1, 0 or the scale) gives the bits of
+    the product with the mask the forward drew."""
     enc = trace.batch
     # pCTRs and labels are float64; the gradient takes the model's dtype
     dlogit = ((trace.pctr - enc.labels) / len(enc)).astype(model.dtype, copy=False)
@@ -541,11 +593,10 @@ def backward(model: ModelParams, trace: BatchTrace) -> Gradients:
 
     # FC stack down to the fusion layer
     for i, layer in reversed(list(enumerate(_fc_layers(tensors)))):
-        msk = trace.drop_masks[i]
         g_pre = g_cur  # a new array per layer, so the masks apply in place
-        if msk is not None:
-            g_pre *= msk
-        g_pre *= trace.pres[i] > 0
+        g_pre *= trace.acts[i] > 0
+        if trace.drop_scale is not None:
+            g_pre *= trace.drop_scale
         inp = trace.m if i == 0 else trace.acts[i - 1]
         dense[f"{layer}.W"] = g_pre.T @ inp
         dense[f"{layer}.b"] = g_pre.sum(axis=0)
@@ -659,7 +710,7 @@ def _aggregate_backward(model: ModelParams, group: str, t: AuxTrace, x_t: Array,
         inner = segment_sum(t.alpha * tdot, t.row_idx, t.n)
         g_score = t.alpha * (tdot - inner[t.row_idx])  # softmax Jacobian
         g_pre = np.outer(g_score, w2)
-        g_pre *= t.pre > 0
+        g_pre *= t.hid > 0
         dense[f"attn.{group}.W1"] = g_pre.T @ t.ads
         dense[f"attn.{group}.b1"] = g_pre.sum(axis=0)
         dense[f"attn.{group}.w2"] = t.hid.T @ g_score
@@ -670,7 +721,7 @@ def _aggregate_backward(model: ModelParams, group: str, t: AuxTrace, x_t: Array,
     # interactive attention
     g_score = t.alpha * tdot * (t.raw_score < SCORE_CLAMP)
     g_pre = np.outer(g_score, w2)
-    g_pre *= t.pre > 0
+    g_pre *= t.hid > 0
     g_pre_t = segment_sum(g_pre, t.row_idx, t.n)  # the target half is shared by an example's ads
     d_t = x_t.shape[1]
     dense[f"attn.{group}.Wtc"] = np.concatenate([g_pre_t.T @ x_t, g_pre.T @ t.ads], axis=1)

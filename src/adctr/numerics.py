@@ -57,6 +57,7 @@ def sigmoid(s) -> Array:
 
 
 _PER_COLUMN_MAX_COLS, _PER_COLUMN_MIN_ROWS = 16, 1024  # see segment_sum
+_FLAT_MAX_COLS = 16  # the widest block segment_sum flattens at once
 
 
 def segment_sum(values: Array, segment: Array, n: int) -> Array:
@@ -65,14 +66,17 @@ def segment_sum(values: Array, segment: Array, n: int) -> Array:
     starting from 0.0. bincount sums in float64 (and gives integer zeros when
     there is nothing to sum), hence the cast back to the values' dtype.
 
-    Two forms give the same bits. A block of at most 16 columns and at least
-    1024 rows (a training batch's K-wide gather and scatter) runs one
-    bincount per column, holding one float64 column at a time, as a 1-D
-    input does; any other block runs one bincount over flattened (row,
-    column) cells, holding a (T * D) int64 cell array and a float64 copy.
-    Per column took, against flattened, on 2 vCPUs in float32: 0.95x at
-    K = 10 and 1024 rows, 0.24-0.33x at 3000-8000 rows, 1.3-2.9x at
-    serving's 8-512 rows and 1.4-2.9x at the aggregates' 40-128 columns."""
+    Three forms give the same bits, since each cell's sum depends only on
+    its own column. A block of at most 16 columns and at least 1024 rows (a
+    training batch's K-wide gather) runs one bincount per column, holding
+    one float64 column at a time, as a 1-D input does. A block of at most
+    16 columns and fewer rows runs one bincount over flattened (row, column)
+    cells, holding a (T * D) int64 cell array and a float64 copy. A wider
+    block (the aggregates' 40-128 columns) is summed in slices of 16
+    columns, each in one of the first two forms, so it holds those arrays
+    for one slice at a time. Per column took, against flattened, on 2 vCPUs
+    in float32: 0.95x at K = 10 and 1024 rows, 0.24-0.33x at 3000-8000 rows,
+    1.3-2.9x at serving's 8-512 rows and 1.4-2.9x at 40-128 columns."""
     if values.ndim == 1:
         return np.bincount(segment, weights=values, minlength=n).astype(values.dtype, copy=False)
     t, d = values.shape
@@ -80,6 +84,12 @@ def segment_sum(values: Array, segment: Array, n: int) -> Array:
         out = np.empty((n, d), dtype=values.dtype)
         for j in range(d):
             out[:, j] = np.bincount(segment, weights=values[:, j], minlength=n)
+        return out
+    if d > _FLAT_MAX_COLS:
+        out = np.empty((n, d), dtype=values.dtype)
+        for lo in range(0, d, _FLAT_MAX_COLS):
+            out[:, lo : lo + _FLAT_MAX_COLS] = segment_sum(
+                values[:, lo : lo + _FLAT_MAX_COLS], segment, n)
         return out
     cells = (segment * d)[:, None] + np.arange(d)
     out = np.bincount(cells.ravel(), weights=values.ravel(), minlength=n * d)

@@ -13,7 +13,7 @@ import numpy as np
 from .embedding import EncodedBatch
 from .ingest import LabeledExample, read_config
 from .models import (BatchTrace, Gradients, ModelParams, Variant, backward, encode_batch,
-                     forward_batch, init_model, loss, loss_from_logits)
+                     forward_batch, init_model, loss, loss_from_logits, pre_activations)
 from .numerics import Array, adagrad_step, adagrad_step_rows, make_rng
 from .schema import AUX_GROUPS, GroupSchema, Vocabulary
 from .toy import make_toy_problem
@@ -308,14 +308,14 @@ _FD_STEP = 1e-5  # central-difference step of grad_check
 _GC_EXAMPLES, _GC_K, _GC_FC_DIMS, _GC_ATTENTION_DIM = 10, 3, (8, 4), 4
 
 
-def _kink_distance(trace: BatchTrace) -> float:
+def _kink_distance(model: ModelParams, trace: BatchTrace) -> float:
     """Distance from the nearest ReLU kink anywhere in the forward pass.
 
     Central differences are invalid if a pre-activation sits within the step
     of zero, so the checker re-seeds until the batch is clear of kinks.
     """
-    pres = trace.pres + [t.pre for t in trace.aux.values() if t.pre is not None]
-    return min((float(np.abs(pre).min()) for pre in pres if pre.size), default=np.inf)
+    return min((float(np.abs(pre).min()) for pre in pre_activations(model, trace) if pre.size),
+               default=np.inf)
 
 
 def grad_check(variant, tolerance: float = 1e-4, seed: int = 0) -> GradCheckReport:
@@ -332,7 +332,7 @@ def grad_check(variant, tolerance: float = 1e-4, seed: int = 0) -> GradCheckRepo
                            dropout_p=0.0)
         batch = encode_batch(model, examples)
         pctr, trace = forward_batch(model, batch, mode="train")
-        if _kink_distance(trace) > 100 * _FD_STEP:
+        if _kink_distance(model, trace) > 100 * _FD_STEP:
             break
     labels = batch.labels
     grads = backward(model, trace)

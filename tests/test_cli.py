@@ -1,6 +1,8 @@
 import json
 import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from adctr.cli import main
@@ -180,9 +182,8 @@ def test_train_then_eval_on_values_that_read_like_the_oov_marker(data_dir, tmp_p
     ("age=30,31", "numerical field 'age' needs exactly one value"),
     ("x0=p,q", "univalent field 'x0' needs exactly one value"),
 ])
-def test_a_malformed_training_line_is_a_parse_error_naming_it(data_dir, tmp_path, bad, message):
-    from adctr.ingest import ParseError
-
+def test_a_malformed_training_line_is_a_parse_error_naming_it(data_dir, tmp_path, capsys, bad,
+                                                              message):
     lines = (data_dir / "train.tsv").read_text(encoding="utf-8").splitlines()[:20]
     cols = lines[6].split("\t")
     fields = dict(pair.split("=", 1) for pair in cols[3].split(";"))
@@ -192,7 +193,53 @@ def test_a_malformed_training_line_is_a_parse_error_naming_it(data_dir, tmp_path
     lines[6] = "\t".join(cols)
     train = tmp_path / "train.tsv"
     train.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(ParseError, match=f"line 7: {message}"):
-        main(["train", "--variant", "lr", "--train", str(train),
-              "--val", str(data_dir / "val.tsv"), "--schema", str(data_dir / "schema.tsv"),
-              "--out", str(tmp_path / "model.ckpt")])
+    assert main(["train", "--variant", "lr", "--train", str(train),
+                 "--val", str(data_dir / "val.tsv"), "--schema", str(data_dir / "schema.tsv"),
+                 "--out", str(tmp_path / "model.ckpt")]) == 2
+    assert capsys.readouterr().err == f"adctr: line 7: {message}\n"
+
+
+def _train_args(data_dir, tmp_path, **paths):
+    args = {"--variant": "dnn", "--train": str(data_dir / "train.tsv"),
+            "--val": str(data_dir / "val.tsv"), "--schema": str(data_dir / "schema.tsv"),
+            "--out": str(tmp_path / "model.ckpt"), **paths}
+    return ["train", *(part for pair in args.items() for part in pair)]
+
+
+def test_a_missing_file_is_one_line_with_status_2(data_dir, tmp_path, capsys):
+    missing = tmp_path / "no-such.tsv"
+    assert main(_train_args(data_dir, tmp_path, **{"--val": str(missing)})) == 2
+    assert capsys.readouterr().err == (f"adctr: [Errno 2] No such file or directory: "
+                                       f"'{missing}'\n")
+    assert main(["eval", "--ckpt", str(tmp_path / "none.ckpt"),
+                 "--test", str(data_dir / "test.tsv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("adctr: [Errno 2] No such file or directory: ")
+    assert err.count("\n") == 1 and "none.ckpt.schema.tsv" in err
+
+
+def test_a_bad_schema_or_vocabulary_file_is_one_line_with_status_2(data_dir, checkpoint,
+                                                                   tmp_path, capsys):
+    schema = tmp_path / "schema.tsv"
+    schema.write_text("target\tuser_id\tunivalent\ntarget\tage\tbogus\n", encoding="utf-8")
+    assert main(_train_args(data_dir, tmp_path, **{"--schema": str(schema)})) == 2
+    assert capsys.readouterr().err == ("adctr: schema line 2: 'bogus' is not a valid "
+                                       "FieldKind\n")
+    ckpt = tmp_path / "model.ckpt"
+    for suffix in ("", ".schema.tsv"):
+        (tmp_path / f"model.ckpt{suffix}").write_bytes(
+            Path(f"{checkpoint}{suffix}").read_bytes())
+    vocab = Path(f"{ckpt}.vocab.tsv")
+    vocab.write_text("user_id\t<oov>\t0\t0\nuser_id\tu1\t5\t1\n", encoding="utf-8")
+    assert main(["eval", "--ckpt", str(ckpt), "--test", str(data_dir / "test.tsv")]) == 2
+    assert capsys.readouterr().err == f"adctr: {vocab}: line 2: index 5 skips index 1\n"
+
+
+def test_a_non_finite_training_loss_is_one_line_with_status_2(data_dir, tmp_path, capsys):
+    config = tmp_path / "train.json"
+    config.write_text('{"epochs": 1, "learning_rate": 1e38, "fc_dims": [8, 4]}',
+                      encoding="utf-8")
+    with np.errstate(all="ignore"):
+        assert main(_train_args(data_dir, tmp_path, **{"--config": str(config)})) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"adctr: epoch 0, batch \d+: non-finite (loss|gradient of \S+)\n", err)

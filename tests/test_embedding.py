@@ -363,6 +363,54 @@ def test_kept_rows_under_a_small_cap_read_back_as_embedded_afresh(table, monkeyp
     assert 0 < len(kept.index) <= 6
 
 
+class TestFinalize:
+    """``finalize`` sums one column at a time over the kept (segments, bag
+    lengths), with the bits of the sum over every scatter's fully repeated
+    rows."""
+
+    @staticmethod
+    def reference(scatters, k, dtype):
+        """Concatenated repeats, then np.unique and one bincount over
+        flattened (row, column) cells."""
+        indices = np.concatenate([cols.indices for cols, _ in scatters])
+        rows, slot = np.unique(indices, return_inverse=True)
+        grads = np.concatenate([up.reshape(-1, k).repeat(np.diff(cols.offsets), axis=0)
+                                for cols, up in scatters])
+        cells = (slot * k)[:, None] + np.arange(k)
+        sums = np.bincount(cells.ravel(), weights=grads.ravel(), minlength=len(rows) * k)
+        return rows, sums.astype(dtype).reshape(len(rows), k)
+
+    @settings(max_examples=80, deadline=None)
+    @given(k=st.integers(1, 12), table_rows=st.integers(1, 40),
+           shapes=st.lists(st.tuples(st.integers(1, 3), st.integers(0, 8)), min_size=1,
+                           max_size=4),
+           max_bag=st.sampled_from([1, 3, 400]), dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_sum_over_repeated_rows(self, k, table_rows, shapes, max_bag, dtype,
+                                               seed):
+        rng = make_rng(seed)
+        acc = RowGradAccumulator(table_rows, k, dtype)
+        scatters = []
+        for n_fields, n_ads in shapes:
+            lens = rng.integers(0, max_bag + 1, n_ads * n_fields)  # empty bags too
+            offsets = np.concatenate([[0], np.cumsum(lens)]).astype(np.int32)
+            cols = AdColumns(n_fields, offsets,
+                             rng.integers(0, table_rows, offsets[-1]).astype(np.int32))
+            up = (rng.normal(0.0, 1.0, (n_ads, n_fields * k))
+                  * 10.0 ** rng.integers(-6, 6, (n_ads, n_fields * k))).astype(dtype)
+            acc.scatter_matrix(cols, up)
+            if cols.indices.size:
+                scatters.append((cols, up))
+        rows, sums = acc.finalize()
+        assert rows.dtype == np.intp and sums.dtype == dtype
+        if not scatters:
+            assert rows.shape == (0,) and sums.shape == (0, k)
+            return
+        want_rows, want_sums = self.reference(scatters, k, dtype)
+        assert rows.tobytes() == want_rows.astype(np.intp).tobytes()
+        assert sums.shape == want_sums.shape and sums.tobytes() == want_sums.tobytes()
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 class TestNothingToSumKeepsTheTableDtype:
     """bincount returns integers when it has no terms: with no feature index

@@ -2,15 +2,21 @@ import copy
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adctr.models import (AuxTrace, ModelScorer, Variant, _aggregate, _aggregate_backward,
-                          _attention, _layout, backward, forward_batch, init_model, load_model,
-                          loss, loss_from_logits, save_model)
-from adctr.numerics import (ContractViolation, adagrad_step, adagrad_step_rows,
-                            make_rng, relu, save_tensors, sigmoid)
+from adctr import models
+from adctr.embedding import RowGradAccumulator
+from adctr.models import (SCORE_CLAMP, AuxTrace, ModelScorer, Variant, _aggregate,
+                          _aggregate_backward, _attention, _layout, backward, encode_batch,
+                          forward_batch, init_model, load_model, loss, loss_from_logits,
+                          save_model)
+from adctr.numerics import (ContractViolation, adagrad_step, adagrad_step_rows, dropout_mask,
+                            make_rng, relu, save_tensors, segment_sum, sigmoid)
 from adctr.schema import AUX_GROUPS, FieldKind, FieldSchema, GroupSchema
 from adctr.toy import make_toy_problem
 from adctr.train_eval import NonFiniteError, TrainConfig, _check_finite, embedding_penalty, train
@@ -298,6 +304,48 @@ class TestSplitInteractiveAttention:
                 cur = relu(w @ cur + b)
             out_w, out_b = model.tensors["out.w"], model.tensors["out.b"]
             assert got == pytest.approx(sigmoid(float(out_w @ cur + out_b[0])), abs=1e-12)
+
+
+class TestInitDraws:
+    """``init_model`` draws each tensor in chunks straight into its dtype,
+    with the bits of one whole-array float64 draw per tensor rounded once."""
+
+    @staticmethod
+    def whole_array(variant, schemas, vocab_size, seed, k, fc_dims, attention_dim, dtype):
+        rng = make_rng(seed)
+        k = 1 if variant == Variant.LR else k
+        rows = {"emb.E": vocab_size, "fusion.W": fc_dims[0]}
+        rows.update({f"fc{i}.W": h for i, h in enumerate(fc_dims[1:], start=2)})
+        for group in AUX_GROUPS:
+            rows[f"attn.{group}.W1"] = rows[f"attn.{group}.Wtc"] = attention_dim
+        out = {}
+        for name, shape in _layout(variant, schemas, k, rows).items():
+            if name == "emb.E":
+                arr = rng.uniform(-models.INIT_SCALE, models.INIT_SCALE, size=shape)
+            elif name.rsplit(".", 1)[1].startswith("b"):
+                arr = np.zeros(shape)
+            else:
+                bound = np.sqrt(6.0 / (shape[0] + (shape[1] if len(shape) == 2 else 1)))
+                arr = rng.uniform(-bound, bound, size=shape)
+            out[name] = arr.astype(dtype)
+        return out
+
+    @settings(max_examples=40, deadline=None)
+    @given(variant=st.sampled_from(list(Variant)), dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2**32 - 1), vocab_size=st.integers(1, 3000),
+           chunk=st.sampled_from([None, 1, 7, 1000]))
+    def test_equals_whole_array_draws(self, toy_problem, variant, dtype, seed, vocab_size, chunk):
+        schemas = toy_problem[0]
+        kw = {"k": 5, "fc_dims": (1700, 6), "attention_dim": 9}  # fusion.W: over a chunk
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(models, "_INIT_CHUNK", chunk)
+            model = init_model(variant, schemas, vocab_size, make_rng(seed), dtype=dtype, **kw)
+        want = self.whole_array(variant, schemas, vocab_size, seed, dtype=dtype, **kw)
+        assert list(model.tensors) == list(want)
+        for name, arr in model.tensors.items():
+            assert arr.dtype == want[name].dtype == dtype and arr.shape == want[name].shape
+            assert arr.tobytes() == want[name].tobytes(), name
 
 
 class TestForward:
@@ -702,6 +750,164 @@ class TestBackward:
         assert set(grads.emb_rows.tolist()) == touched
 
 
+def _trace_arrays(obj) -> list[np.ndarray]:
+    """Every array a trace holds, its aux traces' included (not its batch's)."""
+    found = []
+    for name, value in vars(obj).items():
+        if name in ("batch", "cols"):
+            continue
+        for item in (value.values() if isinstance(value, dict)
+                     else value if isinstance(value, list) else [value]):
+            if isinstance(item, np.ndarray):
+                found.append(item)
+            elif isinstance(item, AuxTrace):
+                found += _trace_arrays(item)
+    return found
+
+
+def masked_backward(model, trace, pres, masks, aux_pres):
+    """Backward as it ran when the trace kept each FC layer's pre-activation
+    and float dropout mask and each attention block's pre-activation: the
+    FC gradient times the mask, then times ``pre > 0``, and the attention
+    gradient times ``pre > 0``."""
+    tensors, enc = model.tensors, trace.batch
+    dlogit = ((trace.pctr - enc.labels) / len(enc)).astype(model.dtype, copy=False)
+    acc = RowGradAccumulator(*tensors["emb.E"].shape, model.dtype)
+    dense = {"out.b": np.array([dlogit.sum()])}
+    layers = [layer for layer in ("fusion", "fc2", "fc3") if f"{layer}.W" in tensors]
+    if not layers:
+        g_cur = np.repeat(dlogit[:, None], trace.m.shape[1], axis=1)
+    else:
+        dense["out.w"] = trace.acts[-1].T @ dlogit
+        g_cur = dlogit[:, None] * tensors["out.w"][None, :]
+    for i in reversed(range(len(layers))):
+        g_pre = g_cur
+        if masks[i] is not None:
+            g_pre *= masks[i]
+        g_pre *= pres[i] > 0
+        inp = trace.m if i == 0 else trace.acts[i - 1]
+        dense[f"{layers[i]}.W"] = g_pre.T @ inp
+        dense[f"{layers[i]}.b"] = g_pre.sum(axis=0)
+        g_cur = g_pre @ tensors[f"{layers[i]}.W"]
+    d_t = model.dim("target")
+    g_xt, offset = g_cur[:, :d_t].copy(), d_t
+    for group in (AUX_GROUPS if model.variant.uses_aux else ()):
+        t, d_g = trace.aux[group], model.dim(group)
+        g_up = g_cur[:, offset : offset + d_g][t.row_idx]
+        offset += d_g
+        g_ads = g_up
+        if model.variant in (Variant.DSTN_S, Variant.DSTN_I):
+            w, _, w2, _ = _attention(model, group)
+            g_ads = t.alpha[:, None] * g_up
+            tdot = (t.ads * g_up).sum(axis=1)
+            names = [f"attn.{group}.{n}" for n in
+                     (("W1", "b1", "w2", "b2") if model.variant == Variant.DSTN_S
+                      else ("Wtc", "btc1", "h", "btc2"))]
+            if model.variant == Variant.DSTN_S:
+                inner = segment_sum(t.alpha * tdot, t.row_idx, t.n)
+                g_score = t.alpha * (tdot - inner[t.row_idx])
+                g_pre = np.outer(g_score, w2)
+                g_pre *= aux_pres[group] > 0
+                dense[names[0]], dense[names[1]] = g_pre.T @ t.ads, g_pre.sum(axis=0)
+                g_ads += g_pre @ w
+            else:
+                g_score = t.alpha * tdot * (t.raw_score < SCORE_CLAMP)
+                g_pre = np.outer(g_score, w2)
+                g_pre *= aux_pres[group] > 0
+                g_pre_t = segment_sum(g_pre, t.row_idx, t.n)
+                dense[names[0]] = np.concatenate([g_pre_t.T @ trace.x_t, g_pre.T @ t.ads],
+                                                 axis=1)
+                dense[names[1]] = g_pre_t.sum(axis=0)
+                g_xt += g_pre_t @ w[:, :d_t]
+                g_ads += g_pre @ w[:, d_t:]
+            dense[names[2]] = t.hid.T @ g_score
+            dense[names[3]] = np.array([g_score.sum()])
+        acc.scatter_matrix(t.cols, g_ads)
+    acc.scatter_matrix(enc.target, g_xt)
+    rows, grads = acc.finalize()
+    return dense, rows, grads
+
+
+class TestSlimTrace:
+    """The trace keeps one array per FC layer, its output, plus the dropout
+    scale, and an attention block's hidden layer but not its
+    pre-activation; backward masks by those outputs with the bits it had
+    when it masked by the pre-activations and the float masks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(variant=st.sampled_from(list(Variant)), dtype=st.sampled_from([np.float32, np.float64]),
+           p=st.sampled_from([0.0, 0.3, 0.5]), seed=st.integers(0, 2**32 - 1),
+           three_layers=st.booleans())
+    def test_backward_equals_masking_by_recomputed_pre_activations(
+            self, toy_problem, variant, dtype, p, seed, three_layers):
+        _, _, examples = toy_problem
+        model = astype(build(variant, toy_problem, seed=seed % 1000, dropout=p,
+                             fc_dims=(12, 6, 5) if three_layers else (12, 6)), dtype)
+        _, trace = forward_batch(model, examples, mode="train", rng=make_rng(seed))
+        tensors = model.tensors
+        layers = [name for name in ("fusion", "fc2", "fc3") if f"{name}.W" in tensors]
+        pres = [inp @ tensors[f"{layer}.W"].T + tensors[f"{layer}.b"]
+                for layer, inp in zip(layers, [trace.m] + trace.acts[:-1])]
+        rng = make_rng(seed)  # the forward's draws, again
+        masks = [dropout_mask(pre.shape, p, rng, dtype) if p else None for pre in pres]
+        for pre, msk, act in zip(pres, masks, trace.acts):
+            want = relu(pre) if msk is None else relu(pre) * msk
+            assert act.tobytes() == want.tobytes()
+        aux_pres = {}
+        for group, t in trace.aux.items():
+            if variant in (Variant.DSTN_S, Variant.DSTN_I):
+                w, b1, _, _ = _attention(model, group)
+                d_t = trace.x_t.shape[1]
+                aux_pres[group] = (t.ads @ w.T + b1 if variant == Variant.DSTN_S else
+                                   (trace.x_t @ w[:, :d_t].T + b1)[t.row_idx]
+                                   + t.ads @ w[:, d_t:].T)
+                assert t.hid.tobytes() == relu(aux_pres[group]).tobytes()
+        got = backward(model, trace)
+        dense, rows, grads = masked_backward(model, trace, pres, masks, aux_pres)
+        assert set(got.dense) == set(dense)
+        for name, want in dense.items():
+            assert got.dense[name].dtype == want.dtype == dtype, name
+            assert got.dense[name].tobytes() == want.tobytes(), name
+        assert got.emb_rows.tobytes() == rows.tobytes()
+        assert got.emb_grads.tobytes() == grads.tobytes()
+
+    @pytest.mark.parametrize("mode, scale", [("train", 2.0), ("eval", None)])
+    def test_the_trace_holds_no_pre_activation_and_no_mask(self, toy_problem, mode, scale):
+        _, _, examples = toy_problem
+        # FC widths that no other array of the trace has
+        model = build("dstn-i", toy_problem, dropout=0.5, fc_dims=(13, 7))
+        _, trace = forward_batch(model, examples, mode=mode, rng=make_rng(3))
+        assert not {"pres", "drop_masks"} & {f.name for f in dataclasses.fields(trace)}
+        assert "pre" not in {f.name for f in dataclasses.fields(AuxTrace)}
+        assert trace.drop_scale == scale
+        wide = [a for a in _trace_arrays(trace) if a.ndim == 2 and a.shape[1] in (13, 7)]
+        assert len(wide) == len(trace.acts) == 2
+        assert all(any(a is act for act in trace.acts) for a in wide)
+        for t in trace.aux.values():  # the hidden layer, and no (T, H) array beside it
+            hidden = [a for a in _trace_arrays(t) if a.shape == t.hid.shape]
+            assert len(hidden) == 1 and hidden[0] is t.hid
+
+    def test_a_step_peaks_below_eight_times_its_fc_outputs(self, tiny_dataset):
+        ds, vocab, tr, *_ = tiny_dataset
+        model = init_model(Variant.DSTN_I, ds.schemas, vocab.size, make_rng(1), dtype=np.float32)
+        batch = encode_batch(model, tr[:128])
+        backward(model, forward_batch(model, tr[:2], mode="train", rng=make_rng(0))[1])
+        tracemalloc.start()  # above: a first step's one-time allocations
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _, trace = forward_batch(model, batch, mode="train", rng=make_rng(2))
+            backward(model, trace)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # The forward and backward of a 128-row batch at the default widths
+        # (FC 512/256, attention 128): 6.9 times the FC outputs' bytes. A
+        # trace that also kept the pre-activations and the float masks,
+        # with the full-width copies in the wide sums and the scatter, took
+        # 10.6 times.
+        assert peak < 8 * sum(a.nbytes for a in trace.acts)
+
+
 class TestCheckpoint:
     def test_round_trip_preserves_forward(self, toy_problem, tmp_path):
         schemas, vocab, examples = toy_problem
@@ -880,8 +1086,7 @@ class TestFloat32:
             found = [(f"trace.{n}", a) for n, a in _float_arrays(trace) if n != "pctr"]
             found += [(f"aux.{g}.{n}", a) for g, t in trace.aux.items()
                       for n, a in _float_arrays(t)]
-            found += [(f"fc.{i}", a) for i, a in enumerate(
-                trace.pres + trace.acts + [m for m in trace.drop_masks if m is not None])]
+            found += [(f"fc.{i}", a) for i, a in enumerate(trace.acts)]
             grads = backward(model, trace)
             found += [(f"grad.{n}", a) for n, a in grads.dense.items()]
             found += [("grad.emb", grads.emb_grads),

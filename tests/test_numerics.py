@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adctr import numerics
 from adctr.numerics import (ADAGRAD_EPS, ContractViolation, adagrad_step, adagrad_step_rows,
@@ -87,6 +89,45 @@ def test_segment_sum_forms_equal_a_sequential_float64_sum_bit_for_bit(dtype, mon
             got = segment_sum(values, segment, n)
             assert got.dtype == want.dtype and got.shape == want.shape == (n,) + values.shape[1:]
             assert got.tobytes() == want.tobytes(), (values.shape, n, limits)
+
+
+class TestWideSegmentSum:
+    """A block wider than ``_FLAT_MAX_COLS`` is summed in slices of that
+    many columns, with the bits of one flattened sum over the whole block."""
+
+    @staticmethod
+    def flattened(values, segment, n):
+        """The whole block as one bincount over its (row, column) cells."""
+        d = values.shape[1]
+        cells = (segment * d)[:, None] + np.arange(d)
+        out = np.bincount(cells.ravel(), weights=values.ravel(), minlength=n * d)
+        return out.astype(values.dtype).reshape(n, d)
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=st.integers(0, 60), n=st.integers(0, 12), extra=st.integers(1, 120),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_flattened_and_sequential_sums(self, rows, n, extra, dtype, seed):
+        rng = make_rng(seed)
+        d = numerics._FLAT_MAX_COLS + extra
+        # only even segments get rows, so half the segments (at least) are empty
+        segment = (rng.integers(0, (n + 1) // 2, rows) * 2 if n else np.zeros(0, np.intp))
+        values = (rng.normal(0.0, 1.0, (len(segment), d))
+                  * 10.0 ** rng.integers(-8, 8, (len(segment), d))).astype(dtype)
+        got = segment_sum(values, segment, n)
+        want = self.flattened(values, segment, n)
+        assert got.dtype == want.dtype == dtype and got.shape == want.shape == (n, d)
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == sequential_segment_sum(values, segment, n).tobytes()
+
+    def test_holds_one_slice_of_cells_at_a_time(self):
+        rng = make_rng(8)
+        values = rng.normal(0.0, 1.0, (900, 128)).astype(np.float32)
+        segment = np.sort(rng.integers(0, 128, 900))
+        segment_sum(values[:4], segment[:4], 128)  # a first call's one-time allocations
+        peak = _traced_peak(lambda: segment_sum(values, segment, 128))
+        # flattened whole, the block took an int64 cell array and a float64
+        # copy, 16 bytes per cell; a 16-column slice takes an eighth of that
+        assert peak < 4 * values.size
 
 
 class TestDropout:

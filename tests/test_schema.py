@@ -85,6 +85,27 @@ class TestVocabulary:
         assert len(ids) == 3
         assert all(i != oov(vocab, "title") for i in ids)
 
+    def test_a_repeated_record_object_is_skipped_and_a_fresh_equal_one_is_not(self):
+        ads = [("a1", "ab"), ("a2", "cd"), ("a1", "ab"), ("a3", "ef"), ("a2", "cd")]
+        target = {"user_id": ("u1",), "age": ("24",), "ad_id": ("a2",), "title": ("cd",)}
+
+        def stream(record):  # ``record(ad, title)`` gives each auxiliary record
+            for i, (ad, title) in enumerate(ads * 3):
+                yield "clicked", record(ad, title)
+                if i % 4 == 0:
+                    yield "target", dict(target)
+
+        def fresh(ad, title):  # a new dict, dropped once the next record is read
+            return {"ad_id": (ad,), "title": (title,)}
+
+        # every record alive at once: no two share an id, so none is skipped
+        want = build_vocabulary(list(stream(fresh)), SCHEMAS)
+        assert want.target_counts[want.lookup("ad_id", "a2")] == 4
+        assert build_vocabulary(stream(fresh), SCHEMAS).dumps() == want.dumps()
+        cache = {}  # one object per distinct ad, as the parse cache yields them
+        cached = stream(lambda ad, title: cache.setdefault(ad, fresh(ad, title)))
+        assert build_vocabulary(cached, SCHEMAS).dumps() == want.dumps()
+
     def test_counts_of_a_built_vocabulary_cannot_be_written(self):
         vocab = build_vocabulary([("clicked", {"ad_id": ("a1",), "title": ("ab",)})], SCHEMAS)
         with pytest.raises(TypeError):

@@ -20,7 +20,8 @@ def test_main_prints_examples_bytes_stage_peaks_and_train_time(tmp_path, capsys)
     stages = ["forward_peak_bytes", "backward_peak_bytes", "optimizer_peak_bytes",
               "validation_peak_bytes"]
     assert [line.split(" ")[0] for line in out] == ["examples", "peak_bytes", "retained_bytes",
-                                                    "held_bytes", *stages, "train_s"]
+                                                    "held_bytes", "trace_bytes", *stages,
+                                                    "train_s"]
     values = {line.split(" ")[0]: float(line.split(" ")[1]) for line in out}
     assert values["examples"] == 300
     # The result keeps the best model: at least its two float32 FC layers
@@ -35,6 +36,11 @@ def test_main_prints_examples_bytes_stage_peaks_and_train_time(tmp_path, capsys)
     assert 1_000_000 < values["held_bytes"] < values["peak_bytes"]
     assert all(values["held_bytes"] < values[s] <= values["peak_bytes"] for s in stages)
     assert max(values[s] for s in stages) == values["peak_bytes"]
+    # The first step's trace holds at least its two FC layers' float32
+    # outputs, 128 * (512 + 256) * 4 bytes, and less than its forward's peak
+    # above the level the forward began at.
+    assert (128 * (512 + 256) * 4 < values["trace_bytes"]
+            < values["forward_peak_bytes"] - values["held_bytes"])
 
 
 def test_main_refuses_other_arguments(capsys):

@@ -16,10 +16,12 @@ still holds after it returns.
 
 The traced call also shows where a step's peak sits. ``held_bytes`` is
 what it held when its first training step began (the encoded streams, the
-model and its Adagrad state), and ``<stage>_peak_bytes`` is the most it held
-during any call of that stage: ``forward`` (a training forward),
-``backward``, ``optimizer`` (an Adagrad step of one tensor) and
-``validation`` (one epoch's ``evaluate``, whose forwards count there only).
+model and its Adagrad state), ``trace_bytes`` what that step's forward
+still held when it returned (the batch's trace: the arrays backward reads),
+and ``<stage>_peak_bytes`` is the most it held during any call of that
+stage: ``forward`` (a training forward), ``backward``, ``optimizer`` (an
+Adagrad step of one tensor) and ``validation`` (one epoch's ``evaluate``,
+whose forwards count there only).
 All are bytes above what was held before the call.
 
 Usage: python3 tools/train_mem.py <train log> <val log> <schema>
@@ -49,15 +51,18 @@ class StagePeaks:
     """Traced memory per stage while ``train_eval``'s stage functions are
     wrapped: each stage's highest traced level during any of its calls, the
     level when the first training forward began, and the highest level
-    overall, all above ``base``. A stage call made inside another stage's
-    call counts for the outer stage only (validation's forwards). Each
-    outermost call resets tracemalloc's peak after reading it into ``top``,
-    which ``overall`` reads with the peak since the last reset."""
+    overall, all above ``base``; and what the first training forward's
+    result (its trace) held when it returned. A stage call made inside
+    another stage's call counts for the outer stage only (validation's
+    forwards). Each outermost call resets tracemalloc's peak after reading
+    it into ``top``, which ``overall`` reads with the peak since the last
+    reset."""
 
     def __init__(self):
         self.base = 0
         self.peaks = dict.fromkeys(STAGES, 0)
         self.first_step_held: int | None = None
+        self.trace_bytes: int | None = None
         self.top = 0
         self.inside = False
 
@@ -67,17 +72,21 @@ class StagePeaks:
                 return fn(*args, **kwargs)
             held, peak = tracemalloc.get_traced_memory()
             self.top = max(self.top, peak)
-            if stage == "forward" and self.first_step_held is None:
+            first = stage == "forward" and self.first_step_held is None
+            if first:
                 self.first_step_held = held - self.base
             tracemalloc.reset_peak()
             self.inside = True
             try:
-                return fn(*args, **kwargs)
+                result = fn(*args, **kwargs)
             finally:
                 self.inside = False
                 peak = tracemalloc.get_traced_memory()[1]
                 self.top = max(self.top, peak)
                 self.peaks[stage] = max(self.peaks[stage], peak - self.base)
+            if first:
+                self.trace_bytes = tracemalloc.get_traced_memory()[0] - held
+            return result
         return wrapped
 
     def overall(self) -> int:
@@ -122,6 +131,7 @@ def main(argv: list[str]) -> int:
     print(f"peak_bytes {peak}")
     print(f"retained_bytes {retained}")
     print(f"held_bytes {stages.first_step_held}")
+    print(f"trace_bytes {stages.trace_bytes}")
     for stage, value in stages.peaks.items():
         print(f"{stage}_peak_bytes {value}")
     print(f"train_s {train_s:.3f}")
