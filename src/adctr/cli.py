@@ -10,11 +10,16 @@ import numpy as np
 
 from . import ingest, serving, train_eval
 from .models import Variant, encode_batch, load_model, save_model
+from .numerics import CheckpointError
 from .schema import (SchemaError, Vocabulary, build_vocabulary, load_schemas, save_schemas,
                      schemas_hash)
 from .session import SessionStore
 
 ABLATE_CHOICES = {"ctx": "contextual", "clk": "clicked", "unclk": "unclicked"}
+
+
+class UsageError(Exception):
+    """Options that do not go together."""
 
 
 def main(argv=None) -> int:
@@ -68,8 +73,8 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return command(args)
-    except (ingest.ParseError, SchemaError, train_eval.NonFiniteError,
-            FileNotFoundError) as exc:  # refused input: one line, not a traceback
+    except (ingest.ParseError, SchemaError, CheckpointError, train_eval.NonFiniteError,
+            UsageError, FileNotFoundError) as exc:  # refused input: one line, not a traceback
         print(f"adctr: {exc}", file=sys.stderr)
         return 2
 
@@ -91,24 +96,23 @@ def _sidecars(ckpt: str) -> tuple[str, str]:
 
 
 def _cmd_train(args) -> int:
+    config = (train_eval.TrainConfig.from_json(args.config, variant=args.variant)
+              if args.config else train_eval.TrainConfig(variant=args.variant))
     initial = None
     if args.init_ckpt:
         # Incremental refresh: keep the original feature space so embedding
         # rows stay aligned; new raw values fall back to the OOV indices.
         initial, schemas, vocab = _load_checkpoint(args.init_ckpt)
+        if initial.variant.value != config.variant:
+            raise UsageError(f"--init-ckpt holds a {initial.variant.value} model, "
+                             f"not {config.variant}")
     else:
         schema_path = args.schema or str(Path(args.train_path).with_name("schema.tsv"))
         schemas = load_schemas(schema_path)
-        with open(args.train_path, "r", encoding="utf-8") as fh:
+        with open(args.train_path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             vocab = build_vocabulary(ingest.iter_group_records(fh), schemas)
     train_examples = ingest.read_examples(args.train_path, schemas, vocab)
     val_examples = ingest.read_examples(args.val_path, schemas, vocab)
-
-    config = (train_eval.TrainConfig.from_json(args.config, variant=args.variant)
-              if args.config else train_eval.TrainConfig(variant=args.variant))
-    if initial is not None and initial.variant.value != config.variant:
-        raise SystemExit(f"--init-ckpt holds a {initial.variant.value} model, "
-                         f"not {config.variant}")
     model, history = train_eval.train(config, train_examples, val_examples, schemas, vocab,
                                       initial=initial)
     for entry in history:
@@ -132,10 +136,11 @@ def _load_checkpoint(ckpt: str):
     model, header = load_model(ckpt, schemas)
     if (header.get("schema_hash") != schemas_hash(schemas)
             or header.get("vocab_hash") != vocab.content_hash()):
-        raise SystemExit(f"{ckpt}: sidecar schema/vocabulary does not match the checkpoint")
+        raise CheckpointError(f"{ckpt}: sidecar schema/vocabulary does not match the "
+                              f"checkpoint")
     if len(model.tensors["emb.E"]) != vocab.size:
-        raise SystemExit(f"{ckpt}: tensor emb.E has {len(model.tensors['emb.E'])} rows, "
-                         f"the vocabulary {vocab.size}")
+        raise CheckpointError(f"{ckpt}: tensor emb.E has {len(model.tensors['emb.E'])} rows, "
+                              f"the vocabulary {vocab.size}")
     return model, schemas, vocab
 
 
@@ -174,7 +179,7 @@ def _cmd_serve_sim(args) -> int:
 
     if args.listen is not None:
         if not args.catalog:
-            raise SystemExit("--listen mode needs --catalog")
+            raise UsageError("--listen mode needs --catalog")
         catalog = serving.load_catalog(args.catalog, schemas["target"])
         server = serving.RankProtocolServer(serving.AdServer(scorer, store), catalog,
                                             schemas["target"], vocab, port=args.listen)
@@ -188,7 +193,7 @@ def _cmd_serve_sim(args) -> int:
         return 0
 
     if not args.events or not args.out:
-        raise SystemExit("replay mode needs --events and --out")
+        raise UsageError("replay mode needs --events and --out")
     events = serving.parse_events(args.events, schemas, vocab)
     results = serving.replay_session(scorer, store, events, lag_seconds=args.lag_seconds)
     serving.write_results(args.out, results)

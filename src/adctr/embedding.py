@@ -8,15 +8,15 @@ vector is the concatenation, in schema order, of one K-dim segment per
 field; multivalent segments are the sum over the field's index bag in bag
 order (an empty bag contributes a zero segment).
 
-Examples are encoded once into int32 columns (``EncodedBatch``). An encoded
-split holds each auxiliary group's distinct ads once, as a table, and one
-table row per occurrence; a mini-batch is a take over example ids, which
-gathers its ads' columns out of those tables, and gather and scatter work on
-whole columns with no Python loop per example or per ad. Both sum with
-``numerics.segment_sum``. The gather's blocks are K columns wide; in
-training they are also thousands of rows long, and such a block is summed
-one column at a time, with no int64 cell array and no float64 copy of the
-gathered rows. The scatter sums one column at a time too, repeating only
+Examples are encoded once into int32 columns (``EncodedBatch``). Each
+auxiliary group's distinct ads of a split are encoded once, as a table, with
+one table row per occurrence; a mini-batch is a take over example ids, which
+shares those tables and gathers only the offsets and rows. Gather and
+scatter work on whole columns with no Python loop per example or per ad.
+Both sum with ``numerics.segment_sum``. The gather's blocks are K columns
+wide; in training they are also thousands of rows long, and such a block is
+summed one column at a time, with no int64 cell array and no float64 copy
+of the gathered rows. The scatter sums one column at a time too, repeating only
 that column of its gradient terms per index. Serving embeds an ad once and
 keeps its row by the ad's value (``EmbeddedAds``).
 """
@@ -103,21 +103,16 @@ class AdColumns:
 @dataclass(frozen=True)
 class EncodedBatch:
     """Examples as columns: labels, the target ads (one per example) and, per
-    auxiliary group, each example's ads (``aux[g] = (offsets, ads)``: the ads
-    of example i are ``offsets[i]:offsets[i + 1]`` of the group's ads in
-    example order).
-
-    The group's ads are held in one of two forms. In an encoded split
-    (``encode_examples``), ``ads`` is a table of the group's distinct ads in
-    first-appearance order and ``ad_rows[g]`` the table row of each ad in
-    example order, so an ad that many examples repeat is encoded once. In a
-    batch made by ``take``, ``ads`` has one row per ad in example order and
-    ``ad_rows`` is empty. ``columns`` gives the second form of either."""
+    auxiliary group, ``aux[g] = (offsets, table, rows)``. ``table`` holds the
+    group's distinct ads of the encoded split, in first-appearance order,
+    ``rows`` the table row of each of the batch's ads in example order, and
+    the ads of example i are ``rows[offsets[i]:offsets[i + 1]]``. A batch
+    made by ``take`` shares its split's tables; ``columns`` expands a group
+    to one row per ad."""
 
     labels: Array  # (B,) float64
     target: AdColumns
-    aux: dict[str, tuple[Array, AdColumns]]
-    ad_rows: dict[str, Array]  # group -> (T,) int32 table rows; empty in a taken batch
+    aux: dict[str, tuple[Array, AdColumns, Array]]  # group -> (offsets, table, rows)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -125,33 +120,28 @@ class EncodedBatch:
     def columns(self, group: str) -> tuple[Array, AdColumns]:
         """The group's (offsets, ads) with one row of ``ads`` per ad, in
         example order."""
-        offsets, ads = self.aux[group]
-        rows = self.ad_rows.get(group)
-        return (offsets, ads) if rows is None else (offsets, ads.take(rows))
+        offsets, table, rows = self.aux[group]
+        return offsets, table.take(rows)
 
     def take(self, ids: Array) -> "EncodedBatch":
-        """The examples with the given ids, in the order given; each group's
-        ads one row per ad, gathered through the table where there is one."""
+        """The examples with the given ids, in the order given, over the
+        same tables."""
         aux = {}
-        for group, (offsets, ads) in self.aux.items():
+        for group, (offsets, table, rows) in self.aux.items():
             pos, sub = _ragged_take(offsets, ids)
-            rows = self.ad_rows.get(group)
-            aux[group] = (sub, ads.take(pos if rows is None else rows[pos]))
-        return EncodedBatch(self.labels[ids], self.target.take(ids), aux, {})
+            aux[group] = (sub, table, rows[pos])
+        return EncodedBatch(self.labels[ids], self.target.take(ids), aux)
 
     def ablate(self, keep_group: str) -> "EncodedBatch":
         """A copy in which every auxiliary group except ``keep_group`` holds
         no ads: the columns ``encode_examples`` builds from emptied lists."""
         if keep_group not in AUX_GROUPS:
             raise ValueError(f"unknown auxiliary group {keep_group!r}")
-        empty = np.zeros(len(self) + 1, dtype=np.int32)
-        aux = {group: (offsets, ads) if group == keep_group else
-               (empty, AdColumns(ads.n_fields, np.zeros(1, dtype=np.int32),
-                                 np.zeros(0, dtype=np.int32)))
-               for group, (offsets, ads) in self.aux.items()}
-        ad_rows = {group: rows if group == keep_group else np.zeros(0, dtype=np.int32)
-                   for group, rows in self.ad_rows.items()}
-        return EncodedBatch(self.labels, self.target, aux, ad_rows)
+        empty, no_ads = np.zeros(len(self) + 1, dtype=np.int32), np.zeros(0, dtype=np.int32)
+        aux = {group: cols if group == keep_group else
+               (empty, AdColumns(cols[1].n_fields, np.zeros(1, dtype=np.int32), no_ads), no_ads)
+               for group, cols in self.aux.items()}
+        return EncodedBatch(self.labels, self.target, aux)
 
 
 def encode_examples(examples: Sequence, schemas: Mapping[str, GroupSchema],
@@ -163,17 +153,16 @@ def encode_examples(examples: Sequence, schemas: Mapping[str, GroupSchema],
     n = len(examples)
     labels = np.fromiter((ex.label for ex in examples), dtype=np.float64, count=n)
     target = AdColumns.from_instances([ex.target for ex in examples], schemas["target"])
-    aux, ad_rows = {}, {}
+    aux = {}
     for group in groups:
         lists = [getattr(ex, group) for ex in examples]
         offsets = np.fromiter(accumulate(map(len, lists), initial=0), dtype=np.int32,
                               count=n + 1)
         table: dict[EncodedInstance, int] = {}  # distinct ad -> its row
-        ad_rows[group] = np.fromiter((table.setdefault(ad, len(table))
-                                      for ad in chain.from_iterable(lists)),
-                                     dtype=np.int32, count=int(offsets[-1]))
-        aux[group] = (offsets, AdColumns.from_instances(list(table), schemas[group]))
-    return EncodedBatch(labels, target, aux, ad_rows)
+        rows = np.fromiter((table.setdefault(ad, len(table)) for ad in chain.from_iterable(lists)),
+                           dtype=np.int32, count=int(offsets[-1]))
+        aux[group] = (offsets, AdColumns.from_instances(list(table), schemas[group]), rows)
+    return EncodedBatch(labels, target, aux)
 
 
 def _check_bounds(indices: Array, n: int) -> None:

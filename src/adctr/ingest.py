@@ -136,7 +136,13 @@ def parse_uint(text: str, what: str, line_number: int) -> int:
 def _split_line(line: str, line_number: int) -> tuple[list[str], list[list[str]]]:
     """An impression line's label, timestamp and user_id texts, and the ad
     texts of each group in ``GROUPS`` order (auxiliary lists cut to their
-    first ``MAX_AUX``)."""
+    first ``MAX_AUX``). A line read with ``errors="surrogateescape"`` that
+    held a byte that is not UTF-8 is refused here."""
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ParseError(f"character {exc.start + 1} is not UTF-8 text", line_number) from None
     cols = line.rstrip("\n").split("\t")
     if len(cols) != 7:
         raise ParseError(f"expected 7 columns, got {len(cols)}", line_number)
@@ -160,7 +166,7 @@ def parse_log_line(line: str, schemas: Mapping[str, GroupSchema], vocab: Vocabul
 def read_examples(path, schemas: Mapping[str, GroupSchema], vocab: Vocabulary) -> list[LabeledExample]:
     cache: dict = {}
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for i, line in enumerate(fh, start=1):
             out.append(parse_log_line(line, schemas, vocab, line_number=i, cache=cache))
     return out
@@ -168,19 +174,18 @@ def read_examples(path, schemas: Mapping[str, GroupSchema], vocab: Vocabulary) -
 
 def iter_group_records(lines: Iterable[str]) -> Iterable[tuple[str, dict[str, tuple[str, ...]]]]:
     """Yield (group, raw record) pairs from raw log lines, for vocabulary
-    building. Each distinct auxiliary ad text is parsed once: a repeat
-    yields the same record object, which callers must not change. Target
-    texts, which name the user and age, are parsed every time and not kept."""
-    records: dict[str, dict[str, tuple[str, ...]]] = {}
+    building: every line's target, and each distinct (group, ad text) of an
+    auxiliary group once, where the text first appears in that group. Only
+    targets are counted, so a repeated auxiliary ad would add nothing."""
+    seen: set[tuple[str, str]] = set()
     for lineno, line in enumerate(lines, start=1):
         (target,), *aux = _split_line(line, lineno)[1]
         yield "target", _parse_fields(target, lineno)
         for group, texts in zip(AUX_GROUPS, aux):
             for text in texts:
-                record = records.get(text)
-                if record is None:
-                    record = records[text] = _parse_fields(text, lineno)
-                yield group, record
+                if (group, text) not in seen:
+                    seen.add((group, text))
+                    yield group, _parse_fields(text, lineno)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,8 @@ import numpy as np
 from .embedding import (AdColumns, EmbeddedAds, EncodedBatch, RowGradAccumulator,
                         embed_matrix, encode_examples, group_dim)
 from .ingest import LabeledExample
-from .numerics import Array, ContractViolation, dropout_mask, relu, segment_sum, sigmoid
+from .numerics import (Array, CheckpointError, ContractViolation, dropout_mask, relu, segment_sum,
+                       sigmoid)
 from .schema import AUX_GROUPS, EncodedInstance, GroupSchema
 
 SCORE_CLAMP = 30.0  # cap on the pre-exp interactive-attention scalar
@@ -644,15 +645,16 @@ _CKPT_DTYPES = {"float64": np.float64, "float32": np.float32}
 
 def _header_number(path, header: Mapping[str, str], key: str, kind, valid, rule: str):
     """The header's ``key`` read as ``kind``; a value that is missing, does
-    not read, or breaks ``valid`` is a ValueError naming the file and the key."""
+    not read, or breaks ``valid`` is a ``CheckpointError`` naming the file
+    and the key."""
     if key not in header:
-        raise ValueError(f"{path}: header has no {key}")
+        raise CheckpointError(f"{path}: header has no {key}")
     try:
         value = kind(header[key])
     except ValueError:
         value = None
     if value is None or not valid(value):
-        raise ValueError(f"{path}: header {key}={header[key]!r} is not {rule}")
+        raise CheckpointError(f"{path}: header {key}={header[key]!r} is not {rule}")
     return value
 
 
@@ -663,14 +665,14 @@ def load_model(path, schemas: Mapping[str, GroupSchema]) -> tuple[ModelParams, d
 
     header, tensors = load_tensors(path)
     if header.get("format") != "adctr-ckpt-1":
-        raise ValueError(f"{path}: unknown checkpoint format")
+        raise CheckpointError(f"{path}: unknown checkpoint format")
     dtype = _CKPT_DTYPES.get(header.get("dtype", "float64"))
     if dtype is None:
-        raise ValueError(f"{path}: unknown dtype {header['dtype']!r}")
+        raise CheckpointError(f"{path}: unknown dtype {header['dtype']!r}")
     by_header = {v.header_name: v for v in Variant}
     variant = by_header.get(header.get("variant"))
     if variant is None:
-        raise ValueError(f"{path}: unknown variant {header.get('variant')!r}")
+        raise CheckpointError(f"{path}: unknown variant {header.get('variant')!r}")
     k = _header_number(path, header, "k", lambda t: int(t) if t.isascii() and t.isdigit() else None,
                        lambda v: v > 0, "a positive integer")
     dropout_p = _header_number(path, header, "dropout_p", float, lambda v: 0.0 <= v < 1.0,
@@ -681,13 +683,13 @@ def load_model(path, schemas: Mapping[str, GroupSchema]) -> tuple[ModelParams, d
     shapes = _layout(variant, schemas, k, rows)
     missing = shapes.keys() - tensors.keys()
     if missing:
-        raise ValueError(f"{path}: missing tensors {sorted(missing)}")
+        raise CheckpointError(f"{path}: missing tensors {sorted(missing)}")
     unexpected = tensors.keys() - shapes.keys()
     if unexpected:
-        raise ValueError(f"{path}: unexpected tensors {sorted(unexpected)}")
+        raise CheckpointError(f"{path}: unexpected tensors {sorted(unexpected)}")
     for name, shape in shapes.items():
         if tensors[name].shape != shape:
-            raise ValueError(f"{path}: tensor {name} has shape {tensors[name].shape}, "
+            raise CheckpointError(f"{path}: tensor {name} has shape {tensors[name].shape}, "
                              f"expected {shape}")
     # The file holds its records sorted by name; the model holds them in layout order.
     tensors = {name: tensors[name].astype(dtype, copy=False) for name in shapes}

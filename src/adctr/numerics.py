@@ -39,6 +39,10 @@ class ContractViolation(ValueError):
     """An operation was called with inputs that break its contract."""
 
 
+class CheckpointError(ValueError):
+    """A checkpoint file that does not read back as a model."""
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded Philox generator; the one RNG used everywhere for reproducibility."""
     return np.random.Generator(np.random.Philox(seed))
@@ -203,16 +207,16 @@ def load_tensors(path) -> tuple[dict[str, str], dict[str, Array]]:
     """Read back a TNSR1 file; inverse of save_tensors. A malformed line (a
     header line without ``=``, a record line whose dimensions are not exactly
     ``ndim`` non-negative integers, a line that is not UTF-8), a repeated
-    header key or tensor name, or a cut file is a ``ValueError`` naming the
-    path."""
+    header key or tensor name, or a cut file is a ``CheckpointError`` naming
+    the path."""
     with open(path, "rb") as fh:
         if fh.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
-            raise ValueError(f"{path}: not a TNSR1 checkpoint")
+            raise CheckpointError(f"{path}: not a TNSR1 checkpoint")
         header: dict[str, str] = {}
         while line := _read_line(fh, path):
             key, sep, value = line.partition("=")
             if not sep or key in header:
-                raise ValueError(f"{path}: bad header line {line!r}")
+                raise CheckpointError(f"{path}: bad header line {line!r}")
             header[key] = value
         size = os.fstat(fh.fileno()).st_size
         tensors: dict[str, Array] = {}
@@ -220,13 +224,13 @@ def load_tensors(path) -> tuple[dict[str, str], dict[str, Array]]:
             name, *dims = meta.split(" ")
             if not (dims and all(d.isascii() and d.isdigit() for d in dims)
                     and int(dims[0]) == len(dims) - 1):
-                raise ValueError(f"{path}: bad tensor record {meta!r}")
+                raise CheckpointError(f"{path}: bad tensor record {meta!r}")
             if name in tensors:
-                raise ValueError(f"{path}: repeated tensor {name!r}")
+                raise CheckpointError(f"{path}: repeated tensor {name!r}")
             shape = tuple(int(d) for d in dims[1:])
             nbytes = math.prod(shape) * 8
             if nbytes > size - fh.tell():  # refused before a read of that size
-                raise ValueError(f"{path}: truncated tensor {name!r}")
+                raise CheckpointError(f"{path}: truncated tensor {name!r}")
             tensors[name] = np.frombuffer(fh.read(nbytes), dtype="<f8").reshape(shape).copy()
     return header, tensors
 
@@ -236,8 +240,8 @@ def _read_line(fh, path, eof_ok: bool = False) -> str | None:
     if not line.endswith(b"\n"):
         if eof_ok and not line:
             return None
-        raise ValueError(f"{path}: unexpected end of checkpoint file")
+        raise CheckpointError(f"{path}: unexpected end of checkpoint file")
     try:
         return line[:-1].decode("utf-8")
     except UnicodeDecodeError:
-        raise ValueError(f"{path}: line {line[:-1]!r} is not UTF-8") from None
+        raise CheckpointError(f"{path}: line {line[:-1]!r} is not UTF-8") from None

@@ -249,11 +249,7 @@ def build_vocabulary(records: Iterable[tuple[str, RawRecord]],
     field, a bad number) adds nothing: the parse pass names its line.
 
     Each distinct (field, values) pair is tokenized once per call; a repeat
-    only adds its target count. An auxiliary record object already seen in
-    its group (a parse cache yields one object per distinct ad) is skipped
-    whole: it adds no count and no index. The skip is keyed by identity,
-    and each seen record is held until the call returns, so a freed
-    record's ``id`` cannot be taken for a new one's.
+    only adds its target count.
     """
     oov: dict[str, int] = {}
     for group in GROUPS:
@@ -263,15 +259,9 @@ def build_vocabulary(records: Iterable[tuple[str, RawRecord]],
     index: dict[tuple[str, str], int] = {}
     counts = [0] * len(oov)
     memo: dict[tuple[FieldSchema, tuple[str, ...]], tuple[int, ...]] = {}
-    seen: dict[tuple[str, int], RawRecord] = {}  # (aux group, id) -> the record, held
     for group, record in records:
-        schema = schemas[group]
         target = group == "target"
-        if not target:
-            if (group, id(record)) in seen:
-                continue
-            seen[group, id(record)] = record
-        for fs in schema.fields:
+        for fs in schemas[group].fields:
             key = (fs, tuple(record.get(fs.name, ())))
             indices = memo.get(key)
             if indices is None:

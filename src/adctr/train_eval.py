@@ -165,6 +165,7 @@ def train(config: TrainConfig, train_examples: EncodedBatch | Sequence[LabeledEx
     return (best if best is not None else model), history
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _check_finite reports a non-finite step
 def _train_step(model: ModelParams, batch: EncodedBatch, rng: np.random.Generator,
                 accum: dict[str, Array], row_scales: Array, lr: float, epoch: int,
                 step: int) -> float:
@@ -218,8 +219,7 @@ def predict(model: ModelParams, examples: EncodedBatch | Sequence[LabeledExample
     scores = np.empty(n)
     attn: list[tuple[int, str, int, float]] = []
     for lo in range(0, n, batch_size):
-        batch = examples if n <= batch_size else examples.take(
-            np.arange(lo, min(lo + batch_size, n)))
+        batch = examples.take(np.arange(lo, min(lo + batch_size, n)))
         pctr, trace = forward_batch(model, batch, mode="eval")
         scores[lo : lo + len(batch)] = pctr
         if collect_attention and model.variant in (Variant.DSTN_S, Variant.DSTN_I):

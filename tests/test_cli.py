@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -111,12 +112,17 @@ def test_serve_sim_replay(data_dir, checkpoint, tmp_path, capsys):
     assert re.fullmatch(rf"round 2 n=1 {ms} forwards/request=2\.00", printed[3])
 
 
-def test_serve_sim_requires_events_or_listen(checkpoint):
-    with pytest.raises(SystemExit):
-        main(["serve-sim", "--ckpt", str(checkpoint)])
+def test_serve_sim_requires_events_or_listen(checkpoint, capsys):
+    assert main(["serve-sim", "--ckpt", str(checkpoint)]) == 2
+    assert capsys.readouterr().err == "adctr: replay mode needs --events and --out\n"
 
 
-def test_embedding_rows_must_match_the_vocabulary(data_dir, checkpoint, tmp_path):
+def test_listen_mode_requires_a_catalog(checkpoint, capsys):
+    assert main(["serve-sim", "--ckpt", str(checkpoint), "--listen", "0"]) == 2
+    assert capsys.readouterr().err == "adctr: --listen mode needs --catalog\n"
+
+
+def test_embedding_rows_must_match_the_vocabulary(data_dir, checkpoint, tmp_path, capsys):
     import shutil
 
     import numpy as np
@@ -132,14 +138,14 @@ def test_embedding_rows_must_match_the_vocabulary(data_dir, checkpoint, tmp_path
     model, _ = load_model(ckpt, schemas)
     model.tensors["emb.E"] = np.vstack([model.tensors["emb.E"], np.zeros((1, model.k))])
     save_model(ckpt, model, schemas_hash(schemas), vocab.content_hash())  # hashes still match
-    with pytest.raises(SystemExit, match=rf"tensor emb.E has {vocab.size + 1} rows, "
-                                         rf"the vocabulary {vocab.size}"):
-        main(["eval", "--ckpt", str(ckpt), "--test", str(data_dir / "test.tsv")])
+    assert main(["eval", "--ckpt", str(ckpt), "--test", str(data_dir / "test.tsv")]) == 2
+    assert capsys.readouterr().err == (f"adctr: {ckpt}: tensor emb.E has {vocab.size + 1} rows, "
+                                       f"the vocabulary {vocab.size}\n")
 
 
 @pytest.mark.parametrize("key", ["schema_hash", "vocab_hash"])
 def test_a_checkpoint_without_a_sidecar_hash_reads_as_a_mismatch(data_dir, checkpoint, tmp_path,
-                                                                  key):
+                                                                  capsys, key):
     import shutil
 
     from adctr.numerics import load_tensors, save_tensors
@@ -150,8 +156,29 @@ def test_a_checkpoint_without_a_sidecar_hash_reads_as_a_mismatch(data_dir, check
     header, tensors = load_tensors(checkpoint)
     del header[key]
     save_tensors(ckpt, header, tensors)
-    with pytest.raises(SystemExit, match="sidecar schema/vocabulary does not match"):
-        main(["eval", "--ckpt", str(ckpt), "--test", str(data_dir / "test.tsv")])
+    assert main(["eval", "--ckpt", str(ckpt), "--test", str(data_dir / "test.tsv")]) == 2
+    assert capsys.readouterr().err == (f"adctr: {ckpt}: sidecar schema/vocabulary does not "
+                                       f"match the checkpoint\n")
+
+
+def test_a_cut_checkpoint_is_one_line_with_status_2(data_dir, checkpoint, tmp_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    for suffix in (".schema.tsv", ".vocab.tsv"):
+        Path(f"{ckpt}{suffix}").write_bytes(Path(f"{checkpoint}{suffix}").read_bytes())
+    ckpt.write_bytes(checkpoint.read_bytes()[:-8])
+    assert main(["eval", "--ckpt", str(ckpt), "--test", str(data_dir / "test.tsv")]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"adctr: {re.escape(str(ckpt))}: truncated tensor '[\w.]+'\n", err)
+
+
+def test_a_warm_start_from_another_variant_is_one_line_with_status_2(data_dir, checkpoint,
+                                                                    tmp_path, capsys):
+    # refused before the logs are read: the training log named here does not exist
+    args = _train_args(data_dir, tmp_path, **{"--init-ckpt": str(checkpoint),
+                                              "--train": str(tmp_path / "none.tsv")})
+    assert main(args) == 2
+    assert capsys.readouterr().err == "adctr: --init-ckpt holds a dstn-i model, not dnn\n"
+    assert not (tmp_path / "model.ckpt").exists()
 
 
 def test_train_then_eval_on_values_that_read_like_the_oov_marker(data_dir, tmp_path, capsys):
@@ -239,7 +266,44 @@ def test_a_non_finite_training_loss_is_one_line_with_status_2(data_dir, tmp_path
     config = tmp_path / "train.json"
     config.write_text('{"epochs": 1, "learning_rate": 1e38, "fc_dims": [8, 4]}',
                       encoding="utf-8")
-    with np.errstate(all="ignore"):
+    # numpy's default error state, with any warning it prints raised instead
+    with warnings.catch_warnings(), np.errstate(over="warn", invalid="warn", divide="warn"):
+        warnings.simplefilter("error")
         assert main(_train_args(data_dir, tmp_path, **{"--config": str(config)})) == 2
     err = capsys.readouterr().err
     assert re.fullmatch(r"adctr: epoch 0, batch \d+: non-finite (loss|gradient of \S+)\n", err)
+
+
+def _log_bytes(data_dir, split, n):
+    return b"".join(line + b"\n" for line in (data_dir / split).read_bytes().splitlines()[:n])
+
+
+@pytest.mark.parametrize("split", ["--train", "--val"])
+def test_a_byte_that_is_not_utf8_in_a_log_is_one_line_naming_it(data_dir, tmp_path, capsys,
+                                                                split):
+    logs = {s: _log_bytes(data_dir, f"{s[2:]}.tsv", 40).splitlines(keepends=True)
+            for s in ("--train", "--val")}
+    line = logs[split][30]
+    at = line.index(b"title=") + 6
+    logs[split][30] = line[:at] + b"\xff" + line[at:]
+    paths = {s: tmp_path / f"{s[2:]}.tsv" for s in logs}
+    for s, lines in logs.items():
+        paths[s].write_bytes(b"".join(lines))
+    assert main(_train_args(data_dir, tmp_path, **{s: str(p) for s, p in paths.items()})) == 2
+    assert capsys.readouterr().err == f"adctr: line 31: character {at + 1} is not UTF-8 text\n"
+
+
+def test_a_crlf_copy_of_a_log_trains_the_same_bytes(data_dir, tmp_path):
+    out = {}
+    for ending in (b"\n", b"\r\n"):
+        run = tmp_path / ("crlf" if ending == b"\r\n" else "lf")
+        run.mkdir()
+        paths = {}
+        for split in ("train", "val"):
+            paths[f"--{split}"] = str(run / f"{split}.tsv")
+            text = _log_bytes(data_dir, f"{split}.tsv", 150)
+            (run / f"{split}.tsv").write_bytes(text.replace(b"\n", ending))
+        assert main(_train_args(data_dir, run, **paths)) == 0
+        out[ending] = [Path(f"{run / 'model.ckpt'}{suffix}").read_bytes()
+                       for suffix in ("", ".vocab.tsv")]
+    assert out[b"\n"] == out[b"\r\n"]

@@ -226,8 +226,9 @@ class TestEncodedPath:
         np.testing.assert_array_equal(taken.labels, direct.labels)
         pairs = [(taken.target, direct.target)]
         for group in AUX_GROUPS:
-            np.testing.assert_array_equal(taken.aux[group][0], direct.aux[group][0])
-            pairs.append((taken.aux[group][1], direct.columns(group)[1]))
+            (offsets, ads), (want_offsets, want_ads) = taken.columns(group), direct.columns(group)
+            np.testing.assert_array_equal(offsets, want_offsets)
+            pairs.append((ads, want_ads))
         for a, b in pairs:
             np.testing.assert_array_equal(a.offsets, b.offsets)
             np.testing.assert_array_equal(a.indices, b.indices)
@@ -262,12 +263,13 @@ class TestDistinctAdTables:
         # clicked: c_seen, c_seen, c_bare | c_new, c_seen; unclicked: u_new | u_seen, u_new
         want_rows = {"contextual": [], "clicked": [0, 0, 1, 2, 0], "unclicked": [0, 1, 0]}
         for group, rows in want_rows.items():
-            assert batch.ad_rows[group].dtype == np.int32
-            assert batch.ad_rows[group].tolist() == rows
+            _, table, got_rows = batch.aux[group]
+            assert got_rows.dtype == np.int32
+            assert got_rows.tolist() == rows
             distinct = list(dict.fromkeys(_ads(examples, group)))
-            table = AdColumns.from_instances(distinct, schemas[group])
-            assert batch.aux[group][1].offsets.tobytes() == table.offsets.tobytes()
-            assert batch.aux[group][1].indices.tobytes() == table.indices.tobytes()
+            want_table = AdColumns.from_instances(distinct, schemas[group])
+            assert table.offsets.tobytes() == want_table.offsets.tobytes()
+            assert table.indices.tobytes() == want_table.indices.tobytes()
 
     @staticmethod
     def assert_same_columns(got, want):
@@ -298,11 +300,11 @@ class TestDistinctAdTables:
         if keep is not None:
             split, examples = split.ablate(keep), reference_ablate(examples, keep)
         taken = split.take(np.array(ids, dtype=np.int64))
-        assert taken.ad_rows == {}
         direct = encode_examples([examples[i] for i in ids], ds.schemas, AUX_GROUPS)
         self.assert_same_columns(taken, direct)
-        for group in AUX_GROUPS:  # a taken batch's ads are already one row per ad
-            assert taken.columns(group)[1] is taken.aux[group][1]
+        for group in AUX_GROUPS:  # a taken batch gathers rows over its split's own tables
+            assert taken.aux[group][1] is split.aux[group][1]
+            assert taken.aux[group][2].dtype == np.int32
 
     @pytest.mark.parametrize("variant", ["dstn-p", "dstn-s", "dstn-i"])
     def test_a_forward_over_a_split_embeds_the_rows_of_its_taken_batch(self, tiny_dataset,
@@ -312,7 +314,8 @@ class TestDistinctAdTables:
                            fc_dims=(6, 4), attention_dim=5, dtype=np.float32)
         split = encode_examples(tr[:90], ds.schemas, AUX_GROUPS)
         # the tables are shorter than the ads they stand for
-        assert sum(len(split.aux[g][1]) for g in AUX_GROUPS) < sum(map(len, split.ad_rows.values()))
+        assert sum(len(split.aux[g][1]) for g in AUX_GROUPS) < sum(len(split.aux[g][2])
+                                                                  for g in AUX_GROUPS)
         runs = [forward_batch(model, batch) for batch in (split, split.take(np.arange(90)))]
         (p_split, t_split), (p_taken, t_taken) = runs
         assert p_split.tobytes() == p_taken.tobytes()

@@ -112,13 +112,48 @@ class TestParsedForm:
         assert ("clicked", line.split("\t")[5].split("|")[0]) in cache
         assert not any(key[0] == "target" for key in cache)
 
-    def test_the_vocabulary_pass_reuses_auxiliary_records_only(self, tiny_dataset):
+    def test_the_vocabulary_pass_yields_a_repeated_line_s_target_only(self, tiny_dataset):
         line = next(l for l in tiny_dataset[0].train if l.split("\t")[5])
-        pairs = list(iter_group_records([line, line]))
-        half = len(pairs) // 2
-        assert [g for g, _ in pairs[:half]] == [g for g, _ in pairs[half:]]
-        for (group, a), (_, b) in zip(pairs[:half], pairs[half:]):
-            assert a == b and (a is b) == (group != "target")
+        first = list(iter_group_records([line]))
+        assert first[0][0] == "target" and any(g == "clicked" for g, _ in first)
+        assert list(iter_group_records([line, line])) == first + first[:1]
+
+    def test_the_vocabulary_pass_yields_each_group_s_distinct_text_once(self):
+        def rec(i, **extra):
+            return {**extra, "ad_id": (f"a{i:04d}",), "src": ("organic",),
+                    "title": (f"word{i}",), "x0": ("v",)}
+
+        def line(target, ctx, clk, unclk):
+            return "\t".join(["0", "1", "u1", f"user_id=u1;age=30;{_ad(target)}",
+                              *("|".join(map(_ad, ads)) for ads in (ctx, clk, unclk))])
+
+        lines = [line(1, [1, 2, 2], [1], []),  # a repeat within a line
+                 line(1, [2, 3], [], [1]),     # a repeated target; ad 1 first unclicked
+                 line(4, [1], [3, 1], [1, 1])]
+        target = {"user_id": ("u1",), "age": ("30",)}
+        assert list(iter_group_records(lines)) == [
+            ("target", rec(1, **target)), ("contextual", rec(1)), ("contextual", rec(2)),
+            ("clicked", rec(1)),
+            ("target", rec(1, **target)), ("contextual", rec(3)), ("unclicked", rec(1)),
+            ("target", rec(4, **target)), ("clicked", rec(3))]
+
+    def test_a_byte_that_is_not_utf8_is_a_parse_error_naming_its_line(self, tmp_path,
+                                                                      tiny_dataset):
+        ds, vocab, *_ = tiny_dataset
+        lines = [l.encode("utf-8") for l in ds.train[:4]]
+        lines[1] = lines[1].replace(b"title=", "title=caf\u00e9 ".encode("utf-8"), 1)
+        path = tmp_path / "log.tsv"
+        path.write_bytes(b"".join(l + b"\n" for l in lines))
+        assert len(read_examples(path, ds.schemas, vocab)) == 4  # UTF-8 beyond ASCII reads
+        at = lines[2].index(b"title=") + 6
+        lines[2] = lines[2][:at] + b"\xff" + lines[2][at:]
+        path.write_bytes(b"".join(l + b"\n" for l in lines))
+        message = f"line 3: character {at + 1} is not UTF-8 text"
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            read_examples(path, ds.schemas, vocab)
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            with pytest.raises(ParseError, match=f"^{message}$"):
+                list(iter_group_records(fh))
 
     def test_an_example_is_slotted_and_still_copied_and_replaced(self, tiny_dataset):
         ex = tiny_dataset[2][0]

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adctr import numerics
-from adctr.numerics import (ADAGRAD_EPS, ContractViolation, adagrad_step, adagrad_step_rows,
-                            dropout_mask, load_tensors, make_rng, relu, save_tensors,
-                            segment_sum, sigmoid)
+from adctr.numerics import (ADAGRAD_EPS, CheckpointError, ContractViolation, adagrad_step,
+                            adagrad_step_rows, dropout_mask, load_tensors, make_rng, relu,
+                            save_tensors, segment_sum, sigmoid)
 from oracles import dropout, linear, masked_sigmoid, sequential_segment_sum
 
 
@@ -455,4 +455,4 @@ class TestCheckpointIO:
         path.write_bytes(b"TNSR1\n" + body)
         with pytest.raises(ValueError) as info:
             load_tensors(path)
-        assert type(info.value) is ValueError and str(info.value) == f"{path}: {named}"
+        assert type(info.value) is CheckpointError and str(info.value) == f"{path}: {named}"

@@ -85,7 +85,7 @@ class TestVocabulary:
         assert len(ids) == 3
         assert all(i != oov(vocab, "title") for i in ids)
 
-    def test_a_repeated_record_object_is_skipped_and_a_fresh_equal_one_is_not(self):
+    def test_a_repeated_record_adds_nothing_as_one_object_or_as_fresh_equal_ones(self):
         ads = [("a1", "ab"), ("a2", "cd"), ("a1", "ab"), ("a3", "ef"), ("a2", "cd")]
         target = {"user_id": ("u1",), "age": ("24",), "ad_id": ("a2",), "title": ("cd",)}
 
@@ -98,11 +98,11 @@ class TestVocabulary:
         def fresh(ad, title):  # a new dict, dropped once the next record is read
             return {"ad_id": (ad,), "title": (title,)}
 
-        # every record alive at once: no two share an id, so none is skipped
+        # every record alive at once, each its own object
         want = build_vocabulary(list(stream(fresh)), SCHEMAS)
         assert want.target_counts[want.lookup("ad_id", "a2")] == 4
         assert build_vocabulary(stream(fresh), SCHEMAS).dumps() == want.dumps()
-        cache = {}  # one object per distinct ad, as the parse cache yields them
+        cache = {}  # one object per distinct ad, yielded at each repeat
         cached = stream(lambda ad, title: cache.setdefault(ad, fresh(ad, title)))
         assert build_vocabulary(cached, SCHEMAS).dumps() == want.dumps()
 

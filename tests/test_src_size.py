@@ -1,5 +1,6 @@
 """``tools/src_size.py``, the library size metric: its settable-value count on
-a small source text, and its two output lines on this checkout."""
+a small source text, and its total and per-module output lines on this
+checkout and on a small tree."""
 
 import ast
 import importlib.util
@@ -61,13 +62,27 @@ def test_settable_values_counts_defaults_and_dataclass_fields():
 def test_main_prints_the_line_and_settable_value_counts_of_the_library(capsys):
     assert src_size.main(["src_size.py", str(ROOT)]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert [line.split(" ")[0] for line in out] == ["lines", "settable_values"]
     files = sorted((ROOT / "src" / "adctr").glob("*.py"))
-    lines = sum(len(f.read_text(encoding="utf-8").splitlines()) for f in files)
+    assert [line.split(" ")[0] for line in out] == (
+        ["lines", "settable_values"] + [f"lines.{f.stem}" for f in files])
+    per_module = [len(f.read_text(encoding="utf-8").splitlines()) for f in files]
     values = sum(src_size.settable_values(ast.parse(f.read_text(encoding="utf-8")))
                  for f in files)
-    assert out == [f"lines {lines}", f"settable_values {values}"]
-    assert lines > 0 and values > 0
+    assert out[:2] == [f"lines {sum(per_module)}", f"settable_values {values}"]
+    assert out[2:] == [f"lines.{f.stem} {n}" for f, n in zip(files, per_module)]
+    assert "lines.embedding" in {line.split(" ")[0] for line in out}
+    assert all(n > 0 for n in per_module) and values > 0
+
+
+def test_main_counts_each_module_s_lines_of_another_checkout(tmp_path, capsys):
+    lib = tmp_path / "src" / "adctr"
+    lib.mkdir(parents=True)
+    (lib / "b.py").write_text("def f(x=1):\n    return x\n", encoding="utf-8")
+    (lib / "a.py").write_text("x = 1\n\n\ny = 2", encoding="utf-8")  # no final newline
+    (lib / "notes.txt").write_text("not a module\n", encoding="utf-8")
+    assert src_size.main(["src_size.py", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "lines 5", "settable_values 1", "lines.a 3", "lines.b 2"]
 
 
 def test_main_refuses_a_tree_without_the_library(tmp_path, capsys):

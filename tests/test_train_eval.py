@@ -287,12 +287,11 @@ def _assert_batches_equal(got, want):
     pairs = [(got.labels, want.labels), (got.target.offsets, want.target.offsets),
              (got.target.indices, want.target.indices)]
     assert got.aux.keys() == want.aux.keys()
-    for group, (offsets, ads) in got.aux.items():
-        assert ads.n_fields == want.aux[group][1].n_fields
-        pairs += [(offsets, want.aux[group][0]), (ads.offsets, want.aux[group][1].offsets),
-                  (ads.indices, want.aux[group][1].indices)]
-    assert got.ad_rows.keys() == want.ad_rows.keys()
-    pairs += [(rows, want.ad_rows[group]) for group, rows in got.ad_rows.items()]
+    for group, (offsets, table, rows) in got.aux.items():
+        want_offsets, want_table, want_rows = want.aux[group]
+        assert table.n_fields == want_table.n_fields
+        pairs += [(offsets, want_offsets), (table.offsets, want_table.offsets),
+                  (table.indices, want_table.indices), (rows, want_rows)]
     for a, b in pairs:
         assert a.dtype == b.dtype
         np.testing.assert_array_equal(a, b)
@@ -303,12 +302,12 @@ class TestAblation:
         ds, _, tr, *_ = tiny_dataset
         batch = encode_examples(tr, ds.schemas, AUX_GROUPS)
         kept = batch.ablate("clicked")
-        (offsets, ads), (want_offsets, want_ads) = kept.aux["clicked"], batch.aux["clicked"]
+        (offsets, ads), (want_offsets, want_ads) = kept.columns("clicked"), batch.columns("clicked")
         np.testing.assert_array_equal(offsets, want_offsets)
         np.testing.assert_array_equal(ads.offsets, want_ads.offsets)
         np.testing.assert_array_equal(ads.indices, want_ads.indices)
         for group in ("contextual", "unclicked"):
-            offsets, ads = kept.aux[group]
+            offsets, ads = kept.columns(group)
             assert not offsets.any() and len(offsets) == len(tr) + 1 and len(ads) == 0
 
     @pytest.mark.parametrize("groups", [AUX_GROUPS, ()], ids=["all-groups", "target-only"])

@@ -1,5 +1,6 @@
 """Print the size of the ``adctr`` library: its line count and its number of
-settable values.
+settable values, then each module's line count (``lines.<module> <n>``, in
+file name order), so a change shows where its lines went.
 
 Lines are those of ``src/adctr/*.py``, as ``wc -l`` counts them. Settable
 values are every parameter with a default other than ``self`` or ``cls`` (in
@@ -46,11 +47,13 @@ def main(argv: list[str]) -> int:
     if not files:
         print(f"{root}: no src/adctr/*.py", file=sys.stderr)
         return 1
-    lines = sum(f.read_bytes().count(b"\n") for f in files)
+    lines = {f.stem: f.read_bytes().count(b"\n") for f in files}
     values = sum(settable_values(ast.parse(f.read_text(encoding="utf-8"), str(f)))
                  for f in files)
-    print(f"lines {lines}")
+    print(f"lines {sum(lines.values())}")
     print(f"settable_values {values}")
+    for module, n in lines.items():
+        print(f"lines.{module} {n}")
     return 0
 
 
