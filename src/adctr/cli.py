@@ -73,8 +73,8 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return command(args)
-    except (ingest.ParseError, SchemaError, CheckpointError, train_eval.NonFiniteError,
-            UsageError, FileNotFoundError) as exc:  # refused input: one line, not a traceback
+    except (ingest.ParseError, ingest.ConfigError, SchemaError, CheckpointError,
+            train_eval.NonFiniteError, UsageError, FileNotFoundError) as exc:  # refused input: one line, not a traceback
         print(f"adctr: {exc}", file=sys.stderr)
         return 2
 

@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .numerics import make_rng
 from .schema import (AUX_GROUPS, GROUPS, EncodedInstance, EncodeError, FieldKind, FieldSchema,
-                     GroupSchema, RawRecord, Vocabulary, encode_instance, save_schemas)
+                     GroupSchema, Vocabulary, encode_field, save_schemas)
 from .session import SessionStore
 
 MAX_AUX = 5
@@ -44,6 +44,10 @@ class ParseError(ValueError):
     def __init__(self, message: str, line_number: int = 0):
         super().__init__(f"line {line_number}: {message}" if line_number else message)
         self.line_number = line_number
+
+
+class ConfigError(ValueError):
+    """A config file or value that a config dataclass refuses."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,18 +65,25 @@ class LabeledExample:
 # parsing / serialization
 # ---------------------------------------------------------------------------
 
+def _parse_pair(pair: str, line_number: int) -> tuple[str, tuple[str, ...]]:
+    """One ``field=value`` text as its field name and values; the empty
+    entries of a value list are dropped."""
+    if not pair:
+        raise ParseError("empty field=value pair", line_number)
+    name, sep, value = pair.partition("=")
+    if not sep:
+        raise ParseError(f"field pair {pair!r} has no '='", line_number)
+    values = value.split(",")
+    return name, tuple(values) if "" not in values else tuple(v for v in values if v)
+
+
 def _parse_fields(text: str, line_number: int) -> dict[str, tuple[str, ...]]:
     record: dict[str, tuple[str, ...]] = {}
     for pair in text.split(";"):
-        if not pair:
-            raise ParseError("empty field=value pair", line_number)
-        name, sep, value = pair.partition("=")
-        if not sep:
-            raise ParseError(f"field pair {pair!r} has no '='", line_number)
+        name, values = _parse_pair(pair, line_number)
         if name in record:
             raise ParseError(f"field {name!r} appears twice", line_number)
-        values = value.split(",")
-        record[name] = tuple(values) if "" not in values else tuple(v for v in values if v)
+        record[name] = values
     return record
 
 
@@ -88,32 +99,101 @@ def read_record(text: str, group_schema: GroupSchema,
     return record
 
 
+# A read field: the schema it was encoded under (None: not in the group), its
+# (name, values) pair as ``EncodedInstance.raw`` holds it, and its indices
+# (None: the values do not encode).
+FieldHit = tuple[FieldSchema | None, tuple[str, tuple[str, ...]], tuple[int, ...] | None]
+
+
+def field_hit(fs: FieldSchema, pair: tuple[str, tuple[str, ...]], vocab: Vocabulary) -> FieldHit:
+    """One field's pair encoded under ``fs``."""
+    try:
+        return fs, pair, encode_field(fs, pair[1], vocab)
+    except EncodeError:
+        return fs, pair, None
+
+
+def read_fields(text: str, group_schema: GroupSchema, vocab: Vocabulary, line_number: int,
+                memo: dict) -> dict[str, FieldHit]:
+    """One ``field=value;...`` ad's fields by name. ``memo`` is the caller's
+    per-file dict from each ``field=value`` text to its hit, so a text seen
+    before is neither split nor encoded again, and every ad holds the
+    first-seen pair of the text. It keeps only texts that encode. An empty
+    pair, one without ``=`` or a field named twice is a ``ParseError``
+    naming the line; the rest is refused by ``encode_ad``."""
+    found: dict[str, FieldHit] = {}
+    for pair in text.split(";"):
+        hit = memo.get(pair)
+        if hit is None:
+            name, values = _parse_pair(pair, line_number)
+            fs = group_schema.field(name)
+            # The schema's name: every pair of a field shares one string.
+            hit = (None, (name, values), None) if fs is None else field_hit(fs, (fs.name, values),
+                                                                            vocab)
+            if hit[2] is not None:
+                memo[pair] = hit
+        name = hit[1][0]
+        if name in found:
+            raise ParseError(f"field {name!r} appears twice", line_number)
+        found[name] = hit
+    return found
+
+
+def encode_ad(found: Mapping[str, FieldHit], group_schema: GroupSchema, vocab: Vocabulary,
+              line_number: int) -> EncodedInstance:
+    """The ad ``read_fields`` read, in schema order; a field it does not
+    name has no values. A field the group does not have is refused first,
+    then the first field in schema order that does not encode; each is a
+    ``ParseError`` naming the line. A field not encoded under this group's
+    schema (missing, refused, or read under another group's) is encoded
+    here."""
+    per_field: list[tuple[int, ...]] = []
+    raw: list[tuple[str, tuple[str, ...]]] = []
+    named = 0
+    error = None
+    for fs in group_schema.fields:
+        hit = found.get(fs.name)
+        named += hit is not None
+        if hit is None or hit[0] is not fs or hit[2] is None:
+            pair = (fs.name, ()) if hit is None else hit[1]
+            try:
+                hit = fs, pair, encode_field(fs, pair[1], vocab)
+            except EncodeError as exc:
+                error = error or exc
+                continue
+        raw.append(hit[1])
+        per_field.append(hit[2])
+    if named < len(found):
+        unknown = sorted(found.keys() - group_schema.field_names)
+        raise ParseError(f"unknown field(s) {unknown} for group {group_schema.group!r}",
+                         line_number)
+    if error is not None:
+        raise ParseError(str(error), line_number)
+    return EncodedInstance(group=group_schema.group, indices=tuple(per_field), raw=tuple(raw))
+
+
 def parse_ad(text: str, group_schema: GroupSchema, vocab: Vocabulary,
              line_number: int = 0, cache: dict | None = None) -> EncodedInstance:
     """Parse one ``field=value;...`` ad and encode it. ``cache`` is the
-    caller's per-file dict: it keeps each auxiliary ad by its group and text
-    (a target's text names its user and age, so it seldom repeats), and
-    serves ``encode_instance`` as its memo of field values."""
-    keep = cache is not None and group_schema.group in AUX_GROUPS
-    if keep:
-        hit = cache.get((group_schema.group, text))
-        if hit is not None:
-            return hit
-    inst = encode_record(read_record(text, group_schema, line_number), group_schema, vocab,
-                         line_number, cache)
-    if keep:
-        cache[group_schema.group, text] = inst
+    caller's per-file dict: ``read_fields``'s memo of field texts, and under
+    the key ``(group,)`` (never a field text) a dict of each auxiliary ad by
+    its text. A target's text names its user and age, so it seldom repeats
+    and is not kept."""
+    if cache is None:
+        cache = {}
+    ads = None
+    if group_schema.group in AUX_GROUPS:
+        ads = cache.get((group_schema.group,))
+        if ads is None:
+            ads = cache[group_schema.group,] = {}
+        inst = ads.get(text)
+        if inst is not None:
+            return inst
+    inst = encode_ad(read_fields(text, group_schema, vocab, line_number, cache), group_schema,
+                     vocab, line_number)
+    if ads is not None:
+        ads[text] = inst
     return inst
-
-
-def encode_record(record: RawRecord, group_schema: GroupSchema, vocab: Vocabulary,
-                  line_number: int, memo: dict | None) -> EncodedInstance:
-    """``encode_instance``, with its error (a missing required field, a bad
-    numerical value) raised as a ``ParseError`` naming the line."""
-    try:
-        return encode_instance(record, group_schema, vocab, memo)
-    except EncodeError as exc:
-        raise ParseError(str(exc), line_number) from None
 
 
 def ad_text(pairs: Iterable[tuple[str, Sequence[str]]]) -> str:
@@ -211,12 +291,12 @@ class SyntheticConfig:
 
     def __post_init__(self):
         if not 0.0 < self.base_ctr < 1.0:
-            raise ValueError("base_ctr must be in (0, 1)")
+            raise ConfigError("base_ctr must be in (0, 1)")
         for name in ("affinity_boost", "context_suppression", "unclicked_penalty"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+                raise ConfigError(f"{name} must be >= 0")
         if min(self.n_users, self.n_ads, self.n_topics) < 1:
-            raise ValueError("n_users, n_ads and n_topics must be positive")
+            raise ConfigError("n_users, n_ads and n_topics must be positive")
 
     @classmethod
     def from_json(cls, path) -> "SyntheticConfig":
@@ -225,16 +305,19 @@ class SyntheticConfig:
 
 def read_config(cls, path, **overrides) -> dict:
     """The keyword arguments of a config dataclass: a JSON object file's
-    keys, then ``overrides``. A key the class does not have is a
-    ``ValueError`` naming the file and the keys."""
+    keys, then ``overrides``. A file that is not a JSON object, or a key the
+    class does not have, is a ``ConfigError`` naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a JSON object")
+        raise ConfigError(f"{path}: expected a JSON object")
     data.update(overrides)
     unknown = data.keys() - {f.name for f in fields(cls)}
     if unknown:
-        raise ValueError(f"{path}: unknown {cls.__name__} key(s) {sorted(unknown)}")
+        raise ConfigError(f"{path}: unknown {cls.__name__} key(s) {sorted(unknown)}")
     return data
 
 

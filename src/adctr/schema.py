@@ -43,9 +43,16 @@ class EncodeError(ValueError):
 
 @dataclass(frozen=True)
 class FieldSchema:
+    """One field of an ad group. Equal schemas have equal names, so the hash
+    is the name's (which a ``str`` keeps once computed): hashing one builds
+    no tuple and hashes no ``FieldKind``."""
+
     name: str
     kind: FieldKind
     boundaries: tuple[float, ...] = ()
+
+    def __hash__(self) -> int:
+        return hash(self.name)
 
     def __post_init__(self):
         if self.kind == FieldKind.NUMERICAL:
@@ -59,19 +66,26 @@ class FieldSchema:
 
 @dataclass(frozen=True)
 class GroupSchema:
+    """An ad group's fields in order. ``field_names`` and the by-name map
+    that ``field`` reads are computed once, when the schema is made (copies
+    made through ``__init__`` compute their own; pickles and copies carry
+    them along)."""
+
     group: str
     fields: tuple[FieldSchema, ...]
 
     def __post_init__(self):
         if self.group not in GROUPS:
             raise SchemaError(f"unknown ad group {self.group!r}")
-        names = [f.name for f in self.fields]
-        if len(set(names)) != len(names):
+        by_name = {f.name: f for f in self.fields}
+        if len(by_name) != len(self.fields):
             raise SchemaError(f"duplicate field names in group {self.group!r}")
+        object.__setattr__(self, "field_names", tuple(by_name))
+        object.__setattr__(self, "_by_name", by_name)
 
-    @property
-    def field_names(self) -> tuple[str, ...]:
-        return tuple(f.name for f in self.fields)
+    def field(self, name: str) -> FieldSchema | None:
+        """The group's field of that name, or None."""
+        return self._by_name.get(name)
 
 
 def normalize_text(text: str) -> str:
@@ -248,8 +262,10 @@ def build_vocabulary(records: Iterable[tuple[str, RawRecord]],
     ``encode_instance`` would refuse (missing, several values for a univalent
     field, a bad number) adds nothing: the parse pass names its line.
 
-    Each distinct (field, values) pair is tokenized once per call; a repeat
-    only adds its target count.
+    Each distinct value of a field is tokenized once per call; a repeat only
+    adds its target count. The memo is one table per field schema, keyed by
+    the field's values and picked once per group, so no lookup hashes a
+    ``FieldSchema``.
     """
     oov: dict[str, int] = {}
     for group in GROUPS:
@@ -258,22 +274,24 @@ def build_vocabulary(records: Iterable[tuple[str, RawRecord]],
                 oov.setdefault(fs.name, len(oov))
     index: dict[tuple[str, str], int] = {}
     counts = [0] * len(oov)
-    memo: dict[tuple[FieldSchema, tuple[str, ...]], tuple[int, ...]] = {}
+    memos: dict[FieldSchema, dict[tuple[str, ...], tuple[int, ...]]] = {}
+    tables = {group: [(fs, memos.setdefault(fs, {})) for fs in gs.fields]
+              for group, gs in schemas.items()}
     for group, record in records:
         target = group == "target"
-        for fs in schemas[group].fields:
-            key = (fs, tuple(record.get(fs.name, ())))
-            indices = memo.get(key)
+        for fs, memo in tables[group]:
+            values = tuple(record.get(fs.name, ()))
+            indices = memo.get(values)
             if indices is None:
                 try:
-                    tokens = _field_tokens(fs, key[1])
+                    tokens = _field_tokens(fs, values)
                 except EncodeError:
                     continue
                 for t in tokens:
                     if (fs.name, t) not in index:
                         index[fs.name, t] = len(counts)
                         counts.append(0)
-                indices = memo[key] = tuple(index[fs.name, t] for t in tokens)
+                indices = memo[values] = tuple(index[fs.name, t] for t in tokens)
             if target:
                 for i in indices:
                     counts[i] += 1
@@ -285,32 +303,23 @@ def encode_field(fs: FieldSchema, values: Sequence[str], vocab: Vocabulary) -> t
     return tuple(vocab.lookup(fs.name, t) for t in _field_tokens(fs, values))
 
 
-def encode_instance(record: RawRecord, group_schema: GroupSchema, vocab: Vocabulary,
-                    memo: dict | None = None) -> EncodedInstance:
-    """Encode a raw record against a vocabulary.
+def encode_instance(record: RawRecord, group_schema: GroupSchema,
+                    vocab: Vocabulary) -> EncodedInstance:
+    """Encode a raw record against a vocabulary, field by field in schema
+    order.
 
     Unseen values map to the field's OOV index; a univalent or numerical
-    field without exactly one value is an error naming the field.
-
-    ``memo`` is a caller's per-pass dict from (field schema, values) to the
-    first-seen ``(name, values)`` pair and the field's indices, filled here;
-    every instance encoded through it holds that pair in ``raw``, so a value
-    repeated across records is kept once. Only values that encode are kept,
-    so a refused value raises on every occurrence. It must be used with one
-    vocabulary only.
+    field without exactly one value is an error naming the field. A record
+    that is not parsed from a log (a catalog ad, a test's record) is
+    encoded here; a parsed ad is encoded by ``ingest.parse_ad``, which
+    encodes each distinct ``field=value`` text of a file once.
     """
     per_field: list[tuple[int, ...]] = []
     raw: list[tuple[str, tuple[str, ...]]] = []
     for fs in group_schema.fields:
         values = tuple(record.get(fs.name, ()))
-        # Without a memo (a catalog ad) no key is built.
-        hit = memo.get((fs, values)) if memo is not None else None
-        if hit is None:
-            hit = (fs.name, values), encode_field(fs, values, vocab)
-            if memo is not None:
-                memo[(fs, values)] = hit
-        raw.append(hit[0])
-        per_field.append(hit[1])
+        per_field.append(encode_field(fs, values, vocab))
+        raw.append((fs.name, values))
     return EncodedInstance(group=group_schema.group, indices=tuple(per_field), raw=tuple(raw))
 
 
@@ -341,8 +350,9 @@ def parse_schemas(text: str) -> dict[str, GroupSchema]:
     """Read the schema file format; every refusal is a ``SchemaError``
     naming the line."""
     fields: dict[str, list[FieldSchema]] = {}
-    # A field several groups declare alike is one object, so the encoding
-    # memos' keys of those groups match by identity.
+    # A field several groups declare alike is one object, so a parse memo's
+    # entry, which holds the field schema it was encoded under, serves each
+    # of those groups.
     shared: dict[FieldSchema, FieldSchema] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():

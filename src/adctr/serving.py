@@ -21,10 +21,14 @@ file order and behavior events reach the store in (timestamp, file order):
     CLICK \\t ts \\t user_id \\t ad_fields        # click -> clicked
     REQ \\t ts \\t user_id \\t request_id \\t slots \\t ad_fields|ad_fields|...
 
-REQ candidates carry the target-schema ad fields; the user_id field is filled
-in from the request. A field the ad's group does not have is a ``ParseError``
-naming the line, here and in the catalog. Behavior events become visible to
-requests only after the configured propagation lag.
+REQ candidates carry the target-schema ad fields except user_id, which is
+filled in from the request; a candidate that names a user_id is a
+``ParseError`` naming the line, as a catalog ad that has one is. A field the
+ad's group does not have is a ``ParseError`` naming the line, here and in the
+catalog. Each distinct ``field=value`` text of an event log is split and
+encoded once (``ingest.read_fields``), and each request's user_id once per
+user. Behavior events become visible to requests only after the configured
+propagation lag.
 
 Wire protocol (one line per message):
 
@@ -56,7 +60,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .embedding import AdColumns, embed_matrix
-from .ingest import ParseError, encode_record, parse_ad, parse_uint, read_record
+from .ingest import (FieldHit, ParseError, encode_ad, field_hit, parse_ad, parse_uint, read_fields,
+                     read_record)
 # forward_batch is not called here: perfbench's span test reads serving.forward_batch.
 from .models import ModelScorer, forward_batch  # noqa: F401
 from .numerics import Array
@@ -170,6 +175,9 @@ class SimEvent:
 def parse_events(path, schemas: Mapping[str, GroupSchema], vocab: Vocabulary) -> list[SimEvent]:
     events: list[SimEvent] = []
     cache: dict = {}
+    target = schemas["target"]
+    user_fs = target.field("user_id")
+    users: dict[str, FieldHit] = {}  # each user's user_id field, encoded once
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -191,14 +199,21 @@ def parse_events(path, schemas: Mapping[str, GroupSchema], vocab: Vocabulary) ->
                 slots = parse_uint(cols[4], "slots", lineno)
                 if slots < 1:
                     raise ParseError(f"bad slots {cols[4]!r}", lineno)
-                target = schemas["target"]
-                candidates = tuple(
-                    encode_record({"user_id": (user_id,), **read_record(text, target, lineno)},
-                                  target, vocab, lineno, cache)
-                    for text in cols[5].split("|"))
+                user = users.get(user_id)
+                if user is None and user_fs is not None:
+                    user = users[user_id] = field_hit(user_fs, (user_fs.name, (user_id,)), vocab)
+                candidates = []
+                for text in cols[5].split("|"):
+                    found = read_fields(text, target, vocab, lineno, cache)
+                    if "user_id" in found:
+                        raise ParseError("a REQ candidate has a user_id: the request fills it in",
+                                         lineno)
+                    if user is not None:
+                        found["user_id"] = user
+                    candidates.append(encode_ad(found, target, vocab, lineno))
                 events.append(SimEvent(kind="req", ts=ts, user_id=user_id,
                                        request=RankRequest(request_id=cols[3], user_id=user_id,
-                                                           now=ts, candidates=candidates,
+                                                           now=ts, candidates=tuple(candidates),
                                                            slots=slots)))
             else:
                 raise ParseError(f"unknown event tag {tag!r}", lineno)

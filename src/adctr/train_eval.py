@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .embedding import EncodedBatch
-from .ingest import LabeledExample, read_config
+from .ingest import ConfigError, LabeledExample, read_config
 from .models import (BatchTrace, Gradients, ModelParams, Variant, backward, encode_batch,
                      forward_batch, init_model, loss, loss_from_logits, pre_activations)
 from .numerics import Array, adagrad_step, adagrad_step_rows, make_rng
@@ -57,15 +57,15 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("batch_size", "epochs", "embedding_dim", "attention_dim"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if min(self.fc_dims, default=0) < 1:
-            raise ValueError(f"fc_dims must be one or more widths >= 1, got {self.fc_dims!r}")
+            raise ConfigError(f"fc_dims must be one or more widths >= 1, got {self.fc_dims!r}")
         if not 0.0 < self.learning_rate < np.inf:
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout!r}")
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout!r}")
         if not self.embedding_l2 >= 0.0:
-            raise ValueError(f"embedding_l2 must be >= 0, got {self.embedding_l2!r}")
+            raise ConfigError(f"embedding_l2 must be >= 0, got {self.embedding_l2!r}")
 
     @classmethod
     def from_json(cls, path, **overrides) -> "TrainConfig":

@@ -26,14 +26,14 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from adctr.embedding import AdColumns, EncodedBatch, embed_matrix
-from adctr.ingest import (LabeledExample, ParseError, _parse_fields, _split_line, encode_record,
-                          parse_uint, read_record, serialize_ad)
+from adctr.ingest import (LabeledExample, ParseError, _parse_fields, _split_line, parse_uint,
+                          read_record, serialize_ad)
 from adctr.models import (SCORE_CLAMP, ModelParams, ModelScorer, RequestRows, Variant,
                           _attention, _fc_layers, _pctr, forward_batch)
 from adctr.numerics import Array, ContractViolation, dropout_mask, relu
 from adctr.serving import MAX_CANDIDATES, RankRequest, ad_display_id
 from adctr.schema import (AUX_GROUPS, GROUPS, EncodedInstance, EncodeError, GroupSchema,
-                          Vocabulary, _field_tokens)
+                          Vocabulary, _field_tokens, encode_instance)
 from adctr.train_eval import MetricUndefinedError
 
 
@@ -448,9 +448,10 @@ def prepare_afresh(scorer: ModelScorer, candidates: Sequence[EncodedInstance],
 def request_candidate(record, user_id: str, target_schema: GroupSchema,
                       vocab: Vocabulary) -> EncodedInstance:
     """A request's candidate as the event-log parser encodes it: a
-    target-schema record with the request's user_id filled in where the
-    record names none."""
-    return encode_record({"user_id": (user_id,), **record}, target_schema, vocab, 0, None)
+    target-schema record that names no user_id, with the request's filled
+    in."""
+    assert "user_id" not in record
+    return encode_instance({**record, "user_id": (user_id,)}, target_schema, vocab)
 
 
 def astype(model: ModelParams, dtype) -> ModelParams:

@@ -274,6 +274,29 @@ def test_a_non_finite_training_loss_is_one_line_with_status_2(data_dir, tmp_path
     assert re.fullmatch(r"adctr: epoch 0, batch \d+: non-finite (loss|gradient of \S+)\n", err)
 
 
+@pytest.mark.parametrize("config, message", [
+    ('{"patience": 3}', "{path}: unknown TrainConfig key(s) ['patience']"),
+    ('{"dropout": 1.5}', "dropout must be in [0, 1), got 1.5"),
+    ("[1]", "{path}: expected a JSON object"),
+    ('{"epochs": 1', "{path}: Expecting ',' delimiter: line 1 column 13 (char 12)"),
+])
+def test_a_train_config_the_cli_refuses_is_one_line_with_status_2(data_dir, tmp_path, capsys,
+                                                                  config, message):
+    path = tmp_path / "badcfg.json"
+    path.write_text(config, encoding="utf-8")
+    assert main(_train_args(data_dir, tmp_path, **{"--config": str(path)})) == 2
+    assert capsys.readouterr().err == f"adctr: {message.format(path=path)}\n"
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_a_gen_data_config_the_cli_refuses_is_one_line_with_status_2(tmp_path, capsys):
+    path = tmp_path / "gen.json"
+    path.write_text('{"n_users": 0}', encoding="utf-8")
+    assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "data")]) == 2
+    assert capsys.readouterr().err == "adctr: n_users, n_ads and n_topics must be positive\n"
+    assert not (tmp_path / "data").exists()
+
+
 def _log_bytes(data_dir, split, n):
     return b"".join(line + b"\n" for line in (data_dir / split).read_bytes().splitlines()[:n])
 

@@ -109,8 +109,8 @@ class TestParsedForm:
         a, b = (parse_log_line(line, ds.schemas, vocab, line_number=i, cache=cache)
                 for i in (1, 2))
         assert a == b and a.target is not b.target and a.clicked[0] is b.clicked[0]
-        assert ("clicked", line.split("\t")[5].split("|")[0]) in cache
-        assert not any(key[0] == "target" for key in cache)
+        assert line.split("\t")[5].split("|")[0] in cache["clicked",]
+        assert ("target",) not in cache
 
     def test_the_vocabulary_pass_yields_a_repeated_line_s_target_only(self, tiny_dataset):
         line = next(l for l in tiny_dataset[0].train if l.split("\t")[5])

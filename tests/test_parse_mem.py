@@ -18,7 +18,8 @@ def test_main_prints_lines_bytes_per_line_and_parse_time(tmp_path, capsys):
                            str(tmp_path / "schema.tsv")]) == 0
     out = capsys.readouterr().out.splitlines()
     assert [line.split(" ")[0] for line in out] == ["lines", "bytes_per_line",
-                                                    "peak_bytes_per_line", "parse_s"]
+                                                    "peak_bytes_per_line", "parse_s",
+                                                    "parse_cpu_s", "vocab_cpu_s"]
     values = {line.split(" ")[0]: float(line.split(" ")[1]) for line in out}
     assert values["lines"] == 300
     # An example holds at least its own target ad; a line's text is ~300 bytes.
@@ -26,6 +27,8 @@ def test_main_prints_lines_bytes_per_line_and_parse_time(tmp_path, capsys):
     # The peak holds the examples and the pass's cache at once.
     assert values["bytes_per_line"] < values["peak_bytes_per_line"] < 20000
     assert 0 < values["parse_s"] < 60
+    # Process CPU time, the parse's and the vocabulary pass's, each a few ms here.
+    assert 0 <= values["parse_cpu_s"] < 60 and 0 <= values["vocab_cpu_s"] < 60
 
 
 def test_main_refuses_other_arguments(capsys):

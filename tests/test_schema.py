@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adctr.ingest import parse_ad
 from adctr.numerics import make_rng
 from adctr.schema import (EncodedInstance, EncodeError, FieldKind, FieldSchema, GroupSchema,
                           SchemaError, Vocabulary, bigrams, bucketize, build_vocabulary, dump_schemas,
@@ -244,19 +245,17 @@ class TestEncodeInstance:
             inst = encode_instance(record, SCHEMAS["target"], vocab)
             assert all(i < vocab.size for idx in inst.indices for i in idx)
 
-    def test_a_memo_shares_each_value_across_records(self, vocab):
-        memo: dict = {}
-        first = {"user_id": ("u1",), "age": ("24",), "ad_id": ("a1",), "title": ("ABCD",)}
-        a = encode_instance(first, SCHEMAS["target"], vocab, memo)
-        # Equal values in new tuples, as each parsed line splits its own.
-        b = encode_instance({"user_id": ("u2",), "age": ("24",), "ad_id": ("a1",),
-                             "title": ("ABCD",)}, SCHEMAS["target"], vocab, memo)
-        clicked = encode_instance({"ad_id": ("a1",), "title": ("ABCD",)}, SCHEMAS["clicked"],
-                                  vocab, memo)
+    def test_a_parse_memo_shares_each_field_text_across_ads(self, vocab):
+        cache: dict = {}
+        a = parse_ad("user_id=u1;age=24;ad_id=a1;title=ABCD", SCHEMAS["target"], vocab, 1, cache)
+        # The same field texts in new strings, as each parsed line splits its own.
+        b = parse_ad("".join(["user_id=u2;age=24;", "ad_id=a1;title=ABCD"]), SCHEMAS["target"],
+                      vocab, 2, cache)
+        clicked = parse_ad("title=ABCD;ad_id=a1", SCHEMAS["clicked"], vocab, 3, cache)
         assert a.raw[0] is not b.raw[0]
         for i in (1, 2, 3):
-            assert a.raw[i] is b.raw[i] and a.raw[i][1] is first[a.raw[i][0]]
-        # A field two groups declare alike is one memo key.
+            assert a.raw[i] is b.raw[i] and a.indices[i] is b.indices[i]
+        # A field two groups declare alike is one memo entry.
         assert clicked.raw == a.raw[2:] and all(x is y for x, y in zip(clicked.raw, a.raw[2:]))
         assert b == encode_instance(dict(b.raw), SCHEMAS["target"], vocab)  # no memo
 

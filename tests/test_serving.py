@@ -480,6 +480,19 @@ class TestReplay:
             parse_events(path, ds.schemas, vocab)
         assert info.value.line_number == 2
 
+    def test_a_candidate_that_names_a_user_id_is_a_parse_error_naming_the_line(self, tmp_path,
+                                                                              env):
+        # The request's user is the candidates' user; a candidate cannot name another.
+        ds, vocab, train = env
+        cand = _cand_fields(train[1])
+        lines = [f"REQ\t100\tu1\tr1\t2\t{cand}",
+                 f"REQ\t110\tu1\tr2\t2\t{cand}|user_id=u999;{cand}"]
+        path = self._events_file(tmp_path, ds, train, lines)
+        with pytest.raises(ParseError, match="line 2: a REQ candidate has a user_id: the "
+                                             "request fills it in") as info:
+            parse_events(path, ds.schemas, vocab)
+        assert info.value.line_number == 2
+
     def test_non_monotone_user_timestamps_rejected(self, tmp_path, env):
         ds, vocab, train = env
         ad = _ad_fields(train[0])
