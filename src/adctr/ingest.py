@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .numerics import make_rng
 from .schema import (AUX_GROUPS, GROUPS, EncodedInstance, EncodeError, FieldKind, FieldSchema,
-                     GroupSchema, Vocabulary, encode_field, save_schemas)
+                     GroupSchema, Vocabulary, encode_field, save_schemas, utf8_error)
 from .session import SessionStore
 
 MAX_AUX = 5
@@ -218,11 +218,8 @@ def _split_line(line: str, line_number: int) -> tuple[list[str], list[list[str]]
     texts of each group in ``GROUPS`` order (auxiliary lists cut to their
     first ``MAX_AUX``). A line read with ``errors="surrogateescape"`` that
     held a byte that is not UTF-8 is refused here."""
-    if not line.isascii():
-        try:
-            line.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise ParseError(f"character {exc.start + 1} is not UTF-8 text", line_number) from None
+    if (bad := utf8_error(line)) is not None:
+        raise ParseError(bad, line_number)
     cols = line.rstrip("\n").split("\t")
     if len(cols) != 7:
         raise ParseError(f"expected 7 columns, got {len(cols)}", line_number)

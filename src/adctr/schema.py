@@ -15,7 +15,6 @@ out-of-vocabulary index.
 
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -168,9 +167,11 @@ class Vocabulary:
         oov: dict[str, int] = {}
         index: dict[tuple[str, str], int] = {}
         counts: list[int] = []
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             for lineno, line in enumerate(fh, start=1):
                 text = line.rstrip("\n")
+                if (bad := utf8_error(text)) is not None:
+                    raise SchemaError(f"{path}: line {lineno}: {bad}")
                 cols = text.split("\t")
                 if len(cols) != 4 or not all(c.isascii() and c.isdigit() for c in cols[2:]):
                     raise SchemaError(f"{path}: line {lineno}: expected field, value, index "
@@ -192,7 +193,7 @@ class Vocabulary:
         return cls(oov, index, counts)
 
     def content_hash(self) -> str:
-        return hashlib.sha256(self.dumps().encode("utf-8")).hexdigest()[:16]
+        return _digest(self.dumps())
 
 
 @dataclass(frozen=True, eq=True)
@@ -359,6 +360,8 @@ def parse_schemas(text: str) -> dict[str, GroupSchema]:
             continue
         cols = line.split("\t")
         try:
+            if (bad := utf8_error(line)) is not None:
+                raise SchemaError(bad)
             if len(cols) not in (3, 4):
                 raise SchemaError("expected 3 or 4 columns")
             group, name, kind = cols[:3]
@@ -376,9 +379,28 @@ def parse_schemas(text: str) -> dict[str, GroupSchema]:
 
 
 def load_schemas(path) -> dict[str, GroupSchema]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return parse_schemas(fh.read())
 
 
 def schemas_hash(schemas: Mapping[str, GroupSchema]) -> str:
-    return hashlib.sha256(dump_schemas(schemas).encode("utf-8")).hexdigest()[:16]
+    return _digest(dump_schemas(schemas))
+
+
+def utf8_error(line: str) -> str | None:
+    """Why a line read with ``errors="surrogateescape"`` is not UTF-8 text
+    (it held a byte that is not), or None if it is."""
+    if line.isascii():
+        return None
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return f"character {exc.start + 1} is not UTF-8 text"
+    return None
+
+
+def _digest(text: str) -> str:
+    """The first 16 hex digits of the sha256 of ``text``'s UTF-8 bytes."""
+    import hashlib  # here, not at the top: it loads OpenSSL, which a RANK server never needs
+
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]

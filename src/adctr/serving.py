@@ -66,7 +66,7 @@ from .ingest import (FieldHit, ParseError, encode_ad, field_hit, parse_ad, parse
 from .models import ModelScorer, forward_batch  # noqa: F401
 from .numerics import Array
 from .schema import (EncodedInstance, EncodeError, GroupSchema, RawRecord, Vocabulary,
-                     encode_field, encode_instance)
+                     encode_field, encode_instance, utf8_error)
 from .session import SessionStore
 
 MAX_LINE_BYTES = 64 * 1024  # a RANK line, newline included
@@ -178,11 +178,13 @@ def parse_events(path, schemas: Mapping[str, GroupSchema], vocab: Vocabulary) ->
     target = schemas["target"]
     user_fs = target.field("user_id")
     users: dict[str, FieldHit] = {}  # each user's user_id field, encoded once
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
+            if (bad := utf8_error(line)) is not None:
+                raise ParseError(bad, lineno)
             cols = line.split("\t")
             tag = cols[0]
             if tag in ("IMP", "CLICK"):
@@ -432,11 +434,13 @@ def load_catalog(path, target_schema: GroupSchema) -> dict[str, dict[str, tuple[
     not have, a user_id, a key other than the ad's own ``ad_id`` value, or a
     repeated key is a ``ParseError`` naming the line."""
     catalog: dict[str, dict[str, tuple[str, ...]]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
+            if (bad := utf8_error(line)) is not None:
+                raise ParseError(bad, lineno)
             ad_id, _, fields = line.partition("\t")
             if ad_id in catalog:
                 raise ParseError(f"repeated catalog key {ad_id!r}", lineno)

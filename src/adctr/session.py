@@ -117,11 +117,14 @@ class SessionStore:
     @classmethod
     def restore(cls, path, schemas, vocab) -> "SessionStore":
         from .ingest import ParseError, parse_ad, parse_uint
+        from .schema import utf8_error
 
         store = cls()
         cache: dict = {}
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             for lineno, line in enumerate(fh, start=1):
+                if (bad := utf8_error(line)) is not None:
+                    raise ParseError(bad, lineno)
                 cols = line.rstrip("\n").split("\t")
                 if len(cols) != 4:
                     raise ParseError(f"snapshot line needs 4 columns, got {len(cols)}", lineno)

@@ -31,6 +31,18 @@ def test_main_prints_lines_bytes_per_line_and_parse_time(tmp_path, capsys):
     assert 0 <= values["parse_cpu_s"] < 60 and 0 <= values["vocab_cpu_s"] < 60
 
 
+def test_two_calls_in_one_process_read_the_same_bytes_per_line(tmp_path, capsys):
+    generate_synthetic(SyntheticConfig(n_users=20, n_ads=40, n_train=300, n_val=10,
+                                       n_test=10, seed=3)).write(tmp_path)
+    args = ["parse_mem.py", str(tmp_path / "train.tsv"), str(tmp_path / "schema.tsv")]
+    readings = []
+    for _ in range(2):
+        assert parse_mem.main(args) == 0
+        readings += [line for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("bytes_per_line ")]
+    assert len(readings) == 2 and readings[0] == readings[1]
+
+
 def test_main_refuses_other_arguments(capsys):
     assert parse_mem.main(["parse_mem.py", "only-a-log"]) == 2
     assert "usage" in capsys.readouterr().err

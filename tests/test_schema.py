@@ -153,6 +153,27 @@ class TestVocabulary:
         with pytest.raises(SchemaError, match=message):
             Vocabulary.load(path)
 
+    def test_load_refuses_a_byte_that_is_not_utf8_naming_the_line(self, tmp_path):
+        records = [("clicked", {"ad_id": ("a1",), "title": ("caf\u00e9",)})]
+        vocab = build_vocabulary(records, SCHEMAS)
+        path = tmp_path / "vocab.tsv"
+        vocab.save(path)
+        assert Vocabulary.load(path).dumps() == vocab.dumps()  # UTF-8 beyond ASCII reads
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert lines[7] == "title\tf\u00e9\t7\t0\n".encode()
+        lines[7] = b"title\tf\xff\t7\t0\n"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(SchemaError, match="line 8: character 8 is not UTF-8 text$"):
+            Vocabulary.load(path)
+
+    def test_content_hash_is_pinned(self):
+        # The digests every checkpoint header and sidecar check compares.
+        records = [("clicked", {"ad_id": ("a1",), "title": ("ABCD",)}),
+                   ("target", {"user_id": ("\u00fc9",), "age": ("24",),
+                               "ad_id": ("a1",), "title": ("xy",)})]
+        assert build_vocabulary(records, SCHEMAS).content_hash() == "57efec6fa4d33da3"
+        assert schemas_hash(SCHEMAS) == "73671fdd9e212d9f"
+
     @settings(max_examples=200, deadline=None)
     @given(values=st.lists(st.one_of(
         st.sampled_from(["<oov>", "\\<oov>", "\\", "\\\\x", "\\x", "<oov", "é<oov>"]),
@@ -342,6 +363,15 @@ def test_schema_file_round_trip(tmp_path):
 def test_parse_schemas_rejects_bad_lines(text, message):
     with pytest.raises(SchemaError, match=f"^schema {message}"):
         parse_schemas(text)
+
+
+def test_load_schemas_refuses_a_byte_that_is_not_utf8_naming_the_line(tmp_path):
+    path = tmp_path / "schema.tsv"
+    path.write_bytes("target\tuser_id\tunivalent\ntarget\tcaf\u00e9\tunivalent\n".encode())
+    assert [f.name for f in load_schemas(path)["target"].fields] == ["user_id", "caf\u00e9"]
+    path.write_bytes(b"target\tuser_id\tunivalent\ntarget\tcaf\xff\tunivalent\n")
+    with pytest.raises(SchemaError, match="^schema line 2: character 11 is not UTF-8 text$"):
+        load_schemas(path)
 
 
 def test_dump_schemas_orders_groups_canonically():

@@ -1,9 +1,13 @@
 import collections
+import os
 import re
 import socket
 import socketserver
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -468,6 +472,20 @@ class TestReplay:
         lines = [f"IMP\t90\tu1\t{_ad_fields(train[0])}", line.format(cand=_cand_fields(train[1]))]
         path = self._events_file(tmp_path, ds, train, lines)
         with pytest.raises(ParseError, match=f"line 2: {message}") as info:
+            parse_events(path, ds.schemas, vocab)
+        assert info.value.line_number == 2
+
+    def test_a_byte_that_is_not_utf8_is_a_parse_error_naming_the_line(self, tmp_path, env):
+        ds, vocab, train = env
+        ad = _ad_fields(train[0])
+        path = tmp_path / "events.tsv"
+        fancy = ad.replace("title=", "title=caf\u00e9 ", 1)
+        path.write_bytes(f"IMP\t90\tu1\t{ad}\nIMP\t91\tu1\t{fancy}\n".encode())
+        events = parse_events(path, ds.schemas, vocab)
+        assert events[1].ad.raw_dict()["title"][0].startswith("caf\u00e9 ")  # UTF-8 reads
+        path.write_bytes(f"IMP\t90\tu1\t{ad}\n".encode() + b"IMP\t91\tu1\t\xff"
+                         + ad.encode() + b"\n")
+        with pytest.raises(ParseError, match="^line 2: character 11 is not UTF-8 text$") as info:
             parse_events(path, ds.schemas, vocab)
         assert info.value.line_number == 2
 
@@ -1022,6 +1040,24 @@ def test_catalog_ad_with_a_user_id_is_refused(tmp_path, env):
                            {ad_display_id(train[0].target): record}, ds.schemas["target"], vocab)
 
 
+def test_catalog_line_with_a_byte_that_is_not_utf8_is_refused_naming_the_line(tmp_path, env):
+    ds, vocab, train = env
+    path = tmp_path / "catalog.tsv"
+    ids = [ad_display_id(ex.target) for ex in train[:2]]
+    fields = [_cand_fields(ex) for ex in train[:2]]
+    fancy = fields[1].replace("title=", "title=caf\u00e9 ", 1)
+    path.write_bytes(f"{ids[0]}\t{fields[0]}\n{ids[1]}\t{fancy}\n".encode())
+    catalog = serving.load_catalog(path, ds.schemas["target"])
+    assert catalog[ids[1]]["title"][0].startswith("caf\u00e9 ")  # UTF-8 beyond ASCII reads
+    path.write_bytes(f"{ids[0]}\t{fields[0]}\n".encode()
+                     + f"{ids[1]}\t{fields[1]}".encode().replace(b"title=", b"title=\xff", 1)
+                     + b"\n")
+    at = len(ids[1]) + 1 + fields[1].index("title=") + 7
+    with pytest.raises(ParseError, match=f"^line 2: character {at} is not UTF-8 text$") as info:
+        serving.load_catalog(path, ds.schemas["target"])
+    assert info.value.line_number == 2
+
+
 @pytest.mark.parametrize("second, message", [
     ("a0001\t{1}", "line 2: catalog key 'a0001' is not the ad's ad_id '{id1}'"),
     ("{id0}\t{1}", "line 2: repeated catalog key '{id0}'"),
@@ -1232,3 +1268,32 @@ class TestWireProtocol:
                                     ds.schemas["target"], vocab)
         assert server.handle_line("HELLO").startswith("ERR")
         assert server.handle_line("RANK u 5 2 nosuch").startswith("ERR unknown ad")
+
+
+# perfbench/rank_server.py's start-up and one request, in a fresh interpreter.
+RANK_SERVER_START = """
+import sys
+from adctr import models, schema, serving, session
+ckpt, snapshot, catalog, line = sys.argv[1:]
+schemas = schema.load_schemas(f"{ckpt}.schema.tsv")
+vocab = schema.Vocabulary.load(f"{ckpt}.vocab.tsv")
+model, _ = models.load_model(ckpt, schemas)
+store = session.SessionStore.restore(snapshot, schemas, vocab)
+server = serving.RankProtocolServer(serving.AdServer(serving.ModelScorer(model), store),
+                                    serving.load_catalog(catalog, schemas["target"]),
+                                    schemas["target"], vocab)
+print(server.handle_line(line))
+print(" ".join(sorted(name for name in sys.modules if "hashlib" in name)))
+"""
+
+
+def test_a_rank_server_takes_no_hash_and_loads_no_openssl(rank_server_files):
+    files = rank_server_files
+    line = files["requests.tsv"].read_text(encoding="utf-8").splitlines()[0]
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", RANK_SERVER_START, str(files["model.ckpt"]),
+                          str(files["snapshot.tsv"]), str(files["catalog.tsv"]), line],
+                         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                         text=True, timeout=120, check=True).stdout.splitlines()
+    assert out[0].startswith("OK ") and len(out) == 2
+    assert out[1] == ""  # neither hashlib nor OpenSSL's _hashlib

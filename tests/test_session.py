@@ -342,6 +342,22 @@ class TestSnapshot:
             a, b = (r.get_history(user, now) for r in restored)
             assert [[x.raw for x in g] for g in a] == [[x.raw for x in g] for g in b]
 
+    def test_restore_refuses_a_byte_that_is_not_utf8_naming_the_line(self, tmp_path,
+                                                                    tiny_dataset):
+        ds, vocab, train, *_ = tiny_dataset
+        ad = serialize_ad(next(ad for ex in train for ad in ex.clicked))
+        path = tmp_path / "sessions.tsv"
+        fancy = ad.replace("title=", "title=caf\u00e9 ", 1)
+        path.write_bytes(f"u\tclk\t1\t{ad}\nu\tclk\t2\t{fancy}\n".encode())
+        clicked, _ = SessionStore.restore(path, ds.schemas, vocab).get_history("u", 2)
+        titles = [a.raw_dict()["title"][0] for a in clicked]
+        assert any(t.startswith("caf\u00e9 ") for t in titles)  # UTF-8 beyond ASCII reads
+        path.write_bytes(f"u\tclk\t1\t{ad}\n".encode() + b"u\tclk\t2\t\xff" + ad.encode()
+                         + b"\n")
+        with pytest.raises(ParseError, match="^line 2: character 9 is not UTF-8 text$") as info:
+            SessionStore.restore(path, ds.schemas, vocab)
+        assert info.value.line_number == 2
+
     @pytest.mark.parametrize("fields, message", [
         (("u", "clk", "5"), "needs 4 columns"),
         (("u", "click", "5", "{ad}"), "bad tag 'click'"),

@@ -17,6 +17,7 @@ Usage: python3 tools/parse_mem.py <log> <schema>
 
 from __future__ import annotations
 
+import gc
 import sys
 import time
 import tracemalloc
@@ -45,7 +46,12 @@ def main(argv: list[str]) -> int:
     n = len(examples)
     del examples
 
+    # A full collection also empties the interpreter's free lists, so the
+    # traced pass neither reuses untraced objects nor counts ones freed into
+    # them before it began.
+    gc.collect()
     tracemalloc.start()
+    gc.collect()
     before = tracemalloc.get_traced_memory()[0]
     examples = read_examples(log, schemas, vocab)
     held, peak = (b - before for b in tracemalloc.get_traced_memory())
