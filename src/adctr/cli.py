@@ -11,8 +11,8 @@ import numpy as np
 from . import ingest, serving, train_eval
 from .models import Variant, encode_batch, load_model, save_model
 from .numerics import CheckpointError
-from .schema import (SchemaError, Vocabulary, build_vocabulary, load_schemas, save_schemas,
-                     schemas_hash)
+from .schema import (InputError, Vocabulary, build_vocabulary, load_schemas, read_lines,
+                     save_schemas, schemas_hash)
 from .session import SessionStore
 
 ABLATE_CHOICES = {"ctx": "contextual", "clk": "clicked", "unclk": "unclicked"}
@@ -73,8 +73,8 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return command(args)
-    except (ingest.ParseError, ingest.ConfigError, SchemaError, CheckpointError,
-            train_eval.NonFiniteError, UsageError, FileNotFoundError) as exc:  # refused input: one line, not a traceback
+    except (InputError, CheckpointError, train_eval.NonFiniteError, UsageError,
+            FileNotFoundError) as exc:  # refused input: one line, not a traceback
         print(f"adctr: {exc}", file=sys.stderr)
         return 2
 
@@ -109,8 +109,8 @@ def _cmd_train(args) -> int:
     else:
         schema_path = args.schema or str(Path(args.train_path).with_name("schema.tsv"))
         schemas = load_schemas(schema_path)
-        with open(args.train_path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            vocab = build_vocabulary(ingest.iter_group_records(fh), schemas)
+        with read_lines(args.train_path, ingest.ParseError) as lines:
+            vocab = build_vocabulary(ingest.iter_group_records(t for _, t in lines), schemas)
     train_examples = ingest.read_examples(args.train_path, schemas, vocab)
     val_examples = ingest.read_examples(args.val_path, schemas, vocab)
     model, history = train_eval.train(config, train_examples, val_examples, schemas, vocab,

@@ -33,20 +33,19 @@ from typing import Iterable, Mapping, Sequence
 
 from .numerics import make_rng
 from .schema import (AUX_GROUPS, GROUPS, EncodedInstance, EncodeError, FieldKind, FieldSchema,
-                     GroupSchema, Vocabulary, encode_field, save_schemas, utf8_error)
+                     GroupSchema, InputError, Vocabulary, check_utf8, encode_field, read_lines,
+                     save_schemas)
 from .session import SessionStore
 
 MAX_AUX = 5
 PROB_CLAMP = 0.005
 
 
-class ParseError(ValueError):
-    def __init__(self, message: str, line_number: int = 0):
-        super().__init__(f"line {line_number}: {message}" if line_number else message)
-        self.line_number = line_number
+class ParseError(InputError):
+    """A log, snapshot, catalog or event-log line that does not parse."""
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     """A config file or value that a config dataclass refuses."""
 
 
@@ -216,11 +215,8 @@ def parse_uint(text: str, what: str, line_number: int) -> int:
 def _split_line(line: str, line_number: int) -> tuple[list[str], list[list[str]]]:
     """An impression line's label, timestamp and user_id texts, and the ad
     texts of each group in ``GROUPS`` order (auxiliary lists cut to their
-    first ``MAX_AUX``). A line read with ``errors="surrogateescape"`` that
-    held a byte that is not UTF-8 is refused here."""
-    if (bad := utf8_error(line)) is not None:
-        raise ParseError(bad, line_number)
-    cols = line.rstrip("\n").split("\t")
+    first ``MAX_AUX``); a byte that is not UTF-8 is refused (``check_utf8``)."""
+    cols = check_utf8(line, line_number, ParseError).rstrip("\n").split("\t")
     if len(cols) != 7:
         raise ParseError(f"expected 7 columns, got {len(cols)}", line_number)
     return cols[:3], [[cols[3]]] + [t.split("|")[:MAX_AUX] if t else [] for t in cols[4:]]
@@ -242,11 +238,8 @@ def parse_log_line(line: str, schemas: Mapping[str, GroupSchema], vocab: Vocabul
 
 def read_examples(path, schemas: Mapping[str, GroupSchema], vocab: Vocabulary) -> list[LabeledExample]:
     cache: dict = {}
-    out = []
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for i, line in enumerate(fh, start=1):
-            out.append(parse_log_line(line, schemas, vocab, line_number=i, cache=cache))
-    return out
+    with read_lines(path, ParseError) as lines:
+        return [parse_log_line(line, schemas, vocab, i, cache) for i, line in lines]
 
 
 def iter_group_records(lines: Iterable[str]) -> Iterable[tuple[str, dict[str, tuple[str, ...]]]]:
@@ -302,19 +295,19 @@ class SyntheticConfig:
 
 def read_config(cls, path, **overrides) -> dict:
     """The keyword arguments of a config dataclass: a JSON object file's
-    keys, then ``overrides``. A file that is not a JSON object, or a key the
-    class does not have, is a ``ConfigError`` naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    keys, then ``overrides``. Any other file, or a key the class does not
+    have, is a ``ConfigError`` naming the file (and the line, where there is one)."""
+    with read_lines(path, ConfigError) as lines:
         try:
-            data = json.load(fh)
+            data = json.loads("\n".join(text for _, text in lines))
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
-    data.update(overrides)
-    unknown = data.keys() - {f.name for f in fields(cls)}
-    if unknown:
-        raise ConfigError(f"{path}: unknown {cls.__name__} key(s) {sorted(unknown)}")
+            raise ConfigError(f"{exc.msg} at column {exc.colno}", exc.lineno) from None
+        if not isinstance(data, dict):
+            raise ConfigError("expected a JSON object")
+        data.update(overrides)
+        unknown = data.keys() - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown {cls.__name__} key(s) {sorted(unknown)}")
     return data
 
 

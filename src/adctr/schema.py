@@ -16,6 +16,7 @@ out-of-vocabulary index.
 from __future__ import annotations
 
 from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -32,7 +33,20 @@ class FieldKind(str, Enum):
     NUMERICAL = "numerical"
 
 
-class SchemaError(ValueError):
+class InputError(ValueError):
+    """A refused input, read as ``<path>: line <n>: <message>`` with the
+    parts that are known; ``read_lines`` fills in the path."""
+
+    def __init__(self, message: str, line_number: int = 0):
+        super().__init__(message)
+        self.message, self.line_number, self.path = message, line_number, None
+
+    def __str__(self) -> str:
+        return "".join((f"{self.path}: " if self.path is not None else "",
+                        f"line {self.line_number}: " if self.line_number else "", self.message))
+
+
+class SchemaError(InputError):
     pass
 
 
@@ -163,31 +177,27 @@ class Vocabulary:
     def load(cls, path) -> "Vocabulary":
         """Read a file ``dumps`` wrote: line n holds index n - 1, and no
         (field, value) has two lines. Any other file is a ``SchemaError``
-        naming the line."""
+        naming the file and the line."""
         oov: dict[str, int] = {}
         index: dict[tuple[str, str], int] = {}
         counts: list[int] = []
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                text = line.rstrip("\n")
-                if (bad := utf8_error(text)) is not None:
-                    raise SchemaError(f"{path}: line {lineno}: {bad}")
+        with read_lines(path, SchemaError) as lines:
+            for lineno, text in lines:
                 cols = text.split("\t")
                 if len(cols) != 4 or not all(c.isascii() and c.isdigit() for c in cols[2:]):
-                    raise SchemaError(f"{path}: line {lineno}: expected field, value, index "
-                                      f"and count columns, got {text!r}")
+                    raise SchemaError("expected field, value, index and count columns, "
+                                      f"got {text!r}", lineno)
                 field_name, value, idx, count = cols
                 idx = int(idx)
                 if idx != len(counts):
                     problem = ("repeats an earlier line's index" if idx < len(counts)
                                else f"skips index {len(counts)}")
-                    raise SchemaError(f"{path}: line {lineno}: index {idx} {problem}")
+                    raise SchemaError(f"index {idx} {problem}", lineno)
                 table, key = ((oov, field_name) if value == "<oov>"
                               else (index, (field_name, value[1:] if value[:1] == "\\"
                                             else value)))
                 if key in table:
-                    raise SchemaError(f"{path}: line {lineno}: repeated value {value!r} "
-                                      f"of field {field_name!r}")
+                    raise SchemaError(f"repeated value {value!r} of field {field_name!r}", lineno)
                 table[key] = idx
                 counts.append(int(count))
         return cls(oov, index, counts)
@@ -347,56 +357,62 @@ def save_schemas(schemas: Mapping[str, GroupSchema], path) -> None:
         fh.write(dump_schemas(schemas))
 
 
-def parse_schemas(text: str) -> dict[str, GroupSchema]:
-    """Read the schema file format; every refusal is a ``SchemaError``
-    naming the line."""
+def load_schemas(path) -> dict[str, GroupSchema]:
+    """Read the schema file format, skipping blank lines; every refusal is a
+    ``SchemaError`` naming the file and the line."""
     fields: dict[str, list[FieldSchema]] = {}
     # A field several groups declare alike is one object, so a parse memo's
     # entry, which holds the field schema it was encoded under, serves each
     # of those groups.
     shared: dict[FieldSchema, FieldSchema] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        cols = line.split("\t")
-        try:
-            if (bad := utf8_error(line)) is not None:
-                raise SchemaError(bad)
-            if len(cols) not in (3, 4):
-                raise SchemaError("expected 3 or 4 columns")
-            group, name, kind = cols[:3]
-            if group not in GROUPS:
-                raise SchemaError(f"unknown ad group {group!r}")
-            if name in (f.name for f in fields.get(group, ())):
-                raise SchemaError(f"field {name!r} repeats in group {group!r}")
-            # FieldKind and float refuse a bad kind or boundary with a ValueError
-            boundaries = tuple(float(b) for b in cols[3].split(",")) if len(cols) == 4 else ()
-            fs = FieldSchema(name, FieldKind(kind), boundaries)
-        except ValueError as exc:
-            raise SchemaError(f"schema line {lineno}: {exc}") from None
-        fields.setdefault(group, []).append(shared.setdefault(fs, fs))
+    with read_lines(path, SchemaError) as lines:
+        for lineno, line in lines:
+            if not line.strip():
+                continue
+            cols = line.split("\t")
+            try:
+                if len(cols) not in (3, 4):
+                    raise SchemaError("expected 3 or 4 columns")
+                group, name, kind = cols[:3]
+                if group not in GROUPS:
+                    raise SchemaError(f"unknown ad group {group!r}")
+                if name in (f.name for f in fields.get(group, ())):
+                    raise SchemaError(f"field {name!r} repeats in group {group!r}")
+                # FieldKind and float refuse a bad kind or boundary with a ValueError
+                boundaries = tuple(float(b) for b in cols[3].split(",")) if len(cols) == 4 else ()
+                fs = FieldSchema(name, FieldKind(kind), boundaries)
+            except ValueError as exc:
+                raise SchemaError(str(exc), lineno) from None
+            fields.setdefault(group, []).append(shared.setdefault(fs, fs))
     return {g: GroupSchema(g, tuple(fs)) for g, fs in fields.items()}
-
-
-def load_schemas(path) -> dict[str, GroupSchema]:
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        return parse_schemas(fh.read())
 
 
 def schemas_hash(schemas: Mapping[str, GroupSchema]) -> str:
     return _digest(dump_schemas(schemas))
 
 
-def utf8_error(line: str) -> str | None:
-    """Why a line read with ``errors="surrogateescape"`` is not UTF-8 text
-    (it held a byte that is not), or None if it is."""
-    if line.isascii():
-        return None
-    try:
-        line.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        return f"character {exc.start + 1} is not UTF-8 text"
-    return None
+@contextmanager
+def read_lines(path, error: type[InputError]):
+    """A text file's ``(line number, text)`` pairs, newlines stripped, read as
+    UTF-8 with universal newlines. A line that is not UTF-8 is an ``error`` (the
+    format's refusal type); an ``InputError`` raised in the block gets the path."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        try:
+            yield ((n, check_utf8(line.rstrip("\n"), n, error)) for n, line in enumerate(fh, 1))
+        except InputError as exc:
+            exc.path = exc.path or path
+            raise
+
+
+def check_utf8(text: str, line_number: int, error: type[InputError]) -> str:
+    """``text``, or, if it was read with ``errors="surrogateescape"`` and
+    held a byte that is not UTF-8, an ``error`` naming the line."""
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise error(f"character {exc.start + 1} is not UTF-8 text", line_number) from None
+    return text
 
 
 def _digest(text: str) -> str:

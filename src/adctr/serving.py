@@ -22,10 +22,9 @@ file order and behavior events reach the store in (timestamp, file order):
     REQ \\t ts \\t user_id \\t request_id \\t slots \\t ad_fields|ad_fields|...
 
 REQ candidates carry the target-schema ad fields except user_id, which is
-filled in from the request; a candidate that names a user_id is a
-``ParseError`` naming the line, as a catalog ad that has one is. A field the
-ad's group does not have is a ``ParseError`` naming the line, here and in the
-catalog. Each distinct ``field=value`` text of an event log is split and
+filled in from the request. A candidate or catalog ad that names a user_id,
+or a field its group does not have, is a ``ParseError`` naming the file and
+the line. Each distinct ``field=value`` text of an event log is split and
 encoded once (``ingest.read_fields``), and each request's user_id once per
 user. Behavior events become visible to requests only after the configured
 propagation lag.
@@ -66,7 +65,7 @@ from .ingest import (FieldHit, ParseError, encode_ad, field_hit, parse_ad, parse
 from .models import ModelScorer, forward_batch  # noqa: F401
 from .numerics import Array
 from .schema import (EncodedInstance, EncodeError, GroupSchema, RawRecord, Vocabulary,
-                     encode_field, encode_instance, utf8_error)
+                     encode_field, encode_instance, read_lines)
 from .session import SessionStore
 
 MAX_LINE_BYTES = 64 * 1024  # a RANK line, newline included
@@ -178,13 +177,10 @@ def parse_events(path, schemas: Mapping[str, GroupSchema], vocab: Vocabulary) ->
     target = schemas["target"]
     user_fs = target.field("user_id")
     users: dict[str, FieldHit] = {}  # each user's user_id field, encoded once
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
+    with read_lines(path, ParseError) as lines:
+        for lineno, line in lines:
             if not line:
                 continue
-            if (bad := utf8_error(line)) is not None:
-                raise ParseError(bad, lineno)
             cols = line.split("\t")
             tag = cols[0]
             if tag in ("IMP", "CLICK"):
@@ -432,15 +428,12 @@ def load_catalog(path, target_schema: GroupSchema) -> dict[str, dict[str, tuple[
     """Catalog file: ad_id \\t field=value;... (target-schema ad fields
     except user_id, which a request fills in). A field the target schema does
     not have, a user_id, a key other than the ad's own ``ad_id`` value, or a
-    repeated key is a ``ParseError`` naming the line."""
+    repeated key is a ``ParseError`` naming the file and the line."""
     catalog: dict[str, dict[str, tuple[str, ...]]] = {}
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
+    with read_lines(path, ParseError) as lines:
+        for lineno, line in lines:
             if not line:
                 continue
-            if (bad := utf8_error(line)) is not None:
-                raise ParseError(bad, lineno)
             ad_id, _, fields = line.partition("\t")
             if ad_id in catalog:
                 raise ParseError(f"repeated catalog key {ad_id!r}", lineno)

@@ -117,15 +117,13 @@ class SessionStore:
     @classmethod
     def restore(cls, path, schemas, vocab) -> "SessionStore":
         from .ingest import ParseError, parse_ad, parse_uint
-        from .schema import utf8_error
+        from .schema import read_lines
 
         store = cls()
         cache: dict = {}
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if (bad := utf8_error(line)) is not None:
-                    raise ParseError(bad, lineno)
-                cols = line.rstrip("\n").split("\t")
+        with read_lines(path, ParseError) as lines:
+            for lineno, line in lines:
+                cols = line.split("\t")
                 if len(cols) != 4:
                     raise ParseError(f"snapshot line needs 4 columns, got {len(cols)}", lineno)
                 user_id, tag, ts_text, ad_text = cols

@@ -223,7 +223,7 @@ def test_a_malformed_training_line_is_a_parse_error_naming_it(data_dir, tmp_path
     assert main(["train", "--variant", "lr", "--train", str(train),
                  "--val", str(data_dir / "val.tsv"), "--schema", str(data_dir / "schema.tsv"),
                  "--out", str(tmp_path / "model.ckpt")]) == 2
-    assert capsys.readouterr().err == f"adctr: line 7: {message}\n"
+    assert capsys.readouterr().err == f"adctr: {train}: line 7: {message}\n"
 
 
 def _train_args(data_dir, tmp_path, **paths):
@@ -250,8 +250,7 @@ def test_a_bad_schema_or_vocabulary_file_is_one_line_with_status_2(data_dir, che
     schema = tmp_path / "schema.tsv"
     schema.write_text("target\tuser_id\tunivalent\ntarget\tage\tbogus\n", encoding="utf-8")
     assert main(_train_args(data_dir, tmp_path, **{"--schema": str(schema)})) == 2
-    assert capsys.readouterr().err == ("adctr: schema line 2: 'bogus' is not a valid "
-                                       "FieldKind\n")
+    assert capsys.readouterr().err == f"adctr: {schema}: line 2: 'bogus' is not a valid FieldKind\n"
     ckpt = tmp_path / "model.ckpt"
     for suffix in ("", ".schema.tsv"):
         (tmp_path / f"model.ckpt{suffix}").write_bytes(
@@ -278,7 +277,7 @@ def test_a_non_finite_training_loss_is_one_line_with_status_2(data_dir, tmp_path
     ('{"patience": 3}', "{path}: unknown TrainConfig key(s) ['patience']"),
     ('{"dropout": 1.5}', "dropout must be in [0, 1), got 1.5"),
     ("[1]", "{path}: expected a JSON object"),
-    ('{"epochs": 1', "{path}: Expecting ',' delimiter: line 1 column 13 (char 12)"),
+    ('{"epochs": 1', "{path}: line 1: Expecting ',' delimiter at column 13"),
 ])
 def test_a_train_config_the_cli_refuses_is_one_line_with_status_2(data_dir, tmp_path, capsys,
                                                                   config, message):
@@ -313,7 +312,8 @@ def test_a_byte_that_is_not_utf8_in_a_log_is_one_line_naming_it(data_dir, tmp_pa
     for s, lines in logs.items():
         paths[s].write_bytes(b"".join(lines))
     assert main(_train_args(data_dir, tmp_path, **{s: str(p) for s, p in paths.items()})) == 2
-    assert capsys.readouterr().err == f"adctr: line 31: character {at + 1} is not UTF-8 text\n"
+    assert capsys.readouterr().err == (f"adctr: {paths[split]}: line 31: character {at + 1} is not "
+                                       "UTF-8 text\n")
 
 
 def test_a_crlf_copy_of_a_log_trains_the_same_bytes(data_dir, tmp_path):
@@ -330,3 +330,45 @@ def test_a_crlf_copy_of_a_log_trains_the_same_bytes(data_dir, tmp_path):
         out[ending] = [Path(f"{run / 'model.ckpt'}{suffix}").read_bytes()
                        for suffix in ("", ".vocab.tsv")]
     assert out[b"\n"] == out[b"\r\n"]
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+def test_a_config_file_that_is_not_utf8_is_one_line_naming_file_and_line(data_dir, tmp_path,
+                                                                         capsys, command):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{\n  "seed": 3,\n  "note\xff": 1\n}\n')
+    args = (_train_args(data_dir, tmp_path, **{"--config": str(path)}) if command == "train"
+            else ["gen-data", "--config", str(path), "--out", str(tmp_path / "data")])
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"adctr: {path}: line 3: character 8 is not UTF-8 text\n"
+    assert not (tmp_path / "data").exists() and not (tmp_path / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("bad, line, message", [
+    ("--val", "1\t2\t3", "expected 7 columns, got 3"),
+    ("--train", "1\t2\t3", "expected 7 columns, got 3"),  # refused by the vocabulary pass
+    ("--schema", "target\tage\tbogus", "'bogus' is not a valid FieldKind"),
+])
+def test_a_bad_line_is_one_line_naming_its_file_and_line(data_dir, tmp_path, capsys, bad, line,
+                                                         message):
+    paths = {"--train": tmp_path / "train.tsv", "--val": tmp_path / "val.tsv",
+             "--schema": tmp_path / "schema.tsv"}
+    paths["--train"].write_bytes(_log_bytes(data_dir, "train.tsv", 40))
+    paths["--val"].write_bytes(_log_bytes(data_dir, "val.tsv", 40))
+    paths["--schema"].write_bytes((data_dir / "schema.tsv").read_bytes())
+    paths[bad].write_bytes(line.encode() + b"\n" + paths[bad].read_bytes())
+    assert main(_train_args(data_dir, tmp_path, **{k: str(p) for k, p in paths.items()})) == 2
+    assert capsys.readouterr().err == f"adctr: {paths[bad]}: line 1: {message}\n"
+
+
+def test_a_bad_vocabulary_sidecar_line_is_one_line_naming_its_file_and_line(data_dir, checkpoint,
+                                                                            tmp_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    for suffix in ("", ".schema.tsv", ".vocab.tsv"):
+        Path(f"{ckpt}{suffix}").write_bytes(Path(f"{checkpoint}{suffix}").read_bytes())
+    vocab = Path(f"{ckpt}.vocab.tsv")
+    lines = vocab.read_bytes().splitlines(keepends=True)
+    lines[4] = b"x0\t\xff\t4\t0\n"
+    vocab.write_bytes(b"".join(lines))
+    assert main(["eval", "--ckpt", str(ckpt), "--test", str(data_dir / "test.tsv")]) == 2
+    assert capsys.readouterr().err == f"adctr: {vocab}: line 5: character 4 is not UTF-8 text\n"

@@ -149,7 +149,7 @@ class TestParsedForm:
         lines[2] = lines[2][:at] + b"\xff" + lines[2][at:]
         path.write_bytes(b"".join(l + b"\n" for l in lines))
         message = f"line 3: character {at + 1} is not UTF-8 text"
-        with pytest.raises(ParseError, match=f"^{message}$"):
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: {message}$"):
             read_examples(path, ds.schemas, vocab)
         with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             with pytest.raises(ParseError, match=f"^{message}$"):
@@ -334,7 +334,7 @@ def test_memoized_passes_equal_the_token_by_token_reference(tmp_path_factory, li
     except ParseError as exc:  # the first refused value, named by its own line
         with pytest.raises(ParseError) as info:
             read_examples(path, _SCHEMAS, vocab)
-        assert str(info.value) == str(exc)
+        assert str(info.value) == f"{path}: {exc}"
         assert info.value.line_number == exc.line_number
     else:
         assert read_examples(path, _SCHEMAS, vocab) == expected

@@ -91,8 +91,8 @@ def _outcome(parse):
     """(result, None) or (None, (message, line number)) of a parse."""
     try:
         return parse(), None
-    except ParseError as exc:
-        return None, (str(exc), exc.line_number)
+    except ParseError as exc:  # the file's path aside: a line parsed alone has none
+        return None, (exc.message, exc.line_number)
 
 
 def _each_line_alone(lines, parse_line):
@@ -185,7 +185,7 @@ def test_restore_parses_as_a_fresh_memo_per_line_does(tmp_path_factory, mutation
         try:
             store = SessionStore.restore(alone_path, _SCHEMAS, _VOCAB)
         except ParseError as exc:  # alone, the line is line 1
-            raise ParseError(str(exc).removeprefix("line 1: "), lineno) from None
+            raise ParseError(exc.message, lineno) from None
         user, tag, ts = line.split("\t")[:3]
         (ad,) = store.get_history(user, int(ts))[tag == "unclk"]
         return user, ad, tag == "clk", int(ts)

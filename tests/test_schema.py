@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -9,9 +10,8 @@ from hypothesis import strategies as st
 from adctr.ingest import parse_ad
 from adctr.numerics import make_rng
 from adctr.schema import (EncodedInstance, EncodeError, FieldKind, FieldSchema, GroupSchema,
-                          SchemaError, Vocabulary, bigrams, bucketize, build_vocabulary, dump_schemas,
-                          encode_instance, load_schemas, parse_schemas, save_schemas,
-                          schemas_hash)
+                          SchemaError, Vocabulary, bigrams, bucketize, build_vocabulary,
+                          dump_schemas, encode_instance, load_schemas, save_schemas, schemas_hash)
 from oracles import oov
 
 AD_FIELDS = (FieldSchema("ad_id", FieldKind.UNIVALENT),
@@ -163,7 +163,8 @@ class TestVocabulary:
         assert lines[7] == "title\tf\u00e9\t7\t0\n".encode()
         lines[7] = b"title\tf\xff\t7\t0\n"
         path.write_bytes(b"".join(lines))
-        with pytest.raises(SchemaError, match="line 8: character 8 is not UTF-8 text$"):
+        message = "line 8: character 8 is not UTF-8 text"
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: {message}$"):
             Vocabulary.load(path)
 
     def test_content_hash_is_pinned(self):
@@ -360,9 +361,11 @@ def test_schema_file_round_trip(tmp_path):
     ("target\tuser_id\n", "line 1: expected 3 or 4 columns"),
 ], ids=["kind", "boundary-number", "boundary-order", "no-boundaries", "stray-boundaries",
         "group", "repeated-field", "columns"])
-def test_parse_schemas_rejects_bad_lines(text, message):
-    with pytest.raises(SchemaError, match=f"^schema {message}"):
-        parse_schemas(text)
+def test_parse_schemas_rejects_bad_lines(tmp_path, text, message):
+    path = tmp_path / "schema.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: {message}"):
+        load_schemas(path)
 
 
 def test_load_schemas_refuses_a_byte_that_is_not_utf8_naming_the_line(tmp_path):
@@ -370,7 +373,8 @@ def test_load_schemas_refuses_a_byte_that_is_not_utf8_naming_the_line(tmp_path):
     path.write_bytes("target\tuser_id\tunivalent\ntarget\tcaf\u00e9\tunivalent\n".encode())
     assert [f.name for f in load_schemas(path)["target"].fields] == ["user_id", "caf\u00e9"]
     path.write_bytes(b"target\tuser_id\tunivalent\ntarget\tcaf\xff\tunivalent\n")
-    with pytest.raises(SchemaError, match="^schema line 2: character 11 is not UTF-8 text$"):
+    with pytest.raises(SchemaError,
+                       match=f"^{re.escape(str(path))}: line 2: character 11 is not UTF-8 text$"):
         load_schemas(path)
 
 

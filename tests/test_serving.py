@@ -485,7 +485,8 @@ class TestReplay:
         assert events[1].ad.raw_dict()["title"][0].startswith("caf\u00e9 ")  # UTF-8 reads
         path.write_bytes(f"IMP\t90\tu1\t{ad}\n".encode() + b"IMP\t91\tu1\t\xff"
                          + ad.encode() + b"\n")
-        with pytest.raises(ParseError, match="^line 2: character 11 is not UTF-8 text$") as info:
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2: character 11 is "
+                                             "not UTF-8 text$") as info:
             parse_events(path, ds.schemas, vocab)
         assert info.value.line_number == 2
 
@@ -1053,7 +1054,8 @@ def test_catalog_line_with_a_byte_that_is_not_utf8_is_refused_naming_the_line(tm
                      + f"{ids[1]}\t{fields[1]}".encode().replace(b"title=", b"title=\xff", 1)
                      + b"\n")
     at = len(ids[1]) + 1 + fields[1].index("title=") + 7
-    with pytest.raises(ParseError, match=f"^line 2: character {at} is not UTF-8 text$") as info:
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2: character {at} is "
+                                         "not UTF-8 text$") as info:
         serving.load_catalog(path, ds.schemas["target"])
     assert info.value.line_number == 2
 

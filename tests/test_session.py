@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -354,7 +356,8 @@ class TestSnapshot:
         assert any(t.startswith("caf\u00e9 ") for t in titles)  # UTF-8 beyond ASCII reads
         path.write_bytes(f"u\tclk\t1\t{ad}\n".encode() + b"u\tclk\t2\t\xff" + ad.encode()
                          + b"\n")
-        with pytest.raises(ParseError, match="^line 2: character 9 is not UTF-8 text$") as info:
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2: character 9 is "
+                                             "not UTF-8 text$") as info:
             SessionStore.restore(path, ds.schemas, vocab)
         assert info.value.line_number == 2
 
