@@ -27,6 +27,7 @@ probability of every emitted example is recorded for oracle use.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -206,10 +207,14 @@ def serialize_ad(inst: EncodedInstance) -> str:
 
 def parse_uint(text: str, what: str, line_number: int) -> int:
     """A non-negative integer written in ASCII digits only (no sign, space
-    or underscore); anything else is a ``ParseError`` naming the line."""
+    or underscore); anything else, or more digits than Python converts to an
+    int, is a ``ParseError`` naming the line."""
     if not (text.isascii() and text.isdigit()):
         raise ParseError(f"bad {what} {text!r}", line_number)
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # over sys.get_int_max_str_digits()
+        raise ParseError(f"{what} has {len(text)} digits, too many to read", line_number) from None
 
 
 def _split_line(line: str, line_number: int) -> tuple[list[str], list[list[str]]]:
@@ -280,6 +285,7 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_config_types(self)
         if not 0.0 < self.base_ctr < 1.0:
             raise ConfigError("base_ctr must be in (0, 1)")
         for name in ("affinity_boost", "context_suppression", "unclicked_penalty"):
@@ -298,10 +304,13 @@ def read_config(cls, path, **overrides) -> dict:
     keys, then ``overrides``. Any other file, or a key the class does not
     have, is a ``ConfigError`` naming the file (and the line, where there is one)."""
     with read_lines(path, ConfigError) as lines:
+        text = "\n".join(line for _, line in lines)
         try:
-            data = json.loads("\n".join(text for _, text in lines))
+            data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{exc.msg} at column {exc.colno}", exc.lineno) from None
+        except ValueError:  # a number over sys.get_int_max_str_digits() digits
+            raise ConfigError("a number has too many digits to read") from None
         if not isinstance(data, dict):
             raise ConfigError("expected a JSON object")
         data.update(overrides)
@@ -309,6 +318,33 @@ def read_config(cls, path, **overrides) -> dict:
         if unknown:
             raise ConfigError(f"unknown {cls.__name__} key(s) {sorted(unknown)}")
     return data
+
+
+def _integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# A config field's annotation -> (the test its value passes, what that asks for)
+_CONFIG_TYPES = {
+    "int": (_integer, "an integer"),
+    "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "tuple[int, ...]": (lambda v: isinstance(v, (tuple, list)) and all(map(_integer, v)),
+                        "a list of integers"),
+}
+
+
+def check_config_types(config) -> None:
+    """Refuse a field of a config dataclass whose value is not of its
+    annotated type, as a ``ConfigError`` naming the field, before any range
+    check compares it: an integer field takes no float, and neither an
+    integer nor a number field takes a bool."""
+    for f in fields(config):
+        test, wanted = _CONFIG_TYPES[f.type]
+        value = getattr(config, f.name)
+        if not test(value):
+            raise ConfigError(f"{f.name} must be {wanted}, got {value!r}")
 
 
 def click_probability(cfg: SyntheticConfig, n_clicked_match: int, n_contextual_match: int,

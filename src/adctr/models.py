@@ -371,19 +371,11 @@ def pre_activations(model: ModelParams, trace: BatchTrace) -> list[Array]:
 #
 # The candidates of one serving request share their clicked and unclicked
 # ads, and the fusion layer is linear in m = [x_t, ctx, clk, unclk]. So the
-# fusion pre-activation is summed group by group: x_t W_t^T + b, then each
-# history group's aggregate times its block of the fusion weights, once per
-# request; a round with contextual ads adds only that group's term before the
-# layers above the fusion layer run. A group with no ads adds nothing.
-# Pooling and self-attention aggregate the shared ads once, (1, D_g).
-# Interactive attention splits its hidden layer as x_t W_t^T + b1, once per
-# candidate, plus ads W_a^T, once per ad, adds the two as one (n, m, H)
-# broadcast and weights the ads per candidate. The contextual ads are
-# candidates of the same request (round 2's winner), so their embeddings are
-# read out of the prepared rows instead of being encoded and embedded again.
-# The weight blocks, halves and copies a request reads are laid out once per
-# model, in a ``ModelScorer``, which also keeps each ad's embedded row once it
-# has been named.
+# fusion pre-activation is summed group by group, once per request: x_t W_t^T
+# + b, then each history group's aggregate times its block of the fusion
+# weights; a round with contextual ads (round 2's winner, read out of the
+# prepared rows) adds only that group's term before the layers above the
+# fusion layer run. A group with no ads adds nothing.
 
 @dataclass(frozen=True)
 class RequestRows:
@@ -416,20 +408,22 @@ class ModelScorer:
     (``x @ W.T`` on the strided view runs about 1.7 times as slowly at
     serving's few rows), with each group's block of the fusion weights a row
     slice of fusion's copy and each layer above fusion a ``(W^T, b)`` pair;
-    for interactive attention, each attention block's target and ad halves
-    (views into ``model.tensors``); and the contextual column index. Every
-    ad it embeds is kept (``EmbeddedAds``, empty until a request names an
-    ad): the clicked and unclicked history ads' rows, keyed by the ad, and
-    the RANK catalog's target rows, keyed by the caller's key with their
-    user_id segment zero. So a scorer serves the model as it was when the
-    scorer was built: a change to the model's tensors reaches the views but
-    not the copies or the rows, and needs a new scorer."""
+    the attention blocks' weights transposed, split into target and ad
+    halves for interactive attention (views into ``model.tensors``); and the
+    contextual column index. Every ad it embeds is kept (``EmbeddedAds``,
+    empty until a request names an ad): the clicked and unclicked history
+    ads' rows, keyed by the ad, and the RANK catalog's target rows, keyed by
+    the caller's key with their user_id segment zero. So a scorer serves the
+    model as it was when the scorer was built: a change to the model's
+    tensors reaches the views but not the copies or the rows, and needs a
+    new scorer. A request embeds only the ads with no kept row and works in
+    place on the arrays its matmuls return."""
 
     def __init__(self, model: ModelParams):
         tensors, d_t = model.tensors, model.dim("target")
         self.model = model
         self.fusion: dict[str, Array] = {}  # group -> (D_g, H_1) rows of fusion's W^T
-        self.halves: dict[str, tuple[Array, Array]] = {}  # group -> (W_t, W_a), DSTN-I
+        self.attention: dict[str, tuple] = {}  # group -> ([W_t^T,] W_a^T, b1, w2, b2)
         self.contextual: Array | None = None  # the target columns of the contextual fields
         self.fc: list[tuple[Array, Array]] = []  # the layers above fusion, (W^T, b)
         self.history: dict[str, EmbeddedAds] = {}  # clicked, unclicked -> their ads' rows
@@ -447,9 +441,10 @@ class ModelScorer:
         for group in ("target",) + (AUX_GROUPS if model.variant.uses_aux else ()):
             self.fusion[group] = wts[0][lo : lo + model.dim(group)]
             lo += model.dim(group)
-        for group in AUX_GROUPS if model.variant == Variant.DSTN_I else ():
-            w = _attention(model, group)[0]
-            self.halves[group] = (w[:, :d_t], w[:, d_t:])
+        for group in AUX_GROUPS if model.variant in _ATTENTION else ():
+            w, b1, w2, b2 = _attention(model, group)
+            halves = (w[:, :d_t].T, w[:, d_t:].T) if model.variant == Variant.DSTN_I else (w.T,)
+            self.attention[group] = halves + (b1, w2, b2)
         if model.variant.uses_aux:
             self.history = {group: EmbeddedAds(tensors["emb.E"])
                             for group in ("clicked", "unclicked")}
@@ -469,30 +464,28 @@ class ModelScorer:
         variant = self.model.variant
         if variant == Variant.DSTN_P:
             return ads.sum(axis=0, keepdims=True)
-        w, b1, w2, b2 = _attention(self.model, group)
         if variant == Variant.DSTN_S:  # a softmax over the ads' scores
-            score = relu(ads @ w.T + b1) @ w2 + b2[0]
+            w, b1, w2, b2 = self.attention[group]
+            score = relu(ads @ w + b1) @ w2 + b2[0]
             e = np.exp(score - score.max())
-            alpha = (e / e.sum())[None]
-        else:  # interactive: per candidate, unnormalized weights on every ad
-            w_t, w_a = self.halves[group]
-            hid = relu((x_t @ w_t.T + b1)[:, None, :] + ads @ w_a.T)
-            alpha = np.exp(np.minimum(hid @ w2 + b2[0], SCORE_CLAMP))
-        return np.einsum("nm,md->nd", alpha, ads)
-
-    def add_group(self, pre: Array, group: str, ads: Array, x_t: Array) -> Array:
-        """``pre`` plus the group's fusion term, ``aggregate @ W_g^T``; a group
-        with no ads adds nothing."""
-        if not len(ads):
-            return pre
-        return pre + self.aggregate(group, ads, x_t) @ self.fusion[group]
+            return (e / e.sum())[None] @ ads
+        # interactive: x_t W_t^T + b1 per candidate plus ads W_a^T per ad, one (n, m, H) block
+        w_t, w_a, b1, w2, b2 = self.attention[group]
+        hid = (x_t @ w_t + b1)[:, None, :] + ads @ w_a
+        np.maximum(hid, 0.0, out=hid)  # relu
+        alpha = hid @ w2
+        alpha += b2[0]
+        np.exp(np.minimum(alpha, SCORE_CLAMP, out=alpha), out=alpha)
+        return alpha @ ads
 
     def top(self, pre: Array) -> Array:
         """pCTRs from fusion pre-activations: the layers above the fusion
-        layer, then the head."""
-        cur = relu(pre)
+        layer, then the head; ``pre`` is left as it is."""
+        cur = np.maximum(pre, 0.0)  # relu
         for wt, b in self.fc:
-            cur = relu(cur @ wt + b)
+            cur = cur @ wt
+            cur += b
+            np.maximum(cur, 0.0, out=cur)
         tensors = self.model.tensors
         return _pctr(cur @ tensors["out.w"] + tensors["out.b"][0])
 
@@ -509,13 +502,14 @@ class ModelScorer:
             x_t = embed_matrix(cols, model.tensors["emb.E"])
         if model.variant == Variant.LR:
             return RequestRows(x_t, x_t.sum(axis=1) + model.tensors["out.b"][0])
-        pre = x_t @ self.fusion["target"] + model.tensors["fusion.b"]
+        pre = x_t @ self.fusion["target"]
+        pre += model.tensors["fusion.b"]
         for group, ads in (("clicked", clicked), ("unclicked", unclicked)):
             if ads and group in self.history:
                 schema = model.schemas[group]
                 rows = self.history[group].take(
                     ads, lambda new: AdColumns.from_instances(new, schema))
-                pre = self.add_group(pre, group, rows, x_t)
+                pre += self.aggregate(group, rows, x_t) @ self.fusion[group]
         return RequestRows(x_t, pre)
 
     def score(self, rows: RequestRows, contextual: RequestRows | None) -> list[float]:
@@ -527,7 +521,8 @@ class ModelScorer:
             return _pctr(rows.pre).tolist()
         pre = rows.pre
         if contextual is not None and self.contextual is not None:
-            pre = self.add_group(pre, "contextual", contextual.x_t[:, self.contextual], rows.x_t)
+            ads = contextual.x_t[:, self.contextual]
+            pre = pre + self.aggregate("contextual", ads, rows.x_t) @ self.fusion["contextual"]
         return self.top(pre).tolist()
 
 

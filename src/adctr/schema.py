@@ -188,7 +188,10 @@ class Vocabulary:
                     raise SchemaError("expected field, value, index and count columns, "
                                       f"got {text!r}", lineno)
                 field_name, value, idx, count = cols
-                idx = int(idx)
+                try:
+                    idx, count = int(idx), int(count)
+                except ValueError:  # over sys.get_int_max_str_digits()
+                    raise SchemaError("a number has too many digits to read", lineno) from None
                 if idx != len(counts):
                     problem = ("repeats an earlier line's index" if idx < len(counts)
                                else f"skips index {len(counts)}")
@@ -199,7 +202,7 @@ class Vocabulary:
                 if key in table:
                     raise SchemaError(f"repeated value {value!r} of field {field_name!r}", lineno)
                 table[key] = idx
-                counts.append(int(count))
+                counts.append(count)
         return cls(oov, index, counts)
 
     def content_hash(self) -> str:

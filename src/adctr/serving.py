@@ -36,9 +36,9 @@ Wire protocol (one line per message):
 
 Candidates are catalog ads. Each is encoded and embedded once, on its first
 request, into a target row of the scorer's model kept by ad_id with its
-user_id segment left zero; a request stacks its candidates' rows and writes
-its own user's segment into them. ``now`` and ``slots`` are ASCII digits
-only. A line longer than MAX_LINE_BYTES gets ``ERR line too long`` and the
+user_id segment left zero; a request stacks its candidates' rows and adds
+its user's segment, a row read for a one-index user_id (the OOV index
+included). ``now`` and ``slots`` are ASCII digits only. A line longer than MAX_LINE_BYTES gets ``ERR line too long`` and the
 connection is closed; a request naming more than MAX_CANDIDATES candidates
 gets ``ERR too many candidates``. Each open connection holds a thread and
 one of MAX_CONNECTIONS slots, which it returns when it closes or its thread
@@ -55,8 +55,6 @@ import threading
 import time
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .embedding import AdColumns, embed_matrix
 from .ingest import (FieldHit, ParseError, encode_ad, field_hit, parse_ad, parse_uint, read_fields,
@@ -128,7 +126,7 @@ def rank_request(scorer, store: SessionStore, req: RankRequest) -> RankResult:
     rows = scorer.prepare(target, clicked, unclicked)
     scores1 = scorer.score(rows, None)
     rounds = [(time.perf_counter() - start, len(req.candidates))]
-    win = int(np.argmax(scores1))  # first occurrence wins ties
+    win = scores1.index(max(scores1))  # first occurrence wins ties
     ranked = [RankedAd(req.candidates[win], scores1[win], 1)]
 
     rest = [i for i in range(len(req.candidates)) if i != win]
@@ -137,7 +135,8 @@ def rank_request(scorer, store: SessionStore, req: RankRequest) -> RankResult:
         start = time.perf_counter()
         scores2 = scorer.score(others, winner)
         rounds.append((time.perf_counter() - start, len(rest)))
-        order = sorted(range(len(rest)), key=lambda i: (-scores2[i], i))
+        # highest first; a stable sort keeps ties in candidate order
+        order = sorted(range(len(rest)), key=scores2.__getitem__, reverse=True)
         ranked.extend(RankedAd(req.candidates[rest[i]], scores2[i], 2)
                       for i in order[: req.slots - 1])
     return RankResult(request_id=req.request_id, ranked=tuple(ranked), rounds=tuple(rounds))
@@ -320,7 +319,8 @@ class CatalogRows:
         x_t = kept.take(ad_ids, self._encode)
         if self._user is not None:
             k = kept.table.shape[1]
-            x_t[:, self._user * k : (self._user + 1) * k] = embed_matrix(
+            user = x_t[:, self._user * k : (self._user + 1) * k]  # zero in every kept row
+            user += kept.table[bag[0]] if len(bag) == 1 else embed_matrix(  # a row read
                 AdColumns.from_bags(1, [bag]), kept.table)
         return x_t
 

@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .embedding import EncodedBatch
-from .ingest import ConfigError, LabeledExample, read_config
+from .ingest import ConfigError, LabeledExample, check_config_types, read_config
 from .models import (BatchTrace, Gradients, ModelParams, Variant, backward, encode_batch,
                      forward_batch, init_model, loss, loss_from_logits, pre_activations)
 from .numerics import Array, adagrad_step, adagrad_step_rows, make_rng
@@ -55,6 +55,7 @@ class TrainConfig:
     ablate: str | None = None  # keep only this auxiliary group
 
     def __post_init__(self):
+        check_config_types(self)
         for name in ("batch_size", "epochs", "embedding_dim", "attention_dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)!r}")
@@ -70,7 +71,7 @@ class TrainConfig:
     @classmethod
     def from_json(cls, path, **overrides) -> "TrainConfig":
         data = read_config(cls, path, **overrides)
-        if "fc_dims" in data:
+        if isinstance(data.get("fc_dims"), list):
             data["fc_dims"] = tuple(data["fc_dims"])
         return cls(**data)
 

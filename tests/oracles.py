@@ -422,7 +422,7 @@ def score_with_contextual_ads(scorer: ModelScorer, rows,
     if contextual and scorer.contextual is not None:
         cols = AdColumns.from_instances(contextual, model.schemas["contextual"])
         ads = embed_matrix(cols, model.tensors["emb.E"])
-        pre = scorer.add_group(pre, "contextual", ads, rows.x_t)
+        pre = pre + scorer.aggregate("contextual", ads, rows.x_t) @ scorer.fusion["contextual"]
     return scorer.top(pre)
 
 
@@ -441,7 +441,8 @@ def prepare_afresh(scorer: ModelScorer, candidates: Sequence[EncodedInstance],
     for group, ads in (("clicked", clicked), ("unclicked", unclicked)):
         if ads and model.variant.uses_aux:
             cols = AdColumns.from_instances(ads, model.schemas[group])
-            pre = scorer.add_group(pre, group, embed_matrix(cols, table), x_t)
+            agg = scorer.aggregate(group, embed_matrix(cols, table), x_t)
+            pre = pre + agg @ scorer.fusion[group]
     return RequestRows(x_t, pre)
 
 

@@ -278,6 +278,9 @@ def test_a_non_finite_training_loss_is_one_line_with_status_2(data_dir, tmp_path
     ('{"dropout": 1.5}', "dropout must be in [0, 1), got 1.5"),
     ("[1]", "{path}: expected a JSON object"),
     ('{"epochs": 1', "{path}: line 1: Expecting ',' delimiter at column 13"),
+    ('{"epochs": "2"}', "epochs must be an integer, got '2'"),
+    ('{"fc_dims": 5}', "fc_dims must be a list of integers, got 5"),
+    ('{"learning_rate": null}', "learning_rate must be a number, got None"),
 ])
 def test_a_train_config_the_cli_refuses_is_one_line_with_status_2(data_dir, tmp_path, capsys,
                                                                   config, message):
@@ -294,6 +297,32 @@ def test_a_gen_data_config_the_cli_refuses_is_one_line_with_status_2(tmp_path, c
     assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "data")]) == 2
     assert capsys.readouterr().err == "adctr: n_users, n_ads and n_topics must be positive\n"
     assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ('{"n_users": "x"}', "n_users must be an integer, got 'x'"),
+    ('{"base_ctr": true}', "base_ctr must be a number, got True"),
+    ('{"seed": ' + "9" * 5000 + "}", "{path}: a number has too many digits to read"),
+], ids=["string", "bool", "5000-digits"])
+def test_a_gen_data_config_value_of_the_wrong_type_is_one_line_with_status_2(
+        tmp_path, capsys, config, message):
+    path = tmp_path / "gen.json"
+    path.write_text(config, encoding="utf-8")
+    assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "data")]) == 2
+    assert capsys.readouterr().err == f"adctr: {message.format(path=path)}\n"
+    assert not (tmp_path / "data").exists()
+
+
+def test_a_timestamp_past_python_s_digit_limit_is_one_line_naming_file_and_line(
+        data_dir, tmp_path, capsys):
+    lines = _log_bytes(data_dir, "val.tsv", 20).decode("utf-8").splitlines()
+    label, _, rest = lines[11].split("\t", 2)
+    lines[11] = "\t".join([label, "7" * 5000, rest])
+    val = tmp_path / "val.tsv"
+    val.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    assert main(_train_args(data_dir, tmp_path, **{"--val": str(val)})) == 2
+    assert capsys.readouterr().err == (f"adctr: {val}: line 12: timestamp has 5000 digits, "
+                                       "too many to read\n")
 
 
 def _log_bytes(data_dir, split, n):

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adctr import schema
-from adctr.ingest import (ParseError, SyntheticConfig, click_probability, generate_synthetic,
-                          iter_group_records, parse_log_line, read_examples)
+from adctr.ingest import (ConfigError, ParseError, SyntheticConfig, click_probability,
+                          generate_synthetic, iter_group_records, parse_log_line, parse_uint,
+                          read_examples)
 from adctr.schema import GROUPS, FieldKind, FieldSchema, GroupSchema, build_vocabulary
 from oracles import reference_examples, reference_vocabulary, serialize_example
 
@@ -81,6 +82,12 @@ class TestParseLogLine:
         with pytest.raises(ParseError, match=f"line 42: {message}") as info:
             parse_log_line(line, schemas, vocab, line_number=42, cache=None)
         assert info.value.line_number == 42
+
+    def test_a_timestamp_past_python_s_digit_limit_is_refused_naming_the_line(self):
+        with pytest.raises(ParseError, match="^line 3: timestamp has 5000 digits, too many to "
+                                             "read$"):
+            parse_uint("9" * 5000, "timestamp", 3)
+        assert parse_uint("9" * 4300, "timestamp", 3) == 10 ** 4300 - 1  # at the limit
 
 
 class TestParsedForm:
@@ -243,6 +250,27 @@ def test_config_validation():
         SyntheticConfig(base_ctr=0.0)
     with pytest.raises(ValueError):
         SyntheticConfig(affinity_boost=-0.1)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("n_users", "x", "n_users must be an integer, got 'x'"),
+    ("n_train", 10.0, "n_train must be an integer, got 10.0"),
+    ("seed", True, "seed must be an integer, got True"),
+    ("base_ctr", "0.3", "base_ctr must be a number, got '0.3'"),
+    ("affinity_boost", None, "affinity_boost must be a number, got None"),
+    ("promo_fraction", [0.25], "promo_fraction must be a number, got [0.25]"),
+])
+def test_a_config_value_of_the_wrong_type_is_refused_naming_the_key(key, value, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        SyntheticConfig(**{key: value})
+    assert SyntheticConfig(n_users=np.int64(20), base_ctr=1 / 3, affinity_boost=0).n_users == 20
+
+
+def test_a_config_number_past_python_s_digit_limit_is_refused_naming_the_file(tmp_path):
+    path = tmp_path / "gen.json"
+    path.write_text('{"seed": ' + "9" * 5000 + "}", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"gen\.json: a number has too many digits to read$"):
+        SyntheticConfig.from_json(path)
 
 
 def test_config_file_with_an_unknown_key_is_refused_naming_file_and_key(tmp_path):

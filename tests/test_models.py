@@ -223,8 +223,6 @@ class TestRaggedAggregation:
         n = 6
         x_t = rng.normal(size=(n, model.dim("target")))
         for group in AUX_GROUPS:
-            pre = rng.normal(size=(n, 12))
-            assert scorer.add_group(pre, group, np.zeros((0, model.dim(group))), x_t) is pre
             for n_ads in (1, 4):
                 ads = rng.normal(size=(n_ads, model.dim(group))) * 2.0
                 agg = scorer.aggregate(group, ads, x_t)
@@ -579,11 +577,17 @@ class TestScorerLayout:
             sources = [name for name, t in model.tensors.items() if np.shares_memory(arr, t)]
             assert len(sources) == 1
             read.update(sources)
-        # the FC biases and DSTN-I's attention halves
+        # the FC biases and every attention tensor, DSTN-I's weights as two halves
         want = {f"{layer}.b" for layer in layers}
-        if variant == "dstn-i":
-            want |= {f"attn.{group}.Wtc" for group in AUX_GROUPS}
+        if variant in ("dstn-s", "dstn-i"):
+            want |= {name for name in model.tensors if name.startswith("attn.")}
         assert read == want
+        if variant == "dstn-i":
+            d_t = model.dim("target")
+            for group in AUX_GROUPS:
+                w_t, w_a = scorer.attention[group][:2]
+                w = model.tensors[f"attn.{group}.Wtc"]
+                assert w_t.base is w_a.base is w and w_t.shape == (d_t, w.shape[0])
 
     def test_a_new_scorer_keeps_no_rows(self, toy_problem):
         scorer = ModelScorer(build("dstn-p", toy_problem))

@@ -153,6 +153,16 @@ class TestVocabulary:
         with pytest.raises(SchemaError, match=message):
             Vocabulary.load(path)
 
+    @pytest.mark.parametrize("row", ["title\tab\t" + "1" * 5000 + "\t2",
+                                     "title\tab\t1\t" + "2" * 5000], ids=["index", "count"])
+    def test_load_refuses_a_number_past_python_s_digit_limit_naming_file_and_line(
+            self, tmp_path, row):
+        path = tmp_path / "vocab.tsv"
+        path.write_text(f"title\t<oov>\t0\t0\n{row}\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: line 2: a number has "
+                                              "too many digits to read$"):
+            Vocabulary.load(path)
+
     def test_load_refuses_a_byte_that_is_not_utf8_naming_the_line(self, tmp_path):
         records = [("clicked", {"ad_id": ("a1",), "title": ("caf\u00e9",)})]
         vocab = build_vocabulary(records, SCHEMAS)

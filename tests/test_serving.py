@@ -22,7 +22,7 @@ from adctr.numerics import make_rng
 from adctr.serving import (AdServer, ModelScorer, RankProtocolServer, RankRequest,
                            ad_display_id, parse_events, rank_request, replay_session,
                            write_results)
-from adctr.schema import GroupSchema, SchemaError
+from adctr.schema import FieldKind, FieldSchema, GroupSchema, SchemaError
 from adctr.session import SessionStore
 from oracles import (StubRows, StubScorer, astype, oov, reference_handle_line,
                      request_candidate, score_alone)
@@ -843,6 +843,30 @@ def test_target_schema_without_user_id_serves_the_ads_own_rows(env):
     for line in (f"RANK u1 40 4 {good[0]},a0061", f"RANK  40 4 a0062,{good[0]}"):
         assert server.handle_line(line).startswith("ERR ")
         assert server.handle_line(line) == reference_handle_line(server, line)
+    server.stop()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_a_multivalent_user_id_segment_is_its_bag_summed_as_embedding_sums_it(env, dtype):
+    # A one-index bag is read as its table row; a bag of none or of several
+    # (the user_id's bigrams here) is embedded.
+    ds, vocab, train = env
+    target = GroupSchema("target", tuple(
+        FieldSchema(f.name, FieldKind.MULTIVALENT) if f.name == "user_id" else f
+        for f in ds.schemas["target"].fields))
+    model = init_model(Variant.DSTN_I, {**ds.schemas, "target": target}, vocab.size,
+                       make_rng(55), k=4, fc_dims=(8, 4), attention_dim=4, dropout_p=0.0)
+    server = RankProtocolServer(AdServer(ModelScorer(astype(model, dtype)), history_store(train)),
+                                rank_catalog(train), target, vocab)
+    rows, scorer = server.rows, server.ad_server.scorer
+    picks = tuple(sorted(ad for ad in rows.catalog if ad not in BROKEN_ADS)[:5])
+    user_field, bags = target.field_names.index("user_id"), set()
+    for user in ("u0037", "u1", "u", ""):
+        cands = tuple(request_candidate(rows.catalog[ad], user, target, vocab) for ad in picks)
+        bags.add(len(cands[0].indices[user_field]))
+        fresh = embed_matrix(AdColumns.from_instances(cands, target), scorer.model.tensors["emb.E"])
+        assert np.array_equal(rows.embedded(scorer, user, picks), fresh)  # bit for bit
+    assert bags == {0, 1, 4}
     server.stop()
 
 

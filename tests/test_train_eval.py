@@ -258,7 +258,9 @@ class TestTrain:
         ("epochs", 0), ("epochs", -2), ("learning_rate", 0.0), ("learning_rate", -0.01),
         ("learning_rate", math.nan), ("learning_rate", math.inf), ("dropout", 1.0),
         ("dropout", -0.1), ("dropout", math.nan), ("embedding_l2", -1.0),
-        ("embedding_l2", math.nan),
+        ("embedding_l2", math.nan), ("epochs", "2"), ("batch_size", 64.0), ("fc_dims", 5),
+        ("fc_dims", [8, 4.5]), ("fc_dims", [8, True]), ("learning_rate", "0.1"),
+        ("dropout", False), ("variant", 3), ("ablate", ["clicked"]),
     ])
     def test_a_value_training_cannot_use_is_refused_naming_the_key(self, tmp_path, key, value):
         with pytest.raises(ValueError, match=f"^{key} must be"):
@@ -267,6 +269,10 @@ class TestTrain:
         path.write_text(json.dumps({key: value}), encoding="utf-8")
         with pytest.raises(ValueError, match=f"^{key} must be"):
             TrainConfig.from_json(path)
+
+    def test_numpy_numbers_and_a_list_of_widths_are_accepted(self):
+        config = TrainConfig(epochs=np.int64(2), learning_rate=np.float32(0.5), fc_dims=[8, 4])
+        assert (config.epochs, config.fc_dims) == (2, [8, 4])
 
     def test_the_edges_of_each_range_are_accepted(self):
         config = TrainConfig(epochs=1, learning_rate=1e-300, dropout=0.0, embedding_l2=0.0)
