@@ -73,8 +73,8 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return command(args)
-    except (InputError, CheckpointError, train_eval.NonFiniteError, UsageError,
-            FileNotFoundError) as exc:  # refused input: one line, not a traceback
+    except (InputError, train_eval.NonFiniteError, UsageError, OSError) as exc:
+        # refused input, or a file or port the system refused: one line, not a traceback
         print(f"adctr: {exc}", file=sys.stderr)
         return 2
 
@@ -150,9 +150,13 @@ def _cmd_eval(args) -> int:
     if args.ablate:
         batch = batch.ablate(ABLATE_CHOICES[args.ablate])
     scores, attn = train_eval.predict(model, batch, collect_attention=bool(args.dump_attention))
-    report = train_eval.EvalReport(auc=train_eval.auc(scores, batch.labels),
-                                   logloss=train_eval.logloss_eval(scores, batch.labels),
-                                   n=len(batch), variant=model.variant.value)
+    try:
+        report = train_eval.EvalReport(auc=train_eval.auc(scores, batch.labels),
+                                       logloss=train_eval.logloss_eval(scores, batch.labels),
+                                       n=len(batch), variant=model.variant.value)
+    except train_eval.MetricUndefinedError as exc:  # the test log holds one class, or none
+        exc.path = args.test_path
+        raise
     print(report.format_line())
     report_path = args.report or f"{args.ckpt}.eval.kv"
     with open(report_path, "w", encoding="utf-8", newline="\n") as fh:

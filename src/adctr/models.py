@@ -235,14 +235,6 @@ class BatchTrace:
     logit: Array
     pctr: Array
 
-    def attention_weights(self, i: int) -> dict[str, list[float]]:
-        """Recorded per-ad weights of example i, by group, in ad order."""
-        out: dict[str, list[float]] = {}
-        for group, t in self.aux.items():
-            lo, hi = np.searchsorted(t.row_idx, (i, i + 1))
-            out[group] = t.alpha[lo:hi].tolist()
-        return out
-
 
 def encode_batch(model: ModelParams,
                  examples: EncodedBatch | Sequence[LabeledExample]) -> EncodedBatch:

@@ -32,6 +32,8 @@ import os
 
 import numpy as np
 
+from .schema import InputError
+
 Array = np.ndarray
 
 
@@ -39,7 +41,7 @@ class ContractViolation(ValueError):
     """An operation was called with inputs that break its contract."""
 
 
-class CheckpointError(ValueError):
+class CheckpointError(InputError):
     """A checkpoint file that does not read back as a model."""
 
 

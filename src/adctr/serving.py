@@ -14,8 +14,9 @@ pre-activation without its contextual term) is done once per request, what
 every request reads of the model is laid out once per scorer, and each
 history and catalog ad is embedded once per scorer.
 
-Event log (TSV), timestamps non-decreasing per user; requests are served in
-file order and behavior events reach the store in (timestamp, file order):
+Event log (TSV), timestamps non-decreasing per user (``parse_events``
+refuses a line that goes back); requests are served in file order and
+behavior events reach the store in (timestamp, file order):
 
     IMP \\t ts \\t user_id \\t ad_fields          # impression -> unclicked
     CLICK \\t ts \\t user_id \\t ad_fields        # click -> clicked
@@ -176,6 +177,7 @@ def parse_events(path, schemas: Mapping[str, GroupSchema], vocab: Vocabulary) ->
     target = schemas["target"]
     user_fs = target.field("user_id")
     users: dict[str, FieldHit] = {}  # each user's user_id field, encoded once
+    last_ts: dict[str, int] = {}  # each user's latest timestamp so far
     with read_lines(path, ParseError) as lines:
         for lineno, line in lines:
             if not line:
@@ -187,8 +189,8 @@ def parse_events(path, schemas: Mapping[str, GroupSchema], vocab: Vocabulary) ->
                     raise ParseError(f"{tag} line needs 4 columns", lineno)
                 group = "clicked" if tag == "CLICK" else "unclicked"
                 ad = parse_ad(cols[3], schemas[group], vocab, lineno, cache)
-                events.append(SimEvent(kind=tag.lower(), ts=parse_uint(cols[1], "timestamp", lineno),
-                                       user_id=cols[2], ad=ad))
+                event = SimEvent(kind=tag.lower(), ts=parse_uint(cols[1], "timestamp", lineno),
+                                 user_id=cols[2], ad=ad)
             elif tag == "REQ":
                 if len(cols) != 6:
                     raise ParseError("REQ line needs 6 columns", lineno)
@@ -208,28 +210,26 @@ def parse_events(path, schemas: Mapping[str, GroupSchema], vocab: Vocabulary) ->
                     if user is not None:
                         found["user_id"] = user
                     candidates.append(encode_ad(found, target, vocab, lineno))
-                events.append(SimEvent(kind="req", ts=ts, user_id=user_id,
-                                       request=RankRequest(request_id=cols[3], user_id=user_id,
-                                                           now=ts, candidates=tuple(candidates),
-                                                           slots=slots)))
+                event = SimEvent(kind="req", ts=ts, user_id=user_id,
+                                 request=RankRequest(request_id=cols[3], user_id=user_id, now=ts,
+                                                     candidates=tuple(candidates), slots=slots))
             else:
                 raise ParseError(f"unknown event tag {tag!r}", lineno)
+            if event.ts < last_ts.setdefault(event.user_id, event.ts):
+                raise ParseError(f"timestamp {event.ts} is earlier than {last_ts[event.user_id]}, "
+                                 f"the previous event of user {event.user_id!r}", lineno)
+            last_ts[event.user_id] = event.ts
+            events.append(event)
     return events
 
 
 def replay_session(scorer, store: SessionStore, events: Sequence[SimEvent],
                    lag_seconds: int = 0) -> list[RankResult]:
-    """Interleave behavior events and rank requests; events reach the store
-    only once the replay clock is at least lag_seconds past them, in
-    (timestamp, file order), whichever user logged the events between."""
-    last_ts: dict[str, int] = {}
-    for ev in events:
-        if ev.ts < last_ts.get(ev.user_id, ev.ts):
-            raise ValueError(f"timestamps go backwards for user {ev.user_id!r}")
-        last_ts[ev.user_id] = ev.ts
-
+    """Interleave behavior events and rank requests in the order given; events
+    reach the store only once the replay clock is at least lag_seconds past
+    them, in (timestamp, list order), whichever user logged the events between."""
     server = AdServer(scorer, store)
-    pending: list[tuple[int, int, SimEvent]] = []  # heap on (ts, file position)
+    pending: list[tuple[int, int, SimEvent]] = []  # heap on (ts, list position)
     results: list[RankResult] = []
 
     def flush(now: float) -> None:

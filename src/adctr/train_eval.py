@@ -15,11 +15,11 @@ from .ingest import ConfigError, LabeledExample, check_config_types, read_config
 from .models import (BatchTrace, Gradients, ModelParams, Variant, backward, encode_batch,
                      forward_batch, init_model, loss, loss_from_logits, pre_activations)
 from .numerics import Array, adagrad_step, adagrad_step_rows, make_rng
-from .schema import AUX_GROUPS, GroupSchema, Vocabulary
+from .schema import AUX_GROUPS, GroupSchema, InputError, Vocabulary
 from .toy import make_toy_problem
 
 
-class MetricUndefinedError(ValueError):
+class MetricUndefinedError(InputError):
     """A metric has no defined value for this input (e.g. single-class AUC)."""
 
 
@@ -67,6 +67,8 @@ class TrainConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout!r}")
         if not self.embedding_l2 >= 0.0:
             raise ConfigError(f"embedding_l2 must be >= 0, got {self.embedding_l2!r}")
+        if self.ablate and self.ablate not in AUX_GROUPS:
+            raise ConfigError(f"unknown auxiliary group {self.ablate!r}")
 
     @classmethod
     def from_json(cls, path, **overrides) -> "TrainConfig":
@@ -123,9 +125,7 @@ def train(config: TrainConfig, train_examples: EncodedBatch | Sequence[LabeledEx
     trains in the initial model's dtype.
     """
     if not train_examples:
-        raise ValueError("empty training stream")
-    if config.ablate and config.ablate not in AUX_GROUPS:
-        raise ValueError(f"unknown auxiliary group {config.ablate!r}")
+        raise InputError("empty training stream")
     rng = make_rng(config.seed)
     if initial is not None:
         if len(initial.tensors["emb.E"]) != vocab.size:
@@ -224,9 +224,12 @@ def predict(model: ModelParams, examples: EncodedBatch | Sequence[LabeledExample
         pctr, trace = forward_batch(model, batch, mode="eval")
         scores[lo : lo + len(batch)] = pctr
         if collect_attention and model.variant in (Variant.DSTN_S, Variant.DSTN_I):
-            for i in range(len(batch)):
-                for group, weights in trace.attention_weights(i).items():
-                    attn.extend((lo + i, group, j, w) for j, w in enumerate(weights))
+            rows = []  # a group's ads are in example order, each example's contiguous
+            for group, t in trace.aux.items():
+                first = np.searchsorted(t.row_idx, t.row_idx)  # each ad's example's first ad
+                rows += zip((t.row_idx + lo).tolist(), [group] * len(first),
+                            (np.arange(len(first)) - first).tolist(), t.alpha.tolist())
+            attn += sorted(rows, key=lambda row: row[0])  # stable: groups keep trace order
         del trace
     return scores, attn
 

@@ -1,5 +1,9 @@
+import errno
+import hashlib
 import json
+import os
 import re
+import socket
 import warnings
 from pathlib import Path
 
@@ -61,6 +65,9 @@ def test_eval_prints_report_line(data_dir, checkpoint, capsys, tmp_path):
     assert rows, "attention dump should not be empty for dstn-i"
     assert all(r[1] in ("contextual", "clicked", "unclicked") for r in rows)
     assert all(float(r[3]) > 0 for r in rows)  # interactive weights are positive
+    # the rows' bytes, example by example, each example's groups in trace order
+    assert hashlib.sha256(attn.read_bytes()).hexdigest() == (
+        "ae3cf4fce89cc7da6bf57e36e9b9d4143ec286f9e78d4d9648c8040b38a0d477")
 
 
 def test_eval_with_ablation(data_dir, checkpoint, capsys, tmp_path):
@@ -245,6 +252,59 @@ def test_a_missing_file_is_one_line_with_status_2(data_dir, tmp_path, capsys):
     assert err.count("\n") == 1 and "none.ckpt.schema.tsv" in err
 
 
+@pytest.mark.parametrize("case", ["directory", "existing-file", "port-in-use"])
+def test_a_path_or_port_the_system_refuses_is_one_line_with_status_2(data_dir, checkpoint,
+                                                                     tmp_path, capsys, case):
+    taken, empty = tmp_path / "taken", tmp_path / "catalog.tsv"
+    taken.write_text("", encoding="utf-8")
+    empty.write_text("", encoding="utf-8")
+    with socket.create_server(("127.0.0.1", 0)) as listening:
+        args, code, path = {
+            "directory": (["eval", "--ckpt", str(checkpoint), "--test", str(tmp_path)],
+                          errno.EISDIR, tmp_path),
+            "existing-file": (["gen-data", "--out", str(taken)], errno.EEXIST, taken),
+            "port-in-use": (["serve-sim", "--ckpt", str(checkpoint), "--catalog", str(empty),
+                             "--listen", str(listening.getsockname()[1])], errno.EADDRINUSE, None),
+        }[case]
+        assert main(args) == 2
+    named = f": '{path}'" if path else ""
+    assert capsys.readouterr().err == f"adctr: [Errno {code}] {os.strerror(code)}{named}\n"
+
+
+@pytest.mark.parametrize("case", ["one-class", "empty"])
+def test_a_test_log_without_both_classes_is_one_line_naming_it(data_dir, checkpoint, tmp_path,
+                                                               capsys, case):
+    test = tmp_path / "test.tsv"
+    lines = (data_dir / "test.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+    test.write_text("".join(l for l in lines if l.startswith("0\t")) if case == "one-class"
+                    else "", encoding="utf-8")
+    assert main(["eval", "--ckpt", str(checkpoint), "--test", str(test)]) == 2
+    assert capsys.readouterr().err == (f"adctr: {test}: AUC needs at least one positive and "
+                                       "one negative\n")
+
+
+def test_an_empty_training_log_is_one_line_with_status_2(data_dir, tmp_path, capsys):
+    train = tmp_path / "train.tsv"
+    train.write_text("", encoding="utf-8")
+    assert main(_train_args(data_dir, tmp_path, **{"--train": str(train)})) == 2
+    assert capsys.readouterr().err == "adctr: empty training stream\n"
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_an_event_log_whose_time_goes_back_for_a_user_is_one_line_naming_it(
+        data_dir, checkpoint, tmp_path, capsys):
+    fields = (data_dir / "train.tsv").read_text(encoding="utf-8").splitlines()[0].split("\t")[3]
+    ad = ";".join(p for p in fields.split(";") if not p.startswith(("user_id=", "age=")))
+    events = tmp_path / "events.tsv"
+    events.write_text(f"IMP\t200\tu1\t{ad}\nIMP\t300\tu2\t{ad}\nCLICK\t100\tu1\t{ad}\n",
+                      encoding="utf-8")
+    assert main(["serve-sim", "--ckpt", str(checkpoint), "--events", str(events),
+                 "--out", str(tmp_path / "results.tsv")]) == 2
+    assert capsys.readouterr().err == (f"adctr: {events}: line 3: timestamp 100 is earlier than "
+                                       "200, the previous event of user 'u1'\n")
+    assert not (tmp_path / "results.tsv").exists()
+
+
 def test_a_bad_schema_or_vocabulary_file_is_one_line_with_status_2(data_dir, checkpoint,
                                                                    tmp_path, capsys):
     schema = tmp_path / "schema.tsv"
@@ -281,6 +341,7 @@ def test_a_non_finite_training_loss_is_one_line_with_status_2(data_dir, tmp_path
     ('{"epochs": "2"}', "epochs must be an integer, got '2'"),
     ('{"fc_dims": 5}', "fc_dims must be a list of integers, got 5"),
     ('{"learning_rate": null}', "learning_rate must be a number, got None"),
+    ('{"ablate": "foo"}', "unknown auxiliary group 'foo'"),
 ])
 def test_a_train_config_the_cli_refuses_is_one_line_with_status_2(data_dir, tmp_path, capsys,
                                                                   config, message):

@@ -516,9 +516,11 @@ class TestReplay:
         ds, vocab, train = env
         ad = _ad_fields(train[0])
         lines = [f"IMP\t200\tu1\t{ad}", f"IMP\t100\tu1\t{ad}"]
-        events = parse_events(self._events_file(tmp_path, ds, train, lines), ds.schemas, vocab)
-        with pytest.raises(ValueError):
-            replay_session(StubScorer(lambda ad: 0.5), SessionStore(), events)
+        path = self._events_file(tmp_path, ds, train, lines)
+        with pytest.raises(ParseError) as info:
+            parse_events(path, ds.schemas, vocab)
+        assert str(info.value) == (f"{path}: line 2: timestamp 100 is earlier than 200, the "
+                                   "previous event of user 'u1'")
 
     def test_empty_log(self):
         store = SessionStore()
@@ -1310,6 +1312,7 @@ server = serving.RankProtocolServer(serving.AdServer(serving.ModelScorer(model),
                                     schemas["target"], vocab)
 print(server.handle_line(line))
 print(" ".join(sorted(name for name in sys.modules if "hashlib" in name)))
+print(" ".join(sorted(name for name in sys.modules if name.startswith("adctr"))))
 """
 
 
@@ -1321,5 +1324,18 @@ def test_a_rank_server_takes_no_hash_and_loads_no_openssl(rank_server_files):
                           str(files["snapshot.tsv"]), str(files["catalog.tsv"]), line],
                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
                          text=True, timeout=120, check=True).stdout.splitlines()
-    assert out[0].startswith("OK ") and len(out) == 2
+    assert out[0].startswith("OK ") and len(out) == 3
     assert out[1] == ""  # neither hashlib nor OpenSSL's _hashlib
+    # the package root imports nothing, so neither training nor the toy problem loads
+    assert out[2].split() == ["adctr", "adctr.embedding", "adctr.ingest", "adctr.models",
+                              "adctr.numerics", "adctr.schema", "adctr.serving", "adctr.session"]
+
+
+def test_importing_the_package_root_loads_no_module():
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", "import sys, adctr\n"
+                          "print(*sorted(n for n in sys.modules if n.split('.')[0] in "
+                          "('adctr', 'numpy')))"],
+                         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out == "adctr\n"

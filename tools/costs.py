@@ -91,8 +91,8 @@ def summary(name: str, samples: list[tuple[int, int]]) -> dict[str, tuple[int, i
 def measure(args) -> dict[str, tuple[int, int, int]]:
     from adctr import models, schema, serving, session
 
-    with open(args.requests, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n").rpartition("\t")[2] for line in fh if line.strip()]
+    with schema.read_lines(args.requests, schema.InputError) as numbered:
+        lines = [text.rpartition("\t")[2] for _, text in numbered if text.strip()]
     if not lines:
         raise SystemExit(f"costs.py: {args.requests} holds no request")
     schemas = schema.load_schemas(f"{args.ckpt}.schema.tsv")

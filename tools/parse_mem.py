@@ -25,8 +25,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from adctr.ingest import iter_group_records, read_examples  # noqa: E402
-from adctr.schema import build_vocabulary, load_schemas  # noqa: E402
+from adctr.ingest import ParseError, iter_group_records, read_examples  # noqa: E402
+from adctr.schema import build_vocabulary, load_schemas, read_lines  # noqa: E402
 
 
 def main(argv: list[str]) -> int:
@@ -36,8 +36,8 @@ def main(argv: list[str]) -> int:
     log, schema_path = argv[1], argv[2]
     schemas = load_schemas(schema_path)
     cpu0 = time.process_time()
-    with open(log, "r", encoding="utf-8") as fh:
-        vocab = build_vocabulary(iter_group_records(fh), schemas)
+    with read_lines(log, ParseError) as lines:
+        vocab = build_vocabulary(iter_group_records(text for _, text in lines), schemas)
     vocab_cpu_s = time.process_time() - cpu0
 
     t0, cpu0 = time.perf_counter(), time.process_time()

@@ -4,9 +4,10 @@ start-up stage, its peak, and whether ``hashlib`` is loaded.
 The stages are those of ``perfbench/rank_server.py``, in its order, in this
 fresh process: ``start`` (the interpreter and this tool), ``numpy`` (its
 import), ``adctr`` (the imports of ``adctr.models``, ``schema``, ``serving``
-and ``session``), ``vocabulary`` (``load_schemas`` and ``Vocabulary.load`` of
-the checkpoint's sidecars), ``model`` (``load_model``), ``session``
-(``SessionStore.restore`` of the snapshot), ``catalog`` (``load_catalog``),
+and ``session``), ``vocabulary`` (this tool's read of the requests, then
+``load_schemas`` and ``Vocabulary.load`` of the checkpoint's sidecars),
+``model`` (``load_model``), ``session`` (``SessionStore.restore`` of the
+snapshot), ``catalog`` (``load_catalog``),
 ``scorer`` (the ``ModelScorer``, ``AdServer`` and ``RankProtocolServer``),
 ``first_request`` (one ``handle_line``) and ``all_requests`` (the other
 lines). The server does not listen: requests go to ``handle_line`` directly,
@@ -36,7 +37,7 @@ MB = 2 ** 20
 
 
 def resident_mb() -> float:
-    with open("/proc/self/statm", "r", encoding="ascii") as fh:
+    with open("/proc/self/statm", "rb") as fh:
         return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / MB
 
 
@@ -45,11 +46,6 @@ def main(argv: list[str]) -> int:
         print("usage: serve_mem.py <ckpt> <snapshot> <catalog> <rank lines>", file=sys.stderr)
         return 2
     ckpt, snapshot, catalog_path, requests_path = argv[1:]
-    with open(requests_path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n").rpartition("\t")[2] for line in fh if line.strip()]
-    if not lines:
-        print(f"serve_mem.py: {requests_path} holds no request", file=sys.stderr)
-        return 2
     stages = {"start": resident_mb()}
 
     import numpy  # noqa: F401
@@ -58,6 +54,11 @@ def main(argv: list[str]) -> int:
     from adctr import models, schema, serving, session
     stages["adctr"] = resident_mb()
 
+    with schema.read_lines(requests_path, schema.InputError) as numbered:
+        lines = [text.rpartition("\t")[2] for _, text in numbered if text.strip()]
+    if not lines:
+        print(f"serve_mem.py: {requests_path} holds no request", file=sys.stderr)
+        return 2
     schemas = schema.load_schemas(f"{ckpt}.schema.tsv")
     vocab = schema.Vocabulary.load(f"{ckpt}.vocab.tsv")
     stages["vocabulary"] = resident_mb()

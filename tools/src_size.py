@@ -48,7 +48,7 @@ def main(argv: list[str]) -> int:
         print(f"{root}: no src/adctr/*.py", file=sys.stderr)
         return 1
     lines = {f.stem: f.read_bytes().count(b"\n") for f in files}
-    values = sum(settable_values(ast.parse(f.read_text(encoding="utf-8"), str(f)))
+    values = sum(settable_values(ast.parse(f.read_bytes(), str(f)))
                  for f in files)
     print(f"lines {sum(lines.values())}")
     print(f"settable_values {values}")

@@ -38,8 +38,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from adctr import train_eval  # noqa: E402
-from adctr.ingest import iter_group_records, read_examples  # noqa: E402
-from adctr.schema import build_vocabulary, load_schemas  # noqa: E402
+from adctr.ingest import ParseError, iter_group_records, read_examples  # noqa: E402
+from adctr.schema import build_vocabulary, load_schemas, read_lines  # noqa: E402
 from adctr.train_eval import TrainConfig, train  # noqa: E402
 
 # stage -> the train_eval names whose calls it covers
@@ -99,8 +99,8 @@ def main(argv: list[str]) -> int:
         return 2
     train_log, val_log, schema_path = argv[1:]
     schemas = load_schemas(schema_path)
-    with open(train_log, "r", encoding="utf-8") as fh:
-        vocab = build_vocabulary(iter_group_records(fh), schemas)
+    with read_lines(train_log, ParseError) as lines:
+        vocab = build_vocabulary(iter_group_records(text for _, text in lines), schemas)
     train_ex = read_examples(train_log, schemas, vocab)
     val_ex = read_examples(val_log, schemas, vocab)
     config = TrainConfig(epochs=1)
